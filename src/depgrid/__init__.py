@@ -43,13 +43,12 @@ from .estimator import (
     BehaviorMode,
     DependabilityReport,
     MetricDeltas,
-    PartitionTally,
     RegionBreakdown,
+    Tally,
     TestCampaign,
     TrialRecord,
     brute_force_dependability,
     compare,
-    merge_tallies,
     observed_rates,
     predict,
     tally,

@@ -8,6 +8,7 @@ positive-mass regions (EmptyPartition).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -102,12 +103,12 @@ def cmd_run(args) -> int:
         safety = (SafetyFunction(**manifest.safety)
                   if manifest.safety is not None else None)
         doc = None
-        if manifest.config_path:
-            _, _, _, doc = load_condition_file(base / manifest.config_path)
+        config_path = manifest.config_path and base / manifest.config_path
+        if config_path:
+            _, _, _, doc = load_condition_file(config_path)
         env, _ = _env_and_policy(doc)
         condition_name = manifest.condition
         out = Path(args.out) if args.out else base / manifest.records_path
-        config_path = manifest.config_path
         config_hash = manifest.config_sha256
     else:
         if not args.scenarios:
@@ -138,6 +139,7 @@ def cmd_run(args) -> int:
                                condition_name=condition_name,
                                workers=args.workers)
     write_records(out, campaign)
+    # the manifest sits next to the records; its paths are relative to it
     manifest = CampaignManifest(
         condition=condition_name,
         policy_name=policy_name,
@@ -145,9 +147,9 @@ def cmd_run(args) -> int:
         safety=safety.as_dict() if safety else None,
         master_seed=seed,
         n_records=len(campaign.records),
-        scenarios_path=str(scenarios_path),
+        scenarios_path=os.path.relpath(scenarios_path, out.parent),
         records_path=out.name,
-        config_path=config_path,
+        config_path=config_path and os.path.relpath(config_path, out.parent),
         config_sha256=config_hash,
     )
     manifest_path = out.with_suffix(".manifest.json")

@@ -237,42 +237,42 @@ class PartitionGrid:
         return np.linspace(dim.min, dim.max, self.bins[d] + 1)
 
     def region(self, space: DomainSpace, index: tuple[int, ...]) -> Region:
-        bounds = []
         for d, i in enumerate(index):
             if not 0 <= i < self.bins[d]:
                 raise InvalidGrid(f"dimension {d}: index {i} outside [0, {self.bins[d] - 1}]")
-            e = self.edges(space, d)
-            bounds.append((float(e[i]), float(e[i + 1])))
-        return Region(
-            index=tuple(int(i) for i in index),
-            bounds=tuple(bounds),
-            is_first=tuple(i == 0 for i in index),
-            is_last=tuple(i == self.bins[d] - 1 for d, i in enumerate(index)),
-        )
+        return self._region(self._all_edges(space), tuple(int(i) for i in index))
 
     def iter_regions(self, space: DomainSpace) -> Iterator[Region]:
         """All regions in C order (last dimension fastest)."""
+        edges = self._all_edges(space)
         for index in np.ndindex(*self.bins):
-            yield self.region(space, index)
+            yield self._region(edges, index)
+
+    def _all_edges(self, space: DomainSpace) -> list[list[float]]:
+        return [self.edges(space, d).tolist() for d in range(len(self.bins))]
+
+    def _region(self, edges: list[list[float]], index: tuple[int, ...]) -> Region:
+        return Region(
+            index=index,
+            bounds=tuple((e[i], e[i + 1]) for e, i in zip(edges, index)),
+            is_first=tuple(i == 0 for i in index),
+            is_last=tuple(i == b - 1 for i, b in zip(index, self.bins)),
+        )
 
     def ravel(self, index: tuple[int, ...]) -> int:
         return int(np.ravel_multi_index(index, self.bins))
 
 
 def validate_grid(grid: PartitionGrid, space: DomainSpace) -> None:
-    """Check the grid partitions the space: rank match and >= 1 bin per dim.
+    """Check the grid partitions the space: its rank matches the space's.
 
-    Disjointness and full coverage hold by construction of the equal-width
-    edges, so there is nothing further to verify numerically.
+    PartitionGrid rejects bin counts below 1 at construction; disjointness
+    and full coverage hold by construction of the equal-width edges.
     """
     if len(grid.bins) != space.ndim:
         raise InvalidGrid(
             f"grid has {len(grid.bins)} dimensions, domain has {space.ndim}"
         )
-    # bin counts were validated at construction; re-check defensively
-    for d, b in enumerate(grid.bins):
-        if b < 1:
-            raise InvalidGrid(f"dimension {d} ({space.dims[d].name}): bins must be >= 1")
 
 
 def partition_indices(grid: PartitionGrid, space: DomainSpace,
@@ -280,7 +280,7 @@ def partition_indices(grid: PartitionGrid, space: DomainSpace,
     """Vectorized bin indices, shape (n, ndim), for in-domain points xs.
 
     Interior edges belong to the higher bin; the domain maximum belongs to
-    the last bin.
+    the last bin. Non-finite coordinates raise OutOfDomain.
     """
     validate_grid(grid, space)
     xs = np.asarray(xs, dtype=float)
@@ -289,8 +289,9 @@ def partition_indices(grid: PartitionGrid, space: DomainSpace,
     out = np.empty(xs.shape, dtype=np.int64)
     for d, dim in enumerate(space.dims):
         col = xs[:, d]
-        if np.any(col < dim.min) or np.any(col > dim.max):
-            bad = col[(col < dim.min) | (col > dim.max)][0]
+        outside = ~((col >= dim.min) & (col <= dim.max))  # NaN fails both
+        if outside.any():
+            bad = col[outside][0]
             raise OutOfDomain(f"{dim.name} = {bad} outside [{dim.min}, {dim.max}]")
         e = grid.edges(space, d)
         out[:, d] = np.minimum(np.searchsorted(e, col, side="right") - 1,

@@ -6,17 +6,19 @@ task completion irrelevant). Dependability under a condition is the
 probability of success when scenarios are drawn from that condition; the
 two undependabilities are the probabilities of the failure modes.
 
-Prediction re-weights per-region success/failure rates observed during
-testing with the analytic region masses of the target condition. Counts are
-kept as exact integers; division happens only at report time.
+A Tally holds the integer outcome counts of one campaign as a single array,
+one row per grid region in C order and one column per behavior mode.
+Prediction re-weights the per-region rates with the target condition's
+region mass vector: the predicted rates are sum_r w_r * p_r. Counts stay
+exact integers; division happens only at report time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from .domain import (
     Region,
     Scenario,
     partition_indices,
-    region_mass,
 )
 from .errors import (
     DataError,
@@ -82,35 +83,6 @@ class TestCampaign:
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-@dataclass(frozen=True)
-class PartitionTally:
-    """Integer outcome counts for one region."""
-
-    region: Region
-    n_total: int
-    n_success: int
-    n_task_fail: int
-    n_harmful: int
-
-    def __post_init__(self):
-        if self.n_success + self.n_task_fail + self.n_harmful != self.n_total:
-            raise DataError(
-                f"region {self.region.index}: mode counts do not sum to n_total"
-            )
-
-    @property
-    def empty(self) -> bool:
-        return self.n_total == 0
-
-    @property
-    def rates(self) -> tuple[float, float, float]:
-        """(success, task-failure, harmful) rates; region must be non-empty."""
-        if self.empty:
-            raise DataError(f"region {self.region.index} has no samples")
-        n = self.n_total
-        return (self.n_success / n, self.n_task_fail / n, self.n_harmful / n)
 
 
 @dataclass(frozen=True)
@@ -190,57 +162,46 @@ _MODE_ORDER = (BehaviorMode.SUCCESS, BehaviorMode.TASK_FAILURE,
                BehaviorMode.HARMFUL_FAILURE)
 
 
+@dataclass(frozen=True, eq=False)
+class Tally:
+    """Integer outcome counts per region of one grid over one space.
+
+    ``counts`` has shape (n_regions, 3): rows are regions in C order (last
+    dimension fastest), columns are success, task-failure and harmful
+    counts. Tallies of the same grid and space add exactly, so tallying
+    record chunks and adding the results equals tallying them all at once.
+    """
+
+    grid: PartitionGrid
+    space: DomainSpace
+    counts: np.ndarray
+
+    def __post_init__(self):
+        if self.counts.shape != (self.grid.n_regions, len(_MODE_ORDER)):
+            raise DataError(f"tally counts have shape {self.counts.shape}, "
+                            f"grid needs ({self.grid.n_regions}, {len(_MODE_ORDER)})")
+
+    def __add__(self, other: "Tally") -> "Tally":
+        if (self.grid, self.space) != (other.grid, other.space):
+            raise DataError("tallies cover different grids")
+        return Tally(self.grid, self.space, self.counts + other.counts)
+
+
 def tally(campaign: TestCampaign, grid: PartitionGrid,
-          space: DomainSpace) -> list[PartitionTally]:
-    """Count outcomes per region. Every region appears, empty ones included.
+          space: DomainSpace) -> Tally:
+    """Count outcomes per region. Every region has a row, empty ones included.
 
     A record's scenario outside the domain raises OutOfDomain; mode counts
     partition the record set exactly.
     """
-    n_regions = grid.n_regions
-    counts = {m: np.zeros(n_regions, dtype=np.int64) for m in _MODE_ORDER}
+    counts = np.zeros((grid.n_regions, len(_MODE_ORDER)), dtype=np.int64)
     if campaign.records:
         xs = np.array([r.scenario.values for r in campaign.records])
-        idx = partition_indices(grid, space, xs)
-        keys = np.ravel_multi_index(idx.T, grid.bins)
+        keys = np.ravel_multi_index(partition_indices(grid, space, xs).T,
+                                    grid.bins)
         modes = np.array([_MODE_ORDER.index(r.mode) for r in campaign.records])
-        for m_i, m in enumerate(_MODE_ORDER):
-            counts[m] = np.bincount(keys[modes == m_i], minlength=n_regions)
-    out = []
-    for flat, region in enumerate(grid.iter_regions(space)):
-        ns = int(counts[BehaviorMode.SUCCESS][flat])
-        nt = int(counts[BehaviorMode.TASK_FAILURE][flat])
-        nh = int(counts[BehaviorMode.HARMFUL_FAILURE][flat])
-        out.append(PartitionTally(region, ns + nt + nh, ns, nt, nh))
-    return out
-
-
-def merge_tallies(parts: Iterable[Sequence[PartitionTally]]) -> list[PartitionTally]:
-    """Merge partial tallies by integer addition (the parallel fold).
-
-    All parts must cover the same region list in the same order; the result
-    equals tallying the concatenated record sets sequentially, exactly.
-    """
-    parts = [list(p) for p in parts]
-    if not parts:
-        raise DataError("no tallies to merge")
-    base = parts[0]
-    for other in parts[1:]:
-        if len(other) != len(base):
-            raise DataError("tally lists cover different grids")
-        merged = []
-        for a, b in zip(base, other):
-            if a.region.index != b.region.index:
-                raise DataError("tally lists cover different grids")
-            merged.append(PartitionTally(
-                a.region,
-                a.n_total + b.n_total,
-                a.n_success + b.n_success,
-                a.n_task_fail + b.n_task_fail,
-                a.n_harmful + b.n_harmful,
-            ))
-        base = merged
-    return base
+        np.add.at(counts, (keys, modes), 1)
+    return Tally(grid, space, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +225,7 @@ def observed_rates(campaign: TestCampaign) -> DependabilityReport:
     )
 
 
-def predict(tallies: Sequence[PartitionTally], target: Condition, *,
+def predict(tally: Tally, target: Condition, *,
             renormalize_empty: bool = False) -> DependabilityReport:
     """Predicted metrics under ``target``: sum of mass-weighted region rates.
 
@@ -275,45 +236,39 @@ def predict(tallies: Sequence[PartitionTally], target: Condition, *,
     normalized by their computed sum (analytically 1) so the three metrics
     obey the sum rule to floating precision.
     """
-    if not tallies:
-        raise EmptyCampaign("no tallies given")
-    masses = np.array([region_mass(target, t.region) for t in tallies])
+    masses = target.region_mass_vector(tally.grid)
     if np.any(masses < 0):
         raise DataError("negative region mass")
-    uncovered = [t.region for t, m in zip(tallies, masses) if m > 0 and t.empty]
+    counts = tally.counts.astype(float)
+    n = counts.sum(axis=1)
+    uncovered = (masses > 0) & (n == 0)
+    regions = list(tally.grid.iter_regions(tally.space))
 
     dropped_mass = 0.0
     dropped: tuple[Region, ...] = ()
-    if uncovered:
+    if uncovered.any():
+        dropped = tuple(regions[i] for i in np.flatnonzero(uncovered))
         if not renormalize_empty:
-            raise EmptyPartition(uncovered)
-        keep = np.array([not (m > 0 and t.empty)
-                         for t, m in zip(tallies, masses)])
-        total_before = float(masses.sum())
-        dropped_mass = float(masses[~keep].sum()) / total_before
-        dropped = tuple(uncovered)
-        masses = np.where(keep, masses, 0.0)
+            raise EmptyPartition(dropped)
+        dropped_mass = float(masses[uncovered].sum()) / float(masses.sum())
+        masses = np.where(uncovered, 0.0, masses)
 
     total = float(masses.sum())
-    counts = np.array([[t.n_success, t.n_task_fail, t.n_harmful, t.n_total]
-                       for t in tallies], dtype=float)
     if total == 0.0:
         # Degenerate renormalization: the target has no mass over covered
         # regions. The report is vacuous and says so via dropped_mass = 1.
-        weights = np.zeros(len(tallies))
+        weights = np.zeros(len(regions))
         d = ut = uh = 0.0
         dropped_mass = 1.0
     else:
         weights = masses / total
-        n_tot = np.where(counts[:, 3] > 0, counts[:, 3], 1.0)
-        rates = counts[:, :3] / n_tot[:, None]
-        rates[counts[:, 3] == 0] = 0.0  # zero-mass-and-empty regions only
+        rates = counts / np.where(n > 0, n, 1.0)[:, None]  # empty rows stay 0
         d, ut, uh = (float(weights @ rates[:, j]) for j in range(3))
 
     per_region = tuple(
-        RegionBreakdown(t.region, float(w), t.n_total, t.n_success,
-                        t.n_task_fail, t.n_harmful)
-        for t, w in zip(tallies, weights)
+        RegionBreakdown(region, float(w), ns + nt + nh, ns, nt, nh)
+        for region, w, (ns, nt, nh) in zip(regions, weights,
+                                           tally.counts.tolist())
     )
     return DependabilityReport(
         condition_name=getattr(target, "name", ""),
@@ -321,7 +276,7 @@ def predict(tallies: Sequence[PartitionTally], target: Condition, *,
         task_undependability=ut,
         harmful_undependability=uh,
         per_region=per_region,
-        renormalized=bool(uncovered),
+        renormalized=bool(dropped),
         dropped_mass=dropped_mass,
         dropped_regions=dropped,
     )

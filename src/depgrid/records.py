@@ -55,6 +55,14 @@ def file_sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _read_text(path: str | Path) -> str:
+    """A data file's text; a missing or unreadable file raises DataError."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"{path}: {e}") from None
+
+
 # ---------------------------------------------------------------------------
 # Condition documents
 # ---------------------------------------------------------------------------
@@ -174,7 +182,7 @@ def write_scenarios(path: str | Path, scenarios: Iterable[Scenario]) -> None:
 
 def read_scenarios(path: str | Path) -> list[Scenario]:
     out = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -216,7 +224,7 @@ def write_records(path: str | Path, campaign: TestCampaign) -> None:
 def read_records(path: str | Path, *, condition_name: str = "",
                  master_seed: int = 0) -> TestCampaign:
     records = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -310,7 +318,7 @@ def write_report(path: str | Path, report: DependabilityReport) -> None:
 
 def read_report(path: str | Path) -> DependabilityReport:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(_read_text(path))
         return report_from_dict(doc)
     except (ValueError, KeyError) as e:
         raise DataError(f"{path}: {e}") from None
@@ -379,6 +387,6 @@ def write_manifest(path: str | Path, manifest: CampaignManifest) -> None:
 
 def read_manifest(path: str | Path) -> CampaignManifest:
     try:
-        return CampaignManifest.from_dict(json.loads(Path(path).read_text()))
+        return CampaignManifest.from_dict(json.loads(_read_text(path)))
     except (ValueError, KeyError) as e:
         raise DataError(f"{path}: {e}") from None

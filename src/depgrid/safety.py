@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .policies import Policy
+from .policies import Policy, ScriptedPolicyParams
 from .simulator import Action, Observation
 
-DEFAULT_RISK_THRESHOLD = 38.47
+DEFAULT_RISK_THRESHOLD = ScriptedPolicyParams().risk_goal_threshold
 DEFAULT_DELTA = 0.5
 
 

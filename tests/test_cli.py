@@ -129,6 +129,52 @@ class TestRunObservePredict:
                        "--out", str(out2)) == 0
         assert out2.read_bytes() == small_pipeline["rec"].read_bytes()
 
+    def test_manifest_replays_from_another_working_directory(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("sample", "--condition", "testing", "--n", "40",
+                       "--seed", "3", "--out", "s.jsonl") == 0
+        assert run_cli("run", "--scenarios", "s.jsonl", "--seed", "5",
+                       "--out", "out/r.jsonl") == 0
+        manifest = json.loads(Path("out/r.manifest.json").read_text())
+        assert manifest["scenarios_path"] == "../s.jsonl"
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert run_cli("run", "--manifest", "../out/r.manifest.json",
+                       "--out", "again.jsonl") == 0
+        assert (Path("again.jsonl").read_bytes()
+                == (tmp_path / "out" / "r.jsonl").read_bytes())
+
+    @pytest.mark.parametrize("argv", [
+        ("predict", "--records", "nope.jsonl", "--condition", "testing"),
+        ("observe", "--records", "nope.jsonl"),
+        ("compare", "--predicted", "nope.json", "--observed", "nope.json"),
+        ("run", "--scenarios", "nope.jsonl"),
+        ("run", "--manifest", "nope.manifest.json"),
+    ])
+    def test_missing_input_file_exits_3(self, tmp_path, monkeypatch, capsys,
+                                        argv):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, "--out", "x.json") == 3
+        assert "nope" in capsys.readouterr().err
+
+    def test_nan_record_exits_3_without_traceback(self, small_pipeline,
+                                                  tmp_path):
+        lines = small_pipeline["rec"].read_text().splitlines(keepends=True)
+        record = json.loads(lines[0])
+        record["scenario"][0] = float("nan")
+        bad = tmp_path / "nan.jsonl"
+        bad.write_text("".join(lines[1:]) + json.dumps(record) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "depgrid.cli", "predict", "--records",
+             str(bad), "--condition", "testing", "--grid", "2,2,2",
+             "--out", str(tmp_path / "p.json")],
+            capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert "OutOfDomain" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_run_with_safety_records_settings(self, small_pipeline, tmp_path):
         rec = tmp_path / "safe.jsonl"
         assert run_cli("run", "--scenarios", str(small_pipeline["scen"]),

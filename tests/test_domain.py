@@ -77,6 +77,11 @@ class TestPartitionIndex:
             partition_index(grid, space, Scenario.of(11.0, 0.0, 0.0))
         with pytest.raises(OutOfDomain):
             partition_index(grid, space, Scenario.of(5.0, 0.0, -0.1))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(OutOfDomain):
+                partition_index(grid, space, Scenario.of(bad, 5.0, 1.0))
+            with pytest.raises(OutOfDomain):
+                partition_index(grid, space, Scenario.of(5.0, 5.0, bad))
 
     def test_scenario_lies_within_returned_region(self, space, grid):
         rng = np.random.default_rng(3)

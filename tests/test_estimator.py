@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from depgrid import (
     EmptyCampaign,
     EmptyPartition,
     IncompleteOutcomes,
+    OutOfDomain,
     PartitionGrid,
     Scenario,
     ScriptedPolicy,
@@ -25,9 +28,9 @@ from depgrid import (
     brute_force_dependability,
     compare,
     evaluate_policy,
-    merge_tallies,
     observed_rates,
     predict,
+    region_mass,
     sample,
     tally,
 )
@@ -68,18 +71,17 @@ class TestTally:
         space = DomainSpace((Dimension("x", 0, 1),))
         grid = PartitionGrid((1,))
         campaign = make_campaign([make_record([0.5], BehaviorMode.SUCCESS)])
-        tallies = tally(campaign, grid, space)
-        assert len(tallies) == 1
-        assert tallies[0].n_total == 1 and tallies[0].n_success == 1
+        t = tally(campaign, grid, space)
+        assert t.counts.dtype == np.int64
+        assert np.array_equal(t.counts, [[1, 0, 0]])
 
     def test_conservation_100k_uniform(self, space, grid):
         n = 100_000
         xs = sample(presets.testing_conditions(), n, 21)
         records = [make_record(x.values, BehaviorMode.SUCCESS) for x in xs]
-        tallies = tally(make_campaign(records), grid, space)
-        assert sum(t.n_total for t in tallies) == n
-        for t in tallies:
-            assert t.n_success + t.n_task_fail + t.n_harmful == t.n_total
+        t = tally(make_campaign(records), grid, space)
+        assert t.counts.shape == (grid.n_regions, 3)
+        assert t.counts.sum() == n and t.counts[:, 0].sum() == n
 
     def test_one_octant_leaves_seven_empty(self):
         space = DomainSpace((Dimension("a", 0, 2), Dimension("b", 0, 2),
@@ -90,15 +92,20 @@ class TestTally:
             make_record(rng.uniform(0, 1, size=3), BehaviorMode.SUCCESS)
             for _ in range(50)
         ]
-        tallies = tally(make_campaign(records), grid, space)
-        empties = [t for t in tallies if t.empty]
-        assert len(empties) == 7
-        full = [t for t in tallies if not t.empty]
-        assert len(full) == 1 and full[0].region.index == (0, 0, 0)
+        n = tally(make_campaign(records), grid, space).counts.sum(axis=1)
+        assert np.count_nonzero(n == 0) == 7
+        # row 0 is region (0, 0, 0) in C order
+        assert np.flatnonzero(n).tolist() == [0] and n[0] == 50
 
     def test_empty_campaign_tallies_to_zero(self, space, grid):
-        tallies = tally(make_campaign([]), grid, space)
-        assert all(t.empty for t in tallies)
+        t = tally(make_campaign([]), grid, space)
+        assert t.counts.shape == (grid.n_regions, 3) and not t.counts.any()
+
+    def test_nan_coordinate_is_out_of_domain(self, space, grid):
+        records = [make_record([5.0, 5.0, 5.0], BehaviorMode.SUCCESS),
+                   make_record([math.nan, 5.0, 5.0], BehaviorMode.SUCCESS)]
+        with pytest.raises(OutOfDomain):
+            tally(make_campaign(records), grid, space)
 
     def test_merge_equals_sequential(self, space, grid):
         xs = sample(presets.testing_conditions(), 900, 31)
@@ -109,9 +116,21 @@ class TestTally:
         ]
         whole = tally(make_campaign(records), grid, space)
         chunks = [records[i::4] for i in range(4)]
-        merged = merge_tallies(
-            tally(make_campaign(c), grid, space) for c in chunks)
-        assert merged == whole
+        merged = reduce(operator.add,
+                        (tally(make_campaign(c), grid, space) for c in chunks))
+        assert np.array_equal(merged.counts, whole.counts)
+
+    def test_adding_different_grids_raises(self, space):
+        records = [make_record([5.0, 5.0, 5.0], BehaviorMode.SUCCESS)]
+        # (1, 5, 5) counts would broadcast into (5, 5, 5) as bare arrays
+        a = tally(make_campaign(records), PartitionGrid((5, 5, 5)), space)
+        b = tally(make_campaign(records), PartitionGrid((1, 5, 5)), space)
+        with pytest.raises(DataError):
+            a + b
+        other_space = DomainSpace(space.dims[:2] + (Dimension("z", 0, 50),))
+        c = tally(make_campaign(records), PartitionGrid((5, 5, 5)), other_space)
+        with pytest.raises(DataError):
+            a + c
 
 
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=60),
@@ -123,10 +142,11 @@ def test_merge_is_order_insensitive(mode_ids, n_chunks):
     rng = np.random.default_rng(len(mode_ids))
     records = [make_record([rng.uniform(0, 1)], modes[m]) for m in mode_ids]
     whole = tally(make_campaign(records), grid, space)
-    merged = merge_tallies(
-        tally(make_campaign(records[i::n_chunks]), grid, space)
-        for i in range(n_chunks))
-    assert merged == whole
+    parts = [tally(make_campaign(records[i::n_chunks]), grid, space)
+             for i in range(n_chunks)]
+    for ordered in (parts, parts[::-1]):
+        merged = reduce(operator.add, ordered)
+        assert np.array_equal(merged.counts, whole.counts)
 
 
 class TestObservedRates:
@@ -268,6 +288,58 @@ class TestPredict:
             assert abs(predicted.metrics()[metric] - p) < 5 * se
 
 
+def scalar_predict(space, grid, records, target):
+    """Oracle: a per-region loop over scalar region_mass and record counts.
+
+    Returns the uncovered positive-mass regions' indices, the weights after
+    dropping them, and the three renormalized rates.
+    """
+    regions = list(grid.iter_regions(space))
+    counts = {r.index: [0, 0, 0] for r in regions}
+    modes = list(BehaviorMode)
+    for rec in records:
+        idx = next(r.index for r in regions if r.contains(rec.scenario.values))
+        counts[idx][modes.index(rec.mode)] += 1
+    masses = {r.index: region_mass(target, r) for r in regions}
+    uncovered = [i for i, m in masses.items() if m > 0 and sum(counts[i]) == 0]
+    for i in uncovered:
+        masses[i] = 0.0
+    total = math.fsum(masses.values())
+    weights = {i: m / total for i, m in masses.items()}
+    rates = [math.fsum(w * counts[i][j] / sum(counts[i])
+                       for i, w in weights.items() if w > 0)
+             for j in range(3)]
+    return uncovered, weights, rates
+
+
+@pytest.mark.parametrize("name", ["testing", "oc1", "oc3", "oc4"])
+@pytest.mark.parametrize("renormalize_empty", [False, True])
+def test_predict_matches_scalar_region_mass_oracle(space, name,
+                                                   renormalize_empty):
+    grid = PartitionGrid((3, 2, 4))
+    xs = sample(presets.testing_conditions(), 200, 47)
+    rng = np.random.default_rng(9)
+    modes = list(BehaviorMode)
+    # no records above y = 30: the top y bin is empty, the one below partly
+    records = [make_record(x.values, modes[rng.integers(0, 3)])
+               for x in xs if x.values[2] < 30.0]
+    target = presets.condition(name)
+    uncovered, weights, rates = scalar_predict(space, grid, records, target)
+    t = tally(make_campaign(records), grid, space)
+    if uncovered and not renormalize_empty:
+        with pytest.raises(EmptyPartition) as exc:
+            predict(t, target)
+        assert [r.index for r in exc.value.regions] == uncovered
+        return
+    r = predict(t, target, renormalize_empty=renormalize_empty)
+    assert r.renormalized == bool(uncovered)
+    assert [d.index for d in r.dropped_regions] == uncovered
+    assert (r.dependability, r.task_undependability,
+            r.harmful_undependability) == pytest.approx(rates, abs=1e-12)
+    assert [b.mass for b in r.per_region] == pytest.approx(
+        [weights[b.region.index] for b in r.per_region], abs=1e-12)
+
+
 class TestBruteForce:
     def line(self):
         return DomainSpace((Dimension("x", 0.0, 1.0),))
@@ -350,12 +422,3 @@ class TestRecordInvariants:
             TrialRecord(Scenario.of(1, 1, 1), BehaviorMode.HARMFUL_FAILURE,
                         seed=0, steps=10, final_position=0.0,
                         collision_time=None)
-
-    def test_tally_counts_must_sum(self, space):
-        grid = PartitionGrid((1, 1, 1))
-        t = tally(make_campaign([make_record([1, 1, 1],
-                                             BehaviorMode.SUCCESS)]),
-                  grid, space)[0]
-        from depgrid import PartitionTally
-        with pytest.raises(DataError):
-            PartitionTally(t.region, 5, 1, 1, 1)
