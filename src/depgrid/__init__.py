@@ -54,6 +54,7 @@ from .estimator import (
     tally,
 )
 from .policies import (
+    BatchPolicy,
     Policy,
     ScriptedPolicy,
     ScriptedPolicyParams,
@@ -68,6 +69,7 @@ from .simulator import (
     classify,
     init,
     observe,
+    run_batch,
     run_episode,
     scenario_domain,
     step,

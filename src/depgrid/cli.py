@@ -63,11 +63,16 @@ def _env_and_policy(doc: dict | None) -> tuple[EnvConfig, ScriptedPolicyParams]:
     env = EnvConfig()
     params = presets.default_policy_params()
     if doc:
-        if "env" in doc:
-            env = env_from_dict(doc["env"])
-        if "policy" in doc:
-            raw = doc["policy"].get("params", {})
-            params = ScriptedPolicyParams(**raw)
+        try:
+            if "env" in doc:
+                env = env_from_dict(doc["env"])
+            if "policy" in doc:
+                raw = doc["policy"].get("params", {})
+                params = ScriptedPolicyParams(**raw)
+        except KeyError as e:
+            raise ConfigError(f"condition document missing key {e}") from None
+        except (ValueError, TypeError, AttributeError) as e:
+            raise ConfigError(f"malformed condition document: {e}") from None
     return env, params
 
 
@@ -136,8 +141,7 @@ def cmd_run(args) -> int:
     scenarios = read_scenarios(scenarios_path)
     factory = _policy_factory(policy_name, params, env, safety)
     campaign = evaluate_policy(env, factory, scenarios, seed,
-                               condition_name=condition_name,
-                               workers=args.workers)
+                               condition_name=condition_name)
     write_records(out, campaign)
     # the manifest sits next to the records; its paths are relative to it
     manifest = CampaignManifest(
@@ -241,15 +245,17 @@ _SEED_OFFSETS = {
 
 
 def reproduce(out_dir: str | Path, *, n: int = 20000, seed: int = 0,
-              workers: int = 1, tolerance_pts: float = 2.0,
+              tolerance_pts: float = 2.0,
               grid: PartitionGrid | None = None) -> dict:
     """Run the whole pipeline into out_dir and return the summary dict.
 
     Steps: uniform testing campaign; per-region tallies; predictions for the
     four operating conditions; held-out observation campaigns for each;
     predicted-vs-observed comparison; a paired safety-function campaign on
-    the same testing scenarios; summary table, reports, and charts. Output
-    bytes are a pure function of (n, seed, grid, tolerance).
+    the same testing scenarios; summary table, reports, and charts. Each
+    campaign is simulated by evaluate_policy, which steps all its episodes
+    in lockstep. Output bytes are a pure function of (n, seed, grid,
+    tolerance).
 
     The default 10x10x10 grid needs n large enough to populate every voxel
     (the uniform testing campaign covers all 1000 with n around 20000);
@@ -274,7 +280,7 @@ def reproduce(out_dir: str | Path, *, n: int = 20000, seed: int = 0,
              if safety else factory)
         campaign = evaluate_policy(
             env, f, scenarios, seed + _SEED_OFFSETS[camp_key],
-            condition_name=cond_name, workers=workers)
+            condition_name=cond_name)
         name = tag or cond_name
         write_records(out / "records" / f"{name}.jsonl", campaign)
         write_manifest(out / "records" / f"{name}.manifest.json", CampaignManifest(
@@ -420,8 +426,7 @@ def _summary_text(s: dict) -> str:
 
 def cmd_reproduce(args) -> int:
     grid = _parse_grid(args.grid) if args.grid else None
-    reproduce(args.out_dir, n=args.n, seed=args.seed,
-              workers=args.workers, grid=grid)
+    reproduce(args.out_dir, n=args.n, seed=args.seed, grid=grid)
     print((Path(args.out_dir) / "summary.txt").read_text(), end="")
     return 0
 
@@ -451,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_sample)
 
-    sp = sub.add_parser("run", help="run one episode per scenario")
+    sp = sub.add_parser("run", help="run one episode per scenario, all "
+                                    "stepped in lockstep")
     sp.add_argument("--scenarios", help="scenario JSONL file")
     sp.add_argument("--config", help="condition document with env/policy")
     sp.add_argument("--condition", help="condition name for the manifest")
@@ -463,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, default=0.5,
                     help="clip margin below the risk threshold")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--manifest", help="rerun a campaign from its manifest")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_run)
@@ -496,11 +501,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_plot)
 
-    sp = sub.add_parser("reproduce", help="run the full pipeline end to end")
+    sp = sub.add_parser("reproduce", help="run the full pipeline end to end "
+                                          "(six campaigns of --n episodes)")
     sp.add_argument("--out-dir", required=True)
     sp.add_argument("--n", type=int, default=20000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--grid", help="bins per dimension (default 10,10,10); "
                                    "scale down with --n")
     sp.set_defaults(func=cmd_reproduce)

@@ -49,7 +49,12 @@ class BehaviorMode(str, Enum):
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Outcome of running a policy in one scenario."""
+    """Outcome of running a policy in one scenario.
+
+    steps counts the seconds stepped. A harmful failure ends at its
+    collision, so it has collision_time == steps >= 1; other modes have no
+    collision_time. A record that breaks this raises DataError.
+    """
 
     scenario: Scenario
     mode: BehaviorMode
@@ -68,6 +73,15 @@ class TrialRecord:
         if harmful != (self.collision_time is not None):
             raise DataError(
                 "collision_time must be present exactly for harmful failures"
+            )
+        if self.steps < 0:
+            raise DataError(f"steps must be >= 0, got {self.steps}")
+        if harmful and not (self.steps >= 1
+                            and self.collision_time == self.steps):
+            raise DataError(
+                f"harmful failure needs steps >= 1 and collision_time == "
+                f"steps, got steps={self.steps}, "
+                f"collision_time={self.collision_time}"
             )
 
 

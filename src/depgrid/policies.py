@@ -5,18 +5,26 @@ topology mirrors a trained controller for the same task: it fails the task on
 slow obstacles (it waits for them to pass, which slow ones never do in time)
 and fails harmfully on high perceived goals (it stops waiting and drives
 straight into the obstacle's path).
+
+Each policy has two forms. The scalar form (``reset``/``act``) drives one
+episode through ``simulator.run_episode`` and is the reference. The batch
+form (``batch(n)``) returns a controller that keeps the per-episode state of
+n episodes as arrays and maps a batch observation to a forward mask;
+``evaluate_policy`` runs every campaign through it with
+``simulator.run_batch``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
+import numpy as np
+
 from .domain import Scenario, substream_seed
 from .errors import ConfigError
-from .estimator import TestCampaign, TrialRecord
-from .simulator import Action, EnvConfig, Observation, run_episode
+from .estimator import TestCampaign
+from .simulator import Action, EnvConfig, Observation, run_batch
 
 
 class Policy(Protocol):
@@ -25,6 +33,15 @@ class Policy(Protocol):
     def reset(self) -> None: ...
 
     def act(self, obs: Observation) -> Action: ...
+
+
+class BatchPolicy(Protocol):
+    """Controller for n episodes stepped in lockstep, fresh from
+    ``policy.batch(n)``. Each call gets a batch observation (one array entry
+    per episode) and returns a bool array: True for forward, False for
+    backward. Entries of episodes that have ended are ignored."""
+
+    def act(self, obs: Observation) -> np.ndarray: ...
 
 
 PolicyFactory = Callable[[], Policy]
@@ -112,28 +129,45 @@ class ScriptedPolicy:
             return Action.FORWARD
         return Action.BACKWARD
 
+    def batch(self, n: int) -> "ScriptedBatch":
+        return ScriptedBatch(self.params, self.env, n)
+
+
+class ScriptedBatch:
+    """Batch form of ScriptedPolicy: the same rules over arrays, with the
+    latched goals and passage flags held per episode."""
+
+    def __init__(self, params: ScriptedPolicyParams, env: EnvConfig, n: int):
+        self.params = params
+        self.env = env
+        self._goal: np.ndarray | None = None
+        self._passed = np.zeros(n, dtype=bool)
+
+    def act(self, obs: Observation) -> np.ndarray:
+        p = self.params
+        if self._goal is None:
+            self._goal = np.array(obs.goal_noisy, dtype=float)
+        # the scalar form skips this test for impatient episodes, which go
+        # forward whatever the flag says
+        trailing = obs.obstacle_pos_noisy + self.env.obstacle_width
+        self._passed |= trailing < -p.passed_margin
+        return ((self._goal >= p.risk_goal_threshold) | self._passed
+                | (obs.robot_pos + self.env.step_inches <= p.safe_ceiling))
+
 
 def evaluate_policy(cfg: EnvConfig, policy_factory: PolicyFactory,
                     scenarios: Sequence[Scenario], master_seed: int, *,
-                    condition_name: str = "", workers: int = 1) -> TestCampaign:
-    """Run one episode per scenario with a fresh policy instance each.
+                    condition_name: str = "") -> TestCampaign:
+    """Run one episode per scenario, all in lockstep through the batch form
+    of ``policy_factory()``; a policy without one raises ConfigError.
 
-    Episode i uses the substream seed derived from (master_seed, i), so the
-    campaign is a pure function of its inputs and identical for any worker
-    count or scheduling order.
+    Episode i uses the substream seed derived from (master_seed, i), and its
+    record equals ``run_episode(cfg, policy_factory(), scenarios[i], seed)``,
+    so the campaign is a pure function of its inputs.
     """
     seeds = [substream_seed(master_seed, i) for i in range(len(scenarios))]
-
-    def one(i: int) -> TrialRecord:
-        return run_episode(cfg, policy_factory(), scenarios[i], seeds[i])
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, range(len(scenarios))))
-    else:
-        records = [one(i) for i in range(len(scenarios))]
     return TestCampaign(
         condition_name=condition_name,
-        records=tuple(records),
+        records=tuple(run_batch(cfg, policy_factory(), scenarios, seeds)),
         master_seed=master_seed,
     )

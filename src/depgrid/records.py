@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from .domain import (
     Scenario,
     Uniform,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, OutOfDomain
 from .estimator import (
     BehaviorMode,
     DependabilityReport,
@@ -152,6 +153,8 @@ def parse_condition_document(doc: dict) -> tuple[ConditionSet, PartitionGrid, in
         seed = int(doc["seed"])
     except KeyError as e:
         raise ConfigError(f"condition document missing key {e}") from None
+    except (ValueError, TypeError, AttributeError) as e:
+        raise ConfigError(f"malformed condition document: {e}") from None
     return cond, grid, seed
 
 
@@ -180,16 +183,25 @@ def write_scenarios(path: str | Path, scenarios: Iterable[Scenario]) -> None:
     atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
+def _finite_scenario(values) -> Scenario:
+    """A Scenario from JSON values; NaN or infinity raises OutOfDomain."""
+    x = Scenario(tuple(float(v) for v in values))
+    if not all(math.isfinite(v) for v in x.values):
+        raise OutOfDomain(f"non-finite scenario coordinate in {list(x.values)}")
+    return x
+
+
 def read_scenarios(path: str | Path) -> list[Scenario]:
     out = []
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            values = json.loads(line)
-            out.append(Scenario(tuple(float(v) for v in values)))
+            out.append(_finite_scenario(json.loads(line)))
         except (ValueError, TypeError) as e:
             raise DataError(f"{path}: line {lineno}: {e}") from None
+        except DataError as e:
+            raise type(e)(f"{path}: line {lineno}: {e}") from None
     return out
 
 
@@ -205,12 +217,15 @@ def record_to_dict(r: TrialRecord) -> dict:
 
 
 def record_from_dict(d: dict) -> TrialRecord:
+    final_position = float(d["final_position"])
+    if not math.isfinite(final_position):
+        raise DataError(f"non-finite final_position {final_position}")
     return TrialRecord(
-        scenario=Scenario(tuple(float(v) for v in d["scenario"])),
+        scenario=_finite_scenario(d["scenario"]),
         mode=BehaviorMode(d["mode"]),
         seed=int(d["seed"]),
         steps=int(d["steps"]),
-        final_position=float(d["final_position"]),
+        final_position=final_position,
         collision_time=None if d.get("collision_time") is None
         else float(d["collision_time"]),
     )
@@ -231,6 +246,8 @@ def read_records(path: str | Path, *, condition_name: str = "",
             records.append(record_from_dict(json.loads(line)))
         except (ValueError, TypeError, KeyError) as e:
             raise DataError(f"{path}: line {lineno}: {e}") from None
+        except DataError as e:
+            raise type(e)(f"{path}: line {lineno}: {e}") from None
     return TestCampaign(condition_name=condition_name, records=tuple(records),
                         master_seed=master_seed)
 

@@ -9,11 +9,13 @@ impatient branch is never latched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import ConfigError
-from .policies import Policy, ScriptedPolicyParams
-from .simulator import Action, Observation
+from .policies import BatchPolicy, Policy, ScriptedPolicyParams
+from .simulator import Action, Observation, batch_form
 
 DEFAULT_RISK_THRESHOLD = ScriptedPolicyParams().risk_goal_threshold
 DEFAULT_DELTA = 0.5
@@ -59,6 +61,22 @@ class GoalClippedPolicy:
             obstacle_speed_noisy=obs.obstacle_speed_noisy,
             goal_noisy=clipped,
         ))
+
+    def batch(self, n: int) -> "GoalClippedBatch":
+        return GoalClippedBatch(batch_form(self.inner)(n), self.sf.goal_clip_max)
+
+
+class GoalClippedBatch:
+    """Batch form of GoalClippedPolicy: clips the goal column of a batch
+    observation and hands it to the inner policy's batch controller."""
+
+    def __init__(self, inner: BatchPolicy, goal_clip_max: float):
+        self.inner = inner
+        self.goal_clip_max = goal_clip_max
+
+    def act(self, obs: Observation) -> np.ndarray:
+        clipped = np.minimum(np.maximum(obs.goal_noisy, 0.0), self.goal_clip_max)
+        return self.inner.act(replace(obs, goal_noisy=clipped))
 
 
 def wrap(policy: Policy, sf: SafetyFunction) -> GoalClippedPolicy:

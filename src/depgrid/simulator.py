@@ -9,18 +9,33 @@ the episode; colliding with the obstacle at any time is a harmful failure.
 
 Episodes are pure functions of (config, policy, scenario, seed). Sensor noise
 is redrawn at every observation from the episode's own generator.
+
+Two functions run episodes. ``run_episode`` steps one episode through
+init/observe/act/step/classify and is the reference. ``run_batch`` steps
+every episode of a campaign in lockstep with numpy, in blocks of at most
+1,024 episodes, and gives records equal to ``run_episode``'s: the same noise
+stream per seed, the same clip, leading-edge formula and collision test, and
+an episode freezes when it collides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .domain import Dimension, DomainSpace, Scenario
 from .errors import ConfigError, EpisodeNotFinished, SteppingTerminatedEpisode
 from .estimator import BehaviorMode, TrialRecord
+
+if TYPE_CHECKING:
+    from .policies import BatchPolicy
+
+# Episodes stepped together by run_batch. Bounds the per-block noise array,
+# (block, episode_seconds, 3) float64: 2.4 MB at the default 100 s.
+_BLOCK = 1024
 
 # Scenario bounds for the obstacle dimensions; the goal dimension follows the
 # robot track bounds in EnvConfig.
@@ -86,7 +101,10 @@ class EnvState:
 @dataclass(frozen=True, slots=True)
 class Observation:
     """What a policy sees each second. Robot position is exact; the obstacle
-    position, obstacle speed, and goal carry fresh zero-mean Gaussian noise."""
+    position, obstacle speed, and goal carry fresh zero-mean Gaussian noise.
+
+    A batch observation (``run_batch``) holds one float array per field, one
+    entry per episode of the block."""
 
     obstacle_pos_noisy: float
     robot_pos: float
@@ -197,3 +215,103 @@ def run_episode(cfg: EnvConfig, policy, x: Scenario, seed: int) -> TrialRecord:
         final_position=state.robot_pos,
         collision_time=state.collision_time,
     )
+
+
+def batch_form(policy) -> Callable[[int], "BatchPolicy"]:
+    """The policy's ``batch`` method, which builds a controller for n
+    episodes stepped in lockstep (see policies.BatchPolicy).
+
+    Raises ConfigError for a policy that has none.
+    """
+    batch = getattr(policy, "batch", None)
+    if not callable(batch):
+        raise ConfigError(
+            f"{type(policy).__name__} has no batch form; campaigns need "
+            f"a policy with a batch(n) method"
+        )
+    return batch
+
+
+def run_batch(cfg: EnvConfig, policy, scenarios: Sequence[Scenario],
+              seeds: Sequence[int]) -> list[TrialRecord]:
+    """One record per (scenario, seed) pair, stepping each block of episodes
+    in lockstep.
+
+    Record i equals ``run_episode(cfg, p, scenarios[i], seeds[i])`` bit for
+    bit, where p is a fresh policy configured like ``policy``. Each block
+    gets a fresh controller from ``policy.batch(n)``; a policy without a
+    batch form raises ConfigError. Every scenario is checked against the
+    domain before any episode runs.
+    """
+    if len(seeds) != len(scenarios):
+        raise ConfigError(
+            f"{len(seeds)} seeds for {len(scenarios)} scenarios"
+        )
+    make_controller = batch_form(policy)
+    space = scenario_domain(cfg)
+    for x in scenarios:
+        space.check_values(x.values)
+    records: list[TrialRecord] = []
+    for start in range(0, len(scenarios), _BLOCK):
+        stop = start + _BLOCK
+        records += _run_block(cfg, make_controller, scenarios[start:stop],
+                              seeds[start:stop])
+    return records
+
+
+# run_batch's outcome codes, in order
+_MODES = (BehaviorMode.SUCCESS, BehaviorMode.TASK_FAILURE,
+          BehaviorMode.HARMFUL_FAILURE)
+
+
+def _run_block(cfg: EnvConfig, make_controller, scenarios: Sequence[Scenario],
+               seeds: Sequence[int]) -> list[TrialRecord]:
+    n, horizon = len(scenarios), cfg.episode_seconds
+    controller = make_controller(n)
+    v, t, y = np.array([x.values for x in scenarios], dtype=float).T
+    # each episode's noise is its own PCG64(seed) stream, as in run_episode
+    noise = np.empty((n, horizon, 3))
+    for j, seed in enumerate(seeds):
+        np.random.Generator(np.random.PCG64(seed)).standard_normal(out=noise[j])
+
+    lo, hi = cfg.robot_bounds
+    pos = np.full(n, lo)
+    max_pos = pos.copy()
+    steps = np.zeros(n, dtype=np.int64)
+    live = np.ones(n, dtype=bool)   # cleared exactly when an episode collides
+    edge = cfg.obstacle_spawn_offset - v * np.maximum(0.0, 0.0 - t)
+    for k in range(horizon):
+        eps = noise[:, k]
+        forward = controller.act(Observation(
+            obstacle_pos_noisy=edge + cfg.noise_sigma_obstacle_pos * eps[:, 0],
+            robot_pos=pos,
+            obstacle_speed_noisy=v + cfg.noise_sigma_speed * eps[:, 1],
+            goal_noisy=y + cfg.noise_sigma_goal * eps[:, 2],
+        ))
+        moved = pos + np.where(forward, cfg.step_inches, -cfg.step_inches)
+        # step()'s min(max(moved, lo), hi), down to which zero it keeps
+        # on a tie: np.maximum would turn a -0.0 bound into a 0.0 position
+        moved = np.where(lo > moved, lo, moved)
+        moved = np.where(hi < moved, hi, moved)
+        pos = np.where(live, moved, pos)
+        max_pos = np.maximum(max_pos, pos)
+        steps += live
+        edge = cfg.obstacle_spawn_offset - v * np.maximum(0.0, (k + 1.0) - t)
+        occupied = (edge <= 0.0) & (0.0 < edge + cfg.obstacle_width)
+        live &= ~(occupied & (pos >= cfg.danger_height))
+        if not live.any():
+            break
+
+    codes = np.where(live, np.where(max_pos >= y, 0, 1), 2).tolist()
+    return [
+        TrialRecord(
+            scenario=x,
+            mode=_MODES[code],
+            seed=int(seed),
+            steps=n_steps,
+            final_position=final,
+            collision_time=float(n_steps) if code == 2 else None,
+        )
+        for x, seed, code, n_steps, final in zip(scenarios, seeds, codes,
+                                                 steps.tolist(), pos.tolist())
+    ]

@@ -35,6 +35,7 @@ from depgrid import (
     predict,
     run_episode,
     sample,
+    substream_seed,
     tally,
     wrap,
 )
@@ -148,7 +149,7 @@ def test_criterion_2_oracle_equivalence(space):
             outcomes[center] = mode
             records.append(TrialRecord(
                 center, mode, seed=0, steps=100, final_position=0.0,
-                collision_time=1.0 if mode is BehaviorMode.HARMFUL_FAILURE
+                collision_time=100.0 if mode is BehaviorMode.HARMFUL_FAILURE
                 else None))
         probs = rng.random(len(centers))
         probs /= probs.sum()
@@ -248,10 +249,10 @@ def _tree_bytes(root: Path) -> dict[str, bytes]:
 
 
 def test_criterion_8_determinism(bundle, tmp_path, space, grid):
-    # full pipeline twice at a scaled size, sequential vs threaded
+    # full pipeline twice at a scaled size
     kwargs = dict(n=3000, seed=7, grid=PartitionGrid((5, 5, 5)))
-    reproduce(tmp_path / "a", workers=1, **kwargs)
-    reproduce(tmp_path / "b", workers=3, **kwargs)
+    reproduce(tmp_path / "a", **kwargs)
+    reproduce(tmp_path / "b", **kwargs)
     a, b = _tree_bytes(tmp_path / "a"), _tree_bytes(tmp_path / "b")
     files_ok = a == b and len(a) > 20
     # tallying is a commutative fold: chunked merge equals sequential
@@ -262,9 +263,28 @@ def test_criterion_8_determinism(bundle, tmp_path, space, grid):
     ]
     merged = reduce(operator.add, (tally(c, grid, space) for c in chunks))
     criterion(8, "identical seeds give byte-identical pipeline outputs; "
-                 "parallel and sequential evaluation/tallying agree exactly",
+                 "chunked and whole tallying agree exactly",
               files_ok and np.array_equal(merged.counts, whole.counts),
               f"{len(a)} files compared byte-for-byte")
+
+
+def test_batch_campaigns_equal_scalar_replay(bundle, env, params):
+    # evaluate_policy steps campaigns in lockstep; run_episode is the
+    # reference: all of the testing campaign, every 10th record elsewhere
+    governed = lambda: wrap(ScriptedPolicy(params, env), bundle["sf"])
+    campaigns = [(bundle["test_campaign"], "testing", 1, bundle["factory"]),
+                 (bundle["safety_campaign"], "testing", 10, governed)]
+    campaigns += [(bundle["oc_campaigns"][oc], oc, 10, bundle["factory"])
+                  for oc in OC_NAMES]
+    replayed = 0
+    for campaign, seed_key, stride, factory in campaigns:
+        assert len(campaign.records) == N
+        for i in range(0, N, stride):
+            r = campaign.records[i]
+            assert r.seed == substream_seed(CAMPAIGN_SEEDS[seed_key], i)
+            assert run_episode(env, factory(), r.scenario, r.seed) == r
+            replayed += 1
+    assert replayed == N + 5 * N // 10
 
 
 def test_criterion_9_empty_partition_enforcement(env, params, space, grid):

@@ -64,6 +64,20 @@ class TestSample:
         ys = [json.loads(line)[2] for line in out.read_text().splitlines()]
         assert max(ys) <= 30.0
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: {**doc, "grid": {"bins": ["x"]}},
+        lambda doc: [doc],
+        lambda doc: {**doc, "marginals": {**doc["marginals"], "v": [1, 2]}},
+    ], ids=["bad_bin_count", "list_document", "list_marginal"])
+    def test_malformed_config_document_exits_2(self, tmp_path, capsys, edit):
+        doc = condition_document(presets.condition("oc1"),
+                                 presets.default_grid(), seed=0)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(edit(doc)))
+        assert run_cli("sample", "--config", str(cfg), "--n", "5",
+                       "--out", str(tmp_path / "s.jsonl")) == 2
+        assert "ConfigError" in capsys.readouterr().err
+
 
 class TestRunObservePredict:
     def test_observe_report(self, small_pipeline, tmp_path):
@@ -174,6 +188,49 @@ class TestRunObservePredict:
         assert proc.returncode == 3
         assert "OutOfDomain" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["plot", "observe"])
+    @pytest.mark.parametrize("field, value", [
+        ("scenario", [float("nan"), 5.0, 30.0]),
+        ("scenario", [5.0, float("inf"), 30.0]),
+        ("final_position", float("nan")),
+        ("steps", -1),
+    ])
+    def test_invalid_record_exits_3(self, tmp_path, capsys, command, field,
+                                    value):
+        record = {"scenario": [5.0, 5.0, 30.0], "mode": "task_failure",
+                  "seed": 1, "steps": 100, "final_position": 20.0,
+                  "collision_time": None, field: value}
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(record) + "\n")
+        extra = ("--dims", "v,y") if command == "plot" else ()
+        assert run_cli(command, "--records", str(bad), *extra,
+                       "--out", str(tmp_path / "out")) == 3
+        assert "bad.jsonl: line 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_harmful_record_must_end_at_its_collision(self, tmp_path):
+        record = {"scenario": [5.0, 5.0, 30.0], "mode": "harmful_failure",
+                  "seed": 1, "steps": 500, "final_position": 25.0,
+                  "collision_time": 3.0}
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(record) + "\n")
+        assert run_cli("observe", "--records", str(bad),
+                       "--out", str(tmp_path / "r.json")) == 3
+
+    @pytest.mark.parametrize("section", [
+        {"policy": {"name": "scripted", "params": {"bogus": 1}}},
+        {"env": {"episode_seconds": 100}},
+    ], ids=["unknown_policy_param", "incomplete_env"])
+    def test_malformed_run_config_exits_2(self, small_pipeline, tmp_path,
+                                          section):
+        doc = condition_document(presets.condition("testing"),
+                                 presets.default_grid(), seed=0)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**doc, **section}))
+        assert run_cli("run", "--scenarios", str(small_pipeline["scen"]),
+                       "--config", str(cfg),
+                       "--out", str(tmp_path / "r.jsonl")) == 2
 
     def test_run_with_safety_records_settings(self, small_pipeline, tmp_path):
         rec = tmp_path / "safe.jsonl"

@@ -44,7 +44,7 @@ def make_record(values, mode, seed=0) -> TrialRecord:
         seed=seed,
         steps=100,
         final_position=0.0,
-        collision_time=50.0 if mode is BehaviorMode.HARMFUL_FAILURE else None,
+        collision_time=100.0 if mode is BehaviorMode.HARMFUL_FAILURE else None,
     )
 
 
@@ -422,3 +422,21 @@ class TestRecordInvariants:
             TrialRecord(Scenario.of(1, 1, 1), BehaviorMode.HARMFUL_FAILURE,
                         seed=0, steps=10, final_position=0.0,
                         collision_time=None)
+
+    @pytest.mark.parametrize("mode, steps, collision_time", [
+        (BehaviorMode.SUCCESS, -1, None),
+        (BehaviorMode.HARMFUL_FAILURE, 500, 3.0),
+        (BehaviorMode.HARMFUL_FAILURE, 0, 0.0),
+        (BehaviorMode.HARMFUL_FAILURE, -2, -2.0),
+    ])
+    def test_steps_and_collision_time_must_agree(self, mode, steps,
+                                                 collision_time):
+        with pytest.raises(DataError):
+            TrialRecord(Scenario.of(1, 1, 1), mode, seed=0, steps=steps,
+                        final_position=0.0, collision_time=collision_time)
+
+    def test_collision_on_the_last_counted_step_is_valid(self):
+        r = TrialRecord(Scenario.of(1, 1, 1), BehaviorMode.HARMFUL_FAILURE,
+                        seed=0, steps=1, final_position=25.0,
+                        collision_time=1.0)
+        assert r.collision_time == r.steps

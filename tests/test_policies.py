@@ -1,24 +1,31 @@
 from __future__ import annotations
 
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from depgrid import (
     Action,
     BehaviorMode,
     ConfigError,
+    EnvConfig,
     Observation,
+    SafetyFunction,
     Scenario,
     ScriptedPolicy,
     ScriptedPolicyParams,
     evaluate_policy,
+    run_batch,
     run_episode,
     sample,
-    tally,
+    wrap,
 )
-from depgrid import presets
+from depgrid import presets, simulator
+from depgrid.records import record_to_dict
 
 
 def obs(goal=10.0, robot=0.0, edge=80.0, speed=5.0) -> Observation:
@@ -180,15 +187,6 @@ class TestEvaluatePolicy:
         big = evaluate_policy(env, scripted_factory, xs, 9)
         assert big.records[:12] == small.records
 
-    def test_parallel_equals_sequential(self, env, space, grid,
-                                        scripted_factory):
-        xs = sample(presets.testing_conditions(), 400, 63)
-        seq = evaluate_policy(env, scripted_factory, xs, 11, workers=1)
-        par = evaluate_policy(env, scripted_factory, xs, 11, workers=4)
-        assert par == seq
-        assert np.array_equal(tally(par, grid, space).counts,
-                              tally(seq, grid, space).counts)
-
     def test_record_seed_reproduces_episode(self, env, params,
                                             scripted_factory):
         xs = sample(presets.testing_conditions(), 20, 64)
@@ -196,3 +194,140 @@ class TestEvaluatePolicy:
         for r in campaign.records:
             assert run_episode(env, ScriptedPolicy(params, env),
                                r.scenario, r.seed) == r
+
+
+class ScalarOnly:
+    """A policy with a scalar form and no batch form."""
+
+    def reset(self) -> None:
+        pass
+
+    def act(self, obs: Observation) -> Action:
+        return Action.FORWARD
+
+
+def assert_batch_matches_scalar(cfg, factory, scenarios, seeds):
+    batch = run_batch(cfg, factory(), scenarios, seeds)
+    scalar = [run_episode(cfg, factory(), x, s)
+              for x, s in zip(scenarios, seeds)]
+    assert batch == scalar
+    # equal JSON too: field types (int steps, float positions) match
+    assert ([json.dumps(record_to_dict(r)) for r in batch]
+            == [json.dumps(record_to_dict(r)) for r in scalar])
+    return batch
+
+
+@st.composite
+def batch_cases(draw):
+    """A random environment, policy (with or without the governor),
+    scenarios inside its domain, seeds, and run_batch block size."""
+    ceiling = draw(st.floats(0.5, 24.5))
+    danger = draw(st.floats(ceiling + 0.1, ceiling + 30.0))
+    lo = draw(st.floats(danger - 30.0, danger - 0.1))
+    hi = draw(st.floats(danger + 0.1, danger + 40.0))
+    sigma = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+    cfg = EnvConfig(
+        episode_seconds=draw(st.one_of(st.sampled_from([0, 1]),
+                                       st.integers(0, 60))),
+        step_inches=draw(st.one_of(st.sampled_from([0.0, 5.0, 30.0]),
+                                   st.floats(0.0, 30.0))),
+        robot_bounds=(lo, hi),
+        danger_height=danger,
+        obstacle_spawn_offset=draw(st.one_of(st.sampled_from([0.0, 80.0]),
+                                             st.floats(0.0, 100.0))),
+        obstacle_width=draw(st.floats(0.0, 20.0)),
+        noise_sigma_speed=draw(sigma),
+        noise_sigma_obstacle_pos=draw(sigma),
+        noise_sigma_goal=draw(sigma),
+    )
+    params = ScriptedPolicyParams(
+        risk_goal_threshold=draw(st.one_of(st.sampled_from([0.0, 50.0]),
+                                           st.floats(0.0, 50.0))),
+        safe_ceiling=ceiling,
+        passed_margin=draw(st.one_of(st.just(0.0), st.floats(0.0, 15.0))),
+    )
+    clip = draw(st.one_of(st.none(), st.floats(0.0, 50.0)))
+    if clip is None:
+        factory = lambda: ScriptedPolicy(params, cfg)
+    else:
+        sf = SafetyFunction(goal_clip_max=clip)
+        factory = lambda: wrap(ScriptedPolicy(params, cfg), sf)
+    n = draw(st.integers(0, 12))
+    scenarios = [Scenario.of(draw(st.floats(0.0, 10.0)),
+                             draw(st.floats(0.0, 10.0)),
+                             draw(st.floats(lo, hi)))
+                 for _ in range(n)]
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
+    block = draw(st.sampled_from([1, 3, 5, simulator._BLOCK]))
+    return cfg, factory, scenarios, seeds, block
+
+
+class TestBatch:
+    @settings(max_examples=200)
+    @given(batch_cases())
+    def test_batch_equals_run_episode(self, case):
+        cfg, factory, scenarios, seeds, block = case
+        with mock.patch.object(simulator, "_BLOCK", block):
+            assert_batch_matches_scalar(cfg, factory, scenarios, seeds)
+
+    @pytest.mark.parametrize("seconds", [0, 1])
+    def test_zero_and_one_second_episodes(self, env, params, seconds):
+        cfg = EnvConfig(episode_seconds=seconds)
+        xs = sample(presets.testing_conditions(), 50, 65)
+        records = assert_batch_matches_scalar(
+            cfg, lambda: ScriptedPolicy(params, cfg), xs, range(50))
+        assert all(r.steps == seconds for r in records)
+
+    def test_collision_at_step_one(self, params):
+        # obstacle spawned on the column; one step lands exactly on the
+        # danger height, which counts as in the obstacle's path
+        cfg = EnvConfig(step_inches=25.0, obstacle_spawn_offset=0.0,
+                        noise_sigma_speed=0.0, noise_sigma_obstacle_pos=0.0,
+                        noise_sigma_goal=0.0)
+        xs = [Scenario.of(0.0, 5.0, 50.0), Scenario.of(0.0, 5.0, 10.0)]
+        records = assert_batch_matches_scalar(
+            cfg, lambda: ScriptedPolicy(params, cfg), xs, [1, 2])
+        assert records[0].mode is BehaviorMode.HARMFUL_FAILURE
+        assert records[0].steps == records[0].collision_time == 1
+        assert records[1].mode is not BehaviorMode.HARMFUL_FAILURE
+
+    def test_governor_lifts_negative_goals_to_zero(self):
+        # threshold 0: a goal clipped up to 0 latches the impatient branch,
+        # an unclipped negative one would not
+        cfg = EnvConfig(robot_bounds=(-20.0, 50.0))
+        params = ScriptedPolicyParams(risk_goal_threshold=0.0)
+        sf = SafetyFunction(goal_clip_max=10.0)
+        xs = [Scenario.of(v, 0.0, -15.0) for v in (2.0, 5.0, 8.0, 10.0)]
+        records = assert_batch_matches_scalar(
+            cfg, lambda: wrap(ScriptedPolicy(params, cfg), sf), xs, range(4))
+        assert any(r.mode is BehaviorMode.HARMFUL_FAILURE for r in records)
+
+    def test_empty_campaign(self, env, scripted_factory):
+        assert run_batch(env, scripted_factory(), [], []) == []
+
+    def test_campaign_larger_than_one_block(self, env, params):
+        # not a multiple of the block size: a full block and a partial one
+        n = simulator._BLOCK + 37
+        xs = sample(presets.testing_conditions(), n, 66)
+        sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
+        for factory in (lambda: ScriptedPolicy(params, env),
+                        lambda: wrap(ScriptedPolicy(params, env), sf)):
+            campaign = evaluate_policy(env, factory, xs, 67)
+            seeds = [r.seed for r in campaign.records]
+            assert list(campaign.records) == assert_batch_matches_scalar(
+                env, factory, xs, seeds)
+
+    def test_seed_count_must_match(self, env, scripted_factory):
+        xs = sample(presets.testing_conditions(), 3, 68)
+        with pytest.raises(ConfigError):
+            run_batch(env, scripted_factory(), xs, [1, 2])
+
+    def test_policy_without_batch_form_raises(self, env, params):
+        xs = sample(presets.testing_conditions(), 5, 69)
+        sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
+        for factory in (ScalarOnly, lambda: wrap(ScalarOnly(), sf)):
+            with pytest.raises(ConfigError, match="no batch form"):
+                evaluate_policy(env, factory, xs, 70)
+        # checked before any block is built, so even with no scenarios
+        with pytest.raises(ConfigError, match="no batch form"):
+            evaluate_policy(env, ScalarOnly, [], 70)
