@@ -47,11 +47,12 @@ print(f"observed: D={observed.dependability:.4f} "
 print()
 print("=== predict and confirm the four shifted conditions ===")
 pairs = []
-for oc in ("oc1", "oc2", "oc3", "oc4"):
+for k, oc in enumerate(presets.OPERATING_CONDITION_NAMES):
     cond = presets.condition(oc)
     predicted = predict(tallies, cond)
-    heldout = evaluate_policy(env, factory, sample(cond, N, 300 + hash(oc) % 50),
-                              400 + len(oc), condition_name=oc)
+    # distinct, fixed seeds per condition, so every run prints the same deltas
+    heldout = evaluate_policy(env, factory, sample(cond, N, 300 + k),
+                              400 + k, condition_name=oc)
     confirmed = observed_rates(heldout)
     deltas = compare(predicted, confirmed)
     pairs.append((oc, predicted, confirmed))

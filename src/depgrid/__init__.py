@@ -43,7 +43,6 @@ from .estimator import (
     BehaviorMode,
     DependabilityReport,
     MetricDeltas,
-    RegionBreakdown,
     Tally,
     TestCampaign,
     TrialRecord,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import presets
 from .domain import ConditionSet, PartitionGrid, sample
-from .errors import ConfigError, DepgridError
+from .errors import ConfigError, DataError, DepgridError, OutOfDomain
 from .estimator import compare, observed_rates, predict, tally
 from .policies import ScriptedPolicy, ScriptedPolicyParams, evaluate_policy
 from .records import (
@@ -104,9 +104,12 @@ def cmd_run(args) -> int:
         scenarios_path = base / manifest.scenarios_path
         seed = manifest.master_seed
         policy_name = manifest.policy_name
-        params = ScriptedPolicyParams(**manifest.policy_params)
-        safety = (SafetyFunction(**manifest.safety)
-                  if manifest.safety is not None else None)
+        try:
+            params = ScriptedPolicyParams(**manifest.policy_params)
+            safety = (SafetyFunction(**manifest.safety)
+                      if manifest.safety is not None else None)
+        except (TypeError, ValueError) as e:
+            raise DataError(f"{args.manifest}: {e}") from None
         doc = None
         config_path = manifest.config_path and base / manifest.config_path
         if config_path:
@@ -218,6 +221,11 @@ def cmd_plot(args) -> int:
         space = presets.domain_space()
     dims = [d.strip() for d in args.dims.split(",") if d.strip()]
     campaign = read_records(args.records)
+    for i, r in enumerate(campaign.records, start=1):
+        try:
+            r.scenario.require_in(space)
+        except OutOfDomain as e:
+            raise OutOfDomain(f"{args.records}: record {i}: {e}") from None
     atomic_write_text(args.out, failure_scatter_svg(campaign, space, dims))
     n_fail = sum(1 for r in campaign.records
                  if r.mode.value != "success")

@@ -280,12 +280,20 @@ def partition_indices(grid: PartitionGrid, space: DomainSpace,
     """Vectorized bin indices, shape (n, ndim), for in-domain points xs.
 
     Interior edges belong to the higher bin; the domain maximum belongs to
-    the last bin. Non-finite coordinates raise OutOfDomain.
+    the last bin. Non-finite coordinates, and points whose number of
+    coordinates is not the space's, raise OutOfDomain.
     """
     validate_grid(grid, space)
-    xs = np.asarray(xs, dtype=float)
+    try:
+        xs = np.asarray(xs, dtype=float)
+    except ValueError as e:
+        raise OutOfDomain(f"scenario coordinates are not an (n, ndim) array "
+                          f"of numbers: {e}") from None
     if xs.ndim == 1:
         xs = xs[None, :]
+    if xs.shape[1] != space.ndim:
+        raise OutOfDomain(f"scenario has {xs.shape[1]} values, domain has "
+                          f"{space.ndim} dimensions")
     out = np.empty(xs.shape, dtype=np.int64)
     for d, dim in enumerate(space.dims):
         col = xs[:, d]

@@ -11,12 +11,17 @@ one row per grid region in C order and one column per behavior mode.
 Prediction re-weights the per-region rates with the target condition's
 region mass vector: the predicted rates are sum_r w_r * p_r. Counts stay
 exact integers; division happens only at report time.
+
+A prediction's report keeps its per-region table as columns, not as one
+object per region: the per-dimension bin edges, the weight vector and the
+tally's (n_regions, 3) count array, rows in the same C order. Region objects
+are built only to name the uncovered regions of an EmptyPartition.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
@@ -27,7 +32,6 @@ from .domain import (
     DiscreteCondition,
     DomainSpace,
     PartitionGrid,
-    Region,
     Scenario,
     partition_indices,
 )
@@ -99,19 +103,7 @@ class TestCampaign:
         return len(self.records)
 
 
-@dataclass(frozen=True)
-class RegionBreakdown:
-    """One row of a report's per-region table."""
-
-    region: Region
-    mass: float
-    n_total: int
-    n_success: int
-    n_task_fail: int
-    n_harmful: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DependabilityReport:
     """Dependability plus the two undependabilities under one condition.
 
@@ -119,18 +111,34 @@ class DependabilityReport:
     exclusive). The only exception is a renormalized report whose covered
     mass was zero: it is vacuous, carries dropped_mass = 1, and all metrics
     are zero.
+
+    A prediction also carries its per-region table as columns: ``edges``
+    holds each dimension's bin edges, ``weights`` the target weight of every
+    region and ``counts`` its (n_regions, 3) outcome counts, rows in the
+    Tally's C order. An observed report has no table (no edges, zero rows).
+    ``dropped_regions`` holds the index tuples of the regions dropped by
+    renormalization.
     """
 
     condition_name: str
     dependability: float
     task_undependability: float
     harmful_undependability: float
-    per_region: tuple[RegionBreakdown, ...] = ()
+    edges: tuple[tuple[float, ...], ...] = ()
+    weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    counts: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, len(_MODE_ORDER)), dtype=np.int64))
     renormalized: bool = False
     dropped_mass: float = 0.0
-    dropped_regions: tuple[Region, ...] = ()
+    dropped_regions: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
+        n_regions = math.prod(len(e) - 1 for e in self.edges) if self.edges else 0
+        if (self.weights.shape != (n_regions,)
+                or self.counts.shape != (n_regions, len(_MODE_ORDER))):
+            raise DataError(
+                f"report table has {self.weights.shape} weights and "
+                f"{self.counts.shape} counts; its edges need {n_regions} rows")
         for name, v in self.metrics().items():
             if not (-SUM_RULE_TOL <= v <= 1.0 + SUM_RULE_TOL):
                 raise DataError(f"{name} = {v} outside [0, 1]")
@@ -146,6 +154,23 @@ class DependabilityReport:
             "task_undependability": self.task_undependability,
             "harmful_undependability": self.harmful_undependability,
         }
+
+    @property
+    def bins(self) -> tuple[int, ...]:
+        """Bin counts of the table's grid; () for a report without one."""
+        return tuple(len(e) - 1 for e in self.edges)
+
+    def __eq__(self, other):
+        if not isinstance(other, DependabilityReport):
+            return NotImplemented
+        return (self.condition_name == other.condition_name
+                and self.metrics() == other.metrics()
+                and self.edges == other.edges
+                and np.array_equal(self.weights, other.weights)
+                and np.array_equal(self.counts, other.counts)
+                and self.renormalized == other.renormalized
+                and self.dropped_mass == other.dropped_mass
+                and self.dropped_regions == other.dropped_regions)
 
 
 @dataclass(frozen=True)
@@ -210,7 +235,7 @@ def tally(campaign: TestCampaign, grid: PartitionGrid,
     """
     counts = np.zeros((grid.n_regions, len(_MODE_ORDER)), dtype=np.int64)
     if campaign.records:
-        xs = np.array([r.scenario.values for r in campaign.records])
+        xs = [r.scenario.values for r in campaign.records]
         keys = np.ravel_multi_index(partition_indices(grid, space, xs).T,
                                     grid.bins)
         modes = np.array([_MODE_ORDER.index(r.mode) for r in campaign.records])
@@ -250,20 +275,21 @@ def predict(tally: Tally, target: Condition, *,
     normalized by their computed sum (analytically 1) so the three metrics
     obey the sum rule to floating precision.
     """
-    masses = target.region_mass_vector(tally.grid)
+    grid = tally.grid
+    masses = target.region_mass_vector(grid)
     if np.any(masses < 0):
         raise DataError("negative region mass")
     counts = tally.counts.astype(float)
     n = counts.sum(axis=1)
     uncovered = (masses > 0) & (n == 0)
-    regions = list(tally.grid.iter_regions(tally.space))
 
     dropped_mass = 0.0
-    dropped: tuple[Region, ...] = ()
+    dropped: tuple[tuple[int, ...], ...] = ()
     if uncovered.any():
-        dropped = tuple(regions[i] for i in np.flatnonzero(uncovered))
+        dropped = tuple(zip(*(i.tolist() for i in np.unravel_index(
+            np.flatnonzero(uncovered), grid.bins))))
         if not renormalize_empty:
-            raise EmptyPartition(dropped)
+            raise EmptyPartition(grid.region(tally.space, i) for i in dropped)
         dropped_mass = float(masses[uncovered].sum()) / float(masses.sum())
         masses = np.where(uncovered, 0.0, masses)
 
@@ -271,7 +297,7 @@ def predict(tally: Tally, target: Condition, *,
     if total == 0.0:
         # Degenerate renormalization: the target has no mass over covered
         # regions. The report is vacuous and says so via dropped_mass = 1.
-        weights = np.zeros(len(regions))
+        weights = np.zeros(grid.n_regions)
         d = ut = uh = 0.0
         dropped_mass = 1.0
     else:
@@ -279,17 +305,15 @@ def predict(tally: Tally, target: Condition, *,
         rates = counts / np.where(n > 0, n, 1.0)[:, None]  # empty rows stay 0
         d, ut, uh = (float(weights @ rates[:, j]) for j in range(3))
 
-    per_region = tuple(
-        RegionBreakdown(region, float(w), ns + nt + nh, ns, nt, nh)
-        for region, w, (ns, nt, nh) in zip(regions, weights,
-                                           tally.counts.tolist())
-    )
     return DependabilityReport(
         condition_name=getattr(target, "name", ""),
         dependability=d,
         task_undependability=ut,
         harmful_undependability=uh,
-        per_region=per_region,
+        edges=tuple(tuple(grid.edges(tally.space, k).tolist())
+                    for k in range(len(grid.bins))),
+        weights=weights,
+        counts=tally.counts,
         renormalized=bool(dropped),
         dropped_mass=dropped_mass,
         dropped_regions=dropped,

@@ -3,6 +3,13 @@ and campaign manifests.
 
 All writes are atomic (temp file then rename). Floats are serialized with
 repr-level precision, so every format round-trips losslessly.
+
+A report file holds one row per grid region (64,000 at 40^3). write_report
+fills the rows into one fixed template, with per-dimension index and bounds
+fragments and the repr of each weight and count, so that only the small
+header goes through json.dumps; the bytes equal json.dumps(doc, indent=2) of
+the row-per-region document. read_report rebuilds the report's columns from
+the rows and refuses rows that do not tile one grid in C order.
 """
 
 from __future__ import annotations
@@ -16,22 +23,23 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
+import numpy as np
+
 from .domain import (
     ClippedGaussian,
     ConditionSet,
     Dimension,
     DomainSpace,
     PartitionGrid,
-    Region,
     Scenario,
     Uniform,
+    validate_grid,
 )
 from .errors import ConfigError, DataError, OutOfDomain
 from .estimator import (
     BehaviorMode,
     DependabilityReport,
     MetricDeltas,
-    RegionBreakdown,
     TestCampaign,
     TrialRecord,
 )
@@ -150,6 +158,7 @@ def parse_condition_document(doc: dict) -> tuple[ConditionSet, PartitionGrid, in
         )
         cond = ConditionSet(str(doc["name"]), space, marginals)
         grid = PartitionGrid(tuple(int(b) for b in doc["grid"]["bins"]))
+        validate_grid(grid, space)
         seed = int(doc["seed"])
     except KeyError as e:
         raise ConfigError(f"condition document missing key {e}") from None
@@ -256,89 +265,133 @@ def read_records(path: str | Path, *, condition_name: str = "",
 # Reports
 # ---------------------------------------------------------------------------
 
-def report_to_dict(report: DependabilityReport) -> dict:
-    doc: dict[str, Any] = {
+# A report file is the text of json.dumps(doc, indent=2) + "\n" for
+#   {"condition", the three metrics, "renormalized", "dropped_mass",
+#    "dropped_regions": [index, ...],
+#    "per_region": [{"index", "bounds", "mass", "n_total", "n_success",
+#                    "n_task_fail", "n_harmful"}, ...]}
+# with per_region in C order over the whole grid. Only the scalar header goes
+# through json.dumps; the two lists, up to one entry per region, are filled
+# into fixed templates of that exact layout from per-dimension fragments and
+# the repr of each weight and count.
+
+_PER_REGION_ROW = (
+    '    {\n      "index": [\n%s\n      ],\n      "bounds": [\n%s\n      ],\n'
+    '      "mass": %r,\n      "n_total": %d,\n      "n_success": %d,\n'
+    '      "n_task_fail": %d,\n      "n_harmful": %d\n    }'
+)
+
+_BOUNDS_ITEM = "        [\n          %r,\n          %r\n        ]"
+
+
+def _json_list(items: list[str]) -> str:
+    """A top-level key's list, its items already laid out at depth 2."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def _c_order(fragments: list[list[str]]) -> list[str]:
+    """Per-dimension fragments joined for every index in C order."""
+    out = fragments[-1]
+    for col in reversed(fragments[:-1]):
+        out = [a + ",\n" + b for a in col for b in out]
+    return out
+
+
+def write_report(path: str | Path, report: DependabilityReport) -> None:
+    """Write the report file (see the layout above)."""
+    header = json.dumps({
         "condition": report.condition_name,
         "dependability": report.dependability,
         "task_undependability": report.task_undependability,
         "harmful_undependability": report.harmful_undependability,
         "renormalized": report.renormalized,
         "dropped_mass": report.dropped_mass,
-        "dropped_regions": [list(r.index) for r in report.dropped_regions],
-        "per_region": [
-            {
-                "index": list(b.region.index),
-                "bounds": [list(bb) for bb in b.region.bounds],
-                "mass": b.mass,
-                "n_total": b.n_total,
-                "n_success": b.n_success,
-                "n_task_fail": b.n_task_fail,
-                "n_harmful": b.n_harmful,
-            }
-            for b in report.per_region
-        ],
-    }
-    return doc
+    }, indent=2)
+    index_item = "    [\n" + ",\n".join(["      %d"] * len(report.bins)) + "\n    ]"
+    dropped = [index_item % idx for idx in report.dropped_regions]
+    rows = []
+    if report.edges:
+        index = _c_order([[f"        {i}" for i in range(len(e) - 1)]
+                          for e in report.edges])
+        bounds = _c_order([[_BOUNDS_ITEM % (lo, hi) for lo, hi in zip(e, e[1:])]
+                           for e in report.edges])
+        rows = [_PER_REGION_ROW % (i, b, w, ns + nt + nh, ns, nt, nh)
+                for i, b, w, (ns, nt, nh) in zip(index, bounds,
+                                                 report.weights.tolist(),
+                                                 report.counts.tolist())]
+    atomic_write_text(path, header[:-2]
+                      + ',\n  "dropped_regions": ' + _json_list(dropped)
+                      + ',\n  "per_region": ' + _json_list(rows) + "\n}\n")
+
+
+def _table_from_rows(rows: list) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """(edges, weights, counts) from per_region rows that tile one grid in
+    C order with consistent bounds; anything else raises DataError."""
+    if not rows:
+        return (), np.zeros(0), np.zeros((0, 3), dtype=np.int64)
+    index = np.array([r["index"] for r in rows])
+    if (index.ndim != 2 or not index.shape[1]
+            or not np.issubdtype(index.dtype, np.integer)):
+        raise DataError("per_region indices must be lists of integers")
+    bins = tuple(int(b) for b in index.max(axis=0) + 1)
+    if (len(rows) != math.prod(bins) or not np.array_equal(
+            index, np.indices(bins).reshape(len(bins), -1).T)):
+        raise DataError(f"per_region rows do not tile a {bins} grid in C order")
+    bounds = np.array([r["bounds"] for r in rows], dtype=float)
+    if (bounds.shape != (len(rows), len(bins), 2)
+            or not np.isfinite(bounds).all()):
+        raise DataError("per_region bounds must be one finite [lo, hi] per "
+                        "dimension")
+    edges = []
+    for d, b in enumerate(bins):
+        first = np.arange(b) * (len(rows) // math.prod(bins[:d + 1]))
+        e = np.append(bounds[first, d, 0], bounds[first[-1], d, 1])
+        if not (np.array_equal(bounds[:, d, 0], e[index[:, d]])
+                and np.array_equal(bounds[:, d, 1], e[index[:, d] + 1])):
+            raise DataError(f"per_region bounds of dimension {d} disagree "
+                            f"between rows")
+        edges.append(tuple(e.tolist()))
+    weights = np.array([r["mass"] for r in rows], dtype=float)
+    if not (np.isfinite(weights).all() and (weights >= 0).all()):
+        raise DataError("per_region masses must be finite and >= 0")
+    counts = np.array([[r["n_success"], r["n_task_fail"], r["n_harmful"]]
+                       for r in rows], dtype=np.int64)
+    n_total = np.array([r["n_total"] for r in rows], dtype=np.int64)
+    if (counts < 0).any() or not np.array_equal(counts.sum(axis=1), n_total):
+        raise DataError("per_region counts must be >= 0 and n_total their sum")
+    return tuple(edges), weights, counts
 
 
 def report_from_dict(doc: dict) -> DependabilityReport:
-    rows = doc.get("per_region", [])
-    # per_region always covers the full grid, so bin counts per dimension are
-    # one past the largest index seen; that restores the closed-last-bin flag.
-    bins: tuple[int, ...] = ()
-    if rows:
-        ndim = len(rows[0]["index"])
-        bins = tuple(1 + max(int(r["index"][d]) for r in rows)
-                     for d in range(ndim))
-
-    def region_from(index: list[int], bounds: list[list[float]]) -> Region:
-        idx = tuple(int(i) for i in index)
-        return Region(
-            index=idx,
-            bounds=tuple((float(lo), float(hi)) for lo, hi in bounds),
-            is_first=tuple(i == 0 for i in idx),
-            is_last=tuple(i == bins[d] - 1 for d, i in enumerate(idx)),
-        )
-
-    regions_by_index: dict[tuple[int, ...], Region] = {}
-    per_region = []
-    for b in rows:
-        region = region_from(b["index"], b["bounds"])
-        regions_by_index[region.index] = region
-        per_region.append(RegionBreakdown(
-            region=region,
-            mass=float(b["mass"]),
-            n_total=int(b["n_total"]),
-            n_success=int(b["n_success"]),
-            n_task_fail=int(b["n_task_fail"]),
-            n_harmful=int(b["n_harmful"]),
-        ))
-    dropped = tuple(
-        regions_by_index[tuple(int(i) for i in idx)]
-        for idx in doc.get("dropped_regions", [])
-    )
+    edges, weights, counts = _table_from_rows(doc.get("per_region", []))
+    dropped = tuple(tuple(int(i) for i in idx)
+                    for idx in doc.get("dropped_regions", []))
+    bins = tuple(len(e) - 1 for e in edges)
+    for idx in dropped:
+        if len(idx) != len(bins) or not all(0 <= i < b for i, b in zip(idx, bins)):
+            raise DataError(f"dropped region {list(idx)} is not in the "
+                            f"per_region grid {bins}")
     return DependabilityReport(
         condition_name=str(doc.get("condition", "")),
         dependability=float(doc["dependability"]),
         task_undependability=float(doc["task_undependability"]),
         harmful_undependability=float(doc["harmful_undependability"]),
-        per_region=tuple(per_region),
+        edges=edges,
+        weights=weights,
+        counts=counts,
         renormalized=bool(doc.get("renormalized", False)),
         dropped_mass=float(doc.get("dropped_mass", 0.0)),
         dropped_regions=dropped,
     )
 
 
-def write_report(path: str | Path, report: DependabilityReport) -> None:
-    atomic_write_text(path, dump_json(report_to_dict(report)))
-
-
 def read_report(path: str | Path) -> DependabilityReport:
     try:
-        doc = json.loads(_read_text(path))
-        return report_from_dict(doc)
-    except (ValueError, KeyError) as e:
+        return report_from_dict(json.loads(_read_text(path)))
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
         raise DataError(f"{path}: {e}") from None
+    except DataError as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 def deltas_to_dict(deltas: MetricDeltas) -> dict:
@@ -348,6 +401,10 @@ def deltas_to_dict(deltas: MetricDeltas) -> dict:
 # ---------------------------------------------------------------------------
 # Campaign manifests
 # ---------------------------------------------------------------------------
+
+def _optional_str(value) -> str | None:
+    return None if value is None else str(value)
+
 
 @dataclass(frozen=True)
 class CampaignManifest:
@@ -393,8 +450,8 @@ class CampaignManifest:
             n_records=int(d["n_records"]),
             scenarios_path=str(d["scenarios_path"]),
             records_path=str(d["records_path"]),
-            config_path=d.get("config_path"),
-            config_sha256=d.get("config_sha256"),
+            config_path=_optional_str(d.get("config_path")),
+            config_sha256=_optional_str(d.get("config_sha256")),
         )
 
 
@@ -405,5 +462,5 @@ def write_manifest(path: str | Path, manifest: CampaignManifest) -> None:
 def read_manifest(path: str | Path) -> CampaignManifest:
     try:
         return CampaignManifest.from_dict(json.loads(_read_text(path)))
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
         raise DataError(f"{path}: {e}") from None

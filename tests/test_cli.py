@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from depgrid import ConditionSet, Uniform, sample
+from depgrid import ConditionSet, PartitionGrid, Uniform, sample
 from depgrid import presets
 from depgrid.cli import main
 from depgrid.records import (
@@ -52,6 +52,15 @@ class TestSample:
                        "--out", str(tmp_path / "x.jsonl"))
         assert code == 2
         assert "oc9" in capsys.readouterr().err
+
+    def test_grid_of_wrong_rank_exits_2(self, tmp_path, capsys):
+        doc = condition_document(presets.condition("oc1"),
+                                 PartitionGrid((4, 4)), seed=0)
+        cfg = tmp_path / "cond.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("sample", "--config", str(cfg), "--n", "5",
+                       "--out", str(tmp_path / "s.jsonl")) == 2
+        assert "InvalidGrid" in capsys.readouterr().err
 
     def test_custom_config_document(self, tmp_path):
         doc = condition_document(presets.condition("oc1"),
@@ -232,6 +241,43 @@ class TestRunObservePredict:
                        "--config", str(cfg),
                        "--out", str(tmp_path / "r.jsonl")) == 2
 
+    @pytest.mark.parametrize("edit", [
+        lambda m: m["policy"]["params"].__setitem__("bogus", 1),
+        lambda m: m["policy"]["params"].__setitem__("safe_ceiling", "x"),
+        lambda m: m["policy"].__setitem__("params", 5),
+        lambda m: m["policy"].__setitem__("params", [1, 2]),
+        lambda m: m.__setitem__("policy", 5),
+        lambda m: m.__setitem__("safety", {"goal_clip_max": 30.0,
+                                           "bogus": 1}),
+        lambda m: m.__setitem__("safety", {"goal_clip_max": None}),
+        lambda m: m.__setitem__("safety", [30.0]),
+    ], ids=["unknown_param", "string_param", "int_params", "list_params",
+            "int_policy", "unknown_safety_key", "null_clip", "list_safety"])
+    def test_malformed_manifest_exits_3(self, small_pipeline, tmp_path,
+                                        capsys, edit):
+        manifest = json.loads(
+            small_pipeline["rec"].with_suffix(".manifest.json").read_text())
+        edit(manifest)
+        bad = small_pipeline["dir"] / "bad.manifest.json"
+        bad.write_text(json.dumps(manifest))
+        assert run_cli("run", "--manifest", str(bad),
+                       "--out", str(tmp_path / "again.jsonl")) == 3
+        assert "bad.manifest.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", [[5.0, 5.0], [5.0, 5.0, 30.0, 1.0]])
+    def test_record_of_wrong_dimension_exits_3(self, small_pipeline, tmp_path,
+                                               capsys, scenario):
+        record = {"scenario": scenario, "mode": "success", "seed": 1,
+                  "steps": 100, "final_position": 50.0,
+                  "collision_time": None}
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(small_pipeline["rec"].read_text()
+                       + json.dumps(record) + "\n")
+        assert run_cli("predict", "--records", str(bad), "--condition",
+                       "testing", "--grid", "2,2,2",
+                       "--out", str(tmp_path / "p.json")) == 3
+        assert "OutOfDomain" in capsys.readouterr().err
+
     def test_run_with_safety_records_settings(self, small_pipeline, tmp_path):
         rec = tmp_path / "safe.jsonl"
         assert run_cli("run", "--scenarios", str(small_pipeline["scen"]),
@@ -255,6 +301,29 @@ class TestCompareAndPlot:
         assert all(v == 0.0 for v in deltas.values())
         root = ET.parse(svg).getroot()  # must be valid XML
         assert root.tag.endswith("svg")
+
+    def test_malformed_report_exits_3_without_traceback(self, small_pipeline,
+                                                        tmp_path):
+        pred = tmp_path / "pred.json"
+        assert run_cli("predict", "--records", str(small_pipeline["rec"]),
+                       "--condition", "testing", "--grid", "2,2,2",
+                       "--out", str(pred)) == 0
+        doc = json.loads(pred.read_text())
+        doc["per_region"][3] = 5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        doc["per_region"][3] = {**doc["per_region"][2], "bounds": None}
+        null_bounds = tmp_path / "null_bounds.json"
+        null_bounds.write_text(json.dumps(doc))
+        for report in (bad, null_bounds):
+            proc = subprocess.run(
+                [sys.executable, "-m", "depgrid.cli", "compare",
+                 "--predicted", str(report), "--observed", str(pred),
+                 "--out", str(tmp_path / "cmp.json")],
+                capture_output=True, text=True)
+            assert proc.returncode == 3
+            assert f"DataError: {report}" in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_plot_failures_svg(self, small_pipeline, tmp_path):
         svg = tmp_path / "fail.svg"

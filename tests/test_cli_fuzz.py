@@ -1,0 +1,310 @@
+"""Hypothesis fuzz of the command line over malformed files and flags.
+
+Every generated input is wrong in a way the program must refuse: a broken
+record, report, manifest or condition file next to otherwise good inputs, or
+a bad flag. The property: the exit code is 2, 3 or 4, and no exception
+escapes ``main`` (argparse's own usage errors are a SystemExit with code 2),
+so the console never shows a traceback. Each example runs in-process and
+takes milliseconds, so every test draws 200.
+"""
+
+from __future__ import annotations
+
+import copy
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from depgrid import PartitionGrid, presets
+from depgrid.cli import main
+from depgrid.records import condition_document
+
+NAN, INF = float("nan"), float("inf")
+GOOD_RECORD = {"scenario": [5.0, 5.0, 30.0], "mode": "task_failure",
+               "seed": 1, "steps": 100, "final_position": 20.0,
+               "collision_time": None}
+
+
+def run(*argv: str) -> tuple[int, str]:
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
+    return code, err.getvalue()
+
+
+def assert_refused(*argv: str) -> None:
+    code, err = run(*argv)
+    assert code in (2, 3, 4), (code, err)
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Good inputs: scenarios, records covering a 2x2x2 grid, a report, a
+    manifest and a condition document with a 2x2x2 grid."""
+    d = tmp_path_factory.mktemp("fuzz")
+    grid = PartitionGrid((2, 2, 2))
+    records = [dict(GOOD_RECORD, scenario=[(a + b) / 2 for a, b in r.bounds])
+               for r in grid.iter_regions(presets.domain_space())]
+    (d / "rec.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    doc = condition_document(presets.condition("oc3"), grid, seed=0,
+                             env=presets.default_env(),
+                             policy={"name": "scripted", "params":
+                                     presets.default_policy_params().as_dict()})
+    (d / "cond.json").write_text(json.dumps(doc))
+    assert run("sample", "--condition", "testing", "--n", "5",
+               "--out", str(d / "scen.jsonl"))[0] == 0
+    assert run("run", "--scenarios", str(d / "scen.jsonl"), "--safety",
+               "--out", str(d / "run.jsonl"))[0] == 0
+    assert run("predict", "--records", str(d / "rec.jsonl"), "--config",
+               str(d / "cond.json"), "--out", str(d / "pred.json"))[0] == 0
+    return d
+
+
+DELETE = object()
+
+
+def edit(path, value):
+    """A function that sets the item at ``path`` (keys and indices) of a
+    document to ``value``; the value ``DELETE`` removes the item."""
+    def apply(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        if value is DELETE:
+            del doc[last]
+        else:
+            doc[last] = copy.deepcopy(value)
+    return apply
+
+
+def edits(paths_values) -> list:
+    return [edit(path, v) for path, values in paths_values for v in values]
+
+
+def broken_text(text: str, doc_edits: list) -> st.SearchStrategy[str]:
+    """The JSON text of the document with one edit, a strict prefix that
+    stops before the closing brace, or a JSON value that is no object."""
+    def edited(f):
+        doc = json.loads(text)
+        f(doc)
+        return json.dumps(doc, indent=2)
+
+    return st.one_of(
+        st.sampled_from(doc_edits).map(edited),
+        st.integers(0, text.rindex("}") - 1).map(lambda k: text[:k]),
+        st.sampled_from(["[]", "null", "5", '"text"', ""]),
+    )
+
+
+# record fields set to values that no reader accepts
+RECORD_EDITS = edits([
+    (["scenario"], [None, "x", 5, [None, 1, 2], ["a", 1, 2], [[1], 2, 3],
+                    [NAN, 5, 30], [5, INF, 30]]),
+    (["mode"], [None, 5, "", "win", []]),
+    (["seed"], [None, "x", [], {}]),
+    (["steps"], [-1, None, "x", []]),
+    (["final_position"], [None, "x", NAN, INF, []]),
+    (["collision_time"], [1.0, 0, "x", []]),
+] + [([key], [DELETE]) for key in ("scenario", "mode", "seed", "steps",
+                                   "final_position")])
+# scenarios outside the 3-D domain: refused by the commands that know it
+DOMAIN_EDITS = edits([(["scenario"], [[], [5, 5], [5, 5, 30, 1],
+                                      [-1, 5, 30], [5, 5, 51]])])
+GARBAGE_LINES = ["not json", "[1, 2]", "5", "null", '"s"', "{}", "{"]
+
+
+def record_line(doc_edits):
+    def line(f):
+        r = copy.deepcopy(GOOD_RECORD)
+        f(r)
+        return json.dumps(r)
+    return st.one_of(st.sampled_from(doc_edits).map(line),
+                     st.sampled_from(GARBAGE_LINES))
+
+
+@settings(max_examples=200)
+@given(line=record_line(RECORD_EDITS), position=st.integers(0, 8),
+       command=st.sampled_from(["observe", "plot", "predict"]))
+def test_malformed_record_file(files, line, position, command):
+    lines = (files / "rec.jsonl").read_text().splitlines()
+    lines.insert(position, line)
+    bad = files / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    extra = {"observe": (), "plot": ("--dims", "v,y"),
+             "predict": ("--condition", "testing", "--grid", "2,2,2",
+                         "--renormalize-empty")}[command]
+    assert_refused(command, "--records", str(bad), *extra,
+                   "--out", str(files / "out"))
+
+
+@settings(max_examples=200)
+@given(line=record_line(DOMAIN_EDITS), position=st.integers(0, 8),
+       command=st.sampled_from(["plot", "predict"]))
+def test_record_outside_the_domain(files, line, position, command):
+    lines = (files / "rec.jsonl").read_text().splitlines()
+    lines.insert(position, line)
+    bad = files / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    extra = {"plot": ("--dims", "v,y"),
+             "predict": ("--condition", "testing", "--grid", "2,2,2",
+                         "--renormalize-empty")}[command]
+    assert_refused(command, "--records", str(bad), *extra,
+                   "--out", str(files / "out"))
+
+
+ROW = ["per_region", 3]
+REPORT_EDITS = edits([
+    (["dependability"], [None, "x", [], 2.0, -1.0, NAN]),
+    (["harmful_undependability"], [DELETE]),
+    (["dropped_mass"], [None, "x", []]),
+    (["dropped_regions"], [7, [[0, 0, 5]], [[0]], [["a", 0, 0]], [None]]),
+    (["per_region"], [5, "x", [5]]),
+    (ROW, [5, None, "x", [], {}]),
+    (ROW + ["index"], [None, "x", [0], [0, 0, 0, 0], [-1, 0, 0], [9, 0, 0],
+                       [0.5, 1, 1]]),
+    (ROW + ["bounds"], [None, 5, "x", [], [[0, 1]], [[0, 1], [0, 1], [0, 1]]]),
+    (ROW + ["mass"], [None, "x", [], -1.0, NAN]),
+    (ROW + ["n_success"], [None, "x", -1, []]),
+    (ROW + ["n_total"], [None, "x", 10**6]),
+    (ROW + ["n_harmful"], [DELETE]),
+    (ROW, [DELETE]),
+]) + [lambda d: d["per_region"].reverse(),
+      lambda d: d["per_region"].append(d["per_region"][0])]
+
+
+@settings(max_examples=200)
+@given(data=st.data(), side=st.sampled_from(["--predicted", "--observed"]))
+def test_malformed_report_file(files, data, side):
+    text = data.draw(broken_text((files / "pred.json").read_text(),
+                                 REPORT_EDITS))
+    bad = files / "bad.json"
+    bad.write_text(text)
+    good = str(files / "pred.json")
+    reports = {"--predicted": good, "--observed": good, side: str(bad)}
+    assert_refused("compare", *(a for kv in reports.items() for a in kv),
+                   "--out", str(files / "cmp.json"))
+
+
+MANIFEST_EDITS = edits([
+    (["master_seed"], [None, "x", []]),
+    (["n_records"], [None, "x", []]),
+    (["policy"], [5, "x", [], None]),
+    (["policy", "name"], ["other"]),
+    (["policy", "params"], [5, "x", [1], {"bogus": 1},
+                            {"risk_goal_threshold": "x"},
+                            {"risk_goal_threshold": 99},
+                            {"safe_ceiling": None}]),
+    (["safety"], [5, "x", [1], {"bogus": 1}, {"goal_clip_max": "x"},
+                  {"goal_clip_max": 99}]),
+    (["scenarios_path"], ["nope.jsonl", None, 5]),
+    (["config_path"], ["nope.json", 5]),
+] + [([key], [DELETE]) for key in ("condition", "master_seed", "n_records",
+                                   "scenarios_path", "records_path")])
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_malformed_manifest(files, data):
+    text = data.draw(broken_text(
+        (files / "run.manifest.json").read_text(), MANIFEST_EDITS))
+    bad = files / "bad.manifest.json"
+    bad.write_text(text)
+    assert_refused("run", "--manifest", str(bad),
+                   "--out", str(files / "again.jsonl"))
+
+
+DIM = ["domain", 0]
+CONDITION_EDITS = edits([
+    (["domain"], [None, 5, "x", [], [{"name": "v"}]]),
+    (DIM + ["min"], ["x", None, NAN, 10.0]),
+    (DIM + ["name"], ["", "t"]),
+    (["marginals"], [None, 5, {}]),
+    (["marginals", "v"], [5, {"kind": "cauchy"},
+                          {"kind": "uniform", "a": "x", "b": 1},
+                          {"kind": "uniform", "a": -5, "b": 1},
+                          {"kind": "uniform", "a": 5, "b": 1},
+                          {"kind": "clipped_gaussian", "mu": 1, "sigma": 0}]),
+    (["grid"], [None, 5, {}]),
+    (["grid", "bins"], [None, ["x"], [0, 1, 1], [2, 2], [], [-1, 2, 2]]),
+    (["seed"], [None, "x", []]),
+])
+# the env and policy sections, read only by `run --config`
+RUN_CONFIG_EDITS = edits([
+    (["env"], [5, {"episode_seconds": 100}]),
+    (["env", "step_inches"], ["x", None]),
+    (["policy"], [5, "x"]),
+    (["policy", "params"], [5, {"bogus": 1}, {"safe_ceiling": 30}]),
+])
+
+
+@settings(max_examples=200)
+@given(data=st.data(), command=st.sampled_from(["sample", "predict", "run"]))
+def test_malformed_condition_document(files, data, command):
+    doc_edits = CONDITION_EDITS + (RUN_CONFIG_EDITS if command == "run" else [])
+    text = data.draw(broken_text((files / "cond.json").read_text(), doc_edits))
+    bad = files / "bad_cond.json"
+    bad.write_text(text)
+    extra = {"sample": ("--n", "3"),
+             "predict": ("--records", str(files / "rec.jsonl"),
+                         "--renormalize-empty"),
+             "run": ("--scenarios", str(files / "scen.jsonl"))}[command]
+    assert_refused(command, "--config", str(bad), *extra,
+                   "--out", str(files / "out.jsonl"))
+
+
+def bad_flags(files) -> list[tuple[str, ...]]:
+    rec, scen = str(files / "rec.jsonl"), str(files / "scen.jsonl")
+    out = ("--out", str(files / "out.json"))
+    predict = ("predict", "--records", rec, *out)
+    return [
+        ("sample", "--condition", "testing", "--n", "-1", *out),
+        ("sample", "--condition", "testing", "--n", "x", *out),
+        ("sample", "--condition", "oc9", "--n", "1", *out),
+        ("sample", "--condition", "", "--n", "1", *out),
+        ("sample", "--condition", "testing", "--n", "1"),
+        ("sample", "--condition", "testing", "--seed", "1.5", "--n", "1", *out),
+        (*predict, "--condition", "testing", "--grid", "x"),
+        (*predict, "--condition", "testing", "--grid", "0,1,1"),
+        (*predict, "--condition", "testing", "--grid", "2,2"),
+        (*predict, "--condition", "testing", "--grid", "-1,2,2"),
+        (*predict, "--condition", "testing", "--grid", "2,,2"),
+        (*predict, "--condition", "oc9"),
+        predict,
+        ("predict", "--condition", "testing", *out),
+        ("predict", "--records", str(files / "nope.jsonl"), "--condition",
+         "testing", *out),
+        ("run", "--scenarios", scen, "--policy", "other", *out),
+        ("run", "--scenarios", scen, "--safety", "--clip-max", "99", *out),
+        ("run", "--scenarios", scen, "--safety", "--clip-max", "nan", *out),
+        ("run", "--scenarios", scen, "--safety", "--delta", "60", *out),
+        ("run", "--scenarios", scen),
+        ("run", *out),
+        ("run", "--scenarios", scen, "--seed", "x", *out),
+        ("run", "--scenarios", rec, *out),
+        ("observe", *out),
+        ("observe", "--records", scen, *out),
+        ("compare", "--predicted", rec, "--observed", rec, *out),
+        ("compare", "--predicted", rec, *out),
+        ("plot", "--records", rec, "--dims", "v,z", *out),
+        ("plot", "--records", rec, "--dims", "v", *out),
+        ("plot", "--records", rec, "--dims", "", *out),
+        ("plot", "--records", rec, "--dims", "v,t,y,v", *out),
+        ("reproduce", "--out-dir", str(files / "repro"), "--grid", "x"),
+        ("reproduce", "--out-dir", str(files / "repro"), "--n", "-1"),
+        ("reproduce", "--out-dir", str(files / "repro"), "--n", "x"),
+        ("launch",),
+        (),
+    ]
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_bad_flags(files, data):
+    assert_refused(*data.draw(st.sampled_from(bad_flags(files))))

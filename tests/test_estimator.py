@@ -20,6 +20,7 @@ from depgrid import (
     IncompleteOutcomes,
     OutOfDomain,
     PartitionGrid,
+    Region,
     Scenario,
     ScriptedPolicy,
     TestCampaign,
@@ -333,11 +334,37 @@ def test_predict_matches_scalar_region_mass_oracle(space, name,
         return
     r = predict(t, target, renormalize_empty=renormalize_empty)
     assert r.renormalized == bool(uncovered)
-    assert [d.index for d in r.dropped_regions] == uncovered
+    assert list(r.dropped_regions) == uncovered
     assert (r.dependability, r.task_undependability,
             r.harmful_undependability) == pytest.approx(rates, abs=1e-12)
-    assert [b.mass for b in r.per_region] == pytest.approx(
-        [weights[b.region.index] for b in r.per_region], abs=1e-12)
+    assert r.weights.tolist() == pytest.approx(
+        [weights[idx] for idx in np.ndindex(*grid.bins)], abs=1e-12)
+
+
+def test_predict_report_table_is_the_tally_and_the_weights(space,
+                                                           monkeypatch):
+    """The report's table is the tally's counts, the grid's edges and the
+    renormalized weights, and a successful predict builds no Region."""
+    def no_regions(*args, **kwargs):
+        raise AssertionError("predict built a Region")
+
+    monkeypatch.setattr(Region, "__init__", no_regions)
+    grid = PartitionGrid((3, 2, 4))
+    xs = [x for x in sample(presets.testing_conditions(), 200, 47)
+          if x.values[2] < 30.0]
+    t = tally(make_campaign(make_record(x.values, BehaviorMode.SUCCESS)
+                            for x in xs), grid, space)
+    target = presets.condition("oc3")
+    r = predict(t, target, renormalize_empty=True)
+    assert r.renormalized and r.dropped_regions
+    assert r.bins == grid.bins
+    assert r.edges == tuple(tuple(grid.edges(space, d).tolist())
+                            for d in range(3))
+    assert np.array_equal(r.counts, t.counts)
+    masses = target.region_mass_vector(grid)
+    dropped = [grid.ravel(idx) for idx in r.dropped_regions]
+    masses[dropped] = 0.0
+    assert np.allclose(r.weights, masses / masses.sum(), rtol=0, atol=1e-15)
 
 
 class TestBruteForce:

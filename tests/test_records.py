@@ -3,16 +3,24 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from depgrid import (
     BehaviorMode,
+    ClippedGaussian,
+    ConditionSet,
     ConfigError,
     DataError,
+    Dimension,
+    DiscreteCondition,
+    DomainSpace,
     PartitionGrid,
     Scenario,
     TestCampaign,
     TrialRecord,
+    Uniform,
     evaluate_policy,
     observed_rates,
     predict,
@@ -109,7 +117,6 @@ class TestReportFiles:
         assert read_report(path) == report
 
     def test_renormalized_report_round_trip(self, space, tmp_path):
-        from depgrid import ConditionSet, Uniform
         low_y = ConditionSet("low", space, (
             Uniform(0, 10), Uniform(0, 10), Uniform(0, 40)))
         records = tuple(
@@ -132,6 +139,224 @@ class TestReportFiles:
         path = tmp_path / "observed.json"
         write_report(path, report)
         assert read_report(path) == report
+
+
+def record(values, mode: BehaviorMode) -> TrialRecord:
+    harmful = mode is BehaviorMode.HARMFUL_FAILURE
+    return TrialRecord(Scenario(tuple(float(v) for v in values)), mode,
+                       seed=0, steps=100, final_position=0.0,
+                       collision_time=100.0 if harmful else None)
+
+
+def random_campaign(space: DomainSpace, n: int, seed: int, *,
+                    centers_of: PartitionGrid | None = None) -> TestCampaign:
+    """n uniform records with random modes, plus one at every centre of
+    ``centers_of`` so that each of its regions is covered."""
+    rng = np.random.default_rng(seed)
+    lo = np.array([d.min for d in space.dims])
+    hi = np.array([d.max for d in space.dims])
+    points = list(lo + rng.random((n, space.ndim)) * (hi - lo))
+    if centers_of is not None:
+        points += [[(a + b) / 2 for a, b in r.bounds]
+                   for r in centers_of.iter_regions(space)]
+    modes = list(BehaviorMode)
+    return TestCampaign("synthetic", tuple(
+        record(x, modes[rng.integers(0, 3)]) for x in points), 0)
+
+
+def row_dict_form(report, regions: list) -> dict:
+    """The report as one dict with a row per region, built here from Region
+    objects: json.dumps(this, indent=2) + "\n" is the report file."""
+    assert len(regions) == len(report.weights) == len(report.counts)
+    return {
+        "condition": report.condition_name,
+        "dependability": report.dependability,
+        "task_undependability": report.task_undependability,
+        "harmful_undependability": report.harmful_undependability,
+        "renormalized": report.renormalized,
+        "dropped_mass": report.dropped_mass,
+        "dropped_regions": [list(idx) for idx in report.dropped_regions],
+        "per_region": [
+            {
+                "index": list(r.index),
+                "bounds": [list(b) for b in r.bounds],
+                "mass": w,
+                "n_total": sum(c),
+                "n_success": c[0],
+                "n_task_fail": c[1],
+                "n_harmful": c[2],
+            }
+            for r, w, c in zip(regions, report.weights.tolist(),
+                               report.counts.tolist())
+        ],
+    }
+
+
+def assert_golden(tmp_path, report, grid=None, space=None) -> None:
+    """write_report writes json.dumps of the row-dict form, and reads back."""
+    regions = [] if grid is None else list(grid.iter_regions(space))
+    path = tmp_path / "report.json"
+    write_report(path, report)
+    assert path.read_text() == json.dumps(row_dict_form(report, regions),
+                                          indent=2) + "\n"
+    assert read_report(path) == report
+
+
+def line_space() -> DomainSpace:
+    return DomainSpace((Dimension("x", -1.5, 2.7, "m"),))
+
+
+def plane_space() -> DomainSpace:
+    return DomainSpace((Dimension("p", 0.0, 1.0 / 3.0),
+                        Dimension("q", -2.0, 5.0, "s")))
+
+
+class TestReportFormat:
+    def test_prediction_on_10_cubed(self, space, grid, tmp_path):
+        report = predict(tally(random_campaign(space, 500, 1, centers_of=grid),
+                               grid, space), presets.condition("oc3"))
+        assert not report.renormalized and len(report.weights) == 1000
+        assert_golden(tmp_path, report, grid, space)
+
+    def test_renormalized_with_dropped_regions(self, space, tmp_path):
+        grid = PartitionGrid((5, 5, 5))
+        low = ConditionSet("low", space, (
+            Uniform(0, 10), Uniform(0, 10), Uniform(0, 40)))
+        campaign = TestCampaign("low", tuple(
+            record(x.values, BehaviorMode.TASK_FAILURE)
+            for x in sample(low, 2500, 11)), 0)
+        report = predict(tally(campaign, grid, space), presets.condition("oc2"),
+                         renormalize_empty=True)
+        assert report.dropped_regions and 0 < report.dropped_mass < 1
+        assert_golden(tmp_path, report, grid, space)
+
+    def test_vacuous_report(self, space, tmp_path):
+        grid = PartitionGrid((5, 5, 5))
+        high = ConditionSet("high", space, (
+            Uniform(0, 10), Uniform(0, 10), Uniform(30, 50)))
+        campaign = TestCampaign("low", tuple(
+            record((5.0, 5.0, y), BehaviorMode.SUCCESS)
+            for y in (1.0, 11.0, 19.0)), 0)
+        report = predict(tally(campaign, grid, space), high,
+                         renormalize_empty=True)
+        assert report.dropped_mass == 1.0 and len(report.dropped_regions) == 50
+        assert not report.weights.any()
+        assert_golden(tmp_path, report, grid, space)
+
+    def test_observed_report_has_no_rows(self, tmp_path):
+        report = observed_rates(random_campaign(line_space(), 30, 2))
+        assert report.edges == () and len(report.weights) == 0
+        assert_golden(tmp_path, report)
+        assert '"per_region": []' in (tmp_path / "report.json").read_text()
+
+    def test_one_dimensional_grid(self, tmp_path):
+        space, grid = line_space(), PartitionGrid((7,))
+        target = ConditionSet("line", space, (ClippedGaussian(0.3, 0.8),))
+        report = predict(tally(random_campaign(space, 40, 3, centers_of=grid),
+                               grid, space), target)
+        assert_golden(tmp_path, report, grid, space)
+
+    def test_two_dimensional_grid(self, tmp_path):
+        space, grid = plane_space(), PartitionGrid((3, 4))
+        target = ConditionSet("plane", space, (
+            Uniform(0.0, 0.2), ClippedGaussian(1.0, 2.0)))
+        report = predict(tally(random_campaign(space, 25, 4), grid, space),
+                         target, renormalize_empty=True)
+        assert_golden(tmp_path, report, grid, space)
+
+    def test_discrete_condition_target(self, tmp_path):
+        space, grid = plane_space(), PartitionGrid((3, 4))
+        target = DiscreteCondition("table", space, (
+            Scenario.of(0.01, -1.5), Scenario.of(0.2, 4.9),
+            Scenario.of(1.0 / 3.0, 5.0)), (0.25, 0.5, 0.25))
+        report = predict(tally(random_campaign(space, 10, 5, centers_of=grid),
+                               grid, space), target)
+        assert_golden(tmp_path, report, grid, space)
+
+    def test_condition_name_with_quotes_and_non_ascii(self, tmp_path):
+        space, grid = line_space(), PartitionGrid((2,))
+        name = 'oc "\u00fcber" \u2713 back\\slash\ttab'
+        target = ConditionSet(name, space, (Uniform(-1.5, 2.7),))
+        report = predict(tally(random_campaign(space, 5, 6, centers_of=grid),
+                               grid, space), target)
+        assert report.condition_name == name
+        assert_golden(tmp_path, report, grid, space)
+
+    @given(bins=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           n=st.integers(0, 30), seed=st.integers(0, 2**16))
+    def test_random_grids(self, tmp_path_factory, bins, n, seed):
+        rng = np.random.default_rng(seed)
+        lo = rng.normal(0.0, 10.0, len(bins))
+        space = DomainSpace(tuple(
+            Dimension(f"d{k}", float(a), float(a + rng.exponential(5.0) + 1e-3))
+            for k, a in enumerate(lo)))
+        grid = PartitionGrid(tuple(bins))
+        target = ConditionSet("random", space, tuple(
+            ClippedGaussian(float(rng.uniform(d.min, d.max)), d.width / 3)
+            for d in space.dims))
+        campaign = random_campaign(space, n, seed)
+        report = predict(tally(campaign, grid, space), target,
+                         renormalize_empty=True)
+        assert_golden(tmp_path_factory.mktemp("golden"), report, grid, space)
+
+
+class TestReadReportRejects:
+    """A report file that is not one written by write_report: DataError."""
+
+    @pytest.fixture
+    def doc(self, tmp_path):
+        space = plane_space()
+        grid = PartitionGrid((2, 3))
+        report = predict(tally(random_campaign(space, 20, 7, centers_of=grid),
+                               grid, space),
+                         ConditionSet("c", space, (Uniform(0.0, 0.1),
+                                                   Uniform(-2.0, 5.0))))
+        path = tmp_path / "good.json"
+        write_report(path, report)
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["per_region"].__setitem__(1, 5),
+        lambda d: d["per_region"].__setitem__(1, None),
+        lambda d: d["per_region"].__setitem__(1, "row"),
+        lambda d: d["per_region"][1].__setitem__("bounds", None),
+        lambda d: d["per_region"][1].__setitem__("bounds", [[0.0, 1.0]]),
+        lambda d: d["per_region"][1].__setitem__("index", [0, 1.5]),
+        lambda d: d["per_region"][1].__setitem__("index", [0, -1]),
+        lambda d: d["per_region"][1].__setitem__("mass", None),
+        lambda d: d["per_region"][1].__setitem__("mass", "x"),
+        lambda d: d["per_region"][1].__setitem__("n_success", -1),
+        lambda d: d["per_region"][1].__setitem__("n_total", 10**6),
+        lambda d: d["per_region"][1].pop("n_harmful"),
+        lambda d: d["per_region"].pop(),
+        lambda d: d["per_region"].reverse(),
+        lambda d: d["per_region"][4]["bounds"][1].__setitem__(0, 0.5),
+        lambda d: d["per_region"][4]["bounds"][1].__setitem__(1, 0.5),
+        lambda d: d["per_region"][1].update(
+            n_success=-1, n_task_fail=d["per_region"][1]["n_task_fail"] + 1),
+        lambda d: [r["bounds"][0].__setitem__(0, -float("inf"))
+                   for r in d["per_region"] if r["index"][0] == 0],
+        lambda d: d.__setitem__("per_region", 5),
+        lambda d: d.__setitem__("dropped_regions", [[0, 3]]),
+        lambda d: d.__setitem__("dropped_regions", [[0]]),
+        lambda d: d.__setitem__("dropped_regions", 7),
+        lambda d: d.__setitem__("dependability", None),
+        lambda d: d.__setitem__("dependability", 2.0),
+        lambda d: d.pop("harmful_undependability"),
+    ])
+    def test_malformed_report(self, tmp_path, doc, edit):
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc, indent=2))
+        with pytest.raises(DataError, match="bad.json"):
+            read_report(path)
+
+    @pytest.mark.parametrize("text", ["[]", "null", "5", '"report"', "{"])
+    def test_not_a_report_object(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match="bad.json"):
+            read_report(path)
 
 
 class TestConditionDocuments:
