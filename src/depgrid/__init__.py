@@ -23,8 +23,8 @@ from .domain import (
     partition_indices,
     region_mass,
     sample,
-    substream,
     substream_seed,
+    substream_seeds,
     validate_grid,
 )
 from .errors import (

@@ -13,9 +13,9 @@ import sys
 from pathlib import Path
 
 from . import presets
-from .domain import ConditionSet, PartitionGrid, sample
+from .domain import ConditionSet, DomainSpace, PartitionGrid, sample
 from .errors import ConfigError, DataError, DepgridError, OutOfDomain
-from .estimator import compare, observed_rates, predict, tally
+from .estimator import TestCampaign, compare, observed_rates, predict, tally
 from .policies import ScriptedPolicy, ScriptedPolicyParams, evaluate_policy
 from .records import (
     CampaignManifest,
@@ -74,6 +74,27 @@ def _env_and_policy(doc: dict | None) -> tuple[EnvConfig, ScriptedPolicyParams]:
         except (ValueError, TypeError, AttributeError) as e:
             raise ConfigError(f"malformed condition document: {e}") from None
     return env, params
+
+
+def _records_in_domain(args) -> tuple[TestCampaign, DomainSpace]:
+    """The --records campaign and the domain it was checked against: the
+    domain of --config's condition document, or the built-in domain.
+
+    A record outside the domain raises OutOfDomain naming the file and the
+    record number.
+    """
+    if args.config:
+        cond, _, _, _ = load_condition_file(args.config)
+        space = cond.space
+    else:
+        space = presets.domain_space()
+    campaign = read_records(args.records)
+    for i, r in enumerate(campaign.records, start=1):
+        try:
+            r.scenario.require_in(space)
+        except OutOfDomain as e:
+            raise OutOfDomain(f"{args.records}: record {i}: {e}") from None
+    return campaign, space
 
 
 def _policy_factory(name: str, params: ScriptedPolicyParams, env: EnvConfig,
@@ -183,7 +204,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_observe(args) -> int:
-    campaign = read_records(args.records)
+    campaign, _ = _records_in_domain(args)
     report = observed_rates(campaign)
     write_report(args.out, report)
     print(f"observed over {len(campaign.records)} records: "
@@ -214,18 +235,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    if args.config:
-        cond, _, _, _ = load_condition_file(args.config)
-        space = cond.space
-    else:
-        space = presets.domain_space()
     dims = [d.strip() for d in args.dims.split(",") if d.strip()]
-    campaign = read_records(args.records)
-    for i, r in enumerate(campaign.records, start=1):
-        try:
-            r.scenario.require_in(space)
-        except OutOfDomain as e:
-            raise OutOfDomain(f"{args.records}: record {i}: {e}") from None
+    campaign, space = _records_in_domain(args)
     atomic_write_text(args.out, failure_scatter_svg(campaign, space, dims))
     n_fail = sum(1 for r in campaign.records
                  if r.mode.value != "success")
@@ -492,6 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("observe", help="raw outcome rates of a record file")
     sp.add_argument("--records", required=True)
+    sp.add_argument("--config", help="condition document for the domain")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_observe)
 

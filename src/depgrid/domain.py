@@ -14,6 +14,7 @@ edge belongs to the higher bin.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
@@ -423,34 +424,179 @@ def region_mass(cond: Condition, region: Region) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Seeding
+# ---------------------------------------------------------------------------
+# numpy's SeedSequence and PCG64 seeding (numpy/random/bit_generator.pyx and
+# pcg64.h), computed for many entropy rows at once. Entropy is a list of
+# columns, one uint32 word per row each, held in uint64 arrays: a product of
+# two 32-bit words fits, and every result is masked back to 32 bits, so the
+# arithmetic is the same under numpy 1.x and 2.x promotion rules.
+
+_M32 = np.uint64(0xFFFF_FFFF)
+_XSHIFT = np.uint64(16)
+_SHIFT32 = np.uint64(32)
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_L, _MIX_R = np.uint64(0xCA01_F9DD), np.uint64(0x4973_F715)
+_PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+_M128 = (1 << 128) - 1
+
+
+def _entropy_words(values) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+    """Non-negative integers as SeedSequence's entropy words.
+
+    numpy splits an integer into 32-bit words, least significant first (0 is
+    one word). Rows with the same word count form one group, returned as
+    (positions, word columns). A negative value raises ConfigError.
+    """
+    ints = [operator.index(v) for v in values]
+    if ints and min(ints) < 0:
+        raise ConfigError(f"seeds must be non-negative, got {min(ints)}")
+    widths = [(v.bit_length() + 31) // 32 or 1 for v in ints]
+    width_of = np.array(widths, dtype=np.int64)
+    groups = []
+    for k in sorted(set(widths)):
+        pos = np.flatnonzero(width_of == k)
+        members = [ints[p] for p in pos.tolist()]
+        words = []
+        for shift in range(0, 32 * k, 64):   # 64 bits at a time, then halved
+            limb = np.array([(v >> shift) & 0xFFFF_FFFF_FFFF_FFFF
+                             for v in members], dtype=np.uint64)
+            words += [limb & _M32, limb >> _SHIFT32]
+        groups.append((pos, words[:k]))
+    return groups
+
+
+def _spawn_entropy(master_seed: int,
+                   indices) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+    """Entropy of SeedSequence(master_seed, spawn_key=(i,)) for each index i,
+    grouped by the index's word count: the master's words, padded with zeros
+    to the pool size, then the index's words."""
+    ((_, run),) = _entropy_words([master_seed])
+    run += [np.zeros(1, dtype=np.uint64)] * (_POOL - len(run))
+    return [(pos, [np.repeat(w, len(pos)) for w in run] + words)
+            for pos, words in _entropy_words(indices)]
+
+
+def _hashmix(hash_const: int, mult: int):
+    """numpy's hashmix with its running constant: each call xors the word
+    with the constant, steps the constant, then multiplies by it."""
+    def hashmix(words: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        old, hash_const = hash_const, (hash_const * mult) & 0xFFFF_FFFF
+        v = ((words ^ np.uint64(old)) * np.uint64(hash_const)) & _M32
+        return v ^ (v >> _XSHIFT)
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # the uint64 difference wraps modulo 2**64, a multiple of 2**32
+    r = ((_MIX_L * x) - (_MIX_R * y)) & _M32
+    return r ^ (r >> _XSHIFT)
+
+
+def _generate_state(groups, n_words: int) -> np.ndarray:
+    """SeedSequence.generate_state(n_words) for entropy rows given as groups
+    of (positions, word columns): a (rows, n_words) uint64 array of 32-bit
+    words, in row order."""
+    out = np.empty((sum(len(pos) for pos, _ in groups), n_words),
+                   dtype=np.uint64)
+    for pos, entropy in groups:
+        hashmix = _hashmix(_INIT_A, _MULT_A)
+        pool = [hashmix(entropy[i] if i < len(entropy)
+                        else np.zeros(len(pos), dtype=np.uint64))
+                for i in range(_POOL)]
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[_POOL:]:
+            for dst in range(_POOL):
+                pool[dst] = _mix(pool[dst], hashmix(word))
+        # generate_state's output loop: the same step, its own constants
+        hashmix = _hashmix(_INIT_B, _MULT_B)
+        out[pos] = np.stack([hashmix(pool[i % _POOL]) for i in range(n_words)],
+                            axis=1)
+    return out
+
+
+def _pcg64_states(groups) -> list[tuple[int, int]]:
+    """The (state, inc) of PCG64(SeedSequence(entropy)) for entropy rows
+    (groups as in _generate_state), in row order: the values of
+    ``PCG64(...).state["state"]``.
+
+    PCG64 reads generate_state(4, np.uint64) as a 128-bit initial state and
+    stream, then runs pcg_setseq_128_srandom_r: inc is the stream shifted up
+    with its low bit set, and the state is two LCG steps from 0 with the
+    initial state added after the first.
+    """
+    w = _generate_state(groups, 8)
+    words = (w[:, 0::2] | (w[:, 1::2] << _SHIFT32)).tolist()  # 4 uint64 a row
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in words:
+        inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _M128
+        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _M128
+        states.append((state, inc))
+    return states
+
+
+def _seeded_streams(groups) -> Iterator[np.random.Generator]:
+    """One generator per call, yielded once for each entropy row (in row
+    order) after its PCG64 state is set to PCG64(SeedSequence(row))'s.
+
+    Equal to drawing from ``np.random.Generator(np.random.PCG64(
+    np.random.SeedSequence(row)))``, without building either per row. Each
+    row's draws must be taken before the next row is requested.
+    """
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    doc = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0,
+           "uinteger": 0}
+    for state, inc in _pcg64_states(groups):
+        doc["state"] = {"state": state, "inc": inc}
+        bitgen.state = doc
+        yield rng
+
+
+# ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
-
-def substream(master_seed: int, index: int) -> np.random.Generator:
-    """The generator for one unit of work under a master seed.
-
-    Stream-splitting rule: substream i is PCG64 keyed by
-    SeedSequence(master_seed, spawn_key=(i,)). Parallel workers drawing from
-    their own substreams therefore reproduce sequential output exactly.
-    """
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(index,)))
-    )
-
+# Stream-splitting rule: unit i of the work under a master seed m (scenario
+# i of a sample, episode i of a campaign) draws from the substream keyed by
+# SeedSequence(m, spawn_key=(i,)). A unit's draws therefore depend only on
+# (m, i), not on how many units there are or in what order they run.
 
 def substream_seed(master_seed: int, index: int) -> int:
-    """A 64-bit integer seed identifying substream ``index`` (for records)."""
+    """A 64-bit integer seed identifying substream ``index`` (for records).
+
+    The scalar reference for substream_seeds.
+    """
     ss = np.random.SeedSequence(master_seed, spawn_key=(index,))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def substream_seeds(master_seed: int, n: int) -> np.ndarray:
+    """The seeds of substreams 0..n-1 as a uint64 array.
+
+    Element i is ``SeedSequence(master_seed, spawn_key=(i,))
+    .generate_state(1, np.uint64)[0]``, equal to substream_seed(master_seed,
+    i), computed for all indices at once. A negative master seed raises
+    ConfigError.
+    """
+    w = _generate_state(_spawn_entropy(master_seed, range(n)), 2)
+    return w[:, 0] | (w[:, 1] << _SHIFT32)
 
 
 def sample(cond: ConditionSet, n: int, seed: int) -> list[Scenario]:
     """Draw n scenarios from the condition's product distribution.
 
-    Each scenario is drawn from its own substream (one per index), so the
-    result is a pure function of (cond, n, seed) and is identical whether
-    indices are generated sequentially or in parallel. Gaussian draws are
-    clipped to the dimension bounds.
+    Scenario i draws one value per dimension, in dimension order, from
+    PCG64(SeedSequence(seed, spawn_key=(i,))), so the result is a pure
+    function of (cond, n, seed) and its first k scenarios equal sample(cond,
+    k, seed). The substream states are computed for all indices at once, and
+    one generator serves every scenario (see _seeded_streams). Gaussian draws
+    are clipped to the dimension bounds. A negative seed raises ConfigError.
     """
     if n < 0:
         raise ConfigError(f"sample count must be >= 0, got {n}")
@@ -458,10 +604,7 @@ def sample(cond: ConditionSet, n: int, seed: int) -> list[Scenario]:
         raise ConfigError("sample() draws from product conditions only")
     dims = cond.space.dims
     marginals = cond.marginals
-    out = []
-    for i in range(n):
-        rng = substream(seed, i)
-        out.append(Scenario(tuple(
-            m.draw(rng, d) for m, d in zip(marginals, dims)
-        )))
-    return out
+    return [
+        Scenario(tuple(m.draw(rng, d) for m, d in zip(marginals, dims)))
+        for rng in _seeded_streams(_spawn_entropy(seed, range(n)))
+    ]

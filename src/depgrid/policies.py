@@ -21,7 +21,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .domain import Scenario, substream_seed
+from .domain import Scenario, substream_seeds
 from .errors import ConfigError
 from .estimator import TestCampaign
 from .simulator import Action, EnvConfig, Observation, run_batch
@@ -161,11 +161,13 @@ def evaluate_policy(cfg: EnvConfig, policy_factory: PolicyFactory,
     """Run one episode per scenario, all in lockstep through the batch form
     of ``policy_factory()``; a policy without one raises ConfigError.
 
-    Episode i uses the substream seed derived from (master_seed, i), and its
-    record equals ``run_episode(cfg, policy_factory(), scenarios[i], seed)``,
-    so the campaign is a pure function of its inputs.
+    Episode i's seed is ``substream_seed(master_seed, i)``, and its record
+    equals ``run_episode(cfg, policy_factory(), scenarios[i], seed)``, so the
+    campaign is a pure function of its inputs. The seeds are derived for all
+    episodes at once by substream_seeds; a negative master seed raises
+    ConfigError.
     """
-    seeds = [substream_seed(master_seed, i) for i in range(len(scenarios))]
+    seeds = substream_seeds(master_seed, len(scenarios)).tolist()
     return TestCampaign(
         condition_name=condition_name,
         records=tuple(run_batch(cfg, policy_factory(), scenarios, seeds)),

@@ -441,12 +441,16 @@ class CampaignManifest:
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignManifest":
         policy = d.get("policy", {})
+        master_seed = int(d["master_seed"])
+        if master_seed < 0:
+            raise ValueError(
+                f"master_seed must be non-negative, got {master_seed}")
         return cls(
             condition=str(d["condition"]),
             policy_name=str(policy.get("name", "scripted")),
             policy_params=dict(policy.get("params", {})),
             safety=d.get("safety"),
-            master_seed=int(d["master_seed"]),
+            master_seed=master_seed,
             n_records=int(d["n_records"]),
             scenarios_path=str(d["scenarios_path"]),
             records_path=str(d["records_path"]),

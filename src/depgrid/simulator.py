@@ -26,7 +26,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .domain import Dimension, DomainSpace, Scenario
+from .domain import (Dimension, DomainSpace, Scenario, _entropy_words,
+                     _seeded_streams)
 from .errors import ConfigError, EpisodeNotFinished, SteppingTerminatedEpisode
 from .estimator import BehaviorMode, TrialRecord
 
@@ -264,15 +265,26 @@ _MODES = (BehaviorMode.SUCCESS, BehaviorMode.TASK_FAILURE,
           BehaviorMode.HARMFUL_FAILURE)
 
 
+def _episode_noise(seeds: Sequence[int], horizon: int) -> np.ndarray:
+    """Standard normals of shape (len(seeds), horizon, 3): row j is the
+    start of PCG64(seeds[j])'s stream, the noise run_episode draws.
+
+    The seeded PCG64 states of the whole block are computed at once, and one
+    generator fills every row (see domain._seeded_streams). A negative seed
+    raises ConfigError.
+    """
+    noise = np.empty((len(seeds), horizon, 3))
+    for row, rng in zip(noise, _seeded_streams(_entropy_words(seeds))):
+        rng.standard_normal(out=row)
+    return noise
+
+
 def _run_block(cfg: EnvConfig, make_controller, scenarios: Sequence[Scenario],
                seeds: Sequence[int]) -> list[TrialRecord]:
     n, horizon = len(scenarios), cfg.episode_seconds
     controller = make_controller(n)
     v, t, y = np.array([x.values for x in scenarios], dtype=float).T
-    # each episode's noise is its own PCG64(seed) stream, as in run_episode
-    noise = np.empty((n, horizon, 3))
-    for j, seed in enumerate(seeds):
-        np.random.Generator(np.random.PCG64(seed)).standard_normal(out=noise[j])
+    noise = _episode_noise(seeds, horizon)
 
     lo, hi = cfg.robot_bounds
     pos = np.full(n, lo)

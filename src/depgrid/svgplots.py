@@ -118,6 +118,8 @@ def failure_scatter_svg(
     """
     if len(dims) not in (2, 3):
         raise ConfigError(f"need two or three dimension names, got {len(dims)}")
+    if len(set(dims)) != len(dims):
+        raise ConfigError(f"dimension names must differ, got {list(dims)}")
     axes = [space.index_of(name) for name in dims]
     if len(dims) == 2:
         panels = [(axes[0], axes[1])]

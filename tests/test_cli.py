@@ -278,6 +278,44 @@ class TestRunObservePredict:
                        "--out", str(tmp_path / "p.json")) == 3
         assert "OutOfDomain" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["observe", "plot"])
+    @pytest.mark.parametrize("scenario", [
+        [1e9, 5.0], [5.0, 5.0, 60.0], [-1.0, 5.0, 30.0], [5.0, 5.0, 30.0, 1.0],
+    ])
+    def test_record_outside_the_domain_exits_3(self, tmp_path, capsys,
+                                               command, scenario):
+        good = {"scenario": [5.0, 5.0, 30.0], "mode": "task_failure",
+                "seed": 1, "steps": 100, "final_position": 20.0,
+                "collision_time": None}
+        odd = tmp_path / "odd.jsonl"
+        odd.write_text(json.dumps(good) + "\n"
+                       + json.dumps({**good, "scenario": scenario}) + "\n")
+        extra = ("--dims", "v,y") if command == "plot" else ()
+        out = tmp_path / "out"
+        assert run_cli(command, "--records", str(odd), *extra,
+                       "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "OutOfDomain" in err and "odd.jsonl: record 2" in err
+        assert not out.exists()
+
+    def test_observe_checks_records_against_the_config_domain(self, tmp_path):
+        doc = condition_document(presets.condition("testing"),
+                                 presets.default_grid(), seed=0)
+        doc["domain"][2]["max"] = 100.0
+        cfg = tmp_path / "tall.json"
+        cfg.write_text(json.dumps(doc))
+        record = {"scenario": [5.0, 5.0, 60.0], "mode": "task_failure",
+                  "seed": 1, "steps": 100, "final_position": 50.0,
+                  "collision_time": None}
+        rec = tmp_path / "tall.jsonl"
+        rec.write_text(json.dumps(record) + "\n")
+        out = tmp_path / "obs.json"
+        assert run_cli("observe", "--records", str(rec),
+                       "--out", str(out)) == 3
+        assert run_cli("observe", "--records", str(rec), "--config", str(cfg),
+                       "--out", str(out)) == 0
+        assert read_report(out).task_undependability == 1.0
+
     def test_run_with_safety_records_settings(self, small_pipeline, tmp_path):
         rec = tmp_path / "safe.jsonl"
         assert run_cli("run", "--scenarios", str(small_pipeline["scen"]),
@@ -354,6 +392,15 @@ class TestCompareAndPlot:
         assert run_cli("plot", "--records", str(rec), "--dims", "v,y",
                        "--out", str(svg)) == 0
         ET.parse(svg)
+
+    @pytest.mark.parametrize("dims", ["v,v", "v,t,v", "y,y,y"])
+    def test_repeated_dimension_exits_2(self, small_pipeline, tmp_path, capsys,
+                                        dims):
+        svg = tmp_path / "x.svg"
+        assert run_cli("plot", "--records", str(small_pipeline["rec"]),
+                       "--dims", dims, "--out", str(svg)) == 2
+        assert "must differ" in capsys.readouterr().err
+        assert not svg.exists()
 
     def test_unknown_dimension_exits_2(self, small_pipeline, tmp_path):
         assert run_cli("plot", "--records", str(small_pipeline["rec"]),

@@ -114,8 +114,8 @@ RECORD_EDITS = edits([
     (["collision_time"], [1.0, 0, "x", []]),
 ] + [([key], [DELETE]) for key in ("scenario", "mode", "seed", "steps",
                                    "final_position")])
-# scenarios outside the 3-D domain: refused by the commands that know it
-DOMAIN_EDITS = edits([(["scenario"], [[], [5, 5], [5, 5, 30, 1],
+# scenarios outside the 3-D domain: refused by the commands that read it
+DOMAIN_EDITS = edits([(["scenario"], [[], [5, 5], [5, 5, 30, 1], [1e9, 5],
                                       [-1, 5, 30], [5, 5, 51]])])
 GARBAGE_LINES = ["not json", "[1, 2]", "5", "null", '"s"', "{}", "{"]
 
@@ -146,13 +146,13 @@ def test_malformed_record_file(files, line, position, command):
 
 @settings(max_examples=200)
 @given(line=record_line(DOMAIN_EDITS), position=st.integers(0, 8),
-       command=st.sampled_from(["plot", "predict"]))
+       command=st.sampled_from(["observe", "plot", "predict"]))
 def test_record_outside_the_domain(files, line, position, command):
     lines = (files / "rec.jsonl").read_text().splitlines()
     lines.insert(position, line)
     bad = files / "bad.jsonl"
     bad.write_text("\n".join(lines) + "\n")
-    extra = {"plot": ("--dims", "v,y"),
+    extra = {"observe": (), "plot": ("--dims", "v,y"),
              "predict": ("--condition", "testing", "--grid", "2,2,2",
                          "--renormalize-empty")}[command]
     assert_refused(command, "--records", str(bad), *extra,
@@ -193,7 +193,7 @@ def test_malformed_report_file(files, data, side):
 
 
 MANIFEST_EDITS = edits([
-    (["master_seed"], [None, "x", []]),
+    (["master_seed"], [None, "x", [], -1, -5, -2**64]),
     (["n_records"], [None, "x", []]),
     (["policy"], [5, "x", [], None]),
     (["policy", "name"], ["other"]),
@@ -270,6 +270,9 @@ def bad_flags(files) -> list[tuple[str, ...]]:
         ("sample", "--condition", "", "--n", "1", *out),
         ("sample", "--condition", "testing", "--n", "1"),
         ("sample", "--condition", "testing", "--seed", "1.5", "--n", "1", *out),
+        ("sample", "--condition", "testing", "--seed", "-1", "--n", "1", *out),
+        ("sample", "--condition", "testing", "--seed", str(-2**64), "--n", "0",
+         *out),
         (*predict, "--condition", "testing", "--grid", "x"),
         (*predict, "--condition", "testing", "--grid", "0,1,1"),
         (*predict, "--condition", "testing", "--grid", "2,2"),
@@ -287,6 +290,8 @@ def bad_flags(files) -> list[tuple[str, ...]]:
         ("run", "--scenarios", scen),
         ("run", *out),
         ("run", "--scenarios", scen, "--seed", "x", *out),
+        ("run", "--scenarios", scen, "--seed", "-1", *out),
+        ("run", "--scenarios", scen, "--safety", "--seed", str(-2**70), *out),
         ("run", "--scenarios", rec, *out),
         ("observe", *out),
         ("observe", "--records", scen, *out),
@@ -296,9 +301,13 @@ def bad_flags(files) -> list[tuple[str, ...]]:
         ("plot", "--records", rec, "--dims", "v", *out),
         ("plot", "--records", rec, "--dims", "", *out),
         ("plot", "--records", rec, "--dims", "v,t,y,v", *out),
+        ("plot", "--records", rec, "--dims", "v,v", *out),
+        ("plot", "--records", rec, "--dims", "t,y,t", *out),
         ("reproduce", "--out-dir", str(files / "repro"), "--grid", "x"),
         ("reproduce", "--out-dir", str(files / "repro"), "--n", "-1"),
         ("reproduce", "--out-dir", str(files / "repro"), "--n", "x"),
+        ("reproduce", "--out-dir", str(files / "repro"), "--n", "5",
+         "--grid", "1,1,1", "--seed", "-12"),
         ("launch",),
         (),
     ]
@@ -308,3 +317,27 @@ def bad_flags(files) -> list[tuple[str, ...]]:
 @given(data=st.data())
 def test_bad_flags(files, data):
     assert_refused(*data.draw(st.sampled_from(bad_flags(files))))
+
+
+@settings(max_examples=50)
+@given(seed=st.integers(2**64, 2**80),
+       command=st.sampled_from(["sample", "run", "manifest"]))
+def test_seeds_beyond_64_bits_succeed(files, seed, command):
+    """Master seeds of any size are valid: numpy's SeedSequence takes them
+    as several 32-bit words, and so does the array seeding."""
+    out = files / "big.jsonl"
+    if command == "sample":
+        argv = ("sample", "--condition", "testing", "--n", "3")
+    elif command == "run":
+        argv = ("run", "--scenarios", str(files / "scen.jsonl"))
+    else:
+        manifest = json.loads((files / "run.manifest.json").read_text())
+        manifest["master_seed"] = seed
+        (files / "big.manifest.json").write_text(json.dumps(manifest))
+        argv = ("run", "--manifest", str(files / "big.manifest.json"))
+    if command != "manifest":
+        argv += ("--seed", str(seed))
+    code, err = run(*argv, "--out", str(out))
+    assert code == 0, err
+    lines = out.read_text().splitlines()
+    assert len(lines) == (3 if command == "sample" else 5)
