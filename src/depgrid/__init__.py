@@ -19,7 +19,6 @@ from .domain import (
     Scenario,
     Uniform,
     norm_cdf,
-    partition_index,
     partition_indices,
     region_mass,
     sample,
@@ -67,7 +66,6 @@ from .simulator import (
     Observation,
     classify,
     init,
-    observe,
     run_batch,
     run_episode,
     scenario_domain,

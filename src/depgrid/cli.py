@@ -15,13 +15,15 @@ from pathlib import Path
 from . import presets
 from .domain import ConditionSet, DomainSpace, PartitionGrid, sample
 from .errors import ConfigError, DataError, DepgridError, OutOfDomain
-from .estimator import TestCampaign, compare, observed_rates, predict, tally
+from .estimator import (BehaviorMode, TestCampaign, compare, observed_rates,
+                        predict, tally)
 from .policies import ScriptedPolicy, ScriptedPolicyParams, evaluate_policy
 from .records import (
     CampaignManifest,
     atomic_write_text,
     condition_document,
     dump_json,
+    env_from_dict,
     file_sha256,
     load_condition_file,
     read_manifest,
@@ -58,8 +60,6 @@ def _parse_grid(spec: str) -> PartitionGrid:
 
 
 def _env_and_policy(doc: dict | None) -> tuple[EnvConfig, ScriptedPolicyParams]:
-    from .records import env_from_dict
-
     env = EnvConfig()
     params = presets.default_policy_params()
     if doc:
@@ -76,25 +76,22 @@ def _env_and_policy(doc: dict | None) -> tuple[EnvConfig, ScriptedPolicyParams]:
     return env, params
 
 
-def _records_in_domain(args) -> tuple[TestCampaign, DomainSpace]:
-    """The --records campaign and the domain it was checked against: the
-    domain of --config's condition document, or the built-in domain.
-
-    A record outside the domain raises OutOfDomain naming the file and the
-    record number.
-    """
+def _domain(args) -> DomainSpace:
+    """The domain of --config's condition document, or the built-in one."""
     if args.config:
-        cond, _, _, _ = load_condition_file(args.config)
-        space = cond.space
-    else:
-        space = presets.domain_space()
-    campaign = read_records(args.records)
-    for i, r in enumerate(campaign.records, start=1):
-        try:
-            r.scenario.require_in(space)
-        except OutOfDomain as e:
-            raise OutOfDomain(f"{args.records}: record {i}: {e}") from None
-    return campaign, space
+        return load_condition_file(args.config)[0].space
+    return presets.domain_space()
+
+
+def _records_in(path, space: DomainSpace) -> TestCampaign:
+    """The campaign of a record file, checked against the domain; a record
+    outside it raises OutOfDomain naming the file and the record number."""
+    campaign = read_records(path)
+    try:
+        space.check_points(campaign.scenarios)
+    except OutOfDomain as e:
+        raise OutOfDomain(f"{path}: record {e.row + 1}: {e}") from None
+    return campaign
 
 
 def _policy_factory(name: str, params: ScriptedPolicyParams, env: EnvConfig,
@@ -174,7 +171,7 @@ def cmd_run(args) -> int:
         policy_params=params.as_dict(),
         safety=safety.as_dict() if safety else None,
         master_seed=seed,
-        n_records=len(campaign.records),
+        n_records=len(campaign),
         scenarios_path=os.path.relpath(scenarios_path, out.parent),
         records_path=out.name,
         config_path=config_path and os.path.relpath(config_path, out.parent),
@@ -182,7 +179,7 @@ def cmd_run(args) -> int:
     )
     manifest_path = out.with_suffix(".manifest.json")
     write_manifest(manifest_path, manifest)
-    print(f"wrote {len(campaign.records)} records to {out} "
+    print(f"wrote {len(campaign)} records to {out} "
           f"(manifest: {manifest_path})")
     return 0
 
@@ -191,7 +188,7 @@ def cmd_predict(args) -> int:
     target, grid, doc = _resolve_condition(args)
     if args.grid:
         grid = _parse_grid(args.grid)
-    campaign = read_records(args.records)
+    campaign = _records_in(args.records, target.space)
     tallies = tally(campaign, grid, target.space)
     report = predict(tallies, target, renormalize_empty=args.renormalize_empty)
     write_report(args.out, report)
@@ -204,10 +201,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_observe(args) -> int:
-    campaign, _ = _records_in_domain(args)
+    campaign = _records_in(args.records, _domain(args))
     report = observed_rates(campaign)
     write_report(args.out, report)
-    print(f"observed over {len(campaign.records)} records: "
+    print(f"observed over {len(campaign)} records: "
           f"D={report.dependability:.4f} "
           f"UT={report.task_undependability:.4f} "
           f"UH={report.harmful_undependability:.4f} -> {args.out}")
@@ -236,10 +233,10 @@ def cmd_compare(args) -> int:
 
 def cmd_plot(args) -> int:
     dims = [d.strip() for d in args.dims.split(",") if d.strip()]
-    campaign, space = _records_in_domain(args)
+    space = _domain(args)
+    campaign = _records_in(args.records, space)
     atomic_write_text(args.out, failure_scatter_svg(campaign, space, dims))
-    n_fail = sum(1 for r in campaign.records
-                 if r.mode.value != "success")
+    n_fail = int((campaign.modes != BehaviorMode.SUCCESS.code).sum())
     print(f"plotted {n_fail} failures over dims {dims} -> {args.out}")
     return 0
 
@@ -280,12 +277,13 @@ def reproduce(out_dir: str | Path, *, n: int = 20000, seed: int = 0,
     (the uniform testing campaign covers all 1000 with n around 20000);
     scaled-down runs should pass a proportionally coarser grid.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     out = Path(out_dir)
     env = presets.default_env()
     params = presets.default_policy_params()
     space = presets.domain_space()
     grid = grid or presets.default_grid()
-    factory = _policy_factory("scripted", params, env, None)
 
     def campaign_for(cond_name: str, scen_key: str, camp_key: str, *,
                      safety: SafetyFunction | None = None,
@@ -295,11 +293,9 @@ def reproduce(out_dir: str | Path, *, n: int = 20000, seed: int = 0,
             scenarios = sample(cond, n, seed + _SEED_OFFSETS[scen_key])
             write_scenarios(out / "scenarios" / f"{tag or cond_name}.jsonl",
                             scenarios)
-        f = (_policy_factory("scripted", params, env, safety)
-             if safety else factory)
         campaign = evaluate_policy(
-            env, f, scenarios, seed + _SEED_OFFSETS[camp_key],
-            condition_name=cond_name)
+            env, _policy_factory("scripted", params, env, safety), scenarios,
+            seed + _SEED_OFFSETS[camp_key], condition_name=cond_name)
         name = tag or cond_name
         write_records(out / "records" / f"{name}.jsonl", campaign)
         write_manifest(out / "records" / f"{name}.manifest.json", CampaignManifest(
@@ -308,7 +304,7 @@ def reproduce(out_dir: str | Path, *, n: int = 20000, seed: int = 0,
             policy_params=params.as_dict(),
             safety=safety.as_dict() if safety else None,
             master_seed=seed + _SEED_OFFSETS[camp_key],
-            n_records=len(campaign.records),
+            n_records=len(campaign),
             scenarios_path=f"../scenarios/{tag or cond_name}.jsonl",
             records_path=f"{name}.jsonl",
         ))

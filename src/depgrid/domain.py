@@ -20,7 +20,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .errors import ConfigError, InvalidGrid, OutOfDomain
+from .errors import ConfigError, InvalidGrid, OutOfDomain, check_rows
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -95,15 +95,31 @@ class DomainSpace:
 
     def check_values(self, values) -> None:
         """Raise OutOfDomain unless every coordinate is within its bounds."""
-        if len(values) != self.ndim:
-            raise OutOfDomain(
-                f"scenario has {len(values)} values, domain has {self.ndim} dimensions"
-            )
-        for v, d in zip(values, self.dims):
-            if not (d.min <= v <= d.max):
-                raise OutOfDomain(
-                    f"{d.name} = {v} outside [{d.min}, {d.max}]"
-                )
+        self.check_points([values])
+
+    def check_points(self, xs) -> np.ndarray:
+        """The points xs as an (n, ndim) float array. A point with the wrong
+        number of coordinates or one outside its bounds (NaN and infinities
+        included) raises OutOfDomain, whose ``row`` is the first such point."""
+        try:
+            xs = np.asarray(xs, dtype=float)
+        except (ValueError, TypeError) as e:
+            raise OutOfDomain(f"scenario coordinates are not an (n, ndim) array "
+                              f"of numbers: {e}") from None
+        if xs.shape[:1] == (0,):
+            return np.empty((0, self.ndim))
+        if xs.shape[1:] != (self.ndim,):
+            e = OutOfDomain(f"scenarios need {self.ndim} coordinates each, got "
+                            f"an array of shape {xs.shape}")
+            e.row = 0  # every point has the wrong count
+            raise e
+        lo, hi = np.array([(d.min, d.max) for d in self.dims]).T
+        inside = (xs >= lo) & (xs <= hi)  # NaN fails both
+        k = inside.argmin(axis=1)  # the first coordinate outside, if any
+        check_rows(inside.all(axis=1),
+                   lambda i: f"{self.names[k[i]]} = {xs[i, k[i]]} outside "
+                             f"[{lo[k[i]]}, {hi[k[i]]}]", OutOfDomain)
+        return xs
 
 
 @dataclass(frozen=True)
@@ -115,9 +131,6 @@ class Scenario:
     @classmethod
     def of(cls, *values: float) -> "Scenario":
         return cls(tuple(float(v) for v in values))
-
-    def require_in(self, space: DomainSpace) -> None:
-        space.check_values(self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -278,40 +291,21 @@ def validate_grid(grid: PartitionGrid, space: DomainSpace) -> None:
 
 def partition_indices(grid: PartitionGrid, space: DomainSpace,
                       xs: np.ndarray) -> np.ndarray:
-    """Vectorized bin indices, shape (n, ndim), for in-domain points xs.
+    """Vectorized bin indices, shape (n, ndim), of the points xs, an (n, ndim)
+    array.
 
     Interior edges belong to the higher bin; the domain maximum belongs to
-    the last bin. Non-finite coordinates, and points whose number of
-    coordinates is not the space's, raise OutOfDomain.
+    the last bin. Points outside the domain raise OutOfDomain (see
+    DomainSpace.check_points).
     """
     validate_grid(grid, space)
-    try:
-        xs = np.asarray(xs, dtype=float)
-    except ValueError as e:
-        raise OutOfDomain(f"scenario coordinates are not an (n, ndim) array "
-                          f"of numbers: {e}") from None
-    if xs.ndim == 1:
-        xs = xs[None, :]
-    if xs.shape[1] != space.ndim:
-        raise OutOfDomain(f"scenario has {xs.shape[1]} values, domain has "
-                          f"{space.ndim} dimensions")
+    xs = space.check_points(xs)
     out = np.empty(xs.shape, dtype=np.int64)
-    for d, dim in enumerate(space.dims):
-        col = xs[:, d]
-        outside = ~((col >= dim.min) & (col <= dim.max))  # NaN fails both
-        if outside.any():
-            bad = col[outside][0]
-            raise OutOfDomain(f"{dim.name} = {bad} outside [{dim.min}, {dim.max}]")
+    for d in range(space.ndim):
         e = grid.edges(space, d)
-        out[:, d] = np.minimum(np.searchsorted(e, col, side="right") - 1,
+        out[:, d] = np.minimum(np.searchsorted(e, xs[:, d], side="right") - 1,
                                grid.bins[d] - 1)
     return out
-
-
-def partition_index(grid: PartitionGrid, space: DomainSpace, x: Scenario) -> Region:
-    """The unique region containing scenario x (OutOfDomain otherwise)."""
-    idx = partition_indices(grid, space, np.array([x.values]))[0]
-    return grid.region(space, tuple(int(i) for i in idx))
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +380,7 @@ class DiscreteCondition:
             raise ConfigError(
                 f"condition {self.name!r}: probabilities sum to {total!r}, not 1"
             )
-        for s in self.scenarios:
-            s.require_in(self.space)
+        self.space.check_points([s.values for s in self.scenarios])
 
     def region_mass_vector(self, grid: PartitionGrid) -> np.ndarray:
         """Sum of table probabilities per region, raveled in C order."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class DepgridError(Exception):
     """Base class for every error raised by this package."""
@@ -16,9 +18,21 @@ class ConfigError(DepgridError):
 
 
 class DataError(DepgridError):
-    """Malformed or inconsistent data (scenario files, records, campaigns)."""
+    """Malformed or inconsistent data (scenario files, records, campaigns).
+    ``row`` is the first bad row of a checked column, for a reader to name."""
 
     exit_code = 3
+    row: int | None = None
+
+
+def check_rows(ok, message, error: type[DataError] = DataError) -> None:
+    """Raise ``error(message(i))`` with ``row`` i for the first row i whose
+    entry of the bool sequence ``ok`` is false."""
+    if not np.all(ok):
+        i = int(np.argmin(ok))
+        e = error(message(i))
+        e.row = i
+        raise e
 
 
 class OutOfDomain(DataError):

@@ -6,7 +6,9 @@ task completion irrelevant). Dependability under a condition is the
 probability of success when scenarios are drawn from that condition; the
 two undependabilities are the probabilities of the failure modes.
 
-A Tally holds the integer outcome counts of one campaign as a single array,
+A TestCampaign holds its records as columns: the (n, d) scenario array, the
+mode codes, seeds, steps and final positions. Tallying reads only the first
+two. A Tally holds the integer outcome counts of one campaign as one array,
 one row per grid region in C order and one column per behavior mode.
 Prediction re-weights the per-region rates with the target condition's
 region mass vector: the predicted rates are sum_r w_r * p_r. Counts stay
@@ -21,7 +23,8 @@ are built only to name the uncovered regions of an EmptyPartition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from enum import Enum
 from typing import Mapping
 
@@ -40,6 +43,7 @@ from .errors import (
     EmptyCampaign,
     EmptyPartition,
     IncompleteOutcomes,
+    check_rows,
 )
 
 SUM_RULE_TOL = 1e-12
@@ -50,14 +54,23 @@ class BehaviorMode(str, Enum):
     TASK_FAILURE = "task_failure"
     HARMFUL_FAILURE = "harmful_failure"
 
+    @property
+    def code(self) -> int:
+        """The mode's code in a campaign's ``modes`` column."""
+        return _MODE_ORDER.index(self)
+
+
+_MODE_ORDER = (BehaviorMode.SUCCESS, BehaviorMode.TASK_FAILURE,
+               BehaviorMode.HARMFUL_FAILURE)
+
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Outcome of running a policy in one scenario.
+    """Outcome of running a policy in one scenario: one row of a campaign.
 
-    steps counts the seconds stepped. A harmful failure ends at its
-    collision, so it has collision_time == steps >= 1; other modes have no
-    collision_time. A record that breaks this raises DataError.
+    steps counts the seconds stepped; a harmful failure's collision_time
+    equals steps, other modes have none. A mode name is converted to its
+    BehaviorMode; the record invariants are checked on campaign columns.
     """
 
     scenario: Scenario
@@ -68,39 +81,71 @@ class TrialRecord:
     collision_time: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.mode, BehaviorMode):
-            try:
-                object.__setattr__(self, "mode", BehaviorMode(self.mode))
-            except ValueError:
-                raise DataError(f"unknown behavior mode {self.mode!r}") from None
-        harmful = self.mode is BehaviorMode.HARMFUL_FAILURE
-        if harmful != (self.collision_time is not None):
-            raise DataError(
-                "collision_time must be present exactly for harmful failures"
-            )
-        if self.steps < 0:
-            raise DataError(f"steps must be >= 0, got {self.steps}")
-        if harmful and not (self.steps >= 1
-                            and self.collision_time == self.steps):
-            raise DataError(
-                f"harmful failure needs steps >= 1 and collision_time == "
-                f"steps, got steps={self.steps}, "
-                f"collision_time={self.collision_time}"
-            )
+        try:
+            object.__setattr__(self, "mode", BehaviorMode(self.mode))
+        except ValueError:
+            raise DataError(f"unknown behavior mode {self.mode!r}") from None
 
 
-@dataclass(frozen=True)
+def _fields_equal(a, b) -> bool:
+    """Equality of two dataclasses of one type, array fields by value."""
+    return type(a) is type(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a)))
+
+
+@dataclass(frozen=True, eq=False)
 class TestCampaign:
-    """All trial records gathered under one condition and master seed."""
+    """All trial records gathered under one condition and master seed, as
+    columns: ``scenarios`` (n, d) floats, ``modes`` int8 codes (see
+    BehaviorMode.code), ``seeds`` ints (raw seeds may exceed 64 bits),
+    ``steps`` ints and ``final_position`` floats. A harmful record's
+    collision_time is its steps, so it is not stored. A row without a known
+    mode and steps >= 0 (>= 1 if harmful) raises DataError.
+
+    ``campaign[i]`` and ``records`` are the rows as TrialRecords, built on
+    first use for tests and demos; the library reads only the columns.
+    """
 
     __test__ = False  # not a pytest class, despite the name
 
     condition_name: str
-    records: tuple[TrialRecord, ...]
-    master_seed: int
+    scenarios: np.ndarray
+    modes: np.ndarray
+    seeds: tuple[int, ...]
+    steps: np.ndarray
+    final_position: np.ndarray
+    master_seed: int = 0
+
+    def __post_init__(self):
+        lengths = {len(c) for c in (self.scenarios, self.modes, self.seeds,
+                                    self.steps, self.final_position)}
+        if self.scenarios.ndim != 2 or len(lengths) != 1:
+            raise DataError(f"campaign columns differ in length: {lengths}")
+        harmful = self.modes == BehaviorMode.HARMFUL_FAILURE.code
+        check_rows((self.modes >= 0) & (self.modes < len(_MODE_ORDER))
+                   & (self.steps >= harmful),
+                   lambda i: f"a record needs a known mode and steps >= 0 "
+                             f"(>= 1 for a harmful failure), got mode code "
+                             f"{self.modes[i]}, steps {self.steps[i]}")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.modes)
+
+    def __getitem__(self, i: int) -> TrialRecord:
+        return self.records[i]
+
+    @cached_property
+    def records(self) -> tuple[TrialRecord, ...]:
+        harmful = BehaviorMode.HARMFUL_FAILURE.code
+        return tuple(
+            TrialRecord(Scenario(tuple(x)), _MODE_ORDER[m], seed, steps,
+                        position, float(steps) if m == harmful else None)
+            for x, m, seed, steps, position in zip(
+                self.scenarios.tolist(), self.modes.tolist(), self.seeds,
+                self.steps.tolist(), self.final_position.tolist()))
+
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,17 +205,7 @@ class DependabilityReport:
         """Bin counts of the table's grid; () for a report without one."""
         return tuple(len(e) - 1 for e in self.edges)
 
-    def __eq__(self, other):
-        if not isinstance(other, DependabilityReport):
-            return NotImplemented
-        return (self.condition_name == other.condition_name
-                and self.metrics() == other.metrics()
-                and self.edges == other.edges
-                and np.array_equal(self.weights, other.weights)
-                and np.array_equal(self.counts, other.counts)
-                and self.renormalized == other.renormalized
-                and self.dropped_mass == other.dropped_mass
-                and self.dropped_regions == other.dropped_regions)
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)
@@ -196,10 +231,6 @@ class MetricDeltas:
 # ---------------------------------------------------------------------------
 # Tallying
 # ---------------------------------------------------------------------------
-
-_MODE_ORDER = (BehaviorMode.SUCCESS, BehaviorMode.TASK_FAILURE,
-               BehaviorMode.HARMFUL_FAILURE)
-
 
 @dataclass(frozen=True, eq=False)
 class Tally:
@@ -234,12 +265,9 @@ def tally(campaign: TestCampaign, grid: PartitionGrid,
     partition the record set exactly.
     """
     counts = np.zeros((grid.n_regions, len(_MODE_ORDER)), dtype=np.int64)
-    if campaign.records:
-        xs = [r.scenario.values for r in campaign.records]
-        keys = np.ravel_multi_index(partition_indices(grid, space, xs).T,
-                                    grid.bins)
-        modes = np.array([_MODE_ORDER.index(r.mode) for r in campaign.records])
-        np.add.at(counts, (keys, modes), 1)
+    keys = np.ravel_multi_index(
+        partition_indices(grid, space, campaign.scenarios).T, grid.bins)
+    np.add.at(counts, (keys, campaign.modes), 1)
     return Tally(grid, space, counts)
 
 
@@ -250,12 +278,10 @@ def tally(campaign: TestCampaign, grid: PartitionGrid,
 def observed_rates(campaign: TestCampaign) -> DependabilityReport:
     """Raw outcome fractions of a campaign (dependability under its own
     condition equals the fraction of successful tests)."""
-    n = len(campaign.records)
+    n = len(campaign)
     if n == 0:
         raise EmptyCampaign(f"campaign {campaign.condition_name!r} has no records")
-    ns = sum(1 for r in campaign.records if r.mode is BehaviorMode.SUCCESS)
-    nt = sum(1 for r in campaign.records if r.mode is BehaviorMode.TASK_FAILURE)
-    nh = n - ns - nt
+    ns, nt, nh = np.bincount(campaign.modes, minlength=len(_MODE_ORDER)).tolist()
     return DependabilityReport(
         condition_name=campaign.condition_name,
         dependability=ns / n,

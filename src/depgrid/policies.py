@@ -11,12 +11,13 @@ episode through ``simulator.run_episode`` and is the reference. The batch
 form (``batch(n)``) returns a controller that keeps the per-episode state of
 n episodes as arrays and maps a batch observation to a forward mask;
 ``evaluate_policy`` runs every campaign through it with
-``simulator.run_batch``.
+``simulator.run_batch`` and returns the campaign as columns
+(estimator.TestCampaign), one entry per scenario.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -168,8 +169,5 @@ def evaluate_policy(cfg: EnvConfig, policy_factory: PolicyFactory,
     ConfigError.
     """
     seeds = substream_seeds(master_seed, len(scenarios)).tolist()
-    return TestCampaign(
-        condition_name=condition_name,
-        records=tuple(run_batch(cfg, policy_factory(), scenarios, seeds)),
-        master_seed=master_seed,
-    )
+    return replace(run_batch(cfg, policy_factory(), scenarios, seeds),
+                   condition_name=condition_name, master_seed=master_seed)

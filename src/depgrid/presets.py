@@ -36,71 +36,28 @@ def default_policy_params() -> ScriptedPolicyParams:
     return ScriptedPolicyParams()
 
 
-def testing_conditions() -> ConditionSet:
-    space = domain_space()
-    return ConditionSet("testing", space, (
-        Uniform(0.0, 10.0),
-        Uniform(0.0, 10.0),
-        Uniform(0.0, 50.0),
-    ))
-
-
-def operating_conditions_1() -> ConditionSet:
-    """Low goals: the safe end of the goal range."""
-    space = domain_space()
-    return ConditionSet("oc1", space, (
-        Uniform(0.0, 10.0),
-        Uniform(0.0, 10.0),
-        Uniform(0.0, 30.0),
-    ))
-
-
-def operating_conditions_2() -> ConditionSet:
-    """High goals: the dangerous end of the goal range."""
-    space = domain_space()
-    return ConditionSet("oc2", space, (
-        Uniform(0.0, 10.0),
-        Uniform(0.0, 10.0),
-        Uniform(30.0, 50.0),
-    ))
-
-
-def operating_conditions_3() -> ConditionSet:
-    """Slow-leaning Gaussian speeds with high goals."""
-    space = domain_space()
-    return ConditionSet("oc3", space, (
-        ClippedGaussian(3.0, 2.0),
-        Uniform(0.0, 10.0),
-        Uniform(30.0, 50.0),
-    ))
-
-
-def operating_conditions_4() -> ConditionSet:
-    """Gaussian speeds and goals, both aimed at the observed failure zones."""
-    space = domain_space()
-    return ConditionSet("oc4", space, (
-        ClippedGaussian(3.0, 2.0),
-        Uniform(0.0, 10.0),
-        ClippedGaussian(35.0, 10.0),
-    ))
-
-
-CONDITION_BUILDERS = {
-    "testing": testing_conditions,
-    "oc1": operating_conditions_1,
-    "oc2": operating_conditions_2,
-    "oc3": operating_conditions_3,
-    "oc4": operating_conditions_4,
+# The (v, t, y) marginals of each built-in condition.
+_MARGINALS = {
+    "testing": (Uniform(0.0, 10.0), Uniform(0.0, 10.0), Uniform(0.0, 50.0)),
+    # low goals: the safe end of the goal range
+    "oc1": (Uniform(0.0, 10.0), Uniform(0.0, 10.0), Uniform(0.0, 30.0)),
+    # high goals: the dangerous end of the goal range
+    "oc2": (Uniform(0.0, 10.0), Uniform(0.0, 10.0), Uniform(30.0, 50.0)),
+    # slow-leaning Gaussian speeds with high goals
+    "oc3": (ClippedGaussian(3.0, 2.0), Uniform(0.0, 10.0), Uniform(30.0, 50.0)),
+    # Gaussian speeds and goals, both aimed at the observed failure zones
+    "oc4": (ClippedGaussian(3.0, 2.0), Uniform(0.0, 10.0), ClippedGaussian(35.0, 10.0)),
 }
 
 OPERATING_CONDITION_NAMES = ("oc1", "oc2", "oc3", "oc4")
 
 
 def condition(name: str) -> ConditionSet:
-    try:
-        return CONDITION_BUILDERS[name]()
-    except KeyError:
-        raise ConfigError(
-            f"unknown condition {name!r}; built-ins are "
-            f"{sorted(CONDITION_BUILDERS)}"
-        ) from None
+    if name not in _MARGINALS:
+        raise ConfigError(f"unknown condition {name!r}; built-ins are "
+                          f"{sorted(_MARGINALS)}")
+    return ConditionSet(name, domain_space(), _MARGINALS[name])
+
+
+def testing_conditions() -> ConditionSet:
+    return condition("testing")

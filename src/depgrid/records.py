@@ -4,6 +4,10 @@ and campaign manifests.
 All writes are atomic (temp file then rename). Floats are serialized with
 repr-level precision, so every format round-trips losslessly.
 
+A record file has one JSON line per record. write_records fills a campaign's
+columns into one line template; read_records parses each line on its own,
+then builds and checks the columns, naming the line of the first bad record.
+
 A report file holds one row per grid region (64,000 at 40^3). write_report
 fills the rows into one fixed template, with per-dimension index and bounds
 fragments and the repr of each weight and count, so that only the small
@@ -19,7 +23,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -35,11 +39,11 @@ from .domain import (
     Uniform,
     validate_grid,
 )
-from .errors import ConfigError, DataError, OutOfDomain
+from .errors import ConfigError, DataError, OutOfDomain, check_rows
 from .estimator import (
+    _MODE_ORDER,
     BehaviorMode,
     DependabilityReport,
-    MetricDeltas,
     TestCampaign,
     TrialRecord,
 )
@@ -90,31 +94,14 @@ def _marginal_from_dict(d: dict):
 
 
 def env_to_dict(env: EnvConfig) -> dict:
-    return {
-        "episode_seconds": env.episode_seconds,
-        "step_inches": env.step_inches,
-        "robot_bounds": list(env.robot_bounds),
-        "danger_height": env.danger_height,
-        "obstacle_spawn_offset": env.obstacle_spawn_offset,
-        "obstacle_width": env.obstacle_width,
-        "noise_sigma_speed": env.noise_sigma_speed,
-        "noise_sigma_obstacle_pos": env.noise_sigma_obstacle_pos,
-        "noise_sigma_goal": env.noise_sigma_goal,
-    }
+    return {**asdict(env), "robot_bounds": list(env.robot_bounds)}
 
 
 def env_from_dict(d: dict) -> EnvConfig:
-    return EnvConfig(
-        episode_seconds=int(d["episode_seconds"]),
-        step_inches=float(d["step_inches"]),
-        robot_bounds=tuple(float(b) for b in d["robot_bounds"]),
-        danger_height=float(d["danger_height"]),
-        obstacle_spawn_offset=float(d["obstacle_spawn_offset"]),
-        obstacle_width=float(d["obstacle_width"]),
-        noise_sigma_speed=float(d["noise_sigma_speed"]),
-        noise_sigma_obstacle_pos=float(d["noise_sigma_obstacle_pos"]),
-        noise_sigma_goal=float(d["noise_sigma_goal"]),
-    )
+    """The EnvConfig of an env section, each value cast to its field's type."""
+    return EnvConfig(**{
+        f.name: tuple(map(float, d[f.name])) if f.name == "robot_bounds"
+        else type(f.default)(d[f.name]) for f in fields(EnvConfig)})
 
 
 def condition_document(cond: ConditionSet, grid: PartitionGrid, seed: int, *,
@@ -192,26 +179,49 @@ def write_scenarios(path: str | Path, scenarios: Iterable[Scenario]) -> None:
     atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
-def _finite_scenario(values) -> Scenario:
-    """A Scenario from JSON values; NaN or infinity raises OutOfDomain."""
-    x = Scenario(tuple(float(v) for v in values))
-    if not all(math.isfinite(v) for v in x.values):
-        raise OutOfDomain(f"non-finite scenario coordinate in {list(x.values)}")
-    return x
+def _read_json_lines(path: str | Path, build):
+    """build(values) for the JSON values of the file's non-blank lines, each
+    parsed on its own. Errors name the file and the line of their row."""
+    lines, values = [], []
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        if line.strip():
+            try:
+                values.append(json.loads(line))
+            except ValueError as e:
+                raise DataError(f"{path}: line {lineno}: {e}") from None
+            lines.append(lineno)
+    try:
+        return build(values)
+    except DataError as e:
+        where = "" if e.row is None else f"line {lines[e.row]}: "
+        raise type(e)(f"{path}: {where}{e}") from None
+    except OverflowError as e:
+        raise DataError(f"{path}: {e}") from None
+
+
+_NUMBER = (int, float)
+
+
+def _scenario_array(xs: list) -> np.ndarray:
+    """JSON scenarios as an (n, d) float array. Each must be a list of finite
+    numbers, as many as the first has; otherwise OutOfDomain."""
+    check_rows([type(x) is list and all(type(v) in _NUMBER for v in x)
+                for x in xs],
+               lambda i: f"a scenario is a list of numbers, got {xs[i]!r}")
+    for i, x in enumerate(xs):
+        if len(x) != len(xs[0]):
+            raise OutOfDomain(f"record {i + 1}: scenario has {len(x)} values, "
+                              f"record 1 has {len(xs[0])}")
+    a = np.array(xs, dtype=float) if xs else np.empty((0, 0))
+    check_rows(np.isfinite(a).all(axis=1),
+               lambda i: f"non-finite scenario coordinate in {xs[i]}",
+               OutOfDomain)
+    return a
 
 
 def read_scenarios(path: str | Path) -> list[Scenario]:
-    out = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            out.append(_finite_scenario(json.loads(line)))
-        except (ValueError, TypeError) as e:
-            raise DataError(f"{path}: line {lineno}: {e}") from None
-        except DataError as e:
-            raise type(e)(f"{path}: line {lineno}: {e}") from None
-    return out
+    return [Scenario(tuple(x))
+            for x in _read_json_lines(path, _scenario_array).tolist()]
 
 
 def record_to_dict(r: TrialRecord) -> dict:
@@ -225,40 +235,64 @@ def record_to_dict(r: TrialRecord) -> dict:
     }
 
 
-def record_from_dict(d: dict) -> TrialRecord:
-    final_position = float(d["final_position"])
-    if not math.isfinite(final_position):
-        raise DataError(f"non-finite final_position {final_position}")
-    return TrialRecord(
-        scenario=_finite_scenario(d["scenario"]),
-        mode=BehaviorMode(d["mode"]),
-        seed=int(d["seed"]),
-        steps=int(d["steps"]),
-        final_position=final_position,
-        collision_time=None if d.get("collision_time") is None
-        else float(d["collision_time"]),
-    )
+# A record line is json.dumps(record_to_dict(row)) of its row, filled into
+# one template from the campaign's columns: the repr of each float and int.
+_RECORD_LINE = ('{"scenario": [%s], "mode": "%s", "seed": %d, "steps": %d, '
+                '"final_position": %r, "collision_time": %s}\n')
+_MODE_CODES = {m.value: m.code for m in _MODE_ORDER}
 
 
 def write_records(path: str | Path, campaign: TestCampaign) -> None:
-    lines = [json.dumps(record_to_dict(r)) for r in campaign.records]
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    harmful = BehaviorMode.HARMFUL_FAILURE.code
+    atomic_write_text(path, "".join(
+        _RECORD_LINE % (", ".join(map(repr, x)), _MODE_ORDER[m].value, seed,
+                        steps, position,
+                        repr(float(steps)) if m == harmful else "null")
+        for x, m, seed, steps, position in zip(
+            campaign.scenarios.tolist(), campaign.modes.tolist(),
+            campaign.seeds, campaign.steps.tolist(),
+            campaign.final_position.tolist())))
+
+
+def _is_record(d) -> bool:
+    """Whether a parsed line has a record's fields with their JSON types, a
+    finite final_position, and a collision_time equal to steps for a
+    harmful failure and null otherwise."""
+    if not (type(d) is dict and type(d.get("mode")) is str
+            and d["mode"] in _MODE_CODES and "scenario" in d
+            and type(d.get("seed")) is int and type(d.get("steps")) is int
+            and type(d.get("final_position")) in _NUMBER
+            and math.isfinite(d["final_position"])):
+        return False
+    collision = d.get("collision_time")
+    if d["mode"] == BehaviorMode.HARMFUL_FAILURE.value:
+        return type(collision) in _NUMBER and collision == d["steps"]
+    return collision is None
+
+
+def _campaign_from_dicts(docs: list, condition_name: str,
+                         master_seed: int) -> TestCampaign:
+    check_rows([_is_record(d) for d in docs],
+               lambda i: f"a record needs a known mode, integer seed and "
+                         f"steps, a finite number final_position, a "
+                         f"scenario, and collision_time equal to steps for a "
+                         f"harmful failure and null otherwise; got {docs[i]!r}")
+    return TestCampaign(
+        condition_name, _scenario_array([d["scenario"] for d in docs]),
+        np.array([_MODE_CODES[d["mode"]] for d in docs], dtype=np.int8),
+        tuple(d["seed"] for d in docs),
+        np.array([d["steps"] for d in docs], dtype=np.int64),
+        np.array([d["final_position"] for d in docs], dtype=float),
+        master_seed)
 
 
 def read_records(path: str | Path, *, condition_name: str = "",
                  master_seed: int = 0) -> TestCampaign:
-    records = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(record_from_dict(json.loads(line)))
-        except (ValueError, TypeError, KeyError) as e:
-            raise DataError(f"{path}: line {lineno}: {e}") from None
-        except DataError as e:
-            raise type(e)(f"{path}: line {lineno}: {e}") from None
-    return TestCampaign(condition_name=condition_name, records=tuple(records),
-                        master_seed=master_seed)
+    """The campaign in a record file. Each line is parsed on its own, then
+    the columns are built and checked together; an error names the file and
+    the line of the first bad record."""
+    return _read_json_lines(path, lambda docs: _campaign_from_dicts(
+        docs, condition_name, master_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +428,6 @@ def read_report(path: str | Path) -> DependabilityReport:
         raise type(e)(f"{path}: {e}") from None
 
 
-def deltas_to_dict(deltas: MetricDeltas) -> dict:
-    return deltas.as_dict()
-
-
 # ---------------------------------------------------------------------------
 # Campaign manifests
 # ---------------------------------------------------------------------------
@@ -441,17 +471,18 @@ class CampaignManifest:
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignManifest":
         policy = d.get("policy", {})
-        master_seed = int(d["master_seed"])
-        if master_seed < 0:
-            raise ValueError(
-                f"master_seed must be non-negative, got {master_seed}")
+        master_seed, n_records = d["master_seed"], d["n_records"]
+        for key, v in (("master_seed", master_seed), ("n_records", n_records)):
+            if type(v) is not int or v < 0:
+                raise ValueError(f"{key} must be a non-negative JSON integer, "
+                                 f"got {v!r}")
         return cls(
             condition=str(d["condition"]),
             policy_name=str(policy.get("name", "scripted")),
             policy_params=dict(policy.get("params", {})),
             safety=d.get("safety"),
             master_seed=master_seed,
-            n_records=int(d["n_records"]),
+            n_records=n_records,
             scenarios_path=str(d["scenarios_path"]),
             records_path=str(d["records_path"]),
             config_path=_optional_str(d.get("config_path")),

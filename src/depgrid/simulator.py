@@ -11,15 +11,17 @@ Episodes are pure functions of (config, policy, scenario, seed). Sensor noise
 is redrawn at every observation from the episode's own generator.
 
 Two functions run episodes. ``run_episode`` steps one episode through
-init/observe/act/step/classify and is the reference. ``run_batch`` steps
-every episode of a campaign in lockstep with numpy, in blocks of at most
-1,024 episodes, and gives records equal to ``run_episode``'s: the same noise
-stream per seed, the same clip, leading-edge formula and collision test, and
-an episode freezes when it collides.
+init/act/step/classify and returns its TrialRecord; it is the reference.
+``run_batch`` steps every episode of a campaign in lockstep with numpy, in
+blocks of at most 1,024 episodes, and returns the campaign's columns (see
+estimator.TestCampaign), whose rows equal ``run_episode``'s records: the same
+noise stream per seed, the same clip, leading-edge formula and collision
+test, and an episode freezes when it collides.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -29,7 +31,7 @@ import numpy as np
 from .domain import (Dimension, DomainSpace, Scenario, _entropy_words,
                      _seeded_streams)
 from .errors import ConfigError, EpisodeNotFinished, SteppingTerminatedEpisode
-from .estimator import BehaviorMode, TrialRecord
+from .estimator import BehaviorMode, TestCampaign, TrialRecord
 
 if TYPE_CHECKING:
     from .policies import BatchPolicy
@@ -120,7 +122,7 @@ def _leading_edge(cfg: EnvConfig, x: Scenario, time: float) -> float:
 
 def init(cfg: EnvConfig, x: Scenario) -> EnvState:
     """Fresh episode state: robot at the track bottom, obstacle at spawn."""
-    x.require_in(scenario_domain(cfg))
+    scenario_domain(cfg).check_values(x.values)
     start = cfg.robot_bounds[0]
     return EnvState(
         time=0,
@@ -131,15 +133,9 @@ def init(cfg: EnvConfig, x: Scenario) -> EnvState:
     )
 
 
-def observe(cfg: EnvConfig, state: EnvState,
-            rng: np.random.Generator) -> Observation:
-    """One noisy sensor reading; draws three fresh standard normals in field
-    order (obstacle position, obstacle speed, goal)."""
-    eps = rng.standard_normal(3)
-    return _observation(cfg, state, eps)
-
-
 def _observation(cfg: EnvConfig, state: EnvState, eps) -> Observation:
+    """The sensor reading at ``state`` given three standard normals ``eps``
+    (obstacle position, obstacle speed, goal)."""
     v, _, y = state.scenario.values
     return Observation(
         obstacle_pos_noisy=state.obstacle_leading_edge
@@ -197,9 +193,8 @@ def classify(cfg: EnvConfig, state: EnvState) -> BehaviorMode:
 def run_episode(cfg: EnvConfig, policy, x: Scenario, seed: int) -> TrialRecord:
     """Observe/act/step until collision or the time limit, then classify.
 
-    Noise for the whole episode is drawn up front from PCG64(seed) in
-    observation order, which is bitwise-identical to drawing three normals
-    per observe() call (numpy fills arrays from the stream in order).
+    Noise for the whole episode is drawn up front from PCG64(seed) as a
+    (episode_seconds, 3) block; observation k reads row k.
     """
     state = init(cfg, x)
     policy.reset()
@@ -234,35 +229,33 @@ def batch_form(policy) -> Callable[[int], "BatchPolicy"]:
 
 
 def run_batch(cfg: EnvConfig, policy, scenarios: Sequence[Scenario],
-              seeds: Sequence[int]) -> list[TrialRecord]:
-    """One record per (scenario, seed) pair, stepping each block of episodes
-    in lockstep.
+              seeds: Sequence[int]) -> TestCampaign:
+    """The campaign of one episode per (scenario, seed) pair, stepping each
+    block of episodes in lockstep.
 
-    Record i equals ``run_episode(cfg, p, scenarios[i], seeds[i])`` bit for
+    Row i equals ``run_episode(cfg, p, scenarios[i], seeds[i])`` bit for
     bit, where p is a fresh policy configured like ``policy``. Each block
     gets a fresh controller from ``policy.batch(n)``; a policy without a
     batch form raises ConfigError. Every scenario is checked against the
-    domain before any episode runs.
+    domain before any episode runs; OutOfDomain's row is the first outside.
+    The campaign has no condition name and master seed 0.
     """
     if len(seeds) != len(scenarios):
         raise ConfigError(
             f"{len(seeds)} seeds for {len(scenarios)} scenarios"
         )
     make_controller = batch_form(policy)
-    space = scenario_domain(cfg)
-    for x in scenarios:
-        space.check_values(x.values)
-    records: list[TrialRecord] = []
-    for start in range(0, len(scenarios), _BLOCK):
-        stop = start + _BLOCK
-        records += _run_block(cfg, make_controller, scenarios[start:stop],
-                              seeds[start:stop])
-    return records
-
-
-# run_batch's outcome codes, in order
-_MODES = (BehaviorMode.SUCCESS, BehaviorMode.TASK_FAILURE,
-          BehaviorMode.HARMFUL_FAILURE)
+    xs = scenario_domain(cfg).check_points([x.values for x in scenarios])
+    seeds = tuple(map(operator.index, seeds))
+    n = len(xs)
+    modes = np.empty(n, dtype=np.int8)
+    steps = np.empty(n, dtype=np.int64)
+    final = np.empty(n)
+    for start in range(0, n, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        modes[block], steps[block], final[block] = _run_block(
+            cfg, make_controller, xs[block], seeds[block])
+    return TestCampaign("", xs, modes, seeds, steps, final)
 
 
 def _episode_noise(seeds: Sequence[int], horizon: int) -> np.ndarray:
@@ -279,11 +272,12 @@ def _episode_noise(seeds: Sequence[int], horizon: int) -> np.ndarray:
     return noise
 
 
-def _run_block(cfg: EnvConfig, make_controller, scenarios: Sequence[Scenario],
-               seeds: Sequence[int]) -> list[TrialRecord]:
-    n, horizon = len(scenarios), cfg.episode_seconds
+def _run_block(cfg: EnvConfig, make_controller, xs: np.ndarray,
+               seeds: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Mode codes, steps and final positions of the episodes of one block."""
+    n, horizon = len(xs), cfg.episode_seconds
     controller = make_controller(n)
-    v, t, y = np.array([x.values for x in scenarios], dtype=float).T
+    v, t, y = xs.T
     noise = _episode_noise(seeds, horizon)
 
     lo, hi = cfg.robot_bounds
@@ -314,16 +308,6 @@ def _run_block(cfg: EnvConfig, make_controller, scenarios: Sequence[Scenario],
         if not live.any():
             break
 
-    codes = np.where(live, np.where(max_pos >= y, 0, 1), 2).tolist()
-    return [
-        TrialRecord(
-            scenario=x,
-            mode=_MODES[code],
-            seed=int(seed),
-            steps=n_steps,
-            final_position=final,
-            collision_time=float(n_steps) if code == 2 else None,
-        )
-        for x, seed, code, n_steps, final in zip(scenarios, seeds, codes,
-                                                 steps.tolist(), pos.tolist())
-    ]
+    reached = np.where(max_pos >= y, BehaviorMode.SUCCESS.code,
+                       BehaviorMode.TASK_FAILURE.code)
+    return np.where(live, reached, BehaviorMode.HARMFUL_FAILURE.code), steps, pos

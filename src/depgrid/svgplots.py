@@ -125,6 +125,9 @@ def failure_scatter_svg(
         panels = [(axes[0], axes[1])]
     else:
         panels = [(axes[0], axes[1]), (axes[0], axes[2]), (axes[1], axes[2])]
+    failed = campaign.modes != BehaviorMode.SUCCESS.code
+    points = list(zip(campaign.scenarios[failed].tolist(),
+                      campaign.modes[failed].tolist()))
     width = margin + len(panels) * (panel + margin)
     height = panel + 2 * margin
     parts = [_svg_header(width, height)]
@@ -136,12 +139,10 @@ def failure_scatter_svg(
             f'<rect x="{ox}" y="{oy}" width="{panel}" height="{panel}" '
             f'fill="none" stroke="black" stroke-width="1"/>\n'
         )
-        for r in campaign.records:
-            if r.mode is BehaviorMode.SUCCESS:
-                continue
-            color = BLUE if r.mode is BehaviorMode.TASK_FAILURE else PINK
-            vx = (r.scenario.values[dx] - xdim.min) / xdim.width
-            vy = (r.scenario.values[dy] - ydim.min) / ydim.width
+        for x, m in points:
+            color = BLUE if m == BehaviorMode.TASK_FAILURE.code else PINK
+            vx = (x[dx] - xdim.min) / xdim.width
+            vy = (x[dy] - ydim.min) / ydim.width
             cx = ox + vx * panel
             cy = oy + (1 - vy) * panel
             parts.append(

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from depgrid import EnvConfig, ScriptedPolicy, ScriptedPolicyParams
+from depgrid import EnvConfig, ScriptedPolicy, ScriptedPolicyParams, TestCampaign
 from depgrid import presets
 
 settings.register_profile(
@@ -47,3 +48,18 @@ def scripted_factory(env, params):
 def patient_factory(env):
     p = ScriptedPolicyParams(risk_goal_threshold=50.0)
     return lambda: ScriptedPolicy(p, env)
+
+
+def campaign_of(records, name: str = "synthetic",
+                master_seed: int = 0) -> TestCampaign:
+    """The campaign whose rows are the TrialRecords ``records``; their
+    collision_time is not stored, since the columns derive it."""
+    records = list(records)
+    xs = [r.scenario.values for r in records]
+    return TestCampaign(
+        name, np.array(xs, dtype=float) if xs else np.empty((0, 0)),
+        np.array([r.mode.code for r in records], dtype=np.int8),
+        tuple(r.seed for r in records),
+        np.array([r.steps for r in records], dtype=np.int64),
+        np.array([r.final_position for r in records], dtype=float),
+        master_seed)

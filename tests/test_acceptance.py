@@ -25,7 +25,6 @@ from depgrid import (
     PartitionGrid,
     Scenario,
     ScriptedPolicy,
-    TestCampaign,
     TrialRecord,
     Uniform,
     brute_force_dependability,
@@ -42,6 +41,7 @@ from depgrid import (
 from depgrid import presets
 from depgrid.cli import reproduce
 from depgrid.safety import SafetyFunction
+from conftest import campaign_of
 
 N = 20_000
 SCENARIO_SEEDS = {"testing": 1001, "heldout": 1101, "oc1": 1201,
@@ -156,7 +156,7 @@ def test_criterion_2_oracle_equivalence(space):
         cond = DiscreteCondition("lattice", space, tuple(centers),
                                  tuple(float(p) for p in probs))
         exact = brute_force_dependability(outcomes, cond)
-        campaign = TestCampaign("lattice", tuple(records), 0)
+        campaign = campaign_of(records, "lattice")
         estimated = predict(tally(campaign, grid, space), cond)
         for m in METRICS:
             worst = max(worst, abs(estimated.metrics()[m] - exact.metrics()[m]))
@@ -259,7 +259,7 @@ def test_criterion_8_determinism(bundle, tmp_path, space, grid):
     records = bundle["test_campaign"].records
     whole = tally(bundle["test_campaign"], grid, space)
     chunks = [
-        TestCampaign("testing", records[i::5], 0) for i in range(5)
+        campaign_of(records[i::5], "testing") for i in range(5)
     ]
     merged = reduce(operator.add, (tally(c, grid, space) for c in chunks))
     criterion(8, "identical seeds give byte-identical pipeline outputs; "

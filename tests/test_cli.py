@@ -10,9 +10,10 @@ import pytest
 
 from depgrid import ConditionSet, PartitionGrid, Uniform, sample
 from depgrid import presets
-from depgrid.cli import main
+from depgrid.cli import main, reproduce
 from depgrid.records import (
     condition_document,
+    file_sha256,
     read_report,
     write_scenarios,
 )
@@ -218,6 +219,38 @@ class TestRunObservePredict:
         assert "bad.jsonl: line 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", "7"), ("seed", 7.0), ("seed", True),
+        ("steps", 99.5), ("steps", "100"), ("steps", True),
+    ])
+    def test_record_integers_must_be_json_integers(self, tmp_path, capsys,
+                                                   field, value):
+        good = {"scenario": [5.0, 5.0, 30.0], "mode": "task_failure",
+                "seed": 1, "steps": 100, "final_position": 20.0,
+                "collision_time": None}
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(good) + "\n"
+                       + json.dumps({**good, field: value}) + "\n")
+        assert run_cli("observe", "--records", str(bad),
+                       "--out", str(tmp_path / "r.json")) == 3
+        assert "bad.jsonl: line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("master_seed", 5.9), ("master_seed", "7"), ("master_seed", True),
+        ("n_records", 400.0), ("n_records", "400"), ("n_records", -1),
+    ])
+    def test_manifest_integers_must_be_json_integers(self, small_pipeline,
+                                                     tmp_path, capsys, field,
+                                                     value):
+        manifest = json.loads(
+            small_pipeline["rec"].with_suffix(".manifest.json").read_text())
+        bad = small_pipeline["dir"] / "bad.manifest.json"
+        bad.write_text(json.dumps({**manifest, field: value}))
+        out = tmp_path / "again.jsonl"
+        assert run_cli("run", "--manifest", str(bad), "--out", str(out)) == 3
+        assert "bad.manifest.json" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_harmful_record_must_end_at_its_collision(self, tmp_path):
         record = {"scenario": [5.0, 5.0, 30.0], "mode": "harmful_failure",
                   "seed": 1, "steps": 500, "final_position": 25.0,
@@ -421,6 +454,63 @@ class TestReproduce:
             assert (out / "records" / f"{name}.jsonl").exists()
             assert (out / "conditions" / f"{name}.json").exists()
         ET.parse(out / "plots" / "failures_testing.svg")
+
+
+    @pytest.mark.parametrize("seed", ["-12", "-1"])
+    def test_negative_seed_exits_2_before_writing(self, tmp_path, capsys,
+                                                  seed):
+        out = tmp_path / "repro"
+        assert run_cli("reproduce", "--out-dir", str(out), "--n", "5",
+                       "--grid", "1,1,1", "--seed", seed) == 2
+        assert f"got {seed}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.rglob("*"))
+
+    def test_scenario_record_and_manifest_files_are_pinned(self, tmp_path):
+        # sha256 of reproduce(n=3000, seed=7, 5^3) before campaigns became
+        # columns; reports and SVGs are left out, since their erfc masses may
+        # differ by one ulp between libm builds
+        reproduce(tmp_path, n=3000, seed=7, grid=PartitionGrid((5, 5, 5)))
+        got = {f"{d}/{p.name}": file_sha256(p)
+               for d in ("scenarios", "records") for p in (tmp_path / d).iterdir()}
+        assert got == PINNED_SHA256
+
+
+PINNED_SHA256 = {
+    "records/oc1.jsonl":
+        "aa6eecb7dd2f15545a0cb1e25229c2f586df60bea1d4913e41f65be22dfeb3a5",
+    "records/oc1.manifest.json":
+        "49cf37890acee446dccca56b2bea3b7779fdecfe58e23f20c54837485f92ab0e",
+    "records/oc2.jsonl":
+        "0c9a9c76227f7ae99e66a3b6f453688e8f82a690d4cf38c4de18b85f7c43dc9f",
+    "records/oc2.manifest.json":
+        "36c293605d6e553ea88c6db4f16719949228012d826c04ab38525a443a38db81",
+    "records/oc3.jsonl":
+        "99e5d773a63a591f02238e0981db9455b035758a5087406aa9cca0265262db0f",
+    "records/oc3.manifest.json":
+        "c3959014dc222036f7a094dcec6ecd849fe99aa39f2c9d0fee39905a0b5f4364",
+    "records/oc4.jsonl":
+        "69cba9e7f6ff6bcaa52a26983767057cff5dd29693715462426ab22c7d05c3b0",
+    "records/oc4.manifest.json":
+        "aafbfccb4510475eef92044a443131a40b88493b400ddbc14d1156b35af271a1",
+    "records/testing.jsonl":
+        "a33ec720f9f9d907856b19c7b527bb0ee7ee42583034f30d3f16fad0feaab65d",
+    "records/testing.manifest.json":
+        "07212e9dee432a843d25ac967daf4234797d9ec2f990a9513fb10d059269f757",
+    "records/testing_safety.jsonl":
+        "db1b809c9d668a9a949ddf8a0e43e579eb5b6767e44ed3849935987923c45230",
+    "records/testing_safety.manifest.json":
+        "2fb836375ca66299539056eaf4be46c3f570c7f044bdc9dfbb1027134bac5937",
+    "scenarios/oc1.jsonl":
+        "80b60c919942c752593e62b37ef2eacf6b44d110fa0f8295ad7cf58cd1d3a48d",
+    "scenarios/oc2.jsonl":
+        "56eddf0102cd0de5488029d2f49a98e6758340bc27cd627e1088bcc214e0137b",
+    "scenarios/oc3.jsonl":
+        "ced316bd47660e6640ad6c37a7e2cbc0b3f8c89faf7cd1c6a6deee47e26ff867",
+    "scenarios/oc4.jsonl":
+        "bc1b14c0f7d69ee1721e72b1727e6f7336ccd191035d8a815f5ca754f0fc3a35",
+    "scenarios/testing.jsonl":
+        "0671b41122a6421073385434bdfccfd57ddaaf5aaec9eef4c3173a12682937de",
+}
 
 
 def test_console_entry_point():

@@ -108,8 +108,8 @@ RECORD_EDITS = edits([
     (["scenario"], [None, "x", 5, [None, 1, 2], ["a", 1, 2], [[1], 2, 3],
                     [NAN, 5, 30], [5, INF, 30]]),
     (["mode"], [None, 5, "", "win", []]),
-    (["seed"], [None, "x", [], {}]),
-    (["steps"], [-1, None, "x", []]),
+    (["seed"], [None, "x", [], {}, "7", 7.5, 7.0, True]),
+    (["steps"], [-1, None, "x", [], 99.5, 100.0, "100", True]),
     (["final_position"], [None, "x", NAN, INF, []]),
     (["collision_time"], [1.0, 0, "x", []]),
 ] + [([key], [DELETE]) for key in ("scenario", "mode", "seed", "steps",
@@ -193,8 +193,8 @@ def test_malformed_report_file(files, data, side):
 
 
 MANIFEST_EDITS = edits([
-    (["master_seed"], [None, "x", [], -1, -5, -2**64]),
-    (["n_records"], [None, "x", []]),
+    (["master_seed"], [None, "x", [], -1, -5, -2**64, 5.9, 5.0, "7", True]),
+    (["n_records"], [None, "x", [], 5.0, "5", True, -1]),
     (["policy"], [5, "x", [], None]),
     (["policy", "name"], ["other"]),
     (["policy", "params"], [5, "x", [1], {"bogus": 1},

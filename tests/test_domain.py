@@ -21,7 +21,6 @@ from depgrid import (
     Scenario,
     Uniform,
     norm_cdf,
-    partition_index,
     partition_indices,
     region_mass,
     sample,
@@ -37,6 +36,12 @@ ONE_MINUS_PHI_1 = 0.1586552539314571
 GAUSS_3_2_BIN_4_5 = 0.14988228479452986
 
 
+def region_of(grid: PartitionGrid, space: DomainSpace, x: Scenario):
+    """The region that partition_indices puts the scenario x in."""
+    (index,) = partition_indices(grid, space, [x.values])
+    return grid.region(space, tuple(index.tolist()))
+
+
 def line_domain() -> DomainSpace:
     return DomainSpace((Dimension("x", 0.0, 10.0),))
 
@@ -46,21 +51,34 @@ def test_norm_cdf_against_independent_oracle():
         assert norm_cdf(z) == pytest.approx(float(scipy.special.ndtr(z)), abs=1e-13)
 
 
+def test_check_points_names_the_first_point_outside(space):
+    xs = [[5.0, 5.0, 30.0], [11.0, 5.0, 30.0], [5.0, 5.0, 30.0],
+          [5.0, -1.0, 30.0]]
+    with pytest.raises(OutOfDomain, match=r"^v = 11.0 outside \[0.0, 10.0\]$") as e:
+        space.check_points(xs)
+    assert e.value.row == 1
+    with pytest.raises(OutOfDomain, match="3 coordinates") as e:
+        space.check_points([[5.0, 5.0], [5.0, 5.0]])
+    assert e.value.row == 0
+    assert space.check_points(xs[:1]).shape == (1, 3)
+    assert space.check_points([]).shape == (0, 3)
+
+
 class TestPartitionIndex:
     def test_first_bin(self):
         space = line_domain()
         grid = PartitionGrid((10,))
-        assert partition_index(grid, space, Scenario.of(0.5)).index == (0,)
+        assert region_of(grid, space, Scenario.of(0.5)).index == (0,)
 
     def test_domain_max_belongs_to_closed_last_bin(self):
         space = line_domain()
         grid = PartitionGrid((10,))
-        assert partition_index(grid, space, Scenario.of(10.0)).index == (9,)
+        assert region_of(grid, space, Scenario.of(10.0)).index == (9,)
 
     def test_interior_edge_belongs_to_higher_bin(self):
         space = line_domain()
         grid = PartitionGrid((10,))
-        assert partition_index(grid, space, Scenario.of(3.0)).index == (3,)
+        assert region_of(grid, space, Scenario.of(3.0)).index == (3,)
 
     def test_experiment_domain_3d(self, space, grid):
         # independent oracle: floor((x - min) / width) per dimension
@@ -70,25 +88,25 @@ class TestPartitionIndex:
             for v, d, b in zip(x, space.dims, grid.bins)
         )
         assert expect == (3, 9, 7)
-        assert partition_index(grid, space, Scenario.of(*x)).index == expect
+        assert region_of(grid, space, Scenario.of(*x)).index == expect
 
     def test_out_of_domain(self, space, grid):
         with pytest.raises(OutOfDomain):
-            partition_index(grid, space, Scenario.of(11.0, 0.0, 0.0))
+            region_of(grid, space, Scenario.of(11.0, 0.0, 0.0))
         with pytest.raises(OutOfDomain):
-            partition_index(grid, space, Scenario.of(5.0, 0.0, -0.1))
+            region_of(grid, space, Scenario.of(5.0, 0.0, -0.1))
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(OutOfDomain):
-                partition_index(grid, space, Scenario.of(bad, 5.0, 1.0))
+                region_of(grid, space, Scenario.of(bad, 5.0, 1.0))
             with pytest.raises(OutOfDomain):
-                partition_index(grid, space, Scenario.of(5.0, 5.0, bad))
+                region_of(grid, space, Scenario.of(5.0, 5.0, bad))
 
     def test_scenario_lies_within_returned_region(self, space, grid):
         rng = np.random.default_rng(3)
         for _ in range(200):
             x = Scenario(tuple(
                 float(rng.uniform(d.min, d.max)) for d in space.dims))
-            region = partition_index(grid, space, x)
+            region = region_of(grid, space, x)
             assert region.contains(x.values)
 
 
@@ -189,7 +207,7 @@ def test_mass_normalization_property(cond_grid):
 def test_sampled_scenarios_partition_totally(cond_grid, seed):
     cond, grid = cond_grid
     for s in sample(cond, 5, seed):
-        region = partition_index(grid, cond.space, s)  # must not raise
+        region = region_of(grid, cond.space, s)  # must not raise
         assert region.contains(s.values)
 
 

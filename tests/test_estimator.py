@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import operator
 from functools import reduce
@@ -36,6 +37,8 @@ from depgrid import (
     tally,
 )
 from depgrid import presets
+from depgrid.records import read_records
+from conftest import campaign_of
 
 
 def make_record(values, mode, seed=0) -> TrialRecord:
@@ -50,7 +53,7 @@ def make_record(values, mode, seed=0) -> TrialRecord:
 
 
 def make_campaign(records, name="synthetic") -> TestCampaign:
-    return TestCampaign(condition_name=name, records=tuple(records), master_seed=0)
+    return campaign_of(records, name)
 
 
 def synthetic_campaign(n, fractions, space, rng_seed=0) -> TestCampaign:
@@ -439,16 +442,25 @@ class TestCompare:
         assert d.dependability_pts == pytest.approx(2.0, abs=1e-9)
 
 
+def write_record(path, mode, steps, collision_time):
+    path.write_text(json.dumps({
+        "scenario": [1.0, 1.0, 1.0], "mode": mode.value, "seed": 0,
+        "steps": steps, "final_position": 0.0,
+        "collision_time": collision_time}) + "\n")
+    return path
+
+
 class TestRecordInvariants:
-    def test_collision_time_must_match_mode(self):
-        with pytest.raises(DataError):
-            TrialRecord(Scenario.of(1, 1, 1), BehaviorMode.SUCCESS,
-                        seed=0, steps=10, final_position=0.0,
-                        collision_time=3.0)
-        with pytest.raises(DataError):
-            TrialRecord(Scenario.of(1, 1, 1), BehaviorMode.HARMFUL_FAILURE,
-                        seed=0, steps=10, final_position=0.0,
-                        collision_time=None)
+    """A campaign's columns hold the record invariants, and a record file's
+    collision_time must equal the one they derive: steps for a harmful
+    failure, null otherwise."""
+
+    def test_collision_time_must_match_mode(self, tmp_path):
+        for mode, collision_time in ((BehaviorMode.SUCCESS, 3.0),
+                                     (BehaviorMode.HARMFUL_FAILURE, None)):
+            path = write_record(tmp_path / "r.jsonl", mode, 10, collision_time)
+            with pytest.raises(DataError, match="line 1"):
+                read_records(path)
 
     @pytest.mark.parametrize("mode, steps, collision_time", [
         (BehaviorMode.SUCCESS, -1, None),
@@ -456,14 +468,22 @@ class TestRecordInvariants:
         (BehaviorMode.HARMFUL_FAILURE, 0, 0.0),
         (BehaviorMode.HARMFUL_FAILURE, -2, -2.0),
     ])
-    def test_steps_and_collision_time_must_agree(self, mode, steps,
+    def test_steps_and_collision_time_must_agree(self, tmp_path, mode, steps,
                                                  collision_time):
-        with pytest.raises(DataError):
-            TrialRecord(Scenario.of(1, 1, 1), mode, seed=0, steps=steps,
-                        final_position=0.0, collision_time=collision_time)
+        path = write_record(tmp_path / "r.jsonl", mode, steps, collision_time)
+        with pytest.raises(DataError, match="line 1"):
+            read_records(path)
+        if collision_time in (None, steps):  # breaks a column invariant
+            with pytest.raises(DataError) as e:
+                campaign_of([make_record([1, 1, 1], BehaviorMode.SUCCESS),
+                             TrialRecord(Scenario.of(1, 1, 1), mode, seed=0,
+                                         steps=steps, final_position=0.0,
+                                         collision_time=collision_time)])
+            assert e.value.row == 1
 
-    def test_collision_on_the_last_counted_step_is_valid(self):
-        r = TrialRecord(Scenario.of(1, 1, 1), BehaviorMode.HARMFUL_FAILURE,
-                        seed=0, steps=1, final_position=25.0,
-                        collision_time=1.0)
-        assert r.collision_time == r.steps
+    def test_collision_on_the_last_counted_step_is_valid(self, tmp_path):
+        path = write_record(tmp_path / "r.jsonl",
+                            BehaviorMode.HARMFUL_FAILURE, 1, 1.0)
+        r = read_records(path)[0]
+        assert r.mode is BehaviorMode.HARMFUL_FAILURE
+        assert r.collision_time == r.steps == 1

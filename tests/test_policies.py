@@ -207,7 +207,7 @@ class ScalarOnly:
 
 
 def assert_batch_matches_scalar(cfg, factory, scenarios, seeds):
-    batch = run_batch(cfg, factory(), scenarios, seeds)
+    batch = list(run_batch(cfg, factory(), scenarios, seeds).records)
     scalar = [run_episode(cfg, factory(), x, s)
               for x, s in zip(scenarios, seeds)]
     assert batch == scalar
@@ -303,7 +303,7 @@ class TestBatch:
         assert any(r.mode is BehaviorMode.HARMFUL_FAILURE for r in records)
 
     def test_empty_campaign(self, env, scripted_factory):
-        assert run_batch(env, scripted_factory(), [], []) == []
+        assert len(run_batch(env, scripted_factory(), [], [])) == 0
 
     def test_campaign_larger_than_one_block(self, env, params):
         # not a multiple of the block size: a full block and a partial one

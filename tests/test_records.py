@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from depgrid import (
     BehaviorMode,
@@ -28,6 +29,8 @@ from depgrid import (
     tally,
 )
 from depgrid import presets
+from depgrid.svgplots import failure_scatter_svg
+from conftest import campaign_of
 from depgrid.records import (
     CampaignManifest,
     condition_document,
@@ -39,6 +42,7 @@ from depgrid.records import (
     read_records,
     read_report,
     read_scenarios,
+    record_to_dict,
     write_manifest,
     write_records,
     write_report,
@@ -105,6 +109,79 @@ class TestRecordFiles:
             read_records(path)
 
 
+FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e16, -1e16, 0.1 + 0.2]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1, 2**70]), st.integers(0, 2**80))
+
+
+@st.composite
+def campaigns(draw) -> TestCampaign:
+    """Campaigns of up to 12 rows of d coordinates, harmful rows included."""
+    d = draw(st.integers(0, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        mode = draw(st.sampled_from(list(BehaviorMode)))
+        harmful = mode is BehaviorMode.HARMFUL_FAILURE
+        steps = draw(st.integers(int(harmful), 10**6))
+        rows.append(TrialRecord(
+            Scenario(tuple(draw(FLOATS) for _ in range(d))), mode,
+            draw(SEEDS), steps, draw(FLOATS),
+            float(steps) if harmful else None))
+    return campaign_of(rows)
+
+
+@settings(max_examples=200)
+@given(campaign=campaigns())
+def test_record_lines_are_json_dumps_of_each_row(tmp_path_factory, campaign):
+    path = tmp_path_factory.mktemp("records") / "r.jsonl"
+    write_records(path, campaign)
+    assert path.read_text() == "".join(json.dumps(record_to_dict(r)) + "\n"
+                                       for r in campaign.records)
+    loaded = read_records(path, condition_name="synthetic")
+    assert loaded == campaign
+    write_records(path.with_name("again.jsonl"), loaded)
+    assert path.with_name("again.jsonl").read_bytes() == path.read_bytes()
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a row object was built")
+
+
+def test_library_paths_build_no_rows(env, scripted_factory, space, tmp_path):
+    """Campaigns go from the simulator to the record file, and from the file
+    to tallies, rates, predictions and plots, as columns only."""
+    xs = sample(presets.testing_conditions(), 300, 21)
+    path = tmp_path / "r.jsonl"
+    with mock.patch.object(TrialRecord, "__init__", refuse):
+        campaign = evaluate_policy(env, scripted_factory, xs, 22)
+        write_records(path, campaign)
+    with (mock.patch.object(TrialRecord, "__init__", refuse),
+          mock.patch.object(Scenario, "__init__", refuse)):
+        loaded = read_records(path, master_seed=22)
+        counts = tally(loaded, PartitionGrid((2, 2, 2)), space)
+        rates = observed_rates(loaded)
+        predicted = predict(counts, presets.condition("oc3"))
+        svg = failure_scatter_svg(loaded, space, ("v", "t", "y"))
+    assert loaded == campaign and counts.counts.sum() == 300
+    assert predicted.bins == (2, 2, 2) and 0 < rates.dependability < 1
+    assert svg.count("<circle") == 3 * (300 - round(300 * rates.dependability))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("steps", -1), ("seed", "x"), ("mode", "x"), ("collision_time", 3.0),
+    ("scenario", [5.0, float("nan"), 30.0]), ("final_position", None),
+])
+def test_error_names_the_first_bad_line(tmp_path, field, value):
+    good = {"scenario": [5.0, 5.0, 30.0], "mode": "task_failure", "seed": 1,
+            "steps": 100, "final_position": 20.0, "collision_time": None}
+    bad = {**good, field: value}
+    path = tmp_path / "r.jsonl"
+    path.write_text("\n\n".join(json.dumps(r) for r in (good, bad, good, bad))
+                    + "\n")
+    with pytest.raises(DataError, match=r"r\.jsonl: line 3: "):
+        read_records(path)
+
+
 class TestReportFiles:
     def test_predict_report_round_trip(self, env, space, grid,
                                        scripted_factory, tmp_path):
@@ -124,7 +201,7 @@ class TestReportFiles:
                         final_position=50.0)
             for s in sample(low_y, 2500, 11)
         )
-        campaign = TestCampaign("low", records, 0)
+        campaign = campaign_of(records, "low")
         tallies = tally(campaign, PartitionGrid((5, 5, 5)), space)
         report = predict(tallies, presets.condition("oc2"),
                          renormalize_empty=True)
@@ -160,8 +237,7 @@ def random_campaign(space: DomainSpace, n: int, seed: int, *,
         points += [[(a + b) / 2 for a, b in r.bounds]
                    for r in centers_of.iter_regions(space)]
     modes = list(BehaviorMode)
-    return TestCampaign("synthetic", tuple(
-        record(x, modes[rng.integers(0, 3)]) for x in points), 0)
+    return campaign_of(record(x, modes[rng.integers(0, 3)]) for x in points)
 
 
 def row_dict_form(report, regions: list) -> dict:
@@ -222,9 +298,8 @@ class TestReportFormat:
         grid = PartitionGrid((5, 5, 5))
         low = ConditionSet("low", space, (
             Uniform(0, 10), Uniform(0, 10), Uniform(0, 40)))
-        campaign = TestCampaign("low", tuple(
-            record(x.values, BehaviorMode.TASK_FAILURE)
-            for x in sample(low, 2500, 11)), 0)
+        campaign = campaign_of((record(x.values, BehaviorMode.TASK_FAILURE)
+                                for x in sample(low, 2500, 11)), "low")
         report = predict(tally(campaign, grid, space), presets.condition("oc2"),
                          renormalize_empty=True)
         assert report.dropped_regions and 0 < report.dropped_mass < 1
@@ -234,9 +309,8 @@ class TestReportFormat:
         grid = PartitionGrid((5, 5, 5))
         high = ConditionSet("high", space, (
             Uniform(0, 10), Uniform(0, 10), Uniform(30, 50)))
-        campaign = TestCampaign("low", tuple(
-            record((5.0, 5.0, y), BehaviorMode.SUCCESS)
-            for y in (1.0, 11.0, 19.0)), 0)
+        campaign = campaign_of((record((5.0, 5.0, y), BehaviorMode.SUCCESS)
+                                for y in (1.0, 11.0, 19.0)), "low")
         report = predict(tally(campaign, grid, space), high,
                          renormalize_empty=True)
         assert report.dropped_mass == 1.0 and len(report.dropped_regions) == 50

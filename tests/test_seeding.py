@@ -132,7 +132,7 @@ def test_run_batch_equals_run_episode_for_edge_seeds(env, params):
     seeds = [0, 1, 2, 2**64, 2**64 + 1, 2**70 - 1]
     scenarios = sample(presets.condition("testing"), len(seeds), 3)
     policy = ScriptedPolicy(params, env)
-    records = run_batch(env, policy, scenarios, seeds)
+    records = list(run_batch(env, policy, scenarios, seeds).records)
     assert records == [run_episode(env, ScriptedPolicy(params, env), x, s)
                        for x, s in zip(scenarios, seeds)]
 
