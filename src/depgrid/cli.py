@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import presets
-from .domain import ConditionSet, DomainSpace, PartitionGrid, sample
+from .domain import (ConditionSet, DomainSpace, PartitionGrid, sample,
+                     validate_grid)
 from .errors import ConfigError, DataError, DepgridError, OutOfDomain
 from .estimator import (BehaviorMode, TestCampaign, compare, observed_rates,
                         predict, tally)
@@ -83,14 +85,23 @@ def _domain(args) -> DomainSpace:
     return presets.domain_space()
 
 
+@contextmanager
+def _naming_row(path, noun: str):
+    """An OutOfDomain raised inside names the file and, when it carries one,
+    the row, counted from 1: ``path: record N: ...``."""
+    try:
+        yield
+    except OutOfDomain as e:
+        where = "" if e.row is None else f"{noun} {e.row + 1}: "
+        raise OutOfDomain(f"{path}: {where}{e}") from None
+
+
 def _records_in(path, space: DomainSpace) -> TestCampaign:
     """The campaign of a record file, checked against the domain; a record
     outside it raises OutOfDomain naming the file and the record number."""
     campaign = read_records(path)
-    try:
+    with _naming_row(path, "record"):
         space.check_points(campaign.scenarios)
-    except OutOfDomain as e:
-        raise OutOfDomain(f"{path}: record {e.row + 1}: {e}") from None
     return campaign
 
 
@@ -161,8 +172,9 @@ def cmd_run(args) -> int:
 
     scenarios = read_scenarios(scenarios_path)
     factory = _policy_factory(policy_name, params, env, safety)
-    campaign = evaluate_policy(env, factory, scenarios, seed,
-                               condition_name=condition_name)
+    with _naming_row(scenarios_path, "scenario"):
+        campaign = evaluate_policy(env, factory, scenarios, seed,
+                                   condition_name=condition_name)
     write_records(out, campaign)
     # the manifest sits next to the records; its paths are relative to it
     manifest = CampaignManifest(
@@ -279,11 +291,14 @@ def reproduce(out_dir: str | Path, *, n: int = 20000, seed: int = 0,
     """
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
+    if n < 1:
+        raise ConfigError(f"n must be at least 1, got {n}")
     out = Path(out_dir)
     env = presets.default_env()
     params = presets.default_policy_params()
     space = presets.domain_space()
     grid = grid or presets.default_grid()
+    validate_grid(grid, space)
 
     def campaign_for(cond_name: str, scen_key: str, camp_key: str, *,
                      safety: SafetyFunction | None = None,

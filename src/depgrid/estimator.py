@@ -16,8 +16,9 @@ exact integers; division happens only at report time.
 
 A prediction's report keeps its per-region table as columns, not as one
 object per region: the per-dimension bin edges, the weight vector and the
-tally's (n_regions, 3) count array, rows in the same C order. Region objects
-are built only to name the uncovered regions of an EmptyPartition.
+tally's (n_regions, 3) count array, rows in the same C order. Dropped
+regions are their C-order numbers; index tuples and Region objects are built
+only to name the uncovered regions of an EmptyPartition.
 """
 
 from __future__ import annotations
@@ -161,8 +162,8 @@ class DependabilityReport:
     holds each dimension's bin edges, ``weights`` the target weight of every
     region and ``counts`` its (n_regions, 3) outcome counts, rows in the
     Tally's C order. An observed report has no table (no edges, zero rows).
-    ``dropped_regions`` holds the index tuples of the regions dropped by
-    renormalization.
+    ``dropped_regions`` holds the C-order numbers of the regions dropped by
+    renormalization, as an int64 array.
     """
 
     condition_name: str
@@ -175,7 +176,8 @@ class DependabilityReport:
         default_factory=lambda: np.zeros((0, len(_MODE_ORDER)), dtype=np.int64))
     renormalized: bool = False
     dropped_mass: float = 0.0
-    dropped_regions: tuple[tuple[int, ...], ...] = ()
+    dropped_regions: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     def __post_init__(self):
         n_regions = math.prod(len(e) - 1 for e in self.edges) if self.edges else 0
@@ -310,12 +312,12 @@ def predict(tally: Tally, target: Condition, *,
     uncovered = (masses > 0) & (n == 0)
 
     dropped_mass = 0.0
-    dropped: tuple[tuple[int, ...], ...] = ()
-    if uncovered.any():
-        dropped = tuple(zip(*(i.tolist() for i in np.unravel_index(
-            np.flatnonzero(uncovered), grid.bins))))
+    dropped = np.flatnonzero(uncovered)
+    if dropped.size:
         if not renormalize_empty:
-            raise EmptyPartition(grid.region(tally.space, i) for i in dropped)
+            raise EmptyPartition(
+                grid.region(tally.space, i)
+                for i in zip(*np.unravel_index(dropped, grid.bins)))
         dropped_mass = float(masses[uncovered].sum()) / float(masses.sum())
         masses = np.where(uncovered, 0.0, masses)
 
@@ -340,7 +342,7 @@ def predict(tally: Tally, target: Condition, *,
                     for k in range(len(grid.bins))),
         weights=weights,
         counts=tally.counts,
-        renormalized=bool(dropped),
+        renormalized=bool(dropped.size),
         dropped_mass=dropped_mass,
         dropped_regions=dropped,
     )

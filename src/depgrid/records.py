@@ -8,12 +8,12 @@ A record file has one JSON line per record. write_records fills a campaign's
 columns into one line template; read_records parses each line on its own,
 then builds and checks the columns, naming the line of the first bad record.
 
-A report file holds one row per grid region (64,000 at 40^3). write_report
-fills the rows into one fixed template, with per-dimension index and bounds
-fragments and the repr of each weight and count, so that only the small
-header goes through json.dumps; the bytes equal json.dumps(doc, indent=2) of
-the row-per-region document. read_report rebuilds the report's columns from
-the rows and refuses rows that do not tile one grid in C order.
+A report file (format_version 2) holds the same columns as the in-memory
+report: a small scalar header, then the bin edges once, and the masses, the
+three outcome counts and the dropped region numbers as one C-order list
+each, every list written by one json.dumps call. read_report checks the
+JSON type, length and range of each column before numpy converts it, and
+refuses any file of another format_version, so there is one reader.
 """
 
 from __future__ import annotations
@@ -299,41 +299,26 @@ def read_records(path: str | Path, *, condition_name: str = "",
 # Reports
 # ---------------------------------------------------------------------------
 
-# A report file is the text of json.dumps(doc, indent=2) + "\n" for
-#   {"condition", the three metrics, "renormalized", "dropped_mass",
-#    "dropped_regions": [index, ...],
-#    "per_region": [{"index", "bounds", "mass", "n_total", "n_success",
-#                    "n_task_fail", "n_harmful"}, ...]}
-# with per_region in C order over the whole grid. Only the scalar header goes
-# through json.dumps; the two lists, up to one entry per region, are filled
-# into fixed templates of that exact layout from per-dimension fragments and
-# the repr of each weight and count.
+# A report file (format_version 2) is the scalar header as json.dumps(...,
+# indent=2) lays it out,
+#   {"format_version": 2, "condition", the three metrics, "renormalized",
+#    "dropped_mass",
+# followed by one line per column, each the json.dumps of one list:
+#    "dropped_regions": [C-order region number, ...],
+#    "edges": [[bin edges of dimension 0], ...],
+#    "mass": [...], "n_success": [...], "n_task_fail": [...], "n_harmful": [...]}
+# The last four have one entry per region in C order; an observed report has
+# no edges and empty columns. A region's total count is not stored: it is
+# the sum of its three counts.
 
-_PER_REGION_ROW = (
-    '    {\n      "index": [\n%s\n      ],\n      "bounds": [\n%s\n      ],\n'
-    '      "mass": %r,\n      "n_total": %d,\n      "n_success": %d,\n'
-    '      "n_task_fail": %d,\n      "n_harmful": %d\n    }'
-)
-
-_BOUNDS_ITEM = "        [\n          %r,\n          %r\n        ]"
-
-
-def _json_list(items: list[str]) -> str:
-    """A top-level key's list, its items already laid out at depth 2."""
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
-
-
-def _c_order(fragments: list[list[str]]) -> list[str]:
-    """Per-dimension fragments joined for every index in C order."""
-    out = fragments[-1]
-    for col in reversed(fragments[:-1]):
-        out = [a + ",\n" + b for a in col for b in out]
-    return out
+FORMAT_VERSION = 2
+_COUNT_KEYS = ("n_success", "n_task_fail", "n_harmful")
 
 
 def write_report(path: str | Path, report: DependabilityReport) -> None:
     """Write the report file (see the layout above)."""
     header = json.dumps({
+        "format_version": FORMAT_VERSION,
         "condition": report.condition_name,
         "dependability": report.dependability,
         "task_undependability": report.task_undependability,
@@ -341,80 +326,73 @@ def write_report(path: str | Path, report: DependabilityReport) -> None:
         "renormalized": report.renormalized,
         "dropped_mass": report.dropped_mass,
     }, indent=2)
-    index_item = "    [\n" + ",\n".join(["      %d"] * len(report.bins)) + "\n    ]"
-    dropped = [index_item % idx for idx in report.dropped_regions]
-    rows = []
-    if report.edges:
-        index = _c_order([[f"        {i}" for i in range(len(e) - 1)]
-                          for e in report.edges])
-        bounds = _c_order([[_BOUNDS_ITEM % (lo, hi) for lo, hi in zip(e, e[1:])]
-                           for e in report.edges])
-        rows = [_PER_REGION_ROW % (i, b, w, ns + nt + nh, ns, nt, nh)
-                for i, b, w, (ns, nt, nh) in zip(index, bounds,
-                                                 report.weights.tolist(),
-                                                 report.counts.tolist())]
-    atomic_write_text(path, header[:-2]
-                      + ',\n  "dropped_regions": ' + _json_list(dropped)
-                      + ',\n  "per_region": ' + _json_list(rows) + "\n}\n")
+    columns = {"dropped_regions": report.dropped_regions.tolist(),
+               "edges": report.edges, "mass": report.weights.tolist(),
+               **dict(zip(_COUNT_KEYS, report.counts.T.tolist()))}
+    atomic_write_text(path, header[:-2] + "".join(
+        f',\n  "{key}": {json.dumps(column)}' for key, column in columns.items())
+        + "\n}\n")
 
 
-def _table_from_rows(rows: list) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """(edges, weights, counts) from per_region rows that tile one grid in
-    C order with consistent bounds; anything else raises DataError."""
-    if not rows:
-        return (), np.zeros(0), np.zeros((0, 3), dtype=np.int64)
-    index = np.array([r["index"] for r in rows])
-    if (index.ndim != 2 or not index.shape[1]
-            or not np.issubdtype(index.dtype, np.integer)):
-        raise DataError("per_region indices must be lists of integers")
-    bins = tuple(int(b) for b in index.max(axis=0) + 1)
-    if (len(rows) != math.prod(bins) or not np.array_equal(
-            index, np.indices(bins).reshape(len(bins), -1).T)):
-        raise DataError(f"per_region rows do not tile a {bins} grid in C order")
-    bounds = np.array([r["bounds"] for r in rows], dtype=float)
-    if (bounds.shape != (len(rows), len(bins), 2)
-            or not np.isfinite(bounds).all()):
-        raise DataError("per_region bounds must be one finite [lo, hi] per "
-                        "dimension")
-    edges = []
-    for d, b in enumerate(bins):
-        first = np.arange(b) * (len(rows) // math.prod(bins[:d + 1]))
-        e = np.append(bounds[first, d, 0], bounds[first[-1], d, 1])
-        if not (np.array_equal(bounds[:, d, 0], e[index[:, d]])
-                and np.array_equal(bounds[:, d, 1], e[index[:, d] + 1])):
-            raise DataError(f"per_region bounds of dimension {d} disagree "
-                            f"between rows")
-        edges.append(tuple(e.tolist()))
-    weights = np.array([r["mass"] for r in rows], dtype=float)
+_JSON_TYPES = {"integers": {int}, "numbers": set(_NUMBER), "lists": {list}}
+# float() and bool() would take "0.5" or "false" without a word
+_HEADER_TYPES = {"condition": (str,), "dependability": _NUMBER,
+                 "task_undependability": _NUMBER,
+                 "harmful_undependability": _NUMBER, "renormalized": (bool,),
+                 "dropped_mass": _NUMBER}
+
+
+def _typed_list(value, name: str, kind: str, n: int | None = None) -> list:
+    """value, checked to be a list of JSON integers, numbers or lists (kind),
+    n of them if n is given. The type check comes first, because numpy turns
+    a bool, a string or a float into a number of the column's dtype silently."""
+    if (type(value) is not list or not set(map(type, value)) <= _JSON_TYPES[kind]
+            or n is not None and len(value) != n):
+        size = "" if n is None else f"{n} "
+        raise DataError(f"{name} must be a list of {size}JSON {kind}")
+    return value
+
+
+def report_from_dict(doc) -> DependabilityReport:
+    version = doc.get("format_version") if type(doc) is dict else None
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise DataError(f"not a report file of format_version {FORMAT_VERSION} "
+                        f"(got {version!r}); re-run depgrid predict or depgrid "
+                        f"observe to write it")
+    for key, types in _HEADER_TYPES.items():
+        if type(doc[key]) not in types:
+            raise DataError(f"{key} has the wrong JSON type: {doc[key]!r}")
+    edges = tuple(tuple(map(float, _typed_list(e, f"edges[{d}]", "numbers")))
+                  for d, e in enumerate(_typed_list(doc["edges"], "edges",
+                                                    "lists")))
+    for d, e in enumerate(edges):
+        if len(e) < 2 or not (np.isfinite(e).all() and (np.diff(e) > 0).all()):
+            raise DataError(f"edges[{d}] must be two or more finite numbers, "
+                            f"strictly increasing")
+    n = math.prod(len(e) - 1 for e in edges) if edges else 0
+    weights = np.array(_typed_list(doc["mass"], "mass", "numbers", n), dtype=float)
     if not (np.isfinite(weights).all() and (weights >= 0).all()):
-        raise DataError("per_region masses must be finite and >= 0")
-    counts = np.array([[r["n_success"], r["n_task_fail"], r["n_harmful"]]
-                       for r in rows], dtype=np.int64)
-    n_total = np.array([r["n_total"] for r in rows], dtype=np.int64)
-    if (counts < 0).any() or not np.array_equal(counts.sum(axis=1), n_total):
-        raise DataError("per_region counts must be >= 0 and n_total their sum")
-    return tuple(edges), weights, counts
-
-
-def report_from_dict(doc: dict) -> DependabilityReport:
-    edges, weights, counts = _table_from_rows(doc.get("per_region", []))
-    dropped = tuple(tuple(int(i) for i in idx)
-                    for idx in doc.get("dropped_regions", []))
-    bins = tuple(len(e) - 1 for e in edges)
-    for idx in dropped:
-        if len(idx) != len(bins) or not all(0 <= i < b for i, b in zip(idx, bins)):
-            raise DataError(f"dropped region {list(idx)} is not in the "
-                            f"per_region grid {bins}")
+        raise DataError("masses must be finite and >= 0")
+    counts = np.array([_typed_list(doc[key], key, "integers", n)
+                       for key in _COUNT_KEYS], dtype=np.int64).T
+    if (counts < 0).any():
+        raise DataError("counts must be >= 0")
+    dropped = np.array(_typed_list(doc["dropped_regions"], "dropped_regions",
+                                   "integers"), dtype=np.int64)
+    if dropped.size and not (dropped[0] >= 0 and dropped[-1] < n
+                             and (np.diff(dropped) > 0).all()):
+        raise DataError(f"dropped_regions must be distinct region numbers in "
+                        f"[0, {n}), in increasing order")
     return DependabilityReport(
-        condition_name=str(doc.get("condition", "")),
+        condition_name=doc["condition"],
         dependability=float(doc["dependability"]),
         task_undependability=float(doc["task_undependability"]),
         harmful_undependability=float(doc["harmful_undependability"]),
         edges=edges,
         weights=weights,
         counts=counts,
-        renormalized=bool(doc.get("renormalized", False)),
-        dropped_mass=float(doc.get("dropped_mass", 0.0)),
+        renormalized=doc["renormalized"],
+        dropped_mass=float(doc["dropped_mass"]),
         dropped_regions=dropped,
     )
 
@@ -422,7 +400,9 @@ def report_from_dict(doc: dict) -> DependabilityReport:
 def read_report(path: str | Path) -> DependabilityReport:
     try:
         return report_from_dict(json.loads(_read_text(path)))
-    except (ValueError, KeyError, TypeError, AttributeError) as e:
+    except KeyError as e:
+        raise DataError(f"{path}: missing key {e}") from None
+    except (ValueError, TypeError, OverflowError) as e:
         raise DataError(f"{path}: {e}") from None
     except DataError as e:
         raise type(e)(f"{path}: {e}") from None

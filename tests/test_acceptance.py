@@ -307,8 +307,9 @@ def test_criterion_9_empty_partition_enforcement(env, params, space, grid):
     renorm = predict(tallies, target, renormalize_empty=True)
     renorm_ok = (renorm.renormalized and renorm.dropped_mass == 1.0
                  and len(renorm.dropped_regions) == 400
-                 and set(renorm.dropped_regions)
-                 == {idx for idx in np.ndindex(*grid.bins) if idx[2] >= 6})
+                 and set(renorm.dropped_regions.tolist())
+                 == {grid.ravel(idx) for idx in np.ndindex(*grid.bins)
+                     if idx[2] >= 6})
     criterion(9, "uncovered positive-mass regions fail loudly and are "
                  "only dropped under the explicit renormalize flag",
               names_ok and renorm_ok,

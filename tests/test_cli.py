@@ -331,6 +331,17 @@ class TestRunObservePredict:
         assert "OutOfDomain" in err and "odd.jsonl: record 2" in err
         assert not out.exists()
 
+    def test_scenario_outside_the_domain_names_file_and_scenario(
+            self, tmp_path, capsys):
+        scen = tmp_path / "sc.jsonl"
+        scen.write_text("[5.0, 5.0, 30.0]\n[11.0, 5.0, 30.0]\n")
+        out = tmp_path / "rec.jsonl"
+        assert run_cli("run", "--scenarios", str(scen),
+                       "--out", str(out)) == 3
+        assert (f"OutOfDomain: {scen}: scenario 2: v = 11.0 outside"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_observe_checks_records_against_the_config_domain(self, tmp_path):
         doc = condition_document(presets.condition("testing"),
                                  presets.default_grid(), seed=0)
@@ -380,13 +391,19 @@ class TestCompareAndPlot:
                        "--condition", "testing", "--grid", "2,2,2",
                        "--out", str(pred)) == 0
         doc = json.loads(pred.read_text())
-        doc["per_region"][3] = 5
+        doc["n_success"][3] = 1.5
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        doc["per_region"][3] = {**doc["per_region"][2], "bounds": None}
-        null_bounds = tmp_path / "null_bounds.json"
-        null_bounds.write_text(json.dumps(doc))
-        for report in (bad, null_bounds):
+        doc["edges"][0] = None
+        null_edges = tmp_path / "null_edges.json"
+        null_edges.write_text(json.dumps(doc))
+        row_per_region = tmp_path / "row_per_region.json"
+        row_per_region.write_text(json.dumps({
+            **{k: doc[k] for k in ("condition", "dependability",
+                                   "task_undependability",
+                                   "harmful_undependability")},
+            "per_region": [{"index": [0, 0, 0], "mass": 1.0}]}))
+        for report in (bad, null_edges, row_per_region):
             proc = subprocess.run(
                 [sys.executable, "-m", "depgrid.cli", "compare",
                  "--predicted", str(report), "--observed", str(pred),
@@ -395,6 +412,8 @@ class TestCompareAndPlot:
             assert proc.returncode == 3
             assert f"DataError: {report}" in proc.stderr
             assert "Traceback" not in proc.stderr
+        # the last file has the earlier layout
+        assert "re-run depgrid predict" in proc.stderr
 
     def test_plot_failures_svg(self, small_pipeline, tmp_path):
         svg = tmp_path / "fail.svg"
@@ -456,13 +475,23 @@ class TestReproduce:
         ET.parse(out / "plots" / "failures_testing.svg")
 
 
-    @pytest.mark.parametrize("seed", ["-12", "-1"])
+    @pytest.mark.parametrize("flag, value, message", [
+        pytest.param("--seed", "-12", "ConfigError: seed", id="-12"),
+        pytest.param("--seed", "-1", "ConfigError: seed", id="-1"),
+        pytest.param("--grid", "1,1", "InvalidGrid: grid has 2", id="grid-1,1"),
+        pytest.param("--n", "0", "ConfigError: n", id="n-0"),
+        pytest.param("--n", "-4", "ConfigError: n", id="n--4"),
+    ])
     def test_negative_seed_exits_2_before_writing(self, tmp_path, capsys,
-                                                  seed):
+                                                  flag, value, message):
+        """A negative seed, a non-positive n or a grid of the wrong rank is
+        refused before anything is written."""
         out = tmp_path / "repro"
-        assert run_cli("reproduce", "--out-dir", str(out), "--n", "5",
-                       "--grid", "1,1,1", "--seed", seed) == 2
-        assert f"got {seed}" in capsys.readouterr().err
+        flags = {"--n": "5", "--grid": "1,1,1", "--seed": "0", flag: value}
+        assert run_cli("reproduce", "--out-dir", str(out),
+                       *(a for kv in flags.items() for a in kv)) == 2
+        err = capsys.readouterr().err
+        assert message in err and (flag == "--grid" or f"got {value}" in err)
         assert not out.exists() or not any(out.rglob("*"))
 
     def test_scenario_record_and_manifest_files_are_pinned(self, tmp_path):

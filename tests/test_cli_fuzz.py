@@ -159,24 +159,42 @@ def test_record_outside_the_domain(files, line, position, command):
                    "--out", str(files / "out"))
 
 
-ROW = ["per_region", 3]
+def row_per_region(doc):
+    """Turn the document into the earlier layout: one object per region and
+    no format_version."""
+    rows = [{"index": [0, 0, i], "bounds": [[0.0, 5.0]] * 3, "mass": m,
+             "n_total": 1, "n_success": 1, "n_task_fail": 0, "n_harmful": 0}
+            for i, m in enumerate(doc["mass"])]
+    for key in ("format_version", "edges", "mass", "n_success", "n_task_fail",
+                "n_harmful"):
+        del doc[key]
+    doc["per_region"] = rows
+
+
 REPORT_EDITS = edits([
-    (["dependability"], [None, "x", [], 2.0, -1.0, NAN]),
+    (["format_version"], [DELETE, None, 1, 3, "2", 2.0, True]),
+    (["dependability"], [None, "x", [], 2.0, -1.0, NAN, "0.5", True]),
     (["harmful_undependability"], [DELETE]),
-    (["dropped_mass"], [None, "x", []]),
-    (["dropped_regions"], [7, [[0, 0, 5]], [[0]], [["a", 0, 0]], [None]]),
-    (["per_region"], [5, "x", [5]]),
-    (ROW, [5, None, "x", [], {}]),
-    (ROW + ["index"], [None, "x", [0], [0, 0, 0, 0], [-1, 0, 0], [9, 0, 0],
-                       [0.5, 1, 1]]),
-    (ROW + ["bounds"], [None, 5, "x", [], [[0, 1]], [[0, 1], [0, 1], [0, 1]]]),
-    (ROW + ["mass"], [None, "x", [], -1.0, NAN]),
-    (ROW + ["n_success"], [None, "x", -1, []]),
-    (ROW + ["n_total"], [None, "x", 10**6]),
-    (ROW + ["n_harmful"], [DELETE]),
-    (ROW, [DELETE]),
-]) + [lambda d: d["per_region"].reverse(),
-      lambda d: d["per_region"].append(d["per_region"][0])]
+    (["dropped_mass"], [None, "x", [], True]),
+    (["renormalized"], [None, "false", 0, DELETE]),
+    (["condition"], [None, 5, [], DELETE]),
+    (["dropped_regions"], [7, None, [8], [-1], [3, 3], [5, 2], [0.0], [True],
+                           ["a"], [None], [[0, 0, 1]], [2**64]]),
+    (["edges"], [None, 5, "x", [], [[0.0, 10.0]], [[0.0, 5.0, 10.0]] * 4]),
+    (["edges", 0], [None, 5, [], [0.0], [0.0, 10.0], [0.0, 10.0, 5.0],
+                    [0.0, 5.0, 5.0], [NAN, 5.0, 10.0], [0.0, 5.0, INF],
+                    [0.0, True, 10.0], [0.0, "5", 10.0], [0.0, None, 10.0],
+                    [0.0, 5.0, 10.0, 11.0], [0.0, 5.0, 10**400]]),
+    (["mass"], [None, 5, "x", [], [0.125] * 7, [0.125] * 9]),
+    (["mass", 3], [None, "x", [], -1.0, NAN, INF, -INF, True, "0.5",
+                   10**400]),
+    (["n_success"], [None, 5, [], [1] * 7, [1] * 9]),
+    (["n_success", 3], [None, "x", -1, [], 1.5, 1.0, True, "1", 2**63,
+                        -2**63 - 1]),
+    (["n_task_fail", 0], [-1, 0.0, False]),
+    (["n_harmful"], [DELETE]),
+] + [([key], [DELETE]) for key in ("edges", "mass", "n_success",
+                                   "dropped_regions")]) + [row_per_region]
 
 
 @settings(max_examples=200)

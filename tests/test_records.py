@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from depgrid import (
     BehaviorMode,
@@ -14,6 +15,7 @@ from depgrid import (
     ConditionSet,
     ConfigError,
     DataError,
+    DependabilityReport,
     Dimension,
     DiscreteCondition,
     DomainSpace,
@@ -48,6 +50,9 @@ from depgrid.records import (
     write_report,
     write_scenarios,
 )
+
+
+NAN, INF = float("nan"), float("inf")
 
 
 def awkward_floats() -> list[Scenario]:
@@ -240,41 +245,36 @@ def random_campaign(space: DomainSpace, n: int, seed: int, *,
     return campaign_of(record(x, modes[rng.integers(0, 3)]) for x in points)
 
 
-def row_dict_form(report, regions: list) -> dict:
-    """The report as one dict with a row per region, built here from Region
-    objects: json.dumps(this, indent=2) + "\n" is the report file."""
-    assert len(regions) == len(report.weights) == len(report.counts)
+def column_form(report) -> dict:
+    """The report file's document, built here from the report's fields: the
+    scalar header, then the dropped region numbers, the edges and one list
+    per column."""
     return {
+        "format_version": 2,
         "condition": report.condition_name,
         "dependability": report.dependability,
         "task_undependability": report.task_undependability,
         "harmful_undependability": report.harmful_undependability,
         "renormalized": report.renormalized,
         "dropped_mass": report.dropped_mass,
-        "dropped_regions": [list(idx) for idx in report.dropped_regions],
-        "per_region": [
-            {
-                "index": list(r.index),
-                "bounds": [list(b) for b in r.bounds],
-                "mass": w,
-                "n_total": sum(c),
-                "n_success": c[0],
-                "n_task_fail": c[1],
-                "n_harmful": c[2],
-            }
-            for r, w, c in zip(regions, report.weights.tolist(),
-                               report.counts.tolist())
-        ],
+        "dropped_regions": [int(k) for k in report.dropped_regions],
+        "edges": [list(e) for e in report.edges],
+        "mass": [float(w) for w in report.weights],
+        "n_success": [int(c[0]) for c in report.counts],
+        "n_task_fail": [int(c[1]) for c in report.counts],
+        "n_harmful": [int(c[2]) for c in report.counts],
     }
 
 
-def assert_golden(tmp_path, report, grid=None, space=None) -> None:
-    """write_report writes json.dumps of the row-dict form, and reads back."""
-    regions = [] if grid is None else list(grid.iter_regions(space))
+def assert_golden(tmp_path, report) -> None:
+    """write_report writes the column form, one line per key, and reads
+    back."""
     path = tmp_path / "report.json"
     write_report(path, report)
-    assert path.read_text() == json.dumps(row_dict_form(report, regions),
-                                          indent=2) + "\n"
+    text = path.read_text()
+    doc, want = json.loads(text), column_form(report)
+    assert doc == want and list(doc) == list(want)
+    assert len(text.splitlines()) == len(want) + 2
     assert read_report(path) == report
 
 
@@ -292,7 +292,7 @@ class TestReportFormat:
         report = predict(tally(random_campaign(space, 500, 1, centers_of=grid),
                                grid, space), presets.condition("oc3"))
         assert not report.renormalized and len(report.weights) == 1000
-        assert_golden(tmp_path, report, grid, space)
+        assert_golden(tmp_path, report)
 
     def test_renormalized_with_dropped_regions(self, space, tmp_path):
         grid = PartitionGrid((5, 5, 5))
@@ -302,8 +302,8 @@ class TestReportFormat:
                                 for x in sample(low, 2500, 11)), "low")
         report = predict(tally(campaign, grid, space), presets.condition("oc2"),
                          renormalize_empty=True)
-        assert report.dropped_regions and 0 < report.dropped_mass < 1
-        assert_golden(tmp_path, report, grid, space)
+        assert report.dropped_regions.size and 0 < report.dropped_mass < 1
+        assert_golden(tmp_path, report)
 
     def test_vacuous_report(self, space, tmp_path):
         grid = PartitionGrid((5, 5, 5))
@@ -315,20 +315,20 @@ class TestReportFormat:
                          renormalize_empty=True)
         assert report.dropped_mass == 1.0 and len(report.dropped_regions) == 50
         assert not report.weights.any()
-        assert_golden(tmp_path, report, grid, space)
+        assert_golden(tmp_path, report)
 
     def test_observed_report_has_no_rows(self, tmp_path):
         report = observed_rates(random_campaign(line_space(), 30, 2))
         assert report.edges == () and len(report.weights) == 0
         assert_golden(tmp_path, report)
-        assert '"per_region": []' in (tmp_path / "report.json").read_text()
+        assert '"mass": []' in (tmp_path / "report.json").read_text()
 
     def test_one_dimensional_grid(self, tmp_path):
         space, grid = line_space(), PartitionGrid((7,))
         target = ConditionSet("line", space, (ClippedGaussian(0.3, 0.8),))
         report = predict(tally(random_campaign(space, 40, 3, centers_of=grid),
                                grid, space), target)
-        assert_golden(tmp_path, report, grid, space)
+        assert_golden(tmp_path, report)
 
     def test_two_dimensional_grid(self, tmp_path):
         space, grid = plane_space(), PartitionGrid((3, 4))
@@ -336,7 +336,7 @@ class TestReportFormat:
             Uniform(0.0, 0.2), ClippedGaussian(1.0, 2.0)))
         report = predict(tally(random_campaign(space, 25, 4), grid, space),
                          target, renormalize_empty=True)
-        assert_golden(tmp_path, report, grid, space)
+        assert_golden(tmp_path, report)
 
     def test_discrete_condition_target(self, tmp_path):
         space, grid = plane_space(), PartitionGrid((3, 4))
@@ -345,7 +345,7 @@ class TestReportFormat:
             Scenario.of(1.0 / 3.0, 5.0)), (0.25, 0.5, 0.25))
         report = predict(tally(random_campaign(space, 10, 5, centers_of=grid),
                                grid, space), target)
-        assert_golden(tmp_path, report, grid, space)
+        assert_golden(tmp_path, report)
 
     def test_condition_name_with_quotes_and_non_ascii(self, tmp_path):
         space, grid = line_space(), PartitionGrid((2,))
@@ -354,7 +354,7 @@ class TestReportFormat:
         report = predict(tally(random_campaign(space, 5, 6, centers_of=grid),
                                grid, space), target)
         assert report.condition_name == name
-        assert_golden(tmp_path, report, grid, space)
+        assert_golden(tmp_path, report)
 
     @given(bins=st.lists(st.integers(1, 4), min_size=1, max_size=3),
            n=st.integers(0, 30), seed=st.integers(0, 2**16))
@@ -371,7 +371,89 @@ class TestReportFormat:
         campaign = random_campaign(space, n, seed)
         report = predict(tally(campaign, grid, space), target,
                          renormalize_empty=True)
-        assert_golden(tmp_path_factory.mktemp("golden"), report, grid, space)
+        assert_golden(tmp_path_factory.mktemp("golden"), report)
+
+
+GOLDEN_PLANE_REPORT = """\
+{
+  "format_version": 2,
+  "condition": "plane",
+  "dependability": 0.625,
+  "task_undependability": 0.25,
+  "harmful_undependability": 0.125,
+  "renormalized": true,
+  "dropped_mass": 0.2,
+  "dropped_regions": [1],
+  "edges": [[0.0, 0.5, 1.0], [-2.0, 1.5, 5.0]],
+  "mass": [0.5, 0.0, 0.25, 0.25],
+  "n_success": [3, 0, 0, 2],
+  "n_task_fail": [1, 0, 1, 0],
+  "n_harmful": [0, 0, 1, 0]
+}
+"""
+
+
+def test_golden_bytes_of_a_renormalized_plane_report(tmp_path):
+    """The exact bytes of a small 2-D report whose region 1 was dropped."""
+    report = DependabilityReport(
+        condition_name="plane", dependability=0.625,
+        task_undependability=0.25, harmful_undependability=0.125,
+        edges=((0.0, 0.5, 1.0), (-2.0, 1.5, 5.0)),
+        weights=np.array([0.5, 0.0, 0.25, 0.25]),
+        counts=np.array([[3, 1, 0], [0, 0, 0], [0, 1, 1], [2, 0, 0]]),
+        renormalized=True, dropped_mass=0.2, dropped_regions=np.array([1]))
+    path = tmp_path / "report.json"
+    write_report(path, report)
+    assert path.read_text() == GOLDEN_PLANE_REPORT
+    assert read_report(path) == report
+
+
+def _unit_metrics(a: float, b: float) -> tuple[float, float, float]:
+    """Three non-negative metrics that sum to 1, from a, b in [0, 1]."""
+    ut = b * (1.0 - a)
+    return a, ut, max(1.0 - a - ut, 0.0)
+
+
+@st.composite
+def reports(draw) -> DependabilityReport:
+    """Predicted, renormalized, vacuous and observed (no-table) reports over
+    1-4-D grids of 1-6 bins, with masses that include 0.0 and 5e-324."""
+    kind = draw(st.sampled_from(["predicted", "renormalized", "vacuous",
+                                 "observed"]))
+    name = draw(st.text(max_size=6))
+    metrics = _unit_metrics(draw(st.floats(0, 1)), draw(st.floats(0, 1)))
+    if kind == "observed":
+        return DependabilityReport(name, *metrics)
+    bins = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    edges = tuple(tuple(draw(st.lists(
+        st.floats(-1e9, 1e9, allow_subnormal=True), min_size=b + 1,
+        max_size=b + 1, unique=True).map(sorted))) for b in bins)
+    n = int(np.prod(bins))
+    weights = draw(hnp.arrays(float, n, elements=st.one_of(
+        st.sampled_from([0.0, 5e-324]), st.floats(0, 1e300))))
+    counts = draw(hnp.arrays(np.int64, (n, 3),
+                             elements=st.integers(0, 2**63 - 1)))
+    dropped, dropped_mass = np.zeros(0, dtype=np.int64), 0.0
+    if kind != "predicted":
+        dropped = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                         unique=True).map(sorted)),
+                           dtype=np.int64)
+        dropped_mass = draw(st.floats(0, 1, exclude_min=True,
+                                      exclude_max=True))
+    if kind == "vacuous":
+        metrics, weights, dropped_mass = (0.0, 0.0, 0.0), np.zeros(n), 1.0
+    return DependabilityReport(name, *metrics, edges=edges, weights=weights,
+                               counts=counts, renormalized=kind != "predicted",
+                               dropped_mass=dropped_mass,
+                               dropped_regions=dropped)
+
+
+@settings(max_examples=200)
+@given(report=reports())
+def test_read_report_of_write_report_is_the_report(tmp_path_factory, report):
+    path = tmp_path_factory.mktemp("round") / "report.json"
+    write_report(path, report)
+    assert read_report(path) == report
 
 
 class TestReadReportRejects:
@@ -390,39 +472,90 @@ class TestReadReportRejects:
         return json.loads(path.read_text())
 
     @pytest.mark.parametrize("edit", [
-        lambda d: d["per_region"].__setitem__(1, 5),
-        lambda d: d["per_region"].__setitem__(1, None),
-        lambda d: d["per_region"].__setitem__(1, "row"),
-        lambda d: d["per_region"][1].__setitem__("bounds", None),
-        lambda d: d["per_region"][1].__setitem__("bounds", [[0.0, 1.0]]),
-        lambda d: d["per_region"][1].__setitem__("index", [0, 1.5]),
-        lambda d: d["per_region"][1].__setitem__("index", [0, -1]),
-        lambda d: d["per_region"][1].__setitem__("mass", None),
-        lambda d: d["per_region"][1].__setitem__("mass", "x"),
-        lambda d: d["per_region"][1].__setitem__("n_success", -1),
-        lambda d: d["per_region"][1].__setitem__("n_total", 10**6),
-        lambda d: d["per_region"][1].pop("n_harmful"),
-        lambda d: d["per_region"].pop(),
-        lambda d: d["per_region"].reverse(),
-        lambda d: d["per_region"][4]["bounds"][1].__setitem__(0, 0.5),
-        lambda d: d["per_region"][4]["bounds"][1].__setitem__(1, 0.5),
-        lambda d: d["per_region"][1].update(
-            n_success=-1, n_task_fail=d["per_region"][1]["n_task_fail"] + 1),
-        lambda d: [r["bounds"][0].__setitem__(0, -float("inf"))
-                   for r in d["per_region"] if r["index"][0] == 0],
-        lambda d: d.__setitem__("per_region", 5),
-        lambda d: d.__setitem__("dropped_regions", [[0, 3]]),
-        lambda d: d.__setitem__("dropped_regions", [[0]]),
+        # a column of the wrong length
+        lambda d: d["mass"].pop(),
+        lambda d: d["n_task_fail"].append(0),
+        lambda d: d.__setitem__("n_harmful", []),
+        # counts that are not non-negative JSON integers
+        lambda d: d["n_success"].__setitem__(1, True),
+        lambda d: d["n_success"].__setitem__(1, 1.0),
+        lambda d: d["n_task_fail"].__setitem__(1, 2.5),
+        lambda d: d["n_harmful"].__setitem__(1, -1),
+        lambda d: d["n_success"].__setitem__(1, "1"),
+        lambda d: d["n_success"].__setitem__(1, None),
+        lambda d: d["n_harmful"].__setitem__(1, 2**63),
+        # masses that are not finite non-negative JSON numbers
+        lambda d: d["mass"].__setitem__(1, None),
+        lambda d: d["mass"].__setitem__(1, -1.0),
+        lambda d: d["mass"].__setitem__(1, INF),
+        lambda d: d["mass"].__setitem__(1, NAN),
+        lambda d: d["mass"].__setitem__(1, "0.5"),
+        lambda d: d["mass"].__setitem__(1, True),
+        lambda d: d["mass"].__setitem__(1, 10**400),
+        # edges: non-finite, not strictly increasing, the wrong number
+        lambda d: d["edges"][0].__setitem__(0, -INF),
+        lambda d: d["edges"][1].__setitem__(2, d["edges"][1][1]),
+        lambda d: d["edges"][1].reverse(),
+        lambda d: d["edges"][1].pop(),
+        lambda d: d["edges"].pop(),
+        lambda d: d["edges"].__setitem__(0, [0.0]),
+        lambda d: d["edges"][0].__setitem__(1, True),
+        lambda d: d["edges"][0].__setitem__(1, "0.1"),
+        lambda d: d.__setitem__("edges", 5),
+        lambda d: d["edges"].__setitem__(0, None),
+        # dropped region numbers: out of range, repeated, not integers
+        lambda d: d.__setitem__("dropped_regions", [6]),
+        lambda d: d.__setitem__("dropped_regions", [-1]),
+        lambda d: d.__setitem__("dropped_regions", [2, 2]),
+        lambda d: d.__setitem__("dropped_regions", [3, 1]),
+        lambda d: d.__setitem__("dropped_regions", [1.0]),
+        lambda d: d.__setitem__("dropped_regions", [True]),
+        lambda d: d.__setitem__("dropped_regions", ["1"]),
+        lambda d: d.__setitem__("dropped_regions", [[0, 1]]),
         lambda d: d.__setitem__("dropped_regions", 7),
+        # a missing or different format_version
+        lambda d: d.pop("format_version"),
+        lambda d: d.__setitem__("format_version", 1),
+        lambda d: d.__setitem__("format_version", 3),
+        lambda d: d.__setitem__("format_version", "2"),
+        lambda d: d.__setitem__("format_version", 2.0),
+        lambda d: d.__setitem__("format_version", True),
+        # the header and missing columns
         lambda d: d.__setitem__("dependability", None),
         lambda d: d.__setitem__("dependability", 2.0),
+        lambda d: d.__setitem__("dependability", "0.5"),
+        lambda d: d.__setitem__("task_undependability", True),
+        lambda d: d.__setitem__("renormalized", "false"),
+        lambda d: d.__setitem__("renormalized", 0),
+        lambda d: d.__setitem__("dropped_mass", True),
+        lambda d: d.__setitem__("condition", 5),
+        lambda d: d.pop("condition"),
         lambda d: d.pop("harmful_undependability"),
+        lambda d: d.pop("mass"),
+        lambda d: d.pop("n_success"),
+        lambda d: d.pop("edges"),
+        lambda d: d.pop("dropped_regions"),
     ])
     def test_malformed_report(self, tmp_path, doc, edit):
         edit(doc)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc, indent=2))
         with pytest.raises(DataError, match="bad.json"):
+            read_report(path)
+
+    def test_row_per_region_file_asks_for_a_new_one(self, tmp_path):
+        """A report of the earlier layout, one object per region and no
+        format_version, is refused with a message that says what to do."""
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({
+            "condition": "line", "dependability": 1.0,
+            "task_undependability": 0.0, "harmful_undependability": 0.0,
+            "renormalized": False, "dropped_mass": 0.0, "dropped_regions": [],
+            "per_region": [{"index": [0], "bounds": [[0.0, 1.0]], "mass": 1.0,
+                            "n_total": 2, "n_success": 2, "n_task_fail": 0,
+                            "n_harmful": 0}]}, indent=2) + "\n")
+        with pytest.raises(DataError, match=r"v1\.json: not a report file of "
+                                            r"format_version 2 .*re-run"):
             read_report(path)
 
     @pytest.mark.parametrize("text", ["[]", "null", "5", '"report"', "{"])
