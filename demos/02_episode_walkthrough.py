@@ -8,7 +8,6 @@ obstacle has passed, then climbs. Both phases are visible in the trace.
 import numpy as np
 
 from depgrid import (
-    Scenario,
     ScriptedPolicy,
     classify,
     init,
@@ -21,11 +20,12 @@ from depgrid.simulator import _observation
 env = presets.default_env()
 policy = ScriptedPolicy(presets.default_policy_params(), env)
 
-# obstacle at 4 in/s starting at t=2; goal height 35
-x = Scenario.of(4.0, 2.0, 35.0)
+# a scenario is its (v, t, y) coordinates: obstacle at 4 in/s starting at
+# t=2; goal height 35
+x = (4.0, 2.0, 35.0)
 seed = 20
 
-print(f"scenario: v={x.values[0]}, t={x.values[1]}, y={x.values[2]}")
+print(f"scenario: v={x[0]}, t={x[1]}, y={x[2]}")
 print()
 print(f"{'time':>4} {'robot':>6} {'edge':>8} {'action':>9}   note")
 
@@ -61,6 +61,6 @@ print(f"run_episode agrees: mode={record.mode.value}, steps={record.steps}")
 
 # a high goal latches the impatient branch and ends in a collision
 risky = run_episode(env, ScriptedPolicy(presets.default_policy_params(), env),
-                    Scenario.of(4.0, 2.0, 48.0), seed)
+                    (4.0, 2.0, 48.0), seed)
 print(f"goal 48 instead: mode={risky.mode.value}, "
       f"collision at t={risky.collision_time}")

@@ -16,7 +16,6 @@ from .domain import (
     DomainSpace,
     PartitionGrid,
     Region,
-    Scenario,
     Uniform,
     norm_cdf,
     partition_indices,

@@ -257,33 +257,19 @@ def cmd_plot(args) -> int:
 # Full pipeline
 # ---------------------------------------------------------------------------
 
-# Fixed offsets applied to the master seed, one per derived stream.
-_SEED_OFFSETS = {
-    "scenarios_testing": 11,
-    "scenarios_oc1": 12,
-    "scenarios_oc2": 13,
-    "scenarios_oc3": 14,
-    "scenarios_oc4": 15,
-    "campaign_testing": 21,
-    "campaign_oc1": 22,
-    "campaign_oc2": 23,
-    "campaign_oc3": 24,
-    "campaign_oc4": 25,
-}
-
-
 def reproduce(out_dir: str | Path, *, n: int = 20000, seed: int = 0,
               tolerance_pts: float = 2.0,
               grid: PartitionGrid | None = None) -> dict:
     """Run the whole pipeline into out_dir and return the summary dict.
 
     Steps: uniform testing campaign; per-region tallies; predictions for the
-    four operating conditions; held-out observation campaigns for each;
+    testing and the four operating conditions, before any file is written;
+    held-out observation campaigns for each operating condition;
     predicted-vs-observed comparison; a paired safety-function campaign on
-    the same testing scenarios; summary table, reports, and charts. Each
-    campaign is simulated by evaluate_policy, which steps all its episodes
-    in lockstep. Output bytes are a pure function of (n, seed, grid,
-    tolerance).
+    the same testing scenarios; summary table, reports, and charts. Output
+    bytes are a pure function of (n, seed, grid, tolerance): condition k of
+    ("testing",) + OPERATING_CONDITION_NAMES draws its scenarios with seed +
+    11 + k and runs its campaign with master seed seed + 21 + k.
 
     The default 10x10x10 grid needs n large enough to populate every voxel
     (the uniform testing campaign covers all 1000 with n around 20000);
@@ -299,59 +285,64 @@ def reproduce(out_dir: str | Path, *, n: int = 20000, seed: int = 0,
     space = presets.domain_space()
     grid = grid or presets.default_grid()
     validate_grid(grid, space)
+    names = ("testing",) + presets.OPERATING_CONDITION_NAMES
 
-    def campaign_for(cond_name: str, scen_key: str, camp_key: str, *,
-                     safety: SafetyFunction | None = None,
-                     scenarios=None, tag: str | None = None):
-        cond = presets.condition(cond_name)
-        if scenarios is None:
-            scenarios = sample(cond, n, seed + _SEED_OFFSETS[scen_key])
-            write_scenarios(out / "scenarios" / f"{tag or cond_name}.jsonl",
-                            scenarios)
-        campaign = evaluate_policy(
+    def sample_for(k: int):
+        return sample(presets.condition(names[k]), n, seed + 11 + k)
+
+    def campaign_for(k: int, scenarios,
+                     safety: SafetyFunction | None = None) -> TestCampaign:
+        return evaluate_policy(
             env, _policy_factory("scripted", params, env, safety), scenarios,
-            seed + _SEED_OFFSETS[camp_key], condition_name=cond_name)
-        name = tag or cond_name
+            seed + 21 + k, condition_name=names[k])
+
+    def write_campaign(name: str, campaign: TestCampaign,
+                       safety: SafetyFunction | None = None) -> None:
         write_records(out / "records" / f"{name}.jsonl", campaign)
         write_manifest(out / "records" / f"{name}.manifest.json", CampaignManifest(
-            condition=cond_name,
+            condition=campaign.condition_name,
             policy_name="scripted",
             policy_params=params.as_dict(),
             safety=safety.as_dict() if safety else None,
-            master_seed=seed + _SEED_OFFSETS[camp_key],
+            master_seed=campaign.master_seed,
             n_records=len(campaign),
-            scenarios_path=f"../scenarios/{tag or cond_name}.jsonl",
+            scenarios_path=f"../scenarios/{name}.jsonl",
             records_path=f"{name}.jsonl",
         ))
-        return campaign, scenarios
+
+    # testing campaign, per-region tallies and every prediction
+    test_scenarios = sample_for(0)
+    test_campaign = campaign_for(0, test_scenarios)
+    tallies = tally(test_campaign, grid, space)
+    predictions = [predict(tallies, presets.condition(name)) for name in names]
+    observed_test = observed_rates(test_campaign)
 
     # condition documents, for the record
-    for name in ("testing",) + presets.OPERATING_CONDITION_NAMES:
+    for name in names:
         doc = condition_document(presets.condition(name), grid,
                                  seed, env=env,
                                  policy={"name": "scripted",
                                          "params": params.as_dict()})
         atomic_write_text(out / "conditions" / f"{name}.json", dump_json(doc))
 
-    # testing campaign and per-region tallies
-    test_campaign, test_scenarios = campaign_for(
-        "testing", "scenarios_testing", "campaign_testing")
-    tallies = tally(test_campaign, grid, space)
-    observed_test = observed_rates(test_campaign)
+    write_scenarios(out / "scenarios" / "testing.jsonl", test_scenarios)
+    write_campaign("testing", test_campaign)
     write_report(out / "reports" / "observed_testing.json", observed_test)
+    for name, predicted in zip(names, predictions):
+        write_report(out / "reports" / f"predicted_{name}.json", predicted)
 
     # re-weighting identity under the testing conditions themselves
-    predicted_test = predict(tallies, presets.condition("testing"))
-    write_report(out / "reports" / "predicted_testing.json", predicted_test)
-    identity = compare(predicted_test, observed_test)
+    identity = compare(predictions[0], observed_test)
 
-    # novel operating conditions: predict, then confirm with held-out runs
+    # novel operating conditions: confirm each prediction with held-out runs
     oc_rows = []
     pairs = []
-    for oc in presets.OPERATING_CONDITION_NAMES:
-        predicted = predict(tallies, presets.condition(oc))
-        write_report(out / "reports" / f"predicted_{oc}.json", predicted)
-        heldout, _ = campaign_for(oc, f"scenarios_{oc}", f"campaign_{oc}")
+    for k, oc in enumerate(presets.OPERATING_CONDITION_NAMES, start=1):
+        predicted = predictions[k]
+        scenarios = sample_for(k)
+        heldout = campaign_for(k, scenarios)
+        write_scenarios(out / "scenarios" / f"{oc}.jsonl", scenarios)
+        write_campaign(oc, heldout)
         observed = observed_rates(heldout)
         write_report(out / "reports" / f"observed_{oc}.json", observed)
         deltas = compare(predicted, observed)
@@ -367,9 +358,8 @@ def reproduce(out_dir: str | Path, *, n: int = 20000, seed: int = 0,
 
     # safety function on the very same testing scenarios and episode seeds
     sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
-    safety_campaign, _ = campaign_for(
-        "testing", "scenarios_testing", "campaign_testing",
-        safety=sf, scenarios=test_scenarios, tag="testing_safety")
+    safety_campaign = campaign_for(0, test_scenarios, sf)
+    write_campaign("testing_safety", safety_campaign, sf)
     observed_safety = observed_rates(safety_campaign)
     write_report(out / "reports" / "observed_testing_safety.json",
                  observed_safety)

@@ -6,6 +6,11 @@ marginals are clipped to the dimension bounds, which places point atoms of
 probability on the boundary values. Region masses under any condition set are
 computed analytically, so they never require sampling or simulation.
 
+A scenario is a point of the domain given by its coordinates, in dimension
+order: a row of an (n, ndim) float array on the campaign path (``sample``
+returns one), or any coordinate sequence where one scenario is handled on its
+own.
+
 Bin-edge convention: every bin is half-open [lo, hi) except the last bin of
 each dimension, which is closed [lo, hi]. A value lying exactly on an interior
 edge belongs to the higher bin.
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Union
 
 import numpy as np
@@ -93,10 +98,6 @@ class DomainSpace:
                 return i
         raise ConfigError(f"unknown dimension {name!r}; domain has {self.names}")
 
-    def check_values(self, values) -> None:
-        """Raise OutOfDomain unless every coordinate is within its bounds."""
-        self.check_points([values])
-
     def check_points(self, xs) -> np.ndarray:
         """The points xs as an (n, ndim) float array. A point with the wrong
         number of coordinates or one outside its bounds (NaN and infinities
@@ -120,17 +121,6 @@ class DomainSpace:
                    lambda i: f"{self.names[k[i]]} = {xs[i, k[i]]} outside "
                              f"[{lo[k[i]]}, {hi[k[i]]}]", OutOfDomain)
         return xs
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One point of the domain, in dimension order. Hashable."""
-
-    values: tuple[float, ...]
-
-    @classmethod
-    def of(cls, *values: float) -> "Scenario":
-        return cls(tuple(float(v) for v in values))
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +346,19 @@ class DiscreteCondition:
     """A finite explicit scenario -> probability table over the domain.
 
     Used for exact (brute-force) dependability on discrete-bounded domains;
-    the table must cover the whole support and sum to 1.
+    the table must cover the whole support and sum to 1. Each scenario is a
+    coordinate sequence; ``scenarios`` holds them as tuples of floats, the
+    keys brute_force_dependability looks outcomes up by.
     """
 
     name: str
     space: DomainSpace
-    scenarios: tuple[Scenario, ...]
+    scenarios: tuple[tuple[float, ...], ...]
     probabilities: tuple[float, ...]
 
     def __post_init__(self):
+        xs = self.space.check_points(self.scenarios)
+        object.__setattr__(self, "scenarios", tuple(map(tuple, xs.tolist())))
         if len(self.scenarios) != len(self.probabilities):
             raise ConfigError(
                 f"condition {self.name!r}: {len(self.scenarios)} scenarios, "
@@ -380,12 +374,10 @@ class DiscreteCondition:
             raise ConfigError(
                 f"condition {self.name!r}: probabilities sum to {total!r}, not 1"
             )
-        self.space.check_points([s.values for s in self.scenarios])
 
     def region_mass_vector(self, grid: PartitionGrid) -> np.ndarray:
         """Sum of table probabilities per region, raveled in C order."""
-        xs = np.array([s.values for s in self.scenarios])
-        idx = partition_indices(grid, self.space, xs)
+        idx = partition_indices(grid, self.space, self.scenarios)
         keys = np.ravel_multi_index(idx.T, grid.bins)
         out = np.zeros(grid.n_regions)
         np.add.at(out, keys, np.asarray(self.probabilities))
@@ -405,7 +397,7 @@ def region_mass(cond: Condition, region: Region) -> float:
     if isinstance(cond, DiscreteCondition):
         return float(math.fsum(
             p for s, p in zip(cond.scenarios, cond.probabilities)
-            if region.contains(s.values)
+            if region.contains(s)
         ))
     mass = 1.0
     for d, dim in enumerate(cond.space.dims):
@@ -581,23 +573,23 @@ def substream_seeds(master_seed: int, n: int) -> np.ndarray:
     return w[:, 0] | (w[:, 1] << _SHIFT32)
 
 
-def sample(cond: ConditionSet, n: int, seed: int) -> list[Scenario]:
-    """Draw n scenarios from the condition's product distribution.
+def sample(cond: ConditionSet, n: int, seed: int) -> np.ndarray:
+    """Draw n scenarios from the condition's product distribution, as the
+    rows of an (n, ndim) float array.
 
-    Scenario i draws one value per dimension, in dimension order, from
+    Row i draws one value per dimension, in dimension order, from
     PCG64(SeedSequence(seed, spawn_key=(i,))), so the result is a pure
-    function of (cond, n, seed) and its first k scenarios equal sample(cond,
-    k, seed). The substream states are computed for all indices at once, and
-    one generator serves every scenario (see _seeded_streams). Gaussian draws
-    are clipped to the dimension bounds. A negative seed raises ConfigError.
+    function of (cond, n, seed) and its first k rows equal sample(cond, k,
+    seed). The substream states are computed for all indices at once, and
+    one generator serves every row (see _seeded_streams). Gaussian draws are
+    clipped to the dimension bounds. A negative seed raises ConfigError.
     """
     if n < 0:
         raise ConfigError(f"sample count must be >= 0, got {n}")
     if not isinstance(cond, ConditionSet):
         raise ConfigError("sample() draws from product conditions only")
-    dims = cond.space.dims
-    marginals = cond.marginals
-    return [
-        Scenario(tuple(m.draw(rng, d) for m, d in zip(marginals, dims)))
-        for rng in _seeded_streams(_spawn_entropy(seed, range(n)))
-    ]
+    pairs = tuple(zip(cond.marginals, cond.space.dims))
+    xs = np.empty((n, len(pairs)))
+    for row, rng in zip(xs, _seeded_streams(_spawn_entropy(seed, range(n)))):
+        row[:] = [m.draw(rng, d) for m, d in pairs]
+    return xs

@@ -36,7 +36,6 @@ from .domain import (
     DiscreteCondition,
     DomainSpace,
     PartitionGrid,
-    Scenario,
     partition_indices,
 )
 from .errors import (
@@ -69,12 +68,13 @@ _MODE_ORDER = (BehaviorMode.SUCCESS, BehaviorMode.TASK_FAILURE,
 class TrialRecord:
     """Outcome of running a policy in one scenario: one row of a campaign.
 
-    steps counts the seconds stepped; a harmful failure's collision_time
+    scenario is the scenario's coordinates as a tuple of floats. steps
+    counts the seconds stepped; a harmful failure's collision_time
     equals steps, other modes have none. A mode name is converted to its
     BehaviorMode; the record invariants are checked on campaign columns.
     """
 
-    scenario: Scenario
+    scenario: tuple[float, ...]
     mode: BehaviorMode
     seed: int
     steps: int
@@ -140,7 +140,7 @@ class TestCampaign:
     def records(self) -> tuple[TrialRecord, ...]:
         harmful = BehaviorMode.HARMFUL_FAILURE.code
         return tuple(
-            TrialRecord(Scenario(tuple(x)), _MODE_ORDER[m], seed, steps,
+            TrialRecord(tuple(x), _MODE_ORDER[m], seed, steps,
                         position, float(steps) if m == harmful else None)
             for x, m, seed, steps, position in zip(
                 self.scenarios.tolist(), self.modes.tolist(), self.seeds,
@@ -349,10 +349,12 @@ def predict(tally: Tally, target: Condition, *,
 
 
 def brute_force_dependability(
-    policy_outcomes: Mapping[Scenario, BehaviorMode],
+    policy_outcomes: Mapping[tuple[float, ...], BehaviorMode],
     cond: DiscreteCondition,
 ) -> DependabilityReport:
-    """Exact expectation of the mode indicators over an explicit table.
+    """Exact expectation of the mode indicators over an explicit table;
+    ``policy_outcomes`` maps each coordinate tuple of ``cond.scenarios`` to
+    its behavior mode.
 
     Serves as the independent oracle for the partition estimator on
     discrete-bounded domains: when each grid region holds exactly one table
@@ -361,7 +363,7 @@ def brute_force_dependability(
     missing = [s for s in cond.scenarios if s not in policy_outcomes]
     if missing:
         raise IncompleteOutcomes(
-            f"{len(missing)} scenario(s) lack outcomes, e.g. {missing[0].values}"
+            f"{len(missing)} scenario(s) lack outcomes, e.g. {missing[0]}"
         )
     total = math.fsum(cond.probabilities)
     acc = {m: 0.0 for m in _MODE_ORDER}

@@ -12,17 +12,18 @@ form (``batch(n)``) returns a controller that keeps the per-episode state of
 n episodes as arrays and maps a batch observation to a forward mask;
 ``evaluate_policy`` runs every campaign through it with
 ``simulator.run_batch`` and returns the campaign as columns
-(estimator.TestCampaign), one entry per scenario.
+(estimator.TestCampaign), one entry per scenario, that is per row of the
+(n, 3) scenario array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Protocol
 
 import numpy as np
 
-from .domain import Scenario, substream_seeds
+from .domain import substream_seeds
 from .errors import ConfigError
 from .estimator import TestCampaign
 from .simulator import Action, EnvConfig, Observation, run_batch
@@ -157,10 +158,11 @@ class ScriptedBatch:
 
 
 def evaluate_policy(cfg: EnvConfig, policy_factory: PolicyFactory,
-                    scenarios: Sequence[Scenario], master_seed: int, *,
+                    scenarios: np.ndarray, master_seed: int, *,
                     condition_name: str = "") -> TestCampaign:
-    """Run one episode per scenario, all in lockstep through the batch form
-    of ``policy_factory()``; a policy without one raises ConfigError.
+    """Run one episode per row of ``scenarios``, an (n, 3) float array such
+    as ``sample`` returns, all in lockstep through the batch form of
+    ``policy_factory()``; a policy without one raises ConfigError.
 
     Episode i's seed is ``substream_seed(master_seed, i)``, and its record
     equals ``run_episode(cfg, policy_factory(), scenarios[i], seed)``, so the

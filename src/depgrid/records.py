@@ -4,6 +4,10 @@ and campaign manifests.
 All writes are atomic (temp file then rename). Floats are serialized with
 repr-level precision, so every format round-trips losslessly.
 
+A scenario file has one JSON list of coordinates per line, one line per row
+of an (n, d) scenario array: write_scenarios fills the rows into one line
+template, and read_scenarios returns the checked array.
+
 A record file has one JSON line per record. write_records fills a campaign's
 columns into one line template; read_records parses each line on its own,
 then builds and checks the columns, naming the line of the first bad record.
@@ -25,7 +29,7 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -35,7 +39,6 @@ from .domain import (
     Dimension,
     DomainSpace,
     PartitionGrid,
-    Scenario,
     Uniform,
     validate_grid,
 )
@@ -160,7 +163,7 @@ def load_condition_file(path: str | Path) -> tuple[ConditionSet, PartitionGrid, 
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: line {e.lineno}, col {e.colno}: {e.msg}") from None
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: {e}") from None
     cond, grid, seed = parse_condition_document(doc)
     return cond, grid, seed, doc
@@ -174,9 +177,11 @@ def dump_json(obj: Any) -> str:
 # Scenario and trial-record JSON Lines
 # ---------------------------------------------------------------------------
 
-def write_scenarios(path: str | Path, scenarios: Iterable[Scenario]) -> None:
-    lines = [json.dumps(list(s.values)) for s in scenarios]
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+def write_scenarios(path: str | Path, scenarios: np.ndarray) -> None:
+    """Write each row of an (n, d) scenario array as one JSON list line."""
+    atomic_write_text(path, "".join(
+        "[%s]\n" % ", ".join(map(repr, x))
+        for x in np.asarray(scenarios, dtype=float).tolist()))
 
 
 def _read_json_lines(path: str | Path, build):
@@ -219,14 +224,14 @@ def _scenario_array(xs: list) -> np.ndarray:
     return a
 
 
-def read_scenarios(path: str | Path) -> list[Scenario]:
-    return [Scenario(tuple(x))
-            for x in _read_json_lines(path, _scenario_array).tolist()]
+def read_scenarios(path: str | Path) -> np.ndarray:
+    """The (n, d) scenario array of a scenario file (see _scenario_array)."""
+    return _read_json_lines(path, _scenario_array)
 
 
 def record_to_dict(r: TrialRecord) -> dict:
     return {
-        "scenario": list(r.scenario.values),
+        "scenario": list(r.scenario),
         "mode": r.mode.value,
         "seed": r.seed,
         "steps": r.steps,

@@ -7,16 +7,17 @@ position at or above that height is in its path while it occupies the column.
 The robot's task is to reach or exceed the goal height y at some point during
 the episode; colliding with the obstacle at any time is a harmful failure.
 
-Episodes are pure functions of (config, policy, scenario, seed). Sensor noise
-is redrawn at every observation from the episode's own generator.
+Episodes are pure functions of (config, policy, scenario, seed); a scenario
+is its (v, t, y) coordinates. Sensor noise is redrawn at every observation
+from the episode's own generator.
 
-Two functions run episodes. ``run_episode`` steps one episode through
-init/act/step/classify and returns its TrialRecord; it is the reference.
-``run_batch`` steps every episode of a campaign in lockstep with numpy, in
-blocks of at most 1,024 episodes, and returns the campaign's columns (see
-estimator.TestCampaign), whose rows equal ``run_episode``'s records: the same
-noise stream per seed, the same clip, leading-edge formula and collision
-test, and an episode freezes when it collides.
+Two functions run episodes. ``run_episode`` steps one scenario (any (v, t, y)
+sequence) through init/act/step/classify into its TrialRecord; it is the
+reference. ``run_batch`` steps the rows of an (n, 3) scenario array in
+lockstep, in blocks of at most 1,024 episodes, and returns the campaign's
+columns (see estimator.TestCampaign), whose rows equal ``run_episode``'s
+records: the same noise stream per seed, the same clip, leading-edge formula
+and collision test, and an episode freezes when it collides.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .domain import (Dimension, DomainSpace, Scenario, _entropy_words,
-                     _seeded_streams)
+from .domain import Dimension, DomainSpace, _entropy_words, _seeded_streams
 from .errors import ConfigError, EpisodeNotFinished, SteppingTerminatedEpisode
 from .estimator import BehaviorMode, TestCampaign, TrialRecord
 
@@ -95,7 +95,7 @@ class EnvState:
     time: int
     robot_pos: float
     obstacle_leading_edge: float
-    scenario: Scenario
+    scenario: tuple[float, ...]
     max_robot_pos: float
     collided: bool = False
     collision_time: float | None = None
@@ -115,14 +115,16 @@ class Observation:
     goal_noisy: float
 
 
-def _leading_edge(cfg: EnvConfig, x: Scenario, time: float) -> float:
-    v, t, _ = x.values
+def _leading_edge(cfg: EnvConfig, x: tuple[float, ...], time: float) -> float:
+    v, t, _ = x
     return cfg.obstacle_spawn_offset - v * max(0.0, time - t)
 
 
-def init(cfg: EnvConfig, x: Scenario) -> EnvState:
-    """Fresh episode state: robot at the track bottom, obstacle at spawn."""
-    scenario_domain(cfg).check_values(x.values)
+def init(cfg: EnvConfig, x: Sequence[float]) -> EnvState:
+    """Fresh episode state: robot at the track bottom, obstacle at spawn.
+    The state holds the scenario x, any (v, t, y) sequence, as a tuple of
+    floats; a scenario outside the domain raises OutOfDomain."""
+    x = tuple(scenario_domain(cfg).check_points([x])[0].tolist())
     start = cfg.robot_bounds[0]
     return EnvState(
         time=0,
@@ -136,7 +138,7 @@ def init(cfg: EnvConfig, x: Scenario) -> EnvState:
 def _observation(cfg: EnvConfig, state: EnvState, eps) -> Observation:
     """The sensor reading at ``state`` given three standard normals ``eps``
     (obstacle position, obstacle speed, goal)."""
-    v, _, y = state.scenario.values
+    v, _, y = state.scenario
     return Observation(
         obstacle_pos_noisy=state.obstacle_leading_edge
         + cfg.noise_sigma_obstacle_pos * eps[0],
@@ -184,17 +186,19 @@ def classify(cfg: EnvConfig, state: EnvState) -> BehaviorMode:
         )
     if state.collided:
         return BehaviorMode.HARMFUL_FAILURE
-    goal = state.scenario.values[2]
+    goal = state.scenario[2]
     if state.max_robot_pos >= goal:
         return BehaviorMode.SUCCESS
     return BehaviorMode.TASK_FAILURE
 
 
-def run_episode(cfg: EnvConfig, policy, x: Scenario, seed: int) -> TrialRecord:
+def run_episode(cfg: EnvConfig, policy, x: Sequence[float],
+                seed: int) -> TrialRecord:
     """Observe/act/step until collision or the time limit, then classify.
 
-    Noise for the whole episode is drawn up front from PCG64(seed) as a
-    (episode_seconds, 3) block; observation k reads row k.
+    The TrialRecord's scenario is x as init holds it. Noise for the whole
+    episode is drawn up front from PCG64(seed) as a (episode_seconds, 3)
+    block; observation k reads row k.
     """
     state = init(cfg, x)
     policy.reset()
@@ -204,7 +208,7 @@ def run_episode(cfg: EnvConfig, policy, x: Scenario, seed: int) -> TrialRecord:
         obs = _observation(cfg, state, noise[state.time])
         state = step(cfg, state, policy.act(obs))
     return TrialRecord(
-        scenario=x,
+        scenario=state.scenario,
         mode=classify(cfg, state),
         seed=int(seed),
         steps=state.time,
@@ -228,10 +232,11 @@ def batch_form(policy) -> Callable[[int], "BatchPolicy"]:
     return batch
 
 
-def run_batch(cfg: EnvConfig, policy, scenarios: Sequence[Scenario],
+def run_batch(cfg: EnvConfig, policy, scenarios: np.ndarray,
               seeds: Sequence[int]) -> TestCampaign:
     """The campaign of one episode per (scenario, seed) pair, stepping each
-    block of episodes in lockstep.
+    block of episodes in lockstep. ``scenarios`` is an (n, 3) float array
+    of (v, t, y) rows, such as ``sample`` returns.
 
     Row i equals ``run_episode(cfg, p, scenarios[i], seeds[i])`` bit for
     bit, where p is a fresh policy configured like ``policy``. Each block
@@ -245,7 +250,7 @@ def run_batch(cfg: EnvConfig, policy, scenarios: Sequence[Scenario],
             f"{len(seeds)} seeds for {len(scenarios)} scenarios"
         )
     make_controller = batch_form(policy)
-    xs = scenario_domain(cfg).check_points([x.values for x in scenarios])
+    xs = scenario_domain(cfg).check_points(scenarios)
     seeds = tuple(map(operator.index, seeds))
     n = len(xs)
     modes = np.empty(n, dtype=np.int8)

@@ -55,7 +55,7 @@ def campaign_of(records, name: str = "synthetic",
     """The campaign whose rows are the TrialRecords ``records``; their
     collision_time is not stored, since the columns derive it."""
     records = list(records)
-    xs = [r.scenario.values for r in records]
+    xs = [r.scenario for r in records]
     return TestCampaign(
         name, np.array(xs, dtype=float) if xs else np.empty((0, 0)),
         np.array([r.mode.code for r in records], dtype=np.int8),

@@ -23,7 +23,6 @@ from depgrid import (
     DiscreteCondition,
     EmptyPartition,
     PartitionGrid,
-    Scenario,
     ScriptedPolicy,
     TrialRecord,
     Uniform,
@@ -143,7 +142,7 @@ def test_criterion_2_oracle_equivalence(space):
         centers, outcomes, records = [], {}, []
         for idx in np.ndindex(*grid.bins):
             region = grid.region(space, idx)
-            center = Scenario(tuple((lo + hi) / 2 for lo, hi in region.bounds))
+            center = tuple((lo + hi) / 2 for lo, hi in region.bounds)
             mode = modes[rng.integers(0, 3)]
             centers.append(center)
             outcomes[center] = mode
@@ -234,7 +233,7 @@ def test_criterion_7_failure_topology(bundle, env, params):
         if replay != r or p.latched_goal < params.risk_goal_threshold:
             latched_ok = False
             break
-    slow = sum(1 for r in task if r.scenario.values[0] <= 1.5)
+    slow = sum(1 for r in task if r.scenario[0] <= 1.5)
     slow_frac = slow / len(task)
     criterion(7, "harmful failures all latch perceived goals at or above "
                  "the risk threshold; >= 95% of task failures have v <= 1.5",

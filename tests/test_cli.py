@@ -88,6 +88,23 @@ class TestSample:
                        "--out", str(tmp_path / "s.jsonl")) == 2
         assert "ConfigError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sample", "predict", "run"])
+    def test_non_utf8_config_exits_2_naming_the_file(self, small_pipeline,
+                                                     tmp_path, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        inputs = {"sample": ("--n", "5"),
+                  "predict": ("--records", str(small_pipeline["rec"])),
+                  "run": ("--scenarios", str(small_pipeline["scen"]))}[command]
+        out = tmp_path / "out.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "depgrid.cli", command, *inputs,
+             "--config", str(bad), "--out", str(out)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"ConfigError: {bad}: ")
+        assert "Traceback" not in proc.stderr and not out.exists()
+
 
 class TestRunObservePredict:
     def test_observe_report(self, small_pipeline, tmp_path):
@@ -475,23 +492,33 @@ class TestReproduce:
         ET.parse(out / "plots" / "failures_testing.svg")
 
 
-    @pytest.mark.parametrize("flag, value, message", [
-        pytest.param("--seed", "-12", "ConfigError: seed", id="-12"),
-        pytest.param("--seed", "-1", "ConfigError: seed", id="-1"),
-        pytest.param("--grid", "1,1", "InvalidGrid: grid has 2", id="grid-1,1"),
-        pytest.param("--n", "0", "ConfigError: n", id="n-0"),
-        pytest.param("--n", "-4", "ConfigError: n", id="n--4"),
+    @pytest.mark.parametrize("edits, code, message", [
+        pytest.param({"--seed": "-12"}, 2,
+                     "ConfigError: seed must be non-negative, got -12", id="-12"),
+        pytest.param({"--seed": "-1"}, 2,
+                     "ConfigError: seed must be non-negative, got -1", id="-1"),
+        pytest.param({"--grid": "1,1"}, 2,
+                     "InvalidGrid: grid has 2 dimensions, domain has 3",
+                     id="grid-1,1"),
+        pytest.param({"--n": "0"}, 2, "ConfigError: n must be at least 1, got 0",
+                     id="n-0"),
+        pytest.param({"--n": "-4"}, 2,
+                     "ConfigError: n must be at least 1, got -4", id="n--4"),
+        # 50 testing scenarios leave most of the default 10^3 grid uncovered
+        pytest.param({"--n": "50", "--grid": None}, 4,
+                     "region(s) with positive target mass have no test samples",
+                     id="n-50-default-grid"),
     ])
     def test_negative_seed_exits_2_before_writing(self, tmp_path, capsys,
-                                                  flag, value, message):
-        """A negative seed, a non-positive n or a grid of the wrong rank is
-        refused before anything is written."""
+                                                  edits, code, message):
+        """A negative seed, a non-positive n or a grid of the wrong rank
+        exits 2, and an n too small for the grid exits 4 (EmptyPartition),
+        before anything is written."""
         out = tmp_path / "repro"
-        flags = {"--n": "5", "--grid": "1,1,1", "--seed": "0", flag: value}
-        assert run_cli("reproduce", "--out-dir", str(out),
-                       *(a for kv in flags.items() for a in kv)) == 2
-        err = capsys.readouterr().err
-        assert message in err and (flag == "--grid" or f"got {value}" in err)
+        flags = {"--n": "5", "--grid": "1,1,1", "--seed": "0", **edits}
+        argv = [a for kv in flags.items() if kv[1] is not None for a in kv]
+        assert run_cli("reproduce", "--out-dir", str(out), *argv) == code
+        assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.rglob("*"))
 
     def test_scenario_record_and_manifest_files_are_pinned(self, tmp_path):

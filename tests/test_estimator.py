@@ -22,7 +22,6 @@ from depgrid import (
     OutOfDomain,
     PartitionGrid,
     Region,
-    Scenario,
     ScriptedPolicy,
     TestCampaign,
     TrialRecord,
@@ -43,7 +42,7 @@ from conftest import campaign_of
 
 def make_record(values, mode, seed=0) -> TrialRecord:
     return TrialRecord(
-        scenario=Scenario(tuple(float(v) for v in values)),
+        scenario=tuple(float(v) for v in values),
         mode=mode,
         seed=seed,
         steps=100,
@@ -82,7 +81,7 @@ class TestTally:
     def test_conservation_100k_uniform(self, space, grid):
         n = 100_000
         xs = sample(presets.testing_conditions(), n, 21)
-        records = [make_record(x.values, BehaviorMode.SUCCESS) for x in xs]
+        records = [make_record(x, BehaviorMode.SUCCESS) for x in xs]
         t = tally(make_campaign(records), grid, space)
         assert t.counts.shape == (grid.n_regions, 3)
         assert t.counts.sum() == n and t.counts[:, 0].sum() == n
@@ -116,7 +115,7 @@ class TestTally:
         rng = np.random.default_rng(8)
         modes = list(BehaviorMode)
         records = [
-            make_record(x.values, modes[rng.integers(0, 3)]) for x in xs
+            make_record(x, modes[rng.integers(0, 3)]) for x in xs
         ]
         whole = tally(make_campaign(records), grid, space)
         chunks = [records[i::4] for i in range(4)]
@@ -196,7 +195,7 @@ class TestPredict:
         tallies = tally(make_campaign(records), grid, space)
         target = DiscreteCondition(
             "shift", space,
-            scenarios=(Scenario.of(0.25), Scenario.of(0.75)),
+            scenarios=((0.25,), (0.75,)),
             probabilities=(0.25, 0.75),
         )
         r = predict(tallies, target)
@@ -207,7 +206,7 @@ class TestPredict:
         low_y = ConditionSet("low_y", space, (
             Uniform(0, 10), Uniform(0, 10), Uniform(0, 25)))
         xs = sample(low_y, 600, 17)
-        records = [make_record(x.values, BehaviorMode.SUCCESS) for x in xs]
+        records = [make_record(x, BehaviorMode.SUCCESS) for x in xs]
         tallies = tally(make_campaign(records), grid, space)
         with pytest.raises(EmptyPartition) as exc:
             predict(tallies, presets.condition("oc2"))
@@ -219,7 +218,7 @@ class TestPredict:
         partial = ConditionSet("partial", space, (
             Uniform(0, 10), Uniform(0, 10), Uniform(0, 40)))
         xs = sample(partial, 4000, 19)
-        records = [make_record(x.values, BehaviorMode.SUCCESS) for x in xs]
+        records = [make_record(x, BehaviorMode.SUCCESS) for x in xs]
         tallies = tally(make_campaign(records), grid, space)
         target = presets.condition("oc2")
         with pytest.raises(EmptyPartition):
@@ -234,7 +233,7 @@ class TestPredict:
         low_y = ConditionSet("low_y", space, (
             Uniform(0, 10), Uniform(0, 10), Uniform(0, 25)))
         xs = sample(low_y, 500, 23)
-        records = [make_record(x.values, BehaviorMode.SUCCESS) for x in xs]
+        records = [make_record(x, BehaviorMode.SUCCESS) for x in xs]
         tallies = tally(make_campaign(records), grid, space)
         r = predict(tallies, presets.condition("oc2"), renormalize_empty=True)
         assert r.renormalized and r.dropped_mass == 1.0
@@ -246,7 +245,7 @@ class TestPredict:
         xs = sample(presets.testing_conditions(), 5000, 29)
         rng = np.random.default_rng(4)
         modes = list(BehaviorMode)
-        records = [make_record(x.values, modes[rng.integers(0, 3)])
+        records = [make_record(x, modes[rng.integers(0, 3)])
                    for x in xs]
         tallies = tally(make_campaign(records), grid, space)
         for name in ("testing", "oc1", "oc2", "oc3", "oc4"):
@@ -266,7 +265,7 @@ class TestPredict:
         for p1 in np.linspace(0.0, 1.0, 21):
             target = DiscreteCondition(
                 "m", space,
-                scenarios=(Scenario.of(0.25), Scenario.of(0.75)),
+                scenarios=((0.25,), (0.75,)),
                 probabilities=(float(1.0 - p1), float(p1)),
             )
             d = predict(tallies, target).dependability
@@ -302,7 +301,7 @@ def scalar_predict(space, grid, records, target):
     counts = {r.index: [0, 0, 0] for r in regions}
     modes = list(BehaviorMode)
     for rec in records:
-        idx = next(r.index for r in regions if r.contains(rec.scenario.values))
+        idx = next(r.index for r in regions if r.contains(rec.scenario))
         counts[idx][modes.index(rec.mode)] += 1
     masses = {r.index: region_mass(target, r) for r in regions}
     uncovered = [i for i, m in masses.items() if m > 0 and sum(counts[i]) == 0]
@@ -325,8 +324,8 @@ def test_predict_matches_scalar_region_mass_oracle(space, name,
     rng = np.random.default_rng(9)
     modes = list(BehaviorMode)
     # no records above y = 30: the top y bin is empty, the one below partly
-    records = [make_record(x.values, modes[rng.integers(0, 3)])
-               for x in xs if x.values[2] < 30.0]
+    records = [make_record(x, modes[rng.integers(0, 3)])
+               for x in xs if x[2] < 30.0]
     target = presets.condition(name)
     uncovered, weights, rates = scalar_predict(space, grid, records, target)
     t = tally(make_campaign(records), grid, space)
@@ -354,8 +353,8 @@ def test_predict_report_table_is_the_tally_and_the_weights(space,
     monkeypatch.setattr(Region, "__init__", no_regions)
     grid = PartitionGrid((3, 2, 4))
     xs = [x for x in sample(presets.testing_conditions(), 200, 47)
-          if x.values[2] < 30.0]
-    t = tally(make_campaign(make_record(x.values, BehaviorMode.SUCCESS)
+          if x[2] < 30.0]
+    t = tally(make_campaign(make_record(x, BehaviorMode.SUCCESS)
                             for x in xs), grid, space)
     target = presets.condition("oc3")
     r = predict(t, target, renormalize_empty=True)
@@ -375,7 +374,7 @@ class TestBruteForce:
 
     def test_two_scenarios(self):
         space = self.line()
-        a, b = Scenario.of(0.25), Scenario.of(0.75)
+        a, b = (0.25,), (0.75,)
         cond = DiscreteCondition("d", space, (a, b), (0.5, 0.5))
         r = brute_force_dependability(
             {a: BehaviorMode.SUCCESS, b: BehaviorMode.HARMFUL_FAILURE}, cond)
@@ -384,16 +383,27 @@ class TestBruteForce:
 
     def test_point_mass_dominates(self):
         space = self.line()
-        a, b = Scenario.of(0.25), Scenario.of(0.75)
+        a, b = (0.25,), (0.75,)
         cond = DiscreteCondition("d", space, (a, b), (1.0, 0.0))
         r = brute_force_dependability(
             {a: BehaviorMode.TASK_FAILURE, b: BehaviorMode.SUCCESS}, cond)
         assert (r.dependability, r.task_undependability,
                 r.harmful_undependability) == (0.0, 1.0, 0.0)
 
+    def test_table_scenarios_are_tuples_of_floats(self):
+        cond = DiscreteCondition("d", self.line(), [[0], np.array([0.75])],
+                                 (0.5, 0.5))
+        assert cond.scenarios == ((0.0,), (0.75,))
+        assert all(type(v) is float for x in cond.scenarios for v in x)
+        r = brute_force_dependability({(0.0,): BehaviorMode.SUCCESS,
+                                       (0.75,): BehaviorMode.SUCCESS}, cond)
+        assert r.dependability == 1.0
+        with pytest.raises(OutOfDomain):
+            DiscreteCondition("d", self.line(), ((0.5,), (1.5,)), (0.5, 0.5))
+
     def test_incomplete_outcomes(self):
         space = self.line()
-        a, b = Scenario.of(0.25), Scenario.of(0.75)
+        a, b = (0.25,), (0.75,)
         cond = DiscreteCondition("d", space, (a, b), (0.5, 0.5))
         with pytest.raises(IncompleteOutcomes):
             brute_force_dependability({a: BehaviorMode.SUCCESS}, cond)
@@ -408,12 +418,11 @@ class TestBruteForce:
             centers, outcomes, records = [], {}, []
             for idx in np.ndindex(*grid.bins):
                 region = grid.region(space, idx)
-                center = Scenario(tuple(
-                    (lo + hi) / 2.0 for lo, hi in region.bounds))
+                center = tuple((lo + hi) / 2.0 for lo, hi in region.bounds)
                 mode = modes[rng.integers(0, 3)]
                 centers.append(center)
                 outcomes[center] = mode
-                records.append(make_record(center.values, mode))
+                records.append(make_record(center, mode))
             probs = rng.random(len(centers))
             probs = probs / probs.sum()
             cond = DiscreteCondition("lattice", space, tuple(centers),
@@ -475,7 +484,7 @@ class TestRecordInvariants:
         if collision_time in (None, steps):  # breaks a column invariant
             with pytest.raises(DataError) as e:
                 campaign_of([make_record([1, 1, 1], BehaviorMode.SUCCESS),
-                             TrialRecord(Scenario.of(1, 1, 1), mode, seed=0,
+                             TrialRecord((1.0, 1.0, 1.0), mode, seed=0,
                                          steps=steps, final_position=0.0,
                                          collision_time=collision_time)])
             assert e.value.row == 1

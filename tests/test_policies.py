@@ -15,7 +15,6 @@ from depgrid import (
     EnvConfig,
     Observation,
     SafetyFunction,
-    Scenario,
     ScriptedPolicy,
     ScriptedPolicyParams,
     evaluate_policy,
@@ -111,7 +110,7 @@ class TestFailureStructure:
                   (8.0, 9.9), (0.8, 0.0)]
         for i, (v, t) in enumerate(cases):
             r = run_episode(env, ScriptedPolicy(params, env),
-                            Scenario.of(v, t, 50.0), seed=7000 + i)
+                            (v, t, 50.0), seed=7000 + i)
             expect = impatient_collides(env, v, t)
             got = r.mode is BehaviorMode.HARMFUL_FAILURE
             assert got == expect, (v, t, r.mode)
@@ -124,19 +123,18 @@ class TestFailureStructure:
         # threshold must not end in a collision
         rng = np.random.default_rng(15)
         scenarios = [
-            Scenario.of(rng.uniform(0, 10), rng.uniform(0, 10),
-                        rng.uniform(0, 50))
+            (rng.uniform(0, 10), rng.uniform(0, 10), rng.uniform(0, 50))
             for _ in range(1200)
         ]
         # stress band: obstacle mid-column near the episode end, where a
         # false passage reading is most likely (and kinematically harmless)
         scenarios += [
-            Scenario.of(v, t, 30.0)
+            (v, t, 30.0)
             for v in (0.8, 0.85, 0.9, 0.95, 1.0, 1.05)
             for t in (0.0, 2.5, 5.0, 9.9)
         ]
-        campaign = evaluate_policy(env, scripted_factory, scenarios, 313,
-                                   condition_name="patient-stress")
+        campaign = evaluate_policy(env, scripted_factory, np.array(scenarios),
+                                   313, condition_name="patient-stress")
         n_patient = 0
         for r in campaign.records:
             p = ScriptedPolicy(params, env)
@@ -166,7 +164,7 @@ class TestFailureStructure:
             assert p.latched_goal is not None
             assert p.latched_goal >= params.risk_goal_threshold
         # task failures concentrate at slow obstacle speeds
-        assert all(r.scenario.values[0] <= 1.5 for r in task)
+        assert all(r.scenario[0] <= 1.5 for r in task)
 
 
 class TestEvaluatePolicy:
@@ -253,10 +251,10 @@ def batch_cases(draw):
         sf = SafetyFunction(goal_clip_max=clip)
         factory = lambda: wrap(ScriptedPolicy(params, cfg), sf)
     n = draw(st.integers(0, 12))
-    scenarios = [Scenario.of(draw(st.floats(0.0, 10.0)),
-                             draw(st.floats(0.0, 10.0)),
-                             draw(st.floats(lo, hi)))
-                 for _ in range(n)]
+    scenarios = np.array([(draw(st.floats(0.0, 10.0)),
+                           draw(st.floats(0.0, 10.0)),
+                           draw(st.floats(lo, hi)))
+                          for _ in range(n)]).reshape(n, 3)
     seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
     block = draw(st.sampled_from([1, 3, 5, simulator._BLOCK]))
     return cfg, factory, scenarios, seeds, block
@@ -284,7 +282,7 @@ class TestBatch:
         cfg = EnvConfig(step_inches=25.0, obstacle_spawn_offset=0.0,
                         noise_sigma_speed=0.0, noise_sigma_obstacle_pos=0.0,
                         noise_sigma_goal=0.0)
-        xs = [Scenario.of(0.0, 5.0, 50.0), Scenario.of(0.0, 5.0, 10.0)]
+        xs = np.array([(0.0, 5.0, 50.0), (0.0, 5.0, 10.0)])
         records = assert_batch_matches_scalar(
             cfg, lambda: ScriptedPolicy(params, cfg), xs, [1, 2])
         assert records[0].mode is BehaviorMode.HARMFUL_FAILURE
@@ -297,7 +295,7 @@ class TestBatch:
         cfg = EnvConfig(robot_bounds=(-20.0, 50.0))
         params = ScriptedPolicyParams(risk_goal_threshold=0.0)
         sf = SafetyFunction(goal_clip_max=10.0)
-        xs = [Scenario.of(v, 0.0, -15.0) for v in (2.0, 5.0, 8.0, 10.0)]
+        xs = np.array([(v, 0.0, -15.0) for v in (2.0, 5.0, 8.0, 10.0)])
         records = assert_batch_matches_scalar(
             cfg, lambda: wrap(ScriptedPolicy(params, cfg), sf), xs, range(4))
         assert any(r.mode is BehaviorMode.HARMFUL_FAILURE for r in records)

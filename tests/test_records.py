@@ -20,7 +20,6 @@ from depgrid import (
     DiscreteCondition,
     DomainSpace,
     PartitionGrid,
-    Scenario,
     TestCampaign,
     TrialRecord,
     Uniform,
@@ -55,27 +54,34 @@ from depgrid.records import (
 NAN, INF = float("nan"), float("inf")
 
 
-def awkward_floats() -> list[Scenario]:
-    return [
-        Scenario.of(0.1 + 0.2, 9.999999999999998, 38.470000000000006),
-        Scenario.of(1e-15, 10.0, 0.0),
-        Scenario.of(5.0, 2.0 / 3.0, 50.0),
-    ]
+def awkward_floats() -> np.ndarray:
+    return np.array([
+        (0.1 + 0.2, 9.999999999999998, 38.470000000000006),
+        (1e-15, 10.0, 0.0),
+        (5.0, 2.0 / 3.0, 50.0),
+        (-0.0, 5e-324, 0.0),
+        (5e-324, 10.0, -0.0),
+    ])
 
 
 class TestScenarioFiles:
     def test_round_trip_lossless(self, tmp_path):
         path = tmp_path / "scenarios.jsonl"
-        scenarios = awkward_floats() + sample(
-            presets.testing_conditions(), 50, 3)
+        scenarios = np.concatenate([awkward_floats(), sample(
+            presets.testing_conditions(), 50, 3)])
         write_scenarios(path, scenarios)
-        assert read_scenarios(path) == scenarios
+        assert path.read_text() == "".join(json.dumps(list(row)) + "\n"
+                                           for row in scenarios)
+        loaded = read_scenarios(path)
+        assert loaded.dtype == np.float64 and loaded.shape == (55, 3)
+        assert loaded.tobytes() == scenarios.tobytes()  # -0.0 keeps its sign
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
-        write_scenarios(path, [])
-        assert path.read_text() == ""
-        assert read_scenarios(path) == []
+        for empty in ([], np.empty((0, 3))):
+            write_scenarios(path, empty)
+            assert path.read_text() == ""
+            assert len(read_scenarios(path)) == 0
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -129,7 +135,7 @@ def campaigns(draw) -> TestCampaign:
         harmful = mode is BehaviorMode.HARMFUL_FAILURE
         steps = draw(st.integers(int(harmful), 10**6))
         rows.append(TrialRecord(
-            Scenario(tuple(draw(FLOATS) for _ in range(d))), mode,
+            tuple(draw(FLOATS) for _ in range(d)), mode,
             draw(SEEDS), steps, draw(FLOATS),
             float(steps) if harmful else None))
     return campaign_of(rows)
@@ -153,15 +159,16 @@ def refuse(*args, **kwargs):
 
 
 def test_library_paths_build_no_rows(env, scripted_factory, space, tmp_path):
-    """Campaigns go from the simulator to the record file, and from the file
-    to tallies, rates, predictions and plots, as columns only."""
-    xs = sample(presets.testing_conditions(), 300, 21)
-    path = tmp_path / "r.jsonl"
+    """Scenarios go from sample to the simulator and the scenario file, and
+    campaigns from the simulator to the record file, and from the file to
+    tallies, rates, predictions and plots, as arrays and columns only."""
+    path, scenarios_path = tmp_path / "r.jsonl", tmp_path / "s.jsonl"
     with mock.patch.object(TrialRecord, "__init__", refuse):
+        xs = sample(presets.testing_conditions(), 300, 21)
         campaign = evaluate_policy(env, scripted_factory, xs, 22)
         write_records(path, campaign)
-    with (mock.patch.object(TrialRecord, "__init__", refuse),
-          mock.patch.object(Scenario, "__init__", refuse)):
+        write_scenarios(scenarios_path, xs)
+        assert read_scenarios(scenarios_path).tobytes() == xs.tobytes()
         loaded = read_records(path, master_seed=22)
         counts = tally(loaded, PartitionGrid((2, 2, 2)), space)
         rates = observed_rates(loaded)
@@ -202,9 +209,9 @@ class TestReportFiles:
         low_y = ConditionSet("low", space, (
             Uniform(0, 10), Uniform(0, 10), Uniform(0, 40)))
         records = tuple(
-            TrialRecord(s, BehaviorMode.SUCCESS, seed=0, steps=100,
+            TrialRecord(tuple(s), BehaviorMode.SUCCESS, seed=0, steps=100,
                         final_position=50.0)
-            for s in sample(low_y, 2500, 11)
+            for s in sample(low_y, 2500, 11).tolist()
         )
         campaign = campaign_of(records, "low")
         tallies = tally(campaign, PartitionGrid((5, 5, 5)), space)
@@ -225,7 +232,7 @@ class TestReportFiles:
 
 def record(values, mode: BehaviorMode) -> TrialRecord:
     harmful = mode is BehaviorMode.HARMFUL_FAILURE
-    return TrialRecord(Scenario(tuple(float(v) for v in values)), mode,
+    return TrialRecord(tuple(float(v) for v in values), mode,
                        seed=0, steps=100, final_position=0.0,
                        collision_time=100.0 if harmful else None)
 
@@ -298,7 +305,7 @@ class TestReportFormat:
         grid = PartitionGrid((5, 5, 5))
         low = ConditionSet("low", space, (
             Uniform(0, 10), Uniform(0, 10), Uniform(0, 40)))
-        campaign = campaign_of((record(x.values, BehaviorMode.TASK_FAILURE)
+        campaign = campaign_of((record(x, BehaviorMode.TASK_FAILURE)
                                 for x in sample(low, 2500, 11)), "low")
         report = predict(tally(campaign, grid, space), presets.condition("oc2"),
                          renormalize_empty=True)
@@ -341,8 +348,7 @@ class TestReportFormat:
     def test_discrete_condition_target(self, tmp_path):
         space, grid = plane_space(), PartitionGrid((3, 4))
         target = DiscreteCondition("table", space, (
-            Scenario.of(0.01, -1.5), Scenario.of(0.2, 4.9),
-            Scenario.of(1.0 / 3.0, 5.0)), (0.25, 0.5, 0.25))
+            (0.01, -1.5), (0.2, 4.9), (1.0 / 3.0, 5.0)), (0.25, 0.5, 0.25))
         report = predict(tally(random_campaign(space, 10, 5, centers_of=grid),
                                grid, space), target)
         assert_golden(tmp_path, report)

@@ -129,14 +129,13 @@ class TestWrappedCampaigns:
         # the top after passage, so a fast obstacle lets it succeed against
         # the true goal even though it never "sees" it
         sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
-        from depgrid import Scenario
         r = run_episode(env, wrap(ScriptedPolicy(params, env), sf),
-                        Scenario.of(9.0, 0.0, 48.0), 5)
+                        (9.0, 0.0, 48.0), 5)
         assert r.mode is BehaviorMode.SUCCESS
         # and a slow obstacle leaves the true goal unmet: task failure, so
         # clipping did not relax the success criterion
         r2 = run_episode(env, wrap(ScriptedPolicy(params, env), sf),
-                         Scenario.of(0.2, 0.0, 48.0), 6)
+                         (0.2, 0.0, 48.0), 6)
         assert r2.mode is BehaviorMode.TASK_FAILURE
 
     def test_dependability_not_reduced_much(self, env, params):

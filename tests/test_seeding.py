@@ -107,7 +107,9 @@ def test_sample_equals_one_generator_per_scenario(master, n, name):
         rng = np.random.Generator(spawned(master, i))
         want.append(tuple(m.draw(rng, d)
                           for m, d in zip(cond.marginals, cond.space.dims)))
-    assert [x.values for x in sample(cond, n, master)] == want
+    xs = sample(cond, n, master)
+    assert xs.shape == (n, 3) and xs.dtype == np.float64
+    assert xs.tobytes() == np.array(want, dtype=float).reshape(n, 3).tobytes()
 
 
 @settings(max_examples=200)
