@@ -306,7 +306,9 @@ def reproduce(out_dir: str | Path, *, n: int = 20000, seed: int = 0,
             safety=safety.as_dict() if safety else None,
             master_seed=campaign.master_seed,
             n_records=len(campaign),
-            scenarios_path=f"../scenarios/{name}.jsonl",
+            # the scenarios the campaign ran: the safety campaign ran the
+            # testing ones
+            scenarios_path=f"../scenarios/{campaign.condition_name}.jsonl",
             records_path=f"{name}.jsonl",
         ))
 

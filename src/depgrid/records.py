@@ -9,8 +9,14 @@ of an (n, d) scenario array: write_scenarios fills the rows into one line
 template, and read_scenarios returns the checked array.
 
 A record file has one JSON line per record. write_records fills a campaign's
-columns into one line template; read_records parses each line on its own,
-then builds and checks the columns, naming the line of the first bad record.
+columns into one line template, _RECORD_LINE. read_records has two readers
+that give the same campaign. A file whose non-blank lines all match
+_RECORD_GRAMMAR, the template's grammar, is read by that one compiled
+regular expression, and the columns are converted from the matched tokens
+and checked whole. Any other file, or one whose columns fail a check, goes
+to the reference reader: it parses each line on its own with json.loads,
+then builds and checks the columns. Every error comes from the reference
+reader, and names the line of the first bad record.
 
 A report file (format_version 2) holds the same columns as the in-memory
 report: a small scalar header, then the bin edges once, and the masses, the
@@ -26,8 +32,10 @@ import hashlib
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import asdict, dataclass, fields
+from itertools import repeat
 from pathlib import Path
 from typing import Any
 
@@ -184,11 +192,12 @@ def write_scenarios(path: str | Path, scenarios: np.ndarray) -> None:
         for x in np.asarray(scenarios, dtype=float).tolist()))
 
 
-def _read_json_lines(path: str | Path, build):
-    """build(values) for the JSON values of the file's non-blank lines, each
-    parsed on its own. Errors name the file and the line of their row."""
+def _read_json_lines(path: str | Path, text: str, build):
+    """build(values) for the JSON values of the non-blank lines of a file's
+    text, each parsed on its own. Errors name the file and the line of their
+    row."""
     lines, values = [], []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if line.strip():
             try:
                 values.append(json.loads(line))
@@ -213,10 +222,9 @@ def _scenario_array(xs: list) -> np.ndarray:
     check_rows([type(x) is list and all(type(v) in _NUMBER for v in x)
                 for x in xs],
                lambda i: f"a scenario is a list of numbers, got {xs[i]!r}")
-    for i, x in enumerate(xs):
-        if len(x) != len(xs[0]):
-            raise OutOfDomain(f"record {i + 1}: scenario has {len(x)} values, "
-                              f"record 1 has {len(xs[0])}")
+    check_rows([len(x) == len(xs[0]) for x in xs],
+               lambda i: f"scenario has {len(xs[i])} values, the first "
+                         f"scenario has {len(xs[0])}", OutOfDomain)
     a = np.array(xs, dtype=float) if xs else np.empty((0, 0))
     check_rows(np.isfinite(a).all(axis=1),
                lambda i: f"non-finite scenario coordinate in {xs[i]}",
@@ -226,7 +234,7 @@ def _scenario_array(xs: list) -> np.ndarray:
 
 def read_scenarios(path: str | Path) -> np.ndarray:
     """The (n, d) scenario array of a scenario file (see _scenario_array)."""
-    return _read_json_lines(path, _scenario_array)
+    return _read_json_lines(path, _read_text(path), _scenario_array)
 
 
 def record_to_dict(r: TrialRecord) -> dict:
@@ -291,13 +299,80 @@ def _campaign_from_dicts(docs: list, condition_name: str,
         master_seed)
 
 
+# The grammar of a _RECORD_LINE line, with every token as json.dumps writes
+# it, so that each line it matches holds the record json.loads would read:
+# - a scenario has at least one coordinate;
+# - a float token is a JSON number with a fraction or an exponent, as repr
+#   writes it; [0-9] rather than \d, which also matches digits that float()
+#   takes and JSON refuses;
+# - seed has at most 640 digits, the least limit int() on a string can be
+#   set to (sys.set_int_max_str_digits);
+# - steps has at most 15 digits, so it fits int64 and its float64 is exact,
+#   which makes comparing it with a float collision_time exact too.
+_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+_RECORD_GRAMMAR = re.compile(
+    r'\{"scenario": \[(%(f)s(?:, %(f)s)*)\], "mode": "(%(mode)s)", '
+    r'"seed": (-?(?:0|[1-9][0-9]{0,639})), "steps": (0|[1-9][0-9]{0,14}), '
+    r'"final_position": (%(f)s), "collision_time": (null|%(f)s)\}'
+    % {"f": _FLOAT, "mode": "|".join(map(re.escape, _MODE_CODES))})
+
+
+def _campaign_from_template(text: str, condition_name: str,
+                            master_seed: int) -> TestCampaign | None:
+    """The campaign of a record file's text when every non-blank line is a
+    _RECORD_GRAMMAR line and the columns pass the checks of
+    _campaign_from_dicts and TestCampaign; otherwise None. Never raises.
+
+    The tokens are converted with float() and int(), as json does, and the
+    columns are checked whole rather than line by line."""
+    matches = list(map(_RECORD_GRAMMAR.fullmatch,
+                       filter(str.strip, text.splitlines())))
+    if not matches or None in matches:
+        return None
+    scenario, mode, seed, steps, position, collision = zip(
+        *map(re.Match.groups, matches))
+    commas = set(map(str.count, scenario, repeat(",")))
+    if len(commas) != 1:
+        return None
+    n, d = len(matches), commas.pop() + 1
+    scenarios = np.fromiter(map(float, ", ".join(scenario).split(", ")),
+                            float, n * d).reshape(n, d)
+    modes = np.fromiter(map(_MODE_CODES.__getitem__, mode), np.int8, n)
+    steps = np.fromiter(map(int, steps), np.int64, n)
+    position = np.fromiter(map(float, position), float, n)
+    harmful = modes == BehaviorMode.HARMFUL_FAILURE.code
+    null = np.fromiter(map("null".__eq__, collision), bool, n)
+    times = [float(t) for t in collision if t != "null"]
+    if not (np.isfinite(scenarios).all() and np.isfinite(position).all()
+            and (null != harmful).all()
+            and np.array_equal(times, steps[harmful])):
+        return None
+    try:
+        return TestCampaign(condition_name, scenarios, modes,
+                            tuple(map(int, seed)), steps, position, master_seed)
+    except DataError:
+        return None
+
+
 def read_records(path: str | Path, *, condition_name: str = "",
                  master_seed: int = 0) -> TestCampaign:
-    """The campaign in a record file. Each line is parsed on its own, then
-    the columns are built and checked together; an error names the file and
-    the line of the first bad record."""
-    return _read_json_lines(path, lambda docs: _campaign_from_dicts(
-        docs, condition_name, master_seed))
+    """The campaign in a record file.
+
+    A file whose non-blank lines all match _RECORD_GRAMMAR, as the lines
+    write_records writes do (unless their scenarios have no coordinates,
+    steps 16 digits or more, or seeds more than 640), is read by one regular
+    expression, and its columns come straight from the matched tokens. Any
+    other file (other spacing or key order, integer coordinates, escaped
+    strings, or a bad record) goes to the reference reader: each line is
+    parsed on its own with json.loads, then the columns are built and
+    checked together. So every error comes from the reference reader, and
+    names the file and the line of the first bad record."""
+    text = _read_text(path)
+    campaign = _campaign_from_template(text, condition_name, master_seed)
+    if campaign is None:
+        campaign = _read_json_lines(path, text, lambda docs: (
+            _campaign_from_dicts(docs, condition_name, master_seed)))
+    return campaign
 
 
 # ---------------------------------------------------------------------------

@@ -345,7 +345,11 @@ class TestRunObservePredict:
         assert run_cli(command, "--records", str(odd), *extra,
                        "--out", str(out)) == 3
         err = capsys.readouterr().err
-        assert "OutOfDomain" in err and "odd.jsonl: record 2" in err
+        # a scenario of the wrong length is refused by the reader, which names
+        # the line; one outside the bounds by the domain check, which names
+        # the record
+        where = "record 2" if len(scenario) == 3 else "line 2"
+        assert "OutOfDomain" in err and f"odd.jsonl: {where}: " in err
         assert not out.exists()
 
     def test_scenario_outside_the_domain_names_file_and_scenario(
@@ -521,10 +525,26 @@ class TestReproduce:
         assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.rglob("*"))
 
+    def test_every_manifest_replays_into_identical_records(self, tmp_path):
+        out = tmp_path / "repro"
+        assert run_cli("reproduce", "--out-dir", str(out), "--n", "60",
+                       "--seed", "3", "--grid", "1,1,1") == 0
+        manifests = sorted((out / "records").glob("*.manifest.json"))
+        assert len(manifests) == 6
+        for manifest in manifests:
+            records = out / "records" / manifest.name.replace(
+                ".manifest.json", ".jsonl")
+            replay = tmp_path / records.name
+            assert run_cli("run", "--manifest", str(manifest),
+                           "--out", str(replay)) == 0
+            assert replay.read_bytes() == records.read_bytes(), manifest.name
+
     def test_scenario_record_and_manifest_files_are_pinned(self, tmp_path):
         # sha256 of reproduce(n=3000, seed=7, 5^3) before campaigns became
-        # columns; reports and SVGs are left out, since their erfc masses may
-        # differ by one ulp between libm builds
+        # columns, except testing_safety.manifest.json, re-pinned when its
+        # scenarios_path became the testing scenarios it ran; reports and
+        # SVGs are left out, since their erfc masses may differ by one ulp
+        # between libm builds
         reproduce(tmp_path, n=3000, seed=7, grid=PartitionGrid((5, 5, 5)))
         got = {f"{d}/{p.name}": file_sha256(p)
                for d in ("scenarios", "records") for p in (tmp_path / d).iterdir()}
@@ -555,7 +575,7 @@ PINNED_SHA256 = {
     "records/testing_safety.jsonl":
         "db1b809c9d668a9a949ddf8a0e43e579eb5b6767e44ed3849935987923c45230",
     "records/testing_safety.manifest.json":
-        "2fb836375ca66299539056eaf4be46c3f570c7f044bdc9dfbb1027134bac5937",
+        "6bbf679286d7e761fb98ed3123d6ccde147826a71f7d791814124fb941913398",
     "scenarios/oc1.jsonl":
         "80b60c919942c752593e62b37ef2eacf6b44d110fa0f8295ad7cf58cd1d3a48d",
     "scenarios/oc2.jsonl":

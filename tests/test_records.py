@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
 from unittest import mock
@@ -19,6 +20,7 @@ from depgrid import (
     Dimension,
     DiscreteCondition,
     DomainSpace,
+    OutOfDomain,
     PartitionGrid,
     TestCampaign,
     TrialRecord,
@@ -34,6 +36,8 @@ from depgrid.svgplots import failure_scatter_svg
 from conftest import campaign_of
 from depgrid.records import (
     CampaignManifest,
+    _campaign_from_dicts,
+    _read_json_lines,
     condition_document,
     env_from_dict,
     env_to_dict,
@@ -89,6 +93,13 @@ class TestScenarioFiles:
         with pytest.raises(DataError, match="line 2"):
             read_scenarios(path)
 
+    def test_ragged_scenario_names_its_line(self, tmp_path):
+        path = tmp_path / "ragged.jsonl"
+        path.write_text("[5.0, 5.0, 30.0]\n\n[5.0, 5.0]\n")
+        with pytest.raises(OutOfDomain, match=r"ragged\.jsonl: line 3: "
+                                              r"scenario has 2 values"):
+            read_scenarios(path)
+
 
 class TestRecordFiles:
     def test_round_trip_identical_campaign(self, env, scripted_factory,
@@ -108,6 +119,16 @@ class TestRecordFiles:
             "steps": 100, "final_position": 0.0, "collision_time": None})
         path.write_text(good + "\n" + '{"mode": "success"}\n')
         with pytest.raises(DataError, match="line 2"):
+            read_records(path)
+
+    def test_ragged_scenario_names_its_line(self, tmp_path):
+        good = {"scenario": [5.0, 5.0, 30.0], "mode": "success", "seed": 1,
+                "steps": 100, "final_position": 50.0, "collision_time": None}
+        path = tmp_path / "ragged.jsonl"
+        path.write_text(json.dumps(good) + "\n\n"
+                        + json.dumps({**good, "scenario": [5.0, 5.0]}) + "\n")
+        with pytest.raises(OutOfDomain, match=r"ragged\.jsonl: line 3: "
+                                              r"scenario has 2 values"):
             read_records(path)
 
     def test_unknown_mode_rejected(self, tmp_path):
@@ -141,21 +162,140 @@ def campaigns(draw) -> TestCampaign:
     return campaign_of(rows)
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("a row object was built")
+
+
 @settings(max_examples=200)
 @given(campaign=campaigns())
 def test_record_lines_are_json_dumps_of_each_row(tmp_path_factory, campaign):
+    """write_records writes each row's json.dumps, and read_records reads it
+    back through the line grammar alone, without json.loads (a campaign of
+    0-D scenarios is left to the reference reader)."""
     path = tmp_path_factory.mktemp("records") / "r.jsonl"
     write_records(path, campaign)
     assert path.read_text() == "".join(json.dumps(record_to_dict(r)) + "\n"
                                        for r in campaign.records)
-    loaded = read_records(path, condition_name="synthetic")
+    with (mock.patch.object(json, "loads", refuse)
+          if campaign.scenarios.shape[1] else contextlib.nullcontext()):
+        loaded = read_records(path, condition_name="synthetic")
     assert loaded == campaign
     write_records(path.with_name("again.jsonl"), loaded)
     assert path.with_name("again.jsonl").read_bytes() == path.read_bytes()
 
 
-def refuse(*args, **kwargs):
-    raise AssertionError("a row object was built")
+def read_outcome(read, path) -> tuple:
+    """What a record reader makes of a file: the campaign's fields, each
+    array as its dtype, shape and bytes, or the error's type and message."""
+    try:
+        c = read(path, condition_name="mutated", master_seed=5)
+    except DataError as e:
+        return type(e), str(e)
+    return (c.condition_name, c.master_seed, c.seeds,
+            [(a.dtype, a.shape, a.tobytes())
+             for a in (c.scenarios, c.modes, c.steps, c.final_position)])
+
+
+def reference_read(path, *, condition_name: str, master_seed: int):
+    """read_records by the reference reader alone: json.loads per line."""
+    return _read_json_lines(path, Path(path).read_text(), lambda docs: (
+        _campaign_from_dicts(docs, condition_name, master_seed)))
+
+
+# Raw tokens put in place of one value of a written record line: JSON that
+# the line grammar must refuse or must read as json.loads does, and text
+# that float() or int() would take but JSON does not.
+TOKENS = [
+    "5", "-0", "1.", ".5", "01.0", "+1.0", "1.0e", "1e", "NaN", "Infinity",
+    "-Infinity", "1e400", "-1e400", "1e-400", "5e-324", "-0.0", "1E+2",
+    "100.0", "1e2", "1.\u0663", "\u0661.0", "\uff11.0", "1_0.0", "1" * 5000,
+    "9" * 700, str(2**70), "-1", "1234567890123456", str(2**53 + 1),
+    "9007199254740992.0", "null", "true", '"1.0"', "[]",
+    '"succ\\u0065ss"', '"success"', '"task_failure"', '"harmful_failure"',
+    '"exploded"',
+]
+FIELDS = ["scenario", "mode", "seed", "steps", "final_position",
+          "collision_time"]
+
+
+def token_edit(field: str, token: str):
+    """A line edit that writes token in place of field's value (of the first
+    coordinate, for the scenario)."""
+    def edit(d: dict) -> str:
+        value = ["@"] + d["scenario"][1:] if field == "scenario" else "@"
+        return json.dumps({**d, field: value}).replace('"@"', token)
+    return edit
+
+
+LINE_EDITS = [
+    lambda d: json.dumps({**d, "extra": 1}),
+    lambda d: json.dumps(d)[:-1] + f', "steps": {d["steps"]}}}',
+    lambda d: json.dumps(dict(reversed(d.items()))),
+    lambda d: json.dumps(d, separators=(",", ":")),
+    lambda d: " " + json.dumps(d),
+    lambda d: json.dumps(d).replace('"mode"', '"mod\\u0065"'),
+    lambda d: json.dumps({**d, "collision_time": d["steps"] + 1.0}),
+    lambda d: json.dumps({**d, "collision_time": float(d["steps"])}),
+    lambda d: json.dumps({**d, "scenario": d["scenario"] + [1.0]}),
+    lambda d: json.dumps({**d, "scenario": [int(x) for x in d["scenario"]]}),
+]
+EDITS = [token_edit(f, t) for f in FIELDS for t in TOKENS] + LINE_EDITS
+
+
+def assert_reads_as_reference(path: Path) -> None:
+    got = read_outcome(read_records, path)
+    assert got == read_outcome(reference_read, path), path.read_text()[:300]
+
+
+def mutated_file(path: Path, campaign: TestCampaign, edits, blanks,
+                 newline: str) -> None:
+    """The record file of campaign, with edit applied to written line k for
+    each (k, edit) of edits, blank lines inserted before the lines in blanks, and
+    newline ending every line."""
+    write_records(path, campaign)
+    written = path.read_text().splitlines()
+    lines = list(written)
+    for k, edit in edits:
+        if lines:
+            k %= len(lines)
+            lines[k] = edit(json.loads(written[k]))
+    for k in sorted(blanks, reverse=True):
+        lines.insert(min(k, len(lines)), "  " if k % 2 else "")
+    path.write_text("".join(line + newline for line in lines))
+
+
+def test_every_edit_reads_as_the_reference_reader(tmp_path):
+    """Each edit, on a harmful and on a task-failure line of a written file,
+    gives the reference reader's campaign or its error, byte for byte."""
+    campaign = campaign_of([
+        TrialRecord((5.0, 0.1 + 0.2, 30.0), BehaviorMode.SUCCESS, 2**64 - 1,
+                    100, 50.0),
+        TrialRecord((1.5, -0.0, 5e-324), BehaviorMode.HARMFUL_FAILURE, 7, 12,
+                    21.25, 12.0),
+        TrialRecord((9.0, 2.0, 45.5), BehaviorMode.TASK_FAILURE, 0, 100,
+                    -3.5),
+    ])
+    path = tmp_path / "r.jsonl"
+    for edit in EDITS:
+        for k in (1, 2):
+            mutated_file(path, campaign, [(k, edit)], [], "\n")
+            assert_reads_as_reference(path)
+
+
+@settings(max_examples=300)
+@given(campaign=campaigns(),
+       edits=st.lists(st.tuples(st.integers(0, 11), st.sampled_from(EDITS)),
+                      max_size=2),
+       blanks=st.lists(st.integers(0, 12), max_size=2),
+       newline=st.sampled_from(["\n", "\r\n"]))
+def test_read_records_reads_as_the_reference_reader(
+        tmp_path_factory, campaign, edits, blanks, newline):
+    """Any written campaign, with up to two edited lines, blank lines and
+    either line ending: read_records gives the reference reader's campaign
+    or its error, byte for byte."""
+    path = tmp_path_factory.mktemp("mutated") / "r.jsonl"
+    mutated_file(path, campaign, edits, blanks, newline)
+    assert_reads_as_reference(path)
 
 
 def test_library_paths_build_no_rows(env, scripted_factory, space, tmp_path):
