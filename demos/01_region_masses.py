@@ -32,12 +32,15 @@ for i, m in enumerate(v_bins):
 print(f"lower tail folded into bin 0, upper tail into bin 9; "
       f"sum = {v_bins.sum():.12f}")
 
-# Individual voxels are queryable too.
-region = grid.region(space, (3, 9, 7))
+# Individual voxels are queryable too: a voxel is its grid index.
+voxel = (3, 9, 7)
+bounds = tuple(tuple(grid.edges(space, d)[i:i + 2].tolist())
+               for d, i in enumerate(voxel))
 print()
-print(f"voxel {region.index} bounds: {region.bounds}")
+print(f"voxel {voxel} bounds: {bounds}")
 for name in ("testing", "oc4"):
-    print(f"  mass under {name}: {region_mass(presets.condition(name), region):.6f}")
+    mass = region_mass(presets.condition(name), grid, voxel)
+    print(f"  mass under {name}: {mass:.6f}")
 
 # A condition built from scratch: slow obstacles, mid-range goals.
 custom = ConditionSet("slow_mid", space, (

@@ -15,7 +15,6 @@ from .domain import (
     DiscreteCondition,
     DomainSpace,
     PartitionGrid,
-    Region,
     Uniform,
     norm_cdf,
     partition_indices,

@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 from . import presets
 from .domain import (ConditionSet, DomainSpace, PartitionGrid, sample,
                      validate_grid)
-from .errors import ConfigError, DataError, DepgridError, OutOfDomain
+from .errors import ConfigError, DataError, DepgridError
 from .estimator import (BehaviorMode, TestCampaign, compare, observed_rates,
                         predict, tally)
 from .policies import ScriptedPolicy, ScriptedPolicyParams, evaluate_policy
@@ -28,6 +27,7 @@ from .records import (
     env_from_dict,
     file_sha256,
     load_condition_file,
+    naming_line,
     read_manifest,
     read_records,
     read_report,
@@ -85,22 +85,11 @@ def _domain(args) -> DomainSpace:
     return presets.domain_space()
 
 
-@contextmanager
-def _naming_row(path, noun: str):
-    """An OutOfDomain raised inside names the file and, when it carries one,
-    the row, counted from 1: ``path: record N: ...``."""
-    try:
-        yield
-    except OutOfDomain as e:
-        where = "" if e.row is None else f"{noun} {e.row + 1}: "
-        raise OutOfDomain(f"{path}: {where}{e}") from None
-
-
 def _records_in(path, space: DomainSpace) -> TestCampaign:
     """The campaign of a record file, checked against the domain; a record
-    outside it raises OutOfDomain naming the file and the record number."""
+    outside it raises OutOfDomain naming the file and the record's line."""
     campaign = read_records(path)
-    with _naming_row(path, "record"):
+    with naming_line(path):
         space.check_points(campaign.scenarios)
     return campaign
 
@@ -143,6 +132,9 @@ def cmd_run(args) -> int:
         config_path = manifest.config_path and base / manifest.config_path
         if config_path:
             _, _, _, doc = load_condition_file(config_path)
+            if file_sha256(config_path) != manifest.config_sha256:
+                raise DataError(f"{config_path}: its sha256 is not the "
+                                f"config_sha256 {args.manifest} recorded")
         env, _ = _env_and_policy(doc)
         condition_name = manifest.condition
         out = Path(args.out) if args.out else base / manifest.records_path
@@ -171,8 +163,11 @@ def cmd_run(args) -> int:
         config_hash = file_sha256(args.config) if args.config else None
 
     scenarios = read_scenarios(scenarios_path)
+    if args.manifest and len(scenarios) != manifest.n_records:
+        raise DataError(f"{scenarios_path}: {len(scenarios)} scenarios, "
+                        f"{args.manifest} recorded {manifest.n_records}")
     factory = _policy_factory(policy_name, params, env, safety)
-    with _naming_row(scenarios_path, "scenario"):
+    with naming_line(scenarios_path):
         campaign = evaluate_policy(env, factory, scenarios, seed,
                                    condition_name=condition_name)
     write_records(out, campaign)

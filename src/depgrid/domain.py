@@ -197,33 +197,14 @@ MarginalDistribution = Union[Uniform, ClippedGaussian]
 
 
 # ---------------------------------------------------------------------------
-# Partition grid and regions
+# Partition grid
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Region:
-    """One cell of a partition grid.
-
-    ``bounds`` are half-open per dimension except where ``is_last`` marks the
-    closed final bin. A region is self-describing: mass computations need no
-    back-reference to the grid.
-    """
-
-    index: tuple[int, ...]
-    bounds: tuple[tuple[float, float], ...]
-    is_first: tuple[bool, ...]
-    is_last: tuple[bool, ...]
-
-    def contains(self, values) -> bool:
-        for v, (lo, hi), last in zip(values, self.bounds, self.is_last):
-            if not (lo <= v <= hi if last else lo <= v < hi):
-                return False
-        return True
-
-
-@dataclass(frozen=True)
 class PartitionGrid:
-    """Equal-width bin counts per dimension; edges are implied by the space."""
+    """Equal-width bin counts per dimension; edges are implied by the space.
+    A region is its index (one bin number per dimension) or its number in C
+    order (last dimension fastest)."""
 
     bins: tuple[int, ...]
 
@@ -239,32 +220,6 @@ class PartitionGrid:
     def edges(self, space: DomainSpace, d: int) -> np.ndarray:
         dim = space.dims[d]
         return np.linspace(dim.min, dim.max, self.bins[d] + 1)
-
-    def region(self, space: DomainSpace, index: tuple[int, ...]) -> Region:
-        for d, i in enumerate(index):
-            if not 0 <= i < self.bins[d]:
-                raise InvalidGrid(f"dimension {d}: index {i} outside [0, {self.bins[d] - 1}]")
-        return self._region(self._all_edges(space), tuple(int(i) for i in index))
-
-    def iter_regions(self, space: DomainSpace) -> Iterator[Region]:
-        """All regions in C order (last dimension fastest)."""
-        edges = self._all_edges(space)
-        for index in np.ndindex(*self.bins):
-            yield self._region(edges, index)
-
-    def _all_edges(self, space: DomainSpace) -> list[list[float]]:
-        return [self.edges(space, d).tolist() for d in range(len(self.bins))]
-
-    def _region(self, edges: list[list[float]], index: tuple[int, ...]) -> Region:
-        return Region(
-            index=index,
-            bounds=tuple((e[i], e[i + 1]) for e, i in zip(edges, index)),
-            is_first=tuple(i == 0 for i in index),
-            is_last=tuple(i == b - 1 for i, b in zip(index, self.bins)),
-        )
-
-    def ravel(self, index: tuple[int, ...]) -> int:
-        return int(np.ravel_multi_index(index, self.bins))
 
 
 def validate_grid(grid: PartitionGrid, space: DomainSpace) -> None:
@@ -387,24 +342,34 @@ class DiscreteCondition:
 Condition = Union[ConditionSet, DiscreteCondition]
 
 
-def region_mass(cond: Condition, region: Region) -> float:
-    """Probability mass of one region under a condition.
+def region_mass(cond: Condition, grid: PartitionGrid,
+                index: tuple[int, ...]) -> float:
+    """Probability mass under a condition of the grid region at ``index``:
+    the scalar reference for region_mass_vector.
 
     For product conditions this is the product of per-dimension interval
     masses; clipped-Gaussian tails are absorbed by the first/last bins. For
-    discrete tables it is the sum of member probabilities.
+    discrete tables it is the sum of the probabilities of the scenarios in
+    the region, each of its bins half-open except a closed last bin. An
+    index outside the grid raises InvalidGrid.
     """
+    validate_grid(grid, cond.space)
+    if len(index) != len(grid.bins) or not all(
+            0 <= i < nb for i, nb in zip(index, grid.bins)):
+        raise InvalidGrid(f"index {index} names no region of a grid of "
+                          f"{grid.bins} bins")
+    bounds = [grid.edges(cond.space, d)[i:i + 2].tolist()
+              for d, i in enumerate(index)]
+    last = [i == nb - 1 for i, nb in zip(index, grid.bins)]
     if isinstance(cond, DiscreteCondition):
         return float(math.fsum(
             p for s, p in zip(cond.scenarios, cond.probabilities)
-            if region.contains(s)
-        ))
+            if all(lo <= v <= hi if closed else lo <= v < hi
+                   for v, (lo, hi), closed in zip(s, bounds, last))))
     mass = 1.0
-    for d, dim in enumerate(cond.space.dims):
-        lo, hi = region.bounds[d]
-        mass *= cond.marginals[d].interval_mass(
-            dim, lo, hi, first=region.is_first[d], last=region.is_last[d]
-        )
+    for dim, m, (lo, hi), i, closed in zip(cond.space.dims, cond.marginals,
+                                           bounds, index, last):
+        mass *= m.interval_mass(dim, lo, hi, first=i == 0, last=closed)
     return mass
 
 

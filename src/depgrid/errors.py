@@ -62,15 +62,16 @@ class EpisodeNotFinished(DepgridError):
 class EmptyPartition(DepgridError):
     """Regions with positive target mass received no test samples.
 
-    The offending regions are kept on the exception so callers (and the CLI)
-    can list exactly which parts of the domain are uncovered.
+    The offending regions are kept on the exception, as grid index tuples of
+    ints, so callers (and the CLI) can list exactly which parts of the domain
+    are uncovered.
     """
 
     exit_code = 4
 
     def __init__(self, regions):
         self.regions = tuple(regions)
-        indices = ", ".join(str(r.index) for r in self.regions[:8])
+        indices = ", ".join(map(str, self.regions[:8]))
         more = "" if len(self.regions) <= 8 else f" (+{len(self.regions) - 8} more)"
         super().__init__(
             f"{len(self.regions)} region(s) with positive target mass have no "

@@ -16,9 +16,9 @@ exact integers; division happens only at report time.
 
 A prediction's report keeps its per-region table as columns, not as one
 object per region: the per-dimension bin edges, the weight vector and the
-tally's (n_regions, 3) count array, rows in the same C order. Dropped
-regions are their C-order numbers; index tuples and Region objects are built
-only to name the uncovered regions of an EmptyPartition.
+tally's (n_regions, 3) count array, rows in the same C order. A region is
+its grid index: dropped regions are their C-order numbers, and only an
+EmptyPartition turns them into index tuples, to name the uncovered regions.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .errors import (
     EmptyCampaign,
     EmptyPartition,
     IncompleteOutcomes,
+    InvalidGrid,
     check_rows,
 )
 
@@ -301,8 +302,12 @@ def predict(tally: Tally, target: Condition, *,
     ``renormalize_empty`` those regions are dropped instead, the remaining
     masses are renormalized, and the report records the deviation. Masses are
     normalized by their computed sum (analytically 1) so the three metrics
-    obey the sum rule to floating precision.
+    obey the sum rule to floating precision. A target over another domain
+    space than the tally's raises InvalidGrid.
     """
+    if target.space != tally.space:
+        raise InvalidGrid(f"target {target.name!r} is over another domain than "
+                          f"the tally: {target.space.dims} vs {tally.space.dims}")
     grid = tally.grid
     masses = target.region_mass_vector(grid)
     if np.any(masses < 0):
@@ -316,8 +321,7 @@ def predict(tally: Tally, target: Condition, *,
     if dropped.size:
         if not renormalize_empty:
             raise EmptyPartition(
-                grid.region(tally.space, i)
-                for i in zip(*np.unravel_index(dropped, grid.bins)))
+                zip(*np.array(np.unravel_index(dropped, grid.bins)).tolist()))
         dropped_mass = float(masses[uncovered].sum()) / float(masses.sum())
         masses = np.where(uncovered, 0.0, masses)
 
@@ -334,7 +338,7 @@ def predict(tally: Tally, target: Condition, *,
         d, ut, uh = (float(weights @ rates[:, j]) for j in range(3))
 
     return DependabilityReport(
-        condition_name=getattr(target, "name", ""),
+        condition_name=target.name,
         dependability=d,
         task_undependability=ut,
         harmful_undependability=uh,

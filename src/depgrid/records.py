@@ -16,7 +16,9 @@ regular expression, and the columns are converted from the matched tokens
 and checked whole. Any other file, or one whose columns fail a check, goes
 to the reference reader: it parses each line on its own with json.loads,
 then builds and checks the columns. Every error comes from the reference
-reader, and names the line of the first bad record.
+reader, and names the line of the first bad record. A file's rows are its
+non-blank lines, and naming_line turns a row into its line for every error,
+the command line's domain checks included.
 
 A report file (format_version 2) holds the same columns as the in-memory
 report: a small scalar header, then the bin edges once, and the masses, the
@@ -34,6 +36,7 @@ import math
 import os
 import re
 import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from itertools import repeat
 from pathlib import Path
@@ -192,25 +195,43 @@ def write_scenarios(path: str | Path, scenarios: np.ndarray) -> None:
         for x in np.asarray(scenarios, dtype=float).tolist()))
 
 
-def _read_json_lines(path: str | Path, text: str, build):
-    """build(values) for the JSON values of the non-blank lines of a file's
-    text, each parsed on its own. Errors name the file and the line of their
-    row."""
-    lines, values = [], []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            try:
-                values.append(json.loads(line))
-            except ValueError as e:
-                raise DataError(f"{path}: line {lineno}: {e}") from None
-            lines.append(lineno)
+def _rows(text: str) -> list[tuple[int, str]]:
+    """The rows of a JSON Lines file's text: its non-blank lines, each with
+    its line number counted from 1. Row i is the (i + 1)-th of them."""
+    return [(lineno, line)
+            for lineno, line in enumerate(text.splitlines(), start=1)
+            if line.strip()]
+
+
+@contextmanager
+def naming_line(path: str | Path):
+    """A DataError raised inside is raised again naming the JSON Lines file,
+    and the line of its ``row`` when it carries one: ``path: line N: ...``.
+    The file is read again to find the line, only then."""
     try:
-        return build(values)
+        yield
     except DataError as e:
-        where = "" if e.row is None else f"line {lines[e.row]}: "
+        where = ""
+        if e.row is not None:
+            lineno, _ = _rows(_read_text(path))[e.row]
+            where = f"line {lineno}: "
         raise type(e)(f"{path}: {where}{e}") from None
-    except OverflowError as e:
-        raise DataError(f"{path}: {e}") from None
+
+
+def _read_json_lines(path: str | Path, text: str, build):
+    """build(values) for the JSON values of the rows of a file's text, each
+    parsed on its own. Errors name the file and the line of their row."""
+    values = []
+    for lineno, line in _rows(text):
+        try:
+            values.append(json.loads(line))
+        except ValueError as e:
+            raise DataError(f"{path}: line {lineno}: {e}") from None
+    with naming_line(path):
+        try:
+            return build(values)
+        except OverflowError as e:
+            raise DataError(str(e)) from None
 
 
 _NUMBER = (int, float)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -63,3 +65,23 @@ def campaign_of(records, name: str = "synthetic",
         np.array([r.steps for r in records], dtype=np.int64),
         np.array([r.final_position for r in records], dtype=float),
         master_seed)
+
+
+def region_centers(grid, space) -> list[tuple[float, ...]]:
+    """The centre of every region of the grid over the space, as tuples of
+    floats in C order, computed from the grid's edges."""
+    mids = [((e[:-1] + e[1:]) / 2).tolist()
+            for e in (grid.edges(space, d) for d in range(space.ndim))]
+    return list(itertools.product(*mids))
+
+
+def in_region(grid, space, index, x) -> bool:
+    """Whether the point x lies in the grid region at ``index``, by the
+    bin-edge convention written out: every bin is half-open [lo, hi) except
+    the last of its dimension, which is closed."""
+    for d, (i, v) in enumerate(zip(index, x)):
+        lo, hi = grid.edges(space, d)[i:i + 2]
+        closed = i == grid.bins[d] - 1
+        if not (lo <= v <= hi if closed else lo <= v < hi):
+            return False
+    return True

@@ -40,7 +40,7 @@ from depgrid import (
 from depgrid import presets
 from depgrid.cli import reproduce
 from depgrid.safety import SafetyFunction
-from conftest import campaign_of
+from conftest import campaign_of, region_centers
 
 N = 20_000
 SCENARIO_SEEDS = {"testing": 1001, "heldout": 1101, "oc1": 1201,
@@ -139,12 +139,9 @@ def test_criterion_2_oracle_equivalence(space):
     worst = 0.0
     for trial in range(100):
         rng = np.random.default_rng(42_000 + trial)
-        centers, outcomes, records = [], {}, []
-        for idx in np.ndindex(*grid.bins):
-            region = grid.region(space, idx)
-            center = tuple((lo + hi) / 2 for lo, hi in region.bounds)
+        centers, outcomes, records = region_centers(grid, space), {}, []
+        for center in centers:
             mode = modes[rng.integers(0, 3)]
-            centers.append(center)
             outcomes[center] = mode
             records.append(TrialRecord(
                 center, mode, seed=0, steps=100, final_position=0.0,
@@ -300,14 +297,15 @@ def test_criterion_9_empty_partition_enforcement(env, params, space, grid):
     except EmptyPartition as e:
         raised = e
     names_ok = raised is not None and (
-        {r.index for r in raised.regions}
+        set(raised.regions)
         == {idx for idx in np.ndindex(*grid.bins) if idx[2] >= 6}
     )
     renorm = predict(tallies, target, renormalize_empty=True)
     renorm_ok = (renorm.renormalized and renorm.dropped_mass == 1.0
                  and len(renorm.dropped_regions) == 400
                  and set(renorm.dropped_regions.tolist())
-                 == {grid.ravel(idx) for idx in np.ndindex(*grid.bins)
+                 == {np.ravel_multi_index(idx, grid.bins)
+                     for idx in np.ndindex(*grid.bins)
                      if idx[2] >= 6})
     criterion(9, "uncovered positive-mass regions fail loudly and are "
                  "only dropped under the explicit renormalize flag",

@@ -187,6 +187,48 @@ class TestRunObservePredict:
         assert (Path("again.jsonl").read_bytes()
                 == (tmp_path / "out" / "r.jsonl").read_bytes())
 
+    @pytest.fixture
+    def configured_run(self, small_pipeline, tmp_path):
+        """A campaign run with a condition document; returns its manifest
+        and config paths."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(condition_document(
+            presets.condition("testing"), presets.default_grid(), seed=0,
+            env=presets.default_env())))
+        rec = tmp_path / "configured.jsonl"
+        assert run_cli("run", "--scenarios", str(small_pipeline["scen"]),
+                       "--config", str(cfg), "--seed", "5",
+                       "--out", str(rec)) == 0
+        return rec.with_suffix(".manifest.json"), cfg
+
+    def test_replay_refuses_a_changed_config(self, configured_run, tmp_path,
+                                             capsys):
+        manifest, cfg = configured_run
+        again = tmp_path / "again.jsonl"
+        assert run_cli("run", "--manifest", str(manifest),
+                       "--out", str(again)) == 0
+        doc = json.loads(cfg.read_text())
+        doc["env"].update(danger_height=30.0, noise_sigma_goal=3.0)
+        cfg.write_text(json.dumps(doc))
+        again.unlink()
+        assert run_cli("run", "--manifest", str(manifest),
+                       "--out", str(again)) == 3
+        err = capsys.readouterr().err
+        assert f"DataError: {cfg}: " in err and "config_sha256" in err
+        assert not again.exists()
+
+    def test_replay_refuses_a_changed_scenario_count(self, small_pipeline,
+                                                     tmp_path, capsys):
+        scen = small_pipeline["scen"]
+        scen.write_text(scen.read_text() + "[5.0, 5.0, 30.0]\n")
+        again = tmp_path / "again.jsonl"
+        assert run_cli("run", "--manifest",
+                       str(small_pipeline["rec"].with_suffix(".manifest.json")),
+                       "--out", str(again)) == 3
+        assert (f"DataError: {scen}: 401 scenarios, "
+                in capsys.readouterr().err)
+        assert not again.exists()
+
     @pytest.mark.parametrize("argv", [
         ("predict", "--records", "nope.jsonl", "--condition", "testing"),
         ("observe", "--records", "nope.jsonl"),
@@ -345,11 +387,29 @@ class TestRunObservePredict:
         assert run_cli(command, "--records", str(odd), *extra,
                        "--out", str(out)) == 3
         err = capsys.readouterr().err
-        # a scenario of the wrong length is refused by the reader, which names
-        # the line; one outside the bounds by the domain check, which names
-        # the record
-        where = "record 2" if len(scenario) == 3 else "line 2"
-        assert "OutOfDomain" in err and f"odd.jsonl: {where}: " in err
+        # the reader refuses a scenario of the wrong length, the domain check
+        # one outside the bounds; both name the line
+        assert "OutOfDomain" in err and "odd.jsonl: line 2: " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["observe", "predict", "plot", "run"])
+    def test_row_after_a_blank_line_is_named_by_its_line(self, tmp_path,
+                                                         capsys, command):
+        good = {"scenario": [5.0, 5.0, 30.0], "mode": "task_failure",
+                "seed": 1, "steps": 100, "final_position": 20.0,
+                "collision_time": None}
+        rows = ((good["scenario"], [11.0, 5.0, 30.0]) if command == "run"
+                else (good, {**good, "scenario": [11.0, 5.0, 30.0]}))
+        odd = tmp_path / "odd.jsonl"
+        odd.write_text(json.dumps(rows[0]) + "\n\n" + json.dumps(rows[1]) + "\n")
+        flags = {"observe": ("--records", str(odd)),
+                 "predict": ("--records", str(odd), "--condition", "testing"),
+                 "plot": ("--records", str(odd), "--dims", "v,y"),
+                 "run": ("--scenarios", str(odd))}[command]
+        out = tmp_path / "out"
+        assert run_cli(command, *flags, "--out", str(out)) == 3
+        assert (f"OutOfDomain: {odd}: line 3: v = 11.0 outside"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_scenario_outside_the_domain_names_file_and_scenario(
@@ -359,7 +419,7 @@ class TestRunObservePredict:
         out = tmp_path / "rec.jsonl"
         assert run_cli("run", "--scenarios", str(scen),
                        "--out", str(out)) == 3
-        assert (f"OutOfDomain: {scen}: scenario 2: v = 11.0 outside"
+        assert (f"OutOfDomain: {scen}: line 2: v = 11.0 outside"
                 in capsys.readouterr().err)
         assert not out.exists()
 
@@ -508,10 +568,13 @@ class TestReproduce:
                      id="n-0"),
         pytest.param({"--n": "-4"}, 2,
                      "ConfigError: n must be at least 1, got -4", id="n--4"),
-        # 50 testing scenarios leave most of the default 10^3 grid uncovered
+        # 50 testing scenarios leave most of the default 10^3 grid uncovered;
+        # the regions are named as tuples of Python ints on every numpy
         pytest.param({"--n": "50", "--grid": None}, 4,
-                     "region(s) with positive target mass have no test samples",
-                     id="n-50-default-grid"),
+                     "EmptyPartition: 951 region(s) with positive target mass "
+                     "have no test samples: (0, 0, 0), (0, 0, 1), (0, 0, 2), "
+                     "(0, 0, 3), (0, 0, 4), (0, 0, 5), (0, 0, 6), (0, 0, 7) "
+                     "(+943 more)", id="n-50-default-grid"),
     ])
     def test_negative_seed_exits_2_before_writing(self, tmp_path, capsys,
                                                   edits, code, message):
@@ -522,7 +585,7 @@ class TestReproduce:
         flags = {"--n": "5", "--grid": "1,1,1", "--seed": "0", **edits}
         argv = [a for kv in flags.items() if kv[1] is not None for a in kv]
         assert run_cli("reproduce", "--out-dir", str(out), *argv) == code
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == message + "\n"
         assert not out.exists() or not any(out.rglob("*"))
 
     def test_every_manifest_replays_into_identical_records(self, tmp_path):

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from depgrid import PartitionGrid, presets
 from depgrid.cli import main
 from depgrid.records import condition_document
+from conftest import region_centers
 
 NAN, INF = float("nan"), float("inf")
 GOOD_RECORD = {"scenario": [5.0, 5.0, 30.0], "mode": "task_failure",
@@ -50,8 +51,8 @@ def files(tmp_path_factory):
     manifest and a condition document with a 2x2x2 grid."""
     d = tmp_path_factory.mktemp("fuzz")
     grid = PartitionGrid((2, 2, 2))
-    records = [dict(GOOD_RECORD, scenario=[(a + b) / 2 for a, b in r.bounds])
-               for r in grid.iter_regions(presets.domain_space())]
+    records = [dict(GOOD_RECORD, scenario=list(x))
+               for x in region_centers(grid, presets.domain_space())]
     (d / "rec.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
     doc = condition_document(presets.condition("oc3"), grid, seed=0,
                              env=presets.default_env(),

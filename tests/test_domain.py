@@ -14,6 +14,7 @@ from depgrid import (
     ConditionSet,
     ConfigError,
     Dimension,
+    DiscreteCondition,
     DomainSpace,
     InvalidGrid,
     OutOfDomain,
@@ -26,6 +27,7 @@ from depgrid import (
     validate_grid,
 )
 from depgrid import presets
+from conftest import in_region
 
 # Frozen standard-normal CDF values, computed with scipy.special.ndtr.
 PHI_MINUS_1 = 0.15865525393145707
@@ -35,11 +37,11 @@ ONE_MINUS_PHI_1 = 0.1586552539314571
 GAUSS_3_2_BIN_4_5 = 0.14988228479452986
 
 
-def region_of(grid: PartitionGrid, space: DomainSpace, x):
-    """The region that partition_indices puts the scenario x, a coordinate
-    sequence, in."""
+def region_of(grid: PartitionGrid, space: DomainSpace, x) -> tuple[int, ...]:
+    """The index of the region that partition_indices puts the scenario x, a
+    coordinate sequence, in."""
     (index,) = partition_indices(grid, space, [x])
-    return grid.region(space, tuple(index.tolist()))
+    return tuple(index.tolist())
 
 
 def line_domain() -> DomainSpace:
@@ -68,17 +70,17 @@ class TestPartitionIndex:
     def test_first_bin(self):
         space = line_domain()
         grid = PartitionGrid((10,))
-        assert region_of(grid, space, (0.5,)).index == (0,)
+        assert region_of(grid, space, (0.5,)) == (0,)
 
     def test_domain_max_belongs_to_closed_last_bin(self):
         space = line_domain()
         grid = PartitionGrid((10,))
-        assert region_of(grid, space, (10.0,)).index == (9,)
+        assert region_of(grid, space, (10.0,)) == (9,)
 
     def test_interior_edge_belongs_to_higher_bin(self):
         space = line_domain()
         grid = PartitionGrid((10,))
-        assert region_of(grid, space, (3.0,)).index == (3,)
+        assert region_of(grid, space, (3.0,)) == (3,)
 
     def test_experiment_domain_3d(self, space, grid):
         # independent oracle: floor((x - min) / width) per dimension
@@ -88,7 +90,7 @@ class TestPartitionIndex:
             for v, d, b in zip(x, space.dims, grid.bins)
         )
         assert expect == (3, 9, 7)
-        assert region_of(grid, space, x).index == expect
+        assert region_of(grid, space, x) == expect
 
     def test_out_of_domain(self, space, grid):
         with pytest.raises(OutOfDomain):
@@ -105,8 +107,7 @@ class TestPartitionIndex:
         rng = np.random.default_rng(3)
         for _ in range(200):
             x = tuple(float(rng.uniform(d.min, d.max)) for d in space.dims)
-            region = region_of(grid, space, x)
-            assert region.contains(x)
+            assert in_region(grid, space, region_of(grid, space, x), x)
 
 
 class TestRegionMass:
@@ -114,30 +115,29 @@ class TestRegionMass:
         space = line_domain()
         grid = PartitionGrid((10,))
         cond = ConditionSet("u", space, (Uniform(0.0, 10.0),))
-        r = grid.region(space, (0,))
-        assert region_mass(cond, r) == pytest.approx(0.1, abs=1e-15)
+        assert region_mass(cond, grid, (0,)) == pytest.approx(0.1, abs=1e-15)
 
     def test_clipped_gaussian_first_bin_includes_atom(self):
         space = line_domain()
         grid = PartitionGrid((10,))
         cond = ConditionSet("g", space, (ClippedGaussian(3.0, 2.0),))
-        r = grid.region(space, (0,))
-        assert region_mass(cond, r) == pytest.approx(PHI_MINUS_1, abs=1e-12)
+        assert region_mass(cond, grid, (0,)) == pytest.approx(PHI_MINUS_1,
+                                                              abs=1e-12)
 
     def test_clipped_gaussian_last_bin_includes_atom(self):
         space = DomainSpace((Dimension("y", 0.0, 50.0),))
         grid = PartitionGrid((10,))
         cond = ConditionSet("g", space, (ClippedGaussian(35.0, 10.0),))
-        r = grid.region(space, (9,))
-        assert r.bounds == ((45.0, 50.0),)
-        assert region_mass(cond, r) == pytest.approx(ONE_MINUS_PHI_1, abs=1e-12)
+        assert grid.edges(space, 0)[9:].tolist() == [45.0, 50.0]
+        assert region_mass(cond, grid, (9,)) == pytest.approx(ONE_MINUS_PHI_1,
+                                                              abs=1e-12)
 
     def test_clipped_gaussian_interior_bin_quadrature_oracle(self):
         space = line_domain()
         grid = PartitionGrid((10,))
         cond = ConditionSet("g", space, (ClippedGaussian(3.0, 2.0),))
-        r = grid.region(space, (4,))
-        assert region_mass(cond, r) == pytest.approx(GAUSS_3_2_BIN_4_5, abs=1e-12)
+        assert region_mass(cond, grid, (4,)) == pytest.approx(GAUSS_3_2_BIN_4_5,
+                                                              abs=1e-12)
         # recompute the oracle here so the frozen value stays auditable
         live, err = quad(lambda v: scipy.stats.norm.pdf(v, 3.0, 2.0), 4.0, 5.0)
         assert live == pytest.approx(GAUSS_3_2_BIN_4_5, abs=1e-12)
@@ -146,8 +146,25 @@ class TestRegionMass:
         space = line_domain()
         grid = PartitionGrid((1,))
         cond = ConditionSet("g", space, (ClippedGaussian(-4.0, 0.5),))
-        r = grid.region(space, (0,))
-        assert region_mass(cond, r) == pytest.approx(1.0, abs=1e-15)
+        assert region_mass(cond, grid, (0,)) == pytest.approx(1.0, abs=1e-15)
+
+    def test_discrete_table_follows_the_bin_edge_convention(self):
+        space = line_domain()
+        grid = PartitionGrid((10,))
+        # the domain minimum, an interior edge, just below it, the maximum
+        cond = DiscreteCondition("d", space, ((0.0,), (3.0,), (2.999,),
+                                              (10.0,)), (0.1, 0.2, 0.3, 0.4))
+        masses = [region_mass(cond, grid, (i,)) for i in range(10)]
+        assert masses == [0.1, 0, 0.3, 0.2, 0, 0, 0, 0, 0, 0.4]
+        assert cond.region_mass_vector(grid).tolist() == masses
+
+    def test_index_outside_the_grid_raises(self, space, grid):
+        cond = presets.condition("oc3")
+        for index in ((10, 0, 0), (0, -1, 0), (0, 0), (0, 0, 0, 0)):
+            with pytest.raises(InvalidGrid):
+                region_mass(cond, grid, index)
+        with pytest.raises(InvalidGrid):
+            region_mass(cond, PartitionGrid((10, 10)), (0, 0))
 
     def test_presets_normalize(self, grid):
         for name in ("testing", "oc1", "oc2", "oc3", "oc4"):
@@ -166,9 +183,9 @@ class TestRegionMass:
     def test_vector_matches_scalar_path(self, space, grid):
         cond = presets.condition("oc4")
         vec = cond.region_mass_vector(grid)
-        for flat, region in enumerate(grid.iter_regions(space)):
+        for flat, index in enumerate(np.ndindex(*grid.bins)):
             if flat % 97 == 0:
-                assert vec[flat] == pytest.approx(region_mass(cond, region),
+                assert vec[flat] == pytest.approx(region_mass(cond, grid, index),
                                                   abs=1e-15)
 
 
@@ -206,8 +223,8 @@ def test_mass_normalization_property(cond_grid):
 def test_sampled_scenarios_partition_totally(cond_grid, seed):
     cond, grid = cond_grid
     for s in sample(cond, 5, seed):
-        region = region_of(grid, cond.space, s)  # must not raise
-        assert region.contains(s)
+        index = region_of(grid, cond.space, s)  # must not raise
+        assert in_region(grid, cond.space, index, s)
 
 
 class TestSample:

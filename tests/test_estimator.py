@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import operator
@@ -19,9 +20,9 @@ from depgrid import (
     EmptyCampaign,
     EmptyPartition,
     IncompleteOutcomes,
+    InvalidGrid,
     OutOfDomain,
     PartitionGrid,
-    Region,
     ScriptedPolicy,
     TestCampaign,
     TrialRecord,
@@ -37,7 +38,7 @@ from depgrid import (
 )
 from depgrid import presets
 from depgrid.records import read_records
-from conftest import campaign_of
+from conftest import campaign_of, in_region, region_centers
 
 
 def make_record(values, mode, seed=0) -> TrialRecord:
@@ -210,8 +211,22 @@ class TestPredict:
         tallies = tally(make_campaign(records), grid, space)
         with pytest.raises(EmptyPartition) as exc:
             predict(tallies, presets.condition("oc2"))
-        uncovered = {r.index for r in exc.value.regions}
+        uncovered = exc.value.regions
         assert all(idx[2] >= 6 for idx in uncovered)
+        assert all(type(i) is int for idx in uncovered for i in idx)
+
+    def test_target_over_another_domain_raises(self, space, grid):
+        tallies = tally(synthetic_campaign(2000, (0.8, 0.1), space), grid,
+                        space)
+        # the default domain with y in [0, 100] instead of [0, 50]
+        tall = DomainSpace(space.dims[:2]
+                           + (dataclasses.replace(space.dims[2], max=100.0),))
+        for target in (
+                ConditionSet("tall", tall,
+                             presets.condition("testing").marginals),
+                DiscreteCondition("tall", tall, ((5.0, 5.0, 20.0),), (1.0,))):
+            with pytest.raises(InvalidGrid, match="another domain"):
+                predict(tallies, target, renormalize_empty=True)
 
     def test_renormalize_flagging(self, space, grid):
         # cover y bins 0..7 only; oc2 has mass on bins 6..9
@@ -297,13 +312,13 @@ def scalar_predict(space, grid, records, target):
     Returns the uncovered positive-mass regions' indices, the weights after
     dropping them, and the three renormalized rates.
     """
-    regions = list(grid.iter_regions(space))
-    counts = {r.index: [0, 0, 0] for r in regions}
+    regions = list(np.ndindex(*grid.bins))
+    counts = {i: [0, 0, 0] for i in regions}
     modes = list(BehaviorMode)
     for rec in records:
-        idx = next(r.index for r in regions if r.contains(rec.scenario))
+        idx = next(i for i in regions if in_region(grid, space, i, rec.scenario))
         counts[idx][modes.index(rec.mode)] += 1
-    masses = {r.index: region_mass(target, r) for r in regions}
+    masses = {i: region_mass(target, grid, i) for i in regions}
     uncovered = [i for i, m in masses.items() if m > 0 and sum(counts[i]) == 0]
     for i in uncovered:
         masses[i] = 0.0
@@ -332,25 +347,21 @@ def test_predict_matches_scalar_region_mass_oracle(space, name,
     if uncovered and not renormalize_empty:
         with pytest.raises(EmptyPartition) as exc:
             predict(t, target)
-        assert [r.index for r in exc.value.regions] == uncovered
+        assert list(exc.value.regions) == uncovered
         return
     r = predict(t, target, renormalize_empty=renormalize_empty)
     assert r.renormalized == bool(uncovered)
-    assert r.dropped_regions.tolist() == [grid.ravel(i) for i in uncovered]
+    assert r.dropped_regions.tolist() == [
+        np.ravel_multi_index(i, grid.bins) for i in uncovered]
     assert (r.dependability, r.task_undependability,
             r.harmful_undependability) == pytest.approx(rates, abs=1e-12)
     assert r.weights.tolist() == pytest.approx(
         [weights[idx] for idx in np.ndindex(*grid.bins)], abs=1e-12)
 
 
-def test_predict_report_table_is_the_tally_and_the_weights(space,
-                                                           monkeypatch):
+def test_predict_report_table_is_the_tally_and_the_weights(space):
     """The report's table is the tally's counts, the grid's edges and the
-    renormalized weights, and a successful predict builds no Region."""
-    def no_regions(*args, **kwargs):
-        raise AssertionError("predict built a Region")
-
-    monkeypatch.setattr(Region, "__init__", no_regions)
+    renormalized weights."""
     grid = PartitionGrid((3, 2, 4))
     xs = [x for x in sample(presets.testing_conditions(), 200, 47)
           if x[2] < 30.0]
@@ -415,18 +426,18 @@ class TestBruteForce:
         modes = list(BehaviorMode)
         for trial in range(10):
             rng = np.random.default_rng(1000 + trial)
-            centers, outcomes, records = [], {}, []
-            for idx in np.ndindex(*grid.bins):
-                region = grid.region(space, idx)
-                center = tuple((lo + hi) / 2.0 for lo, hi in region.bounds)
+            centers, outcomes, records = region_centers(grid, space), {}, []
+            for center in centers:
                 mode = modes[rng.integers(0, 3)]
-                centers.append(center)
                 outcomes[center] = mode
                 records.append(make_record(center, mode))
             probs = rng.random(len(centers))
             probs = probs / probs.sum()
             cond = DiscreteCondition("lattice", space, tuple(centers),
                                      tuple(float(p) for p in probs))
+            # each region's scalar mass is its one lattice point's probability
+            assert [region_mass(cond, grid, i)
+                    for i in np.ndindex(*grid.bins)] == list(cond.probabilities)
             exact = brute_force_dependability(outcomes, cond)
             estimated = predict(tally(make_campaign(records), grid, space), cond)
             for metric in ("dependability", "task_undependability",

@@ -33,7 +33,7 @@ from depgrid import (
 )
 from depgrid import presets
 from depgrid.svgplots import failure_scatter_svg
-from conftest import campaign_of
+from conftest import campaign_of, region_centers
 from depgrid.records import (
     CampaignManifest,
     _campaign_from_dicts,
@@ -386,8 +386,7 @@ def random_campaign(space: DomainSpace, n: int, seed: int, *,
     hi = np.array([d.max for d in space.dims])
     points = list(lo + rng.random((n, space.ndim)) * (hi - lo))
     if centers_of is not None:
-        points += [[(a + b) / 2 for a, b in r.bounds]
-                   for r in centers_of.iter_regions(space)]
+        points += region_centers(centers_of, space)
     modes = list(BehaviorMode)
     return campaign_of(record(x, modes[rng.integers(0, 3)]) for x in points)
 
