@@ -166,6 +166,12 @@ def cmd_run(args) -> int:
     if args.manifest and len(scenarios) != manifest.n_records:
         raise DataError(f"{scenarios_path}: {len(scenarios)} scenarios, "
                         f"{args.manifest} recorded {manifest.n_records}")
+    scenarios_hash = file_sha256(scenarios_path)
+    # a manifest written without the hash replays unchecked
+    recorded = manifest.scenarios_sha256 if args.manifest else None
+    if recorded not in (None, scenarios_hash):
+        raise DataError(f"{scenarios_path}: its sha256 is not the "
+                        f"scenarios_sha256 {args.manifest} recorded")
     factory = _policy_factory(policy_name, params, env, safety)
     with naming_line(scenarios_path):
         campaign = evaluate_policy(env, factory, scenarios, seed,
@@ -180,6 +186,7 @@ def cmd_run(args) -> int:
         master_seed=seed,
         n_records=len(campaign),
         scenarios_path=os.path.relpath(scenarios_path, out.parent),
+        scenarios_sha256=scenarios_hash,
         records_path=out.name,
         config_path=config_path and os.path.relpath(config_path, out.parent),
         config_sha256=config_hash,
@@ -293,6 +300,9 @@ def reproduce(out_dir: str | Path, *, n: int = 20000, seed: int = 0,
 
     def write_campaign(name: str, campaign: TestCampaign,
                        safety: SafetyFunction | None = None) -> None:
+        # the scenarios the campaign ran: the safety campaign ran the
+        # testing ones
+        scenarios = f"scenarios/{campaign.condition_name}.jsonl"
         write_records(out / "records" / f"{name}.jsonl", campaign)
         write_manifest(out / "records" / f"{name}.manifest.json", CampaignManifest(
             condition=campaign.condition_name,
@@ -301,9 +311,8 @@ def reproduce(out_dir: str | Path, *, n: int = 20000, seed: int = 0,
             safety=safety.as_dict() if safety else None,
             master_seed=campaign.master_seed,
             n_records=len(campaign),
-            # the scenarios the campaign ran: the safety campaign ran the
-            # testing ones
-            scenarios_path=f"../scenarios/{campaign.condition_name}.jsonl",
+            scenarios_path=f"../{scenarios}",
+            scenarios_sha256=file_sha256(out / scenarios),
             records_path=f"{name}.jsonl",
         ))
 

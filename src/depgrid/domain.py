@@ -61,6 +61,10 @@ class Dimension:
             raise ConfigError(
                 f"dimension {self.name!r}: min ({self.min}) must be < max ({self.max})"
             )
+        if not math.isfinite(self.max - self.min):
+            raise ConfigError(
+                f"dimension {self.name!r}: width max - min overflows "
+                f"([{self.min}, {self.max}])")
 
     @property
     def width(self) -> float:
@@ -176,6 +180,9 @@ class ClippedGaussian:
     def __post_init__(self):
         if not self.sigma > 0:
             raise ConfigError(f"clipped gaussian: sigma ({self.sigma}) must be > 0")
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+            raise ConfigError(f"clipped gaussian: mu ({self.mu}) and sigma "
+                              f"({self.sigma}) must be finite")
 
     def validate_for(self, dim: Dimension) -> None:
         pass  # any mu/sigma is legal; clipping handles the tails
@@ -376,11 +383,14 @@ def region_mass(cond: Condition, grid: PartitionGrid,
 # ---------------------------------------------------------------------------
 # Seeding
 # ---------------------------------------------------------------------------
-# numpy's SeedSequence and PCG64 seeding (numpy/random/bit_generator.pyx and
-# pcg64.h), computed for many entropy rows at once. Entropy is a list of
-# columns, one uint32 word per row each, held in uint64 arrays: a product of
-# two 32-bit words fits, and every result is masked back to 32 bits, so the
-# arithmetic is the same under numpy 1.x and 2.x promotion rules.
+# numpy's SeedSequence and PCG64 (numpy/random/bit_generator.pyx and
+# pcg64.h), computed for many entropy rows at once. Integers are held as
+# 32-bit words in uint64 arrays: entropy as a list of columns, one word per
+# row each, and a 128-bit PCG64 value as four limbs, least significant first.
+# A product of two 32-bit words fits, and every result is masked back to 32
+# bits. Every operand is a uint64 (numpy 1.x promotes a uint64 combined with
+# a Python int to float64), so the arithmetic is the same under numpy 1.x and
+# 2.x promotion rules.
 
 _M32 = np.uint64(0xFFFF_FFFF)
 _XSHIFT = np.uint64(16)
@@ -389,8 +399,15 @@ _POOL = 4
 _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
 _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
 _MIX_L, _MIX_R = np.uint64(0xCA01_F9DD), np.uint64(0x4973_F715)
-_PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
-_M128 = (1 << 128) - 1
+
+
+def _limbs(value: int) -> tuple[np.uint64, ...]:
+    """A 128-bit constant's four 32-bit limbs, least significant first."""
+    return tuple(np.uint64((value >> s) & 0xFFFF_FFFF) for s in (0, 32, 64, 96))
+
+
+_ONE = _limbs(1)
+_PCG_MULT = _limbs(0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645)
 
 
 def _entropy_words(values) -> list[tuple[np.ndarray, list[np.ndarray]]]:
@@ -471,39 +488,69 @@ def _generate_state(groups, n_words: int) -> np.ndarray:
     return out
 
 
-def _pcg64_states(groups) -> list[tuple[int, int]]:
-    """The (state, inc) of PCG64(SeedSequence(entropy)) for entropy rows
-    (groups as in _generate_state), in row order: the values of
-    ``PCG64(...).state["state"]``.
+def _mul_add(a, m, c) -> list[np.ndarray]:
+    """a·m + c mod 2**128 on limbs: schoolbook, each 64-bit partial product
+    split into the 32-bit halves its output limb and the next one take. No
+    sum reaches 2**36, so none wraps."""
+    out, carry = [], np.uint64(0)
+    for k in range(4):
+        low, high = carry + c[k], np.uint64(0)
+        for i in range(k + 1):
+            p = a[i] * m[k - i]
+            low, high = low + (p & _M32), high + (p >> _SHIFT32)
+        out.append(low & _M32)
+        carry = high + (low >> _SHIFT32)
+    return out
+
+
+def _pcg64_limbs(groups) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The limbs of the (state, inc) of PCG64(SeedSequence(entropy)) for
+    entropy rows (groups as in _generate_state), in row order.
 
     PCG64 reads generate_state(4, np.uint64) as a 128-bit initial state and
-    stream, then runs pcg_setseq_128_srandom_r: inc is the stream shifted up
-    with its low bit set, and the state is two LCG steps from 0 with the
-    initial state added after the first.
+    stream, high word first, then runs pcg_setseq_128_srandom_r: inc is the
+    stream shifted up with its low bit set, and the state is two LCG steps
+    from 0 with the initial state added after the first.
     """
-    w = _generate_state(groups, 8)
-    words = (w[:, 0::2] | (w[:, 1::2] << _SHIFT32)).tolist()  # 4 uint64 a row
-    states = []
-    for s_hi, s_lo, q_hi, q_lo in words:
-        inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _M128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _M128
-        states.append((state, inc))
-    return states
+    w = _generate_state(groups, 8)[:, [2, 3, 0, 1, 6, 7, 4, 5]].T
+    start, seq = w[:4], w[4:]
+    low_bits = [np.ones_like(seq[0])] + [q >> np.uint64(31) for q in seq[:3]]
+    inc = [((q << np.uint64(1)) & _M32) | b for q, b in zip(seq, low_bits)]
+    return _mul_add(_mul_add(inc, _ONE, start), _PCG_MULT, inc), inc
 
 
-def _seeded_streams(groups) -> Iterator[np.random.Generator]:
-    """One generator per call, yielded once for each entropy row (in row
-    order) after its PCG64 state is set to PCG64(SeedSequence(row))'s.
+def _xsl_rr(state) -> np.ndarray:
+    """PCG64's 64-bit output of each 128-bit state: the xor of its two
+    halves, rotated right by the state's top six bits."""
+    x = ((state[3] ^ state[1]) << _SHIFT32) | (state[2] ^ state[0])
+    r = state[3] >> np.uint64(26)
+    return (x >> r) | (x << ((np.uint64(64) - r) & np.uint64(63)))
 
-    Equal to drawing from ``np.random.Generator(np.random.PCG64(
-    np.random.SeedSequence(row)))``, without building either per row. Each
-    row's draws must be taken before the next row is requested.
+
+def _pcg64_states(state, inc) -> list[tuple[int, int]]:
+    """The limb states as the (state, inc) Python ints of
+    ``PCG64(...).state["state"]``, one pair per row."""
+    def ints(limbs):
+        hi = ((limbs[3] << _SHIFT32) | limbs[2]).tolist()
+        lo = ((limbs[1] << _SHIFT32) | limbs[0]).tolist()
+        return [(h << 64) | v for h, v in zip(hi, lo)]
+    return list(zip(ints(state), ints(inc)))
+
+
+def _seeded_streams(states) -> Iterator[np.random.Generator]:
+    """One generator per call, yielded once for each (state, inc) pair of
+    _pcg64_states, after its PCG64 state is set to that pair.
+
+    Given _pcg64_states(*_pcg64_limbs(groups)), equal to drawing from
+    ``np.random.Generator(np.random.PCG64(np.random.SeedSequence(row)))``
+    for each entropy row, without building either per row. Each row's draws
+    must be taken before the next row is requested.
     """
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
     doc = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0,
            "uinteger": 0}
-    for state, inc in _pcg64_states(groups):
+    for state, inc in states:
         doc["state"] = {"state": state, "inc": inc}
         bitgen.state = doc
         yield rng
@@ -545,16 +592,31 @@ def sample(cond: ConditionSet, n: int, seed: int) -> np.ndarray:
     Row i draws one value per dimension, in dimension order, from
     PCG64(SeedSequence(seed, spawn_key=(i,))), so the result is a pure
     function of (cond, n, seed) and its first k rows equal sample(cond, k,
-    seed). The substream states are computed for all indices at once, and
-    one generator serves every row (see _seeded_streams). Gaussian draws are
-    clipped to the dimension bounds. A negative seed raises ConfigError.
+    seed). The substream states are computed for all indices at once. The
+    leading run of Uniform marginals is drawn for all rows at once from the
+    stepped states, as ``Generator.uniform`` computes it: a + (b - a) times
+    the top 53 bits of the output over 2**53. From the first other marginal
+    on, one generator serves every row, set to the state the leading draws
+    left (see _seeded_streams). Gaussian draws are clipped to the dimension
+    bounds. A negative seed raises ConfigError.
     """
     if n < 0:
         raise ConfigError(f"sample count must be >= 0, got {n}")
     if not isinstance(cond, ConditionSet):
         raise ConfigError("sample() draws from product conditions only")
     pairs = tuple(zip(cond.marginals, cond.space.dims))
+    k = next((j for j, m in enumerate(cond.marginals)
+              if not isinstance(m, Uniform)), len(pairs))
     xs = np.empty((n, len(pairs)))
-    for row, rng in zip(xs, _seeded_streams(_spawn_entropy(seed, range(n)))):
-        row[:] = [m.draw(rng, d) for m, d in pairs]
+    state, inc = _pcg64_limbs(_spawn_entropy(seed, range(n)))
+    for j, m in enumerate(cond.marginals[:k]):
+        state = _mul_add(state, _PCG_MULT, inc)
+        a = float(m.a)
+        xs[:, j] = a + (float(m.b) - a) * (
+            (_xsl_rr(state) >> np.uint64(11)) * 2.0**-53)
+    if k < len(pairs):
+        rest = pairs[k:]
+        for row, rng in zip(xs[:, k:],
+                            _seeded_streams(_pcg64_states(state, inc))):
+            row[:] = [m.draw(rng, d) for m, d in rest]
     return xs

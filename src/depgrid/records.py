@@ -522,7 +522,9 @@ class CampaignManifest:
     """Everything needed to reproduce a campaign bit for bit.
 
     Paths are stored relative to the manifest location so identical runs in
-    different directories produce identical manifest bytes.
+    different directories produce identical manifest bytes. The sha256 of
+    the scenario file lets a replay refuse an edited one; a manifest written
+    without it replays unchecked.
     """
 
     condition: str
@@ -535,6 +537,7 @@ class CampaignManifest:
     records_path: str
     config_path: str | None = None
     config_sha256: str | None = None
+    scenarios_sha256: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -544,6 +547,7 @@ class CampaignManifest:
             "master_seed": self.master_seed,
             "n_records": self.n_records,
             "scenarios_path": self.scenarios_path,
+            "scenarios_sha256": self.scenarios_sha256,
             "records_path": self.records_path,
             "config_path": self.config_path,
             "config_sha256": self.config_sha256,
@@ -568,6 +572,7 @@ class CampaignManifest:
             records_path=str(d["records_path"]),
             config_path=_optional_str(d.get("config_path")),
             config_sha256=_optional_str(d.get("config_sha256")),
+            scenarios_sha256=_optional_str(d.get("scenarios_sha256")),
         )
 
 

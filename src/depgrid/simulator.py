@@ -29,7 +29,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .domain import Dimension, DomainSpace, _entropy_words, _seeded_streams
+from .domain import (Dimension, DomainSpace, _entropy_words, _pcg64_limbs,
+                     _pcg64_states, _seeded_streams)
 from .errors import ConfigError, EpisodeNotFinished, SteppingTerminatedEpisode
 from .estimator import BehaviorMode, TestCampaign, TrialRecord
 
@@ -267,12 +268,14 @@ def _episode_noise(seeds: Sequence[int], horizon: int) -> np.ndarray:
     """Standard normals of shape (len(seeds), horizon, 3): row j is the
     start of PCG64(seeds[j])'s stream, the noise run_episode draws.
 
-    The seeded PCG64 states of the whole block are computed at once, and one
-    generator fills every row (see domain._seeded_streams). A negative seed
+    The seeded PCG64 states of the whole block are computed at once as limbs
+    (see domain._pcg64_limbs), and one generator, set to each row's state in
+    turn, fills every row (see domain._seeded_streams). A negative seed
     raises ConfigError.
     """
     noise = np.empty((len(seeds), horizon, 3))
-    for row, rng in zip(noise, _seeded_streams(_entropy_words(seeds))):
+    states = _pcg64_states(*_pcg64_limbs(_entropy_words(seeds)))
+    for row, rng in zip(noise, _seeded_streams(states)):
         rng.standard_normal(out=row)
     return noise
 

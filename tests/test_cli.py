@@ -78,7 +78,16 @@ class TestSample:
         lambda doc: {**doc, "grid": {"bins": ["x"]}},
         lambda doc: [doc],
         lambda doc: {**doc, "marginals": {**doc["marginals"], "v": [1, 2]}},
-    ], ids=["bad_bin_count", "list_document", "list_marginal"])
+        # finite bounds whose width overflows: the domain and its uniform
+        lambda doc: {**doc, "domain": [
+            {**doc["domain"][0], "min": -1e308, "max": 1e308},
+            *doc["domain"][1:]], "marginals": {**doc["marginals"], "v": {
+                "kind": "uniform", "a": -1e308, "b": 1e308}}},
+        # json writes and reads the NaN literal
+        lambda doc: {**doc, "marginals": {**doc["marginals"], "v": {
+            "kind": "clipped_gaussian", "mu": float("nan"), "sigma": 1}}},
+    ], ids=["bad_bin_count", "list_document", "list_marginal",
+            "overflowing_width", "nan_mu"])
     def test_malformed_config_document_exits_2(self, tmp_path, capsys, edit):
         doc = condition_document(presets.condition("oc1"),
                                  presets.default_grid(), seed=0)
@@ -228,6 +237,33 @@ class TestRunObservePredict:
         assert (f"DataError: {scen}: 401 scenarios, "
                 in capsys.readouterr().err)
         assert not again.exists()
+
+    def test_replay_refuses_an_edited_scenario_file(self, small_pipeline,
+                                                    tmp_path, capsys):
+        # the same row count, one value changed
+        scen = small_pipeline["scen"]
+        lines = scen.read_text().splitlines(keepends=True)
+        scen.write_text("[1.0, 1.0, 10.0]\n" + "".join(lines[1:]))
+        again = tmp_path / "again.jsonl"
+        assert run_cli("run", "--manifest",
+                       str(small_pipeline["rec"].with_suffix(".manifest.json")),
+                       "--out", str(again)) == 3
+        err = capsys.readouterr().err
+        assert f"DataError: {scen}: " in err and "scenarios_sha256" in err
+        assert not again.exists()
+
+    def test_manifest_without_scenario_hash_replays_unchecked(
+            self, small_pipeline, tmp_path):
+        path = small_pipeline["rec"].with_suffix(".manifest.json")
+        manifest = json.loads(path.read_text())
+        assert manifest.pop("scenarios_sha256") == file_sha256(
+            small_pipeline["scen"])
+        old = tmp_path / "old.manifest.json"
+        old.write_text(json.dumps({**manifest, "scenarios_path": str(
+            small_pipeline["scen"])}))
+        again = tmp_path / "again.jsonl"
+        assert run_cli("run", "--manifest", str(old), "--out", str(again)) == 0
+        assert again.read_bytes() == small_pipeline["rec"].read_bytes()
 
     @pytest.mark.parametrize("argv", [
         ("predict", "--records", "nope.jsonl", "--condition", "testing"),
@@ -601,13 +637,17 @@ class TestReproduce:
             assert run_cli("run", "--manifest", str(manifest),
                            "--out", str(replay)) == 0
             assert replay.read_bytes() == records.read_bytes(), manifest.name
+            doc = json.loads(manifest.read_text())
+            assert doc["scenarios_sha256"] == file_sha256(
+                manifest.parent / doc["scenarios_path"])
 
     def test_scenario_record_and_manifest_files_are_pinned(self, tmp_path):
         # sha256 of reproduce(n=3000, seed=7, 5^3) before campaigns became
-        # columns, except testing_safety.manifest.json, re-pinned when its
-        # scenarios_path became the testing scenarios it ran; reports and
-        # SVGs are left out, since their erfc masses may differ by one ulp
-        # between libm builds
+        # columns, except the manifests, re-pinned when testing_safety's
+        # scenarios_path became the testing scenarios it ran and again when
+        # every manifest gained scenarios_sha256; reports and SVGs are left
+        # out, since their erfc masses may differ by one ulp between libm
+        # builds
         reproduce(tmp_path, n=3000, seed=7, grid=PartitionGrid((5, 5, 5)))
         got = {f"{d}/{p.name}": file_sha256(p)
                for d in ("scenarios", "records") for p in (tmp_path / d).iterdir()}
@@ -618,27 +658,27 @@ PINNED_SHA256 = {
     "records/oc1.jsonl":
         "aa6eecb7dd2f15545a0cb1e25229c2f586df60bea1d4913e41f65be22dfeb3a5",
     "records/oc1.manifest.json":
-        "49cf37890acee446dccca56b2bea3b7779fdecfe58e23f20c54837485f92ab0e",
+        "44e3b558737440bfffa23fcdb32777bd028d88acb18f49c4b70d378e5e0a6875",
     "records/oc2.jsonl":
         "0c9a9c76227f7ae99e66a3b6f453688e8f82a690d4cf38c4de18b85f7c43dc9f",
     "records/oc2.manifest.json":
-        "36c293605d6e553ea88c6db4f16719949228012d826c04ab38525a443a38db81",
+        "a5cb695c7e1b73f7f323c46f574148b70dc7dccca1d2907d5e171a6b9ea3507d",
     "records/oc3.jsonl":
         "99e5d773a63a591f02238e0981db9455b035758a5087406aa9cca0265262db0f",
     "records/oc3.manifest.json":
-        "c3959014dc222036f7a094dcec6ecd849fe99aa39f2c9d0fee39905a0b5f4364",
+        "f3b01f75665ce13fa428b65a4747aca2203b01a4dccb5f626729874c222ede5a",
     "records/oc4.jsonl":
         "69cba9e7f6ff6bcaa52a26983767057cff5dd29693715462426ab22c7d05c3b0",
     "records/oc4.manifest.json":
-        "aafbfccb4510475eef92044a443131a40b88493b400ddbc14d1156b35af271a1",
+        "e8f16ac11f8d1adbbc4febfefeb92d56ffdb7c11c0c4a1b593abab861769862c",
     "records/testing.jsonl":
         "a33ec720f9f9d907856b19c7b527bb0ee7ee42583034f30d3f16fad0feaab65d",
     "records/testing.manifest.json":
-        "07212e9dee432a843d25ac967daf4234797d9ec2f990a9513fb10d059269f757",
+        "ed23ba46114af2128648ea161b8ea708b07ba9a41f5ccb273250bb1a26744f69",
     "records/testing_safety.jsonl":
         "db1b809c9d668a9a949ddf8a0e43e579eb5b6767e44ed3849935987923c45230",
     "records/testing_safety.manifest.json":
-        "6bbf679286d7e761fb98ed3123d6ccde147826a71f7d791814124fb941913398",
+        "ca8b18ba77c7204982e11a87db09fc5ddadf0aae5f3be0ef79a68bdea4fa544e",
     "scenarios/oc1.jsonl":
         "80b60c919942c752593e62b37ef2eacf6b44d110fa0f8295ad7cf58cd1d3a48d",
     "scenarios/oc2.jsonl":

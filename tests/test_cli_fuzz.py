@@ -224,6 +224,7 @@ MANIFEST_EDITS = edits([
                   {"goal_clip_max": 99}]),
     (["scenarios_path"], ["nope.jsonl", None, 5]),
     (["config_path"], ["nope.json", 5]),
+    (["scenarios_sha256"], ["0" * 64, 5]),
 ] + [([key], [DELETE]) for key in ("condition", "master_seed", "n_records",
                                    "scenarios_path", "records_path")])
 
@@ -243,13 +244,17 @@ DIM = ["domain", 0]
 CONDITION_EDITS = edits([
     (["domain"], [None, 5, "x", [], [{"name": "v"}]]),
     (DIM + ["min"], ["x", None, NAN, 10.0]),
+    # finite bounds whose width max - min overflows
+    (DIM, [{"name": "v", "min": -1e308, "max": 1e308}]),
     (DIM + ["name"], ["", "t"]),
     (["marginals"], [None, 5, {}]),
     (["marginals", "v"], [5, {"kind": "cauchy"},
                           {"kind": "uniform", "a": "x", "b": 1},
                           {"kind": "uniform", "a": -5, "b": 1},
                           {"kind": "uniform", "a": 5, "b": 1},
-                          {"kind": "clipped_gaussian", "mu": 1, "sigma": 0}]),
+                          {"kind": "clipped_gaussian", "mu": 1, "sigma": 0},
+                          {"kind": "clipped_gaussian", "mu": NAN, "sigma": 1},
+                          {"kind": "clipped_gaussian", "mu": 1, "sigma": INF}]),
     (["grid"], [None, 5, {}]),
     (["grid", "bins"], [None, ["x"], [0, 1, 1], [2, 2], [], [-1, 2, 2]]),
     (["seed"], [None, "x", []]),

@@ -286,6 +286,18 @@ class TestValidation:
         with pytest.raises(ConfigError):
             Dimension("x", 1.0, 1.0)
 
+    def test_dimension_width_must_be_finite(self):
+        # both bounds are finite, but max - min overflows to inf
+        with pytest.raises(ConfigError, match="width"):
+            Dimension("x", -1e308, 1e308)
+        Dimension("x", -8e307, 8e307)
+
+    @pytest.mark.parametrize("mu, sigma", [
+        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, math.inf)])
+    def test_clipped_gaussian_parameters_must_be_finite(self, mu, sigma):
+        with pytest.raises(ConfigError, match="finite"):
+            ClippedGaussian(mu, sigma)
+
     def test_duplicate_dimension_names(self):
         with pytest.raises(ConfigError):
             DomainSpace((Dimension("x", 0, 1), Dimension("x", 0, 2)))

@@ -767,10 +767,23 @@ class TestManifests:
             n_records=123,
             scenarios_path="scenarios.jsonl",
             records_path="records.jsonl",
+            scenarios_sha256="ab" * 32,
         )
         path = tmp_path / "m.json"
         write_manifest(path, manifest)
         assert read_manifest(path) == manifest
+
+    def test_scenario_hash_is_optional(self, tmp_path):
+        path = tmp_path / "m.json"
+        write_manifest(path, CampaignManifest(
+            condition="", policy_name="scripted", policy_params={},
+            safety=None, master_seed=1, n_records=0,
+            scenarios_path="s.jsonl", records_path="r.jsonl",
+            scenarios_sha256="ab" * 32))
+        doc = json.loads(path.read_text())
+        del doc["scenarios_sha256"]
+        path.write_text(json.dumps(doc))
+        assert read_manifest(path).scenarios_sha256 is None
 
 
 class TestAtomicWrites:

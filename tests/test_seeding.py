@@ -2,10 +2,12 @@
 
 ``domain.substream_seeds``, ``sample`` and the episode noise of
 ``run_batch`` compute numpy's SeedSequence mixing and PCG64 seeding for many
-seeds at once instead of building one SeedSequence and one PCG64 per unit.
-Record and scenario bytes depend on every bit of it, so each property here
-uses numpy's classes as the oracle: a numpy release that changes either
-algorithm fails these tests instead of silently changing output files.
+seeds at once instead of building one SeedSequence and one PCG64 per unit;
+``sample`` also steps PCG64 and computes its output as array arithmetic on
+32-bit limbs for its leading uniform coordinates. Record and scenario bytes
+depend on every bit of it, so each property here uses numpy's classes as the
+oracle: a numpy release that changes either algorithm fails these tests
+instead of silently changing output files.
 
 Integers split into a different number of 32-bit entropy words take
 different paths through the mixing, so the strategies draw from each word
@@ -20,12 +22,26 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from depgrid import ConfigError, presets, run_batch, run_episode
+from depgrid import (
+    ClippedGaussian,
+    ConditionSet,
+    ConfigError,
+    Dimension,
+    DomainSpace,
+    Uniform,
+    presets,
+    run_batch,
+    run_episode,
+)
 from depgrid.domain import (
+    _PCG_MULT,
     _generate_state,
+    _mul_add,
+    _pcg64_limbs,
     _pcg64_states,
     _seeded_streams,
     _spawn_entropy,
+    _xsl_rr,
     sample,
     substream_seed,
     substream_seeds,
@@ -88,13 +104,39 @@ def test_spawned_seeds_across_two_word_indices(master, indices):
 @example(master=0, indices=[0, 1, 2])
 @example(master=2**64 - 1, indices=[2**32 - 1, 2**32])
 def test_spawned_generator_state_equals_numpy(master, indices):
-    states = _pcg64_states(_spawn_entropy(master, indices))
+    states = _pcg64_states(*_pcg64_limbs(_spawn_entropy(master, indices)))
     for i, (state, inc) in zip(indices, states):
         want = spawned(master, i).state["state"]
         assert (state, inc) == (want["state"], want["inc"])
-    streams = _seeded_streams(_spawn_entropy(master, indices))
-    for i, rng in zip(indices, streams):
+    for i, rng in zip(indices, _seeded_streams(states)):
         assert rng.bit_generator.state == spawned(master, i).state
+
+
+@settings(max_examples=200)
+@given(master=masters, indices=index_sets, k=st.integers(1, 4))
+@example(master=0, indices=[0, 1, 2], k=4)
+@example(master=2**128, indices=[2**32 - 1, 2**32], k=3)
+def test_stepped_limb_outputs_equal_random_raw(master, indices, k):
+    state, inc = _pcg64_limbs(_spawn_entropy(master, indices))
+    raws = []
+    for _ in range(k):
+        state = _mul_add(state, _PCG_MULT, inc)
+        raws.append(_xsl_rr(state))
+    got = np.stack(raws, axis=1)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [spawned(master, i).random_raw(k).tolist()
+                            for i in indices]
+
+
+def per_row_oracle(cond: ConditionSet, n: int, master: int) -> np.ndarray:
+    """sample's specification: one fresh generator per row, drawn through
+    the scalar Marginal.draw."""
+    pairs = tuple(zip(cond.marginals, cond.space.dims))
+    want = []
+    for i in range(n):
+        rng = np.random.Generator(spawned(master, i))
+        want.append([m.draw(rng, d) for m, d in pairs])
+    return np.array(want, dtype=float).reshape(n, len(pairs))
 
 
 @given(master=masters, n=st.integers(0, 12),
@@ -102,14 +144,49 @@ def test_spawned_generator_state_equals_numpy(master, indices):
 @example(master=2**32, n=4, name="oc4")
 def test_sample_equals_one_generator_per_scenario(master, n, name):
     cond = presets.condition(name)
-    want = []
-    for i in range(n):
-        rng = np.random.Generator(spawned(master, i))
-        want.append(tuple(m.draw(rng, d)
-                          for m, d in zip(cond.marginals, cond.space.dims)))
     xs = sample(cond, n, master)
     assert xs.shape == (n, 3) and xs.dtype == np.float64
-    assert xs.tobytes() == np.array(want, dtype=float).reshape(n, 3).tobytes()
+    assert xs.tobytes() == per_row_oracle(cond, n, master).tobytes()
+
+
+@st.composite
+def condition_sets(draw) -> ConditionSet:
+    """1 to 4 dimensions with random finite bounds, each Uniform or
+    ClippedGaussian, so the leading uniform run has every length 0..d."""
+    dims, marginals = [], []
+    for j in range(draw(st.integers(1, 4))):
+        lo = draw(st.floats(-1e300, 1e300))
+        width = draw(st.floats(abs(lo) * 1e-9 + 1e-300, 1e300))
+        dims.append(Dimension(f"x{j}", lo, lo + width))
+        if draw(st.booleans()):
+            a, b = sorted(draw(st.lists(st.floats(lo, lo + width), min_size=2,
+                                        max_size=2, unique=True)))
+            marginals.append(Uniform(a, b))
+        else:
+            marginals.append(ClippedGaussian(
+                draw(st.floats(lo - width, lo + 2 * width)),
+                draw(st.floats(width * 1e-3, width * 3))))
+    return ConditionSet("custom", DomainSpace(tuple(dims)), tuple(marginals))
+
+
+@settings(max_examples=200)
+@given(cond=condition_sets(), master=masters, n=st.integers(0, 12))
+def test_sample_of_any_condition_equals_the_per_row_draws(cond, master, n):
+    xs = sample(cond, n, master)
+    assert xs.shape == (n, cond.space.ndim) and xs.dtype == np.float64
+    assert xs.tobytes() == per_row_oracle(cond, n, master).tobytes()
+
+
+def test_sample_of_a_mixed_condition_at_scale():
+    # a leading uniform run of two, then a Gaussian and a uniform drawn
+    # from the state the leading draws left
+    space = DomainSpace((Dimension("a", -3.0, 7.5), Dimension("b", 0.0, 1.0),
+                         Dimension("c", 0.0, 50.0), Dimension("d", 1e-3, 2e3)))
+    cond = ConditionSet("mixed", space, (
+        Uniform(-3.0, 7.5), Uniform(0.25, 0.75), ClippedGaussian(35.0, 10.0),
+        Uniform(1e-3, 2e3)))
+    xs = sample(cond, 5000, 2**64 + 3)
+    assert xs.tobytes() == per_row_oracle(cond, 5000, 2**64 + 3).tobytes()
 
 
 @settings(max_examples=200)
