@@ -8,7 +8,6 @@ positive-mass regions (EmptyPartition).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -20,11 +19,9 @@ from .estimator import (BehaviorMode, TestCampaign, compare, observed_rates,
                         predict, tally)
 from .policies import ScriptedPolicy, ScriptedPolicyParams, evaluate_policy
 from .records import (
-    CampaignManifest,
     atomic_write_text,
     condition_document,
     dump_json,
-    env_from_dict,
     file_sha256,
     load_condition_file,
     naming_line,
@@ -32,24 +29,22 @@ from .records import (
     read_records,
     read_report,
     read_scenarios,
-    write_manifest,
-    write_records,
+    write_campaign,
     write_report,
     write_scenarios,
 )
-from .safety import SafetyFunction, wrap
+from .safety import DEFAULT_DELTA, SafetyFunction, wrap
 from .simulator import EnvConfig
 from .svgplots import comparison_bar_svg, failure_scatter_svg
 
 
-def _resolve_condition(args) -> tuple[ConditionSet, PartitionGrid, dict | None]:
+def _resolve_condition(args) -> tuple[ConditionSet, PartitionGrid]:
     """Target condition from --config (a condition document) or --condition
     (a built-in preset name)."""
     if getattr(args, "config", None):
-        cond, grid, _, doc = load_condition_file(args.config)
-        return cond, grid, doc
+        return load_condition_file(args.config)[:2]
     if getattr(args, "condition", None):
-        return presets.condition(args.condition), presets.default_grid(), None
+        return presets.condition(args.condition), presets.default_grid()
     raise ConfigError("give either --config FILE or --condition NAME")
 
 
@@ -59,23 +54,6 @@ def _parse_grid(spec: str) -> PartitionGrid:
     except ValueError:
         raise ConfigError(f"bad grid spec {spec!r}; expected e.g. 10,10,10") from None
     return PartitionGrid(bins)
-
-
-def _env_and_policy(doc: dict | None) -> tuple[EnvConfig, ScriptedPolicyParams]:
-    env = EnvConfig()
-    params = presets.default_policy_params()
-    if doc:
-        try:
-            if "env" in doc:
-                env = env_from_dict(doc["env"])
-            if "policy" in doc:
-                raw = doc["policy"].get("params", {})
-                params = ScriptedPolicyParams(**raw)
-        except KeyError as e:
-            raise ConfigError(f"condition document missing key {e}") from None
-        except (ValueError, TypeError, AttributeError) as e:
-            raise ConfigError(f"malformed condition document: {e}") from None
-    return env, params
 
 
 def _domain(args) -> DomainSpace:
@@ -94,10 +72,8 @@ def _records_in(path, space: DomainSpace) -> TestCampaign:
     return campaign
 
 
-def _policy_factory(name: str, params: ScriptedPolicyParams, env: EnvConfig,
+def _policy_factory(params: ScriptedPolicyParams, env: EnvConfig,
                     safety: SafetyFunction | None):
-    if name != "scripted":
-        raise ConfigError(f"unknown policy {name!r}; available: scripted")
     if safety is None:
         return lambda: ScriptedPolicy(params, env)
     return lambda: wrap(ScriptedPolicy(params, env), safety)
@@ -108,98 +84,87 @@ def _policy_factory(name: str, params: ScriptedPolicyParams, env: EnvConfig,
 # ---------------------------------------------------------------------------
 
 def cmd_sample(args) -> int:
-    cond, _, _ = _resolve_condition(args)
+    cond, _ = _resolve_condition(args)
     scenarios = sample(cond, args.n, args.seed)
     write_scenarios(args.out, scenarios)
     print(f"wrote {len(scenarios)} scenarios from {cond.name!r} to {args.out}")
     return 0
 
 
+# the flags that choose the campaign `run` runs, each None when not given; a
+# manifest fixes them all
+_CAMPAIGN_FLAGS = ("scenarios", "config", "condition", "seed", "safety",
+                   "clip_max", "delta")
+
+
 def cmd_run(args) -> int:
     if args.manifest:
+        given = [f"--{f.replace('_', '-')}" for f in _CAMPAIGN_FLAGS
+                 if getattr(args, f) is not None]
+        if given:
+            raise ConfigError(f"--manifest fixes the campaign; it takes no "
+                              f"{', '.join(given)}")
         manifest = read_manifest(args.manifest)
         base = Path(args.manifest).parent
         scenarios_path = base / manifest.scenarios_path
         seed = manifest.master_seed
-        policy_name = manifest.policy_name
         try:
             params = ScriptedPolicyParams(**manifest.policy_params)
             safety = (SafetyFunction(**manifest.safety)
                       if manifest.safety is not None else None)
         except (TypeError, ValueError) as e:
             raise DataError(f"{args.manifest}: {e}") from None
-        doc = None
+        env = EnvConfig()
         config_path = manifest.config_path and base / manifest.config_path
         if config_path:
-            _, _, _, doc = load_condition_file(config_path)
+            env = load_condition_file(config_path)[3]
             if file_sha256(config_path) != manifest.config_sha256:
                 raise DataError(f"{config_path}: its sha256 is not the "
                                 f"config_sha256 {args.manifest} recorded")
-        env, _ = _env_and_policy(doc)
         condition_name = manifest.condition
         out = Path(args.out) if args.out else base / manifest.records_path
-        config_hash = manifest.config_sha256
     else:
         if not args.scenarios:
             raise ConfigError("give --scenarios FILE (or --manifest FILE)")
         scenarios_path = Path(args.scenarios)
-        seed = args.seed
-        policy_name = args.policy
-        doc = None
-        if args.config:
-            _, _, _, doc = load_condition_file(args.config)
-        env, params = _env_and_policy(doc)
-        safety = None
-        if args.safety:
-            clip = args.clip_max
-            if clip is None:
-                clip = params.risk_goal_threshold - args.delta
-            safety = SafetyFunction(goal_clip_max=clip, delta=args.delta)
+        seed = args.seed or 0
+        config_path = args.config or None
+        env, params = EnvConfig(), presets.default_policy_params()
+        if config_path:
+            env, params = load_condition_file(config_path)[3:]
+        delta = DEFAULT_DELTA if args.delta is None else args.delta
+        safety = args.safety and SafetyFunction(
+            goal_clip_max=(params.risk_goal_threshold - delta
+                           if args.clip_max is None else args.clip_max),
+            delta=delta)
         condition_name = args.condition or ""
         if not args.out:
             raise ConfigError("give --out FILE for the records")
         out = Path(args.out)
-        config_path = args.config
-        config_hash = file_sha256(args.config) if args.config else None
 
     scenarios = read_scenarios(scenarios_path)
-    if args.manifest and len(scenarios) != manifest.n_records:
-        raise DataError(f"{scenarios_path}: {len(scenarios)} scenarios, "
-                        f"{args.manifest} recorded {manifest.n_records}")
-    scenarios_hash = file_sha256(scenarios_path)
-    # a manifest written without the hash replays unchecked
-    recorded = manifest.scenarios_sha256 if args.manifest else None
-    if recorded not in (None, scenarios_hash):
-        raise DataError(f"{scenarios_path}: its sha256 is not the "
-                        f"scenarios_sha256 {args.manifest} recorded")
-    factory = _policy_factory(policy_name, params, env, safety)
+    if args.manifest:
+        if len(scenarios) != manifest.n_records:
+            raise DataError(f"{scenarios_path}: {len(scenarios)} scenarios, "
+                            f"{args.manifest} recorded {manifest.n_records}")
+        # a manifest written without the hash replays unchecked
+        if manifest.scenarios_sha256 not in (None,
+                                             file_sha256(scenarios_path)):
+            raise DataError(f"{scenarios_path}: its sha256 is not the "
+                            f"scenarios_sha256 {args.manifest} recorded")
     with naming_line(scenarios_path):
-        campaign = evaluate_policy(env, factory, scenarios, seed,
+        campaign = evaluate_policy(env, _policy_factory(params, env, safety),
+                                   scenarios, seed,
                                    condition_name=condition_name)
-    write_records(out, campaign)
-    # the manifest sits next to the records; its paths are relative to it
-    manifest = CampaignManifest(
-        condition=condition_name,
-        policy_name=policy_name,
-        policy_params=params.as_dict(),
-        safety=safety.as_dict() if safety else None,
-        master_seed=seed,
-        n_records=len(campaign),
-        scenarios_path=os.path.relpath(scenarios_path, out.parent),
-        scenarios_sha256=scenarios_hash,
-        records_path=out.name,
-        config_path=config_path and os.path.relpath(config_path, out.parent),
-        config_sha256=config_hash,
-    )
-    manifest_path = out.with_suffix(".manifest.json")
-    write_manifest(manifest_path, manifest)
+    manifest_path = write_campaign(out, campaign, params, safety,
+                                   scenarios_path, config_path)
     print(f"wrote {len(campaign)} records to {out} "
           f"(manifest: {manifest_path})")
     return 0
 
 
 def cmd_predict(args) -> int:
-    target, grid, doc = _resolve_condition(args)
+    target, grid = _resolve_condition(args)
     if args.grid:
         grid = _parse_grid(args.grid)
     campaign = _records_in(args.records, target.space)
@@ -288,33 +253,16 @@ def reproduce(out_dir: str | Path, *, n: int = 20000, seed: int = 0,
     grid = grid or presets.default_grid()
     validate_grid(grid, space)
     names = ("testing",) + presets.OPERATING_CONDITION_NAMES
+    sample_seeds = [seed + 11 + k for k in range(len(names))]
 
     def sample_for(k: int):
-        return sample(presets.condition(names[k]), n, seed + 11 + k)
+        return sample(presets.condition(names[k]), n, sample_seeds[k])
 
     def campaign_for(k: int, scenarios,
                      safety: SafetyFunction | None = None) -> TestCampaign:
         return evaluate_policy(
-            env, _policy_factory("scripted", params, env, safety), scenarios,
+            env, _policy_factory(params, env, safety), scenarios,
             seed + 21 + k, condition_name=names[k])
-
-    def write_campaign(name: str, campaign: TestCampaign,
-                       safety: SafetyFunction | None = None) -> None:
-        # the scenarios the campaign ran: the safety campaign ran the
-        # testing ones
-        scenarios = f"scenarios/{campaign.condition_name}.jsonl"
-        write_records(out / "records" / f"{name}.jsonl", campaign)
-        write_manifest(out / "records" / f"{name}.manifest.json", CampaignManifest(
-            condition=campaign.condition_name,
-            policy_name="scripted",
-            policy_params=params.as_dict(),
-            safety=safety.as_dict() if safety else None,
-            master_seed=campaign.master_seed,
-            n_records=len(campaign),
-            scenarios_path=f"../{scenarios}",
-            scenarios_sha256=file_sha256(out / scenarios),
-            records_path=f"{name}.jsonl",
-        ))
 
     # testing campaign, per-region tallies and every prediction
     test_scenarios = sample_for(0)
@@ -323,16 +271,15 @@ def reproduce(out_dir: str | Path, *, n: int = 20000, seed: int = 0,
     predictions = [predict(tallies, presets.condition(name)) for name in names]
     observed_test = observed_rates(test_campaign)
 
-    # condition documents, for the record
-    for name in names:
-        doc = condition_document(presets.condition(name), grid,
-                                 seed, env=env,
-                                 policy={"name": "scripted",
-                                         "params": params.as_dict()})
+    # condition documents, each with the seed its scenarios were drawn with
+    for name, sample_seed in zip(names, sample_seeds):
+        doc = condition_document(presets.condition(name), grid, sample_seed,
+                                 env=env, params=params)
         atomic_write_text(out / "conditions" / f"{name}.json", dump_json(doc))
 
     write_scenarios(out / "scenarios" / "testing.jsonl", test_scenarios)
-    write_campaign("testing", test_campaign)
+    write_campaign(out / "records" / "testing.jsonl", test_campaign, params,
+                   None, out / "scenarios" / "testing.jsonl")
     write_report(out / "reports" / "observed_testing.json", observed_test)
     for name, predicted in zip(names, predictions):
         write_report(out / "reports" / f"predicted_{name}.json", predicted)
@@ -348,7 +295,8 @@ def reproduce(out_dir: str | Path, *, n: int = 20000, seed: int = 0,
         scenarios = sample_for(k)
         heldout = campaign_for(k, scenarios)
         write_scenarios(out / "scenarios" / f"{oc}.jsonl", scenarios)
-        write_campaign(oc, heldout)
+        write_campaign(out / "records" / f"{oc}.jsonl", heldout, params, None,
+                       out / "scenarios" / f"{oc}.jsonl")
         observed = observed_rates(heldout)
         write_report(out / "reports" / f"observed_{oc}.json", observed)
         deltas = compare(predicted, observed)
@@ -365,7 +313,9 @@ def reproduce(out_dir: str | Path, *, n: int = 20000, seed: int = 0,
     # safety function on the very same testing scenarios and episode seeds
     sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
     safety_campaign = campaign_for(0, test_scenarios, sf)
-    write_campaign("testing_safety", safety_campaign, sf)
+    # the safety campaign ran the testing scenarios
+    write_campaign(out / "records" / "testing_safety.jsonl", safety_campaign,
+                   params, sf, out / "scenarios" / "testing.jsonl")
     observed_safety = observed_rates(safety_campaign)
     write_report(out / "reports" / "observed_testing_safety.json",
                  observed_safety)
@@ -431,7 +381,7 @@ def _summary_text(s: dict) -> str:
                        "harmful_undependability"):
             p = row["predicted"][metric]
             o = row["observed"][metric]
-            d = 100.0 * (p - o)
+            d = row["deltas_pts"][f"{metric}_pts"]
             check = "ok" if abs(d) <= tol else "EXCEEDED"
             lines.append(f"{row['condition']:<10} {metric:<24} {p:>10.4f} "
                          f"{o:>10.4f} {d:>+10.2f}  {check}")
@@ -487,15 +437,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scenarios", help="scenario JSONL file")
     sp.add_argument("--config", help="condition document with env/policy")
     sp.add_argument("--condition", help="condition name for the manifest")
-    sp.add_argument("--policy", default="scripted")
-    sp.add_argument("--safety", action="store_true",
+    sp.add_argument("--safety", action="store_true", default=None,
                     help="wrap the policy with the goal-clipping governor")
     sp.add_argument("--clip-max", type=float, default=None,
                     help="override the goal clip bound")
-    sp.add_argument("--delta", type=float, default=0.5,
-                    help="clip margin below the risk threshold")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--manifest", help="rerun a campaign from its manifest")
+    sp.add_argument("--delta", type=float,
+                    help=f"clip margin below the risk threshold "
+                         f"(default {DEFAULT_DELTA})")
+    sp.add_argument("--seed", type=int, help="master seed (default 0)")
+    sp.add_argument("--manifest", help="rerun a campaign from its manifest, "
+                                       "with none of the flags above")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_run)
 

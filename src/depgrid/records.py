@@ -1,8 +1,12 @@
 """File formats: condition documents, scenario/record JSON Lines, reports,
-and campaign manifests.
+and campaign files.
 
 All writes are atomic (temp file then rename). Floats are serialized with
 repr-level precision, so every format round-trips losslessly.
+
+A condition document holds a condition's domain, marginals, grid and
+sampling seed, and its env and policy sections; parse_condition_document
+reads all of it, and any malformed part raises ConfigError.
 
 A scenario file has one JSON list of coordinates per line, one line per row
 of an (n, d) scenario array: write_scenarios fills the rows into one line
@@ -26,6 +30,9 @@ three outcome counts and the dropped region numbers as one C-order list
 each, every list written by one json.dumps call. read_report checks the
 JSON type, length and range of each column before numpy converts it, and
 refuses any file of another format_version, so there is one reader.
+
+A campaign's files, written by write_campaign, are its record file and a
+manifest beside it, which run --manifest replays from any directory.
 """
 
 from __future__ import annotations
@@ -61,6 +68,8 @@ from .estimator import (
     TestCampaign,
     TrialRecord,
 )
+from .policies import ScriptedPolicyParams
+from .safety import SafetyFunction
 from .simulator import EnvConfig
 
 
@@ -120,7 +129,7 @@ def env_from_dict(d: dict) -> EnvConfig:
 
 def condition_document(cond: ConditionSet, grid: PartitionGrid, seed: int, *,
                        env: EnvConfig | None = None,
-                       policy: dict | None = None) -> dict:
+                       params: ScriptedPolicyParams | None = None) -> dict:
     """Self-contained JSON document for one condition set.
 
     Carries the domain, the per-dimension marginals, the grid bin counts, and
@@ -141,12 +150,23 @@ def condition_document(cond: ConditionSet, grid: PartitionGrid, seed: int, *,
     }
     if env is not None:
         doc["env"] = env_to_dict(env)
-    if policy is not None:
-        doc["policy"] = policy
+    if params is not None:
+        doc["policy"] = {"name": "scripted", "params": params.as_dict()}
     return doc
 
 
-def parse_condition_document(doc: dict) -> tuple[ConditionSet, PartitionGrid, int]:
+def _policy_params(section: dict) -> dict:
+    """The params of a policy section; the scripted policy is the only one."""
+    if section.get("name", "scripted") != "scripted":
+        raise ValueError(f"unknown policy {section['name']!r}; "
+                         f"available: scripted")
+    return dict(section.get("params", {}))
+
+
+def parse_condition_document(doc: dict) -> tuple[
+        ConditionSet, PartitionGrid, int, EnvConfig, ScriptedPolicyParams]:
+    """(condition, grid, seed, env, params) of a condition document; a
+    missing env or policy section gives the default one."""
     try:
         dims = tuple(
             Dimension(d["name"], float(d["min"]), float(d["max"]),
@@ -161,23 +181,25 @@ def parse_condition_document(doc: dict) -> tuple[ConditionSet, PartitionGrid, in
         grid = PartitionGrid(tuple(int(b) for b in doc["grid"]["bins"]))
         validate_grid(grid, space)
         seed = int(doc["seed"])
+        env = env_from_dict(doc["env"]) if "env" in doc else EnvConfig()
+        params = ScriptedPolicyParams(**_policy_params(doc.get("policy", {})))
     except KeyError as e:
         raise ConfigError(f"condition document missing key {e}") from None
     except (ValueError, TypeError, AttributeError) as e:
         raise ConfigError(f"malformed condition document: {e}") from None
-    return cond, grid, seed
+    return cond, grid, seed, env, params
 
 
-def load_condition_file(path: str | Path) -> tuple[ConditionSet, PartitionGrid, int, dict]:
-    """Parse a condition document file; returns (condition, grid, seed, doc)."""
+def load_condition_file(path: str | Path) -> tuple[
+        ConditionSet, PartitionGrid, int, EnvConfig, ScriptedPolicyParams]:
+    """Parse a condition document file (see parse_condition_document)."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: line {e.lineno}, col {e.colno}: {e.msg}") from None
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: {e}") from None
-    cond, grid, seed = parse_condition_document(doc)
-    return cond, grid, seed, doc
+    return parse_condition_document(doc)
 
 
 def dump_json(obj: Any) -> str:
@@ -528,7 +550,6 @@ class CampaignManifest:
     """
 
     condition: str
-    policy_name: str
     policy_params: dict
     safety: dict | None
     master_seed: int
@@ -542,7 +563,7 @@ class CampaignManifest:
     def to_dict(self) -> dict:
         return {
             "condition": self.condition,
-            "policy": {"name": self.policy_name, "params": self.policy_params},
+            "policy": {"name": "scripted", "params": self.policy_params},
             "safety": self.safety,
             "master_seed": self.master_seed,
             "n_records": self.n_records,
@@ -555,7 +576,6 @@ class CampaignManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignManifest":
-        policy = d.get("policy", {})
         master_seed, n_records = d["master_seed"], d["n_records"]
         for key, v in (("master_seed", master_seed), ("n_records", n_records)):
             if type(v) is not int or v < 0:
@@ -563,8 +583,7 @@ class CampaignManifest:
                                  f"got {v!r}")
         return cls(
             condition=str(d["condition"]),
-            policy_name=str(policy.get("name", "scripted")),
-            policy_params=dict(policy.get("params", {})),
+            policy_params=_policy_params(d.get("policy", {})),
             safety=d.get("safety"),
             master_seed=master_seed,
             n_records=n_records,
@@ -578,6 +597,33 @@ class CampaignManifest:
 
 def write_manifest(path: str | Path, manifest: CampaignManifest) -> None:
     atomic_write_text(path, dump_json(manifest.to_dict()))
+
+
+def write_campaign(path: str | Path, campaign: TestCampaign,
+                   params: ScriptedPolicyParams, safety: SafetyFunction | None,
+                   scenarios_path: str | Path,
+                   config_path: str | Path | None = None) -> Path:
+    """Write a campaign's records to path, then its manifest beside them, at
+    path with the suffix .manifest.json; returns the manifest's path. The
+    scenario file the campaign ran and the condition document it read are
+    recorded by their paths relative to the manifest and their sha256."""
+    path = Path(path)
+    manifest = CampaignManifest(
+        condition=campaign.condition_name,
+        policy_params=params.as_dict(),
+        safety=safety.as_dict() if safety else None,
+        master_seed=campaign.master_seed,
+        n_records=len(campaign),
+        scenarios_path=os.path.relpath(scenarios_path, path.parent),
+        scenarios_sha256=file_sha256(scenarios_path),
+        records_path=path.name,
+        config_path=config_path and os.path.relpath(config_path, path.parent),
+        config_sha256=config_path and file_sha256(config_path),
+    )
+    write_records(path, campaign)
+    manifest_path = path.with_suffix(".manifest.json")
+    write_manifest(manifest_path, manifest)
+    return manifest_path
 
 
 def read_manifest(path: str | Path) -> CampaignManifest:

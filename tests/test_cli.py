@@ -179,6 +179,19 @@ class TestRunObservePredict:
                        "--out", str(out2)) == 0
         assert out2.read_bytes() == small_pipeline["rec"].read_bytes()
 
+    def test_manifest_refuses_the_flags_it_fixes(self, small_pipeline,
+                                                 tmp_path, capsys):
+        """A replay takes its seed, safety function and inputs from the
+        manifest, so a flag that would choose them is refused, not ignored."""
+        manifest = small_pipeline["rec"].with_suffix(".manifest.json")
+        out = tmp_path / "again.jsonl"
+        assert run_cli("run", "--manifest", str(manifest), "--out", str(out),
+                       "--seed", "9", "--safety", "--clip-max", "3") == 2
+        assert capsys.readouterr().err == (
+            "ConfigError: --manifest fixes the campaign; it takes no "
+            "--seed, --safety, --clip-max\n")
+        assert not out.exists()
+
     def test_manifest_replays_from_another_working_directory(
             self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -375,12 +388,13 @@ class TestRunObservePredict:
         lambda m: m["policy"].__setitem__("params", 5),
         lambda m: m["policy"].__setitem__("params", [1, 2]),
         lambda m: m.__setitem__("policy", 5),
+        lambda m: m["policy"].__setitem__("name", "other"),
         lambda m: m.__setitem__("safety", {"goal_clip_max": 30.0,
                                            "bogus": 1}),
         lambda m: m.__setitem__("safety", {"goal_clip_max": None}),
         lambda m: m.__setitem__("safety", [30.0]),
     ], ids=["unknown_param", "string_param", "int_params", "list_params",
-            "int_policy", "unknown_safety_key", "null_clip", "list_safety"])
+            "int_policy", "unknown_policy", "unknown_safety_key", "null_clip", "list_safety"])
     def test_malformed_manifest_exits_3(self, small_pipeline, tmp_path,
                                         capsys, edit):
         manifest = json.loads(
@@ -640,6 +654,36 @@ class TestReproduce:
             doc = json.loads(manifest.read_text())
             assert doc["scenarios_sha256"] == file_sha256(
                 manifest.parent / doc["scenarios_path"])
+
+    def test_replays_in_place_rewrite_identical_campaign_files(self, tmp_path):
+        """run --manifest with no --out writes the records reproduce wrote,
+        and the manifest beside them, byte for byte: both commands write
+        campaign files the same way."""
+        out = tmp_path / "repro"
+        assert run_cli("reproduce", "--out-dir", str(out), "--n", "60",
+                       "--seed", "3", "--grid", "1,1,1") == 0
+        before = {p.name: p.read_bytes() for p in (out / "records").iterdir()}
+        for records in (out / "records").glob("*.jsonl"):
+            records.unlink()
+        for manifest in sorted((out / "records").glob("*.manifest.json")):
+            assert run_cli("run", "--manifest", str(manifest)) == 0
+        assert {p.name: p.read_bytes()
+                for p in (out / "records").iterdir()} == before
+
+    def test_condition_documents_record_their_sampling_seed(self, tmp_path):
+        """sample with a condition document and the seed it records redraws
+        the scenario file reproduce wrote for that condition."""
+        out = tmp_path / "repro"
+        assert run_cli("reproduce", "--out-dir", str(out), "--n", "40",
+                       "--seed", "5", "--grid", "1,1,1") == 0
+        for name in ("testing", *presets.OPERATING_CONDITION_NAMES):
+            doc = out / "conditions" / f"{name}.json"
+            again = tmp_path / f"{name}.jsonl"
+            assert run_cli("sample", "--config", str(doc), "--n", "40",
+                           "--seed", str(json.loads(doc.read_text())["seed"]),
+                           "--out", str(again)) == 0
+            assert (again.read_bytes()
+                    == (out / "scenarios" / f"{name}.jsonl").read_bytes()), name
 
     def test_scenario_record_and_manifest_files_are_pinned(self, tmp_path):
         # sha256 of reproduce(n=3000, seed=7, 5^3) before campaigns became

@@ -56,8 +56,7 @@ def files(tmp_path_factory):
     (d / "rec.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
     doc = condition_document(presets.condition("oc3"), grid, seed=0,
                              env=presets.default_env(),
-                             policy={"name": "scripted", "params":
-                                     presets.default_policy_params().as_dict()})
+                             params=presets.default_policy_params())
     (d / "cond.json").write_text(json.dumps(doc))
     assert run("sample", "--condition", "testing", "--n", "5",
                "--out", str(d / "scen.jsonl"))[0] == 0
@@ -258,12 +257,11 @@ CONDITION_EDITS = edits([
     (["grid"], [None, 5, {}]),
     (["grid", "bins"], [None, ["x"], [0, 1, 1], [2, 2], [], [-1, 2, 2]]),
     (["seed"], [None, "x", []]),
-])
-# the env and policy sections, read only by `run --config`
-RUN_CONFIG_EDITS = edits([
+    # the env and policy sections, parsed with the rest of the document
     (["env"], [5, {"episode_seconds": 100}]),
     (["env", "step_inches"], ["x", None]),
     (["policy"], [5, "x"]),
+    (["policy", "name"], ["other", 5]),
     (["policy", "params"], [5, {"bogus": 1}, {"safe_ceiling": 30}]),
 ])
 
@@ -271,8 +269,8 @@ RUN_CONFIG_EDITS = edits([
 @settings(max_examples=200)
 @given(data=st.data(), command=st.sampled_from(["sample", "predict", "run"]))
 def test_malformed_condition_document(files, data, command):
-    doc_edits = CONDITION_EDITS + (RUN_CONFIG_EDITS if command == "run" else [])
-    text = data.draw(broken_text((files / "cond.json").read_text(), doc_edits))
+    text = data.draw(broken_text((files / "cond.json").read_text(),
+                                 CONDITION_EDITS))
     bad = files / "bad_cond.json"
     bad.write_text(text)
     extra = {"sample": ("--n", "3"),
@@ -287,6 +285,7 @@ def bad_flags(files) -> list[tuple[str, ...]]:
     rec, scen = str(files / "rec.jsonl"), str(files / "scen.jsonl")
     out = ("--out", str(files / "out.json"))
     predict = ("predict", "--records", rec, *out)
+    replay = ("run", "--manifest", str(files / "run.manifest.json"), *out)
     return [
         ("sample", "--condition", "testing", "--n", "-1", *out),
         ("sample", "--condition", "testing", "--n", "x", *out),
@@ -317,6 +316,15 @@ def bad_flags(files) -> list[tuple[str, ...]]:
         ("run", "--scenarios", scen, "--seed", "-1", *out),
         ("run", "--scenarios", scen, "--safety", "--seed", str(-2**70), *out),
         ("run", "--scenarios", rec, *out),
+        # a manifest fixes every flag that chooses the campaign
+        (*replay, "--scenarios", scen),
+        (*replay, "--config", str(files / "cond.json")),
+        (*replay, "--condition", "testing"),
+        (*replay, "--seed", "9"),
+        (*replay, "--seed", "0"),
+        (*replay, "--safety"),
+        (*replay, "--clip-max", "3"),
+        (*replay, "--delta", "0.5"),
         ("observe", *out),
         ("observe", "--records", scen, *out),
         ("compare", "--predicted", rec, "--observed", rec, *out),

@@ -22,6 +22,7 @@ from depgrid import (
     DomainSpace,
     OutOfDomain,
     PartitionGrid,
+    ScriptedPolicyParams,
     TestCampaign,
     TrialRecord,
     Uniform,
@@ -715,7 +716,7 @@ class TestConditionDocuments:
     @pytest.mark.parametrize("name", ["testing", "oc1", "oc2", "oc3", "oc4"])
     def test_round_trip_lossless(self, name, grid):
         doc = condition_document(presets.condition(name), grid, seed=42)
-        cond, grid2, seed = parse_condition_document(doc)
+        cond, grid2, seed, _, _ = parse_condition_document(doc)
         assert cond == presets.condition(name)
         assert grid2 == grid
         assert seed == 42
@@ -723,15 +724,14 @@ class TestConditionDocuments:
         assert condition_document(cond, grid2, seed) == doc
 
     def test_env_and_policy_sections(self, env, grid, tmp_path):
-        doc = condition_document(
-            presets.condition("testing"), grid, seed=1, env=env,
-            policy={"name": "scripted",
-                    "params": presets.default_policy_params().as_dict()})
+        params = ScriptedPolicyParams(safe_ceiling=15.0)
+        doc = condition_document(presets.condition("testing"), grid, seed=1,
+                                 env=env, params=params)
         path = tmp_path / "cond.json"
         path.write_text(json.dumps(doc))
-        cond, _, _, loaded = load_condition_file(path)
+        cond, _, _, loaded_env, loaded_params = load_condition_file(path)
         assert cond == presets.condition("testing")
-        assert env_from_dict(loaded["env"]) == env
+        assert (loaded_env, loaded_params) == (env, params)
 
     def test_env_round_trip(self, env):
         assert env_from_dict(env_to_dict(env)) == env
@@ -760,7 +760,6 @@ class TestManifests:
     def test_round_trip(self, tmp_path):
         manifest = CampaignManifest(
             condition="testing",
-            policy_name="scripted",
             policy_params=presets.default_policy_params().as_dict(),
             safety={"goal_clip_max": 37.97, "delta": 0.5},
             master_seed=99,
@@ -776,7 +775,7 @@ class TestManifests:
     def test_scenario_hash_is_optional(self, tmp_path):
         path = tmp_path / "m.json"
         write_manifest(path, CampaignManifest(
-            condition="", policy_name="scripted", policy_params={},
+            condition="", policy_params={},
             safety=None, master_seed=1, n_records=0,
             scenarios_path="s.jsonl", records_path="r.jsonl",
             scenarios_sha256="ab" * 32))
