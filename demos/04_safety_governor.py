@@ -4,7 +4,8 @@ Testing shows every collision comes from episodes whose perceived goal is at
 or above the risk threshold. Clipping that one input just below the
 threshold removes the harmful branch entirely; the success criterion still
 uses the true goal, so nothing is relabelled. The paired runs below use the
-same scenarios and episode seeds with and without the governor.
+same scenarios and episode seeds with and without the governor: one
+evaluate_policies call steps both policies through each block's noise.
 """
 
 from pathlib import Path
@@ -13,7 +14,7 @@ from depgrid import (
     BehaviorMode,
     SafetyFunction,
     ScriptedPolicy,
-    evaluate_policy,
+    evaluate_policies,
     observed_rates,
     presets,
     sample,
@@ -32,10 +33,9 @@ governor = SafetyFunction.from_threshold(params.risk_goal_threshold)
 print(f"governor: perceived goal clipped into [0, {governor.goal_clip_max}]")
 
 scenarios = sample(presets.condition("testing"), N, seed=500)
-plain = evaluate_policy(env, lambda: ScriptedPolicy(params, env),
-                        scenarios, 600, condition_name="testing")
-shielded = evaluate_policy(
-    env, lambda: wrap(ScriptedPolicy(params, env), governor),
+plain, shielded = evaluate_policies(
+    env, (lambda: ScriptedPolicy(params, env),
+          lambda: wrap(ScriptedPolicy(params, env), governor)),
     scenarios, 600, condition_name="testing")
 
 

@@ -54,6 +54,7 @@ from .policies import (
     Policy,
     ScriptedPolicy,
     ScriptedPolicyParams,
+    evaluate_policies,
     evaluate_policy,
 )
 from .safety import GoalClippedPolicy, SafetyFunction, wrap

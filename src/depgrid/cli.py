@@ -17,7 +17,8 @@ from .domain import (ConditionSet, DomainSpace, PartitionGrid, sample,
 from .errors import ConfigError, DataError, DepgridError
 from .estimator import (BehaviorMode, TestCampaign, compare, observed_rates,
                         predict, tally)
-from .policies import ScriptedPolicy, ScriptedPolicyParams, evaluate_policy
+from .policies import (ScriptedPolicy, ScriptedPolicyParams, evaluate_policies,
+                       evaluate_policy)
 from .records import (
     atomic_write_text,
     condition_document,
@@ -38,13 +39,13 @@ from .simulator import EnvConfig
 from .svgplots import comparison_bar_svg, failure_scatter_svg
 
 
-def _resolve_condition(args) -> tuple[ConditionSet, PartitionGrid]:
-    """Target condition from --config (a condition document) or --condition
-    (a built-in preset name)."""
+def _resolve_condition(args) -> tuple[ConditionSet, PartitionGrid, int]:
+    """Target condition, grid and sampling seed from --config (a condition
+    document) or --condition (a built-in preset name, sampled with seed 0)."""
     if getattr(args, "config", None):
-        return load_condition_file(args.config)[:2]
+        return load_condition_file(args.config)[:3]
     if getattr(args, "condition", None):
-        return presets.condition(args.condition), presets.default_grid()
+        return presets.condition(args.condition), presets.default_grid(), 0
     raise ConfigError("give either --config FILE or --condition NAME")
 
 
@@ -84,8 +85,8 @@ def _policy_factory(params: ScriptedPolicyParams, env: EnvConfig,
 # ---------------------------------------------------------------------------
 
 def cmd_sample(args) -> int:
-    cond, _ = _resolve_condition(args)
-    scenarios = sample(cond, args.n, args.seed)
+    cond, _, seed = _resolve_condition(args)
+    scenarios = sample(cond, args.n, seed if args.seed is None else args.seed)
     write_scenarios(args.out, scenarios)
     print(f"wrote {len(scenarios)} scenarios from {cond.name!r} to {args.out}")
     return 0
@@ -132,6 +133,9 @@ def cmd_run(args) -> int:
         env, params = EnvConfig(), presets.default_policy_params()
         if config_path:
             env, params = load_condition_file(config_path)[3:]
+        if not args.safety and (args.clip_max, args.delta) != (None, None):
+            raise ConfigError("--clip-max and --delta set the safety "
+                              "function; give --safety too")
         delta = DEFAULT_DELTA if args.delta is None else args.delta
         safety = args.safety and SafetyFunction(
             goal_clip_max=(params.risk_goal_threshold - delta
@@ -164,7 +168,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    target, grid = _resolve_condition(args)
+    target, grid, _ = _resolve_condition(args)
     if args.grid:
         grid = _parse_grid(args.grid)
     campaign = _records_in(args.records, target.space)
@@ -229,14 +233,16 @@ def reproduce(out_dir: str | Path, *, n: int = 20000, seed: int = 0,
               grid: PartitionGrid | None = None) -> dict:
     """Run the whole pipeline into out_dir and return the summary dict.
 
-    Steps: uniform testing campaign; per-region tallies; predictions for the
-    testing and the four operating conditions, before any file is written;
-    held-out observation campaigns for each operating condition;
-    predicted-vs-observed comparison; a paired safety-function campaign on
-    the same testing scenarios; summary table, reports, and charts. Output
-    bytes are a pure function of (n, seed, grid, tolerance): condition k of
-    ("testing",) + OPERATING_CONDITION_NAMES draws its scenarios with seed +
-    11 + k and runs its campaign with master seed seed + 21 + k.
+    Steps: the uniform testing campaign, run as a pair with the
+    safety-function campaign on the same scenarios and episode seeds;
+    per-region tallies; predictions for the testing and the four operating
+    conditions, before any file is written; held-out observation campaigns
+    for each operating condition; predicted-vs-observed comparison; summary
+    table, reports, and charts. Output bytes are a pure function of (n,
+    seed, grid, tolerance): condition k of ("testing",) +
+    OPERATING_CONDITION_NAMES draws its scenarios with seed + 11 + k and
+    runs its campaign with master seed seed + 21 + k. Each scenario set is
+    formatted once, for its scenario file and every record file of it.
 
     The default 10x10x10 grid needs n large enough to populate every voxel
     (the uniform testing campaign covers all 1000 with n around 20000);
@@ -258,15 +264,20 @@ def reproduce(out_dir: str | Path, *, n: int = 20000, seed: int = 0,
     def sample_for(k: int):
         return sample(presets.condition(names[k]), n, sample_seeds[k])
 
-    def campaign_for(k: int, scenarios,
-                     safety: SafetyFunction | None = None) -> TestCampaign:
-        return evaluate_policy(
-            env, _policy_factory(params, env, safety), scenarios,
-            seed + 21 + k, condition_name=names[k])
+    def campaign_for(k: int, scenarios) -> TestCampaign:
+        return evaluate_policy(env, _policy_factory(params, env, None),
+                               scenarios, seed + 21 + k,
+                               condition_name=names[k])
 
-    # testing campaign, per-region tallies and every prediction
+    # the testing campaign and, on the very same scenarios and episode
+    # seeds, the safety function's campaign, run as one pair
+    sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
     test_scenarios = sample_for(0)
-    test_campaign = campaign_for(0, test_scenarios)
+    test_campaign, safety_campaign = evaluate_policies(
+        env, [_policy_factory(params, env, safety) for safety in (None, sf)],
+        test_scenarios, seed + 21, condition_name=names[0])
+
+    # per-region tallies and every prediction
     tallies = tally(test_campaign, grid, space)
     predictions = [predict(tallies, presets.condition(name)) for name in names]
     observed_test = observed_rates(test_campaign)
@@ -277,9 +288,13 @@ def reproduce(out_dir: str | Path, *, n: int = 20000, seed: int = 0,
                                  env=env, params=params)
         atomic_write_text(out / "conditions" / f"{name}.json", dump_json(doc))
 
-    write_scenarios(out / "scenarios" / "testing.jsonl", test_scenarios)
+    test_path = out / "scenarios" / "testing.jsonl"
+    test_texts = write_scenarios(test_path, test_scenarios)
     write_campaign(out / "records" / "testing.jsonl", test_campaign, params,
-                   None, out / "scenarios" / "testing.jsonl")
+                   None, test_path, texts=test_texts)
+    # the safety campaign ran the testing scenarios
+    write_campaign(out / "records" / "testing_safety.jsonl", safety_campaign,
+                   params, sf, test_path, texts=test_texts)
     write_report(out / "reports" / "observed_testing.json", observed_test)
     for name, predicted in zip(names, predictions):
         write_report(out / "reports" / f"predicted_{name}.json", predicted)
@@ -294,9 +309,10 @@ def reproduce(out_dir: str | Path, *, n: int = 20000, seed: int = 0,
         predicted = predictions[k]
         scenarios = sample_for(k)
         heldout = campaign_for(k, scenarios)
-        write_scenarios(out / "scenarios" / f"{oc}.jsonl", scenarios)
+        scenarios_path = out / "scenarios" / f"{oc}.jsonl"
         write_campaign(out / "records" / f"{oc}.jsonl", heldout, params, None,
-                       out / "scenarios" / f"{oc}.jsonl")
+                       scenarios_path,
+                       texts=write_scenarios(scenarios_path, scenarios))
         observed = observed_rates(heldout)
         write_report(out / "reports" / f"observed_{oc}.json", observed)
         deltas = compare(predicted, observed)
@@ -310,12 +326,6 @@ def reproduce(out_dir: str | Path, *, n: int = 20000, seed: int = 0,
         })
         pairs.append((oc, predicted, observed))
 
-    # safety function on the very same testing scenarios and episode seeds
-    sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
-    safety_campaign = campaign_for(0, test_scenarios, sf)
-    # the safety campaign ran the testing scenarios
-    write_campaign(out / "records" / "testing_safety.jsonl", safety_campaign,
-                   params, sf, out / "scenarios" / "testing.jsonl")
     observed_safety = observed_rates(safety_campaign)
     write_report(out / "reports" / "observed_testing_safety.json",
                  observed_safety)
@@ -428,7 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sample", help="draw scenarios from a condition")
     add_target(sp)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int,
+                    help="sampling seed (default: the --config document's "
+                         "seed, or 0 with --condition)")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_sample)
 
@@ -440,10 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--safety", action="store_true", default=None,
                     help="wrap the policy with the goal-clipping governor")
     sp.add_argument("--clip-max", type=float, default=None,
-                    help="override the goal clip bound")
+                    help="override the goal clip bound (with --safety)")
     sp.add_argument("--delta", type=float,
-                    help=f"clip margin below the risk threshold "
-                         f"(default {DEFAULT_DELTA})")
+                    help=f"clip margin below the risk threshold, with "
+                         f"--safety (default {DEFAULT_DELTA})")
     sp.add_argument("--seed", type=int, help="master seed (default 0)")
     sp.add_argument("--manifest", help="rerun a campaign from its manifest, "
                                        "with none of the flags above")

@@ -18,6 +18,7 @@ edge belongs to the higher bin.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -592,13 +593,17 @@ def sample(cond: ConditionSet, n: int, seed: int) -> np.ndarray:
     Row i draws one value per dimension, in dimension order, from
     PCG64(SeedSequence(seed, spawn_key=(i,))), so the result is a pure
     function of (cond, n, seed) and its first k rows equal sample(cond, k,
-    seed). The substream states are computed for all indices at once. The
-    leading run of Uniform marginals is drawn for all rows at once from the
-    stepped states, as ``Generator.uniform`` computes it: a + (b - a) times
-    the top 53 bits of the output over 2**53. From the first other marginal
-    on, one generator serves every row, set to the state the leading draws
-    left (see _seeded_streams). Gaussian draws are clipped to the dimension
-    bounds. A negative seed raises ConfigError.
+    seed); Marginal.draw is the scalar reference for each value. The
+    substream states are computed for all indices at once. The leading run
+    of Uniform marginals is drawn for all rows at once from the stepped
+    states, as ``Generator.uniform`` computes it: a + (b - a) times the top
+    53 bits of the output over 2**53. From the first other marginal on, one
+    generator serves every row, set once per row to the state the leading
+    draws left (see _seeded_streams); it fills the row's standard normals
+    and unit uniforms with one call per run of marginals of one kind. Then
+    each column becomes mu + sigma·z, clipped to the dimension bounds as
+    min(max(g, lo), hi) is, or a + (b - a)·u. A negative seed raises
+    ConfigError.
     """
     if n < 0:
         raise ConfigError(f"sample count must be >= 0, got {n}")
@@ -614,9 +619,28 @@ def sample(cond: ConditionSet, n: int, seed: int) -> np.ndarray:
         a = float(m.a)
         xs[:, j] = a + (float(m.b) - a) * (
             (_xsl_rr(state) >> np.uint64(11)) * 2.0**-53)
-    if k < len(pairs):
-        rest = pairs[k:]
-        for row, rng in zip(xs[:, k:],
-                            _seeded_streams(_pcg64_states(state, inc))):
-            row[:] = [m.draw(rng, d) for m, d in rest]
+    if k == len(pairs):
+        return xs
+    # the rest of each row as runs of one kind of marginal: (columns, fill)
+    runs, start = [], 0
+    for uniform, same in itertools.groupby(
+            isinstance(m, Uniform) for m in cond.marginals[k:]):
+        stop = start + len(list(same))
+        runs.append((slice(start, stop), np.random.Generator.random if uniform
+                     else np.random.Generator.standard_normal))
+        start = stop
+    raw = np.empty((n, len(pairs) - k))
+    for row, rng in zip(raw, _seeded_streams(_pcg64_states(state, inc))):
+        for columns, fill in runs:
+            fill(rng, out=row[columns])
+    for j, (m, d) in enumerate(pairs[k:], start=k):
+        z = raw[:, j - k]
+        if isinstance(m, Uniform):
+            a = float(m.a)
+            xs[:, j] = a + (float(m.b) - a) * z
+        else:
+            g = float(m.mu) + float(m.sigma) * z
+            lo, hi = float(d.min), float(d.max)
+            g = np.where(lo > g, lo, g)
+            xs[:, j] = np.where(hi < g, hi, g)
     return xs

@@ -335,7 +335,10 @@ def predict(tally: Tally, target: Condition, *,
     else:
         weights = masses / total
         rates = counts / np.where(n > 0, n, 1.0)[:, None]  # empty rows stay 0
-        d, ut, uh = (float(weights @ rates[:, j]) for j in range(3))
+        # correctly rounded sums, so the metrics do not depend on how many
+        # threads or which kernel a BLAS dot product would use
+        d, ut, uh = (math.fsum((weights * rates[:, j]).tolist())
+                     for j in range(3))
 
     return DependabilityReport(
         condition_name=target.name,

@@ -9,17 +9,19 @@ straight into the obstacle's path).
 Each policy has two forms. The scalar form (``reset``/``act``) drives one
 episode through ``simulator.run_episode`` and is the reference. The batch
 form (``batch(n)``) returns a controller that keeps the per-episode state of
-n episodes as arrays and maps a batch observation to a forward mask;
-``evaluate_policy`` runs every campaign through it with
-``simulator.run_batch`` and returns the campaign as columns
+n episodes as arrays and maps a batch observation to a forward mask.
+``evaluate_policies`` runs several policies on the same scenarios and
+episode seeds, such as a policy with and without the safety governor,
+through their batch forms with one ``simulator.run_batch`` call, so they
+share each block's noise. It returns one campaign per policy, as columns
 (estimator.TestCampaign), one entry per scenario, that is per row of the
-(n, 3) scenario array.
+(n, 3) scenario array. ``evaluate_policy`` is its one-policy case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Protocol
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -157,19 +159,33 @@ class ScriptedBatch:
                 | (obs.robot_pos + self.env.step_inches <= p.safe_ceiling))
 
 
+def evaluate_policies(cfg: EnvConfig, factories: Sequence[PolicyFactory],
+                      scenarios: np.ndarray, master_seed: int, *,
+                      condition_name: str = "") -> tuple[TestCampaign, ...]:
+    """One campaign per factory, each of one episode per row of
+    ``scenarios``, an (n, 3) float array such as ``sample`` returns, all in
+    lockstep through the batch form of ``factory()``; a policy without one
+    raises ConfigError. The campaigns share each block's noise draw (see
+    simulator.run_batch).
+
+    Episode i's seed is ``substream_seed(master_seed, i)`` in every campaign,
+    and its record in the campaign of factory f equals ``run_episode(cfg,
+    f(), scenarios[i], seed)``, so each campaign is a pure function of its
+    inputs and equals ``evaluate_policy(cfg, f, scenarios, master_seed)``.
+    The seeds are derived for all episodes at once by substream_seeds; a
+    negative master seed raises ConfigError.
+    """
+    seeds = substream_seeds(master_seed, len(scenarios)).tolist()
+    return tuple(
+        replace(c, condition_name=condition_name, master_seed=master_seed)
+        for c in run_batch(cfg, [f() for f in factories], scenarios, seeds))
+
+
 def evaluate_policy(cfg: EnvConfig, policy_factory: PolicyFactory,
                     scenarios: np.ndarray, master_seed: int, *,
                     condition_name: str = "") -> TestCampaign:
-    """Run one episode per row of ``scenarios``, an (n, 3) float array such
-    as ``sample`` returns, all in lockstep through the batch form of
-    ``policy_factory()``; a policy without one raises ConfigError.
-
-    Episode i's seed is ``substream_seed(master_seed, i)``, and its record
-    equals ``run_episode(cfg, policy_factory(), scenarios[i], seed)``, so the
-    campaign is a pure function of its inputs. The seeds are derived for all
-    episodes at once by substream_seeds; a negative master seed raises
-    ConfigError.
-    """
-    seeds = substream_seeds(master_seed, len(scenarios)).tolist()
-    return replace(run_batch(cfg, policy_factory(), scenarios, seeds),
-                   condition_name=condition_name, master_seed=master_seed)
+    """The campaign of one policy: ``evaluate_policies`` for the one
+    factory."""
+    (campaign,) = evaluate_policies(cfg, (policy_factory,), scenarios,
+                                    master_seed, condition_name=condition_name)
+    return campaign

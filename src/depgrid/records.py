@@ -9,11 +9,15 @@ sampling seed, and its env and policy sections; parse_condition_document
 reads all of it, and any malformed part raises ConfigError.
 
 A scenario file has one JSON list of coordinates per line, one line per row
-of an (n, d) scenario array: write_scenarios fills the rows into one line
-template, and read_scenarios returns the checked array.
+of an (n, d) scenario array. scenario_texts formats the coordinates of all
+rows with one repr call; write_scenarios writes each row's text as one line
+and returns the texts, and read_scenarios returns the checked array.
 
 A record file has one JSON line per record. write_records fills a campaign's
-columns into one line template, _RECORD_LINE. read_records has two readers
+columns into one line template, _RECORD_LINE: the scenario texts, given by
+the caller that wrote the scenario file or formatted as above, the mode
+names looked up by code, and the other columns whole. So a scenario set
+that several campaigns ran is formatted once. read_records has two readers
 that give the same campaign. A file whose non-blank lines all match
 _RECORD_GRAMMAR, the template's grammar, is read by that one compiled
 regular expression, and the columns are converted from the matched tokens
@@ -210,11 +214,24 @@ def dump_json(obj: Any) -> str:
 # Scenario and trial-record JSON Lines
 # ---------------------------------------------------------------------------
 
-def write_scenarios(path: str | Path, scenarios: np.ndarray) -> None:
-    """Write each row of an (n, d) scenario array as one JSON list line."""
-    atomic_write_text(path, "".join(
-        "[%s]\n" % ", ".join(map(repr, x))
-        for x in np.asarray(scenarios, dtype=float).tolist()))
+def scenario_texts(scenarios: np.ndarray) -> list[str]:
+    """The JSON text of each row of an (n, d) scenario array without its
+    brackets: the reprs of its coordinates joined by ", ", as json.dumps
+    writes them. The whole array is formatted by one repr call."""
+    xs = np.asarray(scenarios, dtype=float)
+    if not len(xs):
+        return []
+    # no float's repr holds "], [", so it splits the rows apart
+    return repr(xs.tolist())[2:-2].split("], [")
+
+
+def write_scenarios(path: str | Path, scenarios: np.ndarray) -> list[str]:
+    """Write each row of an (n, d) scenario array as one JSON list line, and
+    return the rows' scenario_texts for the record files of campaigns that
+    ran them (see write_records)."""
+    texts = scenario_texts(scenarios)
+    atomic_write_text(path, "".join(f"[{x}]\n" for x in texts))
+    return texts
 
 
 def _rows(text: str) -> list[tuple[int, str]]:
@@ -293,21 +310,30 @@ def record_to_dict(r: TrialRecord) -> dict:
 
 # A record line is json.dumps(record_to_dict(row)) of its row, filled into
 # one template from the campaign's columns: the repr of each float and int.
+# A harmful record's collision_time is its steps as a float, whose str is
+# its repr; any other record's is null.
 _RECORD_LINE = ('{"scenario": [%s], "mode": "%s", "seed": %d, "steps": %d, '
                 '"final_position": %r, "collision_time": %s}\n')
 _MODE_CODES = {m.value: m.code for m in _MODE_ORDER}
+_MODE_NAMES = np.array([m.value for m in _MODE_ORDER], dtype=object)
 
 
-def write_records(path: str | Path, campaign: TestCampaign) -> None:
-    harmful = BehaviorMode.HARMFUL_FAILURE.code
-    atomic_write_text(path, "".join(
-        _RECORD_LINE % (", ".join(map(repr, x)), _MODE_ORDER[m].value, seed,
-                        steps, position,
-                        repr(float(steps)) if m == harmful else "null")
-        for x, m, seed, steps, position in zip(
-            campaign.scenarios.tolist(), campaign.modes.tolist(),
-            campaign.seeds, campaign.steps.tolist(),
-            campaign.final_position.tolist())))
+def write_records(path: str | Path, campaign: TestCampaign,
+                  texts: list[str] | None = None) -> None:
+    """Write the record file of a campaign, one _RECORD_LINE per row.
+
+    ``texts`` are the scenario_texts of the campaign's scenarios, such as
+    write_scenarios returned for the scenario file the campaign ran; they
+    are computed when not given."""
+    if texts is None:
+        texts = scenario_texts(campaign.scenarios)
+    harmful = campaign.modes == BehaviorMode.HARMFUL_FAILURE.code
+    collision = np.where(harmful, campaign.steps.astype(float).astype(object),
+                         "null")
+    atomic_write_text(path, "".join(map(_RECORD_LINE.__mod__, zip(
+        texts, _MODE_NAMES[campaign.modes].tolist(), campaign.seeds,
+        campaign.steps.tolist(), campaign.final_position.tolist(),
+        collision.tolist()))))
 
 
 def _is_record(d) -> bool:
@@ -602,11 +628,13 @@ def write_manifest(path: str | Path, manifest: CampaignManifest) -> None:
 def write_campaign(path: str | Path, campaign: TestCampaign,
                    params: ScriptedPolicyParams, safety: SafetyFunction | None,
                    scenarios_path: str | Path,
-                   config_path: str | Path | None = None) -> Path:
+                   config_path: str | Path | None = None,
+                   texts: list[str] | None = None) -> Path:
     """Write a campaign's records to path, then its manifest beside them, at
     path with the suffix .manifest.json; returns the manifest's path. The
     scenario file the campaign ran and the condition document it read are
-    recorded by their paths relative to the manifest and their sha256."""
+    recorded by their paths relative to the manifest and their sha256.
+    ``texts`` are passed on to write_records."""
     path = Path(path)
     manifest = CampaignManifest(
         condition=campaign.condition_name,
@@ -620,7 +648,7 @@ def write_campaign(path: str | Path, campaign: TestCampaign,
         config_path=config_path and os.path.relpath(config_path, path.parent),
         config_sha256=config_path and file_sha256(config_path),
     )
-    write_records(path, campaign)
+    write_records(path, campaign, texts)
     manifest_path = path.with_suffix(".manifest.json")
     write_manifest(manifest_path, manifest)
     return manifest_path

@@ -14,10 +14,13 @@ from the episode's own generator.
 Two functions run episodes. ``run_episode`` steps one scenario (any (v, t, y)
 sequence) through init/act/step/classify into its TrialRecord; it is the
 reference. ``run_batch`` steps the rows of an (n, 3) scenario array in
-lockstep, in blocks of at most 1,024 episodes, and returns the campaign's
-columns (see estimator.TestCampaign), whose rows equal ``run_episode``'s
-records: the same noise stream per seed, the same clip, leading-edge formula
-and collision test, and an episode freezes when it collides.
+lockstep, in blocks of at most 1,024 episodes, once for each of its
+policies, and returns each policy's campaign as columns (see
+estimator.TestCampaign), whose rows equal ``run_episode``'s records: the
+same noise stream per seed, the same clip, leading-edge formula and
+collision test, and an episode freezes when it collides. The policies of
+one call share each block's noise and, each second, the noisy obstacle and
+goal readings, which depend only on the scenario and the seed.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ if TYPE_CHECKING:
     from .policies import BatchPolicy
 
 # Episodes stepped together by run_batch. Bounds the per-block noise array,
-# (block, episode_seconds, 3) float64: 2.4 MB at the default 100 s.
+# (block, episode_seconds, 3) float64: 2.4 MB at the default 100 s, and the
+# obstacle's path, a third of that.
 _BLOCK = 1024
 
 # Scenario bounds for the obstacle dimensions; the goal dimension follows the
@@ -233,35 +237,39 @@ def batch_form(policy) -> Callable[[int], "BatchPolicy"]:
     return batch
 
 
-def run_batch(cfg: EnvConfig, policy, scenarios: np.ndarray,
-              seeds: Sequence[int]) -> TestCampaign:
-    """The campaign of one episode per (scenario, seed) pair, stepping each
-    block of episodes in lockstep. ``scenarios`` is an (n, 3) float array
-    of (v, t, y) rows, such as ``sample`` returns.
+def run_batch(cfg: EnvConfig, policies: Sequence, scenarios: np.ndarray,
+              seeds: Sequence[int]) -> tuple[TestCampaign, ...]:
+    """One campaign per policy, each of one episode per (scenario, seed)
+    pair, stepping each block of episodes in lockstep. ``scenarios`` is an
+    (n, 3) float array of (v, t, y) rows, such as ``sample`` returns.
 
-    Row i equals ``run_episode(cfg, p, scenarios[i], seeds[i])`` bit for
-    bit, where p is a fresh policy configured like ``policy``. Each block
-    gets a fresh controller from ``policy.batch(n)``; a policy without a
-    batch form raises ConfigError. Every scenario is checked against the
-    domain before any episode runs; OutOfDomain's row is the first outside.
-    The campaign has no condition name and master seed 0.
+    Row i of the campaign of policy p equals ``run_episode(cfg, q,
+    scenarios[i], seeds[i])`` bit for bit, where q is a fresh policy
+    configured like p. Each block's noise is drawn once, and every policy's
+    controller, fresh from ``p.batch(n)`` for each block, is stepped through
+    the same sensor readings; so a paired campaign costs one draw of the
+    noise. A policy without a batch form raises ConfigError. Every scenario
+    is checked against the domain before any episode runs; OutOfDomain's row
+    is the first outside. The campaigns have no condition name and master
+    seed 0.
     """
     if len(seeds) != len(scenarios):
         raise ConfigError(
             f"{len(seeds)} seeds for {len(scenarios)} scenarios"
         )
-    make_controller = batch_form(policy)
+    makers = [batch_form(p) for p in policies]
     xs = scenario_domain(cfg).check_points(scenarios)
     seeds = tuple(map(operator.index, seeds))
-    n = len(xs)
-    modes = np.empty(n, dtype=np.int8)
-    steps = np.empty(n, dtype=np.int64)
-    final = np.empty(n)
-    for start in range(0, n, _BLOCK):
+    shape = (len(makers), len(xs))   # one row per policy
+    modes = np.empty(shape, dtype=np.int8)
+    steps = np.empty(shape, dtype=np.int64)
+    final = np.empty(shape)
+    for start in range(0, len(xs), _BLOCK):
         block = slice(start, start + _BLOCK)
-        modes[block], steps[block], final[block] = _run_block(
-            cfg, make_controller, xs[block], seeds[block])
-    return TestCampaign("", xs, modes, seeds, steps, final)
+        modes[:, block], steps[:, block], final[:, block] = _run_block(
+            cfg, makers, xs[block], seeds[block])
+    return tuple(TestCampaign("", xs, m, seeds, s, f)
+                 for m, s, f in zip(modes, steps, final))
 
 
 def _episode_noise(seeds: Sequence[int], horizon: int) -> np.ndarray:
@@ -280,28 +288,46 @@ def _episode_noise(seeds: Sequence[int], horizon: int) -> np.ndarray:
     return noise
 
 
-def _run_block(cfg: EnvConfig, make_controller, xs: np.ndarray,
+def _run_block(cfg: EnvConfig, makers, xs: np.ndarray,
                seeds: Sequence[int]) -> tuple[np.ndarray, ...]:
-    """Mode codes, steps and final positions of the episodes of one block."""
+    """Mode codes, steps and final positions of the episodes of one block,
+    as (controllers, episodes) arrays: one row for the controller each of
+    ``makers`` builds.
+
+    The obstacle and the noisy sensor readings do not depend on the robot:
+    the obstacle's path is computed once for the block, and every
+    controller is stepped through one reading per second, the robot states
+    of all controllers together."""
     n, horizon = len(xs), cfg.episode_seconds
-    controller = make_controller(n)
+    controllers = [make_controller(n) for make_controller in makers]
     v, t, y = xs.T
     noise = _episode_noise(seeds, horizon)
 
     lo, hi = cfg.robot_bounds
-    pos = np.full(n, lo)
+    pos = np.full((len(controllers), n), lo)
     max_pos = pos.copy()
-    steps = np.zeros(n, dtype=np.int64)
-    live = np.ones(n, dtype=bool)   # cleared exactly when an episode collides
-    edge = cfg.obstacle_spawn_offset - v * np.maximum(0.0, 0.0 - t)
+    steps = np.zeros(pos.shape, dtype=np.int64)
+    live = np.ones(pos.shape, dtype=bool)   # cleared exactly when it collides
+    forward = np.empty(pos.shape, dtype=bool)
+    # the leading edge at each second 0..horizon, as step() computes it,
+    # in place: the block's path is as large as a third of its noise
+    edge = np.arange(horizon + 1.0)[:, None] - t
+    np.maximum(0.0, edge, out=edge)
+    edge *= v
+    np.subtract(cfg.obstacle_spawn_offset, edge, out=edge)
+    occupied = (edge <= 0.0) & (0.0 < edge + cfg.obstacle_width)
     for k in range(horizon):
         eps = noise[:, k]
-        forward = controller.act(Observation(
-            obstacle_pos_noisy=edge + cfg.noise_sigma_obstacle_pos * eps[:, 0],
-            robot_pos=pos,
-            obstacle_speed_noisy=v + cfg.noise_sigma_speed * eps[:, 1],
-            goal_noisy=y + cfg.noise_sigma_goal * eps[:, 2],
-        ))
+        sensed_edge = edge[k] + cfg.noise_sigma_obstacle_pos * eps[:, 0]
+        sensed_speed = v + cfg.noise_sigma_speed * eps[:, 1]
+        sensed_goal = y + cfg.noise_sigma_goal * eps[:, 2]
+        for c, controller in enumerate(controllers):
+            forward[c] = controller.act(Observation(
+                obstacle_pos_noisy=sensed_edge,
+                robot_pos=pos[c],
+                obstacle_speed_noisy=sensed_speed,
+                goal_noisy=sensed_goal,
+            ))
         moved = pos + np.where(forward, cfg.step_inches, -cfg.step_inches)
         # step()'s min(max(moved, lo), hi), down to which zero it keeps
         # on a tie: np.maximum would turn a -0.0 bound into a 0.0 position
@@ -310,9 +336,7 @@ def _run_block(cfg: EnvConfig, make_controller, xs: np.ndarray,
         pos = np.where(live, moved, pos)
         max_pos = np.maximum(max_pos, pos)
         steps += live
-        edge = cfg.obstacle_spawn_offset - v * np.maximum(0.0, (k + 1.0) - t)
-        occupied = (edge <= 0.0) & (0.0 < edge + cfg.obstacle_width)
-        live &= ~(occupied & (pos >= cfg.danger_height))
+        live &= ~(occupied[k + 1] & (pos >= cfg.danger_height))
         if not live.any():
             break
 

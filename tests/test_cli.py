@@ -1,20 +1,25 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from depgrid import ConditionSet, PartitionGrid, Uniform, sample
+from depgrid import (ConditionSet, PartitionGrid, TestCampaign, Uniform,
+                     sample)
 from depgrid import presets
 from depgrid.cli import main, reproduce
 from depgrid.records import (
     condition_document,
     file_sha256,
     read_report,
+    read_scenarios,
+    write_records,
     write_scenarios,
 )
 
@@ -158,6 +163,32 @@ class TestRunObservePredict:
         report = read_report(out)
         assert report.renormalized and report.dropped_mass == 1.0
 
+    def test_predict_report_bytes_do_not_depend_on_blas_threads(
+            self, tmp_path):
+        """A 22^3 grid has more regions than the length at which OpenBLAS
+        splits a dot product over threads; the report is the same with one
+        thread as with the default number."""
+        rng = np.random.default_rng(49)
+        xs = sample(presets.testing_conditions(), 20000, 49)
+        records = tmp_path / "rec.jsonl"
+        write_records(records, TestCampaign(
+            "random", xs, rng.integers(0, 3, len(xs)).astype(np.int8),
+            tuple(range(len(xs))), np.full(len(xs), 50), np.zeros(len(xs))))
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        reports = []
+        for threads in (None, "1"):
+            out = tmp_path / f"pred-{threads}.json"
+            run_env = env if threads is None else {
+                **env, "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run(
+                [sys.executable, "-m", "depgrid.cli", "predict", "--records",
+                 str(records), "--condition", "oc3", "--grid", "22,22,22",
+                 "--renormalize-empty", "--out", str(out)],
+                env=run_env, check=True, capture_output=True)
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_malformed_records_exit_3(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
@@ -190,6 +221,22 @@ class TestRunObservePredict:
         assert capsys.readouterr().err == (
             "ConfigError: --manifest fixes the campaign; it takes no "
             "--seed, --safety, --clip-max\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--clip-max", "10"), ("--delta", "3"),
+        ("--clip-max", "10", "--delta", "0.5")],
+        ids=["clip-max", "delta", "both"])
+    def test_clip_flags_without_safety_exit_2(self, small_pipeline, tmp_path,
+                                              capsys, flags):
+        """--clip-max and --delta set the safety function; without --safety
+        they would do nothing, so they are refused."""
+        out = tmp_path / "r.jsonl"
+        assert run_cli("run", "--scenarios", str(small_pipeline["scen"]),
+                       *flags, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "ConfigError: --clip-max and --delta set the safety function; "
+            "give --safety too\n")
         assert not out.exists()
 
     def test_manifest_replays_from_another_working_directory(
@@ -684,6 +731,26 @@ class TestReproduce:
                            "--out", str(again)) == 0
             assert (again.read_bytes()
                     == (out / "scenarios" / f"{name}.jsonl").read_bytes()), name
+
+    def test_condition_documents_sample_with_their_own_seed(self, tmp_path):
+        """sample --config without --seed draws with the seed the document
+        records, so it redraws the scenario file reproduce wrote; with
+        --condition the seed is 0."""
+        out = tmp_path / "repro"
+        assert run_cli("reproduce", "--out-dir", str(out), "--n", "40",
+                       "--seed", "5", "--grid", "1,1,1") == 0
+        for name in ("testing", *presets.OPERATING_CONDITION_NAMES):
+            again = tmp_path / f"{name}.jsonl"
+            assert run_cli("sample", "--config",
+                           str(out / "conditions" / f"{name}.json"),
+                           "--n", "40", "--out", str(again)) == 0
+            assert (again.read_bytes()
+                    == (out / "scenarios" / f"{name}.jsonl").read_bytes()), name
+        preset = tmp_path / "preset.jsonl"
+        assert run_cli("sample", "--condition", "oc3", "--n", "40",
+                       "--out", str(preset)) == 0
+        assert read_scenarios(preset).tobytes() == sample(
+            presets.condition("oc3"), 40, 0).tobytes()
 
     def test_scenario_record_and_manifest_files_are_pinned(self, tmp_path):
         # sha256 of reproduce(n=3000, seed=7, 5^3) before campaigns became

@@ -310,6 +310,11 @@ def bad_flags(files) -> list[tuple[str, ...]]:
         ("run", "--scenarios", scen, "--safety", "--clip-max", "99", *out),
         ("run", "--scenarios", scen, "--safety", "--clip-max", "nan", *out),
         ("run", "--scenarios", scen, "--safety", "--delta", "60", *out),
+        # the clip flags set the safety function, so they need --safety
+        ("run", "--scenarios", scen, "--clip-max", "10", *out),
+        ("run", "--scenarios", scen, "--delta", "3", *out),
+        ("run", "--scenarios", scen, "--clip-max", "10", "--delta", "0.5",
+         *out),
         ("run", "--scenarios", scen),
         ("run", *out),
         ("run", "--scenarios", scen, "--seed", "x", *out),

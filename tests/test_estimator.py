@@ -379,6 +379,28 @@ def test_predict_report_table_is_the_tally_and_the_weights(space):
     assert np.allclose(r.weights, masses / masses.sum(), rtol=0, atol=1e-15)
 
 
+def random_campaign(n: int, seed: int) -> TestCampaign:
+    """n testing scenarios with random modes; no episode is run."""
+    modes = np.random.default_rng(seed).integers(0, 3, n).astype(np.int8)
+    return TestCampaign("random", sample(presets.testing_conditions(), n, seed),
+                        modes, tuple(range(n)), np.full(n, 50),
+                        np.zeros(n))
+
+
+@pytest.mark.parametrize("bins, target", [
+    ((5, 5, 5), "oc4"), ((22, 22, 22), "oc3"), ((40, 40, 40), "oc3")])
+def test_predicted_metrics_are_correctly_rounded_sums(space, bins, target):
+    """Each metric is the fsum of w_r·p_r over the regions, so it does not
+    depend on the order a BLAS kernel or its threads would add them in."""
+    t = tally(random_campaign(20000, 48), PartitionGrid(bins), space)
+    r = predict(t, presets.condition(target), renormalize_empty=True)
+    n = t.counts.sum(axis=1).tolist()
+    for metric, column in zip((r.dependability, r.task_undependability,
+                               r.harmful_undependability), t.counts.T.tolist()):
+        assert metric == math.fsum(w * (c / m) for w, c, m in zip(
+            r.weights.tolist(), column, n) if m)
+
+
 class TestBruteForce:
     def line(self):
         return DomainSpace((Dimension("x", 0.0, 1.0),))

@@ -17,6 +17,7 @@ from depgrid import (
     SafetyFunction,
     ScriptedPolicy,
     ScriptedPolicyParams,
+    evaluate_policies,
     evaluate_policy,
     run_batch,
     run_episode,
@@ -204,21 +205,29 @@ class ScalarOnly:
         return Action.FORWARD
 
 
-def assert_batch_matches_scalar(cfg, factory, scenarios, seeds):
-    batch = list(run_batch(cfg, factory(), scenarios, seeds).records)
-    scalar = [run_episode(cfg, factory(), x, s)
-              for x, s in zip(scenarios, seeds)]
-    assert batch == scalar
-    # equal JSON too: field types (int steps, float positions) match
-    assert ([json.dumps(record_to_dict(r)) for r in batch]
-            == [json.dumps(record_to_dict(r)) for r in scalar])
-    return batch
+def assert_batch_matches_scalar(cfg, factory, scenarios, seeds, *paired):
+    """Run the policy of factory, and those of any paired factories, in one
+    run_batch call; each campaign's records equal run_episode's. Returns the
+    records of factory's campaign."""
+    factories = (factory, *paired)
+    campaigns = run_batch(cfg, [f() for f in factories], scenarios, seeds)
+    assert len(campaigns) == len(factories)
+    for f, campaign in zip(factories, campaigns):
+        batch = list(campaign.records)
+        scalar = [run_episode(cfg, f(), x, s)
+                  for x, s in zip(scenarios, seeds)]
+        assert batch == scalar
+        # equal JSON too: field types (int steps, float positions) match
+        assert ([json.dumps(record_to_dict(r)) for r in batch]
+                == [json.dumps(record_to_dict(r)) for r in scalar])
+    return list(campaigns[0].records)
 
 
 @st.composite
 def batch_cases(draw):
-    """A random environment, policy (with or without the governor),
-    scenarios inside its domain, seeds, and run_batch block size."""
+    """A random environment, policies (the scripted one, and with a drawn
+    clip the governed one too, in either order), scenarios inside its
+    domain, seeds, and run_batch block size."""
     ceiling = draw(st.floats(0.5, 24.5))
     danger = draw(st.floats(ceiling + 0.1, ceiling + 30.0))
     lo = draw(st.floats(danger - 30.0, danger - 0.1))
@@ -245,11 +254,12 @@ def batch_cases(draw):
         passed_margin=draw(st.one_of(st.just(0.0), st.floats(0.0, 15.0))),
     )
     clip = draw(st.one_of(st.none(), st.floats(0.0, 50.0)))
-    if clip is None:
-        factory = lambda: ScriptedPolicy(params, cfg)
-    else:
+    factories = [lambda: ScriptedPolicy(params, cfg)]
+    if clip is not None:
         sf = SafetyFunction(goal_clip_max=clip)
-        factory = lambda: wrap(ScriptedPolicy(params, cfg), sf)
+        factories.append(lambda: wrap(ScriptedPolicy(params, cfg), sf))
+        if draw(st.booleans()):
+            factories.reverse()
     n = draw(st.integers(0, 12))
     scenarios = np.array([(draw(st.floats(0.0, 10.0)),
                            draw(st.floats(0.0, 10.0)),
@@ -257,16 +267,17 @@ def batch_cases(draw):
                           for _ in range(n)]).reshape(n, 3)
     seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
     block = draw(st.sampled_from([1, 3, 5, simulator._BLOCK]))
-    return cfg, factory, scenarios, seeds, block
+    return cfg, factories, scenarios, seeds, block
 
 
 class TestBatch:
     @settings(max_examples=200)
     @given(batch_cases())
     def test_batch_equals_run_episode(self, case):
-        cfg, factory, scenarios, seeds, block = case
+        cfg, factories, scenarios, seeds, block = case
         with mock.patch.object(simulator, "_BLOCK", block):
-            assert_batch_matches_scalar(cfg, factory, scenarios, seeds)
+            assert_batch_matches_scalar(cfg, factories[0], scenarios, seeds,
+                                        *factories[1:])
 
     @pytest.mark.parametrize("seconds", [0, 1])
     def test_zero_and_one_second_episodes(self, env, params, seconds):
@@ -301,7 +312,8 @@ class TestBatch:
         assert any(r.mode is BehaviorMode.HARMFUL_FAILURE for r in records)
 
     def test_empty_campaign(self, env, scripted_factory):
-        assert len(run_batch(env, scripted_factory(), [], [])) == 0
+        (campaign,) = run_batch(env, [scripted_factory()], [], [])
+        assert len(campaign) == 0
 
     def test_campaign_larger_than_one_block(self, env, params):
         # not a multiple of the block size: a full block and a partial one
@@ -318,7 +330,7 @@ class TestBatch:
     def test_seed_count_must_match(self, env, scripted_factory):
         xs = sample(presets.testing_conditions(), 3, 68)
         with pytest.raises(ConfigError):
-            run_batch(env, scripted_factory(), xs, [1, 2])
+            run_batch(env, [scripted_factory()], xs, [1, 2])
 
     def test_policy_without_batch_form_raises(self, env, params):
         xs = sample(presets.testing_conditions(), 5, 69)
@@ -329,3 +341,32 @@ class TestBatch:
         # checked before any block is built, so even with no scenarios
         with pytest.raises(ConfigError, match="no batch form"):
             evaluate_policy(env, ScalarOnly, [], 70)
+
+
+class TestEvaluatePolicies:
+    # 2,500 episodes span two full blocks of 1,024 and a partial one
+    @pytest.mark.parametrize("n", [0, 2500])
+    def test_each_campaign_equals_its_own_evaluation(self, env, params, n):
+        xs = sample(presets.testing_conditions(), n, 71)
+        sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
+        plain = lambda: ScriptedPolicy(params, env)
+        governed = lambda: wrap(ScriptedPolicy(params, env), sf)
+        with mock.patch.object(simulator, "_episode_noise",
+                               wraps=simulator._episode_noise) as noise:
+            pair = evaluate_policies(env, (plain, governed), xs, 72,
+                                     condition_name="testing")
+        # one noise draw per block, shared by the pair
+        assert noise.call_count == -(-n // simulator._BLOCK)
+        assert pair == (
+            evaluate_policy(env, plain, xs, 72, condition_name="testing"),
+            evaluate_policy(env, governed, xs, 72, condition_name="testing"))
+        if n:
+            harmful = BehaviorMode.HARMFUL_FAILURE.code
+            assert (pair[1].modes == harmful).sum() < (
+                pair[0].modes == harmful).sum()
+
+    def test_a_policy_without_batch_form_refuses_the_pair(self, env, params):
+        xs = sample(presets.testing_conditions(), 5, 73)
+        with pytest.raises(ConfigError, match="no batch form"):
+            evaluate_policies(env, (lambda: ScriptedPolicy(params, env),
+                                    ScalarOnly), xs, 74)

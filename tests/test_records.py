@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from depgrid import (
@@ -49,6 +49,7 @@ from depgrid.records import (
     read_report,
     read_scenarios,
     record_to_dict,
+    scenario_texts,
     write_manifest,
     write_records,
     write_report,
@@ -161,6 +162,31 @@ def campaigns(draw) -> TestCampaign:
             draw(SEEDS), steps, draw(FLOATS),
             float(steps) if harmful else None))
     return campaign_of(rows)
+
+
+@settings(max_examples=200)
+@given(xs=hnp.arrays(float, st.tuples(st.integers(0, 6), st.integers(0, 4)),
+                     elements=st.one_of(st.sampled_from(
+                         [-0.0, 5e-324, 1e16, 1e-5]), FLOATS)))
+@example(xs=np.empty((0, 3)))
+@example(xs=np.array([[-0.0], [5e-324], [1e16], [1e-5]]))
+def test_scenario_texts_are_the_reprs_of_each_row(xs):
+    assert scenario_texts(xs) == [", ".join(map(repr, row))
+                                  for row in xs.tolist()]
+
+
+def test_writers_share_the_scenario_texts(env, scripted_factory, tmp_path):
+    """write_scenarios returns the texts it wrote, and write_records given
+    them writes the bytes it writes without them."""
+    xs = np.concatenate([awkward_floats()[[0, 2]], sample(
+        presets.testing_conditions(), 40, 4)])
+    texts = write_scenarios(tmp_path / "s.jsonl", xs)
+    assert texts == scenario_texts(xs)
+    campaign = evaluate_policy(env, scripted_factory, xs, 5)
+    write_records(tmp_path / "a.jsonl", campaign)
+    write_records(tmp_path / "b.jsonl", campaign, texts)
+    assert ((tmp_path / "a.jsonl").read_bytes()
+            == (tmp_path / "b.jsonl").read_bytes())
 
 
 def refuse(*args, **kwargs):

@@ -151,10 +151,11 @@ def test_sample_equals_one_generator_per_scenario(master, n, name):
 
 @st.composite
 def condition_sets(draw) -> ConditionSet:
-    """1 to 4 dimensions with random finite bounds, each Uniform or
-    ClippedGaussian, so the leading uniform run has every length 0..d."""
+    """1 to 6 dimensions with random finite bounds, each Uniform or
+    ClippedGaussian, so the leading uniform run has every length 0..d and
+    the rest alternates in runs of either kind, such as (G, U, G, G, U)."""
     dims, marginals = [], []
-    for j in range(draw(st.integers(1, 4))):
+    for j in range(draw(st.integers(1, 6))):
         lo = draw(st.floats(-1e300, 1e300))
         width = draw(st.floats(abs(lo) * 1e-9 + 1e-300, 1e300))
         dims.append(Dimension(f"x{j}", lo, lo + width))
@@ -175,6 +176,23 @@ def test_sample_of_any_condition_equals_the_per_row_draws(cond, master, n):
     xs = sample(cond, n, master)
     assert xs.shape == (n, cond.space.ndim) and xs.dtype == np.float64
     assert xs.tobytes() == per_row_oracle(cond, n, master).tobytes()
+
+
+def test_sample_clips_at_either_bound_as_the_per_row_draws_do():
+    # runs (G, U, G, G, U); the Gaussians sit at a bound, past one, and
+    # wide over both, and the lower bound is -0.0, which a clip keeps
+    space = DomainSpace(tuple(Dimension(f"x{j}", -0.0, 1.0) for j in range(5)))
+    cond = ConditionSet("clipped", space, (
+        ClippedGaussian(0.0, 0.5), Uniform(0.25, 0.5),
+        ClippedGaussian(1.2, 0.3), ClippedGaussian(0.5, 2.0),
+        Uniform(0.0, 1.0)))
+    xs = sample(cond, 2000, 91)
+    assert xs.tobytes() == per_row_oracle(cond, 2000, 91).tobytes()
+    gaussian = xs[:, [0, 2, 3]]
+    assert (gaussian == 1.0).any(axis=0).all()
+    lower = gaussian[:, [0, 2]] == 0.0
+    assert lower.any(axis=0).all()
+    assert np.signbit(gaussian[:, [0, 2]][lower]).all()
 
 
 def test_sample_of_a_mixed_condition_at_scale():
@@ -211,7 +229,8 @@ def test_run_batch_equals_run_episode_for_edge_seeds(env, params):
     seeds = [0, 1, 2, 2**64, 2**64 + 1, 2**70 - 1]
     scenarios = sample(presets.condition("testing"), len(seeds), 3)
     policy = ScriptedPolicy(params, env)
-    records = list(run_batch(env, policy, scenarios, seeds).records)
+    (campaign,) = run_batch(env, [policy], scenarios, seeds)
+    records = list(campaign.records)
     assert records == [run_episode(env, ScriptedPolicy(params, env), x, s)
                        for x, s in zip(scenarios, seeds)]
 
@@ -230,4 +249,4 @@ def test_negative_seed_is_a_config_error(call):
 def test_negative_episode_seed_in_run_batch(env, params):
     scenarios = sample(presets.condition("testing"), 2, 3)
     with pytest.raises(ConfigError, match="non-negative"):
-        run_batch(env, ScriptedPolicy(params, env), scenarios, [4, -2])
+        run_batch(env, [ScriptedPolicy(params, env)], scenarios, [4, -2])
