@@ -416,8 +416,16 @@ def _entropy_words(values) -> list[tuple[np.ndarray, list[np.ndarray]]]:
 
     numpy splits an integer into 32-bit words, least significant first (0 is
     one word). Rows with the same word count form one group, returned as
-    (positions, word columns). A negative value raises ConfigError.
+    (positions, word columns). A uint64 array is split with array
+    operations; any other sequence of integers, which may exceed 64 bits,
+    one value at a time. A negative value raises ConfigError.
     """
+    if isinstance(values, np.ndarray) and values.dtype == np.uint64:
+        low, high = values & _M32, values >> _SHIFT32
+        wide = high != 0
+        return [(pos, [w[pos] for w in words]) for pos, words in (
+            (np.flatnonzero(~wide), [low]),
+            (np.flatnonzero(wide), [low, high])) if len(pos)]
     ints = [operator.index(v) for v in values]
     if ints and min(ints) < 0:
         raise ConfigError(f"seeds must be non-negative, got {min(ints)}")
@@ -438,9 +446,10 @@ def _entropy_words(values) -> list[tuple[np.ndarray, list[np.ndarray]]]:
 
 def _spawn_entropy(master_seed: int,
                    indices) -> list[tuple[np.ndarray, list[np.ndarray]]]:
-    """Entropy of SeedSequence(master_seed, spawn_key=(i,)) for each index i,
-    grouped by the index's word count: the master's words, padded with zeros
-    to the pool size, then the index's words."""
+    """Entropy of SeedSequence(master_seed, spawn_key=(i,)) for each index i
+    (as _entropy_words takes them), grouped by the index's word count: the
+    master's words, padded with zeros to the pool size, then the index's
+    words."""
     ((_, run),) = _entropy_words([master_seed])
     run += [np.zeros(1, dtype=np.uint64)] * (_POOL - len(run))
     return [(pos, [np.repeat(w, len(pos)) for w in run] + words)
@@ -582,7 +591,8 @@ def substream_seeds(master_seed: int, n: int) -> np.ndarray:
     i), computed for all indices at once. A negative master seed raises
     ConfigError.
     """
-    w = _generate_state(_spawn_entropy(master_seed, range(n)), 2)
+    indices = np.arange(n, dtype=np.uint64)
+    w = _generate_state(_spawn_entropy(master_seed, indices), 2)
     return w[:, 0] | (w[:, 1] << _SHIFT32)
 
 
@@ -613,7 +623,8 @@ def sample(cond: ConditionSet, n: int, seed: int) -> np.ndarray:
     k = next((j for j, m in enumerate(cond.marginals)
               if not isinstance(m, Uniform)), len(pairs))
     xs = np.empty((n, len(pairs)))
-    state, inc = _pcg64_limbs(_spawn_entropy(seed, range(n)))
+    indices = np.arange(n, dtype=np.uint64)
+    state, inc = _pcg64_limbs(_spawn_entropy(seed, indices))
     for j, m in enumerate(cond.marginals[:k]):
         state = _mul_add(state, _PCG_MULT, inc)
         a = float(m.a)

@@ -18,12 +18,13 @@ columns into one line template, _RECORD_LINE: the scenario texts, given by
 the caller that wrote the scenario file or formatted as above, the mode
 names looked up by code, and the other columns whole. So a scenario set
 that several campaigns ran is formatted once. read_records has two readers
-that give the same campaign. A file whose non-blank lines all match
-_RECORD_GRAMMAR, the template's grammar, is read by that one compiled
-regular expression, and the columns are converted from the matched tokens
-and checked whole. Any other file, or one whose columns fail a check, goes
-to the reference reader: it parses each line on its own with json.loads,
-then builds and checks the columns. Every error comes from the reference
+that give the same campaign. A file that is lines of _RECORD_GRAMMAR, the
+template's grammar, and nothing else, as write_records writes it, is split
+by that one compiled regular expression into its tokens, and the columns
+are converted from them and checked whole. Any other file (blank lines and
+CRLF endings included), or one whose columns fail a check, goes to the
+reference reader: it parses each line on its own with json.loads, then
+builds and checks the columns. Every error comes from the reference
 reader, and names the line of the first bad record. A file's rows are its
 non-blank lines, and naming_line turns a row into its line for every error,
 the command line's domain checks included.
@@ -324,9 +325,13 @@ def write_records(path: str | Path, campaign: TestCampaign,
 
     ``texts`` are the scenario_texts of the campaign's scenarios, such as
     write_scenarios returned for the scenario file the campaign ran; they
-    are computed when not given."""
+    are computed when not given. Texts of another length than the campaign
+    raise ConfigError, and no file is written."""
     if texts is None:
         texts = scenario_texts(campaign.scenarios)
+    if len(texts) != len(campaign):
+        raise ConfigError(f"{len(texts)} scenario texts for a campaign of "
+                          f"{len(campaign)} records")
     harmful = campaign.modes == BehaviorMode.HARMFUL_FAILURE.code
     collision = np.where(harmful, campaign.steps.astype(float).astype(object),
                          "null")
@@ -378,6 +383,14 @@ def _campaign_from_dicts(docs: list, condition_name: str,
 #   set to (sys.set_int_max_str_digits);
 # - steps has at most 15 digits, so it fits int64 and its float64 is exact,
 #   which makes comparing it with a float collision_time exact too.
+# _RECORD_GRAMMAR.split(text) gives one flat list, [separator, scenario,
+# mode, seed, steps, final_position, collision_time] per match, then the
+# text after the last match. A match holds no newline and ends at its line's
+# only "}", so when the first separator is empty, every other one is "\n" and
+# the text after the last is "" or "\n", every line of the text is one whole
+# match: the text is a file write_records writes, with or without its final
+# newline. Blank lines, CRLF endings, two records on one line or any other
+# text leave some other separator.
 _FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
 _RECORD_GRAMMAR = re.compile(
     r'\{"scenario": \[(%(f)s(?:, %(f)s)*)\], "mode": "(%(mode)s)", '
@@ -388,22 +401,22 @@ _RECORD_GRAMMAR = re.compile(
 
 def _campaign_from_template(text: str, condition_name: str,
                             master_seed: int) -> TestCampaign | None:
-    """The campaign of a record file's text when every non-blank line is a
-    _RECORD_GRAMMAR line and the columns pass the checks of
-    _campaign_from_dicts and TestCampaign; otherwise None. Never raises.
-
-    The tokens are converted with float() and int(), as json does, and the
-    columns are checked whole rather than line by line."""
-    matches = list(map(_RECORD_GRAMMAR.fullmatch,
-                       filter(str.strip, text.splitlines())))
-    if not matches or None in matches:
+    """The campaign of a record file's text when it is _RECORD_GRAMMAR lines
+    and nothing else, each ended by "\n" but perhaps the last, and the
+    columns pass the checks of _campaign_from_dicts and TestCampaign;
+    otherwise None. Never raises. One split of the whole text gives the
+    tokens, converted with float() and int(), as json does; the columns are
+    checked whole rather than line by line."""
+    parts = _RECORD_GRAMMAR.split(text)
+    if not (len(parts) % 7 == 1 and len(parts) > 1 and parts[0] == ""
+            and set(parts[7:-1:7]) <= {"\n"} and parts[-1] in ("", "\n")):
         return None
-    scenario, mode, seed, steps, position, collision = zip(
-        *map(re.Match.groups, matches))
+    scenario, mode, seed, steps, position, collision = (
+        parts[k::7] for k in range(1, 7))
     commas = set(map(str.count, scenario, repeat(",")))
     if len(commas) != 1:
         return None
-    n, d = len(matches), commas.pop() + 1
+    n, d = len(scenario), commas.pop() + 1
     scenarios = np.fromiter(map(float, ", ".join(scenario).split(", ")),
                             float, n * d).reshape(n, d)
     modes = np.fromiter(map(_MODE_CODES.__getitem__, mode), np.int8, n)
@@ -427,15 +440,15 @@ def read_records(path: str | Path, *, condition_name: str = "",
                  master_seed: int = 0) -> TestCampaign:
     """The campaign in a record file.
 
-    A file whose non-blank lines all match _RECORD_GRAMMAR, as the lines
-    write_records writes do (unless their scenarios have no coordinates,
-    steps 16 digits or more, or seeds more than 640), is read by one regular
-    expression, and its columns come straight from the matched tokens. Any
-    other file (other spacing or key order, integer coordinates, escaped
-    strings, or a bad record) goes to the reference reader: each line is
-    parsed on its own with json.loads, then the columns are built and
-    checked together. So every error comes from the reference reader, and
-    names the file and the line of the first bad record."""
+    A file as write_records writes it, with or without its final newline,
+    is split by one regular expression, _RECORD_GRAMMAR, and its columns
+    come straight from the tokens (unless its scenarios have no
+    coordinates, steps 16 digits or more, or seeds more than 640). Any other
+    file (blank lines, CRLF endings, other spacing or key order, integer
+    coordinates, escaped strings, or a bad record) goes to the reference
+    reader: each line is parsed on its own with json.loads, then the columns
+    are built and checked together. So every error comes from the reference
+    reader, and names the file and the line of the first bad record."""
     text = _read_text(path)
     campaign = _campaign_from_template(text, condition_name, master_seed)
     if campaign is None:

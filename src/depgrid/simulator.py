@@ -241,7 +241,9 @@ def run_batch(cfg: EnvConfig, policies: Sequence, scenarios: np.ndarray,
               seeds: Sequence[int]) -> tuple[TestCampaign, ...]:
     """One campaign per policy, each of one episode per (scenario, seed)
     pair, stepping each block of episodes in lockstep. ``scenarios`` is an
-    (n, 3) float array of (v, t, y) rows, such as ``sample`` returns.
+    (n, 3) float array of (v, t, y) rows, such as ``sample`` returns;
+    ``seeds`` are integers, or a uint64 array such as ``substream_seeds``
+    returns. The campaigns hold the seeds as Python ints.
 
     Row i of the campaign of policy p equals ``run_episode(cfg, q,
     scenarios[i], seeds[i])`` bit for bit, where q is a fresh policy
@@ -259,7 +261,8 @@ def run_batch(cfg: EnvConfig, policies: Sequence, scenarios: np.ndarray,
         )
     makers = [batch_form(p) for p in policies]
     xs = scenario_domain(cfg).check_points(scenarios)
-    seeds = tuple(map(operator.index, seeds))
+    ints = tuple(map(operator.index, seeds.tolist()
+                     if isinstance(seeds, np.ndarray) else seeds))
     shape = (len(makers), len(xs))   # one row per policy
     modes = np.empty(shape, dtype=np.int8)
     steps = np.empty(shape, dtype=np.int64)
@@ -268,7 +271,7 @@ def run_batch(cfg: EnvConfig, policies: Sequence, scenarios: np.ndarray,
         block = slice(start, start + _BLOCK)
         modes[:, block], steps[:, block], final[:, block] = _run_block(
             cfg, makers, xs[block], seeds[block])
-    return tuple(TestCampaign("", xs, m, seeds, s, f)
+    return tuple(TestCampaign("", xs, m, ints, s, f)
                  for m, s, f in zip(modes, steps, final))
 
 
@@ -277,9 +280,10 @@ def _episode_noise(seeds: Sequence[int], horizon: int) -> np.ndarray:
     start of PCG64(seeds[j])'s stream, the noise run_episode draws.
 
     The seeded PCG64 states of the whole block are computed at once as limbs
-    (see domain._pcg64_limbs), and one generator, set to each row's state in
-    turn, fills every row (see domain._seeded_streams). A negative seed
-    raises ConfigError.
+    (see domain._pcg64_limbs), from a uint64 array of seeds with array
+    operations alone (see domain._entropy_words), and one generator, set to
+    each row's state in turn, fills every row (see domain._seeded_streams).
+    A negative seed raises ConfigError.
     """
     noise = np.empty((len(seeds), horizon, 3))
     states = _pcg64_states(*_pcg64_limbs(_entropy_words(seeds)))

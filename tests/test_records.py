@@ -38,6 +38,7 @@ from conftest import campaign_of, region_centers
 from depgrid.records import (
     CampaignManifest,
     _campaign_from_dicts,
+    _campaign_from_template,
     _read_json_lines,
     condition_document,
     env_from_dict,
@@ -50,6 +51,7 @@ from depgrid.records import (
     read_scenarios,
     record_to_dict,
     scenario_texts,
+    write_campaign,
     write_manifest,
     write_records,
     write_report,
@@ -323,6 +325,75 @@ def test_read_records_reads_as_the_reference_reader(
     path = tmp_path_factory.mktemp("mutated") / "r.jsonl"
     mutated_file(path, campaign, edits, blanks, newline)
     assert_reads_as_reference(path)
+
+
+def written_campaign(n: int, d: int) -> TestCampaign:
+    """n rows of d coordinates cycling through every mode, harmful rows
+    included; row 0 has seed 2**64 - 1."""
+    modes = list(BehaviorMode)
+    rows = []
+    for i in range(n):
+        mode = modes[i % 3]
+        harmful = mode is BehaviorMode.HARMFUL_FAILURE
+        rows.append(TrialRecord(
+            tuple(0.1 * (i + 1) + j for j in range(d)), mode,
+            2**64 - 1 if i == 0 else 7 * i, 12 + i, 20.25 - i,
+            float(12 + i) if harmful else None))
+    return campaign_of(rows)
+
+
+@pytest.mark.parametrize("n, d, final_newline", [
+    (5, 1, True), (5, 2, True), (5, 3, True), (1, 3, True), (5, 3, False),
+    (1, 2, False),
+])
+def test_written_files_need_no_reference_reader(tmp_path, n, d, final_newline):
+    """A file as write_records writes it, with or without its final newline,
+    is read by the one split alone."""
+    campaign = written_campaign(n, d)
+    path = tmp_path / "r.jsonl"
+    write_records(path, campaign)
+    if not final_newline:
+        path.write_text(path.read_text()[:-1])
+    with mock.patch("depgrid.records._read_json_lines", refuse):
+        assert read_records(path, condition_name="synthetic") == campaign
+
+
+NOT_WRITTEN_BY_WRITE_RECORDS = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "blank_line": lambda text: text.replace("\n", "\n\n", 1),
+    "leading_space": lambda text: " " + text,
+    "two_records_on_one_line": lambda text: text.replace("\n", "", 1),
+    "text_before_the_first_record": lambda text: "# records\n" + text,
+    "text_after_the_last_record": lambda text: text + "# end\n",
+}
+
+
+@pytest.mark.parametrize("edit", NOT_WRITTEN_BY_WRITE_RECORDS.values(),
+                         ids=NOT_WRITTEN_BY_WRITE_RECORDS)
+def test_other_layouts_go_to_the_reference_reader(tmp_path, edit):
+    """A layout write_records does not write is left to the reference
+    reader, which reads it to the same campaign or error as before."""
+    path = tmp_path / "r.jsonl"
+    write_records(path, written_campaign(4, 3))
+    text = edit(path.read_text())
+    path.write_bytes(text.encode())
+    assert _campaign_from_template(text, "synthetic", 0) is None
+    assert_reads_as_reference(path)
+
+
+@pytest.mark.parametrize("keep", [slice(3), slice(None, None, -1)],
+                         ids=["fewer", "more"])
+def test_write_campaign_refuses_texts_of_another_length(
+        env, params, scripted_factory, tmp_path, keep):
+    xs = sample(presets.testing_conditions(), 5, 4)
+    texts = write_scenarios(tmp_path / "s.jsonl", xs)
+    texts = (texts + texts)[keep]
+    campaign = evaluate_policy(env, scripted_factory, xs, 5)
+    with pytest.raises(ConfigError, match=f"{len(texts)} scenario texts for "
+                                          f"a campaign of 5 records"):
+        write_campaign(tmp_path / "r.jsonl", campaign, params, None,
+                       tmp_path / "s.jsonl", texts=texts)
+    assert [p.name for p in tmp_path.iterdir()] == ["s.jsonl"]
 
 
 def test_library_paths_build_no_rows(env, scripted_factory, space, tmp_path):

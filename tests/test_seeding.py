@@ -35,6 +35,7 @@ from depgrid import (
 )
 from depgrid.domain import (
     _PCG_MULT,
+    _entropy_words,
     _generate_state,
     _mul_add,
     _pcg64_limbs,
@@ -93,10 +94,12 @@ def test_substream_seeds_equal_the_scalar_reference(master, n):
 @given(master=masters, indices=index_sets)
 @example(master=7, indices=[2**32 - 1, 2**32, 2**32 + 1])
 def test_spawned_seeds_across_two_word_indices(master, indices):
-    # the computation substream_seeds runs on range(n), on any index set
-    w = _generate_state(_spawn_entropy(master, indices), 2)
-    got = (w[:, 0] | (w[:, 1] << np.uint64(32))).tolist()
-    assert got == [substream_seed(master, i) for i in indices]
+    # the computation substream_seeds runs on np.arange(n), on any index
+    # set, given as a uint64 array or as Python ints
+    want = [substream_seed(master, i) for i in indices]
+    for given_indices in (np.array(indices, dtype=np.uint64), indices):
+        w = _generate_state(_spawn_entropy(master, given_indices), 2)
+        assert (w[:, 0] | (w[:, 1] << np.uint64(32))).tolist() == want
 
 
 @settings(max_examples=200)
@@ -223,6 +226,44 @@ def test_episode_noise_takes_a_uint64_array():
     seeds = substream_seeds(5, 8)
     assert np.array_equal(_episode_noise(seeds, 4),
                           _episode_noise(seeds.tolist(), 4))
+
+
+def listed(groups) -> list:
+    """Entropy groups as lists: (positions, word columns) per group."""
+    return [(pos.tolist(), [w.tolist() for w in words])
+            for pos, words in groups]
+
+
+def test_a_uint64_array_splits_into_the_words_of_its_ints():
+    """Array seeds mixing one- and two-word values are split with array
+    operations into the words the per-int path gives, and seed numpy's
+    PCG64(seed) exactly; 0 and 2**32 - 1 are one word, 2**32 two."""
+    rng = np.random.default_rng(17)
+    seeds = np.concatenate([
+        np.array(EDGES + (2**63, 2**33 + 5), dtype=np.uint64),
+        rng.integers(0, 2**32, 20, dtype=np.uint64),
+        rng.integers(0, 2**64 - 1, 20, dtype=np.uint64, endpoint=True)])
+    rng.shuffle(seeds)
+    ints = seeds.tolist()
+    by_array, by_int = _entropy_words(seeds), _entropy_words(ints)
+    assert listed(by_array) == listed(by_int)
+    assert all(w.dtype == np.uint64 for _, words in by_array for w in words)
+    assert [len(words) for _, words in by_array] == [1, 2]
+    states = _pcg64_states(*_pcg64_limbs(by_array))
+    for seed, (state, inc) in zip(ints, states):
+        want = np.random.PCG64(seed).state["state"]
+        assert (state, inc) == (want["state"], want["inc"])
+    noise = _episode_noise(seeds, 3)
+    for seed, row in zip(ints, noise):
+        assert np.array_equal(row, np.random.Generator(
+            np.random.PCG64(seed)).standard_normal((3, 3)))
+
+
+@pytest.mark.parametrize("seeds", [[], [0], [5, 9], [2**40, 2**64 - 1]],
+                         ids=["empty", "zero", "one_word", "two_words"])
+def test_uint64_arrays_of_one_word_count(seeds):
+    array = np.array(seeds, dtype=np.uint64)
+    assert listed(_entropy_words(array)) == listed(_entropy_words(seeds))
 
 
 def test_run_batch_equals_run_episode_for_edge_seeds(env, params):
