@@ -1,6 +1,6 @@
-"""Command-line front end.
-
-Subcommands: sample, run, predict, observe, compare, plot, reproduce.
+"""Command-line front end: argument parsing, one function per subcommand
+(sample, run, predict, observe, compare, plot, and reproduce, which runs
+pipeline.reproduce), and the mapping of a DepgridError to its exit code.
 Exit codes: 0 success, 2 configuration errors, 3 data errors, 4 uncovered
 positive-mass regions (EmptyPartition).
 """
@@ -12,29 +12,17 @@ import sys
 from pathlib import Path
 
 from . import presets
-from .domain import (ConditionSet, DomainSpace, PartitionGrid, sample,
-                     validate_grid)
+from .domain import ConditionSet, DomainSpace, PartitionGrid, sample
 from .errors import ConfigError, DataError, DepgridError
 from .estimator import (BehaviorMode, TestCampaign, compare, observed_rates,
                         predict, tally)
-from .policies import (ScriptedPolicy, ScriptedPolicyParams, evaluate_policies,
-                       evaluate_policy)
-from .records import (
-    atomic_write_text,
-    condition_document,
-    dump_json,
-    file_sha256,
-    load_condition_file,
-    naming_line,
-    read_manifest,
-    read_records,
-    read_report,
-    read_scenarios,
-    write_campaign,
-    write_report,
-    write_scenarios,
-)
-from .safety import DEFAULT_DELTA, SafetyFunction, wrap
+from .pipeline import policy_factory, reproduce
+from .policies import ScriptedPolicyParams, evaluate_policy
+from .records import (atomic_write_text, dump_json, file_sha256,
+                      load_condition_file, naming_line, read_manifest,
+                      read_records, read_report, read_scenarios,
+                      write_campaign, write_report, write_scenarios)
+from .safety import DEFAULT_DELTA, SafetyFunction
 from .simulator import EnvConfig
 from .svgplots import comparison_bar_svg, failure_scatter_svg
 
@@ -71,13 +59,6 @@ def _records_in(path, space: DomainSpace) -> TestCampaign:
     with naming_line(path):
         space.check_points(campaign.scenarios)
     return campaign
-
-
-def _policy_factory(params: ScriptedPolicyParams, env: EnvConfig,
-                    safety: SafetyFunction | None):
-    if safety is None:
-        return lambda: ScriptedPolicy(params, env)
-    return lambda: wrap(ScriptedPolicy(params, env), safety)
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +118,10 @@ def cmd_run(args) -> int:
             raise ConfigError("--clip-max and --delta set the safety "
                               "function; give --safety too")
         delta = DEFAULT_DELTA if args.delta is None else args.delta
-        safety = args.safety and SafetyFunction(
-            goal_clip_max=(params.risk_goal_threshold - delta
-                           if args.clip_max is None else args.clip_max),
-            delta=delta)
+        safety = args.safety and (
+            SafetyFunction.from_threshold(params.risk_goal_threshold, delta)
+            if args.clip_max is None
+            else SafetyFunction(goal_clip_max=args.clip_max, delta=delta))
         condition_name = args.condition or ""
         if not args.out:
             raise ConfigError("give --out FILE for the records")
@@ -157,7 +138,7 @@ def cmd_run(args) -> int:
             raise DataError(f"{scenarios_path}: its sha256 is not the "
                             f"scenarios_sha256 {args.manifest} recorded")
     with naming_line(scenarios_path):
-        campaign = evaluate_policy(env, _policy_factory(params, env, safety),
+        campaign = evaluate_policy(env, policy_factory(params, env, safety),
                                    scenarios, seed,
                                    condition_name=condition_name)
     manifest_path = write_campaign(out, campaign, params, safety,
@@ -222,192 +203,6 @@ def cmd_plot(args) -> int:
     n_fail = int((campaign.modes != BehaviorMode.SUCCESS.code).sum())
     print(f"plotted {n_fail} failures over dims {dims} -> {args.out}")
     return 0
-
-
-# ---------------------------------------------------------------------------
-# Full pipeline
-# ---------------------------------------------------------------------------
-
-def reproduce(out_dir: str | Path, *, n: int = 20000, seed: int = 0,
-              tolerance_pts: float = 2.0,
-              grid: PartitionGrid | None = None) -> dict:
-    """Run the whole pipeline into out_dir and return the summary dict.
-
-    Steps: the uniform testing campaign, run as a pair with the
-    safety-function campaign on the same scenarios and episode seeds;
-    per-region tallies; predictions for the testing and the four operating
-    conditions, before any file is written; held-out observation campaigns
-    for each operating condition; predicted-vs-observed comparison; summary
-    table, reports, and charts. Output bytes are a pure function of (n,
-    seed, grid, tolerance): condition k of ("testing",) +
-    OPERATING_CONDITION_NAMES draws its scenarios with seed + 11 + k and
-    runs its campaign with master seed seed + 21 + k. Each scenario set is
-    formatted once, for its scenario file and every record file of it.
-
-    The default 10x10x10 grid needs n large enough to populate every voxel
-    (the uniform testing campaign covers all 1000 with n around 20000);
-    scaled-down runs should pass a proportionally coarser grid.
-    """
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    if n < 1:
-        raise ConfigError(f"n must be at least 1, got {n}")
-    out = Path(out_dir)
-    env = presets.default_env()
-    params = presets.default_policy_params()
-    space = presets.domain_space()
-    grid = grid or presets.default_grid()
-    validate_grid(grid, space)
-    names = ("testing",) + presets.OPERATING_CONDITION_NAMES
-    sample_seeds = [seed + 11 + k for k in range(len(names))]
-
-    def sample_for(k: int):
-        return sample(presets.condition(names[k]), n, sample_seeds[k])
-
-    def campaign_for(k: int, scenarios) -> TestCampaign:
-        return evaluate_policy(env, _policy_factory(params, env, None),
-                               scenarios, seed + 21 + k,
-                               condition_name=names[k])
-
-    # the testing campaign and, on the very same scenarios and episode
-    # seeds, the safety function's campaign, run as one pair
-    sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
-    test_scenarios = sample_for(0)
-    test_campaign, safety_campaign = evaluate_policies(
-        env, [_policy_factory(params, env, safety) for safety in (None, sf)],
-        test_scenarios, seed + 21, condition_name=names[0])
-
-    # per-region tallies and every prediction
-    tallies = tally(test_campaign, grid, space)
-    predictions = [predict(tallies, presets.condition(name)) for name in names]
-    observed_test = observed_rates(test_campaign)
-
-    # condition documents, each with the seed its scenarios were drawn with
-    for name, sample_seed in zip(names, sample_seeds):
-        doc = condition_document(presets.condition(name), grid, sample_seed,
-                                 env=env, params=params)
-        atomic_write_text(out / "conditions" / f"{name}.json", dump_json(doc))
-
-    test_path = out / "scenarios" / "testing.jsonl"
-    test_texts = write_scenarios(test_path, test_scenarios)
-    write_campaign(out / "records" / "testing.jsonl", test_campaign, params,
-                   None, test_path, texts=test_texts)
-    # the safety campaign ran the testing scenarios
-    write_campaign(out / "records" / "testing_safety.jsonl", safety_campaign,
-                   params, sf, test_path, texts=test_texts)
-    write_report(out / "reports" / "observed_testing.json", observed_test)
-    for name, predicted in zip(names, predictions):
-        write_report(out / "reports" / f"predicted_{name}.json", predicted)
-
-    # re-weighting identity under the testing conditions themselves
-    identity = compare(predictions[0], observed_test)
-
-    # novel operating conditions: confirm each prediction with held-out runs
-    oc_rows = []
-    pairs = []
-    for k, oc in enumerate(presets.OPERATING_CONDITION_NAMES, start=1):
-        predicted = predictions[k]
-        scenarios = sample_for(k)
-        heldout = campaign_for(k, scenarios)
-        scenarios_path = out / "scenarios" / f"{oc}.jsonl"
-        write_campaign(out / "records" / f"{oc}.jsonl", heldout, params, None,
-                       scenarios_path,
-                       texts=write_scenarios(scenarios_path, scenarios))
-        observed = observed_rates(heldout)
-        write_report(out / "reports" / f"observed_{oc}.json", observed)
-        deltas = compare(predicted, observed)
-        oc_rows.append({
-            "condition": oc,
-            "predicted": predicted.metrics(),
-            "observed": observed.metrics(),
-            "deltas_pts": deltas.as_dict(),
-            "max_abs_pts": deltas.max_abs,
-            "within_tolerance": deltas.max_abs <= tolerance_pts,
-        })
-        pairs.append((oc, predicted, observed))
-
-    observed_safety = observed_rates(safety_campaign)
-    write_report(out / "reports" / "observed_testing_safety.json",
-                 observed_safety)
-
-    atomic_write_text(out / "plots" / "comparison.svg",
-                      comparison_bar_svg(pairs))
-    atomic_write_text(out / "plots" / "failures_testing.svg",
-                      failure_scatter_svg(test_campaign, space, ("v", "t", "y")))
-    atomic_write_text(out / "plots" / "failures_testing_safety.svg",
-                      failure_scatter_svg(safety_campaign, space, ("v", "t", "y")))
-
-    harmful_base = observed_test.harmful_undependability
-    harmful_safe = observed_safety.harmful_undependability
-    summary = {
-        "n": n,
-        "seed": seed,
-        "grid_bins": list(grid.bins),
-        "tolerance_pts": tolerance_pts,
-        "identity_check": {
-            "deltas_pts": identity.as_dict(),
-            "max_abs_pts": identity.max_abs,
-        },
-        "observed_testing": observed_test.metrics(),
-        "operating_conditions": oc_rows,
-        "all_within_tolerance": all(r["within_tolerance"] for r in oc_rows),
-        "safety": {
-            "goal_clip_max": sf.goal_clip_max,
-            "delta": sf.delta,
-            "harmful_without": harmful_base,
-            "harmful_with": harmful_safe,
-            "harmful_ratio": (harmful_safe / harmful_base
-                              if harmful_base > 0 else 0.0),
-            "dependability_without": observed_test.dependability,
-            "dependability_with": observed_safety.dependability,
-        },
-    }
-    atomic_write_text(out / "summary.json", dump_json(summary))
-    atomic_write_text(out / "summary.txt", _summary_text(summary))
-    return summary
-
-
-def _summary_text(s: dict) -> str:
-    lines = []
-    lines.append(f"pipeline summary  (n={s['n']}, seed={s['seed']}, "
-                 f"grid={'x'.join(str(b) for b in s['grid_bins'])})")
-    lines.append("")
-    obs = s["observed_testing"]
-    lines.append("testing conditions (observed): "
-                 f"D={obs['dependability']:.4f}  "
-                 f"UT={obs['task_undependability']:.4f}  "
-                 f"UH={obs['harmful_undependability']:.4f}")
-    ident = s["identity_check"]
-    lines.append(f"re-weighting identity check: max |delta| = "
-                 f"{ident['max_abs_pts']:.3f} pts")
-    lines.append("")
-    header = (f"{'condition':<10} {'metric':<24} {'predicted':>10} "
-              f"{'observed':>10} {'delta pts':>10}  check")
-    lines.append(header)
-    lines.append("-" * len(header))
-    tol = s["tolerance_pts"]
-    for row in s["operating_conditions"]:
-        for metric in ("dependability", "task_undependability",
-                       "harmful_undependability"):
-            p = row["predicted"][metric]
-            o = row["observed"][metric]
-            d = row["deltas_pts"][f"{metric}_pts"]
-            check = "ok" if abs(d) <= tol else "EXCEEDED"
-            lines.append(f"{row['condition']:<10} {metric:<24} {p:>10.4f} "
-                         f"{o:>10.4f} {d:>+10.2f}  {check}")
-    lines.append("")
-    verdict = "yes" if s["all_within_tolerance"] else "NO"
-    lines.append(f"all predictions within {tol:.1f} pts of held-out "
-                 f"observation: {verdict}")
-    sf = s["safety"]
-    lines.append("")
-    lines.append(f"safety function (goal clipped to "
-                 f"[0, {sf['goal_clip_max']}]):")
-    lines.append(f"  harmful undependability: {sf['harmful_without']:.5f} -> "
-                 f"{sf['harmful_with']:.5f} (ratio {sf['harmful_ratio']:.5f})")
-    lines.append(f"  dependability:           {sf['dependability_without']:.4f} -> "
-                 f"{sf['dependability_with']:.4f}")
-    return "".join(line + "\n" for line in lines)
 
 
 def cmd_reproduce(args) -> int:

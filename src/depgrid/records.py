@@ -79,16 +79,24 @@ from .simulator import EnvConfig
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write text to a temp file beside path, then rename it to path. An
+    OSError, such as a directory on the path that is a regular file, raises
+    ConfigError naming the path, and no temp file is left."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from None
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(e, OSError):
+            raise ConfigError(f"cannot write {path}: {e.strerror}") from None
         raise
 
 

@@ -24,6 +24,10 @@ _METRICS = (
     ("harmful_undependability", PINK),
 )
 
+# pixels: the bar chart's size, and a scatter panel's side and margin
+_BAR_WIDTH, _BAR_HEIGHT = 760, 360
+_PANEL, _MARGIN = 300, 56
+
 
 def _svg_header(width: int, height: int) -> str:
     return (
@@ -43,10 +47,8 @@ def _text(x: float, y: float, s: str, size: int = 11, anchor: str = "middle",
     )
 
 
-def comparison_bar_svg(
-    pairs: Sequence[tuple[str, DependabilityReport, DependabilityReport]],
-    *, width: int = 760, height: int = 360,
-) -> str:
+def comparison_bar_svg(pairs: Sequence[tuple[str, DependabilityReport,
+                                             DependabilityReport]]) -> str:
     """Grouped bars of (label, predicted, observed) report pairs.
 
     Within each group the three metrics appear side by side; the predicted
@@ -55,9 +57,9 @@ def comparison_bar_svg(
     if not pairs:
         raise ConfigError("no report pairs to plot")
     m_left, m_right, m_top, m_bottom = 52, 16, 28, 58
-    plot_w = width - m_left - m_right
-    plot_h = height - m_top - m_bottom
-    parts = [_svg_header(width, height)]
+    plot_w = _BAR_WIDTH - m_left - m_right
+    plot_h = _BAR_HEIGHT - m_top - m_bottom
+    parts = [_svg_header(_BAR_WIDTH, _BAR_HEIGHT)]
     # y gridlines at 0, 25, 50, 75, 100 percent
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         y = m_top + plot_h * (1 - frac)
@@ -90,12 +92,9 @@ def comparison_bar_svg(
         f'y2="{m_top + plot_h}" stroke="black" stroke-width="1"/>\n'
     )
     lx = m_left
-    ly = height - 26
-    legend = [
-        ("dependability", GREEN), ("task undependability", BLUE),
-        ("harmful undependability", PINK),
-    ]
-    for name, color in legend:
+    ly = _BAR_HEIGHT - 26
+    for metric, color in _METRICS:
+        name = metric.replace("_", " ")
         parts.append(
             f'<rect x="{lx}" y="{ly - 9}" width="10" height="10" fill="{color}"/>\n'
         )
@@ -107,10 +106,8 @@ def comparison_bar_svg(
     return "".join(parts)
 
 
-def failure_scatter_svg(
-    campaign: TestCampaign, space: DomainSpace, dims: Sequence[str],
-    *, panel: int = 300, margin: int = 56,
-) -> str:
+def failure_scatter_svg(campaign: TestCampaign, space: DomainSpace,
+                        dims: Sequence[str]) -> str:
     """Scatter of failure scenarios projected onto the named dimensions.
 
     Two names give one panel; three give the three pairwise projections side
@@ -128,34 +125,35 @@ def failure_scatter_svg(
     failed = campaign.modes != BehaviorMode.SUCCESS.code
     points = list(zip(campaign.scenarios[failed].tolist(),
                       campaign.modes[failed].tolist()))
-    width = margin + len(panels) * (panel + margin)
-    height = panel + 2 * margin
+    width = _MARGIN + len(panels) * (_PANEL + _MARGIN)
+    height = _PANEL + 2 * _MARGIN
     parts = [_svg_header(width, height)]
     for p, (dx, dy) in enumerate(panels):
-        ox = margin + p * (panel + margin)
-        oy = margin
+        ox = _MARGIN + p * (_PANEL + _MARGIN)
+        oy = _MARGIN
         xdim, ydim = space.dims[dx], space.dims[dy]
         parts.append(
-            f'<rect x="{ox}" y="{oy}" width="{panel}" height="{panel}" '
+            f'<rect x="{ox}" y="{oy}" width="{_PANEL}" height="{_PANEL}" '
             f'fill="none" stroke="black" stroke-width="1"/>\n'
         )
         for x, m in points:
             color = BLUE if m == BehaviorMode.TASK_FAILURE.code else PINK
             vx = (x[dx] - xdim.min) / xdim.width
             vy = (x[dy] - ydim.min) / ydim.width
-            cx = ox + vx * panel
-            cy = oy + (1 - vy) * panel
+            cx = ox + vx * _PANEL
+            cy = oy + (1 - vy) * _PANEL
             parts.append(
                 f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="2" fill="{color}" '
                 f'fill-opacity="0.6"/>\n'
             )
-        parts.append(_text(ox + panel / 2.0, oy + panel + 30, xdim.label, size=12))
-        parts.append(_text(ox - 34, oy + panel / 2.0, ydim.label, size=12,
+        parts.append(_text(ox + _PANEL / 2.0, oy + _PANEL + 30, xdim.label,
+                           size=12))
+        parts.append(_text(ox - 34, oy + _PANEL / 2.0, ydim.label, size=12,
                            rotate=-90.0))
         for frac in (0.0, 1.0):
-            parts.append(_text(ox + frac * panel, oy + panel + 14,
+            parts.append(_text(ox + frac * _PANEL, oy + _PANEL + 14,
                                f"{xdim.min + frac * xdim.width:g}", size=10))
-            parts.append(_text(ox - 8, oy + (1 - frac) * panel + 4,
+            parts.append(_text(ox - 8, oy + (1 - frac) * _PANEL + 4,
                                f"{ydim.min + frac * ydim.width:g}", size=10,
                                anchor="end"))
     parts.append(_text(width / 2.0, 18,

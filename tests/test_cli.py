@@ -638,19 +638,93 @@ class TestCompareAndPlot:
                        str(tmp_path / "x.svg")) == 2
 
 
+# each subcommand that writes a file, with that file's path as "{out}"
+WRITING_ARGVS = {
+    "sample": ("sample", "--condition", "testing", "--n", "5",
+               "--out", "{out}"),
+    "run": ("run", "--scenarios", "{scen}", "--out", "{out}"),
+    "predict": ("predict", "--records", "{rec}", "--condition", "testing",
+                "--grid", "2,2,2", "--out", "{out}"),
+    "observe": ("observe", "--records", "{rec}", "--out", "{out}"),
+    "compare-out": ("compare", "--predicted", "{report}", "--observed",
+                    "{report}", "--out", "{out}"),
+    "compare-svg": ("compare", "--predicted", "{report}", "--observed",
+                    "{report}", "--out", "{dir}/cmp.json", "--svg", "{out}"),
+    "plot": ("plot", "--records", "{rec}", "--dims", "v,y", "--out", "{out}"),
+    "reproduce": ("reproduce", "--out-dir", "{out}", "--n", "20",
+                  "--grid", "1,1,1"),
+}
+
+
+class TestOutputPaths:
+    # reproduce writes into a directory, so only a path under a file fails
+    @pytest.mark.parametrize("argv, kind", [
+        pytest.param(argv, kind, id=f"{name}-{kind}")
+        for name, argv in WRITING_ARGVS.items()
+        for kind in ("under-a-file", "a-directory")
+        if (name, kind) != ("reproduce", "a-directory")])
+    def test_unwritable_output_exits_2(self, small_pipeline, tmp_path,
+                                       capsys, argv, kind):
+        """An output path under a regular file, or one that is a directory,
+        exits 2 with one stderr line naming it, and leaves no temp file."""
+        report = tmp_path / "obs.json"
+        assert run_cli("observe", "--records", str(small_pipeline["rec"]),
+                       "--out", str(report)) == 0
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "out"
+        if kind == "a-directory":
+            out = tmp_path / "adir"
+            out.mkdir()
+        paths = {**small_pipeline, "report": report, "out": out}
+        capsys.readouterr()
+        assert run_cli(*(a.format(**paths) for a in argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ConfigError: cannot write {out}")
+        assert err.count("\n") == 1
+        assert afile.read_text() == "kept\n"
+        assert not any(tmp_path.rglob(".*"))
+
+
+# every file of a reproduce tree
+REPRODUCE_TREE = [
+    "conditions/oc1.json", "conditions/oc2.json", "conditions/oc3.json",
+    "conditions/oc4.json", "conditions/testing.json",
+    "plots/comparison.svg", "plots/failures_testing.svg",
+    "plots/failures_testing_safety.svg",
+    "records/oc1.jsonl", "records/oc1.manifest.json",
+    "records/oc2.jsonl", "records/oc2.manifest.json",
+    "records/oc3.jsonl", "records/oc3.manifest.json",
+    "records/oc4.jsonl", "records/oc4.manifest.json",
+    "records/testing.jsonl", "records/testing.manifest.json",
+    "records/testing_safety.jsonl", "records/testing_safety.manifest.json",
+    "reports/observed_oc1.json", "reports/observed_oc2.json",
+    "reports/observed_oc3.json", "reports/observed_oc4.json",
+    "reports/observed_testing.json", "reports/observed_testing_safety.json",
+    "reports/predicted_oc1.json", "reports/predicted_oc2.json",
+    "reports/predicted_oc3.json", "reports/predicted_oc4.json",
+    "reports/predicted_testing.json",
+    "scenarios/oc1.jsonl", "scenarios/oc2.jsonl", "scenarios/oc3.jsonl",
+    "scenarios/oc4.jsonl", "scenarios/testing.jsonl",
+    "summary.json", "summary.txt",
+]
+
+
 class TestReproduce:
     def test_smoke(self, tmp_path):
         out = tmp_path / "repro"
         assert run_cli("reproduce", "--out-dir", str(out), "--n", "150",
                        "--seed", "2", "--grid", "2,2,2") == 0
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
+                      if p.is_file()) == REPRODUCE_TREE
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["n"] == 150
-        assert (out / "summary.txt").exists()
-        assert (out / "plots" / "comparison.svg").exists()
-        for name in ("testing", "oc1", "oc2", "oc3", "oc4"):
-            assert (out / "records" / f"{name}.jsonl").exists()
-            assert (out / "conditions" / f"{name}.json").exists()
-        ET.parse(out / "plots" / "failures_testing.svg")
+        assert set(summary) == {
+            "n", "seed", "grid_bins", "tolerance_pts", "identity_check",
+            "observed_testing", "operating_conditions",
+            "all_within_tolerance", "safety"}
+        assert (summary["n"], summary["tolerance_pts"]) == (150, 2.0)
+        for svg in (out / "plots").iterdir():
+            ET.parse(svg)
 
 
     @pytest.mark.parametrize("edits, code, message", [
