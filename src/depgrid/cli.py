@@ -18,9 +18,9 @@ from .estimator import (BehaviorMode, TestCampaign, compare, observed_rates,
                         predict, tally)
 from .pipeline import policy_factory, reproduce
 from .policies import ScriptedPolicyParams, evaluate_policy
-from .records import (atomic_write_text, dump_json, file_sha256,
-                      load_condition_file, naming_line, read_manifest,
-                      read_records, read_report, read_scenarios,
+from .records import (atomic_write_text, atomic_write_texts, dump_json,
+                      file_sha256, load_condition_file, naming_line,
+                      read_manifest, read_records, read_report, read_scenarios,
                       write_campaign, write_report, write_scenarios)
 from .safety import DEFAULT_DELTA, SafetyFunction
 from .simulator import EnvConfig
@@ -179,15 +179,14 @@ def cmd_compare(args) -> int:
     predicted = read_report(args.predicted)
     observed = read_report(args.observed)
     deltas = compare(predicted, observed)
-    atomic_write_text(args.out, dump_json({
+    svg_path = args.svg or str(Path(args.out).with_suffix(".svg"))
+    label = predicted.condition_name or "condition"
+    atomic_write_texts({args.out: dump_json({
         "predicted": args.predicted,
         "observed": args.observed,
         "deltas_pts": deltas.as_dict(),
         "max_abs_pts": deltas.max_abs,
-    }))
-    svg_path = args.svg or str(Path(args.out).with_suffix(".svg"))
-    label = predicted.condition_name or "condition"
-    atomic_write_text(svg_path, comparison_bar_svg([(label, predicted, observed)]))
+    }), svg_path: comparison_bar_svg([(label, predicted, observed)])})
     print(f"deltas (pts): D={deltas.dependability_pts:+.2f} "
           f"UT={deltas.task_undependability_pts:+.2f} "
           f"UH={deltas.harmful_undependability_pts:+.2f} "

@@ -386,8 +386,13 @@ def region_mass(cond: Condition, grid: PartitionGrid,
 # ---------------------------------------------------------------------------
 # numpy's SeedSequence and PCG64 (numpy/random/bit_generator.pyx and
 # pcg64.h), computed for many entropy rows at once. Integers are held as
-# 32-bit words in uint64 arrays: entropy as a list of columns, one word per
-# row each, and a 128-bit PCG64 value as four limbs, least significant first.
+# 32-bit words in uint64 arrays: entropy as a list of word columns, and a
+# 128-bit PCG64 value as four limbs, least significant first. Every row of a
+# call has the same word count, at least the pool's: SeedSequence pads
+# entropy shorter than its pool with zero words, so [w] and [w, 0, 0, 0] mix
+# alike, and a seed in [0, 2**64) is its low and high word, then two zeros.
+# A substream of a master seed is the master's words, padded with zeros to
+# the pool, then its index, one word below 2**32.
 # A product of two 32-bit words fits, and every result is masked back to 32
 # bits. Every operand is a uint64 (numpy 1.x promotes a uint64 combined with
 # a Python int to float64), so the arithmetic is the same under numpy 1.x and
@@ -411,49 +416,20 @@ _ONE = _limbs(1)
 _PCG_MULT = _limbs(0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645)
 
 
-def _entropy_words(values) -> list[tuple[np.ndarray, list[np.ndarray]]]:
-    """Non-negative integers as SeedSequence's entropy words.
-
-    numpy splits an integer into 32-bit words, least significant first (0 is
-    one word). Rows with the same word count form one group, returned as
-    (positions, word columns). A uint64 array is split with array
-    operations; any other sequence of integers, which may exceed 64 bits,
-    one value at a time. A negative value raises ConfigError.
-    """
-    if isinstance(values, np.ndarray) and values.dtype == np.uint64:
-        low, high = values & _M32, values >> _SHIFT32
-        wide = high != 0
-        return [(pos, [w[pos] for w in words]) for pos, words in (
-            (np.flatnonzero(~wide), [low]),
-            (np.flatnonzero(wide), [low, high])) if len(pos)]
-    ints = [operator.index(v) for v in values]
-    if ints and min(ints) < 0:
-        raise ConfigError(f"seeds must be non-negative, got {min(ints)}")
-    widths = [(v.bit_length() + 31) // 32 or 1 for v in ints]
-    width_of = np.array(widths, dtype=np.int64)
-    groups = []
-    for k in sorted(set(widths)):
-        pos = np.flatnonzero(width_of == k)
-        members = [ints[p] for p in pos.tolist()]
-        words = []
-        for shift in range(0, 32 * k, 64):   # 64 bits at a time, then halved
-            limb = np.array([(v >> shift) & 0xFFFF_FFFF_FFFF_FFFF
-                             for v in members], dtype=np.uint64)
-            words += [limb & _M32, limb >> _SHIFT32]
-        groups.append((pos, words[:k]))
-    return groups
-
-
-def _spawn_entropy(master_seed: int,
-                   indices) -> list[tuple[np.ndarray, list[np.ndarray]]]:
-    """Entropy of SeedSequence(master_seed, spawn_key=(i,)) for each index i
-    (as _entropy_words takes them), grouped by the index's word count: the
-    master's words, padded with zeros to the pool size, then the index's
-    words."""
-    ((_, run),) = _entropy_words([master_seed])
-    run += [np.zeros(1, dtype=np.uint64)] * (_POOL - len(run))
-    return [(pos, [np.repeat(w, len(pos)) for w in run] + words)
-            for pos, words in _entropy_words(indices)]
+def _spawn_entropy(master_seed: int, n: int) -> list[np.ndarray]:
+    """Entropy of SeedSequence(master_seed, spawn_key=(i,)) for i in
+    range(n), as word columns: the master's padded words, each one row that
+    stands for all n, then the indices. A negative master seed, or an n
+    outside [0, 2**32], raises ConfigError before anything is allocated."""
+    master, n = operator.index(master_seed), operator.index(n)
+    if master < 0:
+        raise ConfigError(f"seeds must be non-negative, got {master}")
+    if not 0 <= n <= 2**32:
+        raise ConfigError(f"substream count must be in [0, 2**32], got {n}")
+    words = [(master >> s) & 0xFFFF_FFFF
+             for s in range(0, max(master.bit_length(), 32 * _POOL), 32)]
+    return [*np.array(words, dtype=np.uint64)[:, None],
+            np.arange(n, dtype=np.uint64)]
 
 
 def _hashmix(hash_const: int, mult: int):
@@ -473,29 +449,23 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> _XSHIFT)
 
 
-def _generate_state(groups, n_words: int) -> np.ndarray:
-    """SeedSequence.generate_state(n_words) for entropy rows given as groups
-    of (positions, word columns): a (rows, n_words) uint64 array of 32-bit
-    words, in row order."""
-    out = np.empty((sum(len(pos) for pos, _ in groups), n_words),
-                   dtype=np.uint64)
-    for pos, entropy in groups:
-        hashmix = _hashmix(_INIT_A, _MULT_A)
-        pool = [hashmix(entropy[i] if i < len(entropy)
-                        else np.zeros(len(pos), dtype=np.uint64))
-                for i in range(_POOL)]
-        for src in range(_POOL):
-            for dst in range(_POOL):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-        for word in entropy[_POOL:]:
-            for dst in range(_POOL):
-                pool[dst] = _mix(pool[dst], hashmix(word))
-        # generate_state's output loop: the same step, its own constants
-        hashmix = _hashmix(_INIT_B, _MULT_B)
-        out[pos] = np.stack([hashmix(pool[i % _POOL]) for i in range(n_words)],
-                            axis=1)
-    return out
+def _generate_state(entropy: list[np.ndarray], n_words: int) -> np.ndarray:
+    """SeedSequence.generate_state(n_words) for the entropy rows of word
+    columns, at least the pool's, one of them a column of all the rows: a
+    (rows, n_words) uint64 array of 32-bit words."""
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state's output loop: the same step, its own constants
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    return np.stack([hashmix(pool[i % _POOL]) for i in range(n_words)],
+                    axis=1)
 
 
 def _mul_add(a, m, c) -> list[np.ndarray]:
@@ -513,16 +483,16 @@ def _mul_add(a, m, c) -> list[np.ndarray]:
     return out
 
 
-def _pcg64_limbs(groups) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The limbs of the (state, inc) of PCG64(SeedSequence(entropy)) for
-    entropy rows (groups as in _generate_state), in row order.
+def _pcg64_limbs(entropy) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The limbs of the (state, inc) of PCG64(SeedSequence(row)) for the
+    entropy rows of word columns (as _generate_state takes them).
 
     PCG64 reads generate_state(4, np.uint64) as a 128-bit initial state and
     stream, high word first, then runs pcg_setseq_128_srandom_r: inc is the
     stream shifted up with its low bit set, and the state is two LCG steps
     from 0 with the initial state added after the first.
     """
-    w = _generate_state(groups, 8)[:, [2, 3, 0, 1, 6, 7, 4, 5]].T
+    w = _generate_state(entropy, 8)[:, [2, 3, 0, 1, 6, 7, 4, 5]].T
     start, seq = w[:4], w[4:]
     low_bits = [np.ones_like(seq[0])] + [q >> np.uint64(31) for q in seq[:3]]
     inc = [((q << np.uint64(1)) & _M32) | b for q, b in zip(seq, low_bits)]
@@ -537,33 +507,35 @@ def _xsl_rr(state) -> np.ndarray:
     return (x >> r) | (x << ((np.uint64(64) - r) & np.uint64(63)))
 
 
-def _pcg64_states(state, inc) -> list[tuple[int, int]]:
-    """The limb states as the (state, inc) Python ints of
-    ``PCG64(...).state["state"]``, one pair per row."""
-    def ints(limbs):
-        hi = ((limbs[3] << _SHIFT32) | limbs[2]).tolist()
-        lo = ((limbs[1] << _SHIFT32) | limbs[0]).tolist()
-        return [(h << 64) | v for h, v in zip(hi, lo)]
-    return list(zip(ints(state), ints(inc)))
+def _seeded_streams(state, inc) -> Iterator[np.random.Generator]:
+    """One generator, yielded once per row of the limbs (state, inc), after
+    its PCG64 state is set to that row's as Python ints.
 
-
-def _seeded_streams(states) -> Iterator[np.random.Generator]:
-    """One generator per call, yielded once for each (state, inc) pair of
-    _pcg64_states, after its PCG64 state is set to that pair.
-
-    Given _pcg64_states(*_pcg64_limbs(groups)), equal to drawing from
+    Given _pcg64_limbs(entropy), equal to drawing from
     ``np.random.Generator(np.random.PCG64(np.random.SeedSequence(row)))``
     for each entropy row, without building either per row. Each row's draws
     must be taken before the next row is requested.
     """
+    def ints(limbs):
+        hi = ((limbs[3] << _SHIFT32) | limbs[2]).tolist()
+        lo = ((limbs[1] << _SHIFT32) | limbs[0]).tolist()
+        return [(h << 64) | v for h, v in zip(hi, lo)]
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
     doc = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0,
            "uinteger": 0}
-    for state, inc in states:
-        doc["state"] = {"state": state, "inc": inc}
+    for s, i in zip(ints(state), ints(inc)):
+        doc["state"] = {"state": s, "inc": i}
         bitgen.state = doc
         yield rng
+
+
+def seeded_generators(seeds: np.ndarray) -> Iterator[np.random.Generator]:
+    """``np.random.Generator(np.random.PCG64(seed))`` for each seed of a
+    uint64 array in turn, as one generator (see _seeded_streams); the states
+    of all the seeds are computed at once."""
+    return _seeded_streams(*_pcg64_limbs(
+        [seeds & _M32, seeds >> _SHIFT32, *np.zeros((2, 1), dtype=np.uint64)]))
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +560,11 @@ def substream_seeds(master_seed: int, n: int) -> np.ndarray:
 
     Element i is ``SeedSequence(master_seed, spawn_key=(i,))
     .generate_state(1, np.uint64)[0]``, equal to substream_seed(master_seed,
-    i), computed for all indices at once. A negative master seed raises
-    ConfigError.
+    i), computed for all indices at once from their entropy word columns
+    (see _spawn_entropy). A negative master seed, or an n outside [0,
+    2**32], raises ConfigError.
     """
-    indices = np.arange(n, dtype=np.uint64)
-    w = _generate_state(_spawn_entropy(master_seed, indices), 2)
+    w = _generate_state(_spawn_entropy(master_seed, n), 2)
     return w[:, 0] | (w[:, 1] << _SHIFT32)
 
 
@@ -604,27 +576,25 @@ def sample(cond: ConditionSet, n: int, seed: int) -> np.ndarray:
     PCG64(SeedSequence(seed, spawn_key=(i,))), so the result is a pure
     function of (cond, n, seed) and its first k rows equal sample(cond, k,
     seed); Marginal.draw is the scalar reference for each value. The
-    substream states are computed for all indices at once. The leading run
-    of Uniform marginals is drawn for all rows at once from the stepped
-    states, as ``Generator.uniform`` computes it: a + (b - a) times the top
-    53 bits of the output over 2**53. From the first other marginal on, one
+    substream states are computed for all indices at once, from their
+    entropy word columns (see _spawn_entropy). The leading run of Uniform
+    marginals is drawn for all rows at once from the stepped states, as
+    ``Generator.uniform`` computes it: a + (b - a) times the top 53 bits of
+    the output over 2**53. From the first other marginal on, one
     generator serves every row, set once per row to the state the leading
     draws left (see _seeded_streams); it fills the row's standard normals
     and unit uniforms with one call per run of marginals of one kind. Then
     each column becomes mu + sigma·z, clipped to the dimension bounds as
-    min(max(g, lo), hi) is, or a + (b - a)·u. A negative seed raises
-    ConfigError.
+    min(max(g, lo), hi) is, or a + (b - a)·u. A negative seed, or an n
+    outside [0, 2**32], raises ConfigError.
     """
-    if n < 0:
-        raise ConfigError(f"sample count must be >= 0, got {n}")
     if not isinstance(cond, ConditionSet):
         raise ConfigError("sample() draws from product conditions only")
+    state, inc = _pcg64_limbs(_spawn_entropy(seed, n))
     pairs = tuple(zip(cond.marginals, cond.space.dims))
     k = next((j for j, m in enumerate(cond.marginals)
               if not isinstance(m, Uniform)), len(pairs))
     xs = np.empty((n, len(pairs)))
-    indices = np.arange(n, dtype=np.uint64)
-    state, inc = _pcg64_limbs(_spawn_entropy(seed, indices))
     for j, m in enumerate(cond.marginals[:k]):
         state = _mul_add(state, _PCG_MULT, inc)
         a = float(m.a)
@@ -641,7 +611,7 @@ def sample(cond: ConditionSet, n: int, seed: int) -> np.ndarray:
                      else np.random.Generator.standard_normal))
         start = stop
     raw = np.empty((n, len(pairs) - k))
-    for row, rng in zip(raw, _seeded_streams(_pcg64_states(state, inc))):
+    for row, rng in zip(raw, _seeded_streams(state, inc)):
         for columns, fill in runs:
             fill(rng, out=row[columns])
     for j, (m, d) in enumerate(pairs[k:], start=k):

@@ -29,7 +29,7 @@ from .errors import ConfigError
 from .estimator import compare, observed_rates, predict, tally
 from .policies import ScriptedPolicy, ScriptedPolicyParams, evaluate_policies
 from .records import (atomic_write_text, condition_document, dump_json,
-                      write_campaign, write_report, write_scenarios)
+                      write_campaign, write_report, write_scenarios, writing)
 from .safety import SafetyFunction, wrap
 from .simulator import EnvConfig
 from .svgplots import comparison_bar_svg, failure_scatter_svg
@@ -51,9 +51,11 @@ def reproduce(out_dir: str | Path, *, n: int, seed: int,
               grid: PartitionGrid | None = None) -> dict:
     """Run the experiment into out_dir and return the summary dict.
 
-    Every prediction is made before any file is written, so an
-    EmptyPartition leaves out_dir empty. The default 10x10x10 grid needs n
-    around 20000 to cover every voxel; a smaller n needs a coarser grid.
+    out_dir is made before any scenario is drawn, so a path that cannot be
+    a directory raises ConfigError at once. Every prediction is made before
+    any file is written, so an EmptyPartition leaves out_dir empty. The
+    default 10x10x10 grid needs n around 20000 to cover every voxel; a
+    smaller n needs a coarser grid.
     """
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
@@ -65,6 +67,8 @@ def reproduce(out_dir: str | Path, *, n: int, seed: int,
     space = presets.domain_space()
     grid = grid or presets.default_grid()
     validate_grid(grid, space)
+    with writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     names = ("testing",) + presets.OPERATING_CONDITION_NAMES
     conditions = [presets.condition(name) for name in names]
     sf = SafetyFunction.from_threshold(params.risk_goal_threshold)

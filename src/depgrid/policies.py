@@ -172,9 +172,9 @@ def evaluate_policies(cfg: EnvConfig, factories: Sequence[PolicyFactory],
     and its record in the campaign of factory f equals ``run_episode(cfg,
     f(), scenarios[i], seed)``, so each campaign is a pure function of its
     inputs and equals ``evaluate_policy(cfg, f, scenarios, master_seed)``.
-    The seeds are derived for all episodes at once by substream_seeds, and
-    stay a uint64 array up to the episode noise; a negative master seed
-    raises ConfigError.
+    The seeds are derived for all episodes at once by substream_seeds, as a
+    uint64 array whose low and high word columns seed the episode noise (see
+    domain.seeded_generators); a negative master seed raises ConfigError.
     """
     seeds = substream_seeds(master_seed, len(scenarios))
     return tuple(

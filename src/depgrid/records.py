@@ -42,6 +42,7 @@ manifest beside it, which run --manifest replays from any directory.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -78,26 +79,47 @@ from .safety import SafetyFunction
 from .simulator import EnvConfig
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to a temp file beside path, then rename it to path. An
-    OSError, such as a directory on the path that is a regular file, raises
-    ConfigError naming the path, and no temp file is left."""
-    path = Path(path)
+@contextmanager
+def writing(path: str | Path):
+    """An OSError raised inside is raised again as a ConfigError naming
+    path."""
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        yield
     except OSError as e:
-        raise ConfigError(f"cannot write {path}: {e}") from None
+        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from None
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """atomic_write_texts of the one file."""
+    atomic_write_texts({path: text})
+
+
+def atomic_write_texts(texts: dict) -> None:
+    """Write each text of a {path: text} dict to a temp file beside its path,
+    then rename each to its path. An OSError raises ConfigError naming the
+    path and leaves no temp file; before the renames, as a path that is a
+    directory or under a regular file fails, it leaves no file written."""
+    staged = []
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException as e:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        if isinstance(e, OSError):
-            raise ConfigError(f"cannot write {path}: {e.strerror}") from None
-        raise
+        for path, text in texts.items():
+            path = Path(path)
+            with writing(path):
+                if path.is_dir():
+                    raise IsADirectoryError(errno.EISDIR,
+                                            os.strerror(errno.EISDIR))
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=path.parent,
+                                           prefix=f".{path.name}.")
+                staged.append((tmp, path))
+                with os.fdopen(fd, "w") as f:
+                    f.write(text)
+        for tmp, path in staged:
+            with writing(path):
+                os.replace(tmp, path)
+    finally:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def file_sha256(path: str | Path) -> str:

@@ -8,8 +8,9 @@ The robot's task is to reach or exceed the goal height y at some point during
 the episode; colliding with the obstacle at any time is a harmful failure.
 
 Episodes are pure functions of (config, policy, scenario, seed); a scenario
-is its (v, t, y) coordinates. Sensor noise is redrawn at every observation
-from the episode's own generator.
+is its (v, t, y) coordinates, and a seed an integer in [0, 2**64). Sensor
+noise is redrawn at every observation from the episode's own generator,
+PCG64(seed).
 
 Two functions run episodes. ``run_episode`` steps one scenario (any (v, t, y)
 sequence) through init/act/step/classify into its TrialRecord; it is the
@@ -32,8 +33,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .domain import (Dimension, DomainSpace, _entropy_words, _pcg64_limbs,
-                     _pcg64_states, _seeded_streams)
+from .domain import Dimension, DomainSpace, seeded_generators
 from .errors import ConfigError, EpisodeNotFinished, SteppingTerminatedEpisode
 from .estimator import BehaviorMode, TestCampaign, TrialRecord
 
@@ -242,8 +242,9 @@ def run_batch(cfg: EnvConfig, policies: Sequence, scenarios: np.ndarray,
     """One campaign per policy, each of one episode per (scenario, seed)
     pair, stepping each block of episodes in lockstep. ``scenarios`` is an
     (n, 3) float array of (v, t, y) rows, such as ``sample`` returns;
-    ``seeds`` are integers, or a uint64 array such as ``substream_seeds``
-    returns. The campaigns hold the seeds as Python ints.
+    ``seeds`` are integers in [0, 2**64), such as the uint64 array
+    ``substream_seeds`` returns, and any other seed raises ConfigError
+    before an episode runs. The campaigns hold the seeds as Python ints.
 
     Row i of the campaign of policy p equals ``run_episode(cfg, q,
     scenarios[i], seeds[i])`` bit for bit, where q is a fresh policy
@@ -255,14 +256,19 @@ def run_batch(cfg: EnvConfig, policies: Sequence, scenarios: np.ndarray,
     is the first outside. The campaigns have no condition name and master
     seed 0.
     """
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
+        values = [operator.index(s) for s in seeds]
+        bad = [s for s in values if not 0 <= s < 2**64]
+        if bad:
+            raise ConfigError(f"seeds must be non-negative and below 2**64, "
+                              f"got {bad[0]}")
+        seeds = np.array(values, dtype=np.uint64)
     if len(seeds) != len(scenarios):
         raise ConfigError(
             f"{len(seeds)} seeds for {len(scenarios)} scenarios"
         )
     makers = [batch_form(p) for p in policies]
     xs = scenario_domain(cfg).check_points(scenarios)
-    ints = tuple(map(operator.index, seeds.tolist()
-                     if isinstance(seeds, np.ndarray) else seeds))
     shape = (len(makers), len(xs))   # one row per policy
     modes = np.empty(shape, dtype=np.int8)
     steps = np.empty(shape, dtype=np.int64)
@@ -271,29 +277,26 @@ def run_batch(cfg: EnvConfig, policies: Sequence, scenarios: np.ndarray,
         block = slice(start, start + _BLOCK)
         modes[:, block], steps[:, block], final[:, block] = _run_block(
             cfg, makers, xs[block], seeds[block])
+    ints = tuple(seeds.tolist())
     return tuple(TestCampaign("", xs, m, ints, s, f)
                  for m, s, f in zip(modes, steps, final))
 
 
-def _episode_noise(seeds: Sequence[int], horizon: int) -> np.ndarray:
-    """Standard normals of shape (len(seeds), horizon, 3): row j is the
-    start of PCG64(seeds[j])'s stream, the noise run_episode draws.
-
-    The seeded PCG64 states of the whole block are computed at once as limbs
-    (see domain._pcg64_limbs), from a uint64 array of seeds with array
-    operations alone (see domain._entropy_words), and one generator, set to
-    each row's state in turn, fills every row (see domain._seeded_streams).
-    A negative seed raises ConfigError.
+def _episode_noise(seeds: np.ndarray, horizon: int) -> np.ndarray:
+    """Standard normals of shape (len(seeds), horizon, 3) for a uint64 array
+    of seeds: row j is the start of PCG64(seeds[j])'s stream, the noise
+    run_episode draws. The seeded states of the whole block are computed at
+    once, and one generator, set to each row's state in turn, fills every
+    row (see domain.seeded_generators).
     """
     noise = np.empty((len(seeds), horizon, 3))
-    states = _pcg64_states(*_pcg64_limbs(_entropy_words(seeds)))
-    for row, rng in zip(noise, _seeded_streams(states)):
+    for row, rng in zip(noise, seeded_generators(seeds)):
         rng.standard_normal(out=row)
     return noise
 
 
 def _run_block(cfg: EnvConfig, makers, xs: np.ndarray,
-               seeds: Sequence[int]) -> tuple[np.ndarray, ...]:
+               seeds: np.ndarray) -> tuple[np.ndarray, ...]:
     """Mode codes, steps and final positions of the episodes of one block,
     as (controllers, episodes) arrays: one row for the controller each of
     ``makers`` builds.

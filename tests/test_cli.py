@@ -2,17 +2,19 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from depgrid import (ConditionSet, PartitionGrid, TestCampaign, Uniform,
                      sample)
-from depgrid import presets
+from depgrid import ConfigError, pipeline, presets
 from depgrid.cli import main, reproduce
 from depgrid.records import (
     condition_document,
@@ -677,13 +679,17 @@ class TestOutputPaths:
             out = tmp_path / "adir"
             out.mkdir()
         paths = {**small_pipeline, "report": report, "out": out}
+        before = set(tmp_path.rglob("*"))
         capsys.readouterr()
         assert run_cli(*(a.format(**paths) for a in argv)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"ConfigError: cannot write {out}")
         assert err.count("\n") == 1
         assert afile.read_text() == "kept\n"
-        assert not any(tmp_path.rglob(".*"))
+        # nothing is left behind: compare writes its deltas file only
+        # with its chart, and neither when one path cannot be written
+        assert not (tmp_path / "cmp.json").exists()
+        assert set(tmp_path.rglob("*")) == before
 
 
 # every file of a reproduce tree
@@ -758,6 +764,23 @@ class TestReproduce:
         assert run_cli("reproduce", "--out-dir", str(out), *argv) == code
         assert capsys.readouterr().err == message + "\n"
         assert not out.exists() or not any(out.rglob("*"))
+
+    def test_unwritable_out_dir_is_refused_before_sampling(self, tmp_path):
+        """An out_dir that is a regular file, or lies under one, raises
+        ConfigError naming it before a scenario is drawn or a campaign
+        runs."""
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        ran = AssertionError("ran before out_dir was made")
+        with mock.patch.object(pipeline, "sample", side_effect=ran), \
+                mock.patch.object(pipeline, "evaluate_policies",
+                                  side_effect=ran):
+            for out in (afile, afile / "out"):
+                with pytest.raises(ConfigError,
+                                   match=f"^cannot write {re.escape(str(out))}:"):
+                    reproduce(out, n=300, seed=0,
+                              grid=PartitionGrid((2, 2, 2)))
+        assert afile.read_text() == "kept\n"
 
     def test_every_manifest_replays_into_identical_records(self, tmp_path):
         out = tmp_path / "repro"

@@ -9,14 +9,19 @@ depend on every bit of it, so each property here uses numpy's classes as the
 oracle: a numpy release that changes either algorithm fails these tests
 instead of silently changing output files.
 
-Integers split into a different number of 32-bit entropy words take
-different paths through the mixing, so the strategies draw from each word
-count: master seeds below 2**32, below 2**64, below 2**128 (the pool size)
-and above it; spawn indices on both sides of 2**32; raw episode seeds up to
-2**70.
+Every entropy row is held as fixed word columns, at least the pool's four:
+an episode seed in [0, 2**64) is its low and high word, then zeros, which
+numpy's own padding makes equal to its one- or two-word entropy; a spawned
+substream is its master's words, zero-padded to the pool, then its index.
+So the strategies draw from each word count: master seeds below 2**32,
+below 2**64, below 2**128 (the pool size) and above it; episode seeds below
+2**32 and up to 2**64 - 1, the largest run_batch takes.
 """
 
 from __future__ import annotations
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,15 +40,13 @@ from depgrid import (
 )
 from depgrid.domain import (
     _PCG_MULT,
-    _entropy_words,
-    _generate_state,
     _mul_add,
     _pcg64_limbs,
-    _pcg64_states,
     _seeded_streams,
     _spawn_entropy,
     _xsl_rr,
     sample,
+    seeded_generators,
     substream_seed,
     substream_seeds,
 )
@@ -58,17 +61,10 @@ masters = st.one_of(
     st.integers(2**64, 2**128 - 1),
     st.integers(2**128, 2**140 - 1),
 )
-# index sets that cross 2**32, where a spawn key takes a second word
-index_sets = st.lists(
-    st.one_of(st.integers(0, 2**32 - 1),
-              st.integers(2**32 - 3, 2**32 + 3),
-              st.integers(2**32, 2**64 - 1)),
-    min_size=1, max_size=12)
 raw_seeds = st.one_of(
     st.sampled_from(EDGES),
     st.integers(0, 2**32 - 1),
     st.integers(2**32, 2**64 - 1),
-    st.integers(2**64, 2**70 - 1),
 )
 
 
@@ -91,36 +87,24 @@ def test_substream_seeds_equal_the_scalar_reference(master, n):
 
 
 @settings(max_examples=200)
-@given(master=masters, indices=index_sets)
-@example(master=7, indices=[2**32 - 1, 2**32, 2**32 + 1])
-def test_spawned_seeds_across_two_word_indices(master, indices):
-    # the computation substream_seeds runs on np.arange(n), on any index
-    # set, given as a uint64 array or as Python ints
-    want = [substream_seed(master, i) for i in indices]
-    for given_indices in (np.array(indices, dtype=np.uint64), indices):
-        w = _generate_state(_spawn_entropy(master, given_indices), 2)
-        assert (w[:, 0] | (w[:, 1] << np.uint64(32))).tolist() == want
+@given(master=masters, n=st.integers(0, 12))
+@example(master=0, n=3)
+@example(master=2**64 - 1, n=3)
+@example(master=2**128, n=3)
+def test_spawned_generator_state_equals_numpy(master, n):
+    state, inc = _pcg64_limbs(_spawn_entropy(master, n))
+    assert len(state[0]) == len(inc[0]) == n
+    states = [rng.bit_generator.state
+              for rng in _seeded_streams(state, inc)]
+    assert states == [spawned(master, i).state for i in range(n)]
 
 
 @settings(max_examples=200)
-@given(master=masters, indices=index_sets)
-@example(master=0, indices=[0, 1, 2])
-@example(master=2**64 - 1, indices=[2**32 - 1, 2**32])
-def test_spawned_generator_state_equals_numpy(master, indices):
-    states = _pcg64_states(*_pcg64_limbs(_spawn_entropy(master, indices)))
-    for i, (state, inc) in zip(indices, states):
-        want = spawned(master, i).state["state"]
-        assert (state, inc) == (want["state"], want["inc"])
-    for i, rng in zip(indices, _seeded_streams(states)):
-        assert rng.bit_generator.state == spawned(master, i).state
-
-
-@settings(max_examples=200)
-@given(master=masters, indices=index_sets, k=st.integers(1, 4))
-@example(master=0, indices=[0, 1, 2], k=4)
-@example(master=2**128, indices=[2**32 - 1, 2**32], k=3)
-def test_stepped_limb_outputs_equal_random_raw(master, indices, k):
-    state, inc = _pcg64_limbs(_spawn_entropy(master, indices))
+@given(master=masters, n=st.integers(0, 12), k=st.integers(1, 4))
+@example(master=0, n=3, k=4)
+@example(master=2**128, n=3, k=3)
+def test_stepped_limb_outputs_equal_random_raw(master, n, k):
+    state, inc = _pcg64_limbs(_spawn_entropy(master, n))
     raws = []
     for _ in range(k):
         state = _mul_add(state, _PCG_MULT, inc)
@@ -128,7 +112,26 @@ def test_stepped_limb_outputs_equal_random_raw(master, indices, k):
     got = np.stack(raws, axis=1)
     assert got.dtype == np.uint64
     assert got.tolist() == [spawned(master, i).random_raw(k).tolist()
-                            for i in indices]
+                            for i in range(n)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: substream_seeds(7, n),
+    lambda n: sample(presets.condition("testing"), n, 7),
+], ids=["substream_seeds", "sample"])
+@pytest.mark.parametrize("n", [-1, 2**32 + 1])
+def test_substream_count_outside_its_range_is_refused_unallocated(call, n):
+    # the count is checked before any array is made: with numpy's
+    # allocations traced, the refusal takes less than a megabyte, where the
+    # indices of 2**32 + 1 substreams would take 32 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"\[0, 2\*\*32\], got"):
+            call(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def per_row_oracle(cond: ConditionSet, n: int, master: int) -> np.ndarray:
@@ -210,34 +213,26 @@ def test_sample_of_a_mixed_condition_at_scale():
     assert xs.tobytes() == per_row_oracle(cond, 5000, 2**64 + 3).tobytes()
 
 
+def noise_oracle(seeds, horizon: int) -> list[np.ndarray]:
+    """run_episode's noise: one fresh PCG64(seed) generator per seed."""
+    return [np.random.Generator(np.random.PCG64(seed)).standard_normal(
+        (horizon, 3)) for seed in seeds]
+
+
 @settings(max_examples=200)
 @given(seeds=st.lists(raw_seeds, max_size=10), horizon=st.integers(0, 6))
 @example(seeds=list(EDGES), horizon=100)
 def test_episode_noise_equals_pcg64_of_the_seed(seeds, horizon):
-    noise = _episode_noise(seeds, horizon)
+    noise = _episode_noise(np.array(seeds, dtype=np.uint64), horizon)
     assert noise.shape == (len(seeds), horizon, 3)
-    for seed, row in zip(seeds, noise):
-        want = np.random.Generator(np.random.PCG64(seed)).standard_normal(
-            (horizon, 3))
+    for row, want in zip(noise, noise_oracle(seeds, horizon)):
         assert np.array_equal(row, want)
 
 
-def test_episode_noise_takes_a_uint64_array():
-    seeds = substream_seeds(5, 8)
-    assert np.array_equal(_episode_noise(seeds, 4),
-                          _episode_noise(seeds.tolist(), 4))
-
-
-def listed(groups) -> list:
-    """Entropy groups as lists: (positions, word columns) per group."""
-    return [(pos.tolist(), [w.tolist() for w in words])
-            for pos, words in groups]
-
-
 def test_a_uint64_array_splits_into_the_words_of_its_ints():
-    """Array seeds mixing one- and two-word values are split with array
-    operations into the words the per-int path gives, and seed numpy's
-    PCG64(seed) exactly; 0 and 2**32 - 1 are one word, 2**32 two."""
+    """A uint64 array mixing one- and two-word seeds, as numpy splits them
+    (0 and 2**32 - 1 are one word, 2**32 two), seeds numpy's PCG64(seed)
+    exactly from its fixed low and high word columns."""
     rng = np.random.default_rng(17)
     seeds = np.concatenate([
         np.array(EDGES + (2**63, 2**33 + 5), dtype=np.uint64),
@@ -245,29 +240,23 @@ def test_a_uint64_array_splits_into_the_words_of_its_ints():
         rng.integers(0, 2**64 - 1, 20, dtype=np.uint64, endpoint=True)])
     rng.shuffle(seeds)
     ints = seeds.tolist()
-    by_array, by_int = _entropy_words(seeds), _entropy_words(ints)
-    assert listed(by_array) == listed(by_int)
-    assert all(w.dtype == np.uint64 for _, words in by_array for w in words)
-    assert [len(words) for _, words in by_array] == [1, 2]
-    states = _pcg64_states(*_pcg64_limbs(by_array))
-    for seed, (state, inc) in zip(ints, states):
-        want = np.random.PCG64(seed).state["state"]
-        assert (state, inc) == (want["state"], want["inc"])
-    noise = _episode_noise(seeds, 3)
-    for seed, row in zip(ints, noise):
-        assert np.array_equal(row, np.random.Generator(
-            np.random.PCG64(seed)).standard_normal((3, 3)))
+    states = [g.bit_generator.state for g in seeded_generators(seeds)]
+    assert states == [np.random.PCG64(seed).state for seed in ints]
+    for row, want in zip(_episode_noise(seeds, 3), noise_oracle(ints, 3)):
+        assert np.array_equal(row, want)
 
 
 @pytest.mark.parametrize("seeds", [[], [0], [5, 9], [2**40, 2**64 - 1]],
                          ids=["empty", "zero", "one_word", "two_words"])
 def test_uint64_arrays_of_one_word_count(seeds):
-    array = np.array(seeds, dtype=np.uint64)
-    assert listed(_entropy_words(array)) == listed(_entropy_words(seeds))
+    noise = _episode_noise(np.array(seeds, dtype=np.uint64), 4)
+    assert noise.shape == (len(seeds), 4, 3)
+    for row, want in zip(noise, noise_oracle(seeds, 4)):
+        assert np.array_equal(row, want)
 
 
 def test_run_batch_equals_run_episode_for_edge_seeds(env, params):
-    seeds = [0, 1, 2, 2**64, 2**64 + 1, 2**70 - 1]
+    seeds = [0, 1, 2, 2**32 - 1, 2**32, 2**64 - 1]
     scenarios = sample(presets.condition("testing"), len(seeds), 3)
     policy = ScriptedPolicy(params, env)
     (campaign,) = run_batch(env, [policy], scenarios, seeds)
@@ -276,12 +265,21 @@ def test_run_batch_equals_run_episode_for_edge_seeds(env, params):
                        for x, s in zip(scenarios, seeds)]
 
 
+@pytest.mark.parametrize("bad", [2**64, 2**64 + 1, 2**70 - 1])
+def test_run_batch_refuses_seeds_of_2_64_and_above(env, params, bad):
+    scenarios = sample(presets.condition("testing"), 3, 3)
+    with mock.patch("depgrid.simulator._run_block") as run_block:
+        with pytest.raises(ConfigError, match=f"below 2\\*\\*64, got {bad}"):
+            run_batch(env, [ScriptedPolicy(params, env)], scenarios,
+                      [0, bad, 1])
+    run_block.assert_not_called()
+
+
 @pytest.mark.parametrize("call", [
     lambda: substream_seeds(-1, 3),
     lambda: sample(presets.condition("testing"), 3, -1),
     lambda: sample(presets.condition("testing"), 0, -5),
-    lambda: _episode_noise([3, -1], 4),
-], ids=["substream_seeds", "sample", "sample_empty", "episode_noise"])
+], ids=["substream_seeds", "sample", "sample_empty"])
 def test_negative_seed_is_a_config_error(call):
     with pytest.raises(ConfigError, match="non-negative"):
         call()
