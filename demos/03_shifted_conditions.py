@@ -60,7 +60,7 @@ for k, oc in enumerate(presets.OPERATING_CONDITION_NAMES):
           f"UH={predicted.harmful_undependability:.4f} | "
           f"observed D={confirmed.dependability:.4f} "
           f"UH={confirmed.harmful_undependability:.4f} | "
-          f"max |delta| = {deltas.max_abs:.2f} pts")
+          f"max |delta| = {deltas['max_abs_pts']:.2f} pts")
 
 OUT.mkdir(exist_ok=True)
 atomic_write_text(OUT / "comparison.svg", comparison_bar_svg(pairs))

@@ -39,7 +39,6 @@ from .errors import (
 from .estimator import (
     BehaviorMode,
     DependabilityReport,
-    MetricDeltas,
     Tally,
     TestCampaign,
     TrialRecord,

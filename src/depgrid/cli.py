@@ -88,23 +88,24 @@ def cmd_run(args) -> int:
                               f"{', '.join(given)}")
         manifest = read_manifest(args.manifest)
         base = Path(args.manifest).parent
-        scenarios_path = base / manifest.scenarios_path
-        seed = manifest.master_seed
+        scenarios_path = base / manifest["scenarios_path"]
+        seed = manifest["master_seed"]
         try:
-            params = ScriptedPolicyParams(**manifest.policy_params)
-            safety = (SafetyFunction(**manifest.safety)
-                      if manifest.safety is not None else None)
+            params = ScriptedPolicyParams(**manifest["policy"])
+            safety = (SafetyFunction(**manifest["safety"])
+                      if manifest.get("safety") is not None else None)
         except (TypeError, ValueError) as e:
             raise DataError(f"{args.manifest}: {e}") from None
         env = EnvConfig()
-        config_path = manifest.config_path and base / manifest.config_path
+        config_path = manifest.get("config_path") and (
+            base / manifest["config_path"])
         if config_path:
-            env = load_condition_file(config_path)[3]
-            if file_sha256(config_path) != manifest.config_sha256:
+            if file_sha256(config_path) != manifest.get("config_sha256"):
                 raise DataError(f"{config_path}: its sha256 is not the "
                                 f"config_sha256 {args.manifest} recorded")
-        condition_name = manifest.condition
-        out = Path(args.out) if args.out else base / manifest.records_path
+            env = load_condition_file(config_path)[3]
+        condition_name = manifest["condition"]
+        out = Path(args.out) if args.out else base / manifest["records_path"]
     else:
         if not args.scenarios:
             raise ConfigError("give --scenarios FILE (or --manifest FILE)")
@@ -129,12 +130,12 @@ def cmd_run(args) -> int:
 
     scenarios = read_scenarios(scenarios_path)
     if args.manifest:
-        if len(scenarios) != manifest.n_records:
+        if len(scenarios) != manifest["n_records"]:
             raise DataError(f"{scenarios_path}: {len(scenarios)} scenarios, "
-                            f"{args.manifest} recorded {manifest.n_records}")
+                            f"{args.manifest} recorded {manifest['n_records']}")
         # a manifest written without the hash replays unchecked
-        if manifest.scenarios_sha256 not in (None,
-                                             file_sha256(scenarios_path)):
+        if manifest.get("scenarios_sha256") not in (
+                None, file_sha256(scenarios_path)):
             raise DataError(f"{scenarios_path}: its sha256 is not the "
                             f"scenarios_sha256 {args.manifest} recorded")
     with naming_line(scenarios_path):
@@ -181,15 +182,12 @@ def cmd_compare(args) -> int:
     deltas = compare(predicted, observed)
     svg_path = args.svg or str(Path(args.out).with_suffix(".svg"))
     label = predicted.condition_name or "condition"
-    atomic_write_texts({args.out: dump_json({
-        "predicted": args.predicted,
-        "observed": args.observed,
-        "deltas_pts": deltas.as_dict(),
-        "max_abs_pts": deltas.max_abs,
-    }), svg_path: comparison_bar_svg([(label, predicted, observed)])})
-    print(f"deltas (pts): D={deltas.dependability_pts:+.2f} "
-          f"UT={deltas.task_undependability_pts:+.2f} "
-          f"UH={deltas.harmful_undependability_pts:+.2f} "
+    atomic_write_texts([
+        (args.out, dump_json({"predicted": args.predicted,
+                              "observed": args.observed, **deltas})),
+        (svg_path, comparison_bar_svg([(label, predicted, observed)]))])
+    d, ut, uh = deltas["deltas_pts"].values()
+    print(f"deltas (pts): D={d:+.2f} UT={ut:+.2f} UH={uh:+.2f} "
           f"-> {args.out}, {svg_path}")
     return 0
 

@@ -218,8 +218,10 @@ class PartitionGrid:
 
     def __post_init__(self):
         for d, b in enumerate(self.bins):
-            if int(b) != b or b < 1:
-                raise InvalidGrid(f"dimension {d}: bin count must be >= 1, got {b}")
+            # what operator.index takes (it has __index__), but no bool
+            if type(b) is bool or not hasattr(b, "__index__") or b < 1:
+                raise InvalidGrid(f"dimension {d}: bin count must be an "
+                                  f"integer >= 1, got {b!r}")
 
     @property
     def n_regions(self) -> int:

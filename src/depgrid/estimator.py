@@ -211,26 +211,6 @@ class DependabilityReport:
     __eq__ = _fields_equal
 
 
-@dataclass(frozen=True)
-class MetricDeltas:
-    """Signed predicted-minus-observed differences, in percentage points."""
-
-    dependability_pts: float
-    task_undependability_pts: float
-    harmful_undependability_pts: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "dependability_pts": self.dependability_pts,
-            "task_undependability_pts": self.task_undependability_pts,
-            "harmful_undependability_pts": self.harmful_undependability_pts,
-        }
-
-    @property
-    def max_abs(self) -> float:
-        return max(abs(v) for v in self.as_dict().values())
-
-
 # ---------------------------------------------------------------------------
 # Tallying
 # ---------------------------------------------------------------------------
@@ -385,12 +365,12 @@ def brute_force_dependability(
 
 
 def compare(predicted: DependabilityReport,
-            observed: DependabilityReport) -> MetricDeltas:
-    """Signed per-metric differences in percentage points."""
-    return MetricDeltas(
-        dependability_pts=100.0 * (predicted.dependability - observed.dependability),
-        task_undependability_pts=100.0 * (predicted.task_undependability
-                                          - observed.task_undependability),
-        harmful_undependability_pts=100.0 * (predicted.harmful_undependability
-                                             - observed.harmful_undependability),
-    )
+            observed: DependabilityReport) -> dict:
+    """The comparison's JSON object: {"deltas_pts": each metric's signed
+    predicted-minus-observed difference in percentage points, keyed
+    "<metric>_pts", "max_abs_pts": the largest of their absolute values}."""
+    o = observed.metrics()
+    deltas = {f"{metric}_pts": 100.0 * (p - o[metric])
+              for metric, p in predicted.metrics().items()}
+    return {"deltas_pts": deltas,
+            "max_abs_pts": max(abs(v) for v in deltas.values())}

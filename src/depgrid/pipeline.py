@@ -114,9 +114,8 @@ def reproduce(out_dir: str | Path, *, n: int, seed: int,
             "condition": name,
             "predicted": predicted.metrics(),
             "observed": observed[name].metrics(),
-            "deltas_pts": deltas.as_dict(),
-            "max_abs_pts": deltas.max_abs,
-            "within_tolerance": deltas.max_abs <= TOLERANCE_PTS,
+            **deltas,
+            "within_tolerance": deltas["max_abs_pts"] <= TOLERANCE_PTS,
         })
         pairs.append((name, predicted, observed[name]))
 
@@ -135,10 +134,7 @@ def reproduce(out_dir: str | Path, *, n: int, seed: int,
         "seed": seed,
         "grid_bins": list(grid.bins),
         "tolerance_pts": TOLERANCE_PTS,
-        "identity_check": {
-            "deltas_pts": identity.as_dict(),
-            "max_abs_pts": identity.max_abs,
-        },
+        "identity_check": identity,
         "observed_testing": observed_test.metrics(),
         "operating_conditions": oc_rows,
         "all_within_tolerance": all(r["within_tolerance"] for r in oc_rows),

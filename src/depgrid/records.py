@@ -37,7 +37,8 @@ JSON type, length and range of each column before numpy converts it, and
 refuses any file of another format_version, so there is one reader.
 
 A campaign's files, written by write_campaign, are its record file and a
-manifest beside it, which run --manifest replays from any directory.
+manifest beside it, a JSON object that is held as one in memory too, which
+run --manifest replays from any directory.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import os
 import re
 import tempfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from itertools import repeat
 from pathlib import Path
 from typing import Any
@@ -91,17 +92,24 @@ def writing(path: str | Path):
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     """atomic_write_texts of the one file."""
-    atomic_write_texts({path: text})
+    atomic_write_texts([(path, text)])
 
 
-def atomic_write_texts(texts: dict) -> None:
-    """Write each text of a {path: text} dict to a temp file beside its path,
-    then rename each to its path. An OSError raises ConfigError naming the
-    path and leaves no temp file; before the renames, as a path that is a
-    directory or under a regular file fails, it leaves no file written."""
+def atomic_write_texts(texts: list) -> None:
+    """Write each text of a list of (path, text) pairs to a temp file beside
+    its path, then rename each to its path. Two paths that name one file
+    raise ConfigError before anything is written. An OSError raises
+    ConfigError naming the path and leaves no temp file; before the renames,
+    as a path that is a directory or under a regular file fails, it leaves
+    no file written."""
+    real = [os.path.realpath(path) for path, _ in texts]
+    for i, r in enumerate(real):
+        if r in real[:i]:
+            raise ConfigError(f"cannot write {texts[real.index(r)][0]} and "
+                              f"{texts[i][0]}: they name one file")
     staged = []
     try:
-        for path, text in texts.items():
+        for path, text in texts:
             path = Path(path)
             with writing(path):
                 if path.is_dir():
@@ -123,7 +131,12 @@ def atomic_write_texts(texts: dict) -> None:
 
 
 def file_sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The sha256 of a file's bytes; a missing or unreadable file raises
+    DataError."""
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except OSError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 def _read_text(path: str | Path) -> str:
@@ -155,10 +168,19 @@ def env_to_dict(env: EnvConfig) -> dict:
     return {**asdict(env), "robot_bounds": list(env.robot_bounds)}
 
 
+def _json_int(value, name: str) -> int:
+    """value, checked to be a JSON integer, which int() would not check."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 def env_from_dict(d: dict) -> EnvConfig:
-    """The EnvConfig of an env section, each value cast to its field's type."""
+    """The EnvConfig of an env section: an int field takes only a JSON
+    integer, and every other value is cast to its field's type."""
     return EnvConfig(**{
         f.name: tuple(map(float, d[f.name])) if f.name == "robot_bounds"
+        else _json_int(d[f.name], f.name) if type(f.default) is int
         else type(f.default)(d[f.name]) for f in fields(EnvConfig)})
 
 
@@ -213,9 +235,10 @@ def parse_condition_document(doc: dict) -> tuple[
             _marginal_from_dict(doc["marginals"][d.name]) for d in dims
         )
         cond = ConditionSet(str(doc["name"]), space, marginals)
-        grid = PartitionGrid(tuple(int(b) for b in doc["grid"]["bins"]))
+        grid = PartitionGrid(tuple(_json_int(b, "a bin count")
+                                   for b in doc["grid"]["bins"]))
         validate_grid(grid, space)
-        seed = int(doc["seed"])
+        seed = _json_int(doc["seed"], "seed")
         env = env_from_dict(doc["env"]) if "env" in doc else EnvConfig()
         params = ScriptedPolicyParams(**_policy_params(doc.get("policy", {})))
     except KeyError as e:
@@ -387,20 +410,18 @@ def _is_record(d) -> bool:
     return collision is None
 
 
-def _campaign_from_dicts(docs: list, condition_name: str,
-                         master_seed: int) -> TestCampaign:
+def _campaign_from_dicts(docs: list) -> TestCampaign:
     check_rows([_is_record(d) for d in docs],
                lambda i: f"a record needs a known mode, integer seed and "
                          f"steps, a finite number final_position, a "
                          f"scenario, and collision_time equal to steps for a "
                          f"harmful failure and null otherwise; got {docs[i]!r}")
     return TestCampaign(
-        condition_name, _scenario_array([d["scenario"] for d in docs]),
+        "", _scenario_array([d["scenario"] for d in docs]),
         np.array([_MODE_CODES[d["mode"]] for d in docs], dtype=np.int8),
         tuple(d["seed"] for d in docs),
         np.array([d["steps"] for d in docs], dtype=np.int64),
-        np.array([d["final_position"] for d in docs], dtype=float),
-        master_seed)
+        np.array([d["final_position"] for d in docs], dtype=float))
 
 
 # The grammar of a _RECORD_LINE line, with every token as json.dumps writes
@@ -429,8 +450,7 @@ _RECORD_GRAMMAR = re.compile(
     % {"f": _FLOAT, "mode": "|".join(map(re.escape, _MODE_CODES))})
 
 
-def _campaign_from_template(text: str, condition_name: str,
-                            master_seed: int) -> TestCampaign | None:
+def _campaign_from_template(text: str) -> TestCampaign | None:
     """The campaign of a record file's text when it is _RECORD_GRAMMAR lines
     and nothing else, each ended by "\n" but perhaps the last, and the
     columns pass the checks of _campaign_from_dicts and TestCampaign;
@@ -460,15 +480,15 @@ def _campaign_from_template(text: str, condition_name: str,
             and np.array_equal(times, steps[harmful])):
         return None
     try:
-        return TestCampaign(condition_name, scenarios, modes,
-                            tuple(map(int, seed)), steps, position, master_seed)
+        return TestCampaign("", scenarios, modes, tuple(map(int, seed)),
+                            steps, position)
     except DataError:
         return None
 
 
-def read_records(path: str | Path, *, condition_name: str = "",
-                 master_seed: int = 0) -> TestCampaign:
-    """The campaign in a record file.
+def read_records(path: str | Path) -> TestCampaign:
+    """The campaign in a record file. A record file holds neither the
+    campaign's condition name nor its master seed, so they are "" and 0.
 
     A file as write_records writes it, with or without its final newline,
     is split by one regular expression, _RECORD_GRAMMAR, and its columns
@@ -480,10 +500,9 @@ def read_records(path: str | Path, *, condition_name: str = "",
     are built and checked together. So every error comes from the reference
     reader, and names the file and the line of the first bad record."""
     text = _read_text(path)
-    campaign = _campaign_from_template(text, condition_name, master_seed)
+    campaign = _campaign_from_template(text)
     if campaign is None:
-        campaign = _read_json_lines(path, text, lambda docs: (
-            _campaign_from_dicts(docs, condition_name, master_seed)))
+        campaign = _read_json_lines(path, text, _campaign_from_dicts)
     return campaign
 
 
@@ -604,70 +623,6 @@ def read_report(path: str | Path) -> DependabilityReport:
 # Campaign manifests
 # ---------------------------------------------------------------------------
 
-def _optional_str(value) -> str | None:
-    return None if value is None else str(value)
-
-
-@dataclass(frozen=True)
-class CampaignManifest:
-    """Everything needed to reproduce a campaign bit for bit.
-
-    Paths are stored relative to the manifest location so identical runs in
-    different directories produce identical manifest bytes. The sha256 of
-    the scenario file lets a replay refuse an edited one; a manifest written
-    without it replays unchecked.
-    """
-
-    condition: str
-    policy_params: dict
-    safety: dict | None
-    master_seed: int
-    n_records: int
-    scenarios_path: str
-    records_path: str
-    config_path: str | None = None
-    config_sha256: str | None = None
-    scenarios_sha256: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "policy": {"name": "scripted", "params": self.policy_params},
-            "safety": self.safety,
-            "master_seed": self.master_seed,
-            "n_records": self.n_records,
-            "scenarios_path": self.scenarios_path,
-            "scenarios_sha256": self.scenarios_sha256,
-            "records_path": self.records_path,
-            "config_path": self.config_path,
-            "config_sha256": self.config_sha256,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CampaignManifest":
-        master_seed, n_records = d["master_seed"], d["n_records"]
-        for key, v in (("master_seed", master_seed), ("n_records", n_records)):
-            if type(v) is not int or v < 0:
-                raise ValueError(f"{key} must be a non-negative JSON integer, "
-                                 f"got {v!r}")
-        return cls(
-            condition=str(d["condition"]),
-            policy_params=_policy_params(d.get("policy", {})),
-            safety=d.get("safety"),
-            master_seed=master_seed,
-            n_records=n_records,
-            scenarios_path=str(d["scenarios_path"]),
-            records_path=str(d["records_path"]),
-            config_path=_optional_str(d.get("config_path")),
-            config_sha256=_optional_str(d.get("config_sha256")),
-            scenarios_sha256=_optional_str(d.get("scenarios_sha256")),
-        )
-
-
-def write_manifest(path: str | Path, manifest: CampaignManifest) -> None:
-    atomic_write_text(path, dump_json(manifest.to_dict()))
-
-
 def write_campaign(path: str | Path, campaign: TestCampaign,
                    params: ScriptedPolicyParams, safety: SafetyFunction | None,
                    scenarios_path: str | Path,
@@ -675,30 +630,52 @@ def write_campaign(path: str | Path, campaign: TestCampaign,
                    texts: list[str] | None = None) -> Path:
     """Write a campaign's records to path, then its manifest beside them, at
     path with the suffix .manifest.json; returns the manifest's path. The
-    scenario file the campaign ran and the condition document it read are
-    recorded by their paths relative to the manifest and their sha256.
+    manifest replays the campaign bit for bit. It records the scenario file
+    the campaign ran and the condition document it read by their paths
+    relative to the manifest, so runs in different directories write the
+    same bytes, and by their sha256, so a replay refuses an edited file.
     ``texts`` are passed on to write_records."""
     path = Path(path)
-    manifest = CampaignManifest(
-        condition=campaign.condition_name,
-        policy_params=params.as_dict(),
-        safety=safety.as_dict() if safety else None,
-        master_seed=campaign.master_seed,
-        n_records=len(campaign),
-        scenarios_path=os.path.relpath(scenarios_path, path.parent),
-        scenarios_sha256=file_sha256(scenarios_path),
-        records_path=path.name,
-        config_path=config_path and os.path.relpath(config_path, path.parent),
-        config_sha256=config_path and file_sha256(config_path),
-    )
+    manifest = {
+        "condition": campaign.condition_name,
+        "policy": {"name": "scripted", "params": params.as_dict()},
+        "safety": safety.as_dict() if safety else None,
+        "master_seed": campaign.master_seed,
+        "n_records": len(campaign),
+        "scenarios_path": os.path.relpath(scenarios_path, path.parent),
+        "scenarios_sha256": file_sha256(scenarios_path),
+        "records_path": path.name,
+        "config_path": config_path and os.path.relpath(config_path,
+                                                       path.parent),
+        "config_sha256": config_path and file_sha256(config_path),
+    }
     write_records(path, campaign, texts)
     manifest_path = path.with_suffix(".manifest.json")
-    write_manifest(manifest_path, manifest)
+    atomic_write_text(manifest_path, dump_json(manifest))
     return manifest_path
 
 
-def read_manifest(path: str | Path) -> CampaignManifest:
+def read_manifest(path: str | Path) -> dict:
+    """The checked JSON object of a manifest file, its policy section
+    replaced by the section's params. master_seed and n_records must be
+    non-negative JSON integers, condition and the two paths JSON strings,
+    and the two hashes and config_path strings, null or absent; any other
+    manifest raises DataError."""
     try:
-        return CampaignManifest.from_dict(json.loads(_read_text(path)))
+        manifest = json.loads(_read_text(path))
+        for key in ("master_seed", "n_records"):
+            if type(manifest[key]) is not int or manifest[key] < 0:
+                raise ValueError(f"{key} must be a non-negative JSON integer, "
+                                 f"got {manifest[key]!r}")
+        for key in ("condition", "scenarios_path", "records_path"):
+            if type(manifest[key]) is not str:
+                raise ValueError(f"{key} must be a JSON string, got "
+                                 f"{manifest[key]!r}")
+        for key in ("scenarios_sha256", "config_path", "config_sha256"):
+            if type(manifest.get(key)) not in (str, type(None)):
+                raise ValueError(f"{key} must be a JSON string or null, got "
+                                 f"{manifest[key]!r}")
+        return {**manifest, "policy": _policy_params(manifest.get("policy",
+                                                                  {}))}
     except (ValueError, KeyError, TypeError, AttributeError) as e:
         raise DataError(f"{path}: {e}") from None

@@ -166,14 +166,14 @@ def test_criterion_2_oracle_equivalence(space):
 def test_criterion_3_reweighting_identity(bundle):
     predicted = bundle["reports"]["predicted_testing"]
     observed = bundle["reports"]["observed_heldout"]
-    deltas = compare(predicted, observed)
+    max_abs = compare(predicted, observed)["max_abs_pts"]
     t = bundle["timings"]
     elapsed = (t["sample_testing"] + t["campaign_testing"]
                + t["tally_testing"] + t["campaign_heldout"])
     criterion(3, "prediction under the testing conditions matches an "
                  "independent 20k testing campaign within 1 point",
-              deltas.max_abs <= 1.0 and elapsed < 120.0,
-              f"max |delta| = {deltas.max_abs:.3f} pts, "
+              max_abs <= 1.0 and elapsed < 120.0,
+              f"max |delta| = {max_abs:.3f} pts, "
               f"pipeline {elapsed:.1f} s")
 
 
@@ -181,10 +181,10 @@ def test_criterion_4_novel_condition_predictions(bundle):
     worst = 0.0
     details = []
     for oc in OC_NAMES:
-        deltas = compare(bundle["reports"][f"predicted_{oc}"],
-                         bundle["reports"][f"observed_{oc}"])
-        details.append(f"{oc}={deltas.max_abs:.2f}")
-        worst = max(worst, deltas.max_abs)
+        max_abs = compare(bundle["reports"][f"predicted_{oc}"],
+                          bundle["reports"][f"observed_{oc}"])["max_abs_pts"]
+        details.append(f"{oc}={max_abs:.2f}")
+        worst = max(worst, max_abs)
     criterion(4, "predictions for oc1..oc4 within 2 points of 20k held-out "
                  "observations on every metric",
               worst <= 2.0, f"max |delta| pts: {', '.join(details)}")

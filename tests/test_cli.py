@@ -288,6 +288,24 @@ class TestRunObservePredict:
         assert f"DataError: {cfg}: " in err and "config_sha256" in err
         assert not again.exists()
 
+    @pytest.mark.parametrize("edit", [{"danger_height": 99.0},
+                                      {"noise_sigma_goal": 0.25}],
+                             ids=["no_longer_parses", "still_parses"])
+    def test_replay_checks_the_config_hash_before_parsing(
+            self, configured_run, tmp_path, capsys, edit):
+        """An edited condition document exits 3 as edited, whether or not
+        the edit leaves a document that parses."""
+        manifest, cfg = configured_run
+        doc = json.loads(cfg.read_text())
+        doc["env"].update(edit)
+        cfg.write_text(json.dumps(doc))
+        again = tmp_path / "again.jsonl"
+        assert run_cli("run", "--manifest", str(manifest),
+                       "--out", str(again)) == 3
+        err = capsys.readouterr().err
+        assert f"DataError: {cfg}: " in err and "config_sha256" in err
+        assert not again.exists()
+
     def test_replay_refuses_a_changed_scenario_count(self, small_pipeline,
                                                      tmp_path, capsys):
         scen = small_pipeline["scen"]
@@ -563,6 +581,24 @@ class TestCompareAndPlot:
         assert all(v == 0.0 for v in deltas.values())
         root = ET.parse(svg).getroot()  # must be valid XML
         assert root.tag.endswith("svg")
+
+    @pytest.mark.parametrize("paths", [("--out", "cmp.svg"),
+                                       ("--out", "d.json", "--svg", "./d.json")],
+                             ids=["default_chart_path", "two_spellings"])
+    def test_chart_path_naming_the_deltas_file_exits_2(
+            self, small_pipeline, tmp_path, monkeypatch, capsys, paths):
+        """A chart path that names the deltas file, as --out's default .svg
+        path or by another spelling, is refused, and neither is written."""
+        obs = tmp_path / "obs.json"
+        assert run_cli("observe", "--records", str(small_pipeline["rec"]),
+                       "--out", str(obs)) == 0
+        monkeypatch.chdir(tmp_path)
+        before = set(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run_cli("compare", "--predicted", str(obs), "--observed",
+                       str(obs), *paths) == 2
+        assert capsys.readouterr().err.startswith("ConfigError: cannot write ")
+        assert set(tmp_path.iterdir()) == before
 
     def test_malformed_report_exits_3_without_traceback(self, small_pipeline,
                                                         tmp_path):

@@ -221,8 +221,11 @@ MANIFEST_EDITS = edits([
                             {"safe_ceiling": None}]),
     (["safety"], [5, "x", [1], {"bogus": 1}, {"goal_clip_max": "x"},
                   {"goal_clip_max": 99}]),
+    (["condition"], [None, 5, ["testing"]]),
     (["scenarios_path"], ["nope.jsonl", None, 5]),
+    (["records_path"], [None, 5]),
     (["config_path"], ["nope.json", 5]),
+    (["config_sha256"], [5, []]),
     (["scenarios_sha256"], ["0" * 64, 5]),
 ] + [([key], [DELETE]) for key in ("condition", "master_seed", "n_records",
                                    "scenarios_path", "records_path")])
@@ -255,10 +258,12 @@ CONDITION_EDITS = edits([
                           {"kind": "clipped_gaussian", "mu": NAN, "sigma": 1},
                           {"kind": "clipped_gaussian", "mu": 1, "sigma": INF}]),
     (["grid"], [None, 5, {}]),
-    (["grid", "bins"], [None, ["x"], [0, 1, 1], [2, 2], [], [-1, 2, 2]]),
-    (["seed"], [None, "x", []]),
+    (["grid", "bins"], [None, ["x"], [0, 1, 1], [2, 2], [], [-1, 2, 2],
+                        [2.9, 2, 2], [2.0, 2, 2], [True, 2, 2], ["2", 2, 2]]),
+    (["seed"], [None, "x", [], 7.9, "7", True]),
     # the env and policy sections, parsed with the rest of the document
     (["env"], [5, {"episode_seconds": 100}]),
+    (["env", "episode_seconds"], [99.9, "100", True]),
     (["env", "step_inches"], ["x", None]),
     (["policy"], [5, "x"]),
     (["policy", "name"], ["other", 5]),

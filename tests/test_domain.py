@@ -275,6 +275,21 @@ class TestValidation:
         with pytest.raises(InvalidGrid):
             PartitionGrid((10, 0, 10))
 
+    @pytest.mark.parametrize("count", [2.0, 2.5, np.float64(2.0), True, "2",
+                                       None],
+                             ids=["float", "fraction", "numpy_float", "bool",
+                                  "string", "none"])
+    def test_bin_counts_must_be_integers(self, count):
+        """A float, a bool or a string is no bin count: it is refused at
+        construction, not met later as a TypeError in np.linspace or kept as
+        a count of 1."""
+        with pytest.raises(InvalidGrid, match="integer >= 1"):
+            PartitionGrid((count, 2, 2))
+
+    def test_numpy_integer_bin_counts_ok(self, space):
+        grid = PartitionGrid((np.int64(2), 2, 2))
+        assert grid.n_regions == 8 and len(grid.edges(space, 0)) == 3
+
     def test_single_region_grid_ok(self, space):
         validate_grid(PartitionGrid((1, 1, 1)), space)
 

@@ -471,16 +471,19 @@ class TestBruteForce:
 class TestCompare:
     def test_identical_reports(self, space):
         r = observed_rates(synthetic_campaign(50, (0.8, 0.1), space))
-        d = compare(r, r)
-        assert d.as_dict() == {"dependability_pts": 0.0,
-                               "task_undependability_pts": 0.0,
-                               "harmful_undependability_pts": 0.0}
+        assert compare(r, r) == {
+            "deltas_pts": {"dependability_pts": 0.0,
+                           "task_undependability_pts": 0.0,
+                           "harmful_undependability_pts": 0.0},
+            "max_abs_pts": 0.0}
 
     def test_two_point_delta(self, space):
         predicted = observed_rates(synthetic_campaign(100, (0.95, 0.05), space))
         observed = observed_rates(synthetic_campaign(100, (0.93, 0.07), space))
         d = compare(predicted, observed)
-        assert d.dependability_pts == pytest.approx(2.0, abs=1e-9)
+        assert d["deltas_pts"]["dependability_pts"] == pytest.approx(2.0,
+                                                                     abs=1e-9)
+        assert d["max_abs_pts"] == pytest.approx(2.0, abs=1e-9)
 
 
 def write_record(path, mode, steps, collision_time):

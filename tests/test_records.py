@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -20,8 +21,10 @@ from depgrid import (
     Dimension,
     DiscreteCondition,
     DomainSpace,
+    EnvConfig,
     OutOfDomain,
     PartitionGrid,
+    SafetyFunction,
     ScriptedPolicyParams,
     TestCampaign,
     TrialRecord,
@@ -36,13 +39,14 @@ from depgrid import presets
 from depgrid.svgplots import failure_scatter_svg
 from conftest import campaign_of, region_centers
 from depgrid.records import (
-    CampaignManifest,
+    atomic_write_texts,
     _campaign_from_dicts,
     _campaign_from_template,
     _read_json_lines,
     condition_document,
     env_from_dict,
     env_to_dict,
+    file_sha256,
     load_condition_file,
     parse_condition_document,
     read_manifest,
@@ -52,7 +56,6 @@ from depgrid.records import (
     record_to_dict,
     scenario_texts,
     write_campaign,
-    write_manifest,
     write_records,
     write_report,
     write_scenarios,
@@ -113,8 +116,10 @@ class TestRecordFiles:
                                    condition_name="testing")
         path = tmp_path / "records.jsonl"
         write_records(path, campaign)
-        loaded = read_records(path, condition_name="testing", master_seed=71)
-        assert loaded == campaign
+        loaded = read_records(path)
+        assert (loaded.condition_name, loaded.master_seed) == ("", 0)
+        assert replace(loaded, condition_name="testing",
+                       master_seed=71) == campaign
 
     def test_malformed_record_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -207,8 +212,8 @@ def test_record_lines_are_json_dumps_of_each_row(tmp_path_factory, campaign):
                                        for r in campaign.records)
     with (mock.patch.object(json, "loads", refuse)
           if campaign.scenarios.shape[1] else contextlib.nullcontext()):
-        loaded = read_records(path, condition_name="synthetic")
-    assert loaded == campaign
+        loaded = read_records(path)
+    assert replace(loaded, condition_name="synthetic") == campaign
     write_records(path.with_name("again.jsonl"), loaded)
     assert path.with_name("again.jsonl").read_bytes() == path.read_bytes()
 
@@ -217,7 +222,7 @@ def read_outcome(read, path) -> tuple:
     """What a record reader makes of a file: the campaign's fields, each
     array as its dtype, shape and bytes, or the error's type and message."""
     try:
-        c = read(path, condition_name="mutated", master_seed=5)
+        c = read(path)
     except DataError as e:
         return type(e), str(e)
     return (c.condition_name, c.master_seed, c.seeds,
@@ -225,10 +230,9 @@ def read_outcome(read, path) -> tuple:
              for a in (c.scenarios, c.modes, c.steps, c.final_position)])
 
 
-def reference_read(path, *, condition_name: str, master_seed: int):
+def reference_read(path):
     """read_records by the reference reader alone: json.loads per line."""
-    return _read_json_lines(path, Path(path).read_text(), lambda docs: (
-        _campaign_from_dicts(docs, condition_name, master_seed)))
+    return _read_json_lines(path, Path(path).read_text(), _campaign_from_dicts)
 
 
 # Raw tokens put in place of one value of a written record line: JSON that
@@ -355,7 +359,7 @@ def test_written_files_need_no_reference_reader(tmp_path, n, d, final_newline):
     if not final_newline:
         path.write_text(path.read_text()[:-1])
     with mock.patch("depgrid.records._read_json_lines", refuse):
-        assert read_records(path, condition_name="synthetic") == campaign
+        assert replace(read_records(path), condition_name="synthetic") == campaign
 
 
 NOT_WRITTEN_BY_WRITE_RECORDS = {
@@ -377,7 +381,7 @@ def test_other_layouts_go_to_the_reference_reader(tmp_path, edit):
     write_records(path, written_campaign(4, 3))
     text = edit(path.read_text())
     path.write_bytes(text.encode())
-    assert _campaign_from_template(text, "synthetic", 0) is None
+    assert _campaign_from_template(text) is None
     assert_reads_as_reference(path)
 
 
@@ -407,7 +411,7 @@ def test_library_paths_build_no_rows(env, scripted_factory, space, tmp_path):
         write_records(path, campaign)
         write_scenarios(scenarios_path, xs)
         assert read_scenarios(scenarios_path).tobytes() == xs.tobytes()
-        loaded = read_records(path, master_seed=22)
+        loaded = replace(read_records(path), master_seed=22)
         counts = tally(loaded, PartitionGrid((2, 2, 2)), space)
         rates = observed_rates(loaded)
         predicted = predict(counts, presets.condition("oc3"))
@@ -852,37 +856,92 @@ class TestConditionDocuments:
         with pytest.raises(ConfigError, match="cauchy"):
             parse_condition_document(doc)
 
+    @pytest.mark.parametrize("edit", [
+        {"grid": {"bins": [10.9, 10, 10]}}, {"grid": {"bins": [10.0, 10, 10]}},
+        {"grid": {"bins": [True, 2, 2]}}, {"grid": {"bins": ["2", 2, 2]}},
+        {"seed": 7.9}, {"seed": 7.0}, {"seed": "7"}, {"seed": True},
+        {"env": {**env_to_dict(EnvConfig()), "episode_seconds": 99.9}},
+        {"env": {**env_to_dict(EnvConfig()), "episode_seconds": "100"}},
+        {"env": {**env_to_dict(EnvConfig()), "episode_seconds": True}},
+    ], ids=["fractional_bin", "float_bin", "bool_bin", "string_bin",
+            "fractional_seed", "float_seed", "string_seed", "bool_seed",
+            "fractional_env_int", "string_env_int", "bool_env_int"])
+    def test_integer_fields_take_only_json_integers(self, edit):
+        """A bin count, the seed or an integer env field that is not a JSON
+        integer is refused, not truncated or coerced by int()."""
+        doc = condition_document(presets.condition("testing"),
+                                 presets.default_grid(), seed=0)
+        with pytest.raises(ConfigError, match="integer"):
+            parse_condition_document({**doc, **edit})
+
 
 class TestManifests:
-    def test_round_trip(self, tmp_path):
-        manifest = CampaignManifest(
-            condition="testing",
-            policy_params=presets.default_policy_params().as_dict(),
-            safety={"goal_clip_max": 37.97, "delta": 0.5},
-            master_seed=99,
-            n_records=123,
-            scenarios_path="scenarios.jsonl",
-            records_path="records.jsonl",
-            scenarios_sha256="ab" * 32,
-        )
-        path = tmp_path / "m.json"
-        write_manifest(path, manifest)
-        assert read_manifest(path) == manifest
+    @pytest.fixture
+    def written(self, env, params, scripted_factory, tmp_path):
+        """A campaign of 5 scenarios run behind a safety function, with a
+        condition document, and the path of the manifest write_campaign
+        wrote for it."""
+        xs = sample(presets.testing_conditions(), 5, 4)
+        write_scenarios(tmp_path / "s.jsonl", xs)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(condition_document(
+            presets.condition("testing"), presets.default_grid(), seed=0)))
+        campaign = evaluate_policy(env, scripted_factory, xs, 99,
+                                   condition_name="testing")
+        safety = SafetyFunction(goal_clip_max=37.97, delta=0.5)
+        return write_campaign(tmp_path / "runs" / "r.jsonl", campaign, params,
+                              safety, tmp_path / "s.jsonl", cfg)
 
-    def test_scenario_hash_is_optional(self, tmp_path):
-        path = tmp_path / "m.json"
-        write_manifest(path, CampaignManifest(
-            condition="", policy_params={},
-            safety=None, master_seed=1, n_records=0,
-            scenarios_path="s.jsonl", records_path="r.jsonl",
-            scenarios_sha256="ab" * 32))
-        doc = json.loads(path.read_text())
+    def test_round_trip(self, written, params, tmp_path):
+        """write_campaign writes the manifest's keys in their order, and
+        read_manifest gives the object back with the policy's params."""
+        doc = json.loads(written.read_text())
+        assert list(doc) == [
+            "condition", "policy", "safety", "master_seed", "n_records",
+            "scenarios_path", "scenarios_sha256", "records_path",
+            "config_path", "config_sha256"]
+        assert doc == {
+            "condition": "testing",
+            "policy": {"name": "scripted", "params": params.as_dict()},
+            "safety": {"goal_clip_max": 37.97, "delta": 0.5},
+            "master_seed": 99, "n_records": 5,
+            "scenarios_path": "../s.jsonl",
+            "scenarios_sha256": file_sha256(tmp_path / "s.jsonl"),
+            "records_path": "r.jsonl",
+            "config_path": "../c.json",
+            "config_sha256": file_sha256(tmp_path / "c.json")}
+        assert read_manifest(written) == {**doc, "policy": params.as_dict()}
+
+    def test_scenario_hash_is_optional(self, written):
+        doc = json.loads(written.read_text())
         del doc["scenarios_sha256"]
-        path.write_text(json.dumps(doc))
-        assert read_manifest(path).scenarios_sha256 is None
+        written.write_text(json.dumps(doc))
+        assert read_manifest(written).get("scenarios_sha256") is None
+
+    @pytest.mark.parametrize("key, value", [
+        ("condition", None), ("condition", 5), ("scenarios_path", 5),
+        ("records_path", ["r.jsonl"]), ("scenarios_sha256", 5),
+        ("config_path", 5), ("config_sha256", {}),
+    ])
+    def test_string_fields_take_only_json_strings(self, written, key, value):
+        """A path, hash or condition name that is not a JSON string is
+        refused as read, not turned into one by str()."""
+        doc = json.loads(written.read_text())
+        written.write_text(json.dumps({**doc, key: value}))
+        with pytest.raises(DataError, match=f"{key} must be a JSON string"):
+            read_manifest(written)
 
 
 class TestAtomicWrites:
+    @pytest.mark.parametrize("second", ["d.json", "./d.json", "sub/../d.json"])
+    def test_two_paths_of_one_file_are_refused_unwritten(
+            self, tmp_path, monkeypatch, second):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        with pytest.raises(ConfigError, match="they name one file"):
+            atomic_write_texts([("d.json", "a\n"), (second, "b\n")])
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
     def test_no_temp_files_left_behind(self, tmp_path):
         path = tmp_path / "out.jsonl"
         write_scenarios(path, awkward_floats())
