@@ -38,11 +38,20 @@ def _resolve_condition(args) -> tuple[ConditionSet, PartitionGrid, int]:
 
 
 def _parse_grid(spec: str) -> PartitionGrid:
-    try:
-        bins = tuple(int(b) for b in spec.split(","))
-    except ValueError:
-        raise ConfigError(f"bad grid spec {spec!r}; expected e.g. 10,10,10") from None
-    return PartitionGrid(bins)
+    """The grid of a --grid spec: comma-separated bin counts, each only the
+    ASCII digits 0-9. int() would also take a sign, spaces, underscores and
+    other scripts' digits."""
+    bins = []
+    for field in spec.split(","):
+        try:
+            if not (field.isascii() and field.isdigit()):
+                raise ValueError
+            bins.append(int(field))  # refuses more than 4300 digits
+        except ValueError:
+            raise ConfigError(f"bad grid spec {spec!r}: bin count {field!r} is "
+                              f"not the digits 0-9; expected e.g. 10,10,10"
+                              ) from None
+    return PartitionGrid(tuple(bins))
 
 
 def _domain(args) -> DomainSpace:

@@ -247,11 +247,13 @@ def tally(campaign: TestCampaign, grid: PartitionGrid,
     A record's scenario outside the domain raises OutOfDomain; mode counts
     partition the record set exactly.
     """
-    counts = np.zeros((grid.n_regions, len(_MODE_ORDER)), dtype=np.int64)
     keys = np.ravel_multi_index(
         partition_indices(grid, space, campaign.scenarios).T, grid.bins)
-    np.add.at(counts, (keys, campaign.modes), 1)
-    return Tally(grid, space, counts)
+    # one count per (region, mode) pair, numbered region * 3 + mode
+    counts = np.bincount(keys * len(_MODE_ORDER) + campaign.modes,
+                         minlength=grid.n_regions * len(_MODE_ORDER))
+    return Tally(grid, space, counts.astype(np.int64, copy=False).reshape(
+        grid.n_regions, len(_MODE_ORDER)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +294,7 @@ def predict(tally: Tally, target: Condition, *,
     masses = target.region_mass_vector(grid)
     if np.any(masses < 0):
         raise DataError("negative region mass")
-    counts = tally.counts.astype(float)
-    n = counts.sum(axis=1)
+    n = tally.counts.sum(axis=1)
     uncovered = (masses > 0) & (n == 0)
 
     dropped_mass = 0.0
@@ -314,11 +315,13 @@ def predict(tally: Tally, target: Condition, *,
         dropped_mass = 1.0
     else:
         weights = masses / total
-        rates = counts / np.where(n > 0, n, 1.0)[:, None]  # empty rows stay 0
-        # correctly rounded sums, so the metrics do not depend on how many
-        # threads or which kernel a BLAS dot product would use
-        d, ut, uh = (math.fsum((weights * rates[:, j]).tolist())
-                     for j in range(3))
+        # Only regions of non-zero weight are summed: every such region holds
+        # records, and an exact zero term never changes an exact sum. The
+        # sums are correctly rounded, so the metrics do not depend on how
+        # many threads or which kernel a BLAS dot product would use.
+        held = np.flatnonzero(weights)
+        terms = weights[held, None] * (tally.counts[held] / n[held, None])
+        d, ut, uh = (math.fsum(terms[:, j].tolist()) for j in range(3))
 
     return DependabilityReport(
         condition_name=target.name,

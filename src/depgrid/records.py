@@ -32,9 +32,11 @@ the command line's domain checks included.
 A report file (format_version 2) holds the same columns as the in-memory
 report: a small scalar header, then the bin edges once, and the masses, the
 three outcome counts and the dropped region numbers as one C-order list
-each, every list written by one json.dumps call. read_report checks the
-JSON type, length and range of each column before numpy converts it, and
-refuses any file of another format_version, so there is one reader.
+each, every list the text json.dumps writes for it. The mass and count
+lists are written with each distinct value formatted once. read_report
+checks the JSON type, length and range of each column before numpy
+converts it, and refuses any file of another format_version, so there is
+one reader.
 
 A campaign's files, written by write_campaign, are its record file and a
 manifest beside it, a JSON object that is held as one in memory too, which
@@ -158,14 +160,18 @@ def _marginal_to_dict(m) -> dict:
 def _marginal_from_dict(d: dict):
     kind = d.get("kind")
     if kind == "uniform":
-        return Uniform(float(d["a"]), float(d["b"]))
+        return Uniform(_json_number(d["a"], "a"), _json_number(d["b"], "b"))
     if kind == "clipped_gaussian":
-        return ClippedGaussian(float(d["mu"]), float(d["sigma"]))
+        return ClippedGaussian(_json_number(d["mu"], "mu"),
+                               _json_number(d["sigma"], "sigma"))
     raise ConfigError(f"unknown marginal kind {kind!r}")
 
 
 def env_to_dict(env: EnvConfig) -> dict:
     return {**asdict(env), "robot_bounds": list(env.robot_bounds)}
+
+
+_NUMBER = (int, float)
 
 
 def _json_int(value, name: str) -> int:
@@ -175,13 +181,26 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_number(value, name: str) -> float:
+    """value as a float, checked to be a JSON number: float() would also take
+    a bool or a numeric string."""
+    if type(value) not in _NUMBER:
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} {value} is too large for a float") from None
+
+
 def env_from_dict(d: dict) -> EnvConfig:
     """The EnvConfig of an env section: an int field takes only a JSON
-    integer, and every other value is cast to its field's type."""
+    integer, and every other field, robot_bounds' two values too, only a JSON
+    number."""
     return EnvConfig(**{
-        f.name: tuple(map(float, d[f.name])) if f.name == "robot_bounds"
+        f.name: tuple(_json_number(b, f.name) for b in d[f.name])
+        if f.name == "robot_bounds"
         else _json_int(d[f.name], f.name) if type(f.default) is int
-        else type(f.default)(d[f.name]) for f in fields(EnvConfig)})
+        else _json_number(d[f.name], f.name) for f in fields(EnvConfig)})
 
 
 def condition_document(cond: ConditionSet, grid: PartitionGrid, seed: int, *,
@@ -226,8 +245,8 @@ def parse_condition_document(doc: dict) -> tuple[
     missing env or policy section gives the default one."""
     try:
         dims = tuple(
-            Dimension(d["name"], float(d["min"]), float(d["max"]),
-                      str(d.get("unit", "")))
+            Dimension(d["name"], _json_number(d["min"], "min"),
+                      _json_number(d["max"], "max"), str(d.get("unit", "")))
             for d in doc["domain"]
         )
         space = DomainSpace(dims)
@@ -325,9 +344,6 @@ def _read_json_lines(path: str | Path, text: str, build):
             return build(values)
         except OverflowError as e:
             raise DataError(str(e)) from None
-
-
-_NUMBER = (int, float)
 
 
 def _scenario_array(xs: list) -> np.ndarray:
@@ -520,10 +536,34 @@ def read_records(path: str | Path) -> TestCampaign:
 #    "mass": [...], "n_success": [...], "n_task_fail": [...], "n_harmful": [...]}
 # The last four have one entry per region in C order; an observed report has
 # no edges and empty columns. A region's total count is not stored: it is
-# the sum of its three counts.
+# the sum of its three counts. Each of those four lines is the text
+# json.dumps(column.tolist()) would write, but each distinct value of the
+# column is formatted once and its text gathered into every entry that holds
+# it (see _json_list): a fine grid has tens of thousands of regions and
+# only a few dozen distinct masses and counts.
 
 FORMAT_VERSION = 2
 _COUNT_KEYS = ("n_success", "n_task_fail", "n_harmful")
+
+
+def _json_list(column: np.ndarray) -> str:
+    """json.dumps(column.tolist()) of a 1-D numeric column, with each
+    distinct value formatted once. A float column's values are told apart by
+    their bits, so 0.0 and -0.0 keep their own texts. An integer column whose
+    values lie in [0, len) looks each up in a table of str(k); any other
+    column is formatted whole."""
+    if column.dtype.kind == "f":
+        bits, inverse = np.unique(
+            np.ascontiguousarray(column, dtype=float).view(np.uint64),
+            return_inverse=True)
+        table = list(map(json.dumps, bits.view(float).tolist()))
+    elif (column.dtype.kind in "iu" and column.size
+          and column.min() >= 0 and column.max() < column.size):
+        inverse = column
+        table = list(map(str, range(column.max() + 1)))
+    else:
+        return json.dumps(column.tolist())
+    return "[" + ", ".join(np.array(table, dtype=object)[inverse].tolist()) + "]"
 
 
 def write_report(path: str | Path, report: DependabilityReport) -> None:
@@ -537,12 +577,13 @@ def write_report(path: str | Path, report: DependabilityReport) -> None:
         "renormalized": report.renormalized,
         "dropped_mass": report.dropped_mass,
     }, indent=2)
-    columns = {"dropped_regions": report.dropped_regions.tolist(),
-               "edges": report.edges, "mass": report.weights.tolist(),
-               **dict(zip(_COUNT_KEYS, report.counts.T.tolist()))}
+    columns = {"dropped_regions": json.dumps(report.dropped_regions.tolist()),
+               "edges": json.dumps(report.edges),
+               "mass": _json_list(report.weights),
+               **{key: _json_list(column)
+                  for key, column in zip(_COUNT_KEYS, report.counts.T)}}
     atomic_write_text(path, header[:-2] + "".join(
-        f',\n  "{key}": {json.dumps(column)}' for key, column in columns.items())
-        + "\n}\n")
+        f',\n  "{key}": {text}' for key, text in columns.items()) + "\n}\n")
 
 
 _JSON_TYPES = {"integers": {int}, "numbers": set(_NUMBER), "lists": {list}}

@@ -9,7 +9,7 @@ impatient branch is never latched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +76,12 @@ class GoalClippedBatch:
 
     def act(self, obs: Observation) -> np.ndarray:
         clipped = np.minimum(np.maximum(obs.goal_noisy, 0.0), self.goal_clip_max)
-        return self.inner.act(replace(obs, goal_noisy=clipped))
+        return self.inner.act(Observation(
+            obstacle_pos_noisy=obs.obstacle_pos_noisy,
+            robot_pos=obs.robot_pos,
+            obstacle_speed_noisy=obs.obstacle_speed_noisy,
+            goal_noisy=clipped,
+        ))
 
 
 def wrap(policy: Policy, sf: SafetyFunction) -> GoalClippedPolicy:

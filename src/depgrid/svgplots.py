@@ -8,7 +8,6 @@ Successes are green, task failures blue, harmful failures pink.
 from __future__ import annotations
 
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .domain import DomainSpace
 from .errors import ConfigError
@@ -37,13 +36,20 @@ def _svg_header(width: int, height: int) -> str:
     )
 
 
+def _escape(s: str) -> str:
+    """s with &, < and > written as XML entities, & first, as
+    xml.sax.saxutils.escape writes them; that module would import urllib,
+    http, email and ssl into every process that imports this one."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _text(x: float, y: float, s: str, size: int = 11, anchor: str = "middle",
           rotate: float | None = None) -> str:
     transform = f' transform="rotate({rotate} {x:.1f} {y:.1f})"' if rotate else ""
     return (
         f'<text x="{x:.1f}" y="{y:.1f}" font-size="{size}" '
         f'font-family="sans-serif" text-anchor="{anchor}"{transform}>'
-        f"{escape(s)}</text>\n"
+        f"{_escape(s)}</text>\n"
     )
 
 

@@ -936,6 +936,38 @@ PINNED_SHA256 = {
 }
 
 
+@pytest.mark.parametrize("command", ["predict", "reproduce"])
+@pytest.mark.parametrize("spec", ["1_0,2,2", "2, 2,2", "+2,2,2", "2,\u0663,2",
+                                  "2,2,\u00b2"])
+def test_grid_takes_only_ascii_digits(small_pipeline, tmp_path, capsys,
+                                      command, spec):
+    """--grid refuses a bin count that int() reads but that is not the ASCII
+    digits 0-9: underscores, spaces, signs, other scripts' digits, a
+    superscript. It names the field and writes nothing."""
+    out = tmp_path / "out"
+    argv = {"predict": ("predict", "--records", str(small_pipeline["rec"]),
+                        "--condition", "testing", "--out", str(out)),
+            "reproduce": ("reproduce", "--out-dir", str(out), "--n", "5")}
+    assert run_cli(*argv[command], "--grid", spec) == 2
+    field = next(f for f in spec.split(",") if f != "2")
+    assert f"bin count {field!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_importing_the_cli_loads_no_network_or_email_module():
+    """Escaping chart text needs no xml.sax, which would import urllib,
+    http, email and ssl into every process."""
+    code = ("import sys, numpy; before = set(sys.modules); import depgrid.cli; "
+            "print(sorted({'xml.sax.saxutils', 'urllib.request', 'http.client',"
+            " 'email.parser', 'ssl'} & (set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"),
+         os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "depgrid.cli", "--help"],
                           capture_output=True, text=True)

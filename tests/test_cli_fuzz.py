@@ -265,6 +265,15 @@ CONDITION_EDITS = edits([
     (["env"], [5, {"episode_seconds": 100}]),
     (["env", "episode_seconds"], [99.9, "100", True]),
     (["env", "step_inches"], ["x", None]),
+    # float fields take only JSON numbers, not bools or numeric strings
+    (["env", "danger_height"], [True]),
+    (["env", "noise_sigma_goal"], ["0.25"]),
+    (["env", "robot_bounds"], [[0.0, "50"], [False, 50.0]]),
+    (["marginals", "v"], [{"kind": "uniform", "a": "0", "b": True},
+                          {"kind": "uniform", "a": 0, "b": True},
+                          {"kind": "clipped_gaussian", "mu": "1", "sigma": 1}]),
+    (DIM + ["min"], ["0", False]),
+    (DIM + ["max"], [True, "10", 10**400]),
     (["policy"], [5, "x"]),
     (["policy", "name"], ["other", 5]),
     (["policy", "params"], [5, {"bogus": 1}, {"safe_ceiling": 30}]),
@@ -306,6 +315,12 @@ def bad_flags(files) -> list[tuple[str, ...]]:
         (*predict, "--condition", "testing", "--grid", "2,2"),
         (*predict, "--condition", "testing", "--grid", "-1,2,2"),
         (*predict, "--condition", "testing", "--grid", "2,,2"),
+        # int() takes these; a bin count is only the ASCII digits 0-9
+        (*predict, "--condition", "testing", "--grid", "1_0,2,2"),
+        (*predict, "--condition", "testing", "--grid", "1_0, \u0663,+2"),
+        (*predict, "--condition", "testing", "--grid", " 2,2,2"),
+        (*predict, "--condition", "testing", "--grid", "+2,2,2"),
+        (*predict, "--condition", "testing", "--grid", "2,\u0663,2"),
         (*predict, "--condition", "oc9"),
         predict,
         ("predict", "--condition", "testing", *out),
@@ -346,6 +361,12 @@ def bad_flags(files) -> list[tuple[str, ...]]:
         ("plot", "--records", rec, "--dims", "v,v", *out),
         ("plot", "--records", rec, "--dims", "t,y,t", *out),
         ("reproduce", "--out-dir", str(files / "repro"), "--grid", "x"),
+        ("reproduce", "--out-dir", str(files / "repro"), "--n", "5",
+         "--grid", "1_0,2,2"),
+        ("reproduce", "--out-dir", str(files / "repro"), "--n", "5",
+         "--grid", "1, 1,+1"),
+        ("reproduce", "--out-dir", str(files / "repro"), "--n", "5",
+         "--grid", "1,\u0661,1"),
         ("reproduce", "--out-dir", str(files / "repro"), "--n", "-1"),
         ("reproduce", "--out-dir", str(files / "repro"), "--n", "x"),
         ("reproduce", "--out-dir", str(files / "repro"), "--n", "5",

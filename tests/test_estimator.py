@@ -37,7 +37,8 @@ from depgrid import (
     tally,
 )
 from depgrid import presets
-from depgrid.records import read_records
+from depgrid.domain import partition_indices
+from depgrid.records import read_records, write_report
 from conftest import campaign_of, in_region, region_centers
 
 
@@ -151,6 +152,32 @@ def test_merge_is_order_insensitive(mode_ids, n_chunks):
     for ordered in (parts, parts[::-1]):
         merged = reduce(operator.add, ordered)
         assert np.array_equal(merged.counts, whole.counts)
+
+
+@given(bins=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       n=st.integers(0, 300), seed=st.integers(0, 2**16))
+def test_tally_equals_an_add_at_reference(bins, n, seed):
+    """Counting (region, mode) pairs with one bincount gives the counts that
+    adding 1 per record at (region, mode) gives, over 1-, 2- and 3-D grids;
+    half the points lie on bin edges, the domain maximum among them."""
+    rng = np.random.default_rng(seed)
+    space = DomainSpace(tuple(Dimension(f"d{k}", -1.0, 2.0 * k + 1.0)
+                              for k in range(len(bins))))
+    grid = PartitionGrid(tuple(bins))
+    xs = np.array([d.min for d in space.dims]) + rng.random(
+        (n, len(bins))) * [d.width for d in space.dims]
+    on_edge = rng.random(n) < 0.5
+    for d, b in enumerate(bins):
+        xs[on_edge, d] = grid.edges(space, d)[rng.integers(0, b + 1,
+                                                          on_edge.sum())]
+    modes = rng.integers(0, 3, n).astype(np.int8)
+    campaign = TestCampaign("random", xs, modes, tuple(range(n)),
+                            np.full(n, 50), np.zeros(n))
+    want = np.zeros((grid.n_regions, 3), dtype=np.int64)
+    np.add.at(want, (np.ravel_multi_index(
+        partition_indices(grid, space, xs).T, grid.bins), modes), 1)
+    got = tally(campaign, grid, space).counts
+    assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 class TestObservedRates:
@@ -399,6 +426,35 @@ def test_predicted_metrics_are_correctly_rounded_sums(space, bins, target):
                                r.harmful_undependability), t.counts.T.tolist()):
         assert metric == math.fsum(w * (c / m) for w, c, m in zip(
             r.weights.tolist(), column, n) if m)
+
+
+@pytest.mark.parametrize("target", ["oc3", "testing"])
+def test_fine_grid_report_is_json_dumps_of_each_column(space, tmp_path,
+                                                       target):
+    """A 40^3 report (64,000 regions, most of them of zero weight) is written
+    as the header and json.dumps of each column's list, although the writer
+    formats each distinct value once."""
+    t = tally(random_campaign(20000, 48), PartitionGrid((40, 40, 40)), space)
+    r = predict(t, presets.condition(target), renormalize_empty=True)
+    path = tmp_path / "report.json"
+    write_report(path, r)
+    header = json.dumps({
+        "format_version": 2,
+        "condition": r.condition_name,
+        "dependability": r.dependability,
+        "task_undependability": r.task_undependability,
+        "harmful_undependability": r.harmful_undependability,
+        "renormalized": r.renormalized,
+        "dropped_mass": r.dropped_mass,
+    }, indent=2)
+    columns = {"dropped_regions": r.dropped_regions.tolist(),
+               "edges": r.edges, "mass": r.weights.tolist(),
+               "n_success": r.counts[:, 0].tolist(),
+               "n_task_fail": r.counts[:, 1].tolist(),
+               "n_harmful": r.counts[:, 2].tolist()}
+    assert path.read_text() == header[:-2] + "".join(
+        f',\n  "{key}": {json.dumps(column)}'
+        for key, column in columns.items()) + "\n}\n"
 
 
 class TestBruteForce:

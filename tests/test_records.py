@@ -39,6 +39,7 @@ from depgrid import presets
 from depgrid.svgplots import failure_scatter_svg
 from conftest import campaign_of, region_centers
 from depgrid.records import (
+    _json_list,
     atomic_write_texts,
     _campaign_from_dicts,
     _campaign_from_template,
@@ -695,6 +696,44 @@ def reports(draw) -> DependabilityReport:
                                dropped_regions=dropped)
 
 
+def pooled(values: st.SearchStrategy) -> st.SearchStrategy[list]:
+    """Lists of up to 60 values drawn from a pool of at most six, so most
+    values repeat."""
+    return st.lists(values, min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=60))
+
+
+FLOAT_COLUMNS = st.one_of(
+    pooled(st.floats()),
+    pooled(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308 / 3,
+                            1.7e308, -1.7e308]))).map(np.array)
+INT_COLUMNS = st.one_of(
+    # every value below the column's length: the table of str(k)
+    st.integers(1, 60).flatmap(lambda n: st.lists(st.integers(0, n - 1),
+                                                  min_size=n, max_size=n)),
+    # values at or above the length, or negative: the whole column
+    st.lists(st.integers(-2**63, 2**63 - 1), max_size=60),
+    st.integers(0, 60).map(lambda n: [0] * n),
+).map(lambda v: np.array(v, dtype=np.int64))
+
+
+@settings(max_examples=200)
+@given(column=st.one_of(FLOAT_COLUMNS, INT_COLUMNS))
+@example(column=np.array([], dtype=float))
+@example(column=np.array([0.0, -0.0, 0.0, -0.0]))
+@example(column=np.array([5e-324, 1.7e308, -1.7e308, 5e-324]))
+@example(column=np.array([0.25]))
+@example(column=np.array([3, 0, 3, 1], dtype=np.int64))
+@example(column=np.array([4, 0, 4, 1], dtype=np.int64))
+@example(column=np.zeros(5, dtype=np.int64))
+@example(column=np.zeros(0, dtype=np.int64))
+def test_column_text_is_json_dumps_of_its_list(column):
+    """The report writer formats each distinct value once, yet writes the
+    text json.dumps writes for the column's list."""
+    assert _json_list(column) == json.dumps(column.tolist())
+    assert _json_list(column[::-2]) == json.dumps(column[::-2].tolist())
+
+
 @settings(max_examples=200)
 @given(report=reports())
 def test_read_report_of_write_report_is_the_report(tmp_path_factory, report):
@@ -873,6 +912,54 @@ class TestConditionDocuments:
                                  presets.default_grid(), seed=0)
         with pytest.raises(ConfigError, match="integer"):
             parse_condition_document({**doc, **edit})
+
+
+    @pytest.mark.parametrize("path, value", [
+        (["env", "danger_height"], True),
+        (["env", "noise_sigma_goal"], "0.25"),
+        (["env", "step_inches"], None),
+        (["env", "robot_bounds"], [0.0, "50"]),
+        (["env", "robot_bounds"], [False, 50.0]),
+        (["marginals", "v"], {"kind": "uniform", "a": "0", "b": True}),
+        (["marginals", "v"], {"kind": "uniform", "a": 0, "b": True}),
+        (["marginals", "y"], {"kind": "clipped_gaussian", "mu": "30",
+                              "sigma": 1}),
+        (["marginals", "y"], {"kind": "clipped_gaussian", "mu": 30,
+                              "sigma": [1]}),
+        (["domain", 0, "min"], "0"),
+        (["domain", 0, "max"], True),
+        (["domain", 2, "max"], 10**400),
+    ], ids=["bool_env", "string_env", "null_env", "string_bound",
+            "bool_bound", "string_and_bool_marginal", "bool_marginal",
+            "string_mu", "list_sigma", "string_min", "bool_max",
+            "overflowing_max"])
+    def test_float_fields_take_only_json_numbers(self, path, value):
+        """An env float, a robot bound, a marginal parameter or a domain
+        bound that is not a JSON number is refused, not coerced by float();
+        an integer too large for a float is refused too."""
+        doc = condition_document(presets.condition("testing"),
+                                 presets.default_grid(), seed=0,
+                                 env=EnvConfig())
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ConfigError, match="JSON number|too large"):
+            parse_condition_document(doc)
+
+    def test_integer_numbers_read_as_floats(self):
+        doc = condition_document(presets.condition("testing"),
+                                 presets.default_grid(), seed=0,
+                                 env=EnvConfig())
+        doc["env"].update(danger_height=25, robot_bounds=[0, 50])
+        doc["domain"][0].update(min=0, max=10)
+        doc["marginals"]["v"] = {"kind": "uniform", "a": 0, "b": 10}
+        cond, _, _, env, _ = parse_condition_document(doc)
+        assert env == EnvConfig() and cond == presets.condition("testing")
+        assert type(env.danger_height) is float
+        assert all(type(b) is float for b in env.robot_bounds)
+        assert type(cond.space.dims[0].min) is float
 
 
 class TestManifests:
