@@ -17,7 +17,7 @@ from .errors import ConfigError, DataError, DepgridError
 from .estimator import (BehaviorMode, TestCampaign, compare, observed_rates,
                         predict, tally)
 from .pipeline import policy_factory, reproduce
-from .policies import ScriptedPolicyParams, evaluate_policy
+from .policies import evaluate_policy
 from .records import (atomic_write_text, atomic_write_texts, dump_json,
                       file_sha256, load_condition_file, naming_line,
                       read_manifest, read_records, read_report, read_scenarios,
@@ -35,6 +35,15 @@ def _resolve_condition(args) -> tuple[ConditionSet, PartitionGrid, int]:
     if getattr(args, "condition", None):
         return presets.condition(args.condition), presets.default_grid(), 0
     raise ConfigError("give either --config FILE or --condition NAME")
+
+
+def _integer(text: str) -> int:
+    """The int of an integer flag, an optional "-" and the ASCII digits 0-9;
+    int() would also take spaces, "+", "_" and other scripts' digits."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not the digits 0-9")
+    return int(text)  # refuses more than 4300 digits
 
 
 def _parse_grid(spec: str) -> PartitionGrid:
@@ -99,12 +108,7 @@ def cmd_run(args) -> int:
         base = Path(args.manifest).parent
         scenarios_path = base / manifest["scenarios_path"]
         seed = manifest["master_seed"]
-        try:
-            params = ScriptedPolicyParams(**manifest["policy"])
-            safety = (SafetyFunction(**manifest["safety"])
-                      if manifest.get("safety") is not None else None)
-        except (TypeError, ValueError) as e:
-            raise DataError(f"{args.manifest}: {e}") from None
+        params, safety = manifest["policy"], manifest["safety"]
         env = EnvConfig()
         config_path = manifest.get("config_path") and (
             base / manifest["config_path"])
@@ -238,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="draw scenarios from a condition")
     add_target(sp)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--seed", type=int,
+    sp.add_argument("--n", type=_integer, required=True)
+    sp.add_argument("--seed", type=_integer,
                     help="sampling seed (default: the --config document's "
                          "seed, or 0 with --condition)")
     sp.add_argument("--out", required=True)
@@ -257,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float,
                     help=f"clip margin below the risk threshold, with "
                          f"--safety (default {DEFAULT_DELTA})")
-    sp.add_argument("--seed", type=int, help="master seed (default 0)")
+    sp.add_argument("--seed", type=_integer, help="master seed (default 0)")
     sp.add_argument("--manifest", help="rerun a campaign from its manifest, "
                                        "with none of the flags above")
     sp.add_argument("--out")
@@ -295,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("reproduce", help="run the full pipeline end to end "
                                           "(six campaigns of --n episodes)")
     sp.add_argument("--out-dir", required=True)
-    sp.add_argument("--n", type=int, default=20000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--n", type=_integer, default=20000)
+    sp.add_argument("--seed", type=_integer, default=0)
     sp.add_argument("--grid", help="bins per dimension (default 10,10,10); "
                                    "scale down with --n")
     sp.set_defaults(func=cmd_reproduce)

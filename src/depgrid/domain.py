@@ -160,9 +160,6 @@ class Uniform:
     def draw(self, rng: np.random.Generator, dim: Dimension) -> float:
         return float(rng.uniform(self.a, self.b))
 
-    def params(self) -> dict:
-        return {"a": self.a, "b": self.b}
-
 
 @dataclass(frozen=True)
 class ClippedGaussian:
@@ -197,9 +194,6 @@ class ClippedGaussian:
     def draw(self, rng: np.random.Generator, dim: Dimension) -> float:
         return float(min(max(rng.normal(self.mu, self.sigma), dim.min), dim.max))
 
-    def params(self) -> dict:
-        return {"mu": self.mu, "sigma": self.sigma}
-
 
 MarginalDistribution = Union[Uniform, ClippedGaussian]
 
@@ -222,10 +216,13 @@ class PartitionGrid:
             if type(b) is bool or not hasattr(b, "__index__") or b < 1:
                 raise InvalidGrid(f"dimension {d}: bin count must be an "
                                   f"integer >= 1, got {b!r}")
+        if 3 * self.n_regions > 2**63 - 1:  # tally's int64 (region, mode) keys
+            raise InvalidGrid(f"a grid of {self.n_regions} regions is too "
+                              f"large: at most {(2**63 - 1) // 3}")
 
     @property
     def n_regions(self) -> int:
-        return int(np.prod(self.bins))
+        return math.prod(map(operator.index, self.bins))
 
     def edges(self, space: DomainSpace, d: int) -> np.ndarray:
         dim = space.dims[d]

@@ -28,8 +28,9 @@ from .domain import PartitionGrid, sample, validate_grid
 from .errors import ConfigError
 from .estimator import compare, observed_rates, predict, tally
 from .policies import ScriptedPolicy, ScriptedPolicyParams, evaluate_policies
-from .records import (atomic_write_text, condition_document, dump_json,
-                      write_campaign, write_report, write_scenarios, writing)
+from .records import (_as_json, atomic_write_text, condition_document,
+                      dump_json, write_campaign, write_report, write_scenarios,
+                      writing)
 from .safety import SafetyFunction, wrap
 from .simulator import EnvConfig
 from .svgplots import comparison_bar_svg, failure_scatter_svg
@@ -139,8 +140,7 @@ def reproduce(out_dir: str | Path, *, n: int, seed: int,
         "operating_conditions": oc_rows,
         "all_within_tolerance": all(r["within_tolerance"] for r in oc_rows),
         "safety": {
-            "goal_clip_max": sf.goal_clip_max,
-            "delta": sf.delta,
+            **_as_json(sf),
             "harmful_without": harmful_base,
             "harmful_with": harmful_safe,
             "harmful_ratio": (harmful_safe / harmful_base

@@ -69,23 +69,21 @@ class ScriptedPolicyParams:
     passed_margin: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.risk_goal_threshold <= 50.0:
-            raise ConfigError(
-                f"risk_goal_threshold {self.risk_goal_threshold} outside [0, 50]"
-            )
-        if not 0.0 < self.safe_ceiling < 25.0:
-            raise ConfigError(
-                f"safe_ceiling {self.safe_ceiling} must lie in (0, 25)"
-            )
+        if not 0.0 < self.safe_ceiling:
+            raise ConfigError(f"safe_ceiling {self.safe_ceiling} must be > 0")
         if self.passed_margin < 0:
             raise ConfigError("passed_margin must be non-negative")
 
-    def as_dict(self) -> dict:
-        return {
-            "risk_goal_threshold": self.risk_goal_threshold,
-            "safe_ceiling": self.safe_ceiling,
-            "passed_margin": self.passed_margin,
-        }
+    def check_env(self, env: EnvConfig) -> None:
+        """Raise ConfigError unless the risk threshold lies within env's
+        robot bounds and the safe ceiling below its danger height."""
+        lo, hi = env.robot_bounds
+        if not lo <= self.risk_goal_threshold <= hi:
+            raise ConfigError(f"risk_goal_threshold {self.risk_goal_threshold} "
+                              f"outside the robot bounds [{lo}, {hi}]")
+        if not self.safe_ceiling < env.danger_height:
+            raise ConfigError(f"safe_ceiling {self.safe_ceiling} must stay "
+                              f"below the danger height {env.danger_height}")
 
 
 class ScriptedPolicy:
@@ -100,11 +98,7 @@ class ScriptedPolicy:
 
     def __init__(self, params: ScriptedPolicyParams = ScriptedPolicyParams(),
                  env: EnvConfig = EnvConfig()):
-        if params.safe_ceiling >= env.danger_height:
-            raise ConfigError(
-                f"safe_ceiling {params.safe_ceiling} must stay below the danger "
-                f"height {env.danger_height}"
-            )
+        params.check_env(env)
         self.params = params
         self.env = env
         self.reset()

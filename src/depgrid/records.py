@@ -6,7 +6,9 @@ repr-level precision, so every format round-trips losslessly.
 
 A condition document holds a condition's domain, marginals, grid and
 sampling seed, and its env and policy sections; parse_condition_document
-reads all of it, and any malformed part raises ConfigError.
+reads all of it, and any malformed part raises ConfigError. Each config
+dataclass has one JSON form: _as_json writes its fields, and _from_json
+reads an object of exactly those fields, each checked by its type.
 
 A scenario file has one JSON list of coordinates per line, one line per row
 of an (n, d) scenario array. scenario_texts formats the coordinates of all
@@ -39,8 +41,8 @@ converts it, and refuses any file of another format_version, so there is
 one reader.
 
 A campaign's files, written by write_campaign, are its record file and a
-manifest beside it, a JSON object that is held as one in memory too, which
-run --manifest replays from any directory.
+manifest beside it, a JSON object whose policy params and safety function
+read_manifest reads as objects; run --manifest replays it from anywhere.
 """
 
 from __future__ import annotations
@@ -153,24 +155,6 @@ def _read_text(path: str | Path) -> str:
 # Condition documents
 # ---------------------------------------------------------------------------
 
-def _marginal_to_dict(m) -> dict:
-    return {"kind": m.kind, **m.params()}
-
-
-def _marginal_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "uniform":
-        return Uniform(_json_number(d["a"], "a"), _json_number(d["b"], "b"))
-    if kind == "clipped_gaussian":
-        return ClippedGaussian(_json_number(d["mu"], "mu"),
-                               _json_number(d["sigma"], "sigma"))
-    raise ConfigError(f"unknown marginal kind {kind!r}")
-
-
-def env_to_dict(env: EnvConfig) -> dict:
-    return {**asdict(env), "robot_bounds": list(env.robot_bounds)}
-
-
 _NUMBER = (int, float)
 
 
@@ -192,74 +176,92 @@ def _json_number(value, name: str) -> float:
         raise ValueError(f"{name} {value} is too large for a float") from None
 
 
-def env_from_dict(d: dict) -> EnvConfig:
-    """The EnvConfig of an env section: an int field takes only a JSON
-    integer, and every other field, robot_bounds' two values too, only a JSON
-    number."""
-    return EnvConfig(**{
-        f.name: tuple(_json_number(b, f.name) for b in d[f.name])
-        if f.name == "robot_bounds"
-        else _json_int(d[f.name], f.name) if type(f.default) is int
-        else _json_number(d[f.name], f.name) for f in fields(EnvConfig)})
+def _json_pair(value, name: str) -> tuple[float, float]:
+    if type(value) is not list or len(value) != 2:
+        raise ValueError(f"{name} must be a list of two JSON numbers")
+    return (_json_number(value[0], name), _json_number(value[1], name))
+
+
+_FIELD_READERS = {"int": _json_int, "float": _json_number,
+                  "tuple[float, float]": _json_pair}
+_MARGINALS = {m.kind: m for m in (Uniform, ClippedGaussian)}
+
+
+def _as_json(config) -> dict:
+    """A config dataclass's JSON form: its fields in order, tuples as lists."""
+    return {k: list(v) if type(v) is tuple else v
+            for k, v in asdict(config).items()}
+
+
+def _from_json(cls, value):
+    """The cls of a JSON object of exactly its fields, each read by the
+    _FIELD_READERS entry of its annotation, a string under PEP 563."""
+    types = {f.name: f.type for f in fields(cls)}
+    if type(value) is not dict or value.keys() != types.keys():
+        raise ValueError(f"{cls.__name__} must be a JSON object of exactly "
+                         f"the keys {', '.join(types)}, got {value!r}")
+    return cls(**{k: _FIELD_READERS[t](value[k], k) for k, t in types.items()})
+
+
+def _marginal_from_dict(d: dict):
+    kind = d.get("kind")
+    if kind not in _MARGINALS:
+        raise ConfigError(f"unknown marginal kind {kind!r}")
+    return _from_json(_MARGINALS[kind],
+                      {k: v for k, v in d.items() if k != "kind"})
 
 
 def condition_document(cond: ConditionSet, grid: PartitionGrid, seed: int, *,
                        env: EnvConfig | None = None,
                        params: ScriptedPolicyParams | None = None) -> dict:
-    """Self-contained JSON document for one condition set.
-
-    Carries the domain, the per-dimension marginals, the grid bin counts, and
-    the sampling seed; optionally the environment and policy sections.
-    """
+    """The JSON document of a condition set, its grid and sampling seed, and
+    optionally its env and policy params, each config object as _as_json."""
     doc: dict[str, Any] = {
         "name": cond.name,
-        "domain": [
-            {"name": d.name, "min": d.min, "max": d.max, "unit": d.unit}
-            for d in cond.space.dims
-        ],
+        "domain": [_as_json(d) for d in cond.space.dims],
         "marginals": {
-            d.name: _marginal_to_dict(m)
+            d.name: {"kind": m.kind, **_as_json(m)}
             for d, m in zip(cond.space.dims, cond.marginals)
         },
         "grid": {"bins": list(grid.bins)},
         "seed": seed,
     }
     if env is not None:
-        doc["env"] = env_to_dict(env)
+        doc["env"] = _as_json(env)
     if params is not None:
-        doc["policy"] = {"name": "scripted", "params": params.as_dict()}
+        doc["policy"] = {"name": "scripted", "params": _as_json(params)}
     return doc
 
 
-def _policy_params(section: dict) -> dict:
-    """The params of a policy section; the scripted policy is the only one."""
+def _policy_params(section: dict) -> ScriptedPolicyParams:
+    """A policy section's params, the default ones when it has none."""
     if section.get("name", "scripted") != "scripted":
         raise ValueError(f"unknown policy {section['name']!r}; "
                          f"available: scripted")
-    return dict(section.get("params", {}))
+    return (_from_json(ScriptedPolicyParams, section["params"])
+            if "params" in section else ScriptedPolicyParams())
 
 
 def parse_condition_document(doc: dict) -> tuple[
         ConditionSet, PartitionGrid, int, EnvConfig, ScriptedPolicyParams]:
-    """(condition, grid, seed, env, params) of a condition document; a
-    missing env or policy section gives the default one."""
+    """(condition, grid, seed, env, params) of a condition document. Each
+    config section is read by _from_json; a missing env, policy or params
+    section gives the default one, and the params must fit the env."""
     try:
-        dims = tuple(
-            Dimension(d["name"], _json_number(d["min"], "min"),
-                      _json_number(d["max"], "max"), str(d.get("unit", "")))
-            for d in doc["domain"]
-        )
+        dims = tuple(Dimension(d["name"], _json_number(d["min"], "min"),
+                               _json_number(d["max"], "max"),
+                               str(d.get("unit", ""))) for d in doc["domain"])
         space = DomainSpace(dims)
-        marginals = tuple(
-            _marginal_from_dict(doc["marginals"][d.name]) for d in dims
-        )
+        marginals = tuple(_marginal_from_dict(doc["marginals"][d.name])
+                          for d in dims)
         cond = ConditionSet(str(doc["name"]), space, marginals)
         grid = PartitionGrid(tuple(_json_int(b, "a bin count")
                                    for b in doc["grid"]["bins"]))
         validate_grid(grid, space)
         seed = _json_int(doc["seed"], "seed")
-        env = env_from_dict(doc["env"]) if "env" in doc else EnvConfig()
-        params = ScriptedPolicyParams(**_policy_params(doc.get("policy", {})))
+        env = _from_json(EnvConfig, doc["env"]) if "env" in doc else EnvConfig()
+        params = _policy_params(doc.get("policy", {}))
+        params.check_env(env)
     except KeyError as e:
         raise ConfigError(f"condition document missing key {e}") from None
     except (ValueError, TypeError, AttributeError) as e:
@@ -271,12 +273,13 @@ def load_condition_file(path: str | Path) -> tuple[
         ConditionSet, PartitionGrid, int, EnvConfig, ScriptedPolicyParams]:
     """Parse a condition document file (see parse_condition_document)."""
     try:
-        doc = json.loads(Path(path).read_text())
+        return parse_condition_document(json.loads(Path(path).read_text()))
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: line {e.lineno}, col {e.colno}: {e.msg}") from None
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: {e}") from None
-    return parse_condition_document(doc)
+    except ConfigError as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 def dump_json(obj: Any) -> str:
@@ -679,8 +682,8 @@ def write_campaign(path: str | Path, campaign: TestCampaign,
     path = Path(path)
     manifest = {
         "condition": campaign.condition_name,
-        "policy": {"name": "scripted", "params": params.as_dict()},
-        "safety": safety.as_dict() if safety else None,
+        "policy": {"name": "scripted", "params": _as_json(params)},
+        "safety": _as_json(safety) if safety else None,
         "master_seed": campaign.master_seed,
         "n_records": len(campaign),
         "scenarios_path": os.path.relpath(scenarios_path, path.parent),
@@ -697,11 +700,12 @@ def write_campaign(path: str | Path, campaign: TestCampaign,
 
 
 def read_manifest(path: str | Path) -> dict:
-    """The checked JSON object of a manifest file, its policy section
-    replaced by the section's params. master_seed and n_records must be
-    non-negative JSON integers, condition and the two paths JSON strings,
-    and the two hashes and config_path strings, null or absent; any other
-    manifest raises DataError."""
+    """The checked JSON object of a manifest file, with its policy section
+    read as its ScriptedPolicyParams and its safety section as its
+    SafetyFunction (None when null or absent), both by _from_json.
+    master_seed and n_records must be non-negative JSON integers, condition
+    and the two paths JSON strings, and the two hashes and config_path
+    strings, null or absent; any other manifest raises DataError."""
     try:
         manifest = json.loads(_read_text(path))
         for key in ("master_seed", "n_records"):
@@ -716,7 +720,10 @@ def read_manifest(path: str | Path) -> dict:
             if type(manifest.get(key)) not in (str, type(None)):
                 raise ValueError(f"{key} must be a JSON string or null, got "
                                  f"{manifest[key]!r}")
-        return {**manifest, "policy": _policy_params(manifest.get("policy",
-                                                                  {}))}
+        safety = manifest.get("safety")
+        if safety is not None:
+            safety = _from_json(SafetyFunction, safety)
+        return {**manifest, "safety": safety,
+                "policy": _policy_params(manifest.get("policy", {}))}
     except (ValueError, KeyError, TypeError, AttributeError) as e:
         raise DataError(f"{path}: {e}") from None

@@ -39,9 +39,6 @@ class SafetyFunction:
                        delta: float = DEFAULT_DELTA) -> "SafetyFunction":
         return cls(goal_clip_max=threshold - delta, delta=delta)
 
-    def as_dict(self) -> dict:
-        return {"goal_clip_max": self.goal_clip_max, "delta": self.delta}
-
 
 class GoalClippedPolicy:
     """A policy whose perceived goal is clipped into [0, goal_clip_max]."""

@@ -12,8 +12,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from depgrid import (ConditionSet, PartitionGrid, TestCampaign, Uniform,
-                     sample)
+from depgrid import (ConditionSet, EnvConfig, PartitionGrid,
+                     ScriptedPolicyParams, TestCampaign, Uniform, sample)
 from depgrid import ConfigError, pipeline, presets
 from depgrid.cli import main, reproduce
 from depgrid.records import (
@@ -472,6 +472,62 @@ class TestRunObservePredict:
         assert run_cli("run", "--manifest", str(bad),
                        "--out", str(tmp_path / "again.jsonl")) == 3
         assert "bad.manifest.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["policy"]["params"].update(risk_goal_threshold=True),
+        lambda doc: doc["env"].update(noise_sigma_gaol=9.0),
+    ], ids=["bool_threshold", "misspelled_env_key"])
+    def test_malformed_config_section_exits_2_writing_nothing(
+            self, small_pipeline, tmp_path, capsys, edit):
+        """A bool policy field, read as 1.0, or a misspelled env key, left
+        unread, is refused with the document's name."""
+        doc = condition_document(presets.condition("testing"),
+                                 presets.default_grid(), seed=0,
+                                 env=presets.default_env(),
+                                 params=presets.default_policy_params())
+        edit(doc)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "r.jsonl"
+        assert run_cli("run", "--scenarios", str(small_pipeline["scen"]),
+                       "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"ConfigError: {cfg}: ")
+        assert not out.exists()
+        assert not out.with_suffix(".manifest.json").exists()
+
+    def test_manifest_safety_of_wrong_types_exits_3_writing_nothing(
+            self, small_pipeline, tmp_path, capsys):
+        """A bool clip bound, read as 1.0, and a string delta are refused
+        with the manifest's name."""
+        rec = tmp_path / "safe.jsonl"
+        assert run_cli("run", "--scenarios", str(small_pipeline["scen"]),
+                       "--safety", "--out", str(rec)) == 0
+        manifest = json.loads(rec.with_suffix(".manifest.json").read_text())
+        manifest["safety"] = {"goal_clip_max": True, "delta": "x"}
+        bad = tmp_path / "bad.manifest.json"
+        bad.write_text(json.dumps(manifest))
+        out = tmp_path / "again.jsonl"
+        assert run_cli("run", "--manifest", str(bad), "--out", str(out)) == 3
+        assert capsys.readouterr().err.startswith(f"DataError: {bad}: ")
+        assert not out.exists()
+        assert not out.with_suffix(".manifest.json").exists()
+
+    def test_policy_bounds_follow_a_custom_env(self, small_pipeline, tmp_path):
+        """A ceiling of 50 and a threshold of 80 fit a 100-inch track whose
+        danger height is 60."""
+        cfg = tmp_path / "tall.json"
+        cfg.write_text(json.dumps(condition_document(
+            presets.condition("testing"), presets.default_grid(), seed=0,
+            env=EnvConfig(robot_bounds=(0.0, 100.0), danger_height=60.0),
+            params=ScriptedPolicyParams(risk_goal_threshold=80.0,
+                                        safe_ceiling=50.0))))
+        rec = tmp_path / "tall.jsonl"
+        assert run_cli("run", "--scenarios", str(small_pipeline["scen"]),
+                       "--config", str(cfg), "--out", str(rec)) == 0
+        manifest = json.loads(rec.with_suffix(".manifest.json").read_text())
+        assert manifest["policy"]["params"] == {
+            "risk_goal_threshold": 80.0, "safe_ceiling": 50.0,
+            "passed_margin": 0.0}
 
     @pytest.mark.parametrize("scenario", [[5.0, 5.0], [5.0, 5.0, 30.0, 1.0]])
     def test_record_of_wrong_dimension_exits_3(self, small_pipeline, tmp_path,
@@ -952,6 +1008,42 @@ def test_grid_takes_only_ascii_digits(small_pipeline, tmp_path, capsys,
     field = next(f for f in spec.split(",") if f != "2")
     assert f"bin count {field!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_grid_too_large_for_the_tally_exits_2(small_pipeline, tmp_path,
+                                              capsys):
+    out = tmp_path / "out.json"
+    assert run_cli("predict", "--records", str(small_pipeline["rec"]),
+                   "--condition", "testing", "--grid",
+                   "9999999999999999999999,2,2", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidGrid: ") and "too large" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("sample", "--n"), ("sample", "--seed"), ("run", "--seed"),
+    ("reproduce", "--n"), ("reproduce", "--seed")])
+@pytest.mark.parametrize("value", ["1_0", " 5", "+3", "\u0663", " +\u0663"])
+def test_integer_flags_take_only_ascii_digits(small_pipeline, tmp_path,
+                                              capsys, command, flag, value):
+    """--n and --seed refuse what int() reads but is not an optional "-"
+    and the ASCII digits 0-9, as argparse refuses a bad flag: exit 2, no
+    traceback, nothing written."""
+    out = str(tmp_path / "out")
+    argv = {"sample": ("sample", "--condition", "testing", "--n", "3",
+                       "--out", out),
+            "run": ("run", "--scenarios", str(small_pipeline["scen"]),
+                    "--out", out),
+            "reproduce": ("reproduce", "--out-dir", out, "--n", "5",
+                          "--grid", "1,1,1")}[command]
+    # the flag given last wins
+    with pytest.raises(SystemExit) as e:
+        run_cli(*argv, flag, value)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and "Traceback" not in err
+    assert not Path(out).exists()
 
 
 def test_importing_the_cli_loads_no_network_or_email_module():

@@ -221,6 +221,11 @@ MANIFEST_EDITS = edits([
                             {"safe_ceiling": None}]),
     (["safety"], [5, "x", [1], {"bogus": 1}, {"goal_clip_max": "x"},
                   {"goal_clip_max": 99}]),
+    # a section holds exactly its class's fields, each of its JSON type
+    (["safety"], [{}, False]),
+    (["safety", "delta"], ["x"]),
+    (["safety", "goal_clip_max"], [True]),
+    (["policy", "params", "risk_goal_threshold"], [True]),
     (["condition"], [None, 5, ["testing"]]),
     (["scenarios_path"], ["nope.jsonl", None, 5]),
     (["records_path"], [None, 5]),
@@ -277,6 +282,9 @@ CONDITION_EDITS = edits([
     (["policy"], [5, "x"]),
     (["policy", "name"], ["other", 5]),
     (["policy", "params"], [5, {"bogus": 1}, {"safe_ceiling": 30}]),
+    (["policy", "params", "risk_goal_threshold"], [True]),
+    (["policy", "params", "passed_margin"], [False]),
+    (["env", "noise_sigma_gaol"], [9.0]),
 ])
 
 
@@ -321,6 +329,9 @@ def bad_flags(files) -> list[tuple[str, ...]]:
         (*predict, "--condition", "testing", "--grid", " 2,2,2"),
         (*predict, "--condition", "testing", "--grid", "+2,2,2"),
         (*predict, "--condition", "testing", "--grid", "2,\u0663,2"),
+        # (region, mode) numbers past int64
+        (*predict, "--condition", "testing", "--grid",
+         "9999999999999999999999,2,2"),
         (*predict, "--condition", "oc9"),
         predict,
         ("predict", "--condition", "testing", *out),
@@ -371,6 +382,17 @@ def bad_flags(files) -> list[tuple[str, ...]]:
         ("reproduce", "--out-dir", str(files / "repro"), "--n", "x"),
         ("reproduce", "--out-dir", str(files / "repro"), "--n", "5",
          "--grid", "1,1,1", "--seed", "-12"),
+        # int() takes these; an integer flag is only an optional "-" and
+        # the ASCII digits 0-9
+        *(("sample", "--condition", "testing", "--n", n, *out)
+          for n in ("1_0", " 5", "+3", "\u0663")),
+        *(("sample", "--condition", "testing", "--n", "3", "--seed", seed,
+           *out) for seed in ("1_0", " 5", "+3", "\u0663", " +\u0663")),
+        *(("run", "--scenarios", scen, "--seed", seed, *out)
+          for seed in ("1_0", " 5", "+3", "\u0663")),
+        *(("reproduce", "--out-dir", str(files / "repro"), "--grid", "1,1,1",
+           flag, value) for flag in ("--n", "--seed")
+          for value in ("1_0", " 5", "+3", "\u0663")),
         ("launch",),
         (),
     ]

@@ -72,10 +72,14 @@ class TestScriptedRules:
         assert p.latched_goal == 45.0
 
     def test_params_validation(self):
+        """The threshold and ceiling bounds come from the env the params
+        meet; the default env refuses a threshold of 60 and a ceiling of
+        25."""
         with pytest.raises(ConfigError):
-            ScriptedPolicyParams(risk_goal_threshold=60.0)
+            ScriptedPolicy(ScriptedPolicyParams(risk_goal_threshold=60.0),
+                           EnvConfig())
         with pytest.raises(ConfigError):
-            ScriptedPolicyParams(safe_ceiling=25.0)
+            ScriptedPolicy(ScriptedPolicyParams(safe_ceiling=25.0), EnvConfig())
         with pytest.raises(ConfigError):
             ScriptedPolicyParams(passed_margin=-1.0)
 
@@ -247,9 +251,10 @@ def batch_cases(draw):
         noise_sigma_obstacle_pos=draw(sigma),
         noise_sigma_goal=draw(sigma),
     )
+    # the threshold lies within the robot bounds (check_env)
     params = ScriptedPolicyParams(
-        risk_goal_threshold=draw(st.one_of(st.sampled_from([0.0, 50.0]),
-                                           st.floats(0.0, 50.0))),
+        risk_goal_threshold=draw(st.one_of(st.sampled_from([lo, hi]),
+                                           st.floats(lo, hi))),
         safe_ceiling=ceiling,
         passed_margin=draw(st.one_of(st.just(0.0), st.floats(0.0, 15.0))),
     )

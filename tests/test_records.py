@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -39,14 +39,14 @@ from depgrid import presets
 from depgrid.svgplots import failure_scatter_svg
 from conftest import campaign_of, region_centers
 from depgrid.records import (
+    _as_json,
+    _from_json,
     _json_list,
     atomic_write_texts,
     _campaign_from_dicts,
     _campaign_from_template,
     _read_json_lines,
     condition_document,
-    env_from_dict,
-    env_to_dict,
     file_sha256,
     load_condition_file,
     parse_condition_document,
@@ -852,6 +852,64 @@ class TestReadReportRejects:
             read_report(path)
 
 
+CONFIGS = {
+    EnvConfig: EnvConfig(episode_seconds=7, robot_bounds=(-5.0, 60.5),
+                         danger_height=30.0, noise_sigma_goal=0.0),
+    ScriptedPolicyParams: ScriptedPolicyParams(12.5, 7.0, 0.25),
+    SafetyFunction: SafetyFunction(goal_clip_max=30.0, delta=1.5),
+    Uniform: Uniform(-1.0, 2.5),
+    ClippedGaussian: ClippedGaussian(3.0, 0.5),
+}
+# a float field of each config class
+FLOAT_FIELDS = [(EnvConfig, "danger_height"),
+                (ScriptedPolicyParams, "risk_goal_threshold"),
+                (SafetyFunction, "goal_clip_max"), (Uniform, "a"),
+                (ClippedGaussian, "sigma")]
+
+
+class TestConfigJson:
+    """Each config dataclass has one JSON form, written by _as_json and read
+    by _from_json."""
+
+    @pytest.mark.parametrize("cls", list(CONFIGS), ids=lambda c: c.__name__)
+    def test_round_trip(self, cls):
+        config = CONFIGS[cls]
+        written = _as_json(config)
+        assert list(written) == [f.name for f in fields(cls)]
+        assert _from_json(cls, json.loads(json.dumps(written))) == config
+
+    @pytest.mark.parametrize("cls, field", FLOAT_FIELDS,
+                             ids=[f"{c.__name__}.{f}" for c, f in FLOAT_FIELDS])
+    @pytest.mark.parametrize("value", [True, "1.5", None, [1.5]],
+                             ids=["bool", "numeric_string", "null", "list"])
+    def test_float_field_takes_only_a_json_number(self, cls, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a JSON number"):
+            _from_json(cls, {**_as_json(CONFIGS[cls]), field: value})
+
+    @pytest.mark.parametrize("value", [100.0, True, "100"])
+    def test_int_field_takes_only_a_json_integer(self, value):
+        with pytest.raises(ValueError, match="episode_seconds must be a JSON "
+                                             "integer"):
+            _from_json(EnvConfig, {**_as_json(EnvConfig()),
+                                   "episode_seconds": value})
+
+    @pytest.mark.parametrize("value", [[0.0], [0.0, 25.0, 50.0], (0.0, 50.0)])
+    def test_pair_field_takes_only_a_list_of_two(self, value):
+        with pytest.raises(ValueError, match="robot_bounds must be a list of "
+                                             "two JSON numbers"):
+            _from_json(EnvConfig, {**_as_json(EnvConfig()),
+                                   "robot_bounds": value})
+
+    @pytest.mark.parametrize("cls", list(CONFIGS), ids=lambda c: c.__name__)
+    def test_keys_must_be_exactly_the_fields(self, cls):
+        written = _as_json(CONFIGS[cls])
+        first = next(iter(written))
+        missing = {k: v for k, v in written.items() if k != first}
+        for value in (missing, {**written, "extra": 1.0}, [written], None):
+            with pytest.raises(ValueError, match="exactly the keys"):
+                _from_json(cls, value)
+
+
 class TestConditionDocuments:
     @pytest.mark.parametrize("name", ["testing", "oc1", "oc2", "oc3", "oc4"])
     def test_round_trip_lossless(self, name, grid):
@@ -874,7 +932,44 @@ class TestConditionDocuments:
         assert (loaded_env, loaded_params) == (env, params)
 
     def test_env_round_trip(self, env):
-        assert env_from_dict(env_to_dict(env)) == env
+        assert _from_json(EnvConfig, _as_json(env)) == env
+
+    def test_absent_sections_are_the_defaults(self, grid):
+        """A missing env, policy or params section is the default one; a
+        params section must hold every field."""
+        doc = condition_document(presets.condition("testing"), grid, seed=1)
+        defaults = (EnvConfig(), ScriptedPolicyParams())
+        assert parse_condition_document(doc)[3:] == defaults
+        assert parse_condition_document(
+            {**doc, "policy": {"name": "scripted"}})[3:] == defaults
+        with pytest.raises(ConfigError, match="exactly the keys"):
+            parse_condition_document(
+                {**doc, "policy": {"params": {"safe_ceiling": 15.0}}})
+
+    def test_policy_bounds_come_from_the_env(self, grid):
+        """The threshold may lie anywhere within the env's robot bounds and
+        the ceiling anywhere below its danger height. The document parses
+        as condition_document returns it, not only through a file."""
+        env = EnvConfig(robot_bounds=(0.0, 100.0), danger_height=60.0)
+        params = ScriptedPolicyParams(risk_goal_threshold=80.0,
+                                      safe_ceiling=50.0)
+        doc = condition_document(presets.condition("testing"), grid, seed=1,
+                                 env=env, params=params)
+        assert parse_condition_document(doc)[3:] == (env, params)
+
+    @pytest.mark.parametrize("env, edit", [
+        (EnvConfig(), {"risk_goal_threshold": 60.0}),
+        (EnvConfig(), {"safe_ceiling": 25.0}),
+        (EnvConfig(danger_height=20.0), {"safe_ceiling": 22.0}),
+        (EnvConfig(robot_bounds=(10.0, 50.0)), {"risk_goal_threshold": 5.0}),
+    ], ids=["threshold_above", "ceiling_at_danger", "ceiling_above_custom",
+            "threshold_below_custom"])
+    def test_params_must_fit_the_env(self, grid, env, edit):
+        doc = condition_document(presets.condition("testing"), grid, seed=1,
+                                 env=env, params=ScriptedPolicyParams())
+        doc["policy"]["params"].update(edit)
+        with pytest.raises(ConfigError, match="robot bounds|danger height"):
+            parse_condition_document(doc)
 
     def test_bad_json_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -899,9 +994,9 @@ class TestConditionDocuments:
         {"grid": {"bins": [10.9, 10, 10]}}, {"grid": {"bins": [10.0, 10, 10]}},
         {"grid": {"bins": [True, 2, 2]}}, {"grid": {"bins": ["2", 2, 2]}},
         {"seed": 7.9}, {"seed": 7.0}, {"seed": "7"}, {"seed": True},
-        {"env": {**env_to_dict(EnvConfig()), "episode_seconds": 99.9}},
-        {"env": {**env_to_dict(EnvConfig()), "episode_seconds": "100"}},
-        {"env": {**env_to_dict(EnvConfig()), "episode_seconds": True}},
+        {"env": {**_as_json(EnvConfig()), "episode_seconds": 99.9}},
+        {"env": {**_as_json(EnvConfig()), "episode_seconds": "100"}},
+        {"env": {**_as_json(EnvConfig()), "episode_seconds": True}},
     ], ids=["fractional_bin", "float_bin", "bool_bin", "string_bin",
             "fractional_seed", "float_seed", "string_seed", "bool_seed",
             "fractional_env_int", "string_env_int", "bool_env_int"])
@@ -981,7 +1076,8 @@ class TestManifests:
 
     def test_round_trip(self, written, params, tmp_path):
         """write_campaign writes the manifest's keys in their order, and
-        read_manifest gives the object back with the policy's params."""
+        read_manifest gives the object back with the policy's params and the
+        safety function as objects."""
         doc = json.loads(written.read_text())
         assert list(doc) == [
             "condition", "policy", "safety", "master_seed", "n_records",
@@ -989,7 +1085,10 @@ class TestManifests:
             "config_path", "config_sha256"]
         assert doc == {
             "condition": "testing",
-            "policy": {"name": "scripted", "params": params.as_dict()},
+            "policy": {"name": "scripted", "params": {
+                "risk_goal_threshold": params.risk_goal_threshold,
+                "safe_ceiling": params.safe_ceiling,
+                "passed_margin": params.passed_margin}},
             "safety": {"goal_clip_max": 37.97, "delta": 0.5},
             "master_seed": 99, "n_records": 5,
             "scenarios_path": "../s.jsonl",
@@ -997,7 +1096,9 @@ class TestManifests:
             "records_path": "r.jsonl",
             "config_path": "../c.json",
             "config_sha256": file_sha256(tmp_path / "c.json")}
-        assert read_manifest(written) == {**doc, "policy": params.as_dict()}
+        assert read_manifest(written) == {
+            **doc, "policy": params,
+            "safety": SafetyFunction(goal_clip_max=37.97, delta=0.5)}
 
     def test_scenario_hash_is_optional(self, written):
         doc = json.loads(written.read_text())
