@@ -117,6 +117,10 @@ def cmd_run(args) -> int:
                 raise DataError(f"{config_path}: its sha256 is not the "
                                 f"config_sha256 {args.manifest} recorded")
             env = load_condition_file(config_path)[3]
+        try:
+            params.check_env(env)
+        except ConfigError as e:
+            raise DataError(f"{args.manifest}: {e}") from None
         condition_name = manifest["condition"]
         out = Path(args.out) if args.out else base / manifest["records_path"]
     else:

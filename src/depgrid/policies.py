@@ -71,7 +71,7 @@ class ScriptedPolicyParams:
     def __post_init__(self):
         if not 0.0 < self.safe_ceiling:
             raise ConfigError(f"safe_ceiling {self.safe_ceiling} must be > 0")
-        if self.passed_margin < 0:
+        if not self.passed_margin >= 0:   # false for NaN too
             raise ConfigError("passed_margin must be non-negative")
 
     def check_env(self, env: EnvConfig) -> None:

@@ -166,14 +166,18 @@ def _json_int(value, name: str) -> int:
 
 
 def _json_number(value, name: str) -> float:
-    """value as a float, checked to be a JSON number: float() would also take
-    a bool or a numeric string."""
+    """value as a finite float, checked to be a JSON number: float() would
+    also take a bool or a numeric string, and json reads the NaN and
+    Infinity tokens, and 1e400, as floats."""
     if type(value) not in _NUMBER:
         raise ValueError(f"{name} must be a JSON number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise ValueError(f"{name} {value} is too large for a float") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite JSON number, got {value!r}")
+    return number
 
 
 def _json_pair(value, name: str) -> tuple[float, float]:
@@ -704,8 +708,9 @@ def read_manifest(path: str | Path) -> dict:
     read as its ScriptedPolicyParams and its safety section as its
     SafetyFunction (None when null or absent), both by _from_json.
     master_seed and n_records must be non-negative JSON integers, condition
-    and the two paths JSON strings, and the two hashes and config_path
-    strings, null or absent; any other manifest raises DataError."""
+    and the two paths JSON strings, the two hashes and config_path strings,
+    null or absent, and the sections' values in their classes' ranges; any
+    other manifest raises DataError."""
     try:
         manifest = json.loads(_read_text(path))
         for key in ("master_seed", "n_records"):
@@ -725,5 +730,5 @@ def read_manifest(path: str | Path) -> dict:
             safety = _from_json(SafetyFunction, safety)
         return {**manifest, "safety": safety,
                 "policy": _policy_params(manifest.get("policy", {}))}
-    except (ValueError, KeyError, TypeError, AttributeError) as e:
+    except (ValueError, KeyError, TypeError, AttributeError, ConfigError) as e:
         raise DataError(f"{path}: {e}") from None

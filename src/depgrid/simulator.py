@@ -18,10 +18,10 @@ reference. ``run_batch`` steps the rows of an (n, 3) scenario array in
 lockstep, in blocks of at most 1,024 episodes, once for each of its
 policies, and returns each policy's campaign as columns (see
 estimator.TestCampaign), whose rows equal ``run_episode``'s records: the
-same noise stream per seed, the same clip, leading-edge formula and
-collision test, and an episode freezes when it collides. The policies of
-one call share each block's noise and, each second, the noisy obstacle and
-goal readings, which depend only on the scenario and the seed.
+same noise stream per seed, leading-edge formula, clip and collision test.
+A block's sensor readings, made before its first second, are shared by the
+policies of the call; each second only moves the robots, and collisions and
+outcomes are read from the robots' path after the last second.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from .estimator import BehaviorMode, TestCampaign, TrialRecord
 if TYPE_CHECKING:
     from .policies import BatchPolicy
 
-# Episodes stepped together by run_batch. Bounds the per-block noise array,
-# (block, episode_seconds, 3) float64: 2.4 MB at the default 100 s, and the
-# obstacle's path, a third of that.
+# Episodes stepped together by run_batch. Bounds a block's noise, turned
+# into its readings in place, (block, episode_seconds, 3) float64: 2.4 MB at
+# the default 100 s; and its path, 0.8 MB per policy.
 _BLOCK = 1024
 
 # Scenario bounds for the obstacle dimensions; the goal dimension follows the
@@ -80,7 +80,7 @@ class EnvConfig:
         for name in ("episode_seconds", "step_inches", "obstacle_spawn_offset",
                      "obstacle_width", "noise_sigma_speed",
                      "noise_sigma_obstacle_pos", "noise_sigma_goal"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:   # false for NaN too
                 raise ConfigError(f"{name} must be non-negative")
 
 
@@ -230,10 +230,8 @@ def batch_form(policy) -> Callable[[int], "BatchPolicy"]:
     """
     batch = getattr(policy, "batch", None)
     if not callable(batch):
-        raise ConfigError(
-            f"{type(policy).__name__} has no batch form; campaigns need "
-            f"a policy with a batch(n) method"
-        )
+        raise ConfigError(f"{type(policy).__name__} has no batch form; "
+                          f"campaigns need a policy with a batch(n) method")
     return batch
 
 
@@ -264,9 +262,8 @@ def run_batch(cfg: EnvConfig, policies: Sequence, scenarios: np.ndarray,
                               f"got {bad[0]}")
         seeds = np.array(values, dtype=np.uint64)
     if len(seeds) != len(scenarios):
-        raise ConfigError(
-            f"{len(seeds)} seeds for {len(scenarios)} scenarios"
-        )
+        raise ConfigError(f"{len(seeds)} seeds for {len(scenarios)} "
+                          f"scenarios")
     makers = [batch_form(p) for p in policies]
     xs = scenario_domain(cfg).check_points(scenarios)
     shape = (len(makers), len(xs))   # one row per policy
@@ -287,8 +284,7 @@ def _episode_noise(seeds: np.ndarray, horizon: int) -> np.ndarray:
     of seeds: row j is the start of PCG64(seeds[j])'s stream, the noise
     run_episode draws. The seeded states of the whole block are computed at
     once, and one generator, set to each row's state in turn, fills every
-    row (see domain.seeded_generators).
-    """
+    row (see domain.seeded_generators)."""
     noise = np.empty((len(seeds), horizon, 3))
     for row, rng in zip(noise, seeded_generators(seeds)):
         rng.standard_normal(out=row)
@@ -301,52 +297,56 @@ def _run_block(cfg: EnvConfig, makers, xs: np.ndarray,
     as (controllers, episodes) arrays: one row for the controller each of
     ``makers`` builds.
 
-    The obstacle and the noisy sensor readings do not depend on the robot:
-    the obstacle's path is computed once for the block, and every
-    controller is stepped through one reading per second, the robot states
-    of all controllers together."""
+    The obstacle and sensor readings do not depend on the robot and come
+    first; each second only moves the robots along the block's path, on
+    past a collision, and the outcomes are read from the path afterwards."""
     n, horizon = len(xs), cfg.episode_seconds
     controllers = [make_controller(n) for make_controller in makers]
     v, t, y = xs.T
-    noise = _episode_noise(seeds, horizon)
-
-    lo, hi = cfg.robot_bounds
-    pos = np.full((len(controllers), n), lo)
-    max_pos = pos.copy()
-    steps = np.zeros(pos.shape, dtype=np.int64)
-    live = np.ones(pos.shape, dtype=bool)   # cleared exactly when it collides
-    forward = np.empty(pos.shape, dtype=bool)
+    readings = _episode_noise(seeds, horizon)
+    # made before the edges, so that the path can reuse the edges' memory
+    occupied = np.empty((horizon + 1, n), dtype=bool)
     # the leading edge at each second 0..horizon, as step() computes it,
-    # in place: the block's path is as large as a third of its noise
+    # then _observation's readings, made from it in place in the noise
     edge = np.arange(horizon + 1.0)[:, None] - t
     np.maximum(0.0, edge, out=edge)
     edge *= v
     np.subtract(cfg.obstacle_spawn_offset, edge, out=edge)
-    occupied = (edge <= 0.0) & (0.0 < edge + cfg.obstacle_width)
+    readings *= (cfg.noise_sigma_obstacle_pos, cfg.noise_sigma_speed,
+                 cfg.noise_sigma_goal)
+    readings[..., 0] += edge[:horizon].T
+    readings[..., 1] += v[:, None]
+    readings[..., 2] += y[:, None]
+    np.less_equal(edge, 0.0, out=occupied)
+    edge += cfg.obstacle_width
+    occupied &= 0.0 < edge
+    del edge
+    lo, hi = cfg.robot_bounds
+    delta = np.array([-cfg.step_inches, cfg.step_inches])
+    path = np.empty((horizon + 1, len(controllers), n))
+    path[0] = lo
+    forward = np.empty(path.shape[1:], dtype=bool)
     for k in range(horizon):
-        eps = noise[:, k]
-        sensed_edge = edge[k] + cfg.noise_sigma_obstacle_pos * eps[:, 0]
-        sensed_speed = v + cfg.noise_sigma_speed * eps[:, 1]
-        sensed_goal = y + cfg.noise_sigma_goal * eps[:, 2]
         for c, controller in enumerate(controllers):
             forward[c] = controller.act(Observation(
-                obstacle_pos_noisy=sensed_edge,
-                robot_pos=pos[c],
-                obstacle_speed_noisy=sensed_speed,
-                goal_noisy=sensed_goal,
+                obstacle_pos_noisy=readings[:, k, 0],
+                robot_pos=path[k, c],
+                obstacle_speed_noisy=readings[:, k, 1],
+                goal_noisy=readings[:, k, 2],
             ))
-        moved = pos + np.where(forward, cfg.step_inches, -cfg.step_inches)
+        moved = path[k + 1]
+        np.add(path[k], delta.take(forward.view(np.int8)), out=moved)
         # step()'s min(max(moved, lo), hi), down to which zero it keeps
         # on a tie: np.maximum would turn a -0.0 bound into a 0.0 position
-        moved = np.where(lo > moved, lo, moved)
-        moved = np.where(hi < moved, hi, moved)
-        pos = np.where(live, moved, pos)
-        max_pos = np.maximum(max_pos, pos)
-        steps += live
-        live &= ~(occupied[k + 1] & (pos >= cfg.danger_height))
-        if not live.any():
-            break
+        np.copyto(moved, lo, where=lo > moved)
+        np.copyto(moved, hi, where=hi < moved)
+    del readings
 
-    reached = np.where(max_pos >= y, BehaviorMode.SUCCESS.code,
-                       BehaviorMode.TASK_FAILURE.code)
-    return np.where(live, reached, BehaviorMode.HARMFUL_FAILURE.code), steps, pos
+    # first collision second, or 0 if none: every robot starts out of danger
+    first = ((path >= cfg.danger_height) & occupied[:, None]).argmax(axis=0)
+    steps = np.where(first > 0, first, horizon)
+    modes = np.select([first > 0, (path >= y).any(axis=0)],
+                      [BehaviorMode.HARMFUL_FAILURE.code,
+                       BehaviorMode.SUCCESS.code],
+                      BehaviorMode.TASK_FAILURE.code)
+    return modes, steps, np.take_along_axis(path, steps[None], axis=0)[0]

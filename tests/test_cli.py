@@ -460,27 +460,45 @@ class TestRunObservePredict:
                                            "bogus": 1}),
         lambda m: m.__setitem__("safety", {"goal_clip_max": None}),
         lambda m: m.__setitem__("safety", [30.0]),
+        lambda m: m.__setitem__("safety", {"goal_clip_max": 99.0,
+                                           "delta": 0.5}),
+        lambda m: m["policy"]["params"].__setitem__("safe_ceiling", -1.0),
+        lambda m: m["policy"]["params"].__setitem__("passed_margin",
+                                                    float("nan")),
+        lambda m: m["policy"]["params"].__setitem__("risk_goal_threshold",
+                                                    80.0),
     ], ids=["unknown_param", "string_param", "int_params", "list_params",
-            "int_policy", "unknown_policy", "unknown_safety_key", "null_clip", "list_safety"])
+            "int_policy", "unknown_policy", "unknown_safety_key", "null_clip",
+            "list_safety", "clip_out_of_range", "negative_ceiling",
+            "nan_margin", "threshold_outside_env"])
     def test_malformed_manifest_exits_3(self, small_pipeline, tmp_path,
                                         capsys, edit):
+        """Wrong types, and well-typed values out of range, whether of their
+        own class or of the env the manifest replays, are refused naming
+        the manifest, and nothing is written."""
         manifest = json.loads(
             small_pipeline["rec"].with_suffix(".manifest.json").read_text())
         edit(manifest)
         bad = small_pipeline["dir"] / "bad.manifest.json"
         bad.write_text(json.dumps(manifest))
-        assert run_cli("run", "--manifest", str(bad),
-                       "--out", str(tmp_path / "again.jsonl")) == 3
-        assert "bad.manifest.json" in capsys.readouterr().err
+        out = tmp_path / "again.jsonl"
+        assert run_cli("run", "--manifest", str(bad), "--out", str(out)) == 3
+        assert capsys.readouterr().err.startswith(f"DataError: {bad}: ")
+        assert not out.exists()
+        assert not out.with_suffix(".manifest.json").exists()
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["policy"]["params"].update(risk_goal_threshold=True),
         lambda doc: doc["env"].update(noise_sigma_gaol=9.0),
-    ], ids=["bool_threshold", "misspelled_env_key"])
+        lambda doc: doc["env"].update(noise_sigma_goal=float("nan")),
+        lambda doc: doc["policy"]["params"].update(passed_margin=float("inf")),
+    ], ids=["bool_threshold", "misspelled_env_key", "nan_sigma",
+            "infinite_margin"])
     def test_malformed_config_section_exits_2_writing_nothing(
             self, small_pipeline, tmp_path, capsys, edit):
-        """A bool policy field, read as 1.0, or a misspelled env key, left
-        unread, is refused with the document's name."""
+        """A bool policy field, read as 1.0, a misspelled env key, left
+        unread, or a NaN or infinite number, which json reads from its NaN
+        and Infinity tokens, is refused with the document's name."""
         doc = condition_document(presets.condition("testing"),
                                  presets.default_grid(), seed=0,
                                  env=presets.default_env(),
@@ -528,6 +546,11 @@ class TestRunObservePredict:
         assert manifest["policy"]["params"] == {
             "risk_goal_threshold": 80.0, "safe_ceiling": 50.0,
             "passed_margin": 0.0}
+        # the replay checks the params against the env it replays
+        before = rec.read_bytes()
+        assert run_cli("run", "--manifest",
+                       str(rec.with_suffix(".manifest.json"))) == 0
+        assert rec.read_bytes() == before
 
     @pytest.mark.parametrize("scenario", [[5.0, 5.0], [5.0, 5.0, 30.0, 1.0]])
     def test_record_of_wrong_dimension_exits_3(self, small_pipeline, tmp_path,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -82,6 +83,15 @@ class TestScriptedRules:
             ScriptedPolicy(ScriptedPolicyParams(safe_ceiling=25.0), EnvConfig())
         with pytest.raises(ConfigError):
             ScriptedPolicyParams(passed_margin=-1.0)
+
+    @pytest.mark.parametrize("field", ["risk_goal_threshold", "safe_ceiling",
+                                       "passed_margin"])
+    def test_nan_params_refused(self, field):
+        """NaN fails every comparison, so each bound is tested as the
+        negation of the comparison that holds for a valid value."""
+        with pytest.raises(ConfigError, match=field):
+            ScriptedPolicy(ScriptedPolicyParams(**{field: math.nan}),
+                           EnvConfig())
 
 
 def impatient_collides(env, v: float, t: float) -> bool:
@@ -234,7 +244,8 @@ def batch_cases(draw):
     domain, seeds, and run_batch block size."""
     ceiling = draw(st.floats(0.5, 24.5))
     danger = draw(st.floats(ceiling + 0.1, ceiling + 30.0))
-    lo = draw(st.floats(danger - 30.0, danger - 0.1))
+    # a -0.0 bound, which a step can tie with a +0.0 position
+    lo = draw(st.one_of(st.just(-0.0), st.floats(danger - 30.0, danger - 0.1)))
     hi = draw(st.floats(danger + 0.1, danger + 40.0))
     sigma = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
     cfg = EnvConfig(
@@ -288,9 +299,45 @@ class TestBatch:
     def test_zero_and_one_second_episodes(self, env, params, seconds):
         cfg = EnvConfig(episode_seconds=seconds)
         xs = sample(presets.testing_conditions(), 50, 65)
+        sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
         records = assert_batch_matches_scalar(
-            cfg, lambda: ScriptedPolicy(params, cfg), xs, range(50))
+            cfg, lambda: ScriptedPolicy(params, cfg), xs, range(50),
+            lambda: wrap(ScriptedPolicy(params, cfg), sf))
         assert all(r.steps == seconds for r in records)
+
+    @pytest.mark.parametrize("seconds", [100, 5, 4])
+    def test_collisions_up_to_the_last_second(self, seconds):
+        """Every episode collides in second 5, where an always-forward robot
+        reaches the danger height under an obstacle wide enough to cover
+        the column then: before the horizon, in its last second, or not at
+        all."""
+        cfg = EnvConfig(episode_seconds=seconds, obstacle_spawn_offset=0.0,
+                        obstacle_width=200.0)
+        impatient = ScriptedPolicyParams(risk_goal_threshold=0.0)
+        xs = sample(presets.testing_conditions(), 50, 75)
+        records = assert_batch_matches_scalar(
+            cfg, lambda: ScriptedPolicy(impatient, cfg), xs, range(50))
+        harmful = seconds >= 5
+        assert all((r.mode is BehaviorMode.HARMFUL_FAILURE) == harmful
+                   and r.steps == min(seconds, 5) for r in records)
+
+    @pytest.mark.parametrize("step, seconds, final", [
+        (5.0, 0, "-0.0"), (5.0, 1, "5.0"), (5.0, 2, "0.0"), (5.0, 3, "5.0"),
+        (10.0, 2, "-0.0"),
+    ])
+    def test_steps_onto_a_negative_zero_bound(self, step, seconds, final):
+        """A robot starts at the -0.0 bound. The patient one shuttles below
+        its ceiling of 5: with 5-inch steps its way down, 5.0 - 5.0, lands
+        on +0.0, which ties the bound and is kept; with 10-inch steps it
+        only backs into the bound, so it stays at -0.0."""
+        cfg = EnvConfig(episode_seconds=seconds, step_inches=step,
+                        robot_bounds=(-0.0, 50.0))
+        patient = ScriptedPolicyParams(safe_ceiling=5.0)
+        # a standing obstacle never passes; goals far below the threshold
+        xs = np.array([(0.0, 0.0, 10.0), (0.0, 3.0, 0.0)])
+        records = assert_batch_matches_scalar(
+            cfg, lambda: ScriptedPolicy(patient, cfg), xs, [1, 2])
+        assert [repr(r.final_position) for r in records] == [final, final]
 
     def test_collision_at_step_one(self, params):
         # obstacle spawned on the column; one step lands exactly on the
@@ -315,6 +362,29 @@ class TestBatch:
         records = assert_batch_matches_scalar(
             cfg, lambda: wrap(ScriptedPolicy(params, cfg), sf), xs, range(4))
         assert any(r.mode is BehaviorMode.HARMFUL_FAILURE for r in records)
+
+    def test_block_memory_is_its_noise_and_paths(self, env, params):
+        """A block holds its noise, turned into its readings in place, and
+        one path of robot positions per policy; the readings are dropped
+        before the outcomes are read from the paths."""
+        n, seconds = simulator._BLOCK, env.episode_seconds
+        xs = sample(presets.testing_conditions(), n, 76)
+        sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
+        pair = [ScriptedPolicy(params, env),
+                wrap(ScriptedPolicy(params, env), sf)]
+        run_batch(env, pair, xs[:2], range(2))   # imports, outside the count
+        seeds = np.arange(n, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            run_batch(env, pair, xs, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        noise = n * seconds * 3 * 8
+        paths = len(pair) * n * (seconds + 1) * 8
+        # and per episode: the collision mask, a byte a second, the
+        # campaign's columns and the controllers' state
+        assert peak <= noise + paths + 256 * n
 
     def test_empty_campaign(self, env, scripted_factory):
         (campaign,) = run_batch(env, [scripted_factory()], [], [])

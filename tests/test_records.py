@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
@@ -886,6 +887,17 @@ class TestConfigJson:
         with pytest.raises(ValueError, match=f"{field} must be a JSON number"):
             _from_json(cls, {**_as_json(CONFIGS[cls]), field: value})
 
+    @pytest.mark.parametrize("cls, field", FLOAT_FIELDS,
+                             ids=[f"{c.__name__}.{f}" for c, f in FLOAT_FIELDS])
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_float_field_takes_only_a_finite_number(self, cls, field, token):
+        """json reads these tokens as the floats nan, inf and -inf."""
+        text = json.dumps({**_as_json(CONFIGS[cls]), field: 0.0}).replace(
+            f'"{field}": 0.0', f'"{field}": {token}')
+        with pytest.raises(ValueError, match=f"{field} must be a finite JSON "
+                                             f"number"):
+            _from_json(cls, json.loads(text))
+
     @pytest.mark.parametrize("value", [100.0, True, "100"])
     def test_int_field_takes_only_a_json_integer(self, value):
         with pytest.raises(ValueError, match="episode_seconds must be a JSON "
@@ -1024,14 +1036,20 @@ class TestConditionDocuments:
         (["domain", 0, "min"], "0"),
         (["domain", 0, "max"], True),
         (["domain", 2, "max"], 10**400),
+        (["env", "noise_sigma_goal"], NAN),
+        (["env", "robot_bounds"], [0.0, INF]),
+        (["marginals", "v"], {"kind": "uniform", "a": -INF, "b": 10.0}),
+        (["domain", 0, "max"], INF),
     ], ids=["bool_env", "string_env", "null_env", "string_bound",
             "bool_bound", "string_and_bool_marginal", "bool_marginal",
             "string_mu", "list_sigma", "string_min", "bool_max",
-            "overflowing_max"])
+            "overflowing_max", "nan_env", "infinite_bound",
+            "infinite_marginal", "infinite_max"])
     def test_float_fields_take_only_json_numbers(self, path, value):
         """An env float, a robot bound, a marginal parameter or a domain
         bound that is not a JSON number is refused, not coerced by float();
-        an integer too large for a float is refused too."""
+        an integer too large for a float, and a NaN or infinite number, are
+        refused too."""
         doc = condition_document(presets.condition("testing"),
                                  presets.default_grid(), seed=0,
                                  env=EnvConfig())
@@ -1117,6 +1135,21 @@ class TestManifests:
         doc = json.loads(written.read_text())
         written.write_text(json.dumps({**doc, key: value}))
         with pytest.raises(DataError, match=f"{key} must be a JSON string"):
+            read_manifest(written)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("safety", "goal_clip_max", 99.0), ("safety", "goal_clip_max", NAN),
+        ("params", "safe_ceiling", -1.0), ("params", "passed_margin", NAN),
+        ("params", "passed_margin", -INF),
+    ])
+    def test_values_out_of_range_raise_data_error(self, written, section,
+                                                  key, value):
+        """A well-typed section whose class refuses its values is a bad
+        manifest, named like any other."""
+        doc = json.loads(written.read_text())
+        (doc["policy"] if section == "params" else doc)[section][key] = value
+        written.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"^{re.escape(str(written))}: "):
             read_manifest(written)
 
 

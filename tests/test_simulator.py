@@ -242,3 +242,16 @@ class TestEnvConfigValidation:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ConfigError):
             EnvConfig(noise_sigma_goal=-0.1)
+
+    @pytest.mark.parametrize("field, value", [
+        *((f, math.nan) for f in (
+            "step_inches", "danger_height", "obstacle_spawn_offset",
+            "obstacle_width", "noise_sigma_speed", "noise_sigma_obstacle_pos",
+            "noise_sigma_goal")),
+        ("robot_bounds", (math.nan, 50.0)), ("robot_bounds", (0.0, math.nan)),
+    ])
+    def test_nan_field_rejected(self, field, value):
+        """NaN fails every comparison, so each bound is tested as the
+        negation of the comparison that holds for a valid value."""
+        with pytest.raises(ConfigError):
+            EnvConfig(**{field: value})
