@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import fields
+
 import numpy as np
 
 
@@ -33,6 +36,19 @@ def check_rows(ok, message, error: type[DataError] = DataError) -> None:
         e = error(message(i))
         e.row = i
         raise e
+
+
+def check_finite(config) -> None:
+    """Raise ConfigError naming the first float field of a config dataclass
+    (annotated float, or a tuple of floats, under PEP 563) that holds NaN or
+    an infinity: json.dumps writes them as tokens that no JSON reader of
+    ours takes, and NaN fails every range check."""
+    for f in fields(config):
+        if f.type in ("float", "tuple[float, float]"):
+            value = getattr(config, f.name)
+            if not all(map(math.isfinite,
+                           value if type(value) is tuple else (value,))):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 class OutOfDomain(DataError):

@@ -26,7 +26,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .domain import substream_seeds
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 from .estimator import TestCampaign
 from .simulator import Action, EnvConfig, Observation, run_batch
 
@@ -69,6 +69,7 @@ class ScriptedPolicyParams:
     passed_margin: float = 0.0
 
     def __post_init__(self):
+        check_finite(self)
         if not 0.0 < self.safe_ceiling:
             raise ConfigError(f"safe_ceiling {self.safe_ceiling} must be > 0")
         if not self.passed_margin >= 0:   # false for NaN too

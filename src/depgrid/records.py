@@ -20,16 +20,18 @@ columns into one line template, _RECORD_LINE: the scenario texts, given by
 the caller that wrote the scenario file or formatted as above, the mode
 names looked up by code, and the other columns whole. So a scenario set
 that several campaigns ran is formatted once. read_records has two readers
-that give the same campaign. A file that is lines of _RECORD_GRAMMAR, the
-template's grammar, and nothing else, as write_records writes it, is split
-by that one compiled regular expression into its tokens, and the columns
-are converted from them and checked whole. Any other file (blank lines and
-CRLF endings included), or one whose columns fail a check, goes to the
-reference reader: it parses each line on its own with json.loads, then
-builds and checks the columns. Every error comes from the reference
-reader, and names the line of the first bad record. A file's rows are its
-non-blank lines, and naming_line turns a row into its line for every error,
-the command line's domain checks included.
+that give the same campaign. A file as write_records writes it, lines of the
+template's grammar and nothing else, with the first line's coordinate count
+d on every line and d at most _MAX_COORDINATES, is split by one compiled
+regular expression, _record_grammar(d), into its tokens, one per coordinate
+and per other field; the columns are converted from them and checked whole.
+Any other file (blank lines, CRLF endings, lines of another coordinate
+count and more coordinates than the cap included), or one whose columns
+fail a check, goes to the reference reader: it parses each line on its own
+with json.loads, then builds and checks the columns. Every error comes from
+the reference reader, and names the line of the first bad record. A file's
+rows are its non-blank lines, and naming_line turns a row into its line for
+every error, the command line's domain checks included.
 
 A report file (format_version 2) holds the same columns as the in-memory
 report: a small scalar header, then the bin edges once, and the masses, the
@@ -56,7 +58,6 @@ import re
 import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, fields
-from itertools import repeat
 from pathlib import Path
 from typing import Any
 
@@ -447,51 +448,74 @@ def _campaign_from_dicts(docs: list) -> TestCampaign:
         np.array([d["final_position"] for d in docs], dtype=float))
 
 
-# The grammar of a _RECORD_LINE line, with every token as json.dumps writes
-# it, so that each line it matches holds the record json.loads would read:
-# - a scenario has at least one coordinate;
+# The grammar of a _RECORD_LINE line of d coordinates, with every token as
+# json.dumps writes it, so that each line it matches holds the record
+# json.loads would read:
+# - a scenario has d coordinates, each its own group, 1 <= d <=
+#   _MAX_COORDINATES: compiling the grammar takes time linear in d;
 # - a float token is a JSON number with a fraction or an exponent, as repr
 #   writes it; [0-9] rather than \d, which also matches digits that float()
 #   takes and JSON refuses;
 # - seed has at most 640 digits, the least limit int() on a string can be
 #   set to (sys.set_int_max_str_digits);
 # - steps has at most 15 digits, so it fits int64 and its float64 is exact,
-#   which makes comparing it with a float collision_time exact too.
-# _RECORD_GRAMMAR.split(text) gives one flat list, [separator, scenario,
-# mode, seed, steps, final_position, collision_time] per match, then the
-# text after the last match. A match holds no newline and ends at its line's
-# only "}", so when the first separator is empty, every other one is "\n" and
-# the text after the last is "" or "\n", every line of the text is one whole
-# match: the text is a file write_records writes, with or without its final
-# newline. Blank lines, CRLF endings, two records on one line or any other
-# text leave some other separator.
-_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
-_RECORD_GRAMMAR = re.compile(
-    r'\{"scenario": \[(%(f)s(?:, %(f)s)*)\], "mode": "(%(mode)s)", '
-    r'"seed": (-?(?:0|[1-9][0-9]{0,639})), "steps": (0|[1-9][0-9]{0,14}), '
+#   which makes comparing it with a float collision_time exact too;
+# - every repeat is possessive (Python 3.11): what follows a token never
+#   starts with a character the token could have taken, so a match never
+#   needs one given back, and a line that cannot match fails without
+#   trying shorter tokens.
+# _record_grammar(d).split(text) gives one flat list, [separator, d
+# coordinates, mode, seed, steps, final_position, collision_time] per match,
+# then the text after the last match. A match holds no newline and ends at
+# its line's only "}", so when the first separator is empty, every other one
+# is "\n" and the text after the last is "" or "\n", every line of the text
+# is one whole match: the text is a file write_records writes, with or
+# without its final newline. Blank lines, CRLF endings, two records on one
+# line, another coordinate count or any other text leave some other
+# separator.
+_FLOAT = (r"-?+(?:0|[1-9][0-9]*+)"
+          r"(?:\.[0-9]++(?:[eE][-+]?+[0-9]++)?+|[eE][-+]?+[0-9]++)")
+_RECORD_GRAMMAR = (
+    r'\{"scenario": \[%%s\], "mode": "(%(mode)s)", '
+    r'"seed": (-?+(?:0|[1-9][0-9]{0,639}+)), "steps": (0|[1-9][0-9]{0,14}+), '
     r'"final_position": (%(f)s), "collision_time": (null|%(f)s)\}'
     % {"f": _FLOAT, "mode": "|".join(map(re.escape, _MODE_CODES))})
+_MAX_COORDINATES = 16
+
+
+def _record_grammar(d: int) -> re.Pattern:
+    """The compiled grammar of a record line of d coordinates, from re's
+    own cache after its first use."""
+    return re.compile(_RECORD_GRAMMAR % ", ".join([f"({_FLOAT})"] * d))
 
 
 def _campaign_from_template(text: str) -> TestCampaign | None:
-    """The campaign of a record file's text when it is _RECORD_GRAMMAR lines
-    and nothing else, each ended by "\n" but perhaps the last, and the
-    columns pass the checks of _campaign_from_dicts and TestCampaign;
-    otherwise None. Never raises. One split of the whole text gives the
-    tokens, converted with float() and int(), as json does; the columns are
-    checked whole rather than line by line."""
-    parts = _RECORD_GRAMMAR.split(text)
-    if not (len(parts) % 7 == 1 and len(parts) > 1 and parts[0] == ""
-            and set(parts[7:-1:7]) <= {"\n"} and parts[-1] in ("", "\n")):
+    """The campaign of a record file's text when it is lines of one
+    _record_grammar(d) and nothing else, each ended by "\n" but perhaps the
+    last, and the columns pass the checks of _campaign_from_dicts and
+    TestCampaign; otherwise None. Never raises. d is the number of commas
+    before the text's first "]", plus one: the coordinate count of the first
+    line's scenario, if that line is a record. A text with no "]", or with
+    more than _MAX_COORDINATES coordinates, is refused before any grammar is
+    compiled. One split of the whole text gives the tokens, converted with
+    float() and int(), as json does; the columns are checked whole rather
+    than line by line."""
+    close = text.find("]")
+    d = text.count(",", 0, close) + 1 if close >= 0 else 0
+    if not 1 <= d <= _MAX_COORDINATES:
         return None
-    scenario, mode, seed, steps, position, collision = (
-        parts[k::7] for k in range(1, 7))
-    commas = set(map(str.count, scenario, repeat(",")))
-    if len(commas) != 1:
+    parts = _record_grammar(d).split(text)
+    stride = d + 6
+    if not (len(parts) % stride == 1 and len(parts) > 1 and parts[0] == ""
+            and set(parts[stride:-1:stride]) <= {"\n"}
+            and parts[-1] in ("", "\n")):
         return None
-    n, d = len(scenario), commas.pop() + 1
-    scenarios = np.fromiter(map(float, ", ".join(scenario).split(", ")),
-                            float, n * d).reshape(n, d)
+    n = len(parts) // stride
+    scenarios = np.empty((n, d))
+    for j in range(d):
+        scenarios[:, j] = np.fromiter(map(float, parts[1 + j::stride]), float, n)
+    mode, seed, steps, position, collision = (
+        parts[k::stride] for k in range(d + 1, stride))
     modes = np.fromiter(map(_MODE_CODES.__getitem__, mode), np.int8, n)
     steps = np.fromiter(map(int, steps), np.int64, n)
     position = np.fromiter(map(float, position), float, n)
@@ -514,14 +538,17 @@ def read_records(path: str | Path) -> TestCampaign:
     campaign's condition name nor its master seed, so they are "" and 0.
 
     A file as write_records writes it, with or without its final newline,
-    is split by one regular expression, _RECORD_GRAMMAR, and its columns
-    come straight from the tokens (unless its scenarios have no
-    coordinates, steps 16 digits or more, or seeds more than 640). Any other
-    file (blank lines, CRLF endings, other spacing or key order, integer
-    coordinates, escaped strings, or a bad record) goes to the reference
-    reader: each line is parsed on its own with json.loads, then the columns
-    are built and checked together. So every error comes from the reference
-    reader, and names the file and the line of the first bad record."""
+    whose lines all have the first line's coordinate count d, 1 <= d <=
+    _MAX_COORDINATES, is split by one regular expression, _record_grammar(d),
+    and its columns come straight from the tokens (unless its steps have 16
+    digits or more, or its seeds more than 640). Any other file (blank lines,
+    CRLF endings, other spacing or key order, integer coordinates, escaped
+    strings, scenarios of no coordinates, of more than the cap or of
+    another count than the first line's, or a bad record) goes to the
+    reference reader: each line is parsed on its own with json.loads, then
+    the columns are built and checked together. So every error comes from
+    the reference reader, and names the file and the line of the first bad
+    record."""
     text = _read_text(path)
     campaign = _campaign_from_template(text)
     if campaign is None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 from .policies import BatchPolicy, Policy, ScriptedPolicyParams
 from .simulator import Action, Observation, batch_form
 
@@ -29,6 +29,7 @@ class SafetyFunction:
     delta: float = DEFAULT_DELTA
 
     def __post_init__(self):
+        check_finite(self)
         if not 0.0 <= self.goal_clip_max <= 50.0:
             raise ConfigError(
                 f"goal_clip_max {self.goal_clip_max} outside [0, 50]"

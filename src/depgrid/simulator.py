@@ -34,7 +34,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .domain import Dimension, DomainSpace, seeded_generators
-from .errors import ConfigError, EpisodeNotFinished, SteppingTerminatedEpisode
+from .errors import (ConfigError, EpisodeNotFinished,
+                     SteppingTerminatedEpisode, check_finite)
 from .estimator import BehaviorMode, TestCampaign, TrialRecord
 
 if TYPE_CHECKING:
@@ -71,6 +72,7 @@ class EnvConfig:
     noise_sigma_goal: float = 0.5
 
     def __post_init__(self):
+        check_finite(self)
         lo, hi = self.robot_bounds
         if not lo < self.danger_height < hi:
             raise ConfigError(

@@ -241,6 +241,21 @@ class TestRunObservePredict:
             "give --safety too\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, field", [
+        (("--clip-max", "10", "--delta", "nan"), "delta"),
+        (("--clip-max", "10", "--delta=-inf"), "delta"),
+        (("--clip-max", "inf"), "goal_clip_max"),
+        (("--delta", "inf"), "goal_clip_max")],
+        ids=["nan-delta", "-inf-delta", "inf-clip-max", "inf-delta"])
+    def test_non_finite_safety_flags_exit_2(self, small_pipeline, tmp_path,
+                                           capsys, flags, field):
+        out = tmp_path / "r.jsonl"
+        assert run_cli("run", "--scenarios", str(small_pipeline["scen"]),
+                       "--safety", *flags, "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(
+            f"ConfigError: {field} must be finite, got ")
+        assert not out.exists()
+
     def test_manifest_replays_from_another_working_directory(
             self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

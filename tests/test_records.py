@@ -3,13 +3,14 @@ from __future__ import annotations
 import contextlib
 import json
 import re
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from depgrid import (
@@ -40,6 +41,7 @@ from depgrid import presets
 from depgrid.svgplots import failure_scatter_svg
 from conftest import campaign_of, region_centers
 from depgrid.records import (
+    _MAX_COORDINATES,
     _as_json,
     _from_json,
     _json_list,
@@ -385,6 +387,94 @@ def test_other_layouts_go_to_the_reference_reader(tmp_path, edit):
     path.write_bytes(text.encode())
     assert _campaign_from_template(text) is None
     assert_reads_as_reference(path)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, _MAX_COORDINATES])
+def test_coordinate_counts_up_to_the_cap_need_no_reference_reader(tmp_path, d):
+    campaign = written_campaign(5, d)
+    path = tmp_path / "r.jsonl"
+    write_records(path, campaign)
+    with mock.patch("depgrid.records._read_json_lines", refuse):
+        assert replace(read_records(path), condition_name="synthetic") == campaign
+
+
+def edited_scenario(line: str, scenario: list) -> str:
+    return json.dumps({**json.loads(line), "scenario": scenario})
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_a_later_line_of_another_coordinate_count_names_its_line(
+        tmp_path, count):
+    """The fast path reads one coordinate count, the first line's; a line of
+    another count leaves it to the reference reader, whose error names it."""
+    path = tmp_path / "r.jsonl"
+    write_records(path, written_campaign(3, 3))
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = edited_scenario(lines[1], [1.5] * count) + "\n"
+    text = "".join(lines)
+    path.write_text(text)
+    assert _campaign_from_template(text) is None
+    with pytest.raises(OutOfDomain, match=rf"r\.jsonl: line 2: scenario has "
+                                          rf"{count} values, the first "
+                                          rf"scenario has 3$"):
+        read_records(path)
+
+
+FIRST_SCENARIOS = {
+    "no_coordinates": [],
+    "one_over_the_cap": [1.5] * (_MAX_COORDINATES + 1),
+    "five_thousand": [1.5] * 5000,
+}
+
+
+@pytest.mark.parametrize("first", [*FIRST_SCENARIOS, "no_closing_bracket"])
+def test_first_lines_the_fast_path_refuses_go_to_the_reference_reader(
+        tmp_path, first):
+    """A first line whose scenario has no coordinates, more than the cap or
+    no "]" goes to the reference reader, having compiled no grammar of more
+    than the cap's coordinates: compiling takes time linear in the count."""
+    path = tmp_path / "r.jsonl"
+    write_records(path, written_campaign(4, 3))
+    lines = path.read_text().splitlines(keepends=True)
+    lines[0] = (lines[0].replace("]", "") if first == "no_closing_bracket"
+                else edited_scenario(lines[0], FIRST_SCENARIOS[first]) + "\n")
+    text = "".join(lines)
+    path.write_text(text)
+    with mock.patch.object(re, "compile", wraps=re.compile) as compiled:
+        assert _campaign_from_template(text) is None
+    groups = [re.compile(*call.args).groups for call in compiled.call_args_list]
+    assert max(groups, default=0) <= _MAX_COORDINATES + 5
+    assert_reads_as_reference(path)
+
+
+def test_files_over_the_cap_read_by_the_reference_reader(tmp_path):
+    campaign = written_campaign(3, _MAX_COORDINATES + 1)
+    path = tmp_path / "r.jsonl"
+    write_records(path, campaign)
+    assert _campaign_from_template(path.read_text()) is None
+    assert replace(read_records(path), condition_name="synthetic") == campaign
+
+
+def test_template_read_memory_is_its_text_and_tokens(env, scripted_factory,
+                                                     tmp_path):
+    """Reading a written file holds its text and, while the columns are
+    built, the d + 6 tokens of each record that one split gives: 80 bytes a
+    token hold its str's 49-byte header, its characters (a coordinate's
+    repr here has at most 21) and its list slot, with room left for the
+    columns. The reader that split the scenarios into one more list of
+    tokens took 87 bytes a token."""
+    n = 5000
+    xs = sample(presets.testing_conditions(), n, 78)
+    path = tmp_path / "r.jsonl"
+    write_records(path, evaluate_policy(env, scripted_factory, xs, 79))
+    read_records(path)   # the grammar's compilation, outside the count
+    tracemalloc.start()
+    try:
+        read_records(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= path.stat().st_size + n * (xs.shape[1] + 6) * 80
 
 
 @pytest.mark.parametrize("keep", [slice(3), slice(None, None, -1)],
@@ -920,6 +1010,81 @@ class TestConfigJson:
         for value in (missing, {**written, "extra": 1.0}, [written], None):
             with pytest.raises(ValueError, match="exactly the keys"):
                 _from_json(cls, value)
+
+
+# every float of the three classes that file formats write, with the index
+# of a tuple field's entry
+CONFIG_FLOATS = [
+    *((EnvConfig, f, None) for f in (
+        "step_inches", "danger_height", "obstacle_spawn_offset",
+        "obstacle_width", "noise_sigma_speed", "noise_sigma_obstacle_pos",
+        "noise_sigma_goal")),
+    (EnvConfig, "robot_bounds", 0), (EnvConfig, "robot_bounds", 1),
+    *((ScriptedPolicyParams, f, None) for f in (
+        "risk_goal_threshold", "safe_ceiling", "passed_margin")),
+    (SafetyFunction, "goal_clip_max", None), (SafetyFunction, "delta", None),
+]
+
+
+def test_config_floats_are_every_field_but_the_seconds():
+    assert ({(cls, f) for cls, f, _ in CONFIG_FLOATS}
+            == {(cls, f.name) for cls in (EnvConfig, ScriptedPolicyParams,
+                                          SafetyFunction)
+                for f in fields(cls) if f.name != "episode_seconds"})
+
+
+@pytest.mark.parametrize("cls, field, index", CONFIG_FLOATS,
+                         ids=[f"{c.__name__}.{f}" + ("" if i is None else
+                                                     f"[{i}]")
+                              for c, f, i in CONFIG_FLOATS])
+@pytest.mark.parametrize("value", [INF, -INF, NAN], ids=["inf", "-inf", "nan"])
+def test_non_finite_config_value_refused(cls, field, index, value):
+    """json.dumps would write it as a token no reader here takes."""
+    if index is not None:
+        pair = list(getattr(cls(), field))
+        pair[index] = value
+        value = tuple(pair)
+    with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+        cls(**{field: value})
+
+
+@st.composite
+def envs_and_params(draw) -> tuple[EnvConfig, ScriptedPolicyParams]:
+    """An env and params the classes accept together, their floats drawn
+    from every float, the infinities included, and the threshold NaN at
+    times; a draw the classes refuse is rejected."""
+    ceiling, danger = sorted(draw(st.lists(
+        st.floats(min_value=0.0, exclude_min=True), min_size=2, max_size=2,
+        unique=True)))
+    if danger == INF:
+        reject()
+    lo = draw(st.floats(max_value=danger, exclude_max=True))
+    hi = draw(st.floats(min_value=danger, exclude_min=True))
+    draw_float = st.floats(min_value=0.0)
+    try:
+        env = EnvConfig(draw(st.integers(0, 10**6)), draw(draw_float),
+                        (lo, hi), danger,
+                        *(draw(draw_float) for _ in range(5)))
+        params = ScriptedPolicyParams(
+            draw(st.sampled_from([lo, danger, hi, NAN])), ceiling,
+            draw(draw_float))
+        params.check_env(env)
+    except ConfigError:
+        reject()
+    return env, params
+
+
+@settings(max_examples=200)
+@given(config=envs_and_params())
+@example(config=(EnvConfig(robot_bounds=(-0.0, 2e-323), danger_height=1e-323,
+                           step_inches=1e308, noise_sigma_goal=-0.0),
+                 ScriptedPolicyParams(5e-324, 5e-324, 1.7976931348623157e308)))
+def test_condition_document_round_trips_every_accepted_config(config):
+    env, params = config
+    doc = condition_document(presets.condition("testing"),
+                             presets.default_grid(), 0, env=env, params=params)
+    got = parse_condition_document(json.loads(json.dumps(doc)))[3:]
+    assert repr(got) == repr((env, params))   # -0.0 keeps its sign
 
 
 class TestConditionDocuments:
