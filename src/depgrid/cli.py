@@ -108,19 +108,8 @@ def cmd_run(args) -> int:
         base = Path(args.manifest).parent
         scenarios_path = base / manifest["scenarios_path"]
         seed = manifest["master_seed"]
-        params, safety = manifest["policy"], manifest["safety"]
-        env = EnvConfig()
-        config_path = manifest.get("config_path") and (
-            base / manifest["config_path"])
-        if config_path:
-            if file_sha256(config_path) != manifest.get("config_sha256"):
-                raise DataError(f"{config_path}: its sha256 is not the "
-                                f"config_sha256 {args.manifest} recorded")
-            env = load_condition_file(config_path)[3]
-        try:
-            params.check_env(env)
-        except ConfigError as e:
-            raise DataError(f"{args.manifest}: {e}") from None
+        env, params = manifest["env"], manifest["policy"]
+        safety = manifest["safety"]
         condition_name = manifest["condition"]
         out = Path(args.out) if args.out else base / manifest["records_path"]
     else:
@@ -128,10 +117,9 @@ def cmd_run(args) -> int:
             raise ConfigError("give --scenarios FILE (or --manifest FILE)")
         scenarios_path = Path(args.scenarios)
         seed = args.seed or 0
-        config_path = args.config or None
         env, params = EnvConfig(), presets.default_policy_params()
-        if config_path:
-            env, params = load_condition_file(config_path)[3:]
+        if args.config:
+            env, params = load_condition_file(args.config)[3:]
         if not args.safety and (args.clip_max, args.delta) != (None, None):
             raise ConfigError("--clip-max and --delta set the safety "
                               "function; give --safety too")
@@ -140,6 +128,8 @@ def cmd_run(args) -> int:
             SafetyFunction.from_threshold(params.risk_goal_threshold, delta)
             if args.clip_max is None
             else SafetyFunction(goal_clip_max=args.clip_max, delta=delta))
+        if safety:
+            safety.check_env(env)
         condition_name = args.condition or ""
         if not args.out:
             raise ConfigError("give --out FILE for the records")
@@ -159,8 +149,8 @@ def cmd_run(args) -> int:
         campaign = evaluate_policy(env, policy_factory(params, env, safety),
                                    scenarios, seed,
                                    condition_name=condition_name)
-    manifest_path = write_campaign(out, campaign, params, safety,
-                                   scenarios_path, config_path)
+    manifest_path = write_campaign(out, campaign, env, params, safety,
+                                   scenarios_path)
     print(f"wrote {len(campaign)} records to {out} "
           f"(manifest: {manifest_path})")
     return 0

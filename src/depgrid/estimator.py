@@ -70,9 +70,9 @@ class TrialRecord:
     """Outcome of running a policy in one scenario: one row of a campaign.
 
     scenario is the scenario's coordinates as a tuple of floats. steps
-    counts the seconds stepped; a harmful failure's collision_time
-    equals steps, other modes have none. A mode name is converted to its
-    BehaviorMode; the record invariants are checked on campaign columns.
+    counts the seconds stepped, so a harmful failure collides at its last
+    step. A mode name is converted to its BehaviorMode; the record
+    invariants are checked on campaign columns.
     """
 
     scenario: tuple[float, ...]
@@ -80,13 +80,18 @@ class TrialRecord:
     seed: int
     steps: int
     final_position: float
-    collision_time: float | None = None
 
     def __post_init__(self):
         try:
             object.__setattr__(self, "mode", BehaviorMode(self.mode))
         except ValueError:
             raise DataError(f"unknown behavior mode {self.mode!r}") from None
+
+    @property
+    def collision_time(self) -> float | None:
+        """A harmful failure's steps as a float, None for the other modes."""
+        harmful = self.mode is BehaviorMode.HARMFUL_FAILURE
+        return float(self.steps) if harmful else None
 
 
 def _fields_equal(a, b) -> bool:
@@ -101,9 +106,9 @@ class TestCampaign:
     """All trial records gathered under one condition and master seed, as
     columns: ``scenarios`` (n, d) floats, ``modes`` int8 codes (see
     BehaviorMode.code), ``seeds`` ints (raw seeds may exceed 64 bits),
-    ``steps`` ints and ``final_position`` floats. A harmful record's
-    collision_time is its steps, so it is not stored. A row without a known
-    mode and steps >= 0 (>= 1 if harmful) raises DataError.
+    ``steps`` ints and ``final_position`` floats; a harmful record's
+    collision time is its steps. A row without a known mode and steps >= 0
+    (>= 1 if harmful) raises DataError.
 
     ``campaign[i]`` and ``records`` are the rows as TrialRecords, built on
     first use for tests and demos; the library reads only the columns.
@@ -139,10 +144,8 @@ class TestCampaign:
 
     @cached_property
     def records(self) -> tuple[TrialRecord, ...]:
-        harmful = BehaviorMode.HARMFUL_FAILURE.code
         return tuple(
-            TrialRecord(tuple(x), _MODE_ORDER[m], seed, steps,
-                        position, float(steps) if m == harmful else None)
+            TrialRecord(tuple(x), _MODE_ORDER[m], seed, steps, position)
             for x, m, seed, steps, position in zip(
                 self.scenarios.tolist(), self.modes.tolist(), self.seeds,
                 self.steps.tolist(), self.final_position.tolist()))

@@ -12,7 +12,8 @@ The tree under out_dir, for each condition <name>:
 
     conditions/<name>.json              condition document with its seed
     scenarios/<name>.jsonl              formatted once for all its records
-    records/<name>.jsonl, <name>.manifest.json, and testing_safety.*
+    records/<name>.jsonl, <name>.manifest.json (with the env, params and
+            safety function it ran), and testing_safety.*
     reports/predicted_<name>.json, observed_<name>.json, and
             observed_testing_safety.json
     plots/comparison.svg, failures_testing.svg, failures_testing_safety.svg
@@ -98,7 +99,7 @@ def reproduce(out_dir: str | Path, *, n: int, seed: int,
         texts = write_scenarios(scenarios_path, scenarios)
         for campaign, safety, stem in zip(campaigns, safeties,
                                           (name, f"{name}_safety")):
-            write_campaign(out / "records" / f"{stem}.jsonl", campaign,
+            write_campaign(out / "records" / f"{stem}.jsonl", campaign, env,
                            params, safety, scenarios_path, texts=texts)
             observed[stem] = observed_rates(campaign)
             write_report(out / "reports" / f"observed_{stem}.json",

@@ -43,8 +43,10 @@ converts it, and refuses any file of another format_version, so there is
 one reader.
 
 A campaign's files, written by write_campaign, are its record file and a
-manifest beside it, a JSON object whose policy params and safety function
-read_manifest reads as objects; run --manifest replays it from anywhere.
+manifest beside it, a JSON object that holds the env, policy params and
+safety function the campaign ran and names its scenario file; read_manifest
+reads the three as objects and checks them against each other, and run
+--manifest replays the campaign from anywhere with no other file.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ from .domain import (
 from .errors import ConfigError, DataError, OutOfDomain, check_rows
 from .estimator import (
     _MODE_ORDER,
-    BehaviorMode,
     DependabilityReport,
     TestCampaign,
     TrialRecord,
@@ -166,6 +167,13 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_str(value, name: str) -> str:
+    """value, checked to be a JSON string, which str() would not check."""
+    if type(value) is not str:
+        raise ValueError(f"{name} must be a JSON string, got {value!r}")
+    return value
+
+
 def _json_number(value, name: str) -> float:
     """value as a finite float, checked to be a JSON number: float() would
     also take a bool or a numeric string, and json reads the NaN and
@@ -249,17 +257,21 @@ def _policy_params(section: dict) -> ScriptedPolicyParams:
 
 def parse_condition_document(doc: dict) -> tuple[
         ConditionSet, PartitionGrid, int, EnvConfig, ScriptedPolicyParams]:
-    """(condition, grid, seed, env, params) of a condition document. Each
-    config section is read by _from_json; a missing env, policy or params
-    section gives the default one, and the params must fit the env."""
+    """(condition, grid, seed, env, params) of a condition document. The
+    condition's name and each dimension's name and unit (optional) must be
+    JSON strings. Each config section is read by _from_json; a missing env,
+    policy or params section gives the default one, and the params must fit
+    the env."""
     try:
-        dims = tuple(Dimension(d["name"], _json_number(d["min"], "min"),
+        dims = tuple(Dimension(_json_str(d["name"], "a dimension name"),
+                               _json_number(d["min"], "min"),
                                _json_number(d["max"], "max"),
-                               str(d.get("unit", ""))) for d in doc["domain"])
+                               _json_str(d.get("unit", ""), "unit"))
+                     for d in doc["domain"])
         space = DomainSpace(dims)
         marginals = tuple(_marginal_from_dict(doc["marginals"][d.name])
                           for d in dims)
-        cond = ConditionSet(str(doc["name"]), space, marginals)
+        cond = ConditionSet(_json_str(doc["name"], "name"), space, marginals)
         grid = PartitionGrid(tuple(_json_int(b, "a bin count")
                                    for b in doc["grid"]["bins"]))
         validate_grid(grid, space)
@@ -382,16 +394,13 @@ def record_to_dict(r: TrialRecord) -> dict:
         "seed": r.seed,
         "steps": r.steps,
         "final_position": r.final_position,
-        "collision_time": r.collision_time,
     }
 
 
 # A record line is json.dumps(record_to_dict(row)) of its row, filled into
 # one template from the campaign's columns: the repr of each float and int.
-# A harmful record's collision_time is its steps as a float, whose str is
-# its repr; any other record's is null.
 _RECORD_LINE = ('{"scenario": [%s], "mode": "%s", "seed": %d, "steps": %d, '
-                '"final_position": %r, "collision_time": %s}\n')
+                '"final_position": %r}\n')
 _MODE_CODES = {m.value: m.code for m in _MODE_ORDER}
 _MODE_NAMES = np.array([m.value for m in _MODE_ORDER], dtype=object)
 
@@ -409,37 +418,26 @@ def write_records(path: str | Path, campaign: TestCampaign,
     if len(texts) != len(campaign):
         raise ConfigError(f"{len(texts)} scenario texts for a campaign of "
                           f"{len(campaign)} records")
-    harmful = campaign.modes == BehaviorMode.HARMFUL_FAILURE.code
-    collision = np.where(harmful, campaign.steps.astype(float).astype(object),
-                         "null")
     atomic_write_text(path, "".join(map(_RECORD_LINE.__mod__, zip(
         texts, _MODE_NAMES[campaign.modes].tolist(), campaign.seeds,
-        campaign.steps.tolist(), campaign.final_position.tolist(),
-        collision.tolist()))))
+        campaign.steps.tolist(), campaign.final_position.tolist()))))
 
 
 def _is_record(d) -> bool:
-    """Whether a parsed line has a record's fields with their JSON types, a
-    finite final_position, and a collision_time equal to steps for a
-    harmful failure and null otherwise."""
-    if not (type(d) is dict and type(d.get("mode")) is str
+    """Whether a parsed line has a record's fields with their JSON types and
+    a finite final_position; other keys are ignored."""
+    return (type(d) is dict and type(d.get("mode")) is str
             and d["mode"] in _MODE_CODES and "scenario" in d
             and type(d.get("seed")) is int and type(d.get("steps")) is int
             and type(d.get("final_position")) in _NUMBER
-            and math.isfinite(d["final_position"])):
-        return False
-    collision = d.get("collision_time")
-    if d["mode"] == BehaviorMode.HARMFUL_FAILURE.value:
-        return type(collision) in _NUMBER and collision == d["steps"]
-    return collision is None
+            and math.isfinite(d["final_position"]))
 
 
 def _campaign_from_dicts(docs: list) -> TestCampaign:
     check_rows([_is_record(d) for d in docs],
                lambda i: f"a record needs a known mode, integer seed and "
-                         f"steps, a finite number final_position, a "
-                         f"scenario, and collision_time equal to steps for a "
-                         f"harmful failure and null otherwise; got {docs[i]!r}")
+                         f"steps, a finite number final_position and a "
+                         f"scenario; got {docs[i]!r}")
     return TestCampaign(
         "", _scenario_array([d["scenario"] for d in docs]),
         np.array([_MODE_CODES[d["mode"]] for d in docs], dtype=np.int8),
@@ -458,14 +456,15 @@ def _campaign_from_dicts(docs: list) -> TestCampaign:
 #   takes and JSON refuses;
 # - seed has at most 640 digits, the least limit int() on a string can be
 #   set to (sys.set_int_max_str_digits);
-# - steps has at most 15 digits, so it fits int64 and its float64 is exact,
-#   which makes comparing it with a float collision_time exact too;
+# - steps has at most 15 digits, so np.fromiter puts it in the int64 column
+#   without an OverflowError, which the fast path must never raise; a
+#   longer one goes to the reference reader, which names its line;
 # - every repeat is possessive (Python 3.11): what follows a token never
 #   starts with a character the token could have taken, so a match never
 #   needs one given back, and a line that cannot match fails without
 #   trying shorter tokens.
 # _record_grammar(d).split(text) gives one flat list, [separator, d
-# coordinates, mode, seed, steps, final_position, collision_time] per match,
+# coordinates, mode, seed, steps, final_position] per match,
 # then the text after the last match. A match holds no newline and ends at
 # its line's only "}", so when the first separator is empty, every other one
 # is "\n" and the text after the last is "" or "\n", every line of the text
@@ -478,7 +477,7 @@ _FLOAT = (r"-?+(?:0|[1-9][0-9]*+)"
 _RECORD_GRAMMAR = (
     r'\{"scenario": \[%%s\], "mode": "(%(mode)s)", '
     r'"seed": (-?+(?:0|[1-9][0-9]{0,639}+)), "steps": (0|[1-9][0-9]{0,14}+), '
-    r'"final_position": (%(f)s), "collision_time": (null|%(f)s)\}'
+    r'"final_position": (%(f)s)\}'
     % {"f": _FLOAT, "mode": "|".join(map(re.escape, _MODE_CODES))})
 _MAX_COORDINATES = 16
 
@@ -505,7 +504,7 @@ def _campaign_from_template(text: str) -> TestCampaign | None:
     if not 1 <= d <= _MAX_COORDINATES:
         return None
     parts = _record_grammar(d).split(text)
-    stride = d + 6
+    stride = d + 5
     if not (len(parts) % stride == 1 and len(parts) > 1 and parts[0] == ""
             and set(parts[stride:-1:stride]) <= {"\n"}
             and parts[-1] in ("", "\n")):
@@ -514,17 +513,12 @@ def _campaign_from_template(text: str) -> TestCampaign | None:
     scenarios = np.empty((n, d))
     for j in range(d):
         scenarios[:, j] = np.fromiter(map(float, parts[1 + j::stride]), float, n)
-    mode, seed, steps, position, collision = (
-        parts[k::stride] for k in range(d + 1, stride))
+    mode, seed, steps, position = (parts[k::stride]
+                                   for k in range(d + 1, stride))
     modes = np.fromiter(map(_MODE_CODES.__getitem__, mode), np.int8, n)
     steps = np.fromiter(map(int, steps), np.int64, n)
     position = np.fromiter(map(float, position), float, n)
-    harmful = modes == BehaviorMode.HARMFUL_FAILURE.code
-    null = np.fromiter(map("null".__eq__, collision), bool, n)
-    times = [float(t) for t in collision if t != "null"]
-    if not (np.isfinite(scenarios).all() and np.isfinite(position).all()
-            and (null != harmful).all()
-            and np.array_equal(times, steps[harmful])):
+    if not (np.isfinite(scenarios).all() and np.isfinite(position).all()):
         return None
     try:
         return TestCampaign("", scenarios, modes, tuple(map(int, seed)),
@@ -542,13 +536,13 @@ def read_records(path: str | Path) -> TestCampaign:
     _MAX_COORDINATES, is split by one regular expression, _record_grammar(d),
     and its columns come straight from the tokens (unless its steps have 16
     digits or more, or its seeds more than 640). Any other file (blank lines,
-    CRLF endings, other spacing or key order, integer coordinates, escaped
-    strings, scenarios of no coordinates, of more than the cap or of
-    another count than the first line's, or a bad record) goes to the
-    reference reader: each line is parsed on its own with json.loads, then
-    the columns are built and checked together. So every error comes from
-    the reference reader, and names the file and the line of the first bad
-    record."""
+    CRLF endings, other spacing, key order or keys, such as the
+    collision_time of older files, integer coordinates, escaped strings,
+    scenarios of no coordinates, of more than the cap or of another count
+    than the first line's, or a bad record) goes to the reference reader:
+    each line is parsed on its own with json.loads, then the columns are
+    built and checked together. So every error comes from the reference
+    reader, and names the file and the line of the first bad record."""
     text = _read_text(path)
     campaign = _campaign_from_template(text)
     if campaign is None:
@@ -698,21 +692,21 @@ def read_report(path: str | Path) -> DependabilityReport:
 # Campaign manifests
 # ---------------------------------------------------------------------------
 
-def write_campaign(path: str | Path, campaign: TestCampaign,
+def write_campaign(path: str | Path, campaign: TestCampaign, env: EnvConfig,
                    params: ScriptedPolicyParams, safety: SafetyFunction | None,
                    scenarios_path: str | Path,
-                   config_path: str | Path | None = None,
                    texts: list[str] | None = None) -> Path:
     """Write a campaign's records to path, then its manifest beside them, at
     path with the suffix .manifest.json; returns the manifest's path. The
-    manifest replays the campaign bit for bit. It records the scenario file
-    the campaign ran and the condition document it read by their paths
-    relative to the manifest, so runs in different directories write the
-    same bytes, and by their sha256, so a replay refuses an edited file.
-    ``texts`` are passed on to write_records."""
+    manifest replays the campaign bit for bit. It holds the env, params and
+    safety function the campaign ran, and records the scenario file it ran
+    by its path relative to the manifest, so runs in different directories
+    write the same bytes, and by its sha256, so a replay refuses an edited
+    file. ``texts`` are passed on to write_records."""
     path = Path(path)
     manifest = {
         "condition": campaign.condition_name,
+        "env": _as_json(env),
         "policy": {"name": "scripted", "params": _as_json(params)},
         "safety": _as_json(safety) if safety else None,
         "master_seed": campaign.master_seed,
@@ -720,9 +714,6 @@ def write_campaign(path: str | Path, campaign: TestCampaign,
         "scenarios_path": os.path.relpath(scenarios_path, path.parent),
         "scenarios_sha256": file_sha256(scenarios_path),
         "records_path": path.name,
-        "config_path": config_path and os.path.relpath(config_path,
-                                                       path.parent),
-        "config_sha256": config_path and file_sha256(config_path),
     }
     write_records(path, campaign, texts)
     manifest_path = path.with_suffix(".manifest.json")
@@ -731,13 +722,13 @@ def write_campaign(path: str | Path, campaign: TestCampaign,
 
 
 def read_manifest(path: str | Path) -> dict:
-    """The checked JSON object of a manifest file, with its policy section
-    read as its ScriptedPolicyParams and its safety section as its
-    SafetyFunction (None when null or absent), both by _from_json.
-    master_seed and n_records must be non-negative JSON integers, condition
-    and the two paths JSON strings, the two hashes and config_path strings,
-    null or absent, and the sections' values in their classes' ranges; any
-    other manifest raises DataError."""
+    """The checked JSON object of a manifest file, its env, policy and
+    safety sections read by _from_json as EnvConfig, ScriptedPolicyParams
+    and SafetyFunction (None when null or absent). master_seed and n_records
+    must be non-negative JSON integers, condition, the two paths and the
+    scenario hash (or null, or absent) JSON strings, and the params and
+    safety function must fit the env; any other manifest raises DataError
+    naming it."""
     try:
         manifest = json.loads(_read_text(path))
         for key in ("master_seed", "n_records"):
@@ -745,17 +736,18 @@ def read_manifest(path: str | Path) -> dict:
                 raise ValueError(f"{key} must be a non-negative JSON integer, "
                                  f"got {manifest[key]!r}")
         for key in ("condition", "scenarios_path", "records_path"):
-            if type(manifest[key]) is not str:
-                raise ValueError(f"{key} must be a JSON string, got "
-                                 f"{manifest[key]!r}")
-        for key in ("scenarios_sha256", "config_path", "config_sha256"):
-            if type(manifest.get(key)) not in (str, type(None)):
-                raise ValueError(f"{key} must be a JSON string or null, got "
-                                 f"{manifest[key]!r}")
+            _json_str(manifest[key], key)
+        if manifest.get("scenarios_sha256") is not None:
+            _json_str(manifest["scenarios_sha256"], "scenarios_sha256")
+        env = _from_json(EnvConfig, manifest["env"])
+        params = _policy_params(manifest.get("policy", {}))
+        params.check_env(env)
         safety = manifest.get("safety")
         if safety is not None:
             safety = _from_json(SafetyFunction, safety)
-        return {**manifest, "safety": safety,
-                "policy": _policy_params(manifest.get("policy", {}))}
-    except (ValueError, KeyError, TypeError, AttributeError, ConfigError) as e:
+            safety.check_env(env)
+        return {**manifest, "env": env, "policy": params, "safety": safety}
+    except KeyError as e:
+        raise DataError(f"{path}: missing key {e}") from None
+    except (ValueError, TypeError, AttributeError, ConfigError) as e:
         raise DataError(f"{path}: {e}") from None

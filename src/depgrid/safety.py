@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, check_finite
 from .policies import BatchPolicy, Policy, ScriptedPolicyParams
-from .simulator import Action, Observation, batch_form
+from .simulator import Action, EnvConfig, Observation, batch_form
 
 DEFAULT_RISK_THRESHOLD = ScriptedPolicyParams().risk_goal_threshold
 DEFAULT_DELTA = 0.5
@@ -30,10 +30,17 @@ class SafetyFunction:
 
     def __post_init__(self):
         check_finite(self)
-        if not 0.0 <= self.goal_clip_max <= 50.0:
-            raise ConfigError(
-                f"goal_clip_max {self.goal_clip_max} outside [0, 50]"
-            )
+        if not self.goal_clip_max >= 0.0:
+            raise ConfigError(f"goal_clip_max {self.goal_clip_max} must be "
+                              f">= 0")
+
+    def check_env(self, env: EnvConfig) -> None:
+        """Raise ConfigError unless the clip bound is at most the top of
+        env's robot bounds; it must be >= 0 in any env."""
+        lo, hi = env.robot_bounds
+        if not self.goal_clip_max <= hi:
+            raise ConfigError(f"goal_clip_max {self.goal_clip_max} above the "
+                              f"robot bounds [{lo}, {hi}]")
 
     @classmethod
     def from_threshold(cls, threshold: float,

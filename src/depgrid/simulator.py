@@ -220,7 +220,6 @@ def run_episode(cfg: EnvConfig, policy, x: Sequence[float],
         seed=int(seed),
         steps=state.time,
         final_position=state.robot_pos,
-        collision_time=state.collision_time,
     )
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -54,8 +55,7 @@ def patient_factory(env):
 
 def campaign_of(records, name: str = "synthetic",
                 master_seed: int = 0) -> TestCampaign:
-    """The campaign whose rows are the TrialRecords ``records``; their
-    collision_time is not stored, since the columns derive it."""
+    """The campaign whose rows are the TrialRecords ``records``."""
     records = list(records)
     xs = [r.scenario for r in records]
     return TestCampaign(
@@ -65,6 +65,21 @@ def campaign_of(records, name: str = "synthetic",
         np.array([r.steps for r in records], dtype=np.int64),
         np.array([r.final_position for r in records], dtype=float),
         master_seed)
+
+
+def old_format(record: dict) -> dict:
+    """A record line's dict as record files held it before collision_time
+    was dropped from them: the steps as a float for a harmful failure, null
+    for the other modes, as the last key."""
+    harmful = record["mode"] == "harmful_failure"
+    return {**record,
+            "collision_time": float(record["steps"]) if harmful else None}
+
+
+def old_format_text(text: str) -> str:
+    """A record file's text with every line in the old_format."""
+    return "".join(json.dumps(old_format(json.loads(line))) + "\n"
+                   for line in text.splitlines())
 
 
 def region_centers(grid, space) -> list[tuple[float, ...]]:

@@ -144,9 +144,7 @@ def test_criterion_2_oracle_equivalence(space):
             mode = modes[rng.integers(0, 3)]
             outcomes[center] = mode
             records.append(TrialRecord(
-                center, mode, seed=0, steps=100, final_position=0.0,
-                collision_time=100.0 if mode is BehaviorMode.HARMFUL_FAILURE
-                else None))
+                center, mode, seed=0, steps=100, final_position=0.0))
         probs = rng.random(len(centers))
         probs /= probs.sum()
         cond = DiscreteCondition("lattice", space, tuple(centers),

@@ -24,6 +24,7 @@ from depgrid.records import (
     write_records,
     write_scenarios,
 )
+from conftest import old_format_text
 
 
 def run_cli(*argv: str) -> int:
@@ -273,53 +274,29 @@ class TestRunObservePredict:
         assert (Path("again.jsonl").read_bytes()
                 == (tmp_path / "out" / "r.jsonl").read_bytes())
 
-    @pytest.fixture
-    def configured_run(self, small_pipeline, tmp_path):
-        """A campaign run with a condition document; returns its manifest
-        and config paths."""
+    def test_replay_needs_no_condition_document(self, small_pipeline,
+                                                tmp_path):
+        """The manifest of a run --config holds the env it ran, so the
+        campaign replays byte for byte after its condition document has been
+        edited and then deleted."""
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(condition_document(
+        doc = condition_document(
             presets.condition("testing"), presets.default_grid(), seed=0,
-            env=presets.default_env())))
+            env=EnvConfig(danger_height=30.0, noise_sigma_goal=2.0))
+        cfg.write_text(json.dumps(doc))
         rec = tmp_path / "configured.jsonl"
         assert run_cli("run", "--scenarios", str(small_pipeline["scen"]),
                        "--config", str(cfg), "--seed", "5",
                        "--out", str(rec)) == 0
-        return rec.with_suffix(".manifest.json"), cfg
-
-    def test_replay_refuses_a_changed_config(self, configured_run, tmp_path,
-                                             capsys):
-        manifest, cfg = configured_run
-        again = tmp_path / "again.jsonl"
-        assert run_cli("run", "--manifest", str(manifest),
-                       "--out", str(again)) == 0
-        doc = json.loads(cfg.read_text())
-        doc["env"].update(danger_height=30.0, noise_sigma_goal=3.0)
+        manifest = rec.with_suffix(".manifest.json")
+        assert json.loads(manifest.read_text())["env"] == doc["env"]
+        doc["env"].update(danger_height=22.0)
         cfg.write_text(json.dumps(doc))
-        again.unlink()
-        assert run_cli("run", "--manifest", str(manifest),
-                       "--out", str(again)) == 3
-        err = capsys.readouterr().err
-        assert f"DataError: {cfg}: " in err and "config_sha256" in err
-        assert not again.exists()
-
-    @pytest.mark.parametrize("edit", [{"danger_height": 99.0},
-                                      {"noise_sigma_goal": 0.25}],
-                             ids=["no_longer_parses", "still_parses"])
-    def test_replay_checks_the_config_hash_before_parsing(
-            self, configured_run, tmp_path, capsys, edit):
-        """An edited condition document exits 3 as edited, whether or not
-        the edit leaves a document that parses."""
-        manifest, cfg = configured_run
-        doc = json.loads(cfg.read_text())
-        doc["env"].update(edit)
-        cfg.write_text(json.dumps(doc))
-        again = tmp_path / "again.jsonl"
-        assert run_cli("run", "--manifest", str(manifest),
-                       "--out", str(again)) == 3
-        err = capsys.readouterr().err
-        assert f"DataError: {cfg}: " in err and "config_sha256" in err
-        assert not again.exists()
+        for again in (tmp_path / "edited.jsonl", tmp_path / "deleted.jsonl"):
+            assert run_cli("run", "--manifest", str(manifest),
+                           "--out", str(again)) == 0
+            assert again.read_bytes() == rec.read_bytes()
+            cfg.unlink(missing_ok=True)
 
     def test_replay_refuses_a_changed_scenario_count(self, small_pipeline,
                                                      tmp_path, capsys):
@@ -400,7 +377,7 @@ class TestRunObservePredict:
                                     value):
         record = {"scenario": [5.0, 5.0, 30.0], "mode": "task_failure",
                   "seed": 1, "steps": 100, "final_position": 20.0,
-                  "collision_time": None, field: value}
+                  field: value}
         bad = tmp_path / "bad.jsonl"
         bad.write_text(json.dumps(record) + "\n")
         extra = ("--dims", "v,y") if command == "plot" else ()
@@ -416,8 +393,7 @@ class TestRunObservePredict:
     def test_record_integers_must_be_json_integers(self, tmp_path, capsys,
                                                    field, value):
         good = {"scenario": [5.0, 5.0, 30.0], "mode": "task_failure",
-                "seed": 1, "steps": 100, "final_position": 20.0,
-                "collision_time": None}
+                "seed": 1, "steps": 100, "final_position": 20.0}
         bad = tmp_path / "bad.jsonl"
         bad.write_text(json.dumps(good) + "\n"
                        + json.dumps({**good, field: value}) + "\n")
@@ -440,15 +416,6 @@ class TestRunObservePredict:
         assert run_cli("run", "--manifest", str(bad), "--out", str(out)) == 3
         assert "bad.manifest.json" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_harmful_record_must_end_at_its_collision(self, tmp_path):
-        record = {"scenario": [5.0, 5.0, 30.0], "mode": "harmful_failure",
-                  "seed": 1, "steps": 500, "final_position": 25.0,
-                  "collision_time": 3.0}
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text(json.dumps(record) + "\n")
-        assert run_cli("observe", "--records", str(bad),
-                       "--out", str(tmp_path / "r.json")) == 3
 
     @pytest.mark.parametrize("section", [
         {"policy": {"name": "scripted", "params": {"bogus": 1}}},
@@ -482,10 +449,15 @@ class TestRunObservePredict:
                                                     float("nan")),
         lambda m: m["policy"]["params"].__setitem__("risk_goal_threshold",
                                                     80.0),
+        lambda m: m.pop("env"),
+        lambda m: m["env"].__setitem__("robot_bounds", [0.0, 30.0]),
+        lambda m: m.__setitem__("safety", {"goal_clip_max": 50.5,
+                                           "delta": 0.5}),
     ], ids=["unknown_param", "string_param", "int_params", "list_params",
             "int_policy", "unknown_policy", "unknown_safety_key", "null_clip",
             "list_safety", "clip_out_of_range", "negative_ceiling",
-            "nan_margin", "threshold_outside_env"])
+            "nan_margin", "threshold_outside_env", "no_env",
+            "env_below_threshold", "clip_above_env"])
     def test_malformed_manifest_exits_3(self, small_pipeline, tmp_path,
                                         capsys, edit):
         """Wrong types, and well-typed values out of range, whether of their
@@ -567,12 +539,52 @@ class TestRunObservePredict:
                        str(rec.with_suffix(".manifest.json"))) == 0
         assert rec.read_bytes() == before
 
+    @pytest.fixture
+    def big_config(self, tmp_path):
+        """A condition document of a 100-inch track whose danger height is
+        50, with a risk threshold of 80 and a safe ceiling of 40."""
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps(condition_document(
+            presets.condition("testing"), presets.default_grid(), seed=0,
+            env=EnvConfig(robot_bounds=(0.0, 100.0), danger_height=50.0),
+            params=ScriptedPolicyParams(risk_goal_threshold=80.0,
+                                        safe_ceiling=40.0))))
+        return cfg
+
+    def test_safety_clip_follows_a_custom_env(self, small_pipeline,
+                                              big_config, tmp_path):
+        """The governor's clip, the threshold less delta, may lie above 50
+        on a taller track; the replay checks it against the env it
+        replays."""
+        rec = tmp_path / "big.jsonl"
+        assert run_cli("run", "--scenarios", str(small_pipeline["scen"]),
+                       "--config", str(big_config), "--safety",
+                       "--out", str(rec)) == 0
+        manifest = rec.with_suffix(".manifest.json")
+        assert json.loads(manifest.read_text())["safety"] == {
+            "goal_clip_max": 79.5, "delta": 0.5}
+        before = rec.read_bytes()
+        assert run_cli("run", "--manifest", str(manifest)) == 0
+        assert rec.read_bytes() == before
+
+    @pytest.mark.parametrize("clip_max, config", [
+        ("100.5", True), ("50.5", False)], ids=["big_env", "default_env"])
+    def test_clip_above_the_env_exits_2(self, small_pipeline, big_config,
+                                        tmp_path, capsys, clip_max, config):
+        out = tmp_path / "r.jsonl"
+        flags = ("--config", str(big_config)) if config else ()
+        assert run_cli("run", "--scenarios", str(small_pipeline["scen"]),
+                       *flags, "--safety", "--clip-max", clip_max,
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(
+            f"ConfigError: goal_clip_max {clip_max} above the robot bounds ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("scenario", [[5.0, 5.0], [5.0, 5.0, 30.0, 1.0]])
     def test_record_of_wrong_dimension_exits_3(self, small_pipeline, tmp_path,
                                                capsys, scenario):
         record = {"scenario": scenario, "mode": "success", "seed": 1,
-                  "steps": 100, "final_position": 50.0,
-                  "collision_time": None}
+                  "steps": 100, "final_position": 50.0}
         bad = tmp_path / "bad.jsonl"
         bad.write_text(small_pipeline["rec"].read_text()
                        + json.dumps(record) + "\n")
@@ -588,8 +600,7 @@ class TestRunObservePredict:
     def test_record_outside_the_domain_exits_3(self, tmp_path, capsys,
                                                command, scenario):
         good = {"scenario": [5.0, 5.0, 30.0], "mode": "task_failure",
-                "seed": 1, "steps": 100, "final_position": 20.0,
-                "collision_time": None}
+                "seed": 1, "steps": 100, "final_position": 20.0}
         odd = tmp_path / "odd.jsonl"
         odd.write_text(json.dumps(good) + "\n"
                        + json.dumps({**good, "scenario": scenario}) + "\n")
@@ -607,8 +618,7 @@ class TestRunObservePredict:
     def test_row_after_a_blank_line_is_named_by_its_line(self, tmp_path,
                                                          capsys, command):
         good = {"scenario": [5.0, 5.0, 30.0], "mode": "task_failure",
-                "seed": 1, "steps": 100, "final_position": 20.0,
-                "collision_time": None}
+                "seed": 1, "steps": 100, "final_position": 20.0}
         rows = ((good["scenario"], [11.0, 5.0, 30.0]) if command == "run"
                 else (good, {**good, "scenario": [11.0, 5.0, 30.0]}))
         odd = tmp_path / "odd.jsonl"
@@ -634,6 +644,26 @@ class TestRunObservePredict:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_old_format_records_write_the_same_reports(self, small_pipeline,
+                                                       tmp_path):
+        """A record file whose lines also hold the collision_time they held
+        before it was dropped gives the reports of the file written now."""
+        new = small_pipeline["rec"]
+        old = tmp_path / "old.jsonl"
+        old.write_text(old_format_text(new.read_text()))
+        assert '"collision_time": null}' in old.read_text()
+        assert re.search(r'"collision_time": [0-9]+\.0}', old.read_text())
+        for records in (new, old):
+            out = tmp_path / records.stem
+            assert run_cli("predict", "--records", str(records), "--condition",
+                           "oc3", "--grid", "2,2,2",
+                           "--out", str(out / "predicted.json")) == 0
+            assert run_cli("observe", "--records", str(records),
+                           "--out", str(out / "observed.json")) == 0
+        for report in ("predicted.json", "observed.json"):
+            assert ((tmp_path / "old" / report).read_bytes()
+                    == (tmp_path / new.stem / report).read_bytes())
+
     def test_observe_checks_records_against_the_config_domain(self, tmp_path):
         doc = condition_document(presets.condition("testing"),
                                  presets.default_grid(), seed=0)
@@ -641,8 +671,7 @@ class TestRunObservePredict:
         cfg = tmp_path / "tall.json"
         cfg.write_text(json.dumps(doc))
         record = {"scenario": [5.0, 5.0, 60.0], "mode": "task_failure",
-                  "seed": 1, "steps": 100, "final_position": 50.0,
-                  "collision_time": None}
+                  "seed": 1, "steps": 100, "final_position": 50.0}
         rec = tmp_path / "tall.jsonl"
         rec.write_text(json.dumps(record) + "\n")
         out = tmp_path / "obs.json"
@@ -980,12 +1009,12 @@ class TestReproduce:
             presets.condition("oc3"), 40, 0).tobytes()
 
     def test_scenario_record_and_manifest_files_are_pinned(self, tmp_path):
-        # sha256 of reproduce(n=3000, seed=7, 5^3) before campaigns became
-        # columns, except the manifests, re-pinned when testing_safety's
-        # scenarios_path became the testing scenarios it ran and again when
-        # every manifest gained scenarios_sha256; reports and SVGs are left
-        # out, since their erfc masses may differ by one ulp between libm
-        # builds
+        # sha256 of reproduce(n=3000, seed=7, 5^3): the scenario files as
+        # before campaigns became columns; the record files re-pinned when
+        # their lines dropped collision_time, and the manifests when they
+        # gained the env in place of config_path and config_sha256 (and
+        # before that scenarios_sha256); reports and SVGs are left out,
+        # since their erfc masses may differ by one ulp between libm builds
         reproduce(tmp_path, n=3000, seed=7, grid=PartitionGrid((5, 5, 5)))
         got = {f"{d}/{p.name}": file_sha256(p)
                for d in ("scenarios", "records") for p in (tmp_path / d).iterdir()}
@@ -994,29 +1023,29 @@ class TestReproduce:
 
 PINNED_SHA256 = {
     "records/oc1.jsonl":
-        "aa6eecb7dd2f15545a0cb1e25229c2f586df60bea1d4913e41f65be22dfeb3a5",
+        "092a9a58c4c183ff427c0ce93a5fcb09c85e7b300086c3f20d6ba19112c591f7",
     "records/oc1.manifest.json":
-        "44e3b558737440bfffa23fcdb32777bd028d88acb18f49c4b70d378e5e0a6875",
+        "13296e80de97e417880629c1a577efd3d2d4aed6a90c934aef8bcb64e935d9cf",
     "records/oc2.jsonl":
-        "0c9a9c76227f7ae99e66a3b6f453688e8f82a690d4cf38c4de18b85f7c43dc9f",
+        "459a078445947495de8b92089b56bd9da3d20fdad6821f2dc53103575187d3e5",
     "records/oc2.manifest.json":
-        "a5cb695c7e1b73f7f323c46f574148b70dc7dccca1d2907d5e171a6b9ea3507d",
+        "ebbc17c8f582e7c49b601de5027adb6bd3f98ec60a4a318e7969fb13ba3d0eb6",
     "records/oc3.jsonl":
-        "99e5d773a63a591f02238e0981db9455b035758a5087406aa9cca0265262db0f",
+        "358100df05785f3859c460d5259a8823269885351a90120198a309f7c3bb8f40",
     "records/oc3.manifest.json":
-        "f3b01f75665ce13fa428b65a4747aca2203b01a4dccb5f626729874c222ede5a",
+        "1182095ac473faaba6ae593f688d76781959d82f9c8b1ec83fb247c87a7099bf",
     "records/oc4.jsonl":
-        "69cba9e7f6ff6bcaa52a26983767057cff5dd29693715462426ab22c7d05c3b0",
+        "c40731fd6b81537e0770d91fb5451ce798470cd8539ab27733a841b1e4710ead",
     "records/oc4.manifest.json":
-        "e8f16ac11f8d1adbbc4febfefeb92d56ffdb7c11c0c4a1b593abab861769862c",
+        "58c86eee7e89e45970d0fb47a22ef1e6de7e4918af813f92cd96ddaf5fc6d395",
     "records/testing.jsonl":
-        "a33ec720f9f9d907856b19c7b527bb0ee7ee42583034f30d3f16fad0feaab65d",
+        "b7faa7c90b11c2f21c9631e67602c2b3896bc48fce7d26d5ca28a90724ff56b9",
     "records/testing.manifest.json":
-        "ed23ba46114af2128648ea161b8ea708b07ba9a41f5ccb273250bb1a26744f69",
+        "1fae4fea614798314f60b13a2ffd1c8180ca5f40633b64f62564baca63c85abf",
     "records/testing_safety.jsonl":
-        "db1b809c9d668a9a949ddf8a0e43e579eb5b6767e44ed3849935987923c45230",
+        "223db9b72a97bd51426457a9e1009bafa846a3a15d272adadf12ebd908280db2",
     "records/testing_safety.manifest.json":
-        "ca8b18ba77c7204982e11a87db09fc5ddadf0aae5f3be0ef79a68bdea4fa544e",
+        "16eb9be051e3defccf27b1fe7514b9d8fc1a345d5ad96ad6550bd77524d6a945",
     "scenarios/oc1.jsonl":
         "80b60c919942c752593e62b37ef2eacf6b44d110fa0f8295ad7cf58cd1d3a48d",
     "scenarios/oc2.jsonl":

@@ -25,8 +25,7 @@ from conftest import region_centers
 
 NAN, INF = float("nan"), float("inf")
 GOOD_RECORD = {"scenario": [5.0, 5.0, 30.0], "mode": "task_failure",
-               "seed": 1, "steps": 100, "final_position": 20.0,
-               "collision_time": None}
+               "seed": 1, "steps": 100, "final_position": 20.0}
 
 
 def run(*argv: str) -> tuple[int, str]:
@@ -111,7 +110,6 @@ RECORD_EDITS = edits([
     (["seed"], [None, "x", [], {}, "7", 7.5, 7.0, True]),
     (["steps"], [-1, None, "x", [], 99.5, 100.0, "100", True]),
     (["final_position"], [None, "x", NAN, INF, []]),
-    (["collision_time"], [1.0, 0, "x", []]),
 ] + [([key], [DELETE]) for key in ("scenario", "mode", "seed", "steps",
                                    "final_position")])
 # scenarios outside the 3-D domain: refused by the commands that read it
@@ -229,11 +227,14 @@ MANIFEST_EDITS = edits([
     (["condition"], [None, 5, ["testing"]]),
     (["scenarios_path"], ["nope.jsonl", None, 5]),
     (["records_path"], [None, 5]),
-    (["config_path"], ["nope.json", 5]),
-    (["config_sha256"], [5, []]),
+    (["env"], [None, 5, "x", [], {}, {"episode_seconds": 100}]),
+    (["env", "robot_bounds"], [[0.0, 30.0], [0.0, "50"], [50.0, 0.0]]),
+    (["env", "danger_height"], [True, NAN, 15.0]),
+    (["env", "noise_sigma_gaol"], [0.5]),
     (["scenarios_sha256"], ["0" * 64, 5]),
-] + [([key], [DELETE]) for key in ("condition", "master_seed", "n_records",
-                                   "scenarios_path", "records_path")])
+] + [([key], [DELETE]) for key in ("condition", "env", "master_seed",
+                                   "n_records", "scenarios_path",
+                                   "records_path")])
 
 
 @settings(max_examples=200)
@@ -254,6 +255,10 @@ CONDITION_EDITS = edits([
     # finite bounds whose width max - min overflows
     (DIM, [{"name": "v", "min": -1e308, "max": 1e308}]),
     (DIM + ["name"], ["", "t"]),
+    # names and units are JSON strings, not turned into one by str()
+    (["name"], [None, 5, ["oc3"]]),
+    (DIM + ["name"], [None, 5]),
+    (DIM + ["unit"], [None, 1.0, []]),
     (["marginals"], [None, 5, {}]),
     (["marginals", "v"], [5, {"kind": "cauchy"},
                           {"kind": "uniform", "a": "x", "b": 1},

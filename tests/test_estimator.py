@@ -49,7 +49,6 @@ def make_record(values, mode, seed=0) -> TrialRecord:
         seed=seed,
         steps=100,
         final_position=0.0,
-        collision_time=100.0 if mode is BehaviorMode.HARMFUL_FAILURE else None,
     )
 
 
@@ -542,48 +541,43 @@ class TestCompare:
         assert d["max_abs_pts"] == pytest.approx(2.0, abs=1e-9)
 
 
-def write_record(path, mode, steps, collision_time):
+def write_record(path, mode, steps):
     path.write_text(json.dumps({
         "scenario": [1.0, 1.0, 1.0], "mode": mode.value, "seed": 0,
-        "steps": steps, "final_position": 0.0,
-        "collision_time": collision_time}) + "\n")
+        "steps": steps, "final_position": 0.0}) + "\n")
     return path
 
 
 class TestRecordInvariants:
-    """A campaign's columns hold the record invariants, and a record file's
-    collision_time must equal the one they derive: steps for a harmful
-    failure, null otherwise."""
+    """A campaign's columns hold the record invariants: steps >= 0, and >= 1
+    for a harmful failure, whose collision time is its steps."""
 
-    def test_collision_time_must_match_mode(self, tmp_path):
-        for mode, collision_time in ((BehaviorMode.SUCCESS, 3.0),
-                                     (BehaviorMode.HARMFUL_FAILURE, None)):
-            path = write_record(tmp_path / "r.jsonl", mode, 10, collision_time)
-            with pytest.raises(DataError, match="line 1"):
-                read_records(path)
-
-    @pytest.mark.parametrize("mode, steps, collision_time", [
-        (BehaviorMode.SUCCESS, -1, None),
-        (BehaviorMode.HARMFUL_FAILURE, 500, 3.0),
-        (BehaviorMode.HARMFUL_FAILURE, 0, 0.0),
-        (BehaviorMode.HARMFUL_FAILURE, -2, -2.0),
+    @pytest.mark.parametrize("mode, steps", [
+        (BehaviorMode.SUCCESS, -1),
+        (BehaviorMode.HARMFUL_FAILURE, 0),
+        (BehaviorMode.HARMFUL_FAILURE, -2),
     ])
-    def test_steps_and_collision_time_must_agree(self, tmp_path, mode, steps,
-                                                 collision_time):
-        path = write_record(tmp_path / "r.jsonl", mode, steps, collision_time)
+    def test_steps_must_fit_the_mode(self, tmp_path, mode, steps):
+        path = write_record(tmp_path / "r.jsonl", mode, steps)
         with pytest.raises(DataError, match="line 1"):
             read_records(path)
-        if collision_time in (None, steps):  # breaks a column invariant
-            with pytest.raises(DataError) as e:
-                campaign_of([make_record([1, 1, 1], BehaviorMode.SUCCESS),
-                             TrialRecord((1.0, 1.0, 1.0), mode, seed=0,
-                                         steps=steps, final_position=0.0,
-                                         collision_time=collision_time)])
-            assert e.value.row == 1
+        with pytest.raises(DataError) as e:
+            campaign_of([make_record([1, 1, 1], BehaviorMode.SUCCESS),
+                         TrialRecord((1.0, 1.0, 1.0), mode, seed=0,
+                                     steps=steps, final_position=0.0)])
+        assert e.value.row == 1
 
     def test_collision_on_the_last_counted_step_is_valid(self, tmp_path):
         path = write_record(tmp_path / "r.jsonl",
-                            BehaviorMode.HARMFUL_FAILURE, 1, 1.0)
+                            BehaviorMode.HARMFUL_FAILURE, 1)
         r = read_records(path)[0]
         assert r.mode is BehaviorMode.HARMFUL_FAILURE
         assert r.collision_time == r.steps == 1
+
+    def test_only_a_harmful_record_has_a_collision_time(self):
+        times = {mode: TrialRecord((1.0,), mode, 0, 7, 0.0).collision_time
+                 for mode in BehaviorMode}
+        assert times == {BehaviorMode.SUCCESS: None,
+                         BehaviorMode.TASK_FAILURE: None,
+                         BehaviorMode.HARMFUL_FAILURE: 7.0}
+        assert type(times[BehaviorMode.HARMFUL_FAILURE]) is float

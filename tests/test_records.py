@@ -39,7 +39,7 @@ from depgrid import (
 )
 from depgrid import presets
 from depgrid.svgplots import failure_scatter_svg
-from conftest import campaign_of, region_centers
+from conftest import campaign_of, old_format, old_format_text, region_centers
 from depgrid.records import (
     _MAX_COORDINATES,
     _as_json,
@@ -129,14 +129,14 @@ class TestRecordFiles:
         path = tmp_path / "bad.jsonl"
         good = json.dumps({
             "scenario": [1, 1, 1], "mode": "success", "seed": 1,
-            "steps": 100, "final_position": 0.0, "collision_time": None})
+            "steps": 100, "final_position": 0.0})
         path.write_text(good + "\n" + '{"mode": "success"}\n')
         with pytest.raises(DataError, match="line 2"):
             read_records(path)
 
     def test_ragged_scenario_names_its_line(self, tmp_path):
         good = {"scenario": [5.0, 5.0, 30.0], "mode": "success", "seed": 1,
-                "steps": 100, "final_position": 50.0, "collision_time": None}
+                "steps": 100, "final_position": 50.0}
         path = tmp_path / "ragged.jsonl"
         path.write_text(json.dumps(good) + "\n\n"
                         + json.dumps({**good, "scenario": [5.0, 5.0]}) + "\n")
@@ -148,8 +148,7 @@ class TestRecordFiles:
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({
             "scenario": [1, 1, 1], "mode": "exploded", "seed": 1,
-            "steps": 100, "final_position": 0.0, "collision_time": None
-        }) + "\n")
+            "steps": 100, "final_position": 0.0}) + "\n")
         with pytest.raises(DataError, match="line 1"):
             read_records(path)
 
@@ -167,11 +166,9 @@ def campaigns(draw) -> TestCampaign:
     for _ in range(draw(st.integers(0, 12))):
         mode = draw(st.sampled_from(list(BehaviorMode)))
         harmful = mode is BehaviorMode.HARMFUL_FAILURE
-        steps = draw(st.integers(int(harmful), 10**6))
         rows.append(TrialRecord(
             tuple(draw(FLOATS) for _ in range(d)), mode,
-            draw(SEEDS), steps, draw(FLOATS),
-            float(steps) if harmful else None))
+            draw(SEEDS), draw(st.integers(int(harmful), 10**6)), draw(FLOATS)))
     return campaign_of(rows)
 
 
@@ -251,8 +248,7 @@ TOKENS = [
     '"succ\\u0065ss"', '"success"', '"task_failure"', '"harmful_failure"',
     '"exploded"',
 ]
-FIELDS = ["scenario", "mode", "seed", "steps", "final_position",
-          "collision_time"]
+FIELDS = ["scenario", "mode", "seed", "steps", "final_position"]
 
 
 def token_edit(field: str, token: str):
@@ -271,8 +267,7 @@ LINE_EDITS = [
     lambda d: json.dumps(d, separators=(",", ":")),
     lambda d: " " + json.dumps(d),
     lambda d: json.dumps(d).replace('"mode"', '"mod\\u0065"'),
-    lambda d: json.dumps({**d, "collision_time": d["steps"] + 1.0}),
-    lambda d: json.dumps({**d, "collision_time": float(d["steps"])}),
+    lambda d: json.dumps(old_format(d)),
     lambda d: json.dumps({**d, "scenario": d["scenario"] + [1.0]}),
     lambda d: json.dumps({**d, "scenario": [int(x) for x in d["scenario"]]}),
 ]
@@ -308,7 +303,7 @@ def test_every_edit_reads_as_the_reference_reader(tmp_path):
         TrialRecord((5.0, 0.1 + 0.2, 30.0), BehaviorMode.SUCCESS, 2**64 - 1,
                     100, 50.0),
         TrialRecord((1.5, -0.0, 5e-324), BehaviorMode.HARMFUL_FAILURE, 7, 12,
-                    21.25, 12.0),
+                    21.25),
         TrialRecord((9.0, 2.0, 45.5), BehaviorMode.TASK_FAILURE, 0, 100,
                     -3.5),
     ])
@@ -341,12 +336,9 @@ def written_campaign(n: int, d: int) -> TestCampaign:
     modes = list(BehaviorMode)
     rows = []
     for i in range(n):
-        mode = modes[i % 3]
-        harmful = mode is BehaviorMode.HARMFUL_FAILURE
         rows.append(TrialRecord(
-            tuple(0.1 * (i + 1) + j for j in range(d)), mode,
-            2**64 - 1 if i == 0 else 7 * i, 12 + i, 20.25 - i,
-            float(12 + i) if harmful else None))
+            tuple(0.1 * (i + 1) + j for j in range(d)), modes[i % 3],
+            2**64 - 1 if i == 0 else 7 * i, 12 + i, 20.25 - i))
     return campaign_of(rows)
 
 
@@ -364,6 +356,20 @@ def test_written_files_need_no_reference_reader(tmp_path, n, d, final_newline):
         path.write_text(path.read_text()[:-1])
     with mock.patch("depgrid.records._read_json_lines", refuse):
         assert replace(read_records(path), condition_name="synthetic") == campaign
+
+
+def test_old_format_files_read_as_the_new_ones(tmp_path):
+    """A file whose lines also hold the collision_time record files held
+    before it was dropped is left to the reference reader, which ignores the
+    key: it reads as the campaign of the file written now."""
+    campaign = written_campaign(30, 3)
+    new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+    write_records(new, campaign)
+    old.write_text(old_format_text(new.read_text()))
+    assert old.read_text().count('"collision_time": 14.0}') == 1
+    assert _campaign_from_template(old.read_text()) is None
+    assert read_records(old) == read_records(new)
+    assert replace(read_records(old), condition_name="synthetic") == campaign
 
 
 NOT_WRITTEN_BY_WRITE_RECORDS = {
@@ -487,7 +493,7 @@ def test_write_campaign_refuses_texts_of_another_length(
     campaign = evaluate_policy(env, scripted_factory, xs, 5)
     with pytest.raises(ConfigError, match=f"{len(texts)} scenario texts for "
                                           f"a campaign of 5 records"):
-        write_campaign(tmp_path / "r.jsonl", campaign, params, None,
+        write_campaign(tmp_path / "r.jsonl", campaign, env, params, None,
                        tmp_path / "s.jsonl", texts=texts)
     assert [p.name for p in tmp_path.iterdir()] == ["s.jsonl"]
 
@@ -514,12 +520,12 @@ def test_library_paths_build_no_rows(env, scripted_factory, space, tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("steps", -1), ("seed", "x"), ("mode", "x"), ("collision_time", 3.0),
+    ("steps", -1), ("seed", "x"), ("mode", "x"), ("final_position", "x"),
     ("scenario", [5.0, float("nan"), 30.0]), ("final_position", None),
 ])
 def test_error_names_the_first_bad_line(tmp_path, field, value):
     good = {"scenario": [5.0, 5.0, 30.0], "mode": "task_failure", "seed": 1,
-            "steps": 100, "final_position": 20.0, "collision_time": None}
+            "steps": 100, "final_position": 20.0}
     bad = {**good, field: value}
     path = tmp_path / "r.jsonl"
     path.write_text("\n\n".join(json.dumps(r) for r in (good, bad, good, bad))
@@ -565,10 +571,8 @@ class TestReportFiles:
 
 
 def record(values, mode: BehaviorMode) -> TrialRecord:
-    harmful = mode is BehaviorMode.HARMFUL_FAILURE
     return TrialRecord(tuple(float(v) for v in values), mode,
-                       seed=0, steps=100, final_position=0.0,
-                       collision_time=100.0 if harmful else None)
+                       seed=0, steps=100, final_position=0.0)
 
 
 def random_campaign(space: DomainSpace, n: int, seed: int, *,
@@ -1226,6 +1230,29 @@ class TestConditionDocuments:
         with pytest.raises(ConfigError, match="JSON number|too large"):
             parse_condition_document(doc)
 
+    @pytest.mark.parametrize("path, value", [
+        (["name"], 5), (["name"], None), (["domain", 0, "name"], 5),
+        (["domain", 0, "name"], ["v"]), (["domain", 2, "unit"], None),
+        (["domain", 2, "unit"], 1.0),
+    ], ids=["int_name", "null_name", "int_dimension", "list_dimension",
+            "null_unit", "number_unit"])
+    def test_names_and_units_take_only_json_strings(self, path, value):
+        """A condition name, dimension name or unit that is not a JSON string
+        is refused, not turned into one by str(); a unit may be absent."""
+        doc = condition_document(presets.condition("testing"),
+                                 presets.default_grid(), seed=0)
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ConfigError, match="must be a JSON string"):
+            parse_condition_document(doc)
+        del target[last]
+        if last == "unit":
+            cond = parse_condition_document(doc)[0]
+            assert cond.space.dims[2].unit == ""
+
     def test_integer_numbers_read_as_floats(self):
         doc = condition_document(presets.condition("testing"),
                                  presets.default_grid(), seed=0,
@@ -1243,31 +1270,27 @@ class TestConditionDocuments:
 class TestManifests:
     @pytest.fixture
     def written(self, env, params, scripted_factory, tmp_path):
-        """A campaign of 5 scenarios run behind a safety function, with a
-        condition document, and the path of the manifest write_campaign
-        wrote for it."""
+        """A campaign of 5 scenarios run behind a safety function, and the
+        path of the manifest write_campaign wrote for it."""
         xs = sample(presets.testing_conditions(), 5, 4)
         write_scenarios(tmp_path / "s.jsonl", xs)
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(condition_document(
-            presets.condition("testing"), presets.default_grid(), seed=0)))
         campaign = evaluate_policy(env, scripted_factory, xs, 99,
                                    condition_name="testing")
         safety = SafetyFunction(goal_clip_max=37.97, delta=0.5)
-        return write_campaign(tmp_path / "runs" / "r.jsonl", campaign, params,
-                              safety, tmp_path / "s.jsonl", cfg)
+        return write_campaign(tmp_path / "runs" / "r.jsonl", campaign, env,
+                              params, safety, tmp_path / "s.jsonl")
 
-    def test_round_trip(self, written, params, tmp_path):
+    def test_round_trip(self, written, env, params, tmp_path):
         """write_campaign writes the manifest's keys in their order, and
-        read_manifest gives the object back with the policy's params and the
-        safety function as objects."""
+        read_manifest gives the object back with the env, the policy's
+        params and the safety function as objects."""
         doc = json.loads(written.read_text())
         assert list(doc) == [
-            "condition", "policy", "safety", "master_seed", "n_records",
-            "scenarios_path", "scenarios_sha256", "records_path",
-            "config_path", "config_sha256"]
+            "condition", "env", "policy", "safety", "master_seed",
+            "n_records", "scenarios_path", "scenarios_sha256", "records_path"]
         assert doc == {
             "condition": "testing",
+            "env": _as_json(env),
             "policy": {"name": "scripted", "params": {
                 "risk_goal_threshold": params.risk_goal_threshold,
                 "safe_ceiling": params.safe_ceiling,
@@ -1276,11 +1299,9 @@ class TestManifests:
             "master_seed": 99, "n_records": 5,
             "scenarios_path": "../s.jsonl",
             "scenarios_sha256": file_sha256(tmp_path / "s.jsonl"),
-            "records_path": "r.jsonl",
-            "config_path": "../c.json",
-            "config_sha256": file_sha256(tmp_path / "c.json")}
+            "records_path": "r.jsonl"}
         assert read_manifest(written) == {
-            **doc, "policy": params,
+            **doc, "env": env, "policy": params,
             "safety": SafetyFunction(goal_clip_max=37.97, delta=0.5)}
 
     def test_scenario_hash_is_optional(self, written):
@@ -1292,7 +1313,6 @@ class TestManifests:
     @pytest.mark.parametrize("key, value", [
         ("condition", None), ("condition", 5), ("scenarios_path", 5),
         ("records_path", ["r.jsonl"]), ("scenarios_sha256", 5),
-        ("config_path", 5), ("config_sha256", {}),
     ])
     def test_string_fields_take_only_json_strings(self, written, key, value):
         """A path, hash or condition name that is not a JSON string is
@@ -1305,16 +1325,32 @@ class TestManifests:
     @pytest.mark.parametrize("section, key, value", [
         ("safety", "goal_clip_max", 99.0), ("safety", "goal_clip_max", NAN),
         ("params", "safe_ceiling", -1.0), ("params", "passed_margin", NAN),
-        ("params", "passed_margin", -INF),
+        ("params", "passed_margin", -INF), ("env", "step_inches", -5.0),
+        ("env", "danger_height", 15.0), ("env", "robot_bounds", [0.0, 30.0]),
     ])
     def test_values_out_of_range_raise_data_error(self, written, section,
                                                   key, value):
-        """A well-typed section whose class refuses its values is a bad
-        manifest, named like any other."""
+        """A well-typed section whose class refuses its values, or whose
+        params or safety function do not fit its env, is a bad manifest,
+        named like any other."""
         doc = json.loads(written.read_text())
         (doc["policy"] if section == "params" else doc)[section][key] = value
         written.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=f"^{re.escape(str(written))}: "):
+            read_manifest(written)
+
+    @pytest.mark.parametrize("section", [None, 5, {}, [50.0]],
+                             ids=["null", "number", "empty", "list"])
+    def test_env_must_be_an_env_section(self, written, section):
+        doc = json.loads(written.read_text())
+        written.write_text(json.dumps({**doc, "env": section}))
+        with pytest.raises(DataError, match=f"^{re.escape(str(written))}: "
+                                            f"EnvConfig must be a JSON object"):
+            read_manifest(written)
+        del doc["env"]
+        written.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"^{re.escape(str(written))}: "
+                                            f"missing key 'env'$"):
             read_manifest(written)
 
 

@@ -6,6 +6,7 @@ from depgrid import (
     Action,
     BehaviorMode,
     ConfigError,
+    EnvConfig,
     Observation,
     SafetyFunction,
     ScriptedPolicy,
@@ -64,10 +65,15 @@ class TestWrap:
         assert sf.goal_clip_max == pytest.approx(37.97)
 
     def test_bounds_validation(self):
+        """The clip bound must be >= 0, and at most the top of the robot
+        bounds of the env it runs in, not a fixed 50."""
         with pytest.raises(ConfigError):
             SafetyFunction(goal_clip_max=-1.0)
-        with pytest.raises(ConfigError):
-            SafetyFunction(goal_clip_max=51.0)
+        with pytest.raises(ConfigError, match="robot bounds"):
+            SafetyFunction(goal_clip_max=51.0).check_env(EnvConfig())
+        SafetyFunction(goal_clip_max=50.0).check_env(EnvConfig())
+        SafetyFunction(goal_clip_max=51.0).check_env(
+            EnvConfig(robot_bounds=(0.0, 100.0)))
 
 
 class TestWrappedCampaigns:
