@@ -18,6 +18,7 @@ edge belongs to the higher bin.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 import operator
@@ -26,7 +27,8 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .errors import ConfigError, InvalidGrid, OutOfDomain, check_rows
+from .errors import (ConfigError, DepgridError, InvalidGrid, OutOfDomain,
+                     check_rows)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -506,33 +508,74 @@ def _xsl_rr(state) -> np.ndarray:
     return (x >> r) | (x << ((np.uint64(64) - r) & np.uint64(63)))
 
 
+def _state_words(bitgen: np.random.PCG64) -> np.ndarray:
+    """A writable uint64 view of the four 64-bit words of bitgen's
+    pcg64_random_t, the (state, inc) struct that the first member of its
+    pcg64_state, at ``bitgen.ctypes.state_address``, points at. The view
+    does not keep bitgen alive: use it only while bitgen is referenced."""
+    struct = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+    return np.frombuffer((ctypes.c_uint64 * 4).from_address(struct),
+                         dtype=np.uint64)
+
+
+# four distinct words: state low, state high, inc low, inc high
+_PROBE = (0x0123_4567_89AB_CDEF, 0x1032_5476_98BA_DCFE,
+          0x2301_6745_AB89_EFCD, 0x3210_7654_BA98_FEDC)
+
+
+def _word_order(bitgen: np.random.PCG64, view: np.ndarray) -> list[int]:
+    """The places in ``view`` (see _state_words) of PCG64's (state low,
+    state high, inc low, inc high), read after numpy's own ``state`` setter
+    has set a known state: gcc and clang, with __uint128_t, store each
+    128-bit value low word first, MSVC's emulated pcg128_t high word first.
+    Words that are not all found raise DepgridError naming numpy's version,
+    so no stream is drawn from an unchecked state."""
+    s_lo, s_hi, i_lo, i_hi = _PROBE
+    doc = bitgen.state   # its bit_generator names the class the setter takes
+    doc.update(state={"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+               has_uint32=0, uinteger=0)
+    bitgen.state = doc
+    found = view.tolist()
+    if sorted(found) != sorted(_PROBE):
+        raise DepgridError(
+            f"numpy {np.__version__}: PCG64's state words are not where its "
+            f"state address points, so streams cannot be seeded in place")
+    return [found.index(w) for w in _PROBE]
+
+
 def _seeded_streams(state, inc) -> Iterator[np.random.Generator]:
     """One generator, yielded once per row of the limbs (state, inc), after
-    its PCG64 state is set to that row's as Python ints.
+    that row's four 64-bit words are written into its PCG64's state memory.
 
     Given _pcg64_limbs(entropy), equal to drawing from
     ``np.random.Generator(np.random.PCG64(np.random.SeedSequence(row)))``
-    for each entropy row, without building either per row. Each row's draws
-    must be taken before the next row is requested.
+    for each entropy row, without building either per row. The words of all
+    the rows are put in the order _word_order finds, once per call, then
+    each row's are copied into the view of _state_words. The setter's
+    has_uint32 and uinteger (both 0) are not rewritten, so a row may take
+    only draws of whole 64-bit words, such as ``standard_normal`` and
+    ``random``; a 32-bit draw would leave a buffered half word for the next
+    row. Each row's draws must be taken before the next row is requested.
     """
-    def ints(limbs):
-        hi = ((limbs[3] << _SHIFT32) | limbs[2]).tolist()
-        lo = ((limbs[1] << _SHIFT32) | limbs[0]).tolist()
-        return [(h << 64) | v for h, v in zip(hi, lo)]
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
-    doc = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0,
-           "uinteger": 0}
-    for s, i in zip(ints(state), ints(inc)):
-        doc["state"] = {"state": s, "inc": i}
-        bitgen.state = doc
+    view = _state_words(bitgen)
+    order = _word_order(bitgen, view)
+    words = np.empty((len(state[0]), 4), dtype=np.uint64)
+    for k, (low, high) in zip(order, (state[:2], state[2:], inc[:2], inc[2:])):
+        words[:, k] = (high << _SHIFT32) | low
+    for row in words:
+        view[:] = row
         yield rng
 
 
 def seeded_generators(seeds: np.ndarray) -> Iterator[np.random.Generator]:
     """``np.random.Generator(np.random.PCG64(seed))`` for each seed of a
     uint64 array in turn, as one generator (see _seeded_streams); the states
-    of all the seeds are computed at once."""
+    of all the seeds are computed at once, and each seed's four state words
+    are written straight into the one PCG64's state memory. Take only
+    64-bit draws from it (``standard_normal``, ``random``). Each call has
+    its own PCG64, so two of its iterators may be drawn in alternation."""
     return _seeded_streams(*_pcg64_limbs(
         [seeds & _M32, seeds >> _SHIFT32, *np.zeros((2, 1), dtype=np.uint64)]))
 
@@ -580,9 +623,10 @@ def sample(cond: ConditionSet, n: int, seed: int) -> np.ndarray:
     marginals is drawn for all rows at once from the stepped states, as
     ``Generator.uniform`` computes it: a + (b - a) times the top 53 bits of
     the output over 2**53. From the first other marginal on, one
-    generator serves every row, set once per row to the state the leading
-    draws left (see _seeded_streams); it fills the row's standard normals
-    and unit uniforms with one call per run of marginals of one kind. Then
+    generator serves every row: the state words the leading draws left are
+    written into its state memory once per row (see _seeded_streams), and
+    it fills the row's standard normals and unit uniforms, both 64-bit
+    draws, with one call per run of marginals of one kind. Then
     each column becomes mu + sigma·z, clipped to the dimension bounds as
     min(max(g, lo), hi) is, or a + (b - a)·u. A negative seed, or an n
     outside [0, 2**32], raises ConfigError.

@@ -46,6 +46,13 @@ if TYPE_CHECKING:
 # the default 100 s; and its path, 0.8 MB per policy.
 _BLOCK = 1024
 
+# The longest episode EnvConfig takes, in seconds. A block's noise is
+# _BLOCK × episode_seconds × 24 bytes, 88 MB at the cap, and its path
+# _BLOCK × episode_seconds × 8 bytes per policy, 29 MB. A horizon of 10**12
+# would ask for 24 TB of noise per episode, and one of 10**7 would run for
+# minutes.
+MAX_EPISODE_SECONDS = 3600
+
 # Scenario bounds for the obstacle dimensions; the goal dimension follows the
 # robot track bounds in EnvConfig.
 OBSTACLE_SPEED_RANGE = (0.0, 10.0)   # inches/second
@@ -84,6 +91,10 @@ class EnvConfig:
                      "noise_sigma_obstacle_pos", "noise_sigma_goal"):
             if not getattr(self, name) >= 0:   # false for NaN too
                 raise ConfigError(f"{name} must be non-negative")
+        if self.episode_seconds > MAX_EPISODE_SECONDS:
+            raise ConfigError(f"episode_seconds must be at most "
+                              f"{MAX_EPISODE_SECONDS}, got "
+                              f"{self.episode_seconds}")
 
 
 def scenario_domain(cfg: EnvConfig) -> DomainSpace:
@@ -284,8 +295,9 @@ def _episode_noise(seeds: np.ndarray, horizon: int) -> np.ndarray:
     """Standard normals of shape (len(seeds), horizon, 3) for a uint64 array
     of seeds: row j is the start of PCG64(seeds[j])'s stream, the noise
     run_episode draws. The seeded states of the whole block are computed at
-    once, and one generator, set to each row's state in turn, fills every
-    row (see domain.seeded_generators)."""
+    once, and one generator fills every row, its state words written
+    straight into its PCG64's state memory before each row; a row takes
+    only standard normals, 64-bit draws (see domain.seeded_generators)."""
     noise = np.empty((len(seeds), horizon, 3))
     for row, rng in zip(noise, seeded_generators(seeds)):
         rng.standard_normal(out=row)

@@ -453,11 +453,12 @@ class TestRunObservePredict:
         lambda m: m["env"].__setitem__("robot_bounds", [0.0, 30.0]),
         lambda m: m.__setitem__("safety", {"goal_clip_max": 50.5,
                                            "delta": 0.5}),
+        lambda m: m["env"].__setitem__("episode_seconds", 10**12),
     ], ids=["unknown_param", "string_param", "int_params", "list_params",
             "int_policy", "unknown_policy", "unknown_safety_key", "null_clip",
             "list_safety", "clip_out_of_range", "negative_ceiling",
             "nan_margin", "threshold_outside_env", "no_env",
-            "env_below_threshold", "clip_above_env"])
+            "env_below_threshold", "clip_above_env", "episode_over_cap"])
     def test_malformed_manifest_exits_3(self, small_pipeline, tmp_path,
                                         capsys, edit):
         """Wrong types, and well-typed values out of range, whether of their
@@ -479,13 +480,15 @@ class TestRunObservePredict:
         lambda doc: doc["env"].update(noise_sigma_gaol=9.0),
         lambda doc: doc["env"].update(noise_sigma_goal=float("nan")),
         lambda doc: doc["policy"]["params"].update(passed_margin=float("inf")),
+        lambda doc: doc["env"].update(episode_seconds=10**12),
     ], ids=["bool_threshold", "misspelled_env_key", "nan_sigma",
-            "infinite_margin"])
+            "infinite_margin", "episode_over_cap"])
     def test_malformed_config_section_exits_2_writing_nothing(
             self, small_pipeline, tmp_path, capsys, edit):
         """A bool policy field, read as 1.0, a misspelled env key, left
-        unread, or a NaN or infinite number, which json reads from its NaN
-        and Infinity tokens, is refused with the document's name."""
+        unread, a NaN or infinite number, which json reads from its NaN
+        and Infinity tokens, or an episode longer than the cap, whose noise
+        would not fit in memory, is refused with the document's name."""
         doc = condition_document(presets.condition("testing"),
                                  presets.default_grid(), seed=0,
                                  env=presets.default_env(),

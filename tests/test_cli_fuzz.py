@@ -231,6 +231,7 @@ MANIFEST_EDITS = edits([
     (["env", "robot_bounds"], [[0.0, 30.0], [0.0, "50"], [50.0, 0.0]]),
     (["env", "danger_height"], [True, NAN, 15.0]),
     (["env", "noise_sigma_gaol"], [0.5]),
+    (["env", "episode_seconds"], [10**12]),
     (["scenarios_sha256"], ["0" * 64, 5]),
 ] + [([key], [DELETE]) for key in ("condition", "env", "master_seed",
                                    "n_records", "scenarios_path",
@@ -273,7 +274,8 @@ CONDITION_EDITS = edits([
     (["seed"], [None, "x", [], 7.9, "7", True]),
     # the env and policy sections, parsed with the rest of the document
     (["env"], [5, {"episode_seconds": 100}]),
-    (["env", "episode_seconds"], [99.9, "100", True]),
+    # an episode longer than the cap, whose noise would not fit in memory
+    (["env", "episode_seconds"], [99.9, "100", True, 10**12]),
     (["env", "step_inches"], ["x", None]),
     # float fields take only JSON numbers, not bools or numeric strings
     (["env", "danger_height"], [True]),

@@ -7,7 +7,10 @@ seeds at once instead of building one SeedSequence and one PCG64 per unit;
 32-bit limbs for its leading uniform coordinates. Record and scenario bytes
 depend on every bit of it, so each property here uses numpy's classes as the
 oracle: a numpy release that changes either algorithm fails these tests
-instead of silently changing output files.
+instead of silently changing output files. Each row's state is written as
+four 64-bit words straight into one PCG64's state memory, in the order a
+probe through numpy's ``state`` setter finds, so a release that moves those
+words must make the probe raise before any row is drawn.
 
 Every entropy row is held as fixed word columns, at least the pool's four:
 an episode seed in [0, 2**64) is its low and high word, then zeros, which
@@ -31,6 +34,7 @@ from depgrid import (
     ClippedGaussian,
     ConditionSet,
     ConfigError,
+    DepgridError,
     Dimension,
     DomainSpace,
     Uniform,
@@ -38,6 +42,7 @@ from depgrid import (
     run_batch,
     run_episode,
 )
+from depgrid import domain
 from depgrid.domain import (
     _PCG_MULT,
     _mul_add,
@@ -244,6 +249,72 @@ def test_a_uint64_array_splits_into_the_words_of_its_ints():
     assert states == [np.random.PCG64(seed).state for seed in ints]
     for row, want in zip(_episode_noise(seeds, 3), noise_oracle(ints, 3)):
         assert np.array_equal(row, want)
+
+
+def test_two_iterators_drawn_in_alternation_keep_their_own_streams():
+    """Each call writes the words into its own PCG64, so one iterator's rows
+    do not move the other's."""
+    a_seeds, b_seeds = [0, 2**32, 7, 2**64 - 1], [5, 2**63, 1, 2**40 + 3]
+    a = seeded_generators(np.array(a_seeds, dtype=np.uint64))
+    b = seeded_generators(np.array(b_seeds, dtype=np.uint64))
+    got_a, got_b = [], []
+    for ra, rb in zip(a, b):
+        got_a.append(ra.standard_normal((5, 3)))
+        got_b.append(rb.standard_normal((5, 3)))
+    for got, seeds in ((got_a, a_seeds), (got_b, b_seeds)):
+        assert len(got) == len(seeds)
+        for row, want in zip(got, noise_oracle(seeds, 5)):
+            assert np.array_equal(row, want)
+
+
+NUMPY_PCG64 = np.random.PCG64   # kept while the name is patched
+
+
+class PCG64(NUMPY_PCG64):
+    """numpy's PCG64, counting the sets of its ``state``. It keeps numpy's
+    class name, which the setter checks a state's ``bit_generator`` by."""
+
+    sets = 0
+
+    @property
+    def state(self):
+        return NUMPY_PCG64.state.__get__(self)
+
+    @state.setter
+    def state(self, value):
+        PCG64.sets += 1
+        NUMPY_PCG64.state.__set__(self, value)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 50])
+def test_the_state_setter_runs_once_per_call_not_once_per_row(rows):
+    """Only the probe of the word order sets the state through numpy's
+    setter; every row's words are written into the state memory."""
+    seeds = np.arange(rows, dtype=np.uint64) * np.uint64(2**33 + 1)
+    PCG64.sets = 0
+    with mock.patch.object(domain.np.random, "PCG64", PCG64):
+        noise = _episode_noise(seeds, 4)
+    assert PCG64.sets == 1
+    for row, want in zip(noise, noise_oracle(seeds.tolist(), 4)):
+        assert np.array_equal(row, want)
+
+
+def test_state_words_that_are_not_found_raise_before_any_draw():
+    """A view that does not show the state the setter wrote (here a detached
+    array of zeros) fails the probe; the iterator raises before it yields,
+    so no row is drawn."""
+    def hidden(bitgen):
+        return np.zeros(4, dtype=np.uint64)
+
+    drawn = []
+    with mock.patch.object(domain, "_state_words", hidden):
+        with pytest.raises(DepgridError, match=f"numpy {np.__version__}: "
+                                               f"PCG64's state words"):
+            for rng in seeded_generators(np.arange(3, dtype=np.uint64)):
+                drawn.append(rng.standard_normal())
+        with pytest.raises(DepgridError, match="state words"):
+            sample(presets.condition("oc3"), 3, 1)
+    assert drawn == []
 
 
 @pytest.mark.parametrize("seeds", [[], [0], [5, 9], [2**40, 2**64 - 1]],

@@ -22,7 +22,7 @@ from depgrid import (
     scenario_domain,
     step,
 )
-from depgrid.simulator import _observation
+from depgrid.simulator import MAX_EPISODE_SECONDS, _observation
 
 
 def noiseless(env: EnvConfig) -> EnvConfig:
@@ -242,6 +242,18 @@ class TestEnvConfigValidation:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ConfigError):
             EnvConfig(noise_sigma_goal=-0.1)
+
+    @pytest.mark.parametrize("seconds", [MAX_EPISODE_SECONDS + 1, 10**12])
+    def test_episode_longer_than_the_cap_rejected(self, seconds):
+        """Only construction is tried: a block of 10**12-second episodes
+        that passed it would ask for more memory for its noise than any
+        machine has."""
+        with pytest.raises(ConfigError, match=f"episode_seconds must be at "
+                                              f"most {MAX_EPISODE_SECONDS}, "
+                                              f"got {seconds}"):
+            EnvConfig(episode_seconds=seconds)
+        assert EnvConfig(episode_seconds=MAX_EPISODE_SECONDS).episode_seconds \
+            == MAX_EPISODE_SECONDS
 
     @pytest.mark.parametrize("field, value", [
         *((f, math.nan) for f in (
