@@ -23,7 +23,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -508,14 +508,14 @@ def _xsl_rr(state) -> np.ndarray:
     return (x >> r) | (x << ((np.uint64(64) - r) & np.uint64(63)))
 
 
-def _state_words(bitgen: np.random.PCG64) -> np.ndarray:
-    """A writable uint64 view of the four 64-bit words of bitgen's
+def _state_words(bitgen: np.random.PCG64) -> memoryview:
+    """A writable byte view of the 32 bytes, four 64-bit words, of bitgen's
     pcg64_random_t, the (state, inc) struct that the first member of its
     pcg64_state, at ``bitgen.ctypes.state_address``, points at. The view
     does not keep bitgen alive: use it only while bitgen is referenced."""
     struct = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
-    return np.frombuffer((ctypes.c_uint64 * 4).from_address(struct),
-                         dtype=np.uint64)
+    raw = (ctypes.c_ubyte * 32).from_address(struct)
+    return memoryview(np.frombuffer(raw, dtype=np.uint8))
 
 
 # four distinct words: state low, state high, inc low, inc high
@@ -523,19 +523,20 @@ _PROBE = (0x0123_4567_89AB_CDEF, 0x1032_5476_98BA_DCFE,
           0x2301_6745_AB89_EFCD, 0x3210_7654_BA98_FEDC)
 
 
-def _word_order(bitgen: np.random.PCG64, view: np.ndarray) -> list[int]:
-    """The places in ``view`` (see _state_words) of PCG64's (state low,
-    state high, inc low, inc high), read after numpy's own ``state`` setter
-    has set a known state: gcc and clang, with __uint128_t, store each
-    128-bit value low word first, MSVC's emulated pcg128_t high word first.
-    Words that are not all found raise DepgridError naming numpy's version,
-    so no stream is drawn from an unchecked state."""
+def _word_order(bitgen: np.random.PCG64, view: memoryview) -> list[int]:
+    """The places, as 64-bit words, in ``view`` (see _state_words) of
+    PCG64's (state low, state high, inc low, inc high), read after numpy's
+    own ``state`` setter has set a known state: gcc and clang, with
+    __uint128_t, store each 128-bit value low word first, MSVC's emulated
+    pcg128_t high word first. Words that are not all found raise
+    DepgridError naming numpy's version, so no stream is drawn from an
+    unchecked state."""
     s_lo, s_hi, i_lo, i_hi = _PROBE
     doc = bitgen.state   # its bit_generator names the class the setter takes
     doc.update(state={"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
                has_uint32=0, uinteger=0)
     bitgen.state = doc
-    found = view.tolist()
+    found = np.frombuffer(view, dtype=np.uint64).tolist()
     if sorted(found) != sorted(_PROBE):
         raise DepgridError(
             f"numpy {np.__version__}: PCG64's state words are not where its "
@@ -543,40 +544,64 @@ def _word_order(bitgen: np.random.PCG64, view: np.ndarray) -> list[int]:
     return [found.index(w) for w in _PROBE]
 
 
-def _seeded_streams(state, inc) -> Iterator[np.random.Generator]:
-    """One generator, yielded once per row of the limbs (state, inc), after
-    that row's four 64-bit words are written into its PCG64's state memory.
+class SeededStreams:
+    """The PCG64 streams of many rows, drawn through one generator.
 
-    Given _pcg64_limbs(entropy), equal to drawing from
+    Given _pcg64_limbs(entropy), row j's stream is that of
     ``np.random.Generator(np.random.PCG64(np.random.SeedSequence(row)))``
-    for each entropy row, without building either per row. The words of all
-    the rows are put in the order _word_order finds, once per call, then
-    each row's are copied into the view of _state_words. The setter's
-    has_uint32 and uinteger (both 0) are not rewritten, so a row may take
-    only draws of whole 64-bit words, such as ``standard_normal`` and
-    ``random``; a 32-bit draw would leave a buffered half word for the next
-    row. Each row's draws must be taken before the next row is requested.
+    for entropy row j, without building either per row. A row's state is
+    its 32 bytes: the four 64-bit words of its (state, inc), put once in
+    the order _word_order finds, which is the only call to numpy's
+    ``state`` setter. ``each`` writes a row's bytes into the one PCG64's
+    state memory, as a slice assignment to the memoryview of _state_words,
+    before it yields the row's generator, and first reads back, as bytes,
+    the state of the row drawn before; so a row visited again, by the same
+    pass or a later one, resumes its stream where its last draws left it.
+    The setter's has_uint32 and uinteger (both 0) are not rewritten, so a
+    row may take only draws of whole 64-bit words, such as
+    ``standard_normal`` and ``random``; a 32-bit draw would leave a
+    buffered half word for the next row. Each instance has its own PCG64,
+    so two may be drawn in alternation.
     """
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    view = _state_words(bitgen)
-    order = _word_order(bitgen, view)
-    words = np.empty((len(state[0]), 4), dtype=np.uint64)
-    for k, (low, high) in zip(order, (state[:2], state[2:], inc[:2], inc[2:])):
-        words[:, k] = (high << _SHIFT32) | low
-    for row in words:
-        view[:] = row
-        yield rng
+
+    def __init__(self, state, inc):
+        bitgen = np.random.PCG64(0)
+        self._rng = np.random.Generator(bitgen)
+        self._state = _state_words(bitgen)
+        order = _word_order(bitgen, self._state)
+        words = np.empty((len(state[0]), 4), dtype=np.uint64)
+        for k, (low, high) in zip(order, (state[:2], state[2:], inc[:2],
+                                          inc[2:])):
+            words[:, k] = (high << _SHIFT32) | low
+        raw = words.tobytes()
+        # one more entry, the row the generator holds before the first
+        self._rows = [raw[at:at + 32] for at in range(0, len(raw), 32)]
+        self._rows.append(b"")
+        self._held = -1
+
+    def __len__(self) -> int:
+        return len(self._rows) - 1
+
+    def each(self, rows: Iterable[int]
+             ) -> Iterator[tuple[int, np.random.Generator]]:
+        """(j, generator) for each row index j of ``rows`` in turn, the
+        generator at row j's state. Take row j's draws before asking for
+        another row."""
+        state, saved, rng = self._state, self._rows, self._rng
+        for j in rows:
+            saved[self._held] = state.tobytes()
+            state[:] = saved[j]
+            self._held = j
+            yield j, rng
 
 
-def seeded_generators(seeds: np.ndarray) -> Iterator[np.random.Generator]:
-    """``np.random.Generator(np.random.PCG64(seed))`` for each seed of a
-    uint64 array in turn, as one generator (see _seeded_streams); the states
-    of all the seeds are computed at once, and each seed's four state words
-    are written straight into the one PCG64's state memory. Take only
-    64-bit draws from it (``standard_normal``, ``random``). Each call has
-    its own PCG64, so two of its iterators may be drawn in alternation."""
-    return _seeded_streams(*_pcg64_limbs(
+def seeded_streams(seeds: np.ndarray) -> SeededStreams:
+    """The streams of ``np.random.Generator(np.random.PCG64(seed))`` for
+    each seed of a uint64 array, as SeededStreams: the states of all the
+    seeds are computed at once, and each row's are written straight into
+    one PCG64's state memory when it is drawn. Take only 64-bit draws
+    (``standard_normal``, ``random``)."""
+    return SeededStreams(*_pcg64_limbs(
         [seeds & _M32, seeds >> _SHIFT32, *np.zeros((2, 1), dtype=np.uint64)]))
 
 
@@ -623,13 +648,13 @@ def sample(cond: ConditionSet, n: int, seed: int) -> np.ndarray:
     marginals is drawn for all rows at once from the stepped states, as
     ``Generator.uniform`` computes it: a + (b - a) times the top 53 bits of
     the output over 2**53. From the first other marginal on, one
-    generator serves every row: the state words the leading draws left are
-    written into its state memory once per row (see _seeded_streams), and
-    it fills the row's standard normals and unit uniforms, both 64-bit
-    draws, with one call per run of marginals of one kind. Then
-    each column becomes mu + sigma·z, clipped to the dimension bounds as
-    min(max(g, lo), hi) is, or a + (b - a)·u. A negative seed, or an n
-    outside [0, 2**32], raises ConfigError.
+    generator serves every row: the state bytes the leading draws left are
+    written into its state memory once per row, the same write as the
+    episode noise's (see SeededStreams), and it fills the row's standard
+    normals and unit uniforms, both 64-bit draws, with one call per run of
+    marginals of one kind. Then each column becomes mu + sigma·z, clipped
+    to the dimension bounds as min(max(g, lo), hi) is, or a + (b - a)·u. A
+    negative seed, or an n outside [0, 2**32], raises ConfigError.
     """
     if not isinstance(cond, ConditionSet):
         raise ConfigError("sample() draws from product conditions only")
@@ -654,9 +679,9 @@ def sample(cond: ConditionSet, n: int, seed: int) -> np.ndarray:
                      else np.random.Generator.standard_normal))
         start = stop
     raw = np.empty((n, len(pairs) - k))
-    for row, rng in zip(raw, _seeded_streams(state, inc)):
+    for j, rng in SeededStreams(state, inc).each(range(n)):
         for columns, fill in runs:
-            fill(rng, out=row[columns])
+            fill(rng, out=raw[j, columns])
     for j, (m, d) in enumerate(pairs[k:], start=k):
         z = raw[:, j - k]
         if isinstance(m, Uniform):

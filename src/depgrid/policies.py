@@ -43,7 +43,15 @@ class BatchPolicy(Protocol):
     """Controller for n episodes stepped in lockstep, fresh from
     ``policy.batch(n)``. Each call gets a batch observation (one array entry
     per episode) and returns a bool array: True for forward, False for
-    backward. Entries of episodes that have ended are ignored."""
+    backward. Entries of episodes that have ended are ignored.
+
+    A controller may also offer ``settled()``, asked only after its first
+    ``act``: a bool array, True for each episode whose every later action
+    is forward whatever it observes, even NaN or infinite readings. Once an
+    entry is True it stays True. ``simulator.run_batch`` draws no more
+    noise for an episode settled in every controller of its call, and
+    hands such an episode zero noise from then on; a controller without
+    ``settled()`` has every second of every episode drawn."""
 
     def act(self, obs: Observation) -> np.ndarray: ...
 
@@ -133,25 +141,33 @@ class ScriptedPolicy:
 
 
 class ScriptedBatch:
-    """Batch form of ScriptedPolicy: the same rules over arrays, with the
-    latched goals and passage flags held per episode."""
+    """Batch form of ScriptedPolicy: the same rules over arrays. One mask
+    holds the episodes committed to forward, which the scalar form's
+    latched goal and passage flag decide: those that latched the impatient
+    branch at their first observation, and those that have seen the
+    obstacle pass."""
 
     def __init__(self, params: ScriptedPolicyParams, env: EnvConfig, n: int):
         self.params = params
         self.env = env
-        self._goal: np.ndarray | None = None
-        self._passed = np.zeros(n, dtype=bool)
+        self._committed = np.zeros(n, dtype=bool)
+        self._latched = False
 
     def act(self, obs: Observation) -> np.ndarray:
         p = self.params
-        if self._goal is None:
-            self._goal = np.array(obs.goal_noisy, dtype=float)
+        if not self._latched:
+            self._committed |= obs.goal_noisy >= p.risk_goal_threshold
+            self._latched = True
         # the scalar form skips this test for impatient episodes, which go
         # forward whatever the flag says
         trailing = obs.obstacle_pos_noisy + self.env.obstacle_width
-        self._passed |= trailing < -p.passed_margin
-        return ((self._goal >= p.risk_goal_threshold) | self._passed
-                | (obs.robot_pos + self.env.step_inches <= p.safe_ceiling))
+        self._committed |= trailing < -p.passed_margin
+        return self._committed | (obs.robot_pos + self.env.step_inches
+                                  <= p.safe_ceiling)
+
+    def settled(self) -> np.ndarray:
+        """The committed episodes (see BatchPolicy), as a copy."""
+        return self._committed.copy()
 
 
 def evaluate_policies(cfg: EnvConfig, factories: Sequence[PolicyFactory],
@@ -170,7 +186,7 @@ def evaluate_policies(cfg: EnvConfig, factories: Sequence[PolicyFactory],
     The seeds are derived for all episodes at once by substream_seeds, as a
     uint64 array whose low and high word columns seed the episode noise:
     each block's PCG64 states are computed at once and written, row by row,
-    into one generator's state memory (see domain.seeded_generators). A
+    into one generator's state memory (see domain.SeededStreams). A
     negative master seed raises ConfigError.
     """
     seeds = substream_seeds(master_seed, len(scenarios))

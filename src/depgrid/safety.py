@@ -73,11 +73,16 @@ class GoalClippedPolicy:
 
 class GoalClippedBatch:
     """Batch form of GoalClippedPolicy: clips the goal column of a batch
-    observation and hands it to the inner policy's batch controller."""
+    observation and hands it to the inner policy's batch controller. It
+    offers the inner controller's ``settled()`` (see BatchPolicy) when the
+    inner controller has one: an episode that the inner controller moves
+    forward whatever it observes goes forward whatever its clipped goal."""
 
     def __init__(self, inner: BatchPolicy, goal_clip_max: float):
         self.inner = inner
         self.goal_clip_max = goal_clip_max
+        if hasattr(inner, "settled"):
+            self.settled = inner.settled
 
     def act(self, obs: Observation) -> np.ndarray:
         clipped = np.minimum(np.maximum(obs.goal_noisy, 0.0), self.goal_clip_max)

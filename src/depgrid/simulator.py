@@ -19,9 +19,15 @@ lockstep, in blocks of at most 1,024 episodes, once for each of its
 policies, and returns each policy's campaign as columns (see
 estimator.TestCampaign), whose rows equal ``run_episode``'s records: the
 same noise stream per seed, leading-edge formula, clip and collision test.
-A block's sensor readings, made before its first second, are shared by the
+A block runs in two chunks of seconds, the first _FIRST_CHUNK and the rest.
+A chunk's sensor readings, made before its first second, are shared by the
 policies of the call; each second only moves the robots, and collisions and
-outcomes are read from the robots' path after the last second.
+outcomes are read from the robots' path after the chunk's last second. The
+second chunk's noise is drawn only for the episodes that some controller
+may still read: a controller's ``settled()`` (see policies.BatchPolicy)
+names the episodes whose every later action is forward whatever they
+observe, and each other episode's stream resumes where the first chunk
+left it. So every episode still reads a prefix of PCG64(seed)'s stream.
 """
 
 from __future__ import annotations
@@ -29,11 +35,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .domain import Dimension, DomainSpace, seeded_generators
+from .domain import Dimension, DomainSpace, SeededStreams, seeded_streams
 from .errors import (ConfigError, EpisodeNotFinished,
                      SteppingTerminatedEpisode, check_finite)
 from .estimator import BehaviorMode, TestCampaign, TrialRecord
@@ -42,15 +48,30 @@ if TYPE_CHECKING:
     from .policies import BatchPolicy
 
 # Episodes stepped together by run_batch. Bounds a block's noise, turned
-# into its readings in place, (block, episode_seconds, 3) float64: 2.4 MB at
-# the default 100 s; and its path, 0.8 MB per policy.
+# into its readings in place, (block, seconds, 3) float64 for each chunk of
+# seconds: 1.7 MB for the longer chunk at the default 100 s; and its path,
+# 0.6 MB per policy.
 _BLOCK = 1024
 
-# The longest episode EnvConfig takes, in seconds. A block's noise is
-# _BLOCK × episode_seconds × 24 bytes, 88 MB at the cap, and its path
-# _BLOCK × episode_seconds × 8 bytes per policy, 29 MB. A horizon of 10**12
-# would ask for 24 TB of noise per episode, and one of 10**7 would run for
-# minutes.
+# Seconds of noise drawn for every episode of a block before its
+# controllers are asked which episodes they still read (see _run_block).
+# The noise alone, seeding included, in µs per row: the least of 25
+# 1,024-episode blocks, for the testing pair and for the plain policy
+# under oc1-oc4, where drawing all 100 s takes 5.7-5.9 (2-vCPU VM, Python
+# 3.11, numpy 2.4). Chunks that end at these seconds:
+#                   pair   oc1   oc2   oc3   oc4
+#   32              4.23  4.28  3.46  3.96  4.46
+#   16 and 48       4.92  4.93  3.29  3.67  4.43
+#   8 and 32        5.14  5.10  3.27  3.78  4.64
+#   1, 8 and 32     6.05  5.93  3.43  4.06  5.24
+#   32 and 64       4.17  4.00  3.49  3.82  4.20
+_FIRST_CHUNK = 32
+
+# The longest episode EnvConfig takes, in seconds. A block's longer chunk
+# of noise is about _BLOCK × episode_seconds × 24 bytes, 88 MB at the cap,
+# and its path _BLOCK × episode_seconds × 8 bytes per policy, 29 MB. A
+# horizon of 10**12 would ask for 24 TB of noise per episode, and one of
+# 10**7 would run for minutes.
 MAX_EPISODE_SECONDS = 3600
 
 # Scenario bounds for the obstacle dimensions; the goal dimension follows the
@@ -261,7 +282,12 @@ def run_batch(cfg: EnvConfig, policies: Sequence, scenarios: np.ndarray,
     configured like p. Each block's noise is drawn once, and every policy's
     controller, fresh from ``p.batch(n)`` for each block, is stepped through
     the same sensor readings; so a paired campaign costs one draw of the
-    noise. A policy without a batch form raises ConfigError. Every scenario
+    noise. The draw comes in two chunks: the first _FIRST_CHUNK seconds of
+    every episode, then the rest of the seconds of each episode not settled
+    in every controller (see policies.BatchPolicy), its stream resumed where
+    the first chunk left it; the other episodes read zero noise, on which
+    no controller acts. A controller without ``settled()`` has every second
+    drawn. A policy without a batch form raises ConfigError. Every scenario
     is checked against the domain before any episode runs; OutOfDomain's row
     is the first outside. The campaigns have no condition name and master
     seed 0.
@@ -291,17 +317,60 @@ def run_batch(cfg: EnvConfig, policies: Sequence, scenarios: np.ndarray,
                  for m, s, f in zip(modes, steps, final))
 
 
-def _episode_noise(seeds: np.ndarray, horizon: int) -> np.ndarray:
-    """Standard normals of shape (len(seeds), horizon, 3) for a uint64 array
-    of seeds: row j is the start of PCG64(seeds[j])'s stream, the noise
-    run_episode draws. The seeded states of the whole block are computed at
-    once, and one generator fills every row, its state words written
-    straight into its PCG64's state memory before each row; a row takes
-    only standard normals, 64-bit draws (see domain.seeded_generators)."""
-    noise = np.empty((len(seeds), horizon, 3))
-    for row, rng in zip(noise, seeded_generators(seeds)):
-        rng.standard_normal(out=row)
+def _noise(streams: SeededStreams, rows: Iterable[int],
+           seconds: int) -> np.ndarray:
+    """Standard normals of shape (len(streams), seconds, 3): for each
+    episode j in ``rows``, the next seconds × 3 of stream j, which continue
+    where its last draw left it; zeros for the episodes not drawn. Streams
+    take only standard normals, 64-bit draws (see domain.SeededStreams)."""
+    noise = np.zeros((len(streams), seconds, 3))
+    for j, rng in streams.each(rows):
+        rng.standard_normal(out=noise[j])
     return noise
+
+
+def _read_rows(controllers, n: int) -> Iterable[int]:
+    """The episodes that some controller may still read: every one if a
+    controller has no ``settled()``, else those not settled in all of them
+    (see policies.BatchPolicy). Ask only after every controller's first
+    act."""
+    read = np.zeros(n, dtype=bool)
+    for controller in controllers:
+        settled = getattr(controller, "settled", None)
+        if settled is None:
+            return range(n)
+        read |= ~settled()
+    return np.flatnonzero(read).tolist()
+
+
+def _readings(cfg: EnvConfig, xs: np.ndarray, noise: np.ndarray,
+              start: int) -> np.ndarray:
+    """Turn a chunk's noise, (episodes, seconds, 3) from second ``start``
+    on, into its sensor readings in place, as _observation makes them from
+    the leading edge step() computes; return whether the obstacle occupies
+    the robot's column at each second start..start + seconds, as a
+    (seconds + 1, episodes) bool array."""
+    v, t, y = xs.T
+    seconds = noise.shape[1]
+    # made before the edges, so that the path can reuse the edges' memory
+    occupied = np.empty((seconds + 1, len(xs)), dtype=bool)
+    edge = np.arange(start, start + seconds + 1.0)[:, None] - t
+    np.maximum(0.0, edge, out=edge)
+    edge *= v
+    np.subtract(cfg.obstacle_spawn_offset, edge, out=edge)
+    # a column at a time: numpy steps a (3,) broadcast three elements at
+    # a time, at twice the cost
+    for column, sigma, mean in zip(
+            noise.transpose(2, 0, 1),
+            (cfg.noise_sigma_obstacle_pos, cfg.noise_sigma_speed,
+             cfg.noise_sigma_goal),
+            (edge[:seconds].T, v[:, None], y[:, None])):
+        column *= sigma
+        column += mean
+    np.less_equal(edge, 0.0, out=occupied)
+    edge += cfg.obstacle_width
+    occupied &= 0.0 < edge
+    return occupied
 
 
 def _run_block(cfg: EnvConfig, makers, xs: np.ndarray,
@@ -310,42 +379,60 @@ def _run_block(cfg: EnvConfig, makers, xs: np.ndarray,
     as (controllers, episodes) arrays: one row for the controller each of
     ``makers`` builds.
 
-    The obstacle and sensor readings do not depend on the robot and come
-    first; each second only moves the robots along the block's path, on
-    past a collision, and the outcomes are read from the path afterwards."""
+    The block runs in two chunks of seconds, [0, _FIRST_CHUNK) and
+    [_FIRST_CHUNK, horizon) (see _run_chunk). The second chunk's noise is
+    drawn only for the episodes some controller may still read
+    (_read_rows), each row's stream resumed where the first chunk left it;
+    the others read zero noise, which no controller acts on."""
     n, horizon = len(xs), cfg.episode_seconds
     controllers = [make_controller(n) for make_controller in makers]
-    v, t, y = xs.T
-    readings = _episode_noise(seeds, horizon)
-    # made before the edges, so that the path can reuse the edges' memory
-    occupied = np.empty((horizon + 1, n), dtype=bool)
-    # the leading edge at each second 0..horizon, as step() computes it,
-    # then _observation's readings, made from it in place in the noise
-    edge = np.arange(horizon + 1.0)[:, None] - t
-    np.maximum(0.0, edge, out=edge)
-    edge *= v
-    np.subtract(cfg.obstacle_spawn_offset, edge, out=edge)
-    readings *= (cfg.noise_sigma_obstacle_pos, cfg.noise_sigma_speed,
-                 cfg.noise_sigma_goal)
-    readings[..., 0] += edge[:horizon].T
-    readings[..., 1] += v[:, None]
-    readings[..., 2] += y[:, None]
-    np.less_equal(edge, 0.0, out=occupied)
-    edge += cfg.obstacle_width
-    occupied &= 0.0 < edge
-    del edge
+    streams = seeded_streams(seeds)
+    position = np.full((len(controllers), n), cfg.robot_bounds[0])
+    # the first collision second, or 0 if none: every robot starts out of
+    # danger
+    first = np.zeros(position.shape, dtype=np.int64)
+    final, reached = position.copy(), position >= xs[:, 2]
+    for start, stop in ((0, min(horizon, _FIRST_CHUNK)),
+                        (_FIRST_CHUNK, horizon)):
+        if stop <= start:
+            break
+        rows = range(n) if start == 0 else _read_rows(controllers, n)
+        _run_chunk(cfg, controllers, xs, _noise(streams, rows, stop - start),
+                   start, (position, first, final, reached))
+    steps = np.where(first > 0, first, horizon)
+    modes = np.select([first > 0, reached],
+                      [BehaviorMode.HARMFUL_FAILURE.code,
+                       BehaviorMode.SUCCESS.code],
+                      BehaviorMode.TASK_FAILURE.code)
+    return modes, steps, final
+
+
+def _run_chunk(cfg: EnvConfig, controllers, xs: np.ndarray,
+               noise: np.ndarray, start: int, ends: tuple) -> None:
+    """Step the block's episodes through the seconds of one chunk of
+    ``noise`` (see _noise), from second ``start``. ``ends`` holds, per
+    controller and episode, the position, the first collision second (0 if
+    none), the position at the episode's end and whether the goal was
+    reached, and is brought up to the chunk's last second in place.
+
+    The chunk's obstacle and sensor readings do not depend on the robot and
+    come first; each second then only moves the robots along the chunk's
+    path, on past a collision, and the outcomes are read from the path
+    afterwards."""
+    position, first, final, reached = ends
+    occupied = _readings(cfg, xs, noise, start)
     lo, hi = cfg.robot_bounds
     delta = np.array([-cfg.step_inches, cfg.step_inches])
-    path = np.empty((horizon + 1, len(controllers), n))
-    path[0] = lo
-    forward = np.empty(path.shape[1:], dtype=bool)
-    for k in range(horizon):
+    path = np.empty((noise.shape[1] + 1,) + position.shape)
+    path[0] = position
+    forward = np.empty(position.shape, dtype=bool)
+    for k in range(noise.shape[1]):
         for c, controller in enumerate(controllers):
             forward[c] = controller.act(Observation(
-                obstacle_pos_noisy=readings[:, k, 0],
+                obstacle_pos_noisy=noise[:, k, 0],
                 robot_pos=path[k, c],
-                obstacle_speed_noisy=readings[:, k, 1],
-                goal_noisy=readings[:, k, 2],
+                obstacle_speed_noisy=noise[:, k, 1],
+                goal_noisy=noise[:, k, 2],
             ))
         moved = path[k + 1]
         np.add(path[k], delta.take(forward.view(np.int8)), out=moved)
@@ -353,13 +440,13 @@ def _run_block(cfg: EnvConfig, makers, xs: np.ndarray,
         # on a tie: np.maximum would turn a -0.0 bound into a 0.0 position
         np.copyto(moved, lo, where=lo > moved)
         np.copyto(moved, hi, where=hi < moved)
-    del readings
-
-    # first collision second, or 0 if none: every robot starts out of danger
-    first = ((path >= cfg.danger_height) & occupied[:, None]).argmax(axis=0)
-    steps = np.where(first > 0, first, horizon)
-    modes = np.select([first > 0, (path >= y).any(axis=0)],
-                      [BehaviorMode.HARMFUL_FAILURE.code,
-                       BehaviorMode.SUCCESS.code],
-                      BehaviorMode.TASK_FAILURE.code)
-    return modes, steps, np.take_along_axis(path, steps[None], axis=0)[0]
+    # a collision at the chunk's first second is the last chunk's, and
+    # argmax reads it as none
+    hit = ((path >= cfg.danger_height) & occupied[:, None]).argmax(axis=0)
+    running = first == 0
+    last = np.where(hit > 0, hit, len(path) - 1)
+    np.copyto(final, np.take_along_axis(path, last[None], axis=0)[0],
+              where=running)
+    np.copyto(first, start + hit, where=running & (hit > 0))
+    reached |= (path >= xs[:, 2]).any(axis=0)
+    position[:] = path[-1]

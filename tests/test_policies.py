@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -249,7 +250,9 @@ def batch_cases(draw):
     hi = draw(st.floats(danger + 0.1, danger + 40.0))
     sigma = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
     cfg = EnvConfig(
-        episode_seconds=draw(st.one_of(st.sampled_from([0, 1]),
+        # about the end of the first chunk of noise, and the default
+        episode_seconds=draw(st.one_of(st.sampled_from([0, 1, 31, 32, 33,
+                                                        100]),
                                        st.integers(0, 60))),
         step_inches=draw(st.one_of(st.sampled_from([0.0, 5.0, 30.0]),
                                    st.floats(0.0, 30.0))),
@@ -364,9 +367,10 @@ class TestBatch:
         assert any(r.mode is BehaviorMode.HARMFUL_FAILURE for r in records)
 
     def test_block_memory_is_its_noise_and_paths(self, env, params):
-        """A block holds its noise, turned into its readings in place, and
-        one path of robot positions per policy; the readings are dropped
-        before the outcomes are read from the paths."""
+        """A block holds one chunk's noise at a time, turned into its
+        readings in place, and that chunk's path of robot positions per
+        policy; each chunk's buffers are dropped before the next chunk's
+        noise is drawn."""
         n, seconds = simulator._BLOCK, env.episode_seconds
         xs = sample(presets.testing_conditions(), n, 76)
         sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
@@ -380,7 +384,8 @@ class TestBatch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        noise = n * seconds * 3 * 8
+        first = simulator._FIRST_CHUNK
+        noise = n * max(first, seconds - first) * 3 * 8
         paths = len(pair) * n * (seconds + 1) * 8
         # and per episode: the collision mask, a byte a second, the
         # campaign's columns and the controllers' state
@@ -418,6 +423,140 @@ class TestBatch:
             evaluate_policy(env, ScalarOnly, [], 70)
 
 
+class Unsettled(ScriptedPolicy):
+    """The scripted policy, with a batch controller that has no
+    settled()."""
+
+    def batch(self, n: int) -> SimpleNamespace:
+        return SimpleNamespace(act=super().batch(n).act)
+
+
+class AskedAfterActs(ScriptedPolicy):
+    """The scripted policy, with a batch controller whose settled() fails
+    the test if it is asked before the controller's first act."""
+
+    def batch(self, n: int) -> SimpleNamespace:
+        inner, acts = super().batch(n), []
+
+        def act(obs: Observation) -> np.ndarray:
+            acts.append(obs)
+            return inner.act(obs)
+
+        def settled() -> np.ndarray:
+            assert acts, "settled() asked before the first act"
+            return inner.settled()
+        return SimpleNamespace(act=act, settled=settled)
+
+
+def drawn_per_chunk(cfg, factories, scenarios, seeds) -> list[int]:
+    """Run the factories' policies in one run_batch call, check each
+    campaign against run_episode, and return how many episodes each chunk
+    of noise drew."""
+    with mock.patch.object(simulator, "_noise",
+                           wraps=simulator._noise) as noise:
+        assert_batch_matches_scalar(cfg, *factories[:1], scenarios, seeds,
+                                    *factories[1:])
+    # run_batch's own call comes first; the scalar runs draw no chunks
+    return [len(call.args[1]) for call in noise.call_args_list]
+
+
+class TestChunkedNoise:
+    """A block draws the noise of its first chunk of seconds for every
+    episode, and of the rest only for the episodes a controller may still
+    read."""
+
+    def test_always_impatient_pair_draws_only_the_first_chunk(self, env):
+        # a threshold at the bottom of the track: each goal, exact or
+        # clipped into [0, clip], latches the impatient branch at once
+        cfg = EnvConfig(noise_sigma_goal=0.0)
+        impatient = ScriptedPolicyParams(
+            risk_goal_threshold=cfg.robot_bounds[0])
+        sf = SafetyFunction.from_threshold(38.47)
+        xs = sample(presets.testing_conditions(), 300, 81)
+        drawn = drawn_per_chunk(
+            cfg, [lambda: ScriptedPolicy(impatient, cfg),
+                  lambda: wrap(ScriptedPolicy(impatient, cfg), sf)],
+            xs, range(300))
+        assert drawn == [300, 0]
+
+    def test_the_testing_pair_draws_the_rest_for_some_episodes(self, env,
+                                                               params):
+        sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
+        xs = sample(presets.testing_conditions(), 300, 82)
+        drawn = drawn_per_chunk(
+            env, [lambda: ScriptedPolicy(params, env),
+                  lambda: wrap(ScriptedPolicy(params, env), sf)],
+            xs, range(300))
+        assert drawn[0] == 300 and 0 < drawn[1] < 300
+
+    @pytest.mark.parametrize("governed", [False, True],
+                             ids=["bare", "wrapped"])
+    def test_a_controller_without_settled_has_every_second_drawn(
+            self, env, params, governed):
+        sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
+        make = ((lambda: wrap(Unsettled(params, env), sf)) if governed
+                else (lambda: Unsettled(params, env)))
+        assert not hasattr(make().batch(1), "settled")
+        xs = sample(presets.testing_conditions(), 200, 83)
+        assert drawn_per_chunk(env, [make], xs, range(200)) == [200, 200]
+        # beside a controller that has settled(), too
+        assert drawn_per_chunk(env, [lambda: ScriptedPolicy(params, env),
+                                     make], xs, range(200)) == [200, 200]
+
+    @pytest.mark.parametrize("seconds", [0, 1, 31, 32, 33])
+    def test_settled_is_asked_only_after_the_first_act(self, params,
+                                                       seconds):
+        cfg = EnvConfig(episode_seconds=seconds)
+        xs = sample(presets.testing_conditions(), 50, 84)
+        drawn = drawn_per_chunk(cfg, [lambda: AskedAfterActs(params, cfg)],
+                                xs, range(50))
+        # a horizon within the first chunk needs no second one
+        if seconds == 0:
+            assert drawn == []
+        elif seconds <= simulator._FIRST_CHUNK:
+            assert drawn == [50]
+        else:
+            assert len(drawn) == 2 and drawn[0] == 50
+
+
+finite = st.floats(-100.0, 100.0)
+anything = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1e308, -1e308, -0.0]))
+
+
+@st.composite
+def batch_observations(draw, values, n: int) -> Observation:
+    def column() -> np.ndarray:
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    return Observation(obstacle_pos_noisy=column(), robot_pos=column(),
+                       obstacle_speed_noisy=column(), goal_noisy=column())
+
+
+@settings(max_examples=200)
+@given(data=st.data(), governed=st.booleans(),
+       threshold=st.floats(0.0, 50.0), margin=st.floats(0.0, 15.0))
+def test_settled_episodes_go_forward_whatever_they_read(data, governed,
+                                                        threshold, margin):
+    """After any finite readings, every episode settled() names goes
+    forward on every later act, for any readings at all, NaN and infinite
+    ones too, and stays settled."""
+    env = EnvConfig()
+    policy = ScriptedPolicy(ScriptedPolicyParams(
+        risk_goal_threshold=threshold, passed_margin=margin), env)
+    if governed:
+        policy = wrap(policy, SafetyFunction(
+            goal_clip_max=data.draw(st.floats(0.0, 50.0))))
+    n = 6
+    controller = policy.batch(n)
+    for _ in range(data.draw(st.integers(1, 4))):
+        controller.act(data.draw(batch_observations(finite, n)))
+    settled = controller.settled()
+    for _ in range(data.draw(st.integers(1, 4))):
+        forward = controller.act(data.draw(batch_observations(anything, n)))
+        assert forward[settled].all()
+        assert controller.settled()[settled].all()
+
+
 class TestEvaluatePolicies:
     # 2,500 episodes span two full blocks of 1,024 and a partial one
     @pytest.mark.parametrize("n", [0, 2500])
@@ -426,12 +565,16 @@ class TestEvaluatePolicies:
         sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
         plain = lambda: ScriptedPolicy(params, env)
         governed = lambda: wrap(ScriptedPolicy(params, env), sf)
-        with mock.patch.object(simulator, "_episode_noise",
-                               wraps=simulator._episode_noise) as noise:
+        with mock.patch.object(simulator, "seeded_streams",
+                               wraps=simulator.seeded_streams) as streams, \
+                mock.patch.object(simulator, "_noise",
+                                  wraps=simulator._noise) as noise:
             pair = evaluate_policies(env, (plain, governed), xs, 72,
                                      condition_name="testing")
-        # one noise draw per block, shared by the pair
-        assert noise.call_count == -(-n // simulator._BLOCK)
+        # one noise draw per block, shared by the pair, in its two chunks
+        blocks = -(-n // simulator._BLOCK)
+        assert streams.call_count == blocks
+        assert noise.call_count == 2 * blocks
         assert pair == (
             evaluate_policy(env, plain, xs, 72, condition_name="testing"),
             evaluate_policy(env, governed, xs, 72, condition_name="testing"))

@@ -10,7 +10,10 @@ oracle: a numpy release that changes either algorithm fails these tests
 instead of silently changing output files. Each row's state is written as
 four 64-bit words straight into one PCG64's state memory, in the order a
 probe through numpy's ``state`` setter finds, so a release that moves those
-words must make the probe raise before any row is drawn.
+words must make the probe raise before any row is drawn. The episode noise
+is drawn in chunks of seconds, each row's state read back after a chunk
+and written again for the next, so a row drawn in chunks reads the same
+prefix of its stream as one drawn whole.
 
 Every entropy row is held as fixed word columns, at least the pool's four:
 an episode seed in [0, 2**64) is its low and high word, then zeros, which
@@ -37,26 +40,27 @@ from depgrid import (
     DepgridError,
     Dimension,
     DomainSpace,
+    EnvConfig,
     Uniform,
     presets,
     run_batch,
     run_episode,
 )
-from depgrid import domain
+from depgrid import domain, simulator
 from depgrid.domain import (
     _PCG_MULT,
     _mul_add,
+    SeededStreams,
     _pcg64_limbs,
-    _seeded_streams,
     _spawn_entropy,
     _xsl_rr,
     sample,
-    seeded_generators,
+    seeded_streams,
     substream_seed,
     substream_seeds,
 )
 from depgrid.policies import ScriptedPolicy
-from depgrid.simulator import _episode_noise
+from depgrid.simulator import _noise
 
 EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
 
@@ -100,7 +104,7 @@ def test_spawned_generator_state_equals_numpy(master, n):
     state, inc = _pcg64_limbs(_spawn_entropy(master, n))
     assert len(state[0]) == len(inc[0]) == n
     states = [rng.bit_generator.state
-              for rng in _seeded_streams(state, inc)]
+              for _, rng in SeededStreams(state, inc).each(range(n))]
     assert states == [spawned(master, i).state for i in range(n)]
 
 
@@ -224,14 +228,57 @@ def noise_oracle(seeds, horizon: int) -> list[np.ndarray]:
         (horizon, 3)) for seed in seeds]
 
 
+def episode_noise(seeds, horizon: int, split: int = 0) -> np.ndarray:
+    """The noise of each seed's episode, drawn as _run_block draws it: the
+    first ``split`` seconds of every row, then the rest, each row resumed
+    where its first draw left it."""
+    streams = seeded_streams(np.array(seeds, dtype=np.uint64))
+    rows = range(len(seeds))
+    return np.concatenate([_noise(streams, rows, split),
+                           _noise(streams, rows, horizon - split)], axis=1)
+
+
 @settings(max_examples=200)
-@given(seeds=st.lists(raw_seeds, max_size=10), horizon=st.integers(0, 6))
-@example(seeds=list(EDGES), horizon=100)
-def test_episode_noise_equals_pcg64_of_the_seed(seeds, horizon):
-    noise = _episode_noise(np.array(seeds, dtype=np.uint64), horizon)
+@given(seeds=st.lists(raw_seeds, max_size=10), horizon=st.integers(0, 6),
+       split=st.integers(0, 6))
+@example(seeds=list(EDGES), horizon=100, split=32)
+def test_episode_noise_equals_pcg64_of_the_seed(seeds, horizon, split):
+    split = min(split, horizon)
+    noise = episode_noise(seeds, horizon, split)
     assert noise.shape == (len(seeds), horizon, 3)
     for row, want in zip(noise, noise_oracle(seeds, horizon)):
         assert np.array_equal(row, want)
+
+
+@pytest.mark.parametrize("horizon", [31, 32, 33, 100])
+def test_run_batch_chunks_read_a_prefix_of_each_seeds_stream(params,
+                                                             horizon):
+    """Each chunk run_batch draws holds, for each episode it draws, the next
+    seconds of PCG64(seed)'s standard normals, and zeros for the others;
+    the first chunk draws every episode."""
+    cfg = EnvConfig(episode_seconds=horizon)
+    seeds = list(EDGES) + list(range(10, 45))
+    xs = sample(presets.condition("testing"), len(seeds), 4)
+    chunks = []
+
+    def keep(streams, rows, seconds):
+        noise = _noise(streams, rows, seconds)
+        chunks.append((list(rows), noise.copy()))   # before its readings
+        return noise
+
+    with mock.patch.object(simulator, "_noise", keep):
+        run_batch(cfg, [ScriptedPolicy(params, cfg)], xs, seeds)
+    want = np.array(noise_oracle(seeds, horizon))
+    assert sum(noise.shape[1] for _, noise in chunks) == horizon
+    assert chunks[0][0] == list(range(len(seeds)))
+    at = 0
+    for rows, noise in chunks:
+        stop = at + noise.shape[1]
+        assert np.array_equal(noise[rows], want[rows, at:stop])
+        assert not np.delete(noise, rows, axis=0).any()
+        at = stop
+    if horizon == 100:   # some episodes settle in the first chunk
+        assert len(chunks[1][0]) < len(seeds)
 
 
 def test_a_uint64_array_splits_into_the_words_of_its_ints():
@@ -245,26 +292,27 @@ def test_a_uint64_array_splits_into_the_words_of_its_ints():
         rng.integers(0, 2**64 - 1, 20, dtype=np.uint64, endpoint=True)])
     rng.shuffle(seeds)
     ints = seeds.tolist()
-    states = [g.bit_generator.state for g in seeded_generators(seeds)]
+    states = [g.bit_generator.state
+              for _, g in seeded_streams(seeds).each(range(len(seeds)))]
     assert states == [np.random.PCG64(seed).state for seed in ints]
-    for row, want in zip(_episode_noise(seeds, 3), noise_oracle(ints, 3)):
+    for row, want in zip(episode_noise(seeds, 3), noise_oracle(ints, 3)):
         assert np.array_equal(row, want)
 
 
 def test_two_iterators_drawn_in_alternation_keep_their_own_streams():
-    """Each call writes the words into its own PCG64, so one iterator's rows
-    do not move the other's."""
+    """Each SeededStreams writes the words into its own PCG64, so one's rows
+    do not move the other's, within a pass over the rows or across two."""
     a_seeds, b_seeds = [0, 2**32, 7, 2**64 - 1], [5, 2**63, 1, 2**40 + 3]
-    a = seeded_generators(np.array(a_seeds, dtype=np.uint64))
-    b = seeded_generators(np.array(b_seeds, dtype=np.uint64))
-    got_a, got_b = [], []
-    for ra, rb in zip(a, b):
-        got_a.append(ra.standard_normal((5, 3)))
-        got_b.append(rb.standard_normal((5, 3)))
+    a = seeded_streams(np.array(a_seeds, dtype=np.uint64))
+    b = seeded_streams(np.array(b_seeds, dtype=np.uint64))
+    got_a, got_b = [[] for _ in a_seeds], [[] for _ in b_seeds]
+    for _ in range(2):
+        for (i, ra), (j, rb) in zip(a.each(range(4)), b.each(range(4))):
+            got_a[i].append(ra.standard_normal((5, 3)))
+            got_b[j].append(rb.standard_normal((5, 3)))
     for got, seeds in ((got_a, a_seeds), (got_b, b_seeds)):
-        assert len(got) == len(seeds)
-        for row, want in zip(got, noise_oracle(seeds, 5)):
-            assert np.array_equal(row, want)
+        for rows, want in zip(got, noise_oracle(seeds, 10)):
+            assert np.array_equal(np.concatenate(rows), want)
 
 
 NUMPY_PCG64 = np.random.PCG64   # kept while the name is patched
@@ -289,11 +337,12 @@ class PCG64(NUMPY_PCG64):
 @pytest.mark.parametrize("rows", [1, 2, 50])
 def test_the_state_setter_runs_once_per_call_not_once_per_row(rows):
     """Only the probe of the word order sets the state through numpy's
-    setter; every row's words are written into the state memory."""
+    setter; every row's words are written into the state memory, and read
+    back from it between chunks."""
     seeds = np.arange(rows, dtype=np.uint64) * np.uint64(2**33 + 1)
     PCG64.sets = 0
     with mock.patch.object(domain.np.random, "PCG64", PCG64):
-        noise = _episode_noise(seeds, 4)
+        noise = episode_noise(seeds, 4, 1)
     assert PCG64.sets == 1
     for row, want in zip(noise, noise_oracle(seeds.tolist(), 4)):
         assert np.array_equal(row, want)
@@ -310,7 +359,8 @@ def test_state_words_that_are_not_found_raise_before_any_draw():
     with mock.patch.object(domain, "_state_words", hidden):
         with pytest.raises(DepgridError, match=f"numpy {np.__version__}: "
                                                f"PCG64's state words"):
-            for rng in seeded_generators(np.arange(3, dtype=np.uint64)):
+            streams = seeded_streams(np.arange(3, dtype=np.uint64))
+            for _, rng in streams.each(range(3)):
                 drawn.append(rng.standard_normal())
         with pytest.raises(DepgridError, match="state words"):
             sample(presets.condition("oc3"), 3, 1)
@@ -320,7 +370,7 @@ def test_state_words_that_are_not_found_raise_before_any_draw():
 @pytest.mark.parametrize("seeds", [[], [0], [5, 9], [2**40, 2**64 - 1]],
                          ids=["empty", "zero", "one_word", "two_words"])
 def test_uint64_arrays_of_one_word_count(seeds):
-    noise = _episode_noise(np.array(seeds, dtype=np.uint64), 4)
+    noise = episode_noise(seeds, 4, 2)
     assert noise.shape == (len(seeds), 4, 3)
     for row, want in zip(noise, noise_oracle(seeds, 4)):
         assert np.array_equal(row, want)
