@@ -19,8 +19,8 @@ from .estimator import (BehaviorMode, TestCampaign, compare, observed_rates,
 from .pipeline import policy_factory, reproduce
 from .policies import evaluate_policy
 from .records import (atomic_write_text, atomic_write_texts, dump_json,
-                      file_sha256, load_condition_file, naming_line,
-                      read_manifest, read_records, read_report, read_scenarios,
+                      load_condition_file, naming_line, read_manifest,
+                      read_records, read_report, read_scenarios,
                       write_campaign, write_report, write_scenarios)
 from .safety import DEFAULT_DELTA, SafetyFunction
 from .simulator import EnvConfig
@@ -105,17 +105,20 @@ def cmd_run(args) -> int:
             raise ConfigError(f"--manifest fixes the campaign; it takes no "
                               f"{', '.join(given)}")
         manifest = read_manifest(args.manifest)
-        base = Path(args.manifest).parent
-        scenarios_path = base / manifest["scenarios_path"]
+        # the record file is the only copy of the campaign's scenarios
+        source = Path(args.manifest).parent / manifest["records_path"]
+        scenarios = read_records(source).scenarios
+        if len(scenarios) != manifest["n_records"]:
+            raise DataError(f"{source}: {len(scenarios)} records, "
+                            f"{args.manifest} recorded {manifest['n_records']}")
         seed = manifest["master_seed"]
         env, params = manifest["env"], manifest["policy"]
         safety = manifest["safety"]
         condition_name = manifest["condition"]
-        out = Path(args.out) if args.out else base / manifest["records_path"]
+        out = Path(args.out) if args.out else source
     else:
         if not args.scenarios:
             raise ConfigError("give --scenarios FILE (or --manifest FILE)")
-        scenarios_path = Path(args.scenarios)
         seed = args.seed or 0
         env, params = EnvConfig(), presets.default_policy_params()
         if args.config:
@@ -134,23 +137,15 @@ def cmd_run(args) -> int:
         if not args.out:
             raise ConfigError("give --out FILE for the records")
         out = Path(args.out)
+        source = Path(args.scenarios)
+        scenarios = read_scenarios(source)
 
-    scenarios = read_scenarios(scenarios_path)
-    if args.manifest:
-        if len(scenarios) != manifest["n_records"]:
-            raise DataError(f"{scenarios_path}: {len(scenarios)} scenarios, "
-                            f"{args.manifest} recorded {manifest['n_records']}")
-        # a manifest written without the hash replays unchecked
-        if manifest.get("scenarios_sha256") not in (
-                None, file_sha256(scenarios_path)):
-            raise DataError(f"{scenarios_path}: its sha256 is not the "
-                            f"scenarios_sha256 {args.manifest} recorded")
-    with naming_line(scenarios_path):
+    # the domain check of the scenarios names the line of the first outside
+    with naming_line(source):
         campaign = evaluate_policy(env, policy_factory(params, env, safety),
                                    scenarios, seed,
                                    condition_name=condition_name)
-    manifest_path = write_campaign(out, campaign, env, params, safety,
-                                   scenarios_path)
+    manifest_path = write_campaign(out, campaign, env, params, safety)
     print(f"wrote {len(campaign)} records to {out} "
           f"(manifest: {manifest_path})")
     return 0

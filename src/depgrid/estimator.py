@@ -7,10 +7,12 @@ probability of success when scenarios are drawn from that condition; the
 two undependabilities are the probabilities of the failure modes.
 
 A TestCampaign holds its records as columns: the (n, d) scenario array, the
-mode codes, seeds, steps and final positions. Tallying reads only the first
-two. A Tally holds the integer outcome counts of one campaign as one array,
-one row per grid region in C order and one column per behavior mode.
-Prediction re-weights the per-region rates with the target condition's
+mode codes, steps and final positions. An episode's seed is an input, not an
+outcome: it is derived from the campaign's master seed and the row (see
+policies.evaluate_policies), so no column holds it. Tallying reads only the
+first two columns. A Tally holds the integer outcome counts of one campaign
+as one array, one row per grid region in C order and one column per behavior
+mode. Prediction re-weights the per-region rates with the target condition's
 region mass vector: the predicted rates are sum_r w_r * p_r. Counts stay
 exact integers; division happens only at report time.
 
@@ -71,13 +73,13 @@ class TrialRecord:
 
     scenario is the scenario's coordinates as a tuple of floats. steps
     counts the seconds stepped, so a harmful failure collides at its last
-    step. A mode name is converted to its BehaviorMode; the record
-    invariants are checked on campaign columns.
+    step. The episode's seed is not kept: it is run_episode's input. A mode
+    name is converted to its BehaviorMode; the record invariants are checked
+    on campaign columns.
     """
 
     scenario: tuple[float, ...]
     mode: BehaviorMode
-    seed: int
     steps: int
     final_position: float
 
@@ -105,10 +107,11 @@ def _fields_equal(a, b) -> bool:
 class TestCampaign:
     """All trial records gathered under one condition and master seed, as
     columns: ``scenarios`` (n, d) floats, ``modes`` int8 codes (see
-    BehaviorMode.code), ``seeds`` ints (raw seeds may exceed 64 bits),
-    ``steps`` ints and ``final_position`` floats; a harmful record's
-    collision time is its steps. A row without a known mode and steps >= 0
-    (>= 1 if harmful) raises DataError.
+    BehaviorMode.code), ``steps`` ints and ``final_position`` floats; a
+    harmful record's collision time is its steps. No column holds the
+    episode seeds: evaluate_policies runs row i with
+    ``substream_seed(master_seed, i)``. A row without a known mode and
+    steps >= 0 (>= 1 if harmful) raises DataError.
 
     ``campaign[i]`` and ``records`` are the rows as TrialRecords, built on
     first use for tests and demos; the library reads only the columns.
@@ -119,14 +122,13 @@ class TestCampaign:
     condition_name: str
     scenarios: np.ndarray
     modes: np.ndarray
-    seeds: tuple[int, ...]
     steps: np.ndarray
     final_position: np.ndarray
     master_seed: int = 0
 
     def __post_init__(self):
-        lengths = {len(c) for c in (self.scenarios, self.modes, self.seeds,
-                                    self.steps, self.final_position)}
+        lengths = {len(c) for c in (self.scenarios, self.modes, self.steps,
+                                    self.final_position)}
         if self.scenarios.ndim != 2 or len(lengths) != 1:
             raise DataError(f"campaign columns differ in length: {lengths}")
         harmful = self.modes == BehaviorMode.HARMFUL_FAILURE.code
@@ -145,9 +147,9 @@ class TestCampaign:
     @cached_property
     def records(self) -> tuple[TrialRecord, ...]:
         return tuple(
-            TrialRecord(tuple(x), _MODE_ORDER[m], seed, steps, position)
-            for x, m, seed, steps, position in zip(
-                self.scenarios.tolist(), self.modes.tolist(), self.seeds,
+            TrialRecord(tuple(x), _MODE_ORDER[m], steps, position)
+            for x, m, steps, position in zip(
+                self.scenarios.tolist(), self.modes.tolist(),
                 self.steps.tolist(), self.final_position.tolist()))
 
     __eq__ = _fields_equal

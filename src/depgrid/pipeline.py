@@ -11,9 +11,10 @@ function. So the output bytes are a pure function of (n, seed, grid).
 The tree under out_dir, for each condition <name>:
 
     conditions/<name>.json              condition document with its seed
-    scenarios/<name>.jsonl              formatted once for all its records
-    records/<name>.jsonl, <name>.manifest.json (with the env, params and
-            safety function it ran), and testing_safety.*
+    records/<name>.jsonl, <name>.manifest.json (with the env, params,
+            safety function and master seed it ran), and testing_safety.*;
+            the record files are the only copy of the scenarios, whose
+            texts are formatted once for both testing campaigns
     reports/predicted_<name>.json, observed_<name>.json, and
             observed_testing_safety.json
     plots/comparison.svg, failures_testing.svg, failures_testing_safety.svg
@@ -30,7 +31,7 @@ from .errors import ConfigError
 from .estimator import compare, observed_rates, predict, tally
 from .policies import ScriptedPolicy, ScriptedPolicyParams, evaluate_policies
 from .records import (_as_json, atomic_write_text, condition_document,
-                      dump_json, write_campaign, write_report, write_scenarios,
+                      dump_json, scenario_texts, write_campaign, write_report,
                       writing)
 from .safety import SafetyFunction, wrap
 from .simulator import EnvConfig
@@ -95,12 +96,11 @@ def reproduce(out_dir: str | Path, *, n: int, seed: int,
         doc = condition_document(cond, grid, sample_seed, env=env,
                                  params=params)
         atomic_write_text(out / "conditions" / f"{name}.json", dump_json(doc))
-        scenarios_path = out / "scenarios" / f"{name}.jsonl"
-        texts = write_scenarios(scenarios_path, scenarios)
+        texts = scenario_texts(scenarios)
         for campaign, safety, stem in zip(campaigns, safeties,
                                           (name, f"{name}_safety")):
             write_campaign(out / "records" / f"{stem}.jsonl", campaign, env,
-                           params, safety, scenarios_path, texts=texts)
+                           params, safety, texts=texts)
             observed[stem] = observed_rates(campaign)
             write_report(out / "reports" / f"observed_{stem}.json",
                          observed[stem])

@@ -12,26 +12,28 @@ reads an object of exactly those fields, each checked by its type.
 
 A scenario file has one JSON list of coordinates per line, one line per row
 of an (n, d) scenario array. scenario_texts formats the coordinates of all
-rows with one repr call; write_scenarios writes each row's text as one line
-and returns the texts, and read_scenarios returns the checked array.
+rows with one repr call; write_scenarios writes each row's text as one line,
+and read_scenarios returns the checked array.
 
-A record file has one JSON line per record. write_records fills a campaign's
+A record file has one JSON line per record: its scenario, mode, steps and
+final position. The episode's seed is not written: it is derived from the
+master seed in the campaign's manifest. write_records fills a campaign's
 columns into one line template, _RECORD_LINE: the scenario texts, given by
-the caller that wrote the scenario file or formatted as above, the mode
-names looked up by code, and the other columns whole. So a scenario set
-that several campaigns ran is formatted once. read_records has two readers
-that give the same campaign. A file as write_records writes it, lines of the
-template's grammar and nothing else, with the first line's coordinate count
-d on every line and d at most _MAX_COORDINATES, is split by one compiled
-regular expression, _record_grammar(d), into its tokens, one per coordinate
-and per other field; the columns are converted from them and checked whole.
-Any other file (blank lines, CRLF endings, lines of another coordinate
-count and more coordinates than the cap included), or one whose columns
-fail a check, goes to the reference reader: it parses each line on its own
-with json.loads, then builds and checks the columns. Every error comes from
-the reference reader, and names the line of the first bad record. A file's
-rows are its non-blank lines, and naming_line turns a row into its line for
-every error, the command line's domain checks included.
+the caller or formatted as above, the mode names looked up by code, and the
+other columns whole. So a scenario set that several campaigns ran is
+formatted once. read_records has two readers that give the same campaign. A
+file as write_records writes it, lines of the template's grammar and nothing
+else, with the first line's coordinate count d on every line and d at most
+_MAX_COORDINATES, is split by one compiled regular expression,
+_record_grammar(d), into its tokens, one per coordinate and per other field;
+the columns are converted from them and checked whole. Any other file (blank
+lines, CRLF endings, lines of another coordinate count and more coordinates
+than the cap included), or one whose columns fail a check, goes to the
+reference reader: it parses each line on its own with json.loads, then
+builds and checks the columns. Every error comes from the reference reader,
+and names the line of the first bad record. A file's rows are its non-blank
+lines, and naming_line turns a row into its line for every error, the
+command line's domain checks included.
 
 A report file (format_version 2) holds the same columns as the in-memory
 report: a small scalar header, then the bin edges once, and the masses, the
@@ -43,16 +45,17 @@ converts it, and refuses any file of another format_version, so there is
 one reader.
 
 A campaign's files, written by write_campaign, are its record file and a
-manifest beside it, a JSON object that holds the env, policy params and
-safety function the campaign ran and names its scenario file; read_manifest
-reads the three as objects and checks them against each other, and run
---manifest replays the campaign from anywhere with no other file.
+manifest beside it, a JSON object that holds the env, policy params, safety
+function and master seed the campaign ran and names its record file. The
+record file is the only copy of the campaign's scenarios: read_manifest
+reads the three sections as objects and checks them against each other, and
+run --manifest runs the record file's scenario column again, from anywhere
+and with no other file.
 """
 
 from __future__ import annotations
 
 import errno
-import hashlib
 import json
 import math
 import os
@@ -134,15 +137,6 @@ def atomic_write_texts(texts: list) -> None:
         for tmp, _ in staged:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-
-
-def file_sha256(path: str | Path) -> str:
-    """The sha256 of a file's bytes; a missing or unreadable file raises
-    DataError."""
-    try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    except OSError as e:
-        raise DataError(f"{path}: {e}") from None
 
 
 def _read_text(path: str | Path) -> str:
@@ -318,13 +312,10 @@ def scenario_texts(scenarios: np.ndarray) -> list[str]:
     return repr(xs.tolist())[2:-2].split("], [")
 
 
-def write_scenarios(path: str | Path, scenarios: np.ndarray) -> list[str]:
-    """Write each row of an (n, d) scenario array as one JSON list line, and
-    return the rows' scenario_texts for the record files of campaigns that
-    ran them (see write_records)."""
-    texts = scenario_texts(scenarios)
-    atomic_write_text(path, "".join(f"[{x}]\n" for x in texts))
-    return texts
+def write_scenarios(path: str | Path, scenarios: np.ndarray) -> None:
+    """Write each row of an (n, d) scenario array as one JSON list line."""
+    atomic_write_text(path, "".join(f"[{x}]\n"
+                                    for x in scenario_texts(scenarios)))
 
 
 def _rows(text: str) -> list[tuple[int, str]]:
@@ -391,7 +382,6 @@ def record_to_dict(r: TrialRecord) -> dict:
     return {
         "scenario": list(r.scenario),
         "mode": r.mode.value,
-        "seed": r.seed,
         "steps": r.steps,
         "final_position": r.final_position,
     }
@@ -399,7 +389,7 @@ def record_to_dict(r: TrialRecord) -> dict:
 
 # A record line is json.dumps(record_to_dict(row)) of its row, filled into
 # one template from the campaign's columns: the repr of each float and int.
-_RECORD_LINE = ('{"scenario": [%s], "mode": "%s", "seed": %d, "steps": %d, '
+_RECORD_LINE = ('{"scenario": [%s], "mode": "%s", "steps": %d, '
                 '"final_position": %r}\n')
 _MODE_CODES = {m.value: m.code for m in _MODE_ORDER}
 _MODE_NAMES = np.array([m.value for m in _MODE_ORDER], dtype=object)
@@ -409,39 +399,39 @@ def write_records(path: str | Path, campaign: TestCampaign,
                   texts: list[str] | None = None) -> None:
     """Write the record file of a campaign, one _RECORD_LINE per row.
 
-    ``texts`` are the scenario_texts of the campaign's scenarios, such as
-    write_scenarios returned for the scenario file the campaign ran; they
-    are computed when not given. Texts of another length than the campaign
-    raise ConfigError, and no file is written."""
+    ``texts`` are the scenario_texts of the campaign's scenarios, formatted
+    once by a caller that writes several campaigns of one scenario set;
+    they are computed when not given. Texts of another length than the
+    campaign raise ConfigError, and no file is written."""
     if texts is None:
         texts = scenario_texts(campaign.scenarios)
     if len(texts) != len(campaign):
         raise ConfigError(f"{len(texts)} scenario texts for a campaign of "
                           f"{len(campaign)} records")
     atomic_write_text(path, "".join(map(_RECORD_LINE.__mod__, zip(
-        texts, _MODE_NAMES[campaign.modes].tolist(), campaign.seeds,
+        texts, _MODE_NAMES[campaign.modes].tolist(),
         campaign.steps.tolist(), campaign.final_position.tolist()))))
 
 
 def _is_record(d) -> bool:
     """Whether a parsed line has a record's fields with their JSON types and
-    a finite final_position; other keys are ignored."""
+    a finite final_position; other keys, such as the seed and
+    collision_time of older files, are ignored."""
     return (type(d) is dict and type(d.get("mode")) is str
             and d["mode"] in _MODE_CODES and "scenario" in d
-            and type(d.get("seed")) is int and type(d.get("steps")) is int
+            and type(d.get("steps")) is int
             and type(d.get("final_position")) in _NUMBER
             and math.isfinite(d["final_position"]))
 
 
 def _campaign_from_dicts(docs: list) -> TestCampaign:
     check_rows([_is_record(d) for d in docs],
-               lambda i: f"a record needs a known mode, integer seed and "
-                         f"steps, a finite number final_position and a "
-                         f"scenario; got {docs[i]!r}")
+               lambda i: f"a record needs a known mode, integer steps, a "
+                         f"finite number final_position and a scenario; "
+                         f"got {docs[i]!r}")
     return TestCampaign(
         "", _scenario_array([d["scenario"] for d in docs]),
         np.array([_MODE_CODES[d["mode"]] for d in docs], dtype=np.int8),
-        tuple(d["seed"] for d in docs),
         np.array([d["steps"] for d in docs], dtype=np.int64),
         np.array([d["final_position"] for d in docs], dtype=float))
 
@@ -454,8 +444,6 @@ def _campaign_from_dicts(docs: list) -> TestCampaign:
 # - a float token is a JSON number with a fraction or an exponent, as repr
 #   writes it; [0-9] rather than \d, which also matches digits that float()
 #   takes and JSON refuses;
-# - seed has at most 640 digits, the least limit int() on a string can be
-#   set to (sys.set_int_max_str_digits);
 # - steps has at most 15 digits, so np.fromiter puts it in the int64 column
 #   without an OverflowError, which the fast path must never raise; a
 #   longer one goes to the reference reader, which names its line;
@@ -464,7 +452,7 @@ def _campaign_from_dicts(docs: list) -> TestCampaign:
 #   needs one given back, and a line that cannot match fails without
 #   trying shorter tokens.
 # _record_grammar(d).split(text) gives one flat list, [separator, d
-# coordinates, mode, seed, steps, final_position] per match,
+# coordinates, mode, steps, final_position] per match,
 # then the text after the last match. A match holds no newline and ends at
 # its line's only "}", so when the first separator is empty, every other one
 # is "\n" and the text after the last is "" or "\n", every line of the text
@@ -476,8 +464,7 @@ _FLOAT = (r"-?+(?:0|[1-9][0-9]*+)"
           r"(?:\.[0-9]++(?:[eE][-+]?+[0-9]++)?+|[eE][-+]?+[0-9]++)")
 _RECORD_GRAMMAR = (
     r'\{"scenario": \[%%s\], "mode": "(%(mode)s)", '
-    r'"seed": (-?+(?:0|[1-9][0-9]{0,639}+)), "steps": (0|[1-9][0-9]{0,14}+), '
-    r'"final_position": (%(f)s)\}'
+    r'"steps": (0|[1-9][0-9]{0,14}+), "final_position": (%(f)s)\}'
     % {"f": _FLOAT, "mode": "|".join(map(re.escape, _MODE_CODES))})
 _MAX_COORDINATES = 16
 
@@ -504,7 +491,7 @@ def _campaign_from_template(text: str) -> TestCampaign | None:
     if not 1 <= d <= _MAX_COORDINATES:
         return None
     parts = _record_grammar(d).split(text)
-    stride = d + 5
+    stride = d + 4
     if not (len(parts) % stride == 1 and len(parts) > 1 and parts[0] == ""
             and set(parts[stride:-1:stride]) <= {"\n"}
             and parts[-1] in ("", "\n")):
@@ -513,16 +500,14 @@ def _campaign_from_template(text: str) -> TestCampaign | None:
     scenarios = np.empty((n, d))
     for j in range(d):
         scenarios[:, j] = np.fromiter(map(float, parts[1 + j::stride]), float, n)
-    mode, seed, steps, position = (parts[k::stride]
-                                   for k in range(d + 1, stride))
+    mode, steps, position = (parts[k::stride] for k in range(d + 1, stride))
     modes = np.fromiter(map(_MODE_CODES.__getitem__, mode), np.int8, n)
     steps = np.fromiter(map(int, steps), np.int64, n)
     position = np.fromiter(map(float, position), float, n)
     if not (np.isfinite(scenarios).all() and np.isfinite(position).all()):
         return None
     try:
-        return TestCampaign("", scenarios, modes, tuple(map(int, seed)),
-                            steps, position)
+        return TestCampaign("", scenarios, modes, steps, position)
     except DataError:
         return None
 
@@ -535,9 +520,9 @@ def read_records(path: str | Path) -> TestCampaign:
     whose lines all have the first line's coordinate count d, 1 <= d <=
     _MAX_COORDINATES, is split by one regular expression, _record_grammar(d),
     and its columns come straight from the tokens (unless its steps have 16
-    digits or more, or its seeds more than 640). Any other file (blank lines,
-    CRLF endings, other spacing, key order or keys, such as the
-    collision_time of older files, integer coordinates, escaped strings,
+    digits or more). Any other file (blank lines, CRLF endings, other
+    spacing, key order or keys, such as the seed and collision_time of older
+    files, which are ignored, integer coordinates, escaped strings,
     scenarios of no coordinates, of more than the cap or of another count
     than the first line's, or a bad record) goes to the reference reader:
     each line is parsed on its own with json.loads, then the columns are
@@ -694,15 +679,14 @@ def read_report(path: str | Path) -> DependabilityReport:
 
 def write_campaign(path: str | Path, campaign: TestCampaign, env: EnvConfig,
                    params: ScriptedPolicyParams, safety: SafetyFunction | None,
-                   scenarios_path: str | Path,
                    texts: list[str] | None = None) -> Path:
     """Write a campaign's records to path, then its manifest beside them, at
     path with the suffix .manifest.json; returns the manifest's path. The
-    manifest replays the campaign bit for bit. It holds the env, params and
-    safety function the campaign ran, and records the scenario file it ran
-    by its path relative to the manifest, so runs in different directories
-    write the same bytes, and by its sha256, so a replay refuses an edited
-    file. ``texts`` are passed on to write_records."""
+    manifest replays the campaign bit for bit from the record file's
+    scenarios. It holds the env, params, safety function and master seed
+    the campaign ran, and names the record file by its bare file name, so
+    runs in different directories write the same bytes. ``texts`` are
+    passed on to write_records."""
     path = Path(path)
     manifest = {
         "condition": campaign.condition_name,
@@ -711,8 +695,6 @@ def write_campaign(path: str | Path, campaign: TestCampaign, env: EnvConfig,
         "safety": _as_json(safety) if safety else None,
         "master_seed": campaign.master_seed,
         "n_records": len(campaign),
-        "scenarios_path": os.path.relpath(scenarios_path, path.parent),
-        "scenarios_sha256": file_sha256(scenarios_path),
         "records_path": path.name,
     }
     write_records(path, campaign, texts)
@@ -725,20 +707,23 @@ def read_manifest(path: str | Path) -> dict:
     """The checked JSON object of a manifest file, its env, policy and
     safety sections read by _from_json as EnvConfig, ScriptedPolicyParams
     and SafetyFunction (None when null or absent). master_seed and n_records
-    must be non-negative JSON integers, condition, the two paths and the
-    scenario hash (or null, or absent) JSON strings, and the params and
-    safety function must fit the env; any other manifest raises DataError
-    naming it."""
+    must be non-negative JSON integers, condition a JSON string, and
+    records_path the bare name of a file beside the manifest, as
+    write_campaign writes it, so a replay reads and writes nowhere else.
+    The params and safety function must fit the env. Other keys, such as the
+    scenarios_path and scenarios_sha256 of older manifests, are ignored. Any
+    other manifest raises DataError naming it."""
     try:
         manifest = json.loads(_read_text(path))
         for key in ("master_seed", "n_records"):
             if type(manifest[key]) is not int or manifest[key] < 0:
                 raise ValueError(f"{key} must be a non-negative JSON integer, "
                                  f"got {manifest[key]!r}")
-        for key in ("condition", "scenarios_path", "records_path"):
-            _json_str(manifest[key], key)
-        if manifest.get("scenarios_sha256") is not None:
-            _json_str(manifest["scenarios_sha256"], "scenarios_sha256")
+        _json_str(manifest["condition"], "condition")
+        name = _json_str(manifest["records_path"], "records_path")
+        if name in ("", "..") or name != Path(name).name or "\0" in name:
+            raise ValueError(f"records_path must be a bare file name, "
+                             f"got {name!r}")
         env = _from_json(EnvConfig, manifest["env"])
         params = _policy_params(manifest.get("policy", {}))
         params.check_env(env)

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from depgrid import EnvConfig, ScriptedPolicy, ScriptedPolicyParams, TestCampaign
+from depgrid import (EnvConfig, ScriptedPolicy, ScriptedPolicyParams,
+                     TestCampaign, substream_seed)
 from depgrid import presets
 
 settings.register_profile(
@@ -61,25 +64,40 @@ def campaign_of(records, name: str = "synthetic",
     return TestCampaign(
         name, np.array(xs, dtype=float) if xs else np.empty((0, 0)),
         np.array([r.mode.code for r in records], dtype=np.int8),
-        tuple(r.seed for r in records),
         np.array([r.steps for r in records], dtype=np.int64),
         np.array([r.final_position for r in records], dtype=float),
         master_seed)
 
 
-def old_format(record: dict) -> dict:
+def seeded_format(record: dict, seed: int) -> dict:
+    """A record line's dict as record files held it before the episode seed
+    was dropped from them: the seed between the mode and the steps."""
+    return {"scenario": record["scenario"], "mode": record["mode"],
+            "seed": seed, "steps": record["steps"],
+            "final_position": record["final_position"]}
+
+
+def old_format(record: dict, seed: int) -> dict:
     """A record line's dict as record files held it before collision_time
-    was dropped from them: the steps as a float for a harmful failure, null
-    for the other modes, as the last key."""
+    was dropped from them: the seeded_format, then the steps as a float for
+    a harmful failure, null for the other modes, as the last key."""
     harmful = record["mode"] == "harmful_failure"
-    return {**record,
+    return {**seeded_format(record, seed),
             "collision_time": float(record["steps"]) if harmful else None}
 
 
-def old_format_text(text: str) -> str:
-    """A record file's text with every line in the old_format."""
-    return "".join(json.dumps(old_format(json.loads(line))) + "\n"
-                   for line in text.splitlines())
+def old_format_text(text: str, master_seed: int = 0, form=old_format) -> str:
+    """A record file's text with every line in an older form, old_format or
+    seeded_format, line i holding the seed substream_seed(master_seed, i)
+    that its episode ran with in a campaign of that master seed."""
+    return "".join(
+        json.dumps(form(json.loads(line), substream_seed(master_seed, i)))
+        + "\n" for i, line in enumerate(text.splitlines()))
+
+
+def file_sha256(path) -> str:
+    """The sha256 of a file's bytes."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def region_centers(grid, space) -> list[tuple[float, ...]]:

@@ -18,17 +18,31 @@ from depgrid import ConfigError, pipeline, presets
 from depgrid.cli import main, reproduce
 from depgrid.records import (
     condition_document,
-    file_sha256,
     read_report,
     read_scenarios,
     write_records,
     write_scenarios,
 )
-from conftest import old_format_text
+from conftest import file_sha256, old_format_text, seeded_format
 
 
 def run_cli(*argv: str) -> int:
     return main(list(argv))
+
+
+def blank_outcomes(text: str) -> str:
+    """A record file's text with every line's outcome overwritten: mode
+    success, steps 0 and final_position 0.0."""
+    return "".join(json.dumps({**json.loads(line), "mode": "success",
+                               "steps": 0, "final_position": 0.0}) + "\n"
+                   for line in text.splitlines())
+
+
+def scenario_column(records: Path) -> str:
+    """The scenario column of a record file as the scenario file sample
+    writes: each line's scenario as json.dumps writes it."""
+    return "".join(json.dumps(json.loads(line)["scenario"]) + "\n"
+                   for line in records.read_text().splitlines())
 
 
 @pytest.fixture
@@ -176,7 +190,7 @@ class TestRunObservePredict:
         records = tmp_path / "rec.jsonl"
         write_records(records, TestCampaign(
             "random", xs, rng.integers(0, 3, len(xs)).astype(np.int8),
-            tuple(range(len(xs))), np.full(len(xs), 50), np.zeros(len(xs))))
+            np.full(len(xs), 50), np.zeros(len(xs))))
         env = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
         reports = []
@@ -265,7 +279,9 @@ class TestRunObservePredict:
         assert run_cli("run", "--scenarios", "s.jsonl", "--seed", "5",
                        "--out", "out/r.jsonl") == 0
         manifest = json.loads(Path("out/r.manifest.json").read_text())
-        assert manifest["scenarios_path"] == "../s.jsonl"
+        assert manifest["records_path"] == "r.jsonl"
+        # the record file is the only copy of the scenarios a replay needs
+        Path("s.jsonl").unlink()
         elsewhere = tmp_path / "elsewhere"
         elsewhere.mkdir()
         monkeypatch.chdir(elsewhere)
@@ -300,42 +316,79 @@ class TestRunObservePredict:
 
     def test_replay_refuses_a_changed_scenario_count(self, small_pipeline,
                                                      tmp_path, capsys):
-        scen = small_pipeline["scen"]
-        scen.write_text(scen.read_text() + "[5.0, 5.0, 30.0]\n")
-        again = tmp_path / "again.jsonl"
-        assert run_cli("run", "--manifest",
-                       str(small_pipeline["rec"].with_suffix(".manifest.json")),
-                       "--out", str(again)) == 3
-        assert (f"DataError: {scen}: 401 scenarios, "
-                in capsys.readouterr().err)
-        assert not again.exists()
+        """A record file of another row count than the manifest's n_records
+        exits 3 naming it, and nothing is written, in place or to --out."""
+        rec = small_pipeline["rec"]
+        manifest = rec.with_suffix(".manifest.json")
+        lines = rec.read_text().splitlines(keepends=True)
+        for edited, count in ((lines + lines[:1], 401), (lines[1:], 399)):
+            rec.write_text("".join(edited))
+            files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+            again = tmp_path / "again.jsonl"
+            for out in (("--out", str(again)), ()):
+                assert run_cli("run", "--manifest", str(manifest), *out) == 3
+                assert capsys.readouterr().err == (
+                    f"DataError: {rec}: {count} records, {manifest} recorded "
+                    f"400\n")
+                assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
 
-    def test_replay_refuses_an_edited_scenario_file(self, small_pipeline,
-                                                    tmp_path, capsys):
-        # the same row count, one value changed
-        scen = small_pipeline["scen"]
-        lines = scen.read_text().splitlines(keepends=True)
-        scen.write_text("[1.0, 1.0, 10.0]\n" + "".join(lines[1:]))
+    def test_replay_names_the_record_line_outside_the_domain(
+            self, small_pipeline, tmp_path, capsys):
+        rec = small_pipeline["rec"]
+        lines = rec.read_text().splitlines(keepends=True)
+        lines[1] = json.dumps({**json.loads(lines[1]),
+                               "scenario": [11.0, 5.0, 30.0]}) + "\n"
+        rec.write_text("".join(lines))
         again = tmp_path / "again.jsonl"
-        assert run_cli("run", "--manifest",
-                       str(small_pipeline["rec"].with_suffix(".manifest.json")),
-                       "--out", str(again)) == 3
-        err = capsys.readouterr().err
-        assert f"DataError: {scen}: " in err and "scenarios_sha256" in err
+        assert run_cli("run", "--manifest", str(rec.with_suffix(
+            ".manifest.json")), "--out", str(again)) == 3
+        assert capsys.readouterr().err.startswith(
+            f"OutOfDomain: {rec}: line 2: v = 11.0 outside")
         assert not again.exists()
 
     def test_manifest_without_scenario_hash_replays_unchecked(
             self, small_pipeline, tmp_path):
+        """A manifest holds no scenario hash; one written before the record
+        file became the only copy of the scenarios also names a scenario
+        file and its sha256, which are ignored: it replays from its record
+        file, whose copy of the scenarios is the one the campaign ran."""
         path = small_pipeline["rec"].with_suffix(".manifest.json")
         manifest = json.loads(path.read_text())
-        assert manifest.pop("scenarios_sha256") == file_sha256(
-            small_pipeline["scen"])
-        old = tmp_path / "old.manifest.json"
-        old.write_text(json.dumps({**manifest, "scenarios_path": str(
-            small_pipeline["scen"])}))
-        again = tmp_path / "again.jsonl"
-        assert run_cli("run", "--manifest", str(old), "--out", str(again)) == 0
-        assert again.read_bytes() == small_pipeline["rec"].read_bytes()
+        assert not {"scenarios_path", "scenarios_sha256"} & manifest.keys()
+        small_pipeline["scen"].unlink()
+        for extra in ({}, {"scenarios_path": "scen.jsonl",
+                           "scenarios_sha256": "0" * 64}):
+            old = small_pipeline["dir"] / "old.manifest.json"
+            old.write_text(json.dumps({**manifest, **extra}))
+            again = tmp_path / "again.jsonl"
+            assert run_cli("run", "--manifest", str(old),
+                           "--out", str(again)) == 0
+            assert again.read_bytes() == small_pipeline["rec"].read_bytes()
+            assert json.loads(again.with_suffix(
+                ".manifest.json").read_text()) == {
+                    **manifest, "records_path": "again.jsonl"}
+
+    @pytest.mark.parametrize("where", ["absolute", "parent"])
+    def test_records_path_outside_the_manifest_directory_exits_3(
+            self, small_pipeline, tmp_path, capsys, where):
+        """A manifest whose records_path names a file outside its directory,
+        by an absolute path or through "..", is refused before anything is
+        read or written, though that file is a good record file."""
+        rec = small_pipeline["rec"]
+        manifest = json.loads(rec.with_suffix(".manifest.json").read_text())
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        bad = sub / "bad.manifest.json"
+        name = str(rec) if where == "absolute" else f"../{rec.name}"
+        bad.write_text(json.dumps({**manifest, "records_path": name}))
+        files = {p: p.read_bytes() for p in tmp_path.rglob("*")
+                 if p.is_file()}
+        assert run_cli("run", "--manifest", str(bad)) == 3
+        assert capsys.readouterr().err == (
+            f"DataError: {bad}: records_path must be a bare file name, "
+            f"got {name!r}\n")
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+                if p.is_file()} == files
 
     @pytest.mark.parametrize("argv", [
         ("predict", "--records", "nope.jsonl", "--condition", "testing"),
@@ -376,8 +429,7 @@ class TestRunObservePredict:
     def test_invalid_record_exits_3(self, tmp_path, capsys, command, field,
                                     value):
         record = {"scenario": [5.0, 5.0, 30.0], "mode": "task_failure",
-                  "seed": 1, "steps": 100, "final_position": 20.0,
-                  field: value}
+                  "steps": 100, "final_position": 20.0, field: value}
         bad = tmp_path / "bad.jsonl"
         bad.write_text(json.dumps(record) + "\n")
         extra = ("--dims", "v,y") if command == "plot" else ()
@@ -387,13 +439,12 @@ class TestRunObservePredict:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field, value", [
-        ("seed", "7"), ("seed", 7.0), ("seed", True),
         ("steps", 99.5), ("steps", "100"), ("steps", True),
     ])
     def test_record_integers_must_be_json_integers(self, tmp_path, capsys,
                                                    field, value):
         good = {"scenario": [5.0, 5.0, 30.0], "mode": "task_failure",
-                "seed": 1, "steps": 100, "final_position": 20.0}
+                "steps": 100, "final_position": 20.0}
         bad = tmp_path / "bad.jsonl"
         bad.write_text(json.dumps(good) + "\n"
                        + json.dumps({**good, field: value}) + "\n")
@@ -649,14 +700,18 @@ class TestRunObservePredict:
 
     def test_old_format_records_write_the_same_reports(self, small_pipeline,
                                                        tmp_path):
-        """A record file whose lines also hold the collision_time they held
-        before it was dropped gives the reports of the file written now."""
+        """A record file whose lines also hold the seed, or the seed and the
+        collision_time, they held before those were dropped gives the
+        reports of the file written now."""
         new = small_pipeline["rec"]
         old = tmp_path / "old.jsonl"
-        old.write_text(old_format_text(new.read_text()))
+        old.write_text(old_format_text(new.read_text(), 5))
         assert '"collision_time": null}' in old.read_text()
         assert re.search(r'"collision_time": [0-9]+\.0}', old.read_text())
-        for records in (new, old):
+        seeded = tmp_path / "seeded.jsonl"
+        seeded.write_text(old_format_text(new.read_text(), 5, seeded_format))
+        assert seeded.read_text().count('"seed": ') == 400
+        for records in (new, old, seeded):
             out = tmp_path / records.stem
             assert run_cli("predict", "--records", str(records), "--condition",
                            "oc3", "--grid", "2,2,2",
@@ -664,8 +719,9 @@ class TestRunObservePredict:
             assert run_cli("observe", "--records", str(records),
                            "--out", str(out / "observed.json")) == 0
         for report in ("predicted.json", "observed.json"):
-            assert ((tmp_path / "old" / report).read_bytes()
-                    == (tmp_path / new.stem / report).read_bytes())
+            for stem in ("old", "seeded"):
+                assert ((tmp_path / stem / report).read_bytes()
+                        == (tmp_path / new.stem / report).read_bytes())
 
     def test_observe_checks_records_against_the_config_domain(self, tmp_path):
         doc = condition_document(presets.condition("testing"),
@@ -872,8 +928,6 @@ REPRODUCE_TREE = [
     "reports/predicted_oc1.json", "reports/predicted_oc2.json",
     "reports/predicted_oc3.json", "reports/predicted_oc4.json",
     "reports/predicted_testing.json",
-    "scenarios/oc1.jsonl", "scenarios/oc2.jsonl", "scenarios/oc3.jsonl",
-    "scenarios/oc4.jsonl", "scenarios/testing.jsonl",
     "summary.json", "summary.txt",
 ]
 
@@ -944,33 +998,42 @@ class TestReproduce:
                               grid=PartitionGrid((2, 2, 2)))
         assert afile.read_text() == "kept\n"
 
-    def test_every_manifest_replays_into_identical_records(self, tmp_path):
+    def test_every_manifest_replays_into_identical_records(
+            self, tmp_path, monkeypatch):
+        """Each manifest of a reproduce tree, named by a relative path from
+        another working directory, replays its campaign from its record
+        file's scenarios into the same bytes."""
         out = tmp_path / "repro"
         assert run_cli("reproduce", "--out-dir", str(out), "--n", "60",
                        "--seed", "3", "--grid", "1,1,1") == 0
         manifests = sorted((out / "records").glob("*.manifest.json"))
         assert len(manifests) == 6
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
         for manifest in manifests:
             records = out / "records" / manifest.name.replace(
                 ".manifest.json", ".jsonl")
-            replay = tmp_path / records.name
-            assert run_cli("run", "--manifest", str(manifest),
-                           "--out", str(replay)) == 0
-            assert replay.read_bytes() == records.read_bytes(), manifest.name
-            doc = json.loads(manifest.read_text())
-            assert doc["scenarios_sha256"] == file_sha256(
-                manifest.parent / doc["scenarios_path"])
+            assert run_cli("run", "--manifest",
+                           f"../repro/records/{manifest.name}",
+                           "--out", records.name) == 0
+            assert (Path(records.name).read_bytes()
+                    == records.read_bytes()), manifest.name
+            assert json.loads(manifest.read_text())["records_path"] == (
+                records.name)
 
     def test_replays_in_place_rewrite_identical_campaign_files(self, tmp_path):
         """run --manifest with no --out writes the records reproduce wrote,
         and the manifest beside them, byte for byte: both commands write
-        campaign files the same way."""
+        campaign files the same way. Every line's outcome is blanked first,
+        so only the scenarios are left for the replay to read."""
         out = tmp_path / "repro"
         assert run_cli("reproduce", "--out-dir", str(out), "--n", "60",
                        "--seed", "3", "--grid", "1,1,1") == 0
         before = {p.name: p.read_bytes() for p in (out / "records").iterdir()}
         for records in (out / "records").glob("*.jsonl"):
-            records.unlink()
+            records.write_text(blank_outcomes(records.read_text()))
+            assert records.read_bytes() != before[records.name]
         for manifest in sorted((out / "records").glob("*.manifest.json")):
             assert run_cli("run", "--manifest", str(manifest)) == 0
         assert {p.name: p.read_bytes()
@@ -978,7 +1041,8 @@ class TestReproduce:
 
     def test_condition_documents_record_their_sampling_seed(self, tmp_path):
         """sample with a condition document and the seed it records redraws
-        the scenario file reproduce wrote for that condition."""
+        the scenarios of the record files reproduce wrote for that
+        condition."""
         out = tmp_path / "repro"
         assert run_cli("reproduce", "--out-dir", str(out), "--n", "40",
                        "--seed", "5", "--grid", "1,1,1") == 0
@@ -988,13 +1052,13 @@ class TestReproduce:
             assert run_cli("sample", "--config", str(doc), "--n", "40",
                            "--seed", str(json.loads(doc.read_text())["seed"]),
                            "--out", str(again)) == 0
-            assert (again.read_bytes()
-                    == (out / "scenarios" / f"{name}.jsonl").read_bytes()), name
+            assert again.read_text() == scenario_column(
+                out / "records" / f"{name}.jsonl"), name
 
     def test_condition_documents_sample_with_their_own_seed(self, tmp_path):
         """sample --config without --seed draws with the seed the document
-        records, so it redraws the scenario file reproduce wrote; with
-        --condition the seed is 0."""
+        records, so it redraws the scenarios of the record files reproduce
+        wrote; with --condition the seed is 0."""
         out = tmp_path / "repro"
         assert run_cli("reproduce", "--out-dir", str(out), "--n", "40",
                        "--seed", "5", "--grid", "1,1,1") == 0
@@ -1003,8 +1067,8 @@ class TestReproduce:
             assert run_cli("sample", "--config",
                            str(out / "conditions" / f"{name}.json"),
                            "--n", "40", "--out", str(again)) == 0
-            assert (again.read_bytes()
-                    == (out / "scenarios" / f"{name}.jsonl").read_bytes()), name
+            assert again.read_text() == scenario_column(
+                out / "records" / f"{name}.jsonl"), name
         preset = tmp_path / "preset.jsonl"
         assert run_cli("sample", "--condition", "oc3", "--n", "40",
                        "--out", str(preset)) == 0
@@ -1012,43 +1076,55 @@ class TestReproduce:
             presets.condition("oc3"), 40, 0).tobytes()
 
     def test_scenario_record_and_manifest_files_are_pinned(self, tmp_path):
-        # sha256 of reproduce(n=3000, seed=7, 5^3): the scenario files as
-        # before campaigns became columns; the record files re-pinned when
-        # their lines dropped collision_time, and the manifests when they
-        # gained the env in place of config_path and config_sha256 (and
-        # before that scenarios_sha256); reports and SVGs are left out,
-        # since their erfc masses may differ by one ulp between libm builds
-        reproduce(tmp_path, n=3000, seed=7, grid=PartitionGrid((5, 5, 5)))
-        got = {f"{d}/{p.name}": file_sha256(p)
-               for d in ("scenarios", "records") for p in (tmp_path / d).iterdir()}
+        # sha256 of reproduce(n=3000, seed=7, 5^3): the record files, re-pinned
+        # when their lines dropped collision_time and then the seed, and the
+        # manifests, re-pinned when they gained the env in place of
+        # config_path and config_sha256 and when they dropped scenarios_path
+        # and scenarios_sha256; and the scenario file that sample writes of
+        # each condition's draw, sample(cond, 3000, 7 + 11 + k), as
+        # reproduce wrote it before its record files became the only copy.
+        # Reports and SVGs are left out, since their erfc masses may differ
+        # by one ulp between libm builds
+        reproduce(tmp_path / "tree", n=3000, seed=7,
+                  grid=PartitionGrid((5, 5, 5)))
+        got = {f"records/{p.name}": file_sha256(p)
+               for p in (tmp_path / "tree" / "records").iterdir()}
+        for k, name in enumerate(("testing",
+                                  *presets.OPERATING_CONDITION_NAMES)):
+            path = tmp_path / f"{name}.jsonl"
+            write_scenarios(path, sample(presets.condition(name), 3000,
+                                         7 + 11 + k))
+            got[f"scenarios/{name}.jsonl"] = file_sha256(path)
+            assert path.read_text() == scenario_column(
+                tmp_path / "tree" / "records" / f"{name}.jsonl")
         assert got == PINNED_SHA256
 
 
 PINNED_SHA256 = {
     "records/oc1.jsonl":
-        "092a9a58c4c183ff427c0ce93a5fcb09c85e7b300086c3f20d6ba19112c591f7",
+        "79442ea0a25c98594f0a89fd0d38502eda0f5229592338c63ce8c5cead58990a",
     "records/oc1.manifest.json":
-        "13296e80de97e417880629c1a577efd3d2d4aed6a90c934aef8bcb64e935d9cf",
+        "f0a48645dc4ef1e8818e92fb084543fabbfcf443e573e53afa7879b0dd874357",
     "records/oc2.jsonl":
-        "459a078445947495de8b92089b56bd9da3d20fdad6821f2dc53103575187d3e5",
+        "21594d174761a354df5817f17ef622005a2e55042065cf8f8a28878d07f766d7",
     "records/oc2.manifest.json":
-        "ebbc17c8f582e7c49b601de5027adb6bd3f98ec60a4a318e7969fb13ba3d0eb6",
+        "2cd9110a22885cb4338d55beb00488d439da5dd198e2a85b83fc2ce9d616b3f9",
     "records/oc3.jsonl":
-        "358100df05785f3859c460d5259a8823269885351a90120198a309f7c3bb8f40",
+        "9cf0b96d37a902eb98e40c2b799e889435fab96490a503a9b6b17766c0390612",
     "records/oc3.manifest.json":
-        "1182095ac473faaba6ae593f688d76781959d82f9c8b1ec83fb247c87a7099bf",
+        "2de73da1e25d21f174a74c185d7d1383f0d0cbcf014f00e4f060fe04d0f399ec",
     "records/oc4.jsonl":
-        "c40731fd6b81537e0770d91fb5451ce798470cd8539ab27733a841b1e4710ead",
+        "d2edb9575c20f73a2a37da7e87b9791a7c398d2e69b03b138828e72971694567",
     "records/oc4.manifest.json":
-        "58c86eee7e89e45970d0fb47a22ef1e6de7e4918af813f92cd96ddaf5fc6d395",
+        "23c572e662246a4390d48f2b9f986a190c44b8722235c3cbb052fe850edc4681",
     "records/testing.jsonl":
-        "b7faa7c90b11c2f21c9631e67602c2b3896bc48fce7d26d5ca28a90724ff56b9",
+        "9cfd693d75d8e04ec561930445101aeb51befefe0ed270f015c4e478c42b664f",
     "records/testing.manifest.json":
-        "1fae4fea614798314f60b13a2ffd1c8180ca5f40633b64f62564baca63c85abf",
+        "938f2ee8be744fb0d1fd71388dfcf4092b602aabd34f3fe349911795646d71f8",
     "records/testing_safety.jsonl":
-        "223db9b72a97bd51426457a9e1009bafa846a3a15d272adadf12ebd908280db2",
+        "c6a7df2e2e666a5fdbff5718911043536c8c8c0829405673812aa0148ee3cda4",
     "records/testing_safety.manifest.json":
-        "16eb9be051e3defccf27b1fe7514b9d8fc1a345d5ad96ad6550bd77524d6a945",
+        "2ffbfd89309a05266816f0abe02a6d7fb9e9d7642f7c72ce3f94cfb39b830fd8",
     "scenarios/oc1.jsonl":
         "80b60c919942c752593e62b37ef2eacf6b44d110fa0f8295ad7cf58cd1d3a48d",
     "scenarios/oc2.jsonl":

@@ -25,7 +25,7 @@ from conftest import region_centers
 
 NAN, INF = float("nan"), float("inf")
 GOOD_RECORD = {"scenario": [5.0, 5.0, 30.0], "mode": "task_failure",
-               "seed": 1, "steps": 100, "final_position": 20.0}
+               "steps": 100, "final_position": 20.0}
 
 
 def run(*argv: str) -> tuple[int, str]:
@@ -107,10 +107,9 @@ RECORD_EDITS = edits([
     (["scenario"], [None, "x", 5, [None, 1, 2], ["a", 1, 2], [[1], 2, 3],
                     [NAN, 5, 30], [5, INF, 30]]),
     (["mode"], [None, 5, "", "win", []]),
-    (["seed"], [None, "x", [], {}, "7", 7.5, 7.0, True]),
     (["steps"], [-1, None, "x", [], 99.5, 100.0, "100", True]),
     (["final_position"], [None, "x", NAN, INF, []]),
-] + [([key], [DELETE]) for key in ("scenario", "mode", "seed", "steps",
+] + [([key], [DELETE]) for key in ("scenario", "mode", "steps",
                                    "final_position")])
 # scenarios outside the 3-D domain: refused by the commands that read it
 DOMAIN_EDITS = edits([(["scenario"], [[], [5, 5], [5, 5, 30, 1], [1e9, 5],
@@ -225,17 +224,18 @@ MANIFEST_EDITS = edits([
     (["safety", "goal_clip_max"], [True]),
     (["policy", "params", "risk_goal_threshold"], [True]),
     (["condition"], [None, 5, ["testing"]]),
-    (["scenarios_path"], ["nope.jsonl", None, 5]),
-    (["records_path"], [None, 5]),
+    # the record file a replay reads and writes: a bare name beside the
+    # manifest, of a file that exists
+    (["records_path"], [None, 5, "nope.jsonl", "", ".", "..", "../run.jsonl",
+                        "/run.jsonl", "sub/run.jsonl", "run\0.jsonl"]),
     (["env"], [None, 5, "x", [], {}, {"episode_seconds": 100}]),
     (["env", "robot_bounds"], [[0.0, 30.0], [0.0, "50"], [50.0, 0.0]]),
     (["env", "danger_height"], [True, NAN, 15.0]),
     (["env", "noise_sigma_gaol"], [0.5]),
     (["env", "episode_seconds"], [10**12]),
-    (["scenarios_sha256"], ["0" * 64, 5]),
+    (["n_records"], [0, 4, 6]),
 ] + [([key], [DELETE]) for key in ("condition", "env", "master_seed",
-                                   "n_records", "scenarios_path",
-                                   "records_path")])
+                                   "n_records", "records_path")])
 
 
 @settings(max_examples=200)

@@ -42,11 +42,10 @@ from depgrid.records import read_records, write_report
 from conftest import campaign_of, in_region, region_centers
 
 
-def make_record(values, mode, seed=0) -> TrialRecord:
+def make_record(values, mode) -> TrialRecord:
     return TrialRecord(
         scenario=tuple(float(v) for v in values),
         mode=mode,
-        seed=seed,
         steps=100,
         final_position=0.0,
     )
@@ -170,8 +169,7 @@ def test_tally_equals_an_add_at_reference(bins, n, seed):
         xs[on_edge, d] = grid.edges(space, d)[rng.integers(0, b + 1,
                                                           on_edge.sum())]
     modes = rng.integers(0, 3, n).astype(np.int8)
-    campaign = TestCampaign("random", xs, modes, tuple(range(n)),
-                            np.full(n, 50), np.zeros(n))
+    campaign = TestCampaign("random", xs, modes, np.full(n, 50), np.zeros(n))
     want = np.zeros((grid.n_regions, 3), dtype=np.int64)
     np.add.at(want, (np.ravel_multi_index(
         partition_indices(grid, space, xs).T, grid.bins), modes), 1)
@@ -409,8 +407,7 @@ def random_campaign(n: int, seed: int) -> TestCampaign:
     """n testing scenarios with random modes; no episode is run."""
     modes = np.random.default_rng(seed).integers(0, 3, n).astype(np.int8)
     return TestCampaign("random", sample(presets.testing_conditions(), n, seed),
-                        modes, tuple(range(n)), np.full(n, 50),
-                        np.zeros(n))
+                        modes, np.full(n, 50), np.zeros(n))
 
 
 @pytest.mark.parametrize("bins, target", [
@@ -563,8 +560,8 @@ class TestRecordInvariants:
             read_records(path)
         with pytest.raises(DataError) as e:
             campaign_of([make_record([1, 1, 1], BehaviorMode.SUCCESS),
-                         TrialRecord((1.0, 1.0, 1.0), mode, seed=0,
-                                     steps=steps, final_position=0.0)])
+                         TrialRecord((1.0, 1.0, 1.0), mode, steps=steps,
+                                     final_position=0.0)])
         assert e.value.row == 1
 
     def test_collision_on_the_last_counted_step_is_valid(self, tmp_path):
@@ -575,7 +572,7 @@ class TestRecordInvariants:
         assert r.collision_time == r.steps == 1
 
     def test_only_a_harmful_record_has_a_collision_time(self):
-        times = {mode: TrialRecord((1.0,), mode, 0, 7, 0.0).collision_time
+        times = {mode: TrialRecord((1.0,), mode, 7, 0.0).collision_time
                  for mode in BehaviorMode}
         assert times == {BehaviorMode.SUCCESS: None,
                          BehaviorMode.TASK_FAILURE: None,

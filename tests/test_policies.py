@@ -24,6 +24,7 @@ from depgrid import (
     run_batch,
     run_episode,
     sample,
+    substream_seed,
     wrap,
 )
 from depgrid import presets, simulator
@@ -152,9 +153,9 @@ class TestFailureStructure:
         campaign = evaluate_policy(env, scripted_factory, np.array(scenarios),
                                    313, condition_name="patient-stress")
         n_patient = 0
-        for r in campaign.records:
+        for i, r in enumerate(campaign.records):
             p = ScriptedPolicy(params, env)
-            assert run_episode(env, p, r.scenario, r.seed) == r
+            assert run_episode(env, p, r.scenario, substream_seed(313, i)) == r
             if p.latched_goal < params.risk_goal_threshold:
                 n_patient += 1
                 assert r.mode is not BehaviorMode.HARMFUL_FAILURE
@@ -166,16 +167,16 @@ class TestFailureStructure:
             env, scripted_factory,
             sample(presets.testing_conditions(), 4000, 51), 351,
             condition_name="testing")
-        harmful = [r for r in campaign.records
+        harmful = [(i, r) for i, r in enumerate(campaign.records)
                    if r.mode is BehaviorMode.HARMFUL_FAILURE]
         task = [r for r in campaign.records
                 if r.mode is BehaviorMode.TASK_FAILURE]
         assert harmful and task
         # harmful failures require an impatient latch: re-run each episode
         # and read back the latched perceived goal
-        for r in harmful:
+        for i, r in harmful:
             p = ScriptedPolicy(params, env)
-            replay = run_episode(env, p, r.scenario, r.seed)
+            replay = run_episode(env, p, r.scenario, substream_seed(351, i))
             assert replay == r
             assert p.latched_goal is not None
             assert p.latched_goal >= params.risk_goal_threshold
@@ -205,9 +206,9 @@ class TestEvaluatePolicy:
                                             scripted_factory):
         xs = sample(presets.testing_conditions(), 20, 64)
         campaign = evaluate_policy(env, scripted_factory, xs, 13)
-        for r in campaign.records:
+        for i, r in enumerate(campaign.records):
             assert run_episode(env, ScriptedPolicy(params, env),
-                               r.scenario, r.seed) == r
+                               r.scenario, substream_seed(13, i)) == r
 
 
 class ScalarOnly:
@@ -403,7 +404,7 @@ class TestBatch:
         for factory in (lambda: ScriptedPolicy(params, env),
                         lambda: wrap(ScriptedPolicy(params, env), sf)):
             campaign = evaluate_policy(env, factory, xs, 67)
-            seeds = [r.seed for r in campaign.records]
+            seeds = [substream_seed(67, i) for i in range(n)]
             assert list(campaign.records) == assert_batch_matches_scalar(
                 env, factory, xs, seeds)
 

@@ -39,7 +39,8 @@ from depgrid import (
 )
 from depgrid import presets
 from depgrid.svgplots import failure_scatter_svg
-from conftest import campaign_of, old_format, old_format_text, region_centers
+from conftest import (campaign_of, old_format, old_format_text, region_centers,
+                      seeded_format)
 from depgrid.records import (
     _MAX_COORDINATES,
     _as_json,
@@ -50,7 +51,6 @@ from depgrid.records import (
     _campaign_from_template,
     _read_json_lines,
     condition_document,
-    file_sha256,
     load_condition_file,
     parse_condition_document,
     read_manifest,
@@ -128,14 +128,14 @@ class TestRecordFiles:
     def test_malformed_record_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         good = json.dumps({
-            "scenario": [1, 1, 1], "mode": "success", "seed": 1,
+            "scenario": [1, 1, 1], "mode": "success",
             "steps": 100, "final_position": 0.0})
         path.write_text(good + "\n" + '{"mode": "success"}\n')
         with pytest.raises(DataError, match="line 2"):
             read_records(path)
 
     def test_ragged_scenario_names_its_line(self, tmp_path):
-        good = {"scenario": [5.0, 5.0, 30.0], "mode": "success", "seed": 1,
+        good = {"scenario": [5.0, 5.0, 30.0], "mode": "success",
                 "steps": 100, "final_position": 50.0}
         path = tmp_path / "ragged.jsonl"
         path.write_text(json.dumps(good) + "\n\n"
@@ -147,7 +147,7 @@ class TestRecordFiles:
     def test_unknown_mode_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({
-            "scenario": [1, 1, 1], "mode": "exploded", "seed": 1,
+            "scenario": [1, 1, 1], "mode": "exploded",
             "steps": 100, "final_position": 0.0}) + "\n")
         with pytest.raises(DataError, match="line 1"):
             read_records(path)
@@ -155,7 +155,6 @@ class TestRecordFiles:
 
 FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e16, -1e16, 0.1 + 0.2]),
                    st.floats(allow_nan=False, allow_infinity=False))
-SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1, 2**70]), st.integers(0, 2**80))
 
 
 @st.composite
@@ -168,7 +167,7 @@ def campaigns(draw) -> TestCampaign:
         harmful = mode is BehaviorMode.HARMFUL_FAILURE
         rows.append(TrialRecord(
             tuple(draw(FLOATS) for _ in range(d)), mode,
-            draw(SEEDS), draw(st.integers(int(harmful), 10**6)), draw(FLOATS)))
+            draw(st.integers(int(harmful), 10**6)), draw(FLOATS)))
     return campaign_of(rows)
 
 
@@ -184,12 +183,14 @@ def test_scenario_texts_are_the_reprs_of_each_row(xs):
 
 
 def test_writers_share_the_scenario_texts(env, scripted_factory, tmp_path):
-    """write_scenarios returns the texts it wrote, and write_records given
-    them writes the bytes it writes without them."""
+    """write_scenarios writes one line of each row's scenario_texts, and
+    write_records given the texts writes the bytes it writes without them."""
     xs = np.concatenate([awkward_floats()[[0, 2]], sample(
         presets.testing_conditions(), 40, 4)])
-    texts = write_scenarios(tmp_path / "s.jsonl", xs)
-    assert texts == scenario_texts(xs)
+    texts = scenario_texts(xs)
+    write_scenarios(tmp_path / "s.jsonl", xs)
+    assert (tmp_path / "s.jsonl").read_text().splitlines() == [
+        f"[{x}]" for x in texts]
     campaign = evaluate_policy(env, scripted_factory, xs, 5)
     write_records(tmp_path / "a.jsonl", campaign)
     write_records(tmp_path / "b.jsonl", campaign, texts)
@@ -226,7 +227,7 @@ def read_outcome(read, path) -> tuple:
         c = read(path)
     except DataError as e:
         return type(e), str(e)
-    return (c.condition_name, c.master_seed, c.seeds,
+    return (c.condition_name, c.master_seed,
             [(a.dtype, a.shape, a.tobytes())
              for a in (c.scenarios, c.modes, c.steps, c.final_position)])
 
@@ -248,7 +249,7 @@ TOKENS = [
     '"succ\\u0065ss"', '"success"', '"task_failure"', '"harmful_failure"',
     '"exploded"',
 ]
-FIELDS = ["scenario", "mode", "seed", "steps", "final_position"]
+FIELDS = ["scenario", "mode", "steps", "final_position"]
 
 
 def token_edit(field: str, token: str):
@@ -267,7 +268,8 @@ LINE_EDITS = [
     lambda d: json.dumps(d, separators=(",", ":")),
     lambda d: " " + json.dumps(d),
     lambda d: json.dumps(d).replace('"mode"', '"mod\\u0065"'),
-    lambda d: json.dumps(old_format(d)),
+    lambda d: json.dumps(old_format(d, 2**64 - 1)),
+    lambda d: json.dumps(seeded_format(d, 7)),
     lambda d: json.dumps({**d, "scenario": d["scenario"] + [1.0]}),
     lambda d: json.dumps({**d, "scenario": [int(x) for x in d["scenario"]]}),
 ]
@@ -300,12 +302,10 @@ def test_every_edit_reads_as_the_reference_reader(tmp_path):
     """Each edit, on a harmful and on a task-failure line of a written file,
     gives the reference reader's campaign or its error, byte for byte."""
     campaign = campaign_of([
-        TrialRecord((5.0, 0.1 + 0.2, 30.0), BehaviorMode.SUCCESS, 2**64 - 1,
-                    100, 50.0),
-        TrialRecord((1.5, -0.0, 5e-324), BehaviorMode.HARMFUL_FAILURE, 7, 12,
+        TrialRecord((5.0, 0.1 + 0.2, 30.0), BehaviorMode.SUCCESS, 100, 50.0),
+        TrialRecord((1.5, -0.0, 5e-324), BehaviorMode.HARMFUL_FAILURE, 12,
                     21.25),
-        TrialRecord((9.0, 2.0, 45.5), BehaviorMode.TASK_FAILURE, 0, 100,
-                    -3.5),
+        TrialRecord((9.0, 2.0, 45.5), BehaviorMode.TASK_FAILURE, 100, -3.5),
     ])
     path = tmp_path / "r.jsonl"
     for edit in EDITS:
@@ -332,13 +332,13 @@ def test_read_records_reads_as_the_reference_reader(
 
 def written_campaign(n: int, d: int) -> TestCampaign:
     """n rows of d coordinates cycling through every mode, harmful rows
-    included; row 0 has seed 2**64 - 1."""
+    included."""
     modes = list(BehaviorMode)
     rows = []
     for i in range(n):
         rows.append(TrialRecord(
             tuple(0.1 * (i + 1) + j for j in range(d)), modes[i % 3],
-            2**64 - 1 if i == 0 else 7 * i, 12 + i, 20.25 - i))
+            12 + i, 20.25 - i))
     return campaign_of(rows)
 
 
@@ -359,17 +359,21 @@ def test_written_files_need_no_reference_reader(tmp_path, n, d, final_newline):
 
 
 def test_old_format_files_read_as_the_new_ones(tmp_path):
-    """A file whose lines also hold the collision_time record files held
-    before it was dropped is left to the reference reader, which ignores the
-    key: it reads as the campaign of the file written now."""
+    """A file whose lines also hold the seed, or the seed and the
+    collision_time, that record files held before they were dropped is left
+    to the reference reader, which ignores those keys: it reads as the
+    campaign of the file written now."""
     campaign = written_campaign(30, 3)
     new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
     write_records(new, campaign)
-    old.write_text(old_format_text(new.read_text()))
-    assert old.read_text().count('"collision_time": 14.0}') == 1
-    assert _campaign_from_template(old.read_text()) is None
-    assert read_records(old) == read_records(new)
-    assert replace(read_records(old), condition_name="synthetic") == campaign
+    for form, key, count in ((old_format, '"collision_time": 14.0}', 1),
+                             (seeded_format, '"seed": ', 30)):
+        old.write_text(old_format_text(new.read_text(), 2**70, form))
+        assert old.read_text().count(key) == count
+        assert _campaign_from_template(old.read_text()) is None
+        assert read_records(old) == read_records(new)
+        assert replace(read_records(old),
+                       condition_name="synthetic") == campaign
 
 
 NOT_WRITTEN_BY_WRITE_RECORDS = {
@@ -464,7 +468,7 @@ def test_files_over_the_cap_read_by_the_reference_reader(tmp_path):
 def test_template_read_memory_is_its_text_and_tokens(env, scripted_factory,
                                                      tmp_path):
     """Reading a written file holds its text and, while the columns are
-    built, the d + 6 tokens of each record that one split gives: 80 bytes a
+    built, the d + 4 tokens of each record that one split gives: 80 bytes a
     token hold its str's 49-byte header, its characters (a coordinate's
     repr here has at most 21) and its list slot, with room left for the
     columns. The reader that split the scenarios into one more list of
@@ -480,7 +484,7 @@ def test_template_read_memory_is_its_text_and_tokens(env, scripted_factory,
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= path.stat().st_size + n * (xs.shape[1] + 6) * 80
+    assert peak <= path.stat().st_size + n * (xs.shape[1] + 4) * 80
 
 
 @pytest.mark.parametrize("keep", [slice(3), slice(None, None, -1)],
@@ -488,14 +492,13 @@ def test_template_read_memory_is_its_text_and_tokens(env, scripted_factory,
 def test_write_campaign_refuses_texts_of_another_length(
         env, params, scripted_factory, tmp_path, keep):
     xs = sample(presets.testing_conditions(), 5, 4)
-    texts = write_scenarios(tmp_path / "s.jsonl", xs)
-    texts = (texts + texts)[keep]
+    texts = (scenario_texts(xs) * 2)[keep]
     campaign = evaluate_policy(env, scripted_factory, xs, 5)
     with pytest.raises(ConfigError, match=f"{len(texts)} scenario texts for "
                                           f"a campaign of 5 records"):
         write_campaign(tmp_path / "r.jsonl", campaign, env, params, None,
-                       tmp_path / "s.jsonl", texts=texts)
-    assert [p.name for p in tmp_path.iterdir()] == ["s.jsonl"]
+                       texts=texts)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_library_paths_build_no_rows(env, scripted_factory, space, tmp_path):
@@ -520,11 +523,11 @@ def test_library_paths_build_no_rows(env, scripted_factory, space, tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("steps", -1), ("seed", "x"), ("mode", "x"), ("final_position", "x"),
+    ("steps", -1), ("steps", 1.5), ("mode", "x"), ("final_position", "x"),
     ("scenario", [5.0, float("nan"), 30.0]), ("final_position", None),
 ])
 def test_error_names_the_first_bad_line(tmp_path, field, value):
-    good = {"scenario": [5.0, 5.0, 30.0], "mode": "task_failure", "seed": 1,
+    good = {"scenario": [5.0, 5.0, 30.0], "mode": "task_failure",
             "steps": 100, "final_position": 20.0}
     bad = {**good, field: value}
     path = tmp_path / "r.jsonl"
@@ -549,7 +552,7 @@ class TestReportFiles:
         low_y = ConditionSet("low", space, (
             Uniform(0, 10), Uniform(0, 10), Uniform(0, 40)))
         records = tuple(
-            TrialRecord(tuple(s), BehaviorMode.SUCCESS, seed=0, steps=100,
+            TrialRecord(tuple(s), BehaviorMode.SUCCESS, steps=100,
                         final_position=50.0)
             for s in sample(low_y, 2500, 11).tolist()
         )
@@ -572,7 +575,7 @@ class TestReportFiles:
 
 def record(values, mode: BehaviorMode) -> TrialRecord:
     return TrialRecord(tuple(float(v) for v in values), mode,
-                       seed=0, steps=100, final_position=0.0)
+                       steps=100, final_position=0.0)
 
 
 def random_campaign(space: DomainSpace, n: int, seed: int, *,
@@ -1273,21 +1276,20 @@ class TestManifests:
         """A campaign of 5 scenarios run behind a safety function, and the
         path of the manifest write_campaign wrote for it."""
         xs = sample(presets.testing_conditions(), 5, 4)
-        write_scenarios(tmp_path / "s.jsonl", xs)
         campaign = evaluate_policy(env, scripted_factory, xs, 99,
                                    condition_name="testing")
         safety = SafetyFunction(goal_clip_max=37.97, delta=0.5)
         return write_campaign(tmp_path / "runs" / "r.jsonl", campaign, env,
-                              params, safety, tmp_path / "s.jsonl")
+                              params, safety)
 
-    def test_round_trip(self, written, env, params, tmp_path):
+    def test_round_trip(self, written, env, params):
         """write_campaign writes the manifest's keys in their order, and
         read_manifest gives the object back with the env, the policy's
         params and the safety function as objects."""
         doc = json.loads(written.read_text())
         assert list(doc) == [
             "condition", "env", "policy", "safety", "master_seed",
-            "n_records", "scenarios_path", "scenarios_sha256", "records_path"]
+            "n_records", "records_path"]
         assert doc == {
             "condition": "testing",
             "env": _as_json(env),
@@ -1296,30 +1298,48 @@ class TestManifests:
                 "safe_ceiling": params.safe_ceiling,
                 "passed_margin": params.passed_margin}},
             "safety": {"goal_clip_max": 37.97, "delta": 0.5},
-            "master_seed": 99, "n_records": 5,
-            "scenarios_path": "../s.jsonl",
-            "scenarios_sha256": file_sha256(tmp_path / "s.jsonl"),
-            "records_path": "r.jsonl"}
+            "master_seed": 99, "n_records": 5, "records_path": "r.jsonl"}
         assert read_manifest(written) == {
             **doc, "env": env, "policy": params,
             "safety": SafetyFunction(goal_clip_max=37.97, delta=0.5)}
 
     def test_scenario_hash_is_optional(self, written):
+        """A manifest written before the record file became the only copy
+        of the scenarios also names a scenario file and its sha256: they
+        are ignored, so it reads as the manifest written now."""
+        new = read_manifest(written)
         doc = json.loads(written.read_text())
-        del doc["scenarios_sha256"]
-        written.write_text(json.dumps(doc))
-        assert read_manifest(written).get("scenarios_sha256") is None
+        written.write_text(json.dumps({
+            **doc, "scenarios_path": "../s.jsonl",
+            "scenarios_sha256": "0" * 64}))
+        old = read_manifest(written)
+        assert (old.pop("scenarios_path"), old.pop("scenarios_sha256")) == (
+            "../s.jsonl", "0" * 64)
+        assert old == new
 
     @pytest.mark.parametrize("key, value", [
-        ("condition", None), ("condition", 5), ("scenarios_path", 5),
-        ("records_path", ["r.jsonl"]), ("scenarios_sha256", 5),
+        ("condition", None), ("condition", 5), ("records_path", 5),
+        ("records_path", ["r.jsonl"]),
     ])
     def test_string_fields_take_only_json_strings(self, written, key, value):
-        """A path, hash or condition name that is not a JSON string is
-        refused as read, not turned into one by str()."""
+        """A path or condition name that is not a JSON string is refused as
+        read, not turned into one by str()."""
         doc = json.loads(written.read_text())
         written.write_text(json.dumps({**doc, key: value}))
         with pytest.raises(DataError, match=f"{key} must be a JSON string"):
+            read_manifest(written)
+
+    @pytest.mark.parametrize("name", [
+        "/abs/r.jsonl", "..", "../r.jsonl", "sub/r.jsonl", "r.jsonl/", "",
+        ".", "r\0.jsonl"])
+    def test_records_path_must_be_a_bare_file_name(self, written, name):
+        """A replay reads the records_path beside the manifest and may write
+        it, so any name of a file elsewhere is refused as read."""
+        doc = json.loads(written.read_text())
+        written.write_text(json.dumps({**doc, "records_path": name}))
+        with pytest.raises(DataError, match=f"^{re.escape(str(written))}: "
+                                            f"records_path must be a bare "
+                                            f"file name"):
             read_manifest(written)
 
     @pytest.mark.parametrize("section, key, value", [
