@@ -8,7 +8,7 @@ No sampling anywhere: every number is a closed-form CDF evaluation.
 import numpy as np
 
 from depgrid import presets
-from depgrid import ClippedGaussian, ConditionSet, region_mass
+from depgrid import ClippedGaussian, ConditionSet
 
 grid = presets.default_grid()
 space = presets.domain_space()
@@ -32,14 +32,16 @@ for i, m in enumerate(v_bins):
 print(f"lower tail folded into bin 0, upper tail into bin 9; "
       f"sum = {v_bins.sum():.12f}")
 
-# Individual voxels are queryable too: a voxel is its grid index.
+# A voxel is its grid index; its mass is the mass vector's entry at the
+# index's C-order number.
 voxel = (3, 9, 7)
 bounds = tuple(tuple(grid.edges(space, d)[i:i + 2].tolist())
                for d, i in enumerate(voxel))
 print()
 print(f"voxel {voxel} bounds: {bounds}")
 for name in ("testing", "oc4"):
-    mass = region_mass(presets.condition(name), grid, voxel)
+    masses = presets.condition(name).region_mass_vector(grid)
+    mass = masses[np.ravel_multi_index(voxel, grid.bins)]
     print(f"  mass under {name}: {mass:.6f}")
 
 # A condition built from scratch: slow obstacles, mid-range goals.

@@ -18,7 +18,6 @@ from .domain import (
     Uniform,
     norm_cdf,
     partition_indices,
-    region_mass,
     sample,
     substream_seed,
     substream_seeds,
@@ -31,7 +30,6 @@ from .errors import (
     EmptyCampaign,
     EmptyPartition,
     EpisodeNotFinished,
-    IncompleteOutcomes,
     InvalidGrid,
     OutOfDomain,
     SteppingTerminatedEpisode,
@@ -42,7 +40,6 @@ from .estimator import (
     Tally,
     TestCampaign,
     TrialRecord,
-    brute_force_dependability,
     compare,
     observed_rates,
     predict,

@@ -23,7 +23,6 @@ from .records import (atomic_write_text, atomic_write_texts, dump_json,
                       read_records, read_report, read_scenarios,
                       write_campaign, write_report, write_scenarios)
 from .safety import DEFAULT_DELTA, SafetyFunction
-from .simulator import EnvConfig
 from .svgplots import comparison_bar_svg, failure_scatter_svg
 
 
@@ -120,7 +119,7 @@ def cmd_run(args) -> int:
         if not args.scenarios:
             raise ConfigError("give --scenarios FILE (or --manifest FILE)")
         seed = args.seed or 0
-        env, params = EnvConfig(), presets.default_policy_params()
+        env, params = presets.default_env(), presets.default_policy_params()
         if args.config:
             env, params = load_condition_file(args.config)[3:]
         if not args.safety and (args.clip_max, args.delta) != (None, None):
@@ -131,6 +130,9 @@ def cmd_run(args) -> int:
             SafetyFunction.from_threshold(params.risk_goal_threshold, delta)
             if args.clip_max is None
             else SafetyFunction(goal_clip_max=args.clip_max, delta=delta))
+        if args.clip_max is not None and args.delta is not None:
+            raise ConfigError("--clip-max sets the clip itself, not --delta "
+                              "below the risk threshold; give one of them")
         if safety:
             safety.check_env(env)
         condition_name = args.condition or ""
@@ -226,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_target(sp):
         sp.add_argument("--config", help="condition document (JSON)")
         sp.add_argument("--condition",
-                        help="built-in condition name "
-                             "(testing, oc1, oc2, oc3, oc4)")
+                        help=f"built-in condition name "
+                             f"({', '.join(presets.CONDITION_NAMES)})")
 
     sp = sub.add_parser("sample", help="draw scenarios from a condition")
     add_target(sp)
@@ -249,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="override the goal clip bound (with --safety)")
     sp.add_argument("--delta", type=float,
                     help=f"clip margin below the risk threshold, with "
-                         f"--safety (default {DEFAULT_DELTA})")
+                         f"--safety and without --clip-max (default "
+                         f"{DEFAULT_DELTA})")
     sp.add_argument("--seed", type=_integer, help="master seed (default 0)")
     sp.add_argument("--manifest", help="rerun a campaign from its manifest, "
                                        "with none of the flags above")

@@ -3,8 +3,8 @@
 The domain is a bounded continuous box. A condition set assigns one marginal
 distribution per dimension (an independent product distribution); Gaussian
 marginals are clipped to the dimension bounds, which places point atoms of
-probability on the boundary values. Region masses under any condition set are
-computed analytically, so they never require sampling or simulation.
+probability on the boundary values. A condition's region masses are one C-order
+vector per grid (``region_mass_vector``), computed without sampling.
 
 A scenario is a point of the domain given by its coordinates, in dimension
 order: a row of an (n, ndim) float array on the campaign path (``sample``
@@ -34,11 +34,7 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def norm_cdf(z: float) -> float:
-    """Standard normal CDF via erfc (absolute error well below 1e-12)."""
-    if z == math.inf:
-        return 1.0
-    if z == -math.inf:
-        return 0.0
+    """Standard normal CDF via erfc (error below 1e-12; 0 and 1 at -+inf)."""
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
@@ -159,9 +155,6 @@ class Uniform:
         overlap = min(hi, self.b) - max(lo, self.a)
         return max(0.0, overlap) / (self.b - self.a)
 
-    def draw(self, rng: np.random.Generator, dim: Dimension) -> float:
-        return float(rng.uniform(self.a, self.b))
-
 
 @dataclass(frozen=True)
 class ClippedGaussian:
@@ -192,9 +185,6 @@ class ClippedGaussian:
         zlo = -math.inf if first else (lo - self.mu) / self.sigma
         zhi = math.inf if last else (hi - self.mu) / self.sigma
         return norm_cdf(zhi) - norm_cdf(zlo)
-
-    def draw(self, rng: np.random.Generator, dim: Dimension) -> float:
-        return float(min(max(rng.normal(self.mu, self.sigma), dim.min), dim.max))
 
 
 MarginalDistribution = Union[Uniform, ClippedGaussian]
@@ -309,10 +299,10 @@ class ConditionSet:
 class DiscreteCondition:
     """A finite explicit scenario -> probability table over the domain.
 
-    Used for exact (brute-force) dependability on discrete-bounded domains;
-    the table must cover the whole support and sum to 1. Each scenario is a
-    coordinate sequence; ``scenarios`` holds them as tuples of floats, the
-    keys brute_force_dependability looks outcomes up by.
+    A prediction target on discrete-bounded domains: its region masses are
+    the sums of the table probabilities in each region. The table must cover
+    the whole support and sum to 1. Each scenario is a coordinate sequence;
+    ``scenarios`` holds them as tuples of floats.
     """
 
     name: str
@@ -349,37 +339,6 @@ class DiscreteCondition:
 
 
 Condition = Union[ConditionSet, DiscreteCondition]
-
-
-def region_mass(cond: Condition, grid: PartitionGrid,
-                index: tuple[int, ...]) -> float:
-    """Probability mass under a condition of the grid region at ``index``:
-    the scalar reference for region_mass_vector.
-
-    For product conditions this is the product of per-dimension interval
-    masses; clipped-Gaussian tails are absorbed by the first/last bins. For
-    discrete tables it is the sum of the probabilities of the scenarios in
-    the region, each of its bins half-open except a closed last bin. An
-    index outside the grid raises InvalidGrid.
-    """
-    validate_grid(grid, cond.space)
-    if len(index) != len(grid.bins) or not all(
-            0 <= i < nb for i, nb in zip(index, grid.bins)):
-        raise InvalidGrid(f"index {index} names no region of a grid of "
-                          f"{grid.bins} bins")
-    bounds = [grid.edges(cond.space, d)[i:i + 2].tolist()
-              for d, i in enumerate(index)]
-    last = [i == nb - 1 for i, nb in zip(index, grid.bins)]
-    if isinstance(cond, DiscreteCondition):
-        return float(math.fsum(
-            p for s, p in zip(cond.scenarios, cond.probabilities)
-            if all(lo <= v <= hi if closed else lo <= v < hi
-                   for v, (lo, hi), closed in zip(s, bounds, last))))
-    mass = 1.0
-    for dim, m, (lo, hi), i, closed in zip(cond.space.dims, cond.marginals,
-                                           bounds, index, last):
-        mass *= m.interval_mass(dim, lo, hi, first=i == 0, last=closed)
-    return mass
 
 
 # ---------------------------------------------------------------------------
@@ -642,12 +601,13 @@ def sample(cond: ConditionSet, n: int, seed: int) -> np.ndarray:
     Row i draws one value per dimension, in dimension order, from
     PCG64(SeedSequence(seed, spawn_key=(i,))), so the result is a pure
     function of (cond, n, seed) and its first k rows equal sample(cond, k,
-    seed); Marginal.draw is the scalar reference for each value. The
-    substream states are computed for all indices at once, from their
-    entropy word columns (see _spawn_entropy). The leading run of Uniform
-    marginals is drawn for all rows at once from the stepped states, as
-    ``Generator.uniform`` computes it: a + (b - a) times the top 53 bits of
-    the output over 2**53. From the first other marginal on, one
+    seed): a Uniform(a, b) value is ``rng.uniform(a, b)`` and a
+    ClippedGaussian one ``min(max(rng.normal(mu, sigma), lo), hi)`` of that
+    row's generator. The substream states are computed for all indices at
+    once, from their entropy word columns (see _spawn_entropy). The leading
+    run of Uniform marginals is drawn for all rows at once from the stepped
+    states, as ``Generator.uniform`` computes it: a + (b - a) times the top
+    53 bits of the output over 2**53. From the first other marginal on, one
     generator serves every row: the state bytes the leading draws left are
     written into its state memory once per row, the same write as the
     episode noise's (see SeededStreams), and it fills the row's standard

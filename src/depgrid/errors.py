@@ -63,10 +63,6 @@ class EmptyCampaign(DataError):
     """An operation that needs test records received none."""
 
 
-class IncompleteOutcomes(DataError):
-    """A brute-force condition table contains scenarios without outcomes."""
-
-
 class SteppingTerminatedEpisode(DepgridError):
     """step() was called on a collided or time-expired episode state."""
 

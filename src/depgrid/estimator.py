@@ -14,7 +14,8 @@ first two columns. A Tally holds the integer outcome counts of one campaign
 as one array, one row per grid region in C order and one column per behavior
 mode. Prediction re-weights the per-region rates with the target condition's
 region mass vector: the predicted rates are sum_r w_r * p_r. Counts stay
-exact integers; division happens only at report time.
+exact integers; division happens only at report time. With one scenario of a
+DiscreteCondition target per region, the prediction is its exact expectation.
 
 A prediction's report keeps its per-region table as columns, not as one
 object per region: the per-dimension bin edges, the weight vector and the
@@ -29,22 +30,14 @@ import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from enum import Enum
-from typing import Mapping
 
 import numpy as np
 
-from .domain import (
-    Condition,
-    DiscreteCondition,
-    DomainSpace,
-    PartitionGrid,
-    partition_indices,
-)
+from .domain import Condition, DomainSpace, PartitionGrid, partition_indices
 from .errors import (
     DataError,
     EmptyCampaign,
     EmptyPartition,
-    IncompleteOutcomes,
     InvalidGrid,
     check_rows,
 )
@@ -113,8 +106,8 @@ class TestCampaign:
     ``substream_seed(master_seed, i)``. A row without a known mode and
     steps >= 0 (>= 1 if harmful) raises DataError.
 
-    ``campaign[i]`` and ``records`` are the rows as TrialRecords, built on
-    first use for tests and demos; the library reads only the columns.
+    ``records`` are the rows as TrialRecords, built on first use for tests
+    and demos; the library reads only the columns.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -141,9 +134,6 @@ class TestCampaign:
     def __len__(self) -> int:
         return len(self.modes)
 
-    def __getitem__(self, i: int) -> TrialRecord:
-        return self.records[i]
-
     @cached_property
     def records(self) -> tuple[TrialRecord, ...]:
         return tuple(
@@ -162,7 +152,8 @@ class DependabilityReport:
     The three metrics sum to 1 (the modes are exhaustive and mutually
     exclusive). The only exception is a renormalized report whose covered
     mass was zero: it is vacuous, carries dropped_mass = 1, and all metrics
-    are zero.
+    are zero. A report is renormalized exactly when it dropped regions; only
+    then may its dropped_mass, in [0, 1], be other than 0.
 
     A prediction also carries its per-region table as columns: ``edges``
     holds each dimension's bin edges, ``weights`` the target weight of every
@@ -195,11 +186,17 @@ class DependabilityReport:
         for name, v in self.metrics().items():
             if not (-SUM_RULE_TOL <= v <= 1.0 + SUM_RULE_TOL):
                 raise DataError(f"{name} = {v} outside [0, 1]")
-        if self.dropped_mass < 1.0:
-            total = (self.dependability + self.task_undependability
-                     + self.harmful_undependability)
-            if abs(total - 1.0) > SUM_RULE_TOL:
-                raise DataError(f"metrics sum to {total!r}, violating the sum rule")
+        if self.renormalized != bool(self.dropped_regions.size):
+            raise DataError(f"renormalized is {self.renormalized}, but "
+                            f"{self.dropped_regions.size} regions were dropped")
+        top = 1.0 if self.renormalized else 0.0
+        if not 0.0 <= self.dropped_mass <= top:  # false for NaN too
+            raise DataError(f"dropped_mass = {self.dropped_mass} outside "
+                            f"[0, {top}]")
+        vacuous = self.dropped_mass == 1.0 and not any(self.metrics().values())
+        total = sum(self.metrics().values())
+        if not vacuous and abs(total - 1.0) > SUM_RULE_TOL:
+            raise DataError(f"metrics sum to {total!r}, violating the sum rule")
 
     def metrics(self) -> dict[str, float]:
         return {
@@ -207,11 +204,6 @@ class DependabilityReport:
             "task_undependability": self.task_undependability,
             "harmful_undependability": self.harmful_undependability,
         }
-
-    @property
-    def bins(self) -> tuple[int, ...]:
-        """Bin counts of the table's grid; () for a report without one."""
-        return tuple(len(e) - 1 for e in self.edges)
 
     __eq__ = _fields_equal
 
@@ -340,35 +332,6 @@ def predict(tally: Tally, target: Condition, *,
         renormalized=bool(dropped.size),
         dropped_mass=dropped_mass,
         dropped_regions=dropped,
-    )
-
-
-def brute_force_dependability(
-    policy_outcomes: Mapping[tuple[float, ...], BehaviorMode],
-    cond: DiscreteCondition,
-) -> DependabilityReport:
-    """Exact expectation of the mode indicators over an explicit table;
-    ``policy_outcomes`` maps each coordinate tuple of ``cond.scenarios`` to
-    its behavior mode.
-
-    Serves as the independent oracle for the partition estimator on
-    discrete-bounded domains: when each grid region holds exactly one table
-    scenario, predict() must agree with this to floating precision.
-    """
-    missing = [s for s in cond.scenarios if s not in policy_outcomes]
-    if missing:
-        raise IncompleteOutcomes(
-            f"{len(missing)} scenario(s) lack outcomes, e.g. {missing[0]}"
-        )
-    total = math.fsum(cond.probabilities)
-    acc = {m: 0.0 for m in _MODE_ORDER}
-    for s, p in zip(cond.scenarios, cond.probabilities):
-        acc[policy_outcomes[s]] += p
-    return DependabilityReport(
-        condition_name=cond.name,
-        dependability=acc[BehaviorMode.SUCCESS] / total,
-        task_undependability=acc[BehaviorMode.TASK_FAILURE] / total,
-        harmful_undependability=acc[BehaviorMode.HARMFUL_FAILURE] / total,
     )
 
 

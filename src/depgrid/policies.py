@@ -105,8 +105,7 @@ class ScriptedPolicy:
     forward to the top of the track. Impatient mode always drives forward.
     """
 
-    def __init__(self, params: ScriptedPolicyParams = ScriptedPolicyParams(),
-                 env: EnvConfig = EnvConfig()):
+    def __init__(self, params: ScriptedPolicyParams, env: EnvConfig):
         params.check_env(env)
         self.params = params
         self.env = env

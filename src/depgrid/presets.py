@@ -1,8 +1,9 @@
 """Built-in domain, grid, and condition presets for the robot task.
 
 Five condition sets over the (v, t, y) box: the uniform testing conditions
-and four shifted operating conditions. The obstacle start time is uniform on
-[0, 10] in all of them; the shifts act on obstacle speed and goal height.
+and four shifted operating conditions. The obstacle start time keeps its
+testing marginal, uniform over its whole range, in all of them; the shifts
+act on obstacle speed and goal height.
 """
 
 from __future__ import annotations
@@ -36,20 +37,24 @@ def default_policy_params() -> ScriptedPolicyParams:
     return ScriptedPolicyParams()
 
 
+# testing draws each dimension uniformly over its whole range
+_V, _T, _Y = (Uniform(d.min, d.max) for d in domain_space().dims)
+
 # The (v, t, y) marginals of each built-in condition.
 _MARGINALS = {
-    "testing": (Uniform(0.0, 10.0), Uniform(0.0, 10.0), Uniform(0.0, 50.0)),
+    "testing": (_V, _T, _Y),
     # low goals: the safe end of the goal range
-    "oc1": (Uniform(0.0, 10.0), Uniform(0.0, 10.0), Uniform(0.0, 30.0)),
+    "oc1": (_V, _T, Uniform(0.0, 30.0)),
     # high goals: the dangerous end of the goal range
-    "oc2": (Uniform(0.0, 10.0), Uniform(0.0, 10.0), Uniform(30.0, 50.0)),
+    "oc2": (_V, _T, Uniform(30.0, 50.0)),
     # slow-leaning Gaussian speeds with high goals
-    "oc3": (ClippedGaussian(3.0, 2.0), Uniform(0.0, 10.0), Uniform(30.0, 50.0)),
+    "oc3": (ClippedGaussian(3.0, 2.0), _T, Uniform(30.0, 50.0)),
     # Gaussian speeds and goals, both aimed at the observed failure zones
-    "oc4": (ClippedGaussian(3.0, 2.0), Uniform(0.0, 10.0), ClippedGaussian(35.0, 10.0)),
+    "oc4": (ClippedGaussian(3.0, 2.0), _T, ClippedGaussian(35.0, 10.0)),
 }
 
-OPERATING_CONDITION_NAMES = ("oc1", "oc2", "oc3", "oc4")
+CONDITION_NAMES = tuple(_MARGINALS)
+OPERATING_CONDITION_NAMES = CONDITION_NAMES[1:]
 
 
 def condition(name: str) -> ConditionSet:
@@ -57,7 +62,3 @@ def condition(name: str) -> ConditionSet:
         raise ConfigError(f"unknown condition {name!r}; built-ins are "
                           f"{sorted(_MARGINALS)}")
     return ConditionSet(name, domain_space(), _MARGINALS[name])
-
-
-def testing_conditions() -> ConditionSet:
-    return condition("testing")

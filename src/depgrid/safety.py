@@ -2,9 +2,10 @@
 
 The wrapper sits between the sensors and the policy and clips the perceived
 goal into [0, goal_clip_max]. It changes only what the policy sees; episode
-success is still judged against the true goal. For the scripted policy the
-default clip keeps the perceived goal below the risk threshold, so the
-impatient branch is never latched.
+success is still judged against the true goal. For the scripted policy a
+clip built by ``SafetyFunction.from_threshold`` from its risk threshold
+keeps the perceived goal below that threshold, so the impatient branch is
+never latched.
 """
 
 from __future__ import annotations
@@ -14,19 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, check_finite
-from .policies import BatchPolicy, Policy, ScriptedPolicyParams
+from .policies import BatchPolicy, Policy
 from .simulator import Action, EnvConfig, Observation, batch_form
 
-DEFAULT_RISK_THRESHOLD = ScriptedPolicyParams().risk_goal_threshold
 DEFAULT_DELTA = 0.5
 
 
 @dataclass(frozen=True)
 class SafetyFunction:
-    """Clip bound for the goal input; default is risk threshold minus delta."""
+    """Clip bound for the goal input, ``delta`` below a risk threshold."""
 
-    goal_clip_max: float = DEFAULT_RISK_THRESHOLD - DEFAULT_DELTA
-    delta: float = DEFAULT_DELTA
+    goal_clip_max: float
+    delta: float
 
     def __post_init__(self):
         check_finite(self)

@@ -137,7 +137,6 @@ class EnvState:
     scenario: tuple[float, ...]
     max_robot_pos: float
     collided: bool = False
-    collision_time: float | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,7 +208,6 @@ def step(cfg: EnvConfig, state: EnvState, a: Action) -> EnvState:
         scenario=state.scenario,
         max_robot_pos=max(state.max_robot_pos, new_pos),
         collided=collided,
-        collision_time=float(new_time) if collided else None,
     )
 
 

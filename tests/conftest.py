@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from pathlib import Path
 
@@ -99,22 +98,3 @@ def file_sha256(path) -> str:
     """The sha256 of a file's bytes."""
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
-
-def region_centers(grid, space) -> list[tuple[float, ...]]:
-    """The centre of every region of the grid over the space, as tuples of
-    floats in C order, computed from the grid's edges."""
-    mids = [((e[:-1] + e[1:]) / 2).tolist()
-            for e in (grid.edges(space, d) for d in range(space.ndim))]
-    return list(itertools.product(*mids))
-
-
-def in_region(grid, space, index, x) -> bool:
-    """Whether the point x lies in the grid region at ``index``, by the
-    bin-edge convention written out: every bin is half-open [lo, hi) except
-    the last of its dimension, which is closed."""
-    for d, (i, v) in enumerate(zip(index, x)):
-        lo, hi = grid.edges(space, d)[i:i + 2]
-        closed = i == grid.bins[d] - 1
-        if not (lo <= v <= hi if closed else lo <= v < hi):
-            return False
-    return True

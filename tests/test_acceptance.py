@@ -20,13 +20,10 @@ import pytest
 from depgrid import (
     BehaviorMode,
     ConditionSet,
-    DiscreteCondition,
     EmptyPartition,
     PartitionGrid,
     ScriptedPolicy,
-    TrialRecord,
     Uniform,
-    brute_force_dependability,
     compare,
     evaluate_policy,
     observed_rates,
@@ -40,7 +37,8 @@ from depgrid import (
 from depgrid import presets
 from depgrid.cli import reproduce
 from depgrid.safety import SafetyFunction
-from conftest import campaign_of, region_centers
+from conftest import campaign_of
+from reference import exact_rates, random_lattice
 
 N = 20_000
 SCENARIO_SEEDS = {"testing": 1001, "heldout": 1101, "oc1": 1201,
@@ -134,26 +132,14 @@ def test_criterion_1_mass_normalization(grid):
 
 def test_criterion_2_oracle_equivalence(space):
     grid = PartitionGrid((5, 5, 5))
-    modes = list(BehaviorMode)
     t0 = time.perf_counter()
     worst = 0.0
     for trial in range(100):
-        rng = np.random.default_rng(42_000 + trial)
-        centers, outcomes, records = region_centers(grid, space), {}, []
-        for center in centers:
-            mode = modes[rng.integers(0, 3)]
-            outcomes[center] = mode
-            records.append(TrialRecord(
-                center, mode, steps=100, final_position=0.0))
-        probs = rng.random(len(centers))
-        probs /= probs.sum()
-        cond = DiscreteCondition("lattice", space, tuple(centers),
-                                 tuple(float(p) for p in probs))
-        exact = brute_force_dependability(outcomes, cond)
-        campaign = campaign_of(records, "lattice")
+        campaign, cond, outcomes = random_lattice(grid, space, 42_000 + trial)
+        exact = exact_rates(outcomes, cond)
         estimated = predict(tally(campaign, grid, space), cond)
-        for m in METRICS:
-            worst = max(worst, abs(estimated.metrics()[m] - exact.metrics()[m]))
+        for m, want in zip(METRICS, exact):
+            worst = max(worst, abs(estimated.metrics()[m] - want))
     elapsed = time.perf_counter() - t0
     criterion(2, "partition estimator equals brute-force expectation on "
                  "100 discrete 5x5x5 lattices",

@@ -186,7 +186,7 @@ class TestRunObservePredict:
         splits a dot product over threads; the report is the same with one
         thread as with the default number."""
         rng = np.random.default_rng(49)
-        xs = sample(presets.testing_conditions(), 20000, 49)
+        xs = sample(presets.condition("testing"), 20000, 49)
         records = tmp_path / "rec.jsonl"
         write_records(records, TestCampaign(
             "random", xs, rng.integers(0, 3, len(xs)).astype(np.int8),
@@ -255,6 +255,20 @@ class TestRunObservePredict:
             "ConfigError: --clip-max and --delta set the safety function; "
             "give --safety too\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("delta", ["7", "0.5"])
+    def test_clip_max_with_delta_exits_2(self, small_pipeline, tmp_path,
+                                         capsys, delta):
+        """A --clip-max clip is no --delta below the risk threshold, so a
+        manifest of the pair would record a false delta; none is written."""
+        out = tmp_path / "r.jsonl"
+        assert run_cli("run", "--scenarios", str(small_pipeline["scen"]),
+                       "--safety", "--clip-max", "30", "--delta", delta,
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(
+            "ConfigError: --clip-max sets the clip itself, not --delta")
+        assert not out.exists()
+        assert not out.with_suffix(".manifest.json").exists()
 
     @pytest.mark.parametrize("flags, field", [
         (("--clip-max", "10", "--delta", "nan"), "delta"),

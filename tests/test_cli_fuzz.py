@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from depgrid import PartitionGrid, presets
 from depgrid.cli import main
 from depgrid.records import condition_document
-from conftest import region_centers
+from reference import region_centers
 
 NAN, INF = float("nan"), float("inf")
 GOOD_RECORD = {"scenario": [5.0, 5.0, 30.0], "mode": "task_failure",
@@ -353,6 +353,9 @@ def bad_flags(files) -> list[tuple[str, ...]]:
         ("run", "--scenarios", scen, "--delta", "3", *out),
         ("run", "--scenarios", scen, "--clip-max", "10", "--delta", "0.5",
          *out),
+        # a clip of its own is no margin below the risk threshold
+        ("run", "--scenarios", scen, "--safety", "--clip-max", "30",
+         "--delta", "7", *out),
         ("run", "--scenarios", scen),
         ("run", *out),
         ("run", "--scenarios", scen, "--seed", "x", *out),

@@ -22,12 +22,11 @@ from depgrid import (
     Uniform,
     norm_cdf,
     partition_indices,
-    region_mass,
     sample,
     validate_grid,
 )
 from depgrid import presets
-from conftest import in_region
+from reference import in_region, region_mass
 
 # Frozen standard-normal CDF values, computed with scipy.special.ndtr.
 PHI_MINUS_1 = 0.15865525393145707
@@ -51,6 +50,12 @@ def line_domain() -> DomainSpace:
 def test_norm_cdf_against_independent_oracle():
     for z in (-8.0, -2.5, -1.5, -1.0, 0.0, 0.3, 1.0, 4.0, 8.0):
         assert norm_cdf(z) == pytest.approx(float(scipy.special.ndtr(z)), abs=1e-13)
+    assert (norm_cdf(-math.inf), norm_cdf(math.inf)) == (0.0, 1.0)
+
+
+def mass_at(cond, grid: PartitionGrid, i: tuple[int, ...]) -> float:
+    """The entry of the condition's mass vector for the region at index i."""
+    return cond.region_mass_vector(grid)[np.ravel_multi_index(i, grid.bins)]
 
 
 def test_check_points_names_the_first_point_outside(space):
@@ -115,29 +120,32 @@ class TestRegionMass:
         space = line_domain()
         grid = PartitionGrid((10,))
         cond = ConditionSet("u", space, (Uniform(0.0, 10.0),))
-        assert region_mass(cond, grid, (0,)) == pytest.approx(0.1, abs=1e-15)
+        assert mass_at(cond, grid, (0,)) == pytest.approx(0.1, abs=1e-15)
 
     def test_clipped_gaussian_first_bin_includes_atom(self):
         space = line_domain()
         grid = PartitionGrid((10,))
         cond = ConditionSet("g", space, (ClippedGaussian(3.0, 2.0),))
-        assert region_mass(cond, grid, (0,)) == pytest.approx(PHI_MINUS_1,
-                                                              abs=1e-12)
+        for mass in (mass_at, region_mass):
+            assert mass(cond, grid, (0,)) == pytest.approx(PHI_MINUS_1,
+                                                           abs=1e-12)
 
     def test_clipped_gaussian_last_bin_includes_atom(self):
         space = DomainSpace((Dimension("y", 0.0, 50.0),))
         grid = PartitionGrid((10,))
         cond = ConditionSet("g", space, (ClippedGaussian(35.0, 10.0),))
         assert grid.edges(space, 0)[9:].tolist() == [45.0, 50.0]
-        assert region_mass(cond, grid, (9,)) == pytest.approx(ONE_MINUS_PHI_1,
-                                                              abs=1e-12)
+        for mass in (mass_at, region_mass):
+            assert mass(cond, grid, (9,)) == pytest.approx(ONE_MINUS_PHI_1,
+                                                           abs=1e-12)
 
     def test_clipped_gaussian_interior_bin_quadrature_oracle(self):
         space = line_domain()
         grid = PartitionGrid((10,))
         cond = ConditionSet("g", space, (ClippedGaussian(3.0, 2.0),))
-        assert region_mass(cond, grid, (4,)) == pytest.approx(GAUSS_3_2_BIN_4_5,
-                                                              abs=1e-12)
+        for mass in (mass_at, region_mass):
+            assert mass(cond, grid, (4,)) == pytest.approx(GAUSS_3_2_BIN_4_5,
+                                                           abs=1e-12)
         # recompute the oracle here so the frozen value stays auditable
         live, err = quad(lambda v: scipy.stats.norm.pdf(v, 3.0, 2.0), 4.0, 5.0)
         assert live == pytest.approx(GAUSS_3_2_BIN_4_5, abs=1e-12)
@@ -146,7 +154,7 @@ class TestRegionMass:
         space = line_domain()
         grid = PartitionGrid((1,))
         cond = ConditionSet("g", space, (ClippedGaussian(-4.0, 0.5),))
-        assert region_mass(cond, grid, (0,)) == pytest.approx(1.0, abs=1e-15)
+        assert mass_at(cond, grid, (0,)) == pytest.approx(1.0, abs=1e-15)
 
     def test_discrete_table_follows_the_bin_edge_convention(self):
         space = line_domain()
@@ -154,17 +162,9 @@ class TestRegionMass:
         # the domain minimum, an interior edge, just below it, the maximum
         cond = DiscreteCondition("d", space, ((0.0,), (3.0,), (2.999,),
                                               (10.0,)), (0.1, 0.2, 0.3, 0.4))
-        masses = [region_mass(cond, grid, (i,)) for i in range(10)]
-        assert masses == [0.1, 0, 0.3, 0.2, 0, 0, 0, 0, 0, 0.4]
+        masses = [0.1, 0, 0.3, 0.2, 0, 0, 0, 0, 0, 0.4]
+        assert [region_mass(cond, grid, (i,)) for i in range(10)] == masses
         assert cond.region_mass_vector(grid).tolist() == masses
-
-    def test_index_outside_the_grid_raises(self, space, grid):
-        cond = presets.condition("oc3")
-        for index in ((10, 0, 0), (0, -1, 0), (0, 0), (0, 0, 0, 0)):
-            with pytest.raises(InvalidGrid):
-                region_mass(cond, grid, index)
-        with pytest.raises(InvalidGrid):
-            region_mass(cond, PartitionGrid((10, 10)), (0, 0))
 
     def test_presets_normalize(self, grid):
         for name in ("testing", "oc1", "oc2", "oc3", "oc4"):
@@ -180,13 +180,14 @@ class TestRegionMass:
         assert np.allclose(in_support, 1.0 / 400.0, atol=1e-12)
         assert np.all(masses[:, :, :6] == 0.0)
 
-    def test_vector_matches_scalar_path(self, space, grid):
-        cond = presets.condition("oc4")
-        vec = cond.region_mass_vector(grid)
-        for flat, index in enumerate(np.ndindex(*grid.bins)):
-            if flat % 97 == 0:
-                assert vec[flat] == pytest.approx(region_mass(cond, grid, index),
-                                                  abs=1e-15)
+    def test_vector_matches_scalar_path(self, grid):
+        """Every region of every built-in condition at 10^3, against the
+        reference oracle's scalar per-region mass."""
+        for name in presets.CONDITION_NAMES:
+            vec = presets.condition(name).region_mass_vector(grid)
+            want = [region_mass(presets.condition(name), grid, index)
+                    for index in np.ndindex(*grid.bins)]
+            assert vec.tolist() == pytest.approx(want, rel=0, abs=1e-15)
 
 
 @st.composite
@@ -229,7 +230,7 @@ def test_sampled_scenarios_partition_totally(cond_grid, seed):
 
 class TestSample:
     def test_empty(self):
-        cond = presets.testing_conditions()
+        cond = presets.condition("testing")
         xs = sample(cond, 0, 1)
         assert xs.shape == (0, 3) and xs.dtype == np.float64
 

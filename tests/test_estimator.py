@@ -19,7 +19,6 @@ from depgrid import (
     DomainSpace,
     EmptyCampaign,
     EmptyPartition,
-    IncompleteOutcomes,
     InvalidGrid,
     OutOfDomain,
     PartitionGrid,
@@ -27,32 +26,25 @@ from depgrid import (
     TestCampaign,
     TrialRecord,
     Uniform,
-    brute_force_dependability,
     compare,
     evaluate_policy,
     observed_rates,
     predict,
-    region_mass,
     sample,
     tally,
 )
 from depgrid import presets
 from depgrid.domain import partition_indices
-from depgrid.records import read_records, write_report
-from conftest import campaign_of, in_region, region_centers
+from depgrid.records import read_records, read_report, write_report
+from conftest import campaign_of
+from reference import exact_rates, in_region, random_lattice, region_mass
 
 
 def make_record(values, mode) -> TrialRecord:
-    return TrialRecord(
-        scenario=tuple(float(v) for v in values),
-        mode=mode,
-        steps=100,
-        final_position=0.0,
-    )
+    return TrialRecord(tuple(map(float, values)), mode, 100, 0.0)
 
 
-def make_campaign(records, name="synthetic") -> TestCampaign:
-    return campaign_of(records, name)
+make_campaign = campaign_of
 
 
 def synthetic_campaign(n, fractions, space, rng_seed=0) -> TestCampaign:
@@ -80,7 +72,7 @@ class TestTally:
 
     def test_conservation_100k_uniform(self, space, grid):
         n = 100_000
-        xs = sample(presets.testing_conditions(), n, 21)
+        xs = sample(presets.condition("testing"), n, 21)
         records = [make_record(x, BehaviorMode.SUCCESS) for x in xs]
         t = tally(make_campaign(records), grid, space)
         assert t.counts.shape == (grid.n_regions, 3)
@@ -111,7 +103,7 @@ class TestTally:
             tally(make_campaign(records), grid, space)
 
     def test_merge_equals_sequential(self, space, grid):
-        xs = sample(presets.testing_conditions(), 900, 31)
+        xs = sample(presets.condition("testing"), 900, 31)
         rng = np.random.default_rng(8)
         modes = list(BehaviorMode)
         records = [
@@ -281,7 +273,7 @@ class TestPredict:
 
     def test_sum_rule_to_1e12(self, space):
         grid = PartitionGrid((5, 5, 5))
-        xs = sample(presets.testing_conditions(), 5000, 29)
+        xs = sample(presets.condition("testing"), 5000, 29)
         rng = np.random.default_rng(4)
         modes = list(BehaviorMode)
         records = [make_record(x, modes[rng.integers(0, 3)])
@@ -313,7 +305,7 @@ class TestPredict:
 
     def test_reweighting_identity_small_campaign(self, env, space,
                                                  scripted_factory):
-        cond = presets.testing_conditions()
+        cond = presets.condition("testing")
         grid = PartitionGrid((5, 5, 5))
         n = 3000
         camp = evaluate_policy(env, scripted_factory, sample(cond, n, 41),
@@ -331,11 +323,9 @@ class TestPredict:
 
 
 def scalar_predict(space, grid, records, target):
-    """Oracle: a per-region loop over scalar region_mass and record counts.
-
-    Returns the uncovered positive-mass regions' indices, the weights after
-    dropping them, and the three renormalized rates.
-    """
+    """Oracle: a per-region loop over the reference's scalar region_mass
+    and record counts, giving the uncovered positive-mass regions' indices,
+    the weights after dropping them, and the three renormalized rates."""
     regions = list(np.ndindex(*grid.bins))
     counts = {i: [0, 0, 0] for i in regions}
     modes = list(BehaviorMode)
@@ -359,7 +349,7 @@ def scalar_predict(space, grid, records, target):
 def test_predict_matches_scalar_region_mass_oracle(space, name,
                                                    renormalize_empty):
     grid = PartitionGrid((3, 2, 4))
-    xs = sample(presets.testing_conditions(), 200, 47)
+    xs = sample(presets.condition("testing"), 200, 47)
     rng = np.random.default_rng(9)
     modes = list(BehaviorMode)
     # no records above y = 30: the top y bin is empty, the one below partly
@@ -387,14 +377,13 @@ def test_predict_report_table_is_the_tally_and_the_weights(space):
     """The report's table is the tally's counts, the grid's edges and the
     renormalized weights."""
     grid = PartitionGrid((3, 2, 4))
-    xs = [x for x in sample(presets.testing_conditions(), 200, 47)
+    xs = [x for x in sample(presets.condition("testing"), 200, 47)
           if x[2] < 30.0]
     t = tally(make_campaign(make_record(x, BehaviorMode.SUCCESS)
                             for x in xs), grid, space)
     target = presets.condition("oc3")
     r = predict(t, target, renormalize_empty=True)
     assert r.renormalized and r.dropped_regions.size
-    assert r.bins == grid.bins
     assert r.edges == tuple(tuple(grid.edges(space, d).tolist())
                             for d in range(3))
     assert np.array_equal(r.counts, t.counts)
@@ -406,7 +395,7 @@ def test_predict_report_table_is_the_tally_and_the_weights(space):
 def random_campaign(n: int, seed: int) -> TestCampaign:
     """n testing scenarios with random modes; no episode is run."""
     modes = np.random.default_rng(seed).integers(0, 3, n).astype(np.int8)
-    return TestCampaign("random", sample(presets.testing_conditions(), n, seed),
+    return TestCampaign("random", sample(presets.condition("testing"), n, seed),
                         modes, np.full(n, 50), np.zeros(n))
 
 
@@ -451,73 +440,62 @@ def test_fine_grid_report_is_json_dumps_of_each_column(space, tmp_path,
     assert path.read_text() == header[:-2] + "".join(
         f',\n  "{key}": {json.dumps(column)}'
         for key, column in columns.items()) + "\n}\n"
+    assert read_report(path) == r
 
 
 class TestBruteForce:
+    """predict against the exact expectation over a discrete table."""
+
     def line(self):
         return DomainSpace((Dimension("x", 0.0, 1.0),))
+
+    def both(self, outcomes, cond) -> tuple:
+        """The exact rates, and predict's over two bins, one record each."""
+        t = tally(make_campaign(make_record(x, mode)
+                                for x, mode in outcomes.items()),
+                  PartitionGrid((2,)), cond.space)
+        return (exact_rates(outcomes, cond),
+                tuple(predict(t, cond).metrics().values()))
 
     def test_two_scenarios(self):
         space = self.line()
         a, b = (0.25,), (0.75,)
         cond = DiscreteCondition("d", space, (a, b), (0.5, 0.5))
-        r = brute_force_dependability(
-            {a: BehaviorMode.SUCCESS, b: BehaviorMode.HARMFUL_FAILURE}, cond)
-        assert (r.dependability, r.task_undependability,
-                r.harmful_undependability) == (0.5, 0.0, 0.5)
+        assert self.both({a: BehaviorMode.SUCCESS,
+                          b: BehaviorMode.HARMFUL_FAILURE},
+                         cond) == ((0.5, 0.0, 0.5),) * 2
 
     def test_point_mass_dominates(self):
         space = self.line()
         a, b = (0.25,), (0.75,)
         cond = DiscreteCondition("d", space, (a, b), (1.0, 0.0))
-        r = brute_force_dependability(
-            {a: BehaviorMode.TASK_FAILURE, b: BehaviorMode.SUCCESS}, cond)
-        assert (r.dependability, r.task_undependability,
-                r.harmful_undependability) == (0.0, 1.0, 0.0)
+        assert self.both({a: BehaviorMode.TASK_FAILURE,
+                          b: BehaviorMode.SUCCESS},
+                         cond) == ((0.0, 1.0, 0.0),) * 2
 
     def test_table_scenarios_are_tuples_of_floats(self):
         cond = DiscreteCondition("d", self.line(), [[0], np.array([0.75])],
                                  (0.5, 0.5))
         assert cond.scenarios == ((0.0,), (0.75,))
         assert all(type(v) is float for x in cond.scenarios for v in x)
-        r = brute_force_dependability({(0.0,): BehaviorMode.SUCCESS,
-                                       (0.75,): BehaviorMode.SUCCESS}, cond)
-        assert r.dependability == 1.0
+        assert exact_rates({(0.0,): BehaviorMode.SUCCESS,
+                            (0.75,): BehaviorMode.SUCCESS}, cond)[0] == 1.0
         with pytest.raises(OutOfDomain):
             DiscreteCondition("d", self.line(), ((0.5,), (1.5,)), (0.5, 0.5))
-
-    def test_incomplete_outcomes(self):
-        space = self.line()
-        a, b = (0.25,), (0.75,)
-        cond = DiscreteCondition("d", space, (a, b), (0.5, 0.5))
-        with pytest.raises(IncompleteOutcomes):
-            brute_force_dependability({a: BehaviorMode.SUCCESS}, cond)
 
     def test_lattice_equivalence_with_predict(self, space):
         # one lattice cell per region: the partition estimator must agree
         # with the exact expectation to floating precision
         grid = PartitionGrid((5, 5, 5))
-        modes = list(BehaviorMode)
         for trial in range(10):
-            rng = np.random.default_rng(1000 + trial)
-            centers, outcomes, records = region_centers(grid, space), {}, []
-            for center in centers:
-                mode = modes[rng.integers(0, 3)]
-                outcomes[center] = mode
-                records.append(make_record(center, mode))
-            probs = rng.random(len(centers))
-            probs = probs / probs.sum()
-            cond = DiscreteCondition("lattice", space, tuple(centers),
-                                     tuple(float(p) for p in probs))
+            campaign, cond, outcomes = random_lattice(grid, space, 1000 + trial)
             # each region's scalar mass is its one lattice point's probability
             assert [region_mass(cond, grid, i)
                     for i in np.ndindex(*grid.bins)] == list(cond.probabilities)
-            exact = brute_force_dependability(outcomes, cond)
-            estimated = predict(tally(make_campaign(records), grid, space), cond)
-            for metric in ("dependability", "task_undependability",
-                           "harmful_undependability"):
-                assert abs(estimated.metrics()[metric]
-                           - exact.metrics()[metric]) <= 1e-12
+            exact = exact_rates(outcomes, cond)
+            estimated = predict(tally(campaign, grid, space), cond)
+            for got, want in zip(estimated.metrics().values(), exact):
+                assert abs(got - want) <= 1e-12
 
 
 class TestCompare:
@@ -567,7 +545,7 @@ class TestRecordInvariants:
     def test_collision_on_the_last_counted_step_is_valid(self, tmp_path):
         path = write_record(tmp_path / "r.jsonl",
                             BehaviorMode.HARMFUL_FAILURE, 1)
-        r = read_records(path)[0]
+        (r,) = read_records(path).records
         assert r.mode is BehaviorMode.HARMFUL_FAILURE
         assert r.collision_time == r.steps == 1
 

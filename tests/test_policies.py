@@ -165,7 +165,7 @@ class TestFailureStructure:
                                              scripted_factory):
         campaign = evaluate_policy(
             env, scripted_factory,
-            sample(presets.testing_conditions(), 4000, 51), 351,
+            sample(presets.condition("testing"), 4000, 51), 351,
             condition_name="testing")
         harmful = [(i, r) for i, r in enumerate(campaign.records)
                    if r.mode is BehaviorMode.HARMFUL_FAILURE]
@@ -190,21 +190,21 @@ class TestEvaluatePolicy:
         assert campaign.records == ()
 
     def test_deterministic(self, env, scripted_factory):
-        xs = sample(presets.testing_conditions(), 100, 61)
+        xs = sample(presets.condition("testing"), 100, 61)
         a = evaluate_policy(env, scripted_factory, xs, 5)
         b = evaluate_policy(env, scripted_factory, xs, 5)
         assert a == b
 
     def test_per_index_seeds_are_stable_under_extension(self, env,
                                                         scripted_factory):
-        xs = sample(presets.testing_conditions(), 30, 62)
+        xs = sample(presets.condition("testing"), 30, 62)
         small = evaluate_policy(env, scripted_factory, xs[:12], 9)
         big = evaluate_policy(env, scripted_factory, xs, 9)
         assert big.records[:12] == small.records
 
     def test_record_seed_reproduces_episode(self, env, params,
                                             scripted_factory):
-        xs = sample(presets.testing_conditions(), 20, 64)
+        xs = sample(presets.condition("testing"), 20, 64)
         campaign = evaluate_policy(env, scripted_factory, xs, 13)
         for i, r in enumerate(campaign.records):
             assert run_episode(env, ScriptedPolicy(params, env),
@@ -276,7 +276,7 @@ def batch_cases(draw):
     clip = draw(st.one_of(st.none(), st.floats(0.0, 50.0)))
     factories = [lambda: ScriptedPolicy(params, cfg)]
     if clip is not None:
-        sf = SafetyFunction(goal_clip_max=clip)
+        sf = SafetyFunction(goal_clip_max=clip, delta=0.5)
         factories.append(lambda: wrap(ScriptedPolicy(params, cfg), sf))
         if draw(st.booleans()):
             factories.reverse()
@@ -302,7 +302,7 @@ class TestBatch:
     @pytest.mark.parametrize("seconds", [0, 1])
     def test_zero_and_one_second_episodes(self, env, params, seconds):
         cfg = EnvConfig(episode_seconds=seconds)
-        xs = sample(presets.testing_conditions(), 50, 65)
+        xs = sample(presets.condition("testing"), 50, 65)
         sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
         records = assert_batch_matches_scalar(
             cfg, lambda: ScriptedPolicy(params, cfg), xs, range(50),
@@ -318,7 +318,7 @@ class TestBatch:
         cfg = EnvConfig(episode_seconds=seconds, obstacle_spawn_offset=0.0,
                         obstacle_width=200.0)
         impatient = ScriptedPolicyParams(risk_goal_threshold=0.0)
-        xs = sample(presets.testing_conditions(), 50, 75)
+        xs = sample(presets.condition("testing"), 50, 75)
         records = assert_batch_matches_scalar(
             cfg, lambda: ScriptedPolicy(impatient, cfg), xs, range(50))
         harmful = seconds >= 5
@@ -361,7 +361,7 @@ class TestBatch:
         # an unclipped negative one would not
         cfg = EnvConfig(robot_bounds=(-20.0, 50.0))
         params = ScriptedPolicyParams(risk_goal_threshold=0.0)
-        sf = SafetyFunction(goal_clip_max=10.0)
+        sf = SafetyFunction(goal_clip_max=10.0, delta=0.5)
         xs = np.array([(v, 0.0, -15.0) for v in (2.0, 5.0, 8.0, 10.0)])
         records = assert_batch_matches_scalar(
             cfg, lambda: wrap(ScriptedPolicy(params, cfg), sf), xs, range(4))
@@ -373,7 +373,7 @@ class TestBatch:
         policy; each chunk's buffers are dropped before the next chunk's
         noise is drawn."""
         n, seconds = simulator._BLOCK, env.episode_seconds
-        xs = sample(presets.testing_conditions(), n, 76)
+        xs = sample(presets.condition("testing"), n, 76)
         sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
         pair = [ScriptedPolicy(params, env),
                 wrap(ScriptedPolicy(params, env), sf)]
@@ -399,7 +399,7 @@ class TestBatch:
     def test_campaign_larger_than_one_block(self, env, params):
         # not a multiple of the block size: a full block and a partial one
         n = simulator._BLOCK + 37
-        xs = sample(presets.testing_conditions(), n, 66)
+        xs = sample(presets.condition("testing"), n, 66)
         sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
         for factory in (lambda: ScriptedPolicy(params, env),
                         lambda: wrap(ScriptedPolicy(params, env), sf)):
@@ -409,12 +409,12 @@ class TestBatch:
                 env, factory, xs, seeds)
 
     def test_seed_count_must_match(self, env, scripted_factory):
-        xs = sample(presets.testing_conditions(), 3, 68)
+        xs = sample(presets.condition("testing"), 3, 68)
         with pytest.raises(ConfigError):
             run_batch(env, [scripted_factory()], xs, [1, 2])
 
     def test_policy_without_batch_form_raises(self, env, params):
-        xs = sample(presets.testing_conditions(), 5, 69)
+        xs = sample(presets.condition("testing"), 5, 69)
         sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
         for factory in (ScalarOnly, lambda: wrap(ScalarOnly(), sf)):
             with pytest.raises(ConfigError, match="no batch form"):
@@ -473,7 +473,7 @@ class TestChunkedNoise:
         impatient = ScriptedPolicyParams(
             risk_goal_threshold=cfg.robot_bounds[0])
         sf = SafetyFunction.from_threshold(38.47)
-        xs = sample(presets.testing_conditions(), 300, 81)
+        xs = sample(presets.condition("testing"), 300, 81)
         drawn = drawn_per_chunk(
             cfg, [lambda: ScriptedPolicy(impatient, cfg),
                   lambda: wrap(ScriptedPolicy(impatient, cfg), sf)],
@@ -483,7 +483,7 @@ class TestChunkedNoise:
     def test_the_testing_pair_draws_the_rest_for_some_episodes(self, env,
                                                                params):
         sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
-        xs = sample(presets.testing_conditions(), 300, 82)
+        xs = sample(presets.condition("testing"), 300, 82)
         drawn = drawn_per_chunk(
             env, [lambda: ScriptedPolicy(params, env),
                   lambda: wrap(ScriptedPolicy(params, env), sf)],
@@ -498,7 +498,7 @@ class TestChunkedNoise:
         make = ((lambda: wrap(Unsettled(params, env), sf)) if governed
                 else (lambda: Unsettled(params, env)))
         assert not hasattr(make().batch(1), "settled")
-        xs = sample(presets.testing_conditions(), 200, 83)
+        xs = sample(presets.condition("testing"), 200, 83)
         assert drawn_per_chunk(env, [make], xs, range(200)) == [200, 200]
         # beside a controller that has settled(), too
         assert drawn_per_chunk(env, [lambda: ScriptedPolicy(params, env),
@@ -508,7 +508,7 @@ class TestChunkedNoise:
     def test_settled_is_asked_only_after_the_first_act(self, params,
                                                        seconds):
         cfg = EnvConfig(episode_seconds=seconds)
-        xs = sample(presets.testing_conditions(), 50, 84)
+        xs = sample(presets.condition("testing"), 50, 84)
         drawn = drawn_per_chunk(cfg, [lambda: AskedAfterActs(params, cfg)],
                                 xs, range(50))
         # a horizon within the first chunk needs no second one
@@ -546,7 +546,7 @@ def test_settled_episodes_go_forward_whatever_they_read(data, governed,
         risk_goal_threshold=threshold, passed_margin=margin), env)
     if governed:
         policy = wrap(policy, SafetyFunction(
-            goal_clip_max=data.draw(st.floats(0.0, 50.0))))
+            goal_clip_max=data.draw(st.floats(0.0, 50.0)), delta=0.5))
     n = 6
     controller = policy.batch(n)
     for _ in range(data.draw(st.integers(1, 4))):
@@ -562,7 +562,7 @@ class TestEvaluatePolicies:
     # 2,500 episodes span two full blocks of 1,024 and a partial one
     @pytest.mark.parametrize("n", [0, 2500])
     def test_each_campaign_equals_its_own_evaluation(self, env, params, n):
-        xs = sample(presets.testing_conditions(), n, 71)
+        xs = sample(presets.condition("testing"), n, 71)
         sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
         plain = lambda: ScriptedPolicy(params, env)
         governed = lambda: wrap(ScriptedPolicy(params, env), sf)
@@ -585,7 +585,7 @@ class TestEvaluatePolicies:
                 pair[0].modes == harmful).sum()
 
     def test_a_policy_without_batch_form_refuses_the_pair(self, env, params):
-        xs = sample(presets.testing_conditions(), 5, 73)
+        xs = sample(presets.condition("testing"), 5, 73)
         with pytest.raises(ConfigError, match="no batch form"):
             evaluate_policies(env, (lambda: ScriptedPolicy(params, env),
                                     ScalarOnly), xs, 74)

@@ -39,8 +39,8 @@ from depgrid import (
 )
 from depgrid import presets
 from depgrid.svgplots import failure_scatter_svg
-from conftest import (campaign_of, old_format, old_format_text, region_centers,
-                      seeded_format)
+from conftest import campaign_of, old_format, old_format_text, seeded_format
+from reference import region_centers
 from depgrid.records import (
     _MAX_COORDINATES,
     _as_json,
@@ -83,7 +83,7 @@ class TestScenarioFiles:
     def test_round_trip_lossless(self, tmp_path):
         path = tmp_path / "scenarios.jsonl"
         scenarios = np.concatenate([awkward_floats(), sample(
-            presets.testing_conditions(), 50, 3)])
+            presets.condition("testing"), 50, 3)])
         write_scenarios(path, scenarios)
         assert path.read_text() == "".join(json.dumps(list(row)) + "\n"
                                            for row in scenarios)
@@ -115,7 +115,7 @@ class TestScenarioFiles:
 class TestRecordFiles:
     def test_round_trip_identical_campaign(self, env, scripted_factory,
                                            tmp_path):
-        xs = sample(presets.testing_conditions(), 120, 7)
+        xs = sample(presets.condition("testing"), 120, 7)
         campaign = evaluate_policy(env, scripted_factory, xs, 71,
                                    condition_name="testing")
         path = tmp_path / "records.jsonl"
@@ -186,7 +186,7 @@ def test_writers_share_the_scenario_texts(env, scripted_factory, tmp_path):
     """write_scenarios writes one line of each row's scenario_texts, and
     write_records given the texts writes the bytes it writes without them."""
     xs = np.concatenate([awkward_floats()[[0, 2]], sample(
-        presets.testing_conditions(), 40, 4)])
+        presets.condition("testing"), 40, 4)])
     texts = scenario_texts(xs)
     write_scenarios(tmp_path / "s.jsonl", xs)
     assert (tmp_path / "s.jsonl").read_text().splitlines() == [
@@ -474,7 +474,7 @@ def test_template_read_memory_is_its_text_and_tokens(env, scripted_factory,
     columns. The reader that split the scenarios into one more list of
     tokens took 87 bytes a token."""
     n = 5000
-    xs = sample(presets.testing_conditions(), n, 78)
+    xs = sample(presets.condition("testing"), n, 78)
     path = tmp_path / "r.jsonl"
     write_records(path, evaluate_policy(env, scripted_factory, xs, 79))
     read_records(path)   # the grammar's compilation, outside the count
@@ -491,7 +491,7 @@ def test_template_read_memory_is_its_text_and_tokens(env, scripted_factory,
                          ids=["fewer", "more"])
 def test_write_campaign_refuses_texts_of_another_length(
         env, params, scripted_factory, tmp_path, keep):
-    xs = sample(presets.testing_conditions(), 5, 4)
+    xs = sample(presets.condition("testing"), 5, 4)
     texts = (scenario_texts(xs) * 2)[keep]
     campaign = evaluate_policy(env, scripted_factory, xs, 5)
     with pytest.raises(ConfigError, match=f"{len(texts)} scenario texts for "
@@ -507,7 +507,7 @@ def test_library_paths_build_no_rows(env, scripted_factory, space, tmp_path):
     tallies, rates, predictions and plots, as arrays and columns only."""
     path, scenarios_path = tmp_path / "r.jsonl", tmp_path / "s.jsonl"
     with mock.patch.object(TrialRecord, "__init__", refuse):
-        xs = sample(presets.testing_conditions(), 300, 21)
+        xs = sample(presets.condition("testing"), 300, 21)
         campaign = evaluate_policy(env, scripted_factory, xs, 22)
         write_records(path, campaign)
         write_scenarios(scenarios_path, xs)
@@ -518,7 +518,7 @@ def test_library_paths_build_no_rows(env, scripted_factory, space, tmp_path):
         predicted = predict(counts, presets.condition("oc3"))
         svg = failure_scatter_svg(loaded, space, ("v", "t", "y"))
     assert loaded == campaign and counts.counts.sum() == 300
-    assert predicted.bins == (2, 2, 2) and 0 < rates.dependability < 1
+    assert len(predicted.weights) == 8 and 0 < rates.dependability < 1
     assert svg.count("<circle") == 3 * (300 - round(300 * rates.dependability))
 
 
@@ -540,7 +540,7 @@ def test_error_names_the_first_bad_line(tmp_path, field, value):
 class TestReportFiles:
     def test_predict_report_round_trip(self, env, space, grid,
                                        scripted_factory, tmp_path):
-        xs = sample(presets.testing_conditions(), 4000, 9)
+        xs = sample(presets.condition("testing"), 4000, 9)
         campaign = evaluate_policy(env, scripted_factory, xs, 73)
         report = predict(tally(campaign, PartitionGrid((4, 4, 4)), space),
                          presets.condition("oc2"))
@@ -566,7 +566,7 @@ class TestReportFiles:
         assert read_report(path) == report
 
     def test_observed_report_round_trip(self, env, scripted_factory, tmp_path):
-        xs = sample(presets.testing_conditions(), 60, 13)
+        xs = sample(presets.condition("testing"), 60, 13)
         report = observed_rates(evaluate_policy(env, scripted_factory, xs, 75))
         path = tmp_path / "observed.json"
         write_report(path, report)
@@ -840,6 +840,12 @@ def test_read_report_of_write_report_is_the_report(tmp_path_factory, report):
     assert read_report(path) == report
 
 
+def metrics_of(*values: float) -> dict:
+    """A report header's three metrics, in order."""
+    return dict(zip(("dependability", "task_undependability",
+                     "harmful_undependability"), values))
+
+
 class TestReadReportRejects:
     """A report file that is not one written by write_report: DataError."""
 
@@ -919,6 +925,18 @@ class TestReadReportRejects:
         lambda d: d.pop("n_success"),
         lambda d: d.pop("edges"),
         lambda d: d.pop("dropped_regions"),
+        # a dropped_mass outside [0, 1], or of a report not renormalized;
+        # a dropped_mass of 1 once waived the sum rule
+        *(lambda d, v=v: d.__setitem__("dropped_mass", v)
+          for v in (NAN, 5.0, -0.5, INF, 0.5)),
+        lambda d: d.update(dropped_mass=1.0, **metrics_of(0.9, 0.9, 0.9)),
+        # renormalized exactly when regions were dropped
+        lambda d: d.__setitem__("renormalized", True),
+        lambda d: d.update(dropped_regions=[1], dropped_mass=0.5),
+        # only the vacuous report, all metrics 0, is waived the sum rule
+        *(lambda d, m=m: d.update(renormalized=True, dropped_regions=[1],
+                                  dropped_mass=1.0, **metrics_of(*m))
+          for m in ((0.9, 0.9, 0.9), (0.0, 0.0, 0.5))),
     ])
     def test_malformed_report(self, tmp_path, doc, edit):
         edit(doc)
@@ -1048,11 +1066,11 @@ def test_config_floats_are_every_field_but_the_seconds():
 def test_non_finite_config_value_refused(cls, field, index, value):
     """json.dumps would write it as a token no reader here takes."""
     if index is not None:
-        pair = list(getattr(cls(), field))
+        pair = list(getattr(CONFIGS[cls], field))
         pair[index] = value
         value = tuple(pair)
     with pytest.raises(ConfigError, match=f"^{field} must be finite"):
-        cls(**{field: value})
+        replace(CONFIGS[cls], **{field: value})
 
 
 @st.composite
@@ -1275,7 +1293,7 @@ class TestManifests:
     def written(self, env, params, scripted_factory, tmp_path):
         """A campaign of 5 scenarios run behind a safety function, and the
         path of the manifest write_campaign wrote for it."""
-        xs = sample(presets.testing_conditions(), 5, 4)
+        xs = sample(presets.condition("testing"), 5, 4)
         campaign = evaluate_policy(env, scripted_factory, xs, 99,
                                    condition_name="testing")
         safety = SafetyFunction(goal_clip_max=37.97, delta=0.5)

@@ -34,6 +34,10 @@ class Probe:
         return Action.FORWARD
 
 
+DEFAULT_SF = SafetyFunction.from_threshold(
+    presets.default_policy_params().risk_goal_threshold)
+
+
 def obs(goal: float) -> Observation:
     return Observation(obstacle_pos_noisy=80.0, robot_pos=0.0,
                        obstacle_speed_noisy=5.0, goal_noisy=goal)
@@ -42,21 +46,21 @@ def obs(goal: float) -> Observation:
 class TestWrap:
     def test_clips_high_goal(self):
         probe = Probe()
-        wrapped = wrap(probe, SafetyFunction())
+        wrapped = wrap(probe, DEFAULT_SF)
         wrapped.reset()
         wrapped.act(obs(45.0))
         assert probe.goals == [pytest.approx(38.47 - 0.5)]
 
     def test_low_goal_passes_through(self):
         probe = Probe()
-        wrapped = wrap(probe, SafetyFunction())
+        wrapped = wrap(probe, DEFAULT_SF)
         wrapped.reset()
         wrapped.act(obs(10.0))
         assert probe.goals == [10.0]
 
     def test_negative_noise_clipped_to_zero(self):
         probe = Probe()
-        wrapped = wrap(probe, SafetyFunction())
+        wrapped = wrap(probe, DEFAULT_SF)
         wrapped.reset()
         wrapped.act(obs(-0.7))
         assert probe.goals == [0.0]
@@ -69,18 +73,18 @@ class TestWrap:
         """The clip bound must be >= 0, and at most the top of the robot
         bounds of the env it runs in, not a fixed 50."""
         with pytest.raises(ConfigError):
-            SafetyFunction(goal_clip_max=-1.0)
+            SafetyFunction(goal_clip_max=-1.0, delta=0.5)
         with pytest.raises(ConfigError, match="robot bounds"):
-            SafetyFunction(goal_clip_max=51.0).check_env(EnvConfig())
-        SafetyFunction(goal_clip_max=50.0).check_env(EnvConfig())
-        SafetyFunction(goal_clip_max=51.0).check_env(
+            SafetyFunction(goal_clip_max=51.0, delta=0.5).check_env(EnvConfig())
+        SafetyFunction(goal_clip_max=50.0, delta=0.5).check_env(EnvConfig())
+        SafetyFunction(goal_clip_max=51.0, delta=0.5).check_env(
             EnvConfig(robot_bounds=(0.0, 100.0)))
 
 
 class TestWrappedCampaigns:
     def test_double_wrap_is_behaviorally_identical(self, env, params):
         sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
-        xs = sample(presets.testing_conditions(), 300, 91)
+        xs = sample(presets.condition("testing"), 300, 91)
         once = evaluate_policy(
             env, lambda: wrap(ScriptedPolicy(params, env), sf), xs, 17)
         twice = evaluate_policy(
@@ -91,7 +95,7 @@ class TestWrappedCampaigns:
     def test_wrapped_policy_never_latches_impatient(self, env, params):
         # clip below the risk threshold: zero harmful failures remain
         sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
-        xs = sample(presets.testing_conditions(), 2500, 92)
+        xs = sample(presets.condition("testing"), 2500, 92)
         campaign = evaluate_policy(
             env, lambda: wrap(ScriptedPolicy(params, env), sf), xs, 18)
         assert all(r.mode is not BehaviorMode.HARMFUL_FAILURE
@@ -117,7 +121,7 @@ class TestWrappedCampaigns:
         # if the unwrapped latched goal is already below the clip bound, the
         # wrapper changes nothing about the episode
         sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
-        xs = sample(presets.testing_conditions(), 600, 94)
+        xs = sample(presets.condition("testing"), 600, 94)
         plain = evaluate_policy(
             env, lambda: ScriptedPolicy(params, env), xs, 21)
         shielded = evaluate_policy(
@@ -147,7 +151,7 @@ class TestWrappedCampaigns:
 
     def test_dependability_not_reduced_much(self, env, params):
         sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
-        xs = sample(presets.testing_conditions(), 2000, 95)
+        xs = sample(presets.condition("testing"), 2000, 95)
         plain = observed_rates(evaluate_policy(
             env, lambda: ScriptedPolicy(params, env), xs, 23))
         shielded = observed_rates(evaluate_policy(

@@ -61,6 +61,7 @@ from depgrid.domain import (
 )
 from depgrid.policies import ScriptedPolicy
 from depgrid.simulator import _noise
+from reference import sample_rows, spawned
 
 EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
 
@@ -75,10 +76,6 @@ raw_seeds = st.one_of(
     st.integers(0, 2**32 - 1),
     st.integers(2**32, 2**64 - 1),
 )
-
-
-def spawned(master: int, index: int) -> np.random.PCG64:
-    return np.random.PCG64(np.random.SeedSequence(master, spawn_key=(index,)))
 
 
 @settings(max_examples=200)
@@ -143,17 +140,6 @@ def test_substream_count_outside_its_range_is_refused_unallocated(call, n):
     assert peak < 2**20
 
 
-def per_row_oracle(cond: ConditionSet, n: int, master: int) -> np.ndarray:
-    """sample's specification: one fresh generator per row, drawn through
-    the scalar Marginal.draw."""
-    pairs = tuple(zip(cond.marginals, cond.space.dims))
-    want = []
-    for i in range(n):
-        rng = np.random.Generator(spawned(master, i))
-        want.append([m.draw(rng, d) for m, d in pairs])
-    return np.array(want, dtype=float).reshape(n, len(pairs))
-
-
 @given(master=masters, n=st.integers(0, 12),
        name=st.sampled_from(("testing",) + presets.OPERATING_CONDITION_NAMES))
 @example(master=2**32, n=4, name="oc4")
@@ -161,7 +147,7 @@ def test_sample_equals_one_generator_per_scenario(master, n, name):
     cond = presets.condition(name)
     xs = sample(cond, n, master)
     assert xs.shape == (n, 3) and xs.dtype == np.float64
-    assert xs.tobytes() == per_row_oracle(cond, n, master).tobytes()
+    assert xs.tobytes() == sample_rows(cond, n, master).tobytes()
 
 
 @st.composite
@@ -190,7 +176,7 @@ def condition_sets(draw) -> ConditionSet:
 def test_sample_of_any_condition_equals_the_per_row_draws(cond, master, n):
     xs = sample(cond, n, master)
     assert xs.shape == (n, cond.space.ndim) and xs.dtype == np.float64
-    assert xs.tobytes() == per_row_oracle(cond, n, master).tobytes()
+    assert xs.tobytes() == sample_rows(cond, n, master).tobytes()
 
 
 def test_sample_clips_at_either_bound_as_the_per_row_draws_do():
@@ -202,7 +188,7 @@ def test_sample_clips_at_either_bound_as_the_per_row_draws_do():
         ClippedGaussian(1.2, 0.3), ClippedGaussian(0.5, 2.0),
         Uniform(0.0, 1.0)))
     xs = sample(cond, 2000, 91)
-    assert xs.tobytes() == per_row_oracle(cond, 2000, 91).tobytes()
+    assert xs.tobytes() == sample_rows(cond, 2000, 91).tobytes()
     gaussian = xs[:, [0, 2, 3]]
     assert (gaussian == 1.0).any(axis=0).all()
     lower = gaussian[:, [0, 2]] == 0.0
@@ -219,7 +205,7 @@ def test_sample_of_a_mixed_condition_at_scale():
         Uniform(-3.0, 7.5), Uniform(0.25, 0.75), ClippedGaussian(35.0, 10.0),
         Uniform(1e-3, 2e3)))
     xs = sample(cond, 5000, 2**64 + 3)
-    assert xs.tobytes() == per_row_oracle(cond, 5000, 2**64 + 3).tobytes()
+    assert xs.tobytes() == sample_rows(cond, 5000, 2**64 + 3).tobytes()
 
 
 def noise_oracle(seeds, horizon: int) -> list[np.ndarray]:

@@ -37,7 +37,7 @@ class TestInit:
         assert s.time == 0
         assert s.robot_pos == 0.0
         assert s.obstacle_leading_edge == 80.0
-        assert not s.collided and s.collision_time is None
+        assert not s.collided
 
     def test_boundary_scenario_is_valid(self, env):
         s = init(env, (0.0, 10.0, 50.0))
@@ -97,7 +97,7 @@ class TestStep:
         assert s.obstacle_leading_edge == pytest.approx(10.0)
         assert not s.collided
         s = step(env, s, Action.FORWARD)       # 30, time 8, edge 0: occupied
-        assert s.collided and s.collision_time == 8.0
+        assert s.collided and s.time == 8
 
     def test_obstacle_waits_for_start_time(self, env):
         s = init(env, (10.0, 3.0, 10.0))
