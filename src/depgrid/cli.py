@@ -125,7 +125,10 @@ def cmd_run(args) -> int:
         if not args.safety and (args.clip_max, args.delta) != (None, None):
             raise ConfigError("--clip-max and --delta set the safety "
                               "function; give --safety too")
-        delta = DEFAULT_DELTA if args.delta is None else args.delta
+        delta = (args.delta if args.delta is not None
+                 else DEFAULT_DELTA if args.clip_max is None
+                 # the margin a clip given itself has below the threshold
+                 else params.risk_goal_threshold - args.clip_max)
         safety = args.safety and (
             SafetyFunction.from_threshold(params.risk_goal_threshold, delta)
             if args.clip_max is None
@@ -248,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--safety", action="store_true", default=None,
                     help="wrap the policy with the goal-clipping governor")
     sp.add_argument("--clip-max", type=float, default=None,
-                    help="override the goal clip bound (with --safety)")
+                    help="override the goal clip bound (with --safety); "
+                         "the manifest records its margin below the risk "
+                         "threshold as the delta")
     sp.add_argument("--delta", type=float,
                     help=f"clip margin below the risk threshold, with "
                          f"--safety and without --clip-max (default "

@@ -48,10 +48,11 @@ class BatchPolicy(Protocol):
     A controller may also offer ``settled()``, asked only after its first
     ``act``: a bool array, True for each episode whose every later action
     is forward whatever it observes, even NaN or infinite readings. Once an
-    entry is True it stays True. ``simulator.run_batch`` draws no more
-    noise for an episode settled in every controller of its call, and
-    hands such an episode zero noise from then on; a controller without
-    ``settled()`` has every second of every episode drawn."""
+    entry is True it stays True. ``simulator.run_batch`` asks it at every
+    chunk boundary, draws no more noise for an episode settled in every
+    controller of its call, and hands such an episode zero noise from then
+    on; a controller without ``settled()`` has every second of every
+    episode drawn."""
 
     def act(self, obs: Observation) -> np.ndarray: ...
 

@@ -15,19 +15,21 @@ PCG64(seed).
 Two functions run episodes. ``run_episode`` steps one scenario (any (v, t, y)
 sequence) through init/act/step/classify into its TrialRecord; it is the
 reference. ``run_batch`` steps the rows of an (n, 3) scenario array in
-lockstep, in blocks of at most 1,024 episodes, once for each of its
+lockstep, in blocks of at most 4,096 episodes, once for each of its
 policies, and returns each policy's campaign as columns (see
 estimator.TestCampaign), whose rows equal ``run_episode``'s records: the
 same noise stream per seed, leading-edge formula, clip and collision test.
-A block runs in two chunks of seconds, the first _FIRST_CHUNK and the rest.
-A chunk's sensor readings, made before its first second, are shared by the
-policies of the call; each second only moves the robots, and collisions and
-outcomes are read from the robots' path after the chunk's last second. The
-second chunk's noise is drawn only for the episodes that some controller
-may still read: a controller's ``settled()`` (see policies.BatchPolicy)
-names the episodes whose every later action is forward whatever they
-observe, and each other episode's stream resumes where the first chunk
-left it. So every episode still reads a prefix of PCG64(seed)'s stream.
+A block runs in chunks of at most _CHUNK seconds, so its memory does not
+grow with the horizon. A chunk's sensor readings, made before its first
+second, are shared by the policies of the call; each second only moves the
+robots, and collisions and outcomes are read from the robots' path after
+the chunk's last second. The first chunk's noise is drawn for every
+episode, and each later chunk's only for the episodes that some controller
+may still read: a controller's ``settled()`` (see policies.BatchPolicy),
+asked at every chunk boundary, names the episodes whose every later action
+is forward whatever they observe, and each other episode's stream resumes
+where the last chunk left it. So every episode still reads a prefix of
+PCG64(seed)'s stream.
 """
 
 from __future__ import annotations
@@ -47,31 +49,35 @@ from .estimator import BehaviorMode, TestCampaign, TrialRecord
 if TYPE_CHECKING:
     from .policies import BatchPolicy
 
-# Episodes stepped together by run_batch. Bounds a block's noise, turned
-# into its readings in place, (block, seconds, 3) float64 for each chunk of
-# seconds: 1.7 MB for the longer chunk at the default 100 s; and its path,
-# 0.6 MB per policy.
-_BLOCK = 1024
+# Episodes stepped together by run_batch. A block holds one chunk's noise at
+# a time, turned into its readings in place, (block, _CHUNK, 3) float64:
+# 3.1 MB; and that chunk's path, 1.1 MB per policy; at every horizon. A
+# 20k-episode campaign took 8-14% less time in blocks of 4,096 than of
+# 1,024 (the testing pair, oc1 and oc3; least of 8 alternating runs): the
+# per-second cost of _run_chunk is call overhead, not element work.
+_BLOCK = 4096
 
-# Seconds of noise drawn for every episode of a block before its
-# controllers are asked which episodes they still read (see _run_block).
-# The noise alone, seeding included, in µs per row: the least of 25
-# 1,024-episode blocks, for the testing pair and for the plain policy
-# under oc1-oc4, where drawing all 100 s takes 5.7-5.9 (2-vCPU VM, Python
-# 3.11, numpy 2.4). Chunks that end at these seconds:
-#                   pair   oc1   oc2   oc3   oc4
-#   32              4.23  4.28  3.46  3.96  4.46
-#   16 and 48       4.92  4.93  3.29  3.67  4.43
-#   8 and 32        5.14  5.10  3.27  3.78  4.64
-#   1, 8 and 32     6.05  5.93  3.43  4.06  5.24
-#   32 and 64       4.17  4.00  3.49  3.82  4.20
-_FIRST_CHUNK = 32
+# Seconds of a block's chunks (see _run_block). The first chunk's noise is
+# drawn for every episode; at each chunk boundary the controllers are asked
+# which episodes they still read, and only those draw the next chunk's. In
+# µs per row, the least of 25 4,096-episode blocks, for the testing pair
+# and for the plain policy under oc1-oc4 (2-vCPU VM, Python 3.11, numpy
+# 2.4); the traced peak is the testing pair's at 100 s:
+#           noise alone, seeding included     whole block          peak
+#   chunk   pair   oc1   oc2   oc3   oc4   pair   oc1   oc2   oc3   oc4   MB
+#   16      4.81  4.65  3.11  3.67  4.47   8.91  7.12  5.59  6.29  7.16   3.9
+#   32      3.68  3.70  3.04  3.45  3.82   7.81  6.27  5.56  6.12  6.58   6.8
+#   50      3.79  3.77  3.46  3.63  3.82   7.66  6.22  5.90  6.20  6.40  10.1
+#   64      4.09  4.07  3.84  3.94  4.10   8.49  6.80  6.49  6.75  7.00  12.6
+# Shorter chunks stop drawing for settled episodes sooner but pay each
+# chunk's fixed cost more often, and longer ones draw noise that no
+# controller reads; 50 s ties 32 s on whole blocks and holds 3.3 MB more.
+_CHUNK = 32
 
-# The longest episode EnvConfig takes, in seconds. A block's longer chunk
-# of noise is about _BLOCK × episode_seconds × 24 bytes, 88 MB at the cap,
-# and its path _BLOCK × episode_seconds × 8 bytes per policy, 29 MB. A
-# horizon of 10**12 would ask for 24 TB of noise per episode, and one of
-# 10**7 would run for minutes.
+# The longest episode EnvConfig takes, in seconds. A block's memory does
+# not grow with the horizon (see _CHUNK), so the cap bounds only run time:
+# a 4,096-episode block of the testing pair takes 0.7-0.8 s at the cap,
+# and would take over half an hour at a horizon of 10**7 seconds.
 MAX_EPISODE_SECONDS = 3600
 
 # Scenario bounds for the obstacle dimensions; the goal dimension follows the
@@ -279,15 +285,16 @@ def run_batch(cfg: EnvConfig, policies: Sequence, scenarios: np.ndarray,
     configured like p. Each block's noise is drawn once, and every policy's
     controller, fresh from ``p.batch(n)`` for each block, is stepped through
     the same sensor readings; so a paired campaign costs one draw of the
-    noise. The draw comes in two chunks: the first _FIRST_CHUNK seconds of
-    every episode, then the rest of the seconds of each episode not settled
-    in every controller (see policies.BatchPolicy), its stream resumed where
-    the first chunk left it; the other episodes read zero noise, on which
-    no controller acts. A controller without ``settled()`` has every second
-    drawn. A policy without a batch form raises ConfigError. Every scenario
-    is checked against the domain before any episode runs; OutOfDomain's row
-    is the first outside. The campaigns have no condition name and master
-    seed 0.
+    noise. The draw comes in chunks of at most _CHUNK seconds: the first
+    chunk for every episode, each later one only for the episodes not yet
+    settled in every controller (see policies.BatchPolicy), each stream
+    resumed where its last draw left it; the other episodes read zero
+    noise, on which no controller acts. A controller without ``settled()``
+    has every second drawn. A block's memory is one chunk's noise and one
+    chunk's path per policy, whatever the horizon. A policy without a batch
+    form raises ConfigError. Every scenario is checked against the domain
+    before any episode runs; OutOfDomain's row is the first outside. The
+    campaigns have no condition name and master seed 0.
     """
     if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
         values = [operator.index(s) for s in seeds]
@@ -375,11 +382,13 @@ def _run_block(cfg: EnvConfig, makers, xs: np.ndarray,
     as (controllers, episodes) arrays: one row for the controller each of
     ``makers`` builds.
 
-    The block runs in two chunks of seconds, [0, _FIRST_CHUNK) and
-    [_FIRST_CHUNK, horizon) (see _run_chunk). The second chunk's noise is
-    drawn only for the episodes some controller may still read
-    (_read_rows), each row's stream resumed where the first chunk left it;
-    the others read zero noise, which no controller acts on."""
+    The block runs in chunks of seconds [0, _CHUNK), [_CHUNK, 2 × _CHUNK),
+    ..., the last one ending at the horizon (see _run_chunk). The first
+    chunk's noise is drawn for every episode, and each later chunk's only
+    for the episodes some controller may still read (_read_rows, asked
+    afresh at each chunk boundary), each row's stream resumed where its
+    last draw left it; the others read zero noise, which no controller acts
+    on."""
     n, horizon = len(xs), cfg.episode_seconds
     controllers = [make_controller(n) for make_controller in makers]
     streams = seeded_streams(seeds)
@@ -388,12 +397,10 @@ def _run_block(cfg: EnvConfig, makers, xs: np.ndarray,
     # danger
     first = np.zeros(position.shape, dtype=np.int64)
     final, reached = position.copy(), position >= xs[:, 2]
-    for start, stop in ((0, min(horizon, _FIRST_CHUNK)),
-                        (_FIRST_CHUNK, horizon)):
-        if stop <= start:
-            break
+    for start in range(0, horizon, _CHUNK):
         rows = range(n) if start == 0 else _read_rows(controllers, n)
-        _run_chunk(cfg, controllers, xs, _noise(streams, rows, stop - start),
+        _run_chunk(cfg, controllers, xs,
+                   _noise(streams, rows, min(_CHUNK, horizon - start)),
                    start, (position, first, final, reached))
     steps = np.where(first > 0, first, horizon)
     modes = np.select([first > 0, reached],

@@ -762,6 +762,22 @@ class TestRunObservePredict:
         assert manifest["safety"] == {
             "goal_clip_max": pytest.approx(38.47 - 0.5), "delta": 0.5}
 
+    def test_clip_max_records_its_margin_as_delta(self, small_pipeline,
+                                                  tmp_path):
+        """A clip given itself lies 38.47 - 30.0 below the default risk
+        threshold, not the default delta below it; the governor reads only
+        the clip, so the manifest replays the records byte for byte."""
+        rec = tmp_path / "clip.jsonl"
+        assert run_cli("run", "--scenarios", str(small_pipeline["scen"]),
+                       "--safety", "--clip-max", "30", "--seed", "5",
+                       "--out", str(rec)) == 0
+        manifest = rec.with_suffix(".manifest.json")
+        assert json.loads(manifest.read_text())["safety"] == {
+            "goal_clip_max": 30.0, "delta": 38.47 - 30.0}
+        before = rec.read_bytes()
+        assert run_cli("run", "--manifest", str(manifest)) == 0
+        assert rec.read_bytes() == before
+
 
 class TestCompareAndPlot:
     def test_compare_outputs_json_and_valid_svg(self, small_pipeline,

@@ -29,6 +29,7 @@ from depgrid import (
 )
 from depgrid import presets, simulator
 from depgrid.records import record_to_dict
+from depgrid.simulator import MAX_EPISODE_SECONDS
 
 
 def obs(goal=10.0, robot=0.0, edge=80.0, speed=5.0) -> Observation:
@@ -250,11 +251,13 @@ def batch_cases(draw):
     lo = draw(st.one_of(st.just(-0.0), st.floats(danger - 30.0, danger - 0.1)))
     hi = draw(st.floats(danger + 0.1, danger + 40.0))
     sigma = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+    chunk = simulator._CHUNK
     cfg = EnvConfig(
-        # about the end of the first chunk of noise, and the default
-        episode_seconds=draw(st.one_of(st.sampled_from([0, 1, 31, 32, 33,
-                                                        100]),
-                                       st.integers(0, 60))),
+        # about the ends of the first and second chunks of noise, at the
+        # end of the third, and the default
+        episode_seconds=draw(st.one_of(st.sampled_from(
+            [0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk + 1,
+             3 * chunk, 100]), st.integers(0, 60))),
         step_inches=draw(st.one_of(st.sampled_from([0.0, 5.0, 30.0]),
                                    st.floats(0.0, 30.0))),
         robot_bounds=(lo, hi),
@@ -367,12 +370,14 @@ class TestBatch:
             cfg, lambda: wrap(ScriptedPolicy(params, cfg), sf), xs, range(4))
         assert any(r.mode is BehaviorMode.HARMFUL_FAILURE for r in records)
 
-    def test_block_memory_is_its_noise_and_paths(self, env, params):
+    @pytest.mark.parametrize("seconds", [100, MAX_EPISODE_SECONDS])
+    def test_block_memory_is_its_noise_and_paths(self, params, seconds):
         """A block holds one chunk's noise at a time, turned into its
         readings in place, and that chunk's path of robot positions per
         policy; each chunk's buffers are dropped before the next chunk's
-        noise is drawn."""
-        n, seconds = simulator._BLOCK, env.episode_seconds
+        noise is drawn. So the bound is the same at every horizon."""
+        env = EnvConfig(episode_seconds=seconds)
+        n = simulator._BLOCK
         xs = sample(presets.condition("testing"), n, 76)
         sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
         pair = [ScriptedPolicy(params, env),
@@ -385,12 +390,15 @@ class TestBatch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        first = simulator._FIRST_CHUNK
-        noise = n * max(first, seconds - first) * 3 * 8
-        paths = len(pair) * n * (seconds + 1) * 8
-        # and per episode: the collision mask, a byte a second, the
-        # campaign's columns and the controllers' state
-        assert peak <= noise + paths + 256 * n
+        chunk = simulator._CHUNK
+        noise = n * chunk * 3 * 8
+        paths = len(pair) * n * (chunk + 1) * 8
+        # a byte a second: the chunk's collision mask, and per policy the
+        # two masks its collisions are read through
+        masks = (1 + 2 * len(pair)) * n * (chunk + 1)
+        # and per episode: the campaign's columns, the streams' states and
+        # the controllers' state
+        assert peak <= noise + paths + masks + 256 * n
 
     def test_empty_campaign(self, env, scripted_factory):
         (campaign,) = run_batch(env, [scripted_factory()], [], [])
@@ -461,10 +469,15 @@ def drawn_per_chunk(cfg, factories, scenarios, seeds) -> list[int]:
     return [len(call.args[1]) for call in noise.call_args_list]
 
 
+def chunks(seconds: int) -> int:
+    """How many chunks of noise a block of seconds-long episodes draws."""
+    return -(-seconds // simulator._CHUNK)
+
+
 class TestChunkedNoise:
     """A block draws the noise of its first chunk of seconds for every
-    episode, and of the rest only for the episodes a controller may still
-    read."""
+    episode, and of each later chunk only for the episodes a controller may
+    still read."""
 
     def test_always_impatient_pair_draws_only_the_first_chunk(self, env):
         # a threshold at the bottom of the track: each goal, exact or
@@ -478,7 +491,7 @@ class TestChunkedNoise:
             cfg, [lambda: ScriptedPolicy(impatient, cfg),
                   lambda: wrap(ScriptedPolicy(impatient, cfg), sf)],
             xs, range(300))
-        assert drawn == [300, 0]
+        assert drawn == [300] + [0] * (chunks(cfg.episode_seconds) - 1)
 
     def test_the_testing_pair_draws_the_rest_for_some_episodes(self, env,
                                                                params):
@@ -488,7 +501,10 @@ class TestChunkedNoise:
             env, [lambda: ScriptedPolicy(params, env),
                   lambda: wrap(ScriptedPolicy(params, env), sf)],
             xs, range(300))
+        assert len(drawn) == chunks(env.episode_seconds) > 2
+        # fewer episodes are read at each boundary, and some to the end
         assert drawn[0] == 300 and 0 < drawn[1] < 300
+        assert drawn == sorted(drawn, reverse=True) and drawn[-1] > 0
 
     @pytest.mark.parametrize("governed", [False, True],
                              ids=["bare", "wrapped"])
@@ -499,12 +515,13 @@ class TestChunkedNoise:
                 else (lambda: Unsettled(params, env)))
         assert not hasattr(make().batch(1), "settled")
         xs = sample(presets.condition("testing"), 200, 83)
-        assert drawn_per_chunk(env, [make], xs, range(200)) == [200, 200]
+        every = [200] * chunks(env.episode_seconds)
+        assert drawn_per_chunk(env, [make], xs, range(200)) == every
         # beside a controller that has settled(), too
         assert drawn_per_chunk(env, [lambda: ScriptedPolicy(params, env),
-                                     make], xs, range(200)) == [200, 200]
+                                     make], xs, range(200)) == every
 
-    @pytest.mark.parametrize("seconds", [0, 1, 31, 32, 33])
+    @pytest.mark.parametrize("seconds", [0, 1, 31, 32, 33, 64, 65])
     def test_settled_is_asked_only_after_the_first_act(self, params,
                                                        seconds):
         cfg = EnvConfig(episode_seconds=seconds)
@@ -512,12 +529,8 @@ class TestChunkedNoise:
         drawn = drawn_per_chunk(cfg, [lambda: AskedAfterActs(params, cfg)],
                                 xs, range(50))
         # a horizon within the first chunk needs no second one
-        if seconds == 0:
-            assert drawn == []
-        elif seconds <= simulator._FIRST_CHUNK:
-            assert drawn == [50]
-        else:
-            assert len(drawn) == 2 and drawn[0] == 50
+        assert len(drawn) == chunks(seconds)
+        assert drawn[:1] == ([50] if seconds else [])
 
 
 finite = st.floats(-100.0, 100.0)
@@ -566,16 +579,17 @@ class TestEvaluatePolicies:
         sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
         plain = lambda: ScriptedPolicy(params, env)
         governed = lambda: wrap(ScriptedPolicy(params, env), sf)
-        with mock.patch.object(simulator, "seeded_streams",
-                               wraps=simulator.seeded_streams) as streams, \
+        with mock.patch.object(simulator, "_BLOCK", 1024), \
+                mock.patch.object(simulator, "seeded_streams",
+                                  wraps=simulator.seeded_streams) as streams, \
                 mock.patch.object(simulator, "_noise",
                                   wraps=simulator._noise) as noise:
             pair = evaluate_policies(env, (plain, governed), xs, 72,
                                      condition_name="testing")
-        # one noise draw per block, shared by the pair, in its two chunks
-        blocks = -(-n // simulator._BLOCK)
+        # one noise draw per block, shared by the pair, in its chunks
+        blocks = -(-n // 1024)
         assert streams.call_count == blocks
-        assert noise.call_count == 2 * blocks
+        assert noise.call_count == chunks(env.episode_seconds) * blocks
         assert pair == (
             evaluate_policy(env, plain, xs, 72, condition_name="testing"),
             evaluate_policy(env, governed, xs, 72, condition_name="testing"))

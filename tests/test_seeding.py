@@ -236,12 +236,14 @@ def test_episode_noise_equals_pcg64_of_the_seed(seeds, horizon, split):
         assert np.array_equal(row, want)
 
 
-@pytest.mark.parametrize("horizon", [31, 32, 33, 100])
+@pytest.mark.parametrize("horizon", [31, 32, 33, 64, 65, 97, 100, 3600])
 def test_run_batch_chunks_read_a_prefix_of_each_seeds_stream(params,
                                                              horizon):
     """Each chunk run_batch draws holds, for each episode it draws, the next
     seconds of PCG64(seed)'s standard normals, and zeros for the others;
-    the first chunk draws every episode."""
+    the first chunk draws every episode, and each later one some of the
+    episodes its predecessor drew, since a settled episode stays
+    settled."""
     cfg = EnvConfig(episode_seconds=horizon)
     seeds = list(EDGES) + list(range(10, 45))
     xs = sample(presets.condition("testing"), len(seeds), 4)
@@ -255,15 +257,18 @@ def test_run_batch_chunks_read_a_prefix_of_each_seeds_stream(params,
     with mock.patch.object(simulator, "_noise", keep):
         run_batch(cfg, [ScriptedPolicy(params, cfg)], xs, seeds)
     want = np.array(noise_oracle(seeds, horizon))
-    assert sum(noise.shape[1] for _, noise in chunks) == horizon
+    step = simulator._CHUNK
+    assert [noise.shape[1] for _, noise in chunks] == [
+        min(step, horizon - at) for at in range(0, horizon, step)]
     assert chunks[0][0] == list(range(len(seeds)))
-    at = 0
+    at, before = 0, chunks[0][0]
     for rows, noise in chunks:
         stop = at + noise.shape[1]
         assert np.array_equal(noise[rows], want[rows, at:stop])
         assert not np.delete(noise, rows, axis=0).any()
-        at = stop
-    if horizon == 100:   # some episodes settle in the first chunk
+        assert set(rows) <= set(before)
+        at, before = stop, rows
+    if len(chunks) > 1:   # some episodes settle in the first chunk
         assert len(chunks[1][0]) < len(seeds)
 
 
