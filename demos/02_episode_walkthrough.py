@@ -5,59 +5,66 @@ at height 25. The scripted policy waits below the danger zone until the
 obstacle has passed, then climbs. Both phases are visible in the trace.
 """
 
-import numpy as np
+from depgrid import ScriptedPolicy, presets, run_episode
 
-from depgrid import (
-    ScriptedPolicy,
-    classify,
-    init,
-    presets,
-    run_episode,
-    step,
-)
-from depgrid.simulator import _observation
+
+class Recording:
+    """A policy that acts as ``inner`` does and keeps each second's
+    observation and action."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.trace = []
+
+    def reset(self):
+        self.inner.reset()
+        self.trace = []
+
+    def act(self, obs):
+        action = self.inner.act(obs)
+        self.trace.append((obs, action))
+        return action
+
 
 env = presets.default_env()
-policy = ScriptedPolicy(presets.default_policy_params(), env)
+policy = Recording(ScriptedPolicy(presets.default_policy_params(), env))
 
 # a scenario is its (v, t, y) coordinates: obstacle at 4 in/s starting at
 # t=2; goal height 35
 x = (4.0, 2.0, 35.0)
+v, t, y = x
 seed = 20
 
 print(f"scenario: v={x[0]}, t={x[1]}, y={x[2]}")
 print()
 print(f"{'time':>4} {'robot':>6} {'edge':>8} {'action':>9}   note")
 
-policy.reset()
-state = init(env, x)
-rng = np.random.Generator(np.random.PCG64(seed))
-noise = rng.standard_normal((env.episode_seconds, 3))
+record = run_episode(env, policy, x, seed)
 passed_reported = False
-while not state.collided and state.time < env.episode_seconds:
-    obs = _observation(env, state, noise[state.time])
-    action = policy.act(obs)
+for time, (obs, action) in enumerate(policy.trace):
+    # the true leading edge; the policy senses it with noise
+    edge = env.obstacle_spawn_offset - v * max(0.0, time - t)
     note = ""
     trailing = obs.obstacle_pos_noisy + env.obstacle_width
     if trailing < 0 and not passed_reported:
         note = "<- obstacle perceived as passed"
         passed_reported = True
-    if state.time <= 8 or 20 <= state.time <= 34 or note:
-        print(f"{state.time:>4} {state.robot_pos:>6.1f} "
-              f"{state.obstacle_leading_edge:>8.2f} {action.value:>9}   {note}")
-    elif state.time in (9, 35):
+    if time <= 8 or 20 <= time <= 34 or note:
+        print(f"{time:>4} {obs.robot_pos:>6.1f} "
+              f"{edge:>8.2f} {action.value:>9}   {note}")
+    elif time in (9, 35):
         print("  ...")
-    state = step(env, state, action)
 
-mode = classify(env, state)
+highest = max([obs.robot_pos for obs, _ in policy.trace]
+              + [record.final_position])
 print()
-print(f"finished at t={state.time}: mode={mode.value}, "
-      f"final position {state.robot_pos}, highest point {state.max_robot_pos}")
+print(f"finished at t={record.steps}: mode={record.mode.value}, "
+      f"final position {record.final_position}, highest point {highest}")
 
-# the same episode through the one-call API is identical
-record = run_episode(env, ScriptedPolicy(presets.default_policy_params(), env),
-                     x, seed)
-print(f"run_episode agrees: mode={record.mode.value}, steps={record.steps}")
+# the episode is a pure function of its inputs: a fresh policy replays it
+again = run_episode(env, ScriptedPolicy(presets.default_policy_params(), env),
+                    x, seed)
+print(f"a fresh policy agrees: mode={again.mode.value}, steps={again.steps}")
 
 # a high goal latches the impatient branch and ends in a collision
 risky = run_episode(env, ScriptedPolicy(presets.default_policy_params(), env),

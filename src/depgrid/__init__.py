@@ -29,10 +29,8 @@ from .errors import (
     DepgridError,
     EmptyCampaign,
     EmptyPartition,
-    EpisodeNotFinished,
     InvalidGrid,
     OutOfDomain,
-    SteppingTerminatedEpisode,
 )
 from .estimator import (
     BehaviorMode,
@@ -57,14 +55,10 @@ from .safety import GoalClippedPolicy, SafetyFunction, wrap
 from .simulator import (
     Action,
     EnvConfig,
-    EnvState,
     Observation,
-    classify,
-    init,
     run_batch,
     run_episode,
     scenario_domain,
-    step,
 )
 
 __version__ = "0.1.0"

@@ -63,14 +63,6 @@ class EmptyCampaign(DataError):
     """An operation that needs test records received none."""
 
 
-class SteppingTerminatedEpisode(DepgridError):
-    """step() was called on a collided or time-expired episode state."""
-
-
-class EpisodeNotFinished(DepgridError):
-    """classify() was called before the episode ended."""
-
-
 class EmptyPartition(DepgridError):
     """Regions with positive target mass received no test samples.
 

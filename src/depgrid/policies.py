@@ -7,15 +7,16 @@ and fails harmfully on high perceived goals (it stops waiting and drives
 straight into the obstacle's path).
 
 Each policy has two forms. The scalar form (``reset``/``act``) drives one
-episode through ``simulator.run_episode`` and is the reference. The batch
-form (``batch(n)``) returns a controller that keeps the per-episode state of
-n episodes as arrays and maps a batch observation to a forward mask.
-``evaluate_policies`` runs several policies on the same scenarios and
-episode seeds, such as a policy with and without the safety governor,
-through their batch forms with one ``simulator.run_batch`` call, so they
-share each block's noise. It returns one campaign per policy, as columns
-(estimator.TestCampaign), one entry per scenario, that is per row of the
-(n, 3) scenario array. ``evaluate_policy`` is its one-policy case.
+episode through ``simulator.run_episode``, the reference, which resets it
+once and then asks one action a second until a collision or the horizon.
+The batch form (``batch(n)``) returns a controller that keeps the
+per-episode state of n episodes as arrays and maps a batch observation to
+a forward mask. ``evaluate_policies`` runs several policies on the same
+scenarios and episode seeds, such as a policy with and without the safety
+governor, through their batch forms with one ``simulator.run_batch`` call,
+so they share each block's noise. It returns one campaign per policy, as
+columns (estimator.TestCampaign), one entry per scenario, that is per row
+of the (n, 3) scenario array. ``evaluate_policy`` is its one-policy case.
 """
 
 from __future__ import annotations

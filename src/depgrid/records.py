@@ -110,7 +110,10 @@ def atomic_write_texts(texts: list) -> None:
     raise ConfigError before anything is written. An OSError raises
     ConfigError naming the path and leaves no temp file; before the renames,
     as a path that is a directory or under a regular file fails, it leaves
-    no file written."""
+    no file written. Each file gets mode 0o666 less the umask, as open()
+    would give it, not mkstemp's 0o600."""
+    umask = os.umask(0)
+    os.umask(umask)
     real = [os.path.realpath(path) for path, _ in texts]
     for i, r in enumerate(real):
         if r in real[:i]:
@@ -128,6 +131,7 @@ def atomic_write_texts(texts: list) -> None:
                 fd, tmp = tempfile.mkstemp(dir=path.parent,
                                            prefix=f".{path.name}.")
                 staged.append((tmp, path))
+                os.fchmod(fd, 0o666 & ~umask)
                 with os.fdopen(fd, "w") as f:
                     f.write(text)
         for tmp, path in staged:

@@ -13,10 +13,10 @@ noise is redrawn at every observation from the episode's own generator,
 PCG64(seed).
 
 Two functions run episodes. ``run_episode`` steps one scenario (any (v, t, y)
-sequence) through init/act/step/classify into its TrialRecord; it is the
-reference. ``run_batch`` steps the rows of an (n, 3) scenario array in
-lockstep, in blocks of at most 4,096 episodes, once for each of its
-policies, and returns each policy's campaign as columns (see
+sequence) second by second, one policy act a second, into its TrialRecord;
+it is the reference. ``run_batch`` steps the rows of an (n, 3) scenario
+array in lockstep, in blocks of at most 4,096 episodes, once for each of
+its policies, and returns each policy's campaign as columns (see
 estimator.TestCampaign), whose rows equal ``run_episode``'s records: the
 same noise stream per seed, leading-edge formula, clip and collision test.
 A block runs in chunks of at most _CHUNK seconds, so its memory does not
@@ -42,8 +42,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from .domain import Dimension, DomainSpace, SeededStreams, seeded_streams
-from .errors import (ConfigError, EpisodeNotFinished,
-                     SteppingTerminatedEpisode, check_finite)
+from .errors import ConfigError, check_finite
 from .estimator import BehaviorMode, TestCampaign, TrialRecord
 
 if TYPE_CHECKING:
@@ -134,18 +133,6 @@ def scenario_domain(cfg: EnvConfig) -> DomainSpace:
 
 
 @dataclass(frozen=True, slots=True)
-class EnvState:
-    """Snapshot after an integer number of elapsed seconds."""
-
-    time: int
-    robot_pos: float
-    obstacle_leading_edge: float
-    scenario: tuple[float, ...]
-    max_robot_pos: float
-    collided: bool = False
-
-
-@dataclass(frozen=True, slots=True)
 class Observation:
     """What a policy sees each second. Robot position is exact; the obstacle
     position, obstacle speed, and goal carry fresh zero-mean Gaussian noise.
@@ -159,103 +146,58 @@ class Observation:
     goal_noisy: float
 
 
-def _leading_edge(cfg: EnvConfig, x: tuple[float, ...], time: float) -> float:
-    v, t, _ = x
-    return cfg.obstacle_spawn_offset - v * max(0.0, time - t)
-
-
-def init(cfg: EnvConfig, x: Sequence[float]) -> EnvState:
-    """Fresh episode state: robot at the track bottom, obstacle at spawn.
-    The state holds the scenario x, any (v, t, y) sequence, as a tuple of
-    floats; a scenario outside the domain raises OutOfDomain."""
-    x = tuple(scenario_domain(cfg).check_points([x])[0].tolist())
-    start = cfg.robot_bounds[0]
-    return EnvState(
-        time=0,
-        robot_pos=start,
-        obstacle_leading_edge=_leading_edge(cfg, x, 0.0),
-        scenario=x,
-        max_robot_pos=start,
-    )
-
-
-def _observation(cfg: EnvConfig, state: EnvState, eps) -> Observation:
-    """The sensor reading at ``state`` given three standard normals ``eps``
-    (obstacle position, obstacle speed, goal)."""
-    v, _, y = state.scenario
-    return Observation(
-        obstacle_pos_noisy=state.obstacle_leading_edge
-        + cfg.noise_sigma_obstacle_pos * eps[0],
-        robot_pos=state.robot_pos,
-        obstacle_speed_noisy=v + cfg.noise_sigma_speed * eps[1],
-        goal_noisy=y + cfg.noise_sigma_goal * eps[2],
-    )
-
-
-def step(cfg: EnvConfig, state: EnvState, a: Action) -> EnvState:
-    """Advance one second: move the robot (clipped to the track), move the
-    obstacle, then check collision at the new position. A collision freezes
-    the episode."""
-    if state.collided or state.time >= cfg.episode_seconds:
-        raise SteppingTerminatedEpisode(
-            f"episode already over at time {state.time}"
-        )
-    lo, hi = cfg.robot_bounds
-    delta = cfg.step_inches if a is Action.FORWARD else -cfg.step_inches
-    new_pos = min(max(state.robot_pos + delta, lo), hi)
-    new_time = state.time + 1
-    edge = _leading_edge(cfg, state.scenario, float(new_time))
-    occupied = edge <= 0.0 < edge + cfg.obstacle_width
-    collided = occupied and new_pos >= cfg.danger_height
-    return EnvState(
-        time=new_time,
-        robot_pos=new_pos,
-        obstacle_leading_edge=edge,
-        scenario=state.scenario,
-        max_robot_pos=max(state.max_robot_pos, new_pos),
-        collided=collided,
-    )
-
-
-def classify(cfg: EnvConfig, state: EnvState) -> BehaviorMode:
-    """Behavior mode of a finished episode.
-
-    Collision dominates regardless of goal progress; otherwise the episode
-    succeeds if the robot ever reached or exceeded the goal height.
-    """
-    if not state.collided and state.time < cfg.episode_seconds:
-        raise EpisodeNotFinished(
-            f"episode at time {state.time} of {cfg.episode_seconds}"
-        )
-    if state.collided:
-        return BehaviorMode.HARMFUL_FAILURE
-    goal = state.scenario[2]
-    if state.max_robot_pos >= goal:
-        return BehaviorMode.SUCCESS
-    return BehaviorMode.TASK_FAILURE
-
-
 def run_episode(cfg: EnvConfig, policy, x: Sequence[float],
                 seed: int) -> TrialRecord:
-    """Observe/act/step until collision or the time limit, then classify.
+    """Run one episode of scenario x, any (v, t, y) sequence, into its
+    TrialRecord, whose scenario is x as a tuple of floats; a scenario
+    outside the domain raises OutOfDomain.
 
-    The TrialRecord's scenario is x as init holds it. Noise for the whole
-    episode is drawn up front from PCG64(seed) as a (episode_seconds, 3)
-    block; observation k reads row k.
+    The robot starts at the track bottom. At second k the policy observes
+    the robot's position, the obstacle's leading edge, speed and the goal,
+    the last three with noise from row k of PCG64(seed)'s standard normals,
+    drawn up front as an (episode_seconds, 3) block. The robot then moves
+    one step, clipped to the track, and the obstacle moves on. A robot at
+    or above the danger height while the obstacle occupies its column
+    collides, which ends the episode as a harmful failure whatever its goal
+    progress; otherwise the episode succeeds if the robot ever reached or
+    exceeded the goal height.
     """
-    state = init(cfg, x)
+    x = tuple(scenario_domain(cfg).check_points([x])[0].tolist())
+    v, t, y = x
+    lo, hi = cfg.robot_bounds
+    offset, width = cfg.obstacle_spawn_offset, cfg.obstacle_width
+    stride, danger = cfg.step_inches, cfg.danger_height
+    sigma_edge, sigma_speed, sigma_goal = (cfg.noise_sigma_obstacle_pos,
+                                           cfg.noise_sigma_speed,
+                                           cfg.noise_sigma_goal)
+    noise = np.random.Generator(np.random.PCG64(seed)).standard_normal(
+        (cfg.episode_seconds, 3)).tolist()
     policy.reset()
-    rng = np.random.Generator(np.random.PCG64(seed))
-    noise = rng.standard_normal((cfg.episode_seconds, 3))
-    while not state.collided and state.time < cfg.episode_seconds:
-        obs = _observation(cfg, state, noise[state.time])
-        state = step(cfg, state, policy.act(obs))
-    return TrialRecord(
-        scenario=state.scenario,
-        mode=classify(cfg, state),
-        steps=state.time,
-        final_position=state.robot_pos,
-    )
+    position = highest = lo
+    edge = offset   # the obstacle waits at spawn until its start time t >= 0
+    for second, (e_edge, e_speed, e_goal) in enumerate(noise, 1):
+        # positional: a frozen dataclass takes keywords at twice the cost
+        obs = Observation(edge + sigma_edge * e_edge, position,
+                          v + sigma_speed * e_speed, y + sigma_goal * e_goal)
+        if policy.act(obs) is Action.FORWARD:
+            position += stride
+        else:
+            position -= stride
+        # min(max(position, lo), hi) and the running maximum, without the
+        # builtin calls, which cost a fifth of the loop
+        if lo > position:
+            position = lo
+        if hi < position:
+            position = hi
+        if position > highest:
+            highest = position
+        edge = offset - v * max(0.0, second - t)
+        if edge <= 0.0 < edge + width and position >= danger:
+            return TrialRecord(x, BehaviorMode.HARMFUL_FAILURE, second,
+                               position)
+    mode = (BehaviorMode.SUCCESS if highest >= y
+            else BehaviorMode.TASK_FAILURE)
+    return TrialRecord(x, mode, len(noise), position)
 
 
 def batch_form(policy) -> Callable[[int], "BatchPolicy"]:
@@ -349,8 +291,8 @@ def _read_rows(controllers, n: int) -> Iterable[int]:
 def _readings(cfg: EnvConfig, xs: np.ndarray, noise: np.ndarray,
               start: int) -> np.ndarray:
     """Turn a chunk's noise, (episodes, seconds, 3) from second ``start``
-    on, into its sensor readings in place, as _observation makes them from
-    the leading edge step() computes; return whether the obstacle occupies
+    on, into its sensor readings in place, as run_episode makes them from
+    the leading edge it computes; return whether the obstacle occupies
     the robot's column at each second start..start + seconds, as a
     (seconds + 1, episodes) bool array."""
     v, t, y = xs.T
@@ -439,7 +381,7 @@ def _run_chunk(cfg: EnvConfig, controllers, xs: np.ndarray,
             ))
         moved = path[k + 1]
         np.add(path[k], delta.take(forward.view(np.int8)), out=moved)
-        # step()'s min(max(moved, lo), hi), down to which zero it keeps
+        # run_episode's min(max(moved, lo), hi), down to which zero it keeps
         # on a tie: np.maximum would turn a -0.0 bound into a 0.0 position
         np.copyto(moved, lo, where=lo > moved)
         np.copyto(moved, hi, where=hi < moved)

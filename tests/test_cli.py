@@ -939,6 +939,26 @@ class TestOutputPaths:
         assert not (tmp_path / "cmp.json").exists()
         assert set(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_written_files_get_the_umask_mode(self, small_pipeline, tmp_path,
+                                             umask):
+        """A written file has mode 0o666 less the umask, as open() would
+        give it: sample's one file and compare's deltas file and chart."""
+        report = tmp_path / "obs.json"
+        assert run_cli("observe", "--records", str(small_pipeline["rec"]),
+                       "--out", str(report)) == 0
+        old = os.umask(umask)
+        try:
+            assert run_cli("sample", "--condition", "testing", "--n", "5",
+                           "--out", str(tmp_path / "s.jsonl")) == 0
+            assert run_cli("compare", "--predicted", str(report),
+                           "--observed", str(report),
+                           "--out", str(tmp_path / "cmp.json")) == 0
+        finally:
+            os.umask(old)
+        for name in ("s.jsonl", "cmp.json", "cmp.svg"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask
+
 
 # every file of a reproduce tree
 REPRODUCE_TREE = [

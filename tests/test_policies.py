@@ -404,8 +404,10 @@ class TestBatch:
         (campaign,) = run_batch(env, [scripted_factory()], [], [])
         assert len(campaign) == 0
 
-    def test_campaign_larger_than_one_block(self, env, params):
-        # not a multiple of the block size: a full block and a partial one
+    def test_campaign_larger_than_one_block(self, env, params, monkeypatch):
+        # not a multiple of the block size: a full block and a partial one,
+        # of a block small enough to replay through run_episode
+        monkeypatch.setattr(simulator, "_BLOCK", 256)
         n = simulator._BLOCK + 37
         xs = sample(presets.condition("testing"), n, 66)
         sf = SafetyFunction.from_threshold(params.risk_goal_threshold)

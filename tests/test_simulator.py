@@ -6,23 +6,23 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, strategies as st
+
 from depgrid import (
     Action,
     BehaviorMode,
     ConfigError,
     EnvConfig,
-    EpisodeNotFinished,
+    Observation,
     OutOfDomain,
     ScriptedPolicy,
     ScriptedPolicyParams,
-    SteppingTerminatedEpisode,
-    classify,
-    init,
     run_episode,
     scenario_domain,
-    step,
 )
-from depgrid.simulator import MAX_EPISODE_SECONDS, _observation
+from depgrid.simulator import MAX_EPISODE_SECONDS
+
+F, B = Action.FORWARD, Action.BACKWARD
 
 
 def noiseless(env: EnvConfig) -> EnvConfig:
@@ -31,21 +31,57 @@ def noiseless(env: EnvConfig) -> EnvConfig:
                                noise_sigma_goal=0.0)
 
 
+class Probe:
+    """A scalar policy that plays ``actions``, then ``then`` for good, and
+    keeps every observation it is handed: seen[k] is the episode at second
+    k. In a noiseless env its obstacle_pos_noisy is the true leading
+    edge."""
+
+    def __init__(self, actions=(), then=B):
+        self.actions, self.then = list(actions), then
+        self.seen = []
+
+    def reset(self):
+        self.seen = []
+
+    def act(self, obs):
+        self.seen.append(obs)
+        k = len(self.seen) - 1
+        return self.actions[k] if k < len(self.actions) else self.then
+
+
+def probe(cfg, x, actions=(), then=B, seed=0):
+    """The record of one episode of a Probe, and what the probe saw."""
+    policy = Probe(actions, then)
+    return run_episode(cfg, policy, x, seed), policy.seen
+
+
+def edges(seen) -> list:
+    return [obs.obstacle_pos_noisy for obs in seen]
+
+
+def positions(seen) -> list:
+    return [obs.robot_pos for obs in seen]
+
+
 class TestInit:
     def test_start_state(self, env):
-        s = init(env, (5.0, 0.0, 25.0))
-        assert s.time == 0
-        assert s.robot_pos == 0.0
-        assert s.obstacle_leading_edge == 80.0
-        assert not s.collided
+        record, seen = probe(noiseless(env), (5.0, 0.0, 25.0))
+        assert seen[0].robot_pos == 0.0
+        assert seen[0].obstacle_pos_noisy == 80.0
+        # never above the danger height: no collision, every second run
+        assert record.mode is BehaviorMode.TASK_FAILURE
+        assert len(seen) == record.steps == env.episode_seconds
 
     def test_boundary_scenario_is_valid(self, env):
-        s = init(env, (0.0, 10.0, 50.0))
-        assert s.obstacle_leading_edge == 80.0
+        _, seen = probe(noiseless(env), (0.0, 10.0, 50.0))
+        assert seen[0].obstacle_pos_noisy == 80.0
 
     def test_out_of_domain(self, env):
+        policy = Probe()
         with pytest.raises(OutOfDomain):
-            init(env, (11.0, 0.0, 0.0))
+            run_episode(env, policy, (11.0, 0.0, 0.0), 0)
+        assert policy.seen == []
 
     def test_scenario_domain_bounds(self, env):
         space = scenario_domain(env)
@@ -56,121 +92,123 @@ class TestInit:
 class TestObserve:
     def test_zero_noise_equals_truth(self, env):
         cfg = noiseless(env)
-        s = init(cfg, (4.0, 2.0, 33.0))
-        obs = _observation(cfg, s, np.random.default_rng(0).standard_normal(3))
-        assert obs.obstacle_pos_noisy == 80.0
-        assert obs.robot_pos == 0.0
-        assert obs.obstacle_speed_noisy == 4.0
-        assert obs.goal_noisy == 33.0
+        _, seen = probe(cfg, (4.0, 2.0, 33.0), seed=5)
+        assert seen[0] == Observation(80.0, 0.0, 4.0, 33.0)
+        assert edges(seen) == [80.0 - 4.0 * max(0, k - 2)
+                               for k in range(len(seen))]
+        assert {(o.obstacle_speed_noisy, o.goal_noisy) for o in seen} \
+            == {(4.0, 33.0)}
 
-    def test_goal_noise_spread(self, env):
-        s = init(env, (4.0, 2.0, 33.0))
-        eps = np.random.default_rng(11).standard_normal((3, 100_000))
-        goals = _observation(env, s, eps).goal_noisy
+    @pytest.fixture(scope="class")
+    def readings(self, env) -> np.ndarray:
+        """The (edge, speed, goal) readings of 28 episodes of 3,600 s, in
+        each of which the robot stays at the track bottom and the obstacle
+        at spawn: 100,800 rows."""
+        cfg = dataclasses.replace(env, episode_seconds=MAX_EPISODE_SECONDS)
+        rows = np.array([
+            (o.obstacle_pos_noisy, o.obstacle_speed_noisy, o.goal_noisy)
+            for seed in range(28)
+            for o in probe(cfg, (0.0, 2.0, 33.0), seed=seed)[1]])
+        assert rows.shape == (28 * MAX_EPISODE_SECONDS, 3)
+        return rows
+
+    def test_goal_noise_spread(self, env, readings):
+        goals = readings[:, 2]
         assert float(goals.std(ddof=1)) == pytest.approx(
             env.noise_sigma_goal, rel=0.02)
         assert float(goals.mean()) == pytest.approx(33.0, abs=0.02)
 
+    def test_obstacle_noise_spread(self, env, readings):
+        edge, speed, _ = readings.T
+        for values, sigma, mean in (
+                (edge, env.noise_sigma_obstacle_pos, 80.0),
+                (speed, env.noise_sigma_speed, 0.0)):
+            assert float(values.std(ddof=1)) == pytest.approx(sigma, rel=0.02)
+            assert float(values.mean()) == pytest.approx(mean, abs=0.004)
+
 
 class TestStep:
     def test_forward_clips_at_top(self, env):
-        s = init(env, (1.0, 10.0, 10.0))
-        for _ in range(12):
-            s = step(env, s, Action.FORWARD)
-        assert s.robot_pos == 50.0
-        s = step(env, s, Action.FORWARD)
-        assert s.robot_pos == 50.0  # no error, no overshoot
+        record, seen = probe(noiseless(env), (1.0, 10.0, 10.0), then=F)
+        assert positions(seen)[10:14] == [50.0, 50.0, 50.0, 50.0]
+        assert max(positions(seen)) == record.final_position == 50.0
 
     def test_backward_clips_at_bottom(self, env):
-        s = init(env, (1.0, 10.0, 10.0))
-        s = step(env, s, Action.BACKWARD)
-        assert s.robot_pos == 0.0
+        record, seen = probe(noiseless(env), (1.0, 10.0, 10.0), [F, B, B])
+        assert positions(seen)[:4] == [0.0, 5.0, 0.0, 0.0]
+        assert min(positions(seen)) == record.final_position == 0.0
 
     def test_fast_obstacle_kinematics_trace(self, env):
         # v=10, t=0: leading edge hits the column at time 8, clears at 9.
         # a robot holding at >= 25 then must collide at time 8
-        s = init(env, (10.0, 0.0, 50.0))
-        for _ in range(6):
-            s = step(env, s, Action.FORWARD)   # at 30 after 6 steps
-        assert s.robot_pos == 30.0
-        s = step(env, s, Action.BACKWARD)      # 25, time 7, edge 10
-        assert s.obstacle_leading_edge == pytest.approx(10.0)
-        assert not s.collided
-        s = step(env, s, Action.FORWARD)       # 30, time 8, edge 0: occupied
-        assert s.collided and s.time == 8
+        record, seen = probe(noiseless(env), (10.0, 0.0, 50.0),
+                             [F] * 6 + [B, F])
+        assert seen[6].robot_pos == 30.0
+        assert seen[7].robot_pos == 25.0        # time 7, edge 10: no collision
+        assert seen[7].obstacle_pos_noisy == pytest.approx(10.0)
+        assert len(seen) == 8                   # 30, time 8, edge 0: occupied
+        assert record.mode is BehaviorMode.HARMFUL_FAILURE
+        assert record.steps == 8 and record.final_position == 30.0
+
+    def test_collision_at_the_danger_height(self, env):
+        # clipped at the bottom first, then at exactly 25 when the obstacle
+        # (v=10, t=0) occupies the column at time 8
+        record, seen = probe(noiseless(env), (10.0, 0.0, 50.0),
+                             [B] + [F] * 6 + [B])
+        assert positions(seen) == [0.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0,
+                                   30.0]
+        assert record.mode is BehaviorMode.HARMFUL_FAILURE
+        assert record.steps == 8 and record.final_position == 25.0
+
+    def test_obstacle_clears_the_column_at_its_width(self, env):
+        # v=10, t=0: at time 9 the trailing edge, 10 behind the leading
+        # one, is at 0, and the column is clear as the robot reaches 25
+        record, seen = probe(noiseless(env), (10.0, 0.0, 50.0),
+                             [B] * 4 + [F] * 5, then=F)
+        assert positions(seen)[8:10] == [20.0, 25.0]
+        assert record.mode is BehaviorMode.SUCCESS
 
     def test_obstacle_waits_for_start_time(self, env):
-        s = init(env, (10.0, 3.0, 10.0))
-        for expect_edge in (80.0, 80.0, 80.0, 70.0, 60.0):
-            s = step(env, s, Action.BACKWARD)
-            assert s.obstacle_leading_edge == pytest.approx(expect_edge)
+        _, seen = probe(noiseless(env), (10.0, 3.0, 10.0))
+        assert edges(seen)[1:6] == pytest.approx([80.0, 80.0, 80.0, 70.0,
+                                                  60.0])
 
-    def test_step_after_collision_rejected(self, env):
-        s = init(env, (10.0, 0.0, 50.0))
-        for _ in range(8):
-            s = step(env, s, Action.FORWARD)
-        assert s.collided
-        with pytest.raises(SteppingTerminatedEpisode):
-            step(env, s, Action.FORWARD)
-
-    def test_step_after_time_limit_rejected(self, env):
-        s = init(env, (0.0, 0.0, 0.0))
-        for _ in range(env.episode_seconds):
-            s = step(env, s, Action.BACKWARD)
-        with pytest.raises(SteppingTerminatedEpisode):
-            step(env, s, Action.BACKWARD)
-
-    def test_position_stays_in_bounds_and_edge_non_increasing(self, env):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            v = float(rng.uniform(0, 10))
-            t = float(rng.uniform(0, 10))
-            s = init(env, (v, t, 25.0))
-            prev_edge = s.obstacle_leading_edge
-            while not s.collided and s.time < env.episode_seconds:
-                a = Action.FORWARD if rng.random() < 0.5 else Action.BACKWARD
-                s = step(env, s, a)
-                assert 0.0 <= s.robot_pos <= 50.0
-                assert s.obstacle_leading_edge <= prev_edge + 1e-12
-                prev_edge = s.obstacle_leading_edge
-            if s.collided:
-                assert s.robot_pos >= env.danger_height
-                edge = s.obstacle_leading_edge
-                assert edge <= 0.0 < edge + env.obstacle_width
+    @given(v=st.floats(0.0, 10.0), t=st.floats(0.0, 10.0),
+           actions=st.lists(st.sampled_from([F, B]), max_size=100))
+    def test_position_stays_in_bounds_and_edge_non_increasing(
+            self, env, v, t, actions):
+        cfg = noiseless(env)
+        record, seen = probe(cfg, (v, t, 25.0), actions)
+        assert all(0.0 <= p <= 50.0 for p in positions(seen))
+        assert 0.0 <= record.final_position <= 50.0
+        assert all(b <= a for a, b in zip(edges(seen), edges(seen)[1:]))
+        if record.mode is BehaviorMode.HARMFUL_FAILURE:
+            assert record.final_position >= cfg.danger_height
+            edge = cfg.obstacle_spawn_offset - v * max(0.0, record.steps - t)
+            assert edges(seen)[-1] >= edge
+            assert edge <= 0.0 < edge + cfg.obstacle_width
 
 
 class TestClassify:
     def test_collision_dominates_goal(self, env):
         # reach the goal early, then collide: still a harmful failure
-        s = init(env, (10.0, 0.0, 20.0))
-        for _ in range(8):
-            s = step(env, s, Action.FORWARD)
-        assert s.max_robot_pos >= 20.0 and s.collided
-        assert classify(env, s) is BehaviorMode.HARMFUL_FAILURE
+        record, seen = probe(noiseless(env), (10.0, 0.0, 20.0), then=F)
+        assert max(positions(seen)) >= 20.0
+        assert record.mode is BehaviorMode.HARMFUL_FAILURE
+        assert record.steps == 8
 
     def test_success_by_running_maximum(self, env):
         # visit 30 >= goal 25 mid-episode, retreat afterwards
-        s = init(env, (0.0, 0.0, 25.0))
-        for _ in range(6):
-            s = step(env, s, Action.FORWARD)
-        while s.time < env.episode_seconds:
-            s = step(env, s, Action.BACKWARD)
-        assert s.robot_pos < 25.0 <= s.max_robot_pos
-        assert classify(env, s) is BehaviorMode.SUCCESS
+        record, seen = probe(noiseless(env), (0.0, 0.0, 25.0), [F] * 6)
+        assert seen[6].robot_pos == 30.0
+        assert record.final_position < 25.0
+        assert record.steps == env.episode_seconds
+        assert record.mode is BehaviorMode.SUCCESS
 
     def test_task_failure(self, env):
-        s = init(env, (0.0, 0.0, 40.0))
-        for _ in range(4):
-            s = step(env, s, Action.FORWARD)   # hold at 20 < 40
-        while s.time < env.episode_seconds:
-            s = step(env, s, Action.BACKWARD)
-        assert classify(env, s) is BehaviorMode.TASK_FAILURE
-
-    def test_unfinished_episode_rejected(self, env):
-        s = init(env, (1.0, 1.0, 10.0))
-        s = step(env, s, Action.FORWARD)
-        with pytest.raises(EpisodeNotFinished):
-            classify(env, s)
+        record, seen = probe(noiseless(env), (0.0, 0.0, 40.0), [F] * 4)
+        assert max(positions(seen)) == 20.0     # hold at 20 < 40
+        assert record.mode is BehaviorMode.TASK_FAILURE
 
     def test_modes_exclusive_and_exhaustive(self, env, scripted_factory):
         rng = np.random.default_rng(6)
@@ -223,7 +261,6 @@ class TestRunEpisode:
             for r in records:
                 assert type(r.scenario) is tuple and r.scenario == want
                 assert all(type(v) is float for v in r.scenario)
-            assert init(env, row).scenario == want
         ints = run_episode(env, scripted_factory(), [4, 2, 35], 21)
         assert ints == run_episode(env, scripted_factory(), xs[0], 21)
         assert all(type(v) is float for v in ints.scenario)
