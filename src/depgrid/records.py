@@ -24,16 +24,19 @@ other columns whole. So a scenario set that several campaigns ran is
 formatted once. read_records has two readers that give the same campaign. A
 file as write_records writes it, lines of the template's grammar and nothing
 else, with the first line's coordinate count d on every line and d at most
-_MAX_COORDINATES, is split by one compiled regular expression,
-_record_grammar(d), into its tokens, one per coordinate and per other field;
-the columns are converted from them and checked whole. Any other file (blank
-lines, CRLF endings, lines of another coordinate count and more coordinates
-than the cap included), or one whose columns fail a check, goes to the
-reference reader: it parses each line on its own with json.loads, then
-builds and checks the columns. Every error comes from the reference reader,
-and names the line of the first bad record. A file's rows are its non-blank
-lines, and naming_line turns a row into its line for every error, the
-command line's domain checks included.
+_MAX_COORDINATES, is split at each line's head by one compiled regular
+expression, _record_grammar(d), into each line's coordinate tokens and its
+tail token, the rest of the line from "mode" on. The scenario columns are
+converted from the coordinate tokens; each distinct tail is checked and
+converted once into its mode, steps and final_position, which are gathered
+back to one row per line, and the columns are checked whole. Any
+other file (blank lines, CRLF endings, lines of another coordinate count
+and more coordinates than the cap included), or one whose columns fail a
+check, goes to the reference reader: it parses each line on its own with
+json.loads, then builds and checks the columns. Every error comes from the
+reference reader, and names the line of the first bad record. A file's rows
+are its non-blank lines, and naming_line turns a row into its line for every
+error, the command line's domain checks included.
 
 A report file (format_version 2) holds the same columns as the in-memory
 report: a small scalar header, then the bin edges once, and the masses, the
@@ -442,9 +445,16 @@ def _campaign_from_dicts(docs: list) -> TestCampaign:
 
 # The grammar of a _RECORD_LINE line of d coordinates, with every token as
 # json.dumps writes it, so that each line it matches holds the record
-# json.loads would read:
-# - a scenario has d coordinates, each its own group, 1 <= d <=
-#   _MAX_COORDINATES: compiling the grammar takes time linear in d;
+# json.loads would read. It has two parts:
+# - the head, _record_grammar(d), from "{" to the ", " after the scenario,
+#   whose d coordinates, 1 <= d <= _MAX_COORDINATES, are each its own
+#   group: compiling it takes time linear in d;
+# - the tail, _TAIL, the rest of the line from "mode" on, its newline
+#   included: '"mode": "success", "steps": 100, "final_position": 50.0}\n',
+#   whose mode, steps and final_position are its three groups. Final
+#   positions lie on the step lattice, so a campaign's lines repeat a few
+#   dozen tails (98 in a 20k-record testing campaign), and each distinct
+#   tail is matched and split into its fields once;
 # - a float token is a JSON number with a fraction or an exponent, as repr
 #   writes it; [0-9] rather than \d, which also matches digits that float()
 #   takes and JSON refuses;
@@ -455,59 +465,76 @@ def _campaign_from_dicts(docs: list) -> TestCampaign:
 #   starts with a character the token could have taken, so a match never
 #   needs one given back, and a line that cannot match fails without
 #   trying shorter tokens.
-# _record_grammar(d).split(text) gives one flat list, [separator, d
-# coordinates, mode, steps, final_position] per match,
-# then the text after the last match. A match holds no newline and ends at
-# its line's only "}", so when the first separator is empty, every other one
-# is "\n" and the text after the last is "" or "\n", every line of the text
-# is one whole match: the text is a file write_records writes, with or
-# without its final newline. Blank lines, CRLF endings, two records on one
-# line, another coordinate count or any other text leave some other
-# separator.
+# _record_grammar(d).split(text) gives one flat list: the text before the
+# first head, then [d coordinates, the text up to the next head] per head.
+# The text is a file write_records writes, with or without its final
+# newline, when the text before the first head is empty and every text
+# after a head is a tail, the last given a newline if it has none. Each
+# distinct one is checked once: no _TAIL match holds a "{", so each of m
+# texts joined by "{" is one whole match when _TAIL.split of the join gives
+# [separator, mode, steps, final_position] per match with the separators
+# "", then m - 1 "{", then "". Blank lines, CRLF endings, two records on
+# one line, another coordinate count or any other text leave some text
+# after a head that is not a tail.
 _FLOAT = (r"-?+(?:0|[1-9][0-9]*+)"
           r"(?:\.[0-9]++(?:[eE][-+]?+[0-9]++)?+|[eE][-+]?+[0-9]++)")
-_RECORD_GRAMMAR = (
-    r'\{"scenario": \[%%s\], "mode": "(%(mode)s)", '
-    r'"steps": (0|[1-9][0-9]{0,14}+), "final_position": (%(f)s)\}'
-    % {"f": _FLOAT, "mode": "|".join(map(re.escape, _MODE_CODES))})
+_TAIL = re.compile(r'"mode": "(%s)", "steps": (0|[1-9][0-9]{0,14}+), '
+                   r'"final_position": (%s)\}\n'
+                   % ("|".join(map(re.escape, _MODE_CODES)), _FLOAT))
 _MAX_COORDINATES = 16
 
 
 def _record_grammar(d: int) -> re.Pattern:
-    """The compiled grammar of a record line of d coordinates, from re's
-    own cache after its first use."""
-    return re.compile(_RECORD_GRAMMAR % ", ".join([f"({_FLOAT})"] * d))
+    """The compiled head of a record line of d coordinates, from re's own
+    cache after its first use."""
+    return re.compile(r'\{"scenario": \[%s\], '
+                      % ", ".join([f"({_FLOAT})"] * d))
 
 
 def _campaign_from_template(text: str) -> TestCampaign | None:
     """The campaign of a record file's text when it is lines of one
-    _record_grammar(d) and nothing else, each ended by "\n" but perhaps the
-    last, and the columns pass the checks of _campaign_from_dicts and
-    TestCampaign; otherwise None. Never raises. d is the number of commas
-    before the text's first "]", plus one: the coordinate count of the first
-    line's scenario, if that line is a record. A text with no "]", or with
-    more than _MAX_COORDINATES coordinates, is refused before any grammar is
-    compiled. One split of the whole text gives the tokens, converted with
-    float() and int(), as json does; the columns are checked whole rather
-    than line by line."""
+    _record_grammar(d) head and a _TAIL each, and nothing else, each line
+    ended by "\n" but perhaps the last, and the columns pass the checks of
+    _campaign_from_dicts and TestCampaign; otherwise None. Never raises. d
+    is the number of commas before the text's first "]", plus one: the
+    coordinate count of the first line's scenario, if that line is a
+    record. A text with no "]", or with more than _MAX_COORDINATES
+    coordinates, is refused before any grammar is compiled. One split of
+    the whole text gives each line's coordinate tokens and its tail. Each
+    line is given the number of the first line of its tail, and one
+    _TAIL.split of the distinct tails gives their mode, steps and
+    final_position tokens, whose columns are gathered back to one row per
+    line. Every token is converted with float() and int(), as json does, so
+    tails that differ in text, such as a final_position of 0.0 and of -0.0,
+    keep their own values. The columns are checked whole rather than line
+    by line."""
     close = text.find("]")
     d = text.count(",", 0, close) + 1 if close >= 0 else 0
     if not 1 <= d <= _MAX_COORDINATES:
         return None
     parts = _record_grammar(d).split(text)
-    stride = d + 4
-    if not (len(parts) % stride == 1 and len(parts) > 1 and parts[0] == ""
-            and set(parts[stride:-1:stride]) <= {"\n"}
-            and parts[-1] in ("", "\n")):
+    stride = d + 1
+    if not (len(parts) > 1 and parts[0] == ""):
         return None
     n = len(parts) // stride
+    tails = parts[stride::stride]
+    if not text.endswith("\n"):
+        tails[-1] += "\n"
+    first = {}   # each distinct tail, and the number of its first line
+    line = np.fromiter(map(first.setdefault, tails, range(n)), np.intp, n)
+    fields = _TAIL.split("{".join(first))
+    m = len(first)
+    if fields[::4] != ["", *["{"] * (m - 1), ""]:
+        return None
+    # each line's tail by its place in first: first lines sort in that order
+    row = np.unique(line, return_inverse=True)[1]
     scenarios = np.empty((n, d))
     for j in range(d):
         scenarios[:, j] = np.fromiter(map(float, parts[1 + j::stride]), float, n)
-    mode, steps, position = (parts[k::stride] for k in range(d + 1, stride))
-    modes = np.fromiter(map(_MODE_CODES.__getitem__, mode), np.int8, n)
-    steps = np.fromiter(map(int, steps), np.int64, n)
-    position = np.fromiter(map(float, position), float, n)
+    modes = np.fromiter(map(_MODE_CODES.__getitem__, fields[1::4]), np.int8,
+                        m)[row]
+    steps = np.fromiter(map(int, fields[2::4]), np.int64, m)[row]
+    position = np.fromiter(map(float, fields[3::4]), float, m)[row]
     if not (np.isfinite(scenarios).all() and np.isfinite(position).all()):
         return None
     try:
@@ -523,15 +550,18 @@ def read_records(path: str | Path) -> TestCampaign:
     A file as write_records writes it, with or without its final newline,
     whose lines all have the first line's coordinate count d, 1 <= d <=
     _MAX_COORDINATES, is split by one regular expression, _record_grammar(d),
-    and its columns come straight from the tokens (unless its steps have 16
-    digits or more). Any other file (blank lines, CRLF endings, other
-    spacing, key order or keys, such as the seed and collision_time of older
-    files, which are ignored, integer coordinates, escaped strings,
-    scenarios of no coordinates, of more than the cap or of another count
-    than the first line's, or a bad record) goes to the reference reader:
-    each line is parsed on its own with json.loads, then the columns are
-    built and checked together. So every error comes from the reference
-    reader, and names the file and the line of the first bad record."""
+    into each line's coordinate tokens and its tail token, the rest of the
+    line from "mode" on; its columns come straight from the coordinate
+    tokens and from each distinct tail, checked and converted once (unless
+    its steps have 16 digits or more). Any other file (blank lines,
+    CRLF endings, other spacing, key order or keys, such as the seed and
+    collision_time of older files, which are ignored, integer coordinates,
+    escaped strings, scenarios of no coordinates, of more than the cap or
+    of another count than the first line's, or a bad record) goes to the
+    reference reader: each line is parsed on its own with json.loads, then
+    the columns are built and checked together. So every error comes from
+    the reference reader, and names the file and the line of the first bad
+    record."""
     text = _read_text(path)
     campaign = _campaign_from_template(text)
     if campaign is None:

@@ -34,6 +34,7 @@ PCG64(seed)'s stream.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -146,6 +147,26 @@ class Observation:
     goal_noisy: float
 
 
+def _scenario(cfg: EnvConfig, x) -> tuple[float, float, float]:
+    """tuple(scenario_domain(cfg).check_points([x])[0].tolist()) without
+    building the domain when x is three numbers inside its box, as every
+    scenario a campaign runs is: building it took 24 µs of a 160-µs 100-s
+    episode. Any other x, and an env whose track width overflows, which
+    the domain refuses, go to check_points for its error."""
+    try:
+        xs = np.asarray(x, dtype=float)
+    except (ValueError, TypeError):
+        xs = None
+    lo, hi = cfg.robot_bounds
+    if xs is not None and xs.shape == (3,) and math.isfinite(hi - lo):
+        v, t, y = point = tuple(xs.tolist())
+        if (OBSTACLE_SPEED_RANGE[0] <= v <= OBSTACLE_SPEED_RANGE[1]
+                and START_TIME_RANGE[0] <= t <= START_TIME_RANGE[1]
+                and lo <= y <= hi):
+            return point
+    return tuple(scenario_domain(cfg).check_points([x])[0].tolist())
+
+
 def run_episode(cfg: EnvConfig, policy, x: Sequence[float],
                 seed: int) -> TrialRecord:
     """Run one episode of scenario x, any (v, t, y) sequence, into its
@@ -162,7 +183,7 @@ def run_episode(cfg: EnvConfig, policy, x: Sequence[float],
     progress; otherwise the episode succeeds if the robot ever reached or
     exceeded the goal height.
     """
-    x = tuple(scenario_domain(cfg).check_points([x])[0].tolist())
+    x = _scenario(cfg, x)
     v, t, y = x
     lo, hi = cfg.robot_bounds
     offset, width = cfg.obstacle_spawn_offset, cfg.obstacle_width

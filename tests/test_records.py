@@ -358,6 +358,76 @@ def test_written_files_need_no_reference_reader(tmp_path, n, d, final_newline):
         assert replace(read_records(path), condition_name="synthetic") == campaign
 
 
+# Outcomes whose tails repeat or nearly repeat: every mode, 0.0 and -0.0,
+# a float and its neighbour, and steps of one to 15 digits
+TAIL_STEPS = [1, 12, 100, 101, 10**14, 10**15 - 1]
+TAIL_POSITIONS = [0.0, -0.0, 50.0, 45.0, 45.00000000000001, 5e-324, -5e-324]
+
+
+@settings(max_examples=150)
+@given(outcomes=st.lists(st.tuples(st.sampled_from(list(BehaviorMode)),
+                                   st.sampled_from(TAIL_STEPS),
+                                   st.sampled_from(TAIL_POSITIONS)),
+                         min_size=1, max_size=40))
+@example(outcomes=[(mode, steps, position)
+                   for mode in BehaviorMode for steps in (100, 10**15 - 1)
+                   for position in (0.0, -0.0)] * 2)
+def test_repeated_tails_read_as_the_reference_reader(tmp_path_factory,
+                                                     outcomes):
+    """Lines whose tails repeat, or differ only in a mode, a sign, a last
+    digit or a step count, are read by the fast path alone, without
+    json.loads, into the reference reader's campaign, bit for bit."""
+    path = tmp_path_factory.mktemp("tails") / "r.jsonl"
+    write_records(path, campaign_of(
+        TrialRecord((0.5 * i, 1.0, 30.0), mode, steps, position)
+        for i, (mode, steps, position) in enumerate(outcomes)))
+    with mock.patch.object(json, "loads", refuse):
+        got = read_outcome(read_records, path)
+    assert got == read_outcome(reference_read, path)
+
+
+def test_distinct_tails_read_as_the_reference_reader(tmp_path):
+    """A file whose every tail is distinct, which no depgrid command writes
+    (final positions lie on the step lattice), is read by the fast path
+    too, into the reference reader's campaign, bit for bit."""
+    n = 3000
+    rng = np.random.default_rng(6)
+    campaign = TestCampaign(
+        "", rng.uniform(0.0, 10.0, (n, 3)),
+        (np.arange(n) % 3).astype(np.int8),
+        10**14 + rng.permutation(n), rng.uniform(-5.0, 60.0, n))
+    path = tmp_path / "r.jsonl"
+    write_records(path, campaign)
+    tails = {line[line.index('"mode"'):]
+             for line in path.read_text().splitlines()}
+    assert len(tails) == n
+    with mock.patch.object(json, "loads", refuse):
+        got = read_outcome(read_records, path)
+    assert got == read_outcome(reference_read, path)
+
+
+@pytest.mark.parametrize("steps, error", [
+    ("1234567890123456", None),
+    ("-1234567890123456", "a record needs a known mode and steps >= 0"),
+    ("0123456789012345", "Expecting"),
+])
+def test_sixteen_digit_steps_go_to_the_reference_reader(tmp_path, steps,
+                                                        error):
+    """Steps of 16 digits or more are left to the reference reader, which
+    reads them, or names the line of the bad ones."""
+    path = tmp_path / "r.jsonl"
+    write_records(path, written_campaign(3, 3))
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = re.sub(r'"steps": [0-9]+', f'"steps": {steps}', lines[1])
+    text = "".join(lines)
+    path.write_text(text)
+    assert _campaign_from_template(text) is None
+    assert_reads_as_reference(path)
+    if error is not None:
+        with pytest.raises(DataError, match=rf"r\.jsonl: line 2: {error}"):
+            read_records(path)
+
+
 def test_old_format_files_read_as_the_new_ones(tmp_path):
     """A file whose lines also hold the seed, or the seed and the
     collision_time, that record files held before they were dropped is left
@@ -381,6 +451,11 @@ NOT_WRITTEN_BY_WRITE_RECORDS = {
     "blank_line": lambda text: text.replace("\n", "\n\n", 1),
     "leading_space": lambda text: " " + text,
     "two_records_on_one_line": lambda text: text.replace("\n", "", 1),
+    # the first line's tail lacks its newline and the second's starts with
+    # it: joined with nothing between them, they would read as two tails
+    "two_records_on_one_line_then_one_on_two": lambda text: text.replace(
+        "\n", "", 1).replace('], "mode"', '], \n"mode"', 2).replace(
+        '], \n"mode"', '], "mode"', 1),
     "text_before_the_first_record": lambda text: "# records\n" + text,
     "text_after_the_last_record": lambda text: text + "# end\n",
 }
@@ -468,11 +543,13 @@ def test_files_over_the_cap_read_by_the_reference_reader(tmp_path):
 def test_template_read_memory_is_its_text_and_tokens(env, scripted_factory,
                                                      tmp_path):
     """Reading a written file holds its text and, while the columns are
-    built, the d + 4 tokens of each record that one split gives: 80 bytes a
-    token hold its str's 49-byte header, its characters (a coordinate's
-    repr here has at most 21) and its list slot, with room left for the
-    columns. The reader that split the scenarios into one more list of
-    tokens took 87 bytes a token."""
+    built, the d + 1 tokens of each record that one split gives: its d
+    coordinates and its tail, a str of about 60 characters. The bound is 80
+    bytes for each of d + 4 tokens a record, what the reader that split the
+    mode, steps and final position apart held: a token's str has a 49-byte
+    header, its characters (a coordinate's repr here has at most 21) and
+    its list slot, with room left for the columns. The reader that split
+    the scenarios into one more list of tokens took 87 bytes a token."""
     n = 5000
     xs = sample(presets.condition("testing"), n, 78)
     path = tmp_path / "r.jsonl"

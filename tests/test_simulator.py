@@ -83,6 +83,43 @@ class TestInit:
             run_episode(env, policy, (11.0, 0.0, 0.0), 0)
         assert policy.seen == []
 
+    @pytest.mark.parametrize("bounds", [(0.0, 50.0), (-0.0, 50.0),
+                                        (-20.0, 0.5)])
+    def test_scenario_check_is_the_domain_check(self, env, bounds):
+        """run_episode checks its scenario without building the domain, yet
+        runs the point check_points returns or raises its error: the same
+        type, text and row, a -0.0 bound printed as -0.0."""
+        cfg = dataclasses.replace(env, robot_bounds=bounds,
+                                  danger_height=sum(bounds) / 2)
+        lo, hi = bounds
+
+        def outcome(check):
+            try:
+                x = check()
+            except OutOfDomain as e:
+                return type(e), str(e), e.row
+            return x, [type(v) for v in x]
+
+        for x in [(4.0, 2.0, hi), [4, 2, 0], np.array([4.0, 2.0, lo]),
+                  np.array([4, 2, 0], dtype=np.float32), (-0.0, 10.0, 0.0),
+                  (10.0, 0.0, -0.0), ["1.5", "2", "0"], [True, 1, 0],
+                  (11.0, 0.0, 0.0), (5.0, -1.0, 0.0), (5.0, 5.0, hi + 1),
+                  (5.0, 5.0, lo - 0.5), (math.nan, 0.0, 0.0),
+                  (5.0, math.inf, 0.0), (5.0, 5.0), (1.0, 2.0, 0.0, 4.0), [],
+                  [[1.0, 2.0, 0.0]], "abc", [1.0, "x", 0.0], None]:
+            want = outcome(lambda: tuple(
+                scenario_domain(cfg).check_points([x])[0].tolist()))
+            assert outcome(lambda: run_episode(cfg, Probe(), x, 0)
+                           .scenario) == want, x
+
+    def test_env_the_domain_refuses_is_refused(self, env):
+        cfg = dataclasses.replace(env, robot_bounds=(-1.7e308, 1.7e308),
+                                  danger_height=0.0)
+        with pytest.raises(ConfigError, match="overflows"):
+            scenario_domain(cfg)
+        with pytest.raises(ConfigError, match="overflows"):
+            run_episode(cfg, Probe(), (5.0, 5.0, 0.0), 0)
+
     def test_scenario_domain_bounds(self, env):
         space = scenario_domain(env)
         assert space.names == ("v", "t", "y")
