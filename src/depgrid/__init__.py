@@ -12,7 +12,6 @@ from .domain import (
     ClippedGaussian,
     ConditionSet,
     Dimension,
-    DiscreteCondition,
     DomainSpace,
     PartitionGrid,
     Uniform,

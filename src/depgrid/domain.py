@@ -4,7 +4,9 @@ The domain is a bounded continuous box. A condition set assigns one marginal
 distribution per dimension (an independent product distribution); Gaussian
 marginals are clipped to the dimension bounds, which places point atoms of
 probability on the boundary values. A condition's region masses are one C-order
-vector per grid (``region_mass_vector``), computed without sampling.
+vector per grid (``region_mass_vector``), computed without sampling: each
+marginal gives the masses of its dimension's bins from the bin edges as one
+array (``bin_masses``), and the vector is the outer product of those arrays.
 
 A scenario is a point of the domain given by its coordinates, in dimension
 order: a row of an (n, ndim) float array on the campaign path (``sample``
@@ -150,10 +152,11 @@ class Uniform:
                 f"{dim.name} bounds [{dim.min}, {dim.max}]"
             )
 
-    def interval_mass(self, dim: Dimension, lo: float, hi: float,
-                      first: bool, last: bool) -> float:
-        overlap = min(hi, self.b) - max(lo, self.a)
-        return max(0.0, overlap) / (self.b - self.a)
+    def bin_masses(self, edges: np.ndarray) -> np.ndarray:
+        """The mass of each bin between consecutive edges: its overlap with
+        [a, b] over b - a."""
+        overlap = np.minimum(edges[1:], self.b) - np.maximum(edges[:-1], self.a)
+        return np.maximum(0.0, overlap) / (self.b - self.a)
 
 
 @dataclass(frozen=True)
@@ -180,11 +183,13 @@ class ClippedGaussian:
     def validate_for(self, dim: Dimension) -> None:
         pass  # any mu/sigma is legal; clipping handles the tails
 
-    def interval_mass(self, dim: Dimension, lo: float, hi: float,
-                      first: bool, last: bool) -> float:
-        zlo = -math.inf if first else (lo - self.mu) / self.sigma
-        zhi = math.inf if last else (hi - self.mu) / self.sigma
-        return norm_cdf(zhi) - norm_cdf(zlo)
+    def bin_masses(self, edges: np.ndarray) -> np.ndarray:
+        """The mass of each bin between consecutive edges: the difference of
+        norm_cdf at its two edges, the first and last edges taken as -inf
+        and +inf, so the end bins hold the clipped tails."""
+        z = ((edges - self.mu) / self.sigma).tolist()
+        z[0], z[-1] = -math.inf, math.inf
+        return np.diff([norm_cdf(v) for v in z])
 
 
 MarginalDistribution = Union[Uniform, ClippedGaussian]
@@ -275,15 +280,7 @@ class ConditionSet:
 
     def dim_masses(self, grid: PartitionGrid, d: int) -> np.ndarray:
         """Per-bin probability masses along dimension d (sums to 1)."""
-        dim = self.space.dims[d]
-        e = grid.edges(self.space, d)
-        nb = grid.bins[d]
-        m = self.marginals[d]
-        return np.array([
-            m.interval_mass(dim, float(e[i]), float(e[i + 1]),
-                            first=(i == 0), last=(i == nb - 1))
-            for i in range(nb)
-        ])
+        return self.marginals[d].bin_masses(grid.edges(self.space, d))
 
     def region_mass_vector(self, grid: PartitionGrid) -> np.ndarray:
         """Masses of all regions, raveled in C order. Sums to 1 analytically."""
@@ -293,52 +290,6 @@ class ConditionSet:
         for v in per_dim[1:]:
             out = np.multiply.outer(out, v)
         return out.reshape(-1)
-
-
-@dataclass(frozen=True)
-class DiscreteCondition:
-    """A finite explicit scenario -> probability table over the domain.
-
-    A prediction target on discrete-bounded domains: its region masses are
-    the sums of the table probabilities in each region. The table must cover
-    the whole support and sum to 1. Each scenario is a coordinate sequence;
-    ``scenarios`` holds them as tuples of floats.
-    """
-
-    name: str
-    space: DomainSpace
-    scenarios: tuple[tuple[float, ...], ...]
-    probabilities: tuple[float, ...]
-
-    def __post_init__(self):
-        xs = self.space.check_points(self.scenarios)
-        object.__setattr__(self, "scenarios", tuple(map(tuple, xs.tolist())))
-        if len(self.scenarios) != len(self.probabilities):
-            raise ConfigError(
-                f"condition {self.name!r}: {len(self.scenarios)} scenarios, "
-                f"{len(self.probabilities)} probabilities"
-            )
-        if not self.scenarios:
-            raise ConfigError(f"condition {self.name!r}: empty table")
-        for p in self.probabilities:
-            if p < 0:
-                raise ConfigError(f"condition {self.name!r}: negative probability {p}")
-        total = math.fsum(self.probabilities)
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError(
-                f"condition {self.name!r}: probabilities sum to {total!r}, not 1"
-            )
-
-    def region_mass_vector(self, grid: PartitionGrid) -> np.ndarray:
-        """Sum of table probabilities per region, raveled in C order."""
-        idx = partition_indices(grid, self.space, self.scenarios)
-        keys = np.ravel_multi_index(idx.T, grid.bins)
-        out = np.zeros(grid.n_regions)
-        np.add.at(out, keys, np.asarray(self.probabilities))
-        return out
-
-
-Condition = Union[ConditionSet, DiscreteCondition]
 
 
 # ---------------------------------------------------------------------------
@@ -604,52 +555,44 @@ def sample(cond: ConditionSet, n: int, seed: int) -> np.ndarray:
     seed): a Uniform(a, b) value is ``rng.uniform(a, b)`` and a
     ClippedGaussian one ``min(max(rng.normal(mu, sigma), lo), hi)`` of that
     row's generator. The substream states are computed for all indices at
-    once, from their entropy word columns (see _spawn_entropy). The leading
-    run of Uniform marginals is drawn for all rows at once from the stepped
-    states, as ``Generator.uniform`` computes it: a + (b - a) times the top
-    53 bits of the output over 2**53. From the first other marginal on, one
-    generator serves every row: the state bytes the leading draws left are
-    written into its state memory once per row, the same write as the
-    episode noise's (see SeededStreams), and it fills the row's standard
-    normals and unit uniforms, both 64-bit draws, with one call per run of
-    marginals of one kind. Then each column becomes mu + sigma·z, clipped
-    to the dimension bounds as min(max(g, lo), hi) is, or a + (b - a)·u. A
+    once, from their entropy word columns (see _spawn_entropy). The unit
+    draws of the leading run of Uniform marginals are made for all rows at
+    once from the stepped states, as ``Generator.random`` computes them:
+    the top 53 bits of the output over 2**53. From the first other marginal
+    on, one generator serves every row: the state bytes the leading draws
+    left are written into its state memory once per row, the same write as
+    the episode noise's (see SeededStreams), and it fills the row's
+    standard normals and unit uniforms, both 64-bit draws, into the same
+    array, with one call per run of marginals of one kind. Then each column
+    becomes mu + sigma·z, clipped to the dimension bounds as min(max(g,
+    lo), hi) is, or a + (b - a)·u, as ``Generator.uniform`` computes it. A
     negative seed, or an n outside [0, 2**32], raises ConfigError.
     """
-    if not isinstance(cond, ConditionSet):
-        raise ConfigError("sample() draws from product conditions only")
     state, inc = _pcg64_limbs(_spawn_entropy(seed, n))
-    pairs = tuple(zip(cond.marginals, cond.space.dims))
-    k = next((j for j, m in enumerate(cond.marginals)
-              if not isinstance(m, Uniform)), len(pairs))
-    xs = np.empty((n, len(pairs)))
-    for j, m in enumerate(cond.marginals[:k]):
+    uniform = [isinstance(m, Uniform) for m in cond.marginals]
+    k = uniform.index(False) if False in uniform else len(uniform)
+    raw = np.empty((n, len(uniform)))
+    for j in range(k):
         state = _mul_add(state, _PCG_MULT, inc)
-        a = float(m.a)
-        xs[:, j] = a + (float(m.b) - a) * (
-            (_xsl_rr(state) >> np.uint64(11)) * 2.0**-53)
-    if k == len(pairs):
-        return xs
+        raw[:, j] = (_xsl_rr(state) >> np.uint64(11)) * 2.0**-53
     # the rest of each row as runs of one kind of marginal: (columns, fill)
-    runs, start = [], 0
-    for uniform, same in itertools.groupby(
-            isinstance(m, Uniform) for m in cond.marginals[k:]):
+    runs, start = [], k
+    for is_uniform, same in itertools.groupby(uniform[k:]):
         stop = start + len(list(same))
-        runs.append((slice(start, stop), np.random.Generator.random if uniform
-                     else np.random.Generator.standard_normal))
+        runs.append((slice(start, stop), np.random.Generator.random
+                     if is_uniform else np.random.Generator.standard_normal))
         start = stop
-    raw = np.empty((n, len(pairs) - k))
-    for j, rng in SeededStreams(state, inc).each(range(n)):
-        for columns, fill in runs:
-            fill(rng, out=raw[j, columns])
-    for j, (m, d) in enumerate(pairs[k:], start=k):
-        z = raw[:, j - k]
+    if runs:
+        for j, rng in SeededStreams(state, inc).each(range(n)):
+            for columns, fill in runs:
+                fill(rng, out=raw[j, columns])
+    for j, (m, d) in enumerate(zip(cond.marginals, cond.space.dims)):
         if isinstance(m, Uniform):
             a = float(m.a)
-            xs[:, j] = a + (float(m.b) - a) * z
+            raw[:, j] = a + (float(m.b) - a) * raw[:, j]
         else:
-            g = float(m.mu) + float(m.sigma) * z
+            g = float(m.mu) + float(m.sigma) * raw[:, j]
             lo, hi = float(d.min), float(d.max)
             g = np.where(lo > g, lo, g)
-            xs[:, j] = np.where(hi < g, hi, g)
-    return xs
+            raw[:, j] = np.where(hi < g, hi, g)
+    return raw

@@ -13,9 +13,10 @@ policies.evaluate_policies), so no column holds it. Tallying reads only the
 first two columns. A Tally holds the integer outcome counts of one campaign
 as one array, one row per grid region in C order and one column per behavior
 mode. Prediction re-weights the per-region rates with the target condition's
-region mass vector: the predicted rates are sum_r w_r * p_r. Counts stay
-exact integers; division happens only at report time. With one scenario of a
-DiscreteCondition target per region, the prediction is its exact expectation.
+region mass vector: the predicted rates are sum_r w_r * p_r. A target is
+anything with a ``name``, a ``space`` and a ``region_mass_vector(grid)``, such
+as a ConditionSet. Counts stay exact integers; division happens only at
+report time.
 
 A prediction's report keeps its per-region table as columns, not as one
 object per region: the per-dimension bin edges, the weight vector and the
@@ -33,7 +34,8 @@ from enum import Enum
 
 import numpy as np
 
-from .domain import Condition, DomainSpace, PartitionGrid, partition_indices
+from .domain import (ConditionSet, DomainSpace, PartitionGrid,
+                     partition_indices)
 from .errors import (
     DataError,
     EmptyCampaign,
@@ -272,9 +274,11 @@ def observed_rates(campaign: TestCampaign) -> DependabilityReport:
     )
 
 
-def predict(tally: Tally, target: Condition, *,
+def predict(tally: Tally, target: ConditionSet, *,
             renormalize_empty: bool = False) -> DependabilityReport:
     """Predicted metrics under ``target``: sum of mass-weighted region rates.
+    The target is a ConditionSet, or anything else with a ``name``, a
+    ``space`` and a ``region_mass_vector(grid)``.
 
     Every region with positive target mass must contain test samples;
     otherwise EmptyPartition lists the uncovered regions. With

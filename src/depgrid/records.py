@@ -410,14 +410,20 @@ def write_records(path: str | Path, campaign: TestCampaign,
     once by a caller that writes several campaigns of one scenario set;
     they are computed when not given. Texts of another length than the
     campaign raise ConfigError, and no file is written."""
+    atomic_write_text(path, _record_text(campaign, texts))
+
+
+def _record_text(campaign: TestCampaign, texts: list[str] | None) -> str:
+    """The text of a campaign's record file, one _RECORD_LINE per row (see
+    write_records)."""
     if texts is None:
         texts = scenario_texts(campaign.scenarios)
     if len(texts) != len(campaign):
         raise ConfigError(f"{len(texts)} scenario texts for a campaign of "
                           f"{len(campaign)} records")
-    atomic_write_text(path, "".join(map(_RECORD_LINE.__mod__, zip(
+    return "".join(map(_RECORD_LINE.__mod__, zip(
         texts, _MODE_NAMES[campaign.modes].tolist(),
-        campaign.steps.tolist(), campaign.final_position.tolist()))))
+        campaign.steps.tolist(), campaign.final_position.tolist())))
 
 
 def _is_record(d) -> bool:
@@ -714,13 +720,14 @@ def read_report(path: str | Path) -> DependabilityReport:
 def write_campaign(path: str | Path, campaign: TestCampaign, env: EnvConfig,
                    params: ScriptedPolicyParams, safety: SafetyFunction | None,
                    texts: list[str] | None = None) -> Path:
-    """Write a campaign's records to path, then its manifest beside them, at
-    path with the suffix .manifest.json; returns the manifest's path. The
-    manifest replays the campaign bit for bit from the record file's
-    scenarios. It holds the env, params, safety function and master seed
-    the campaign ran, and names the record file by its bare file name, so
-    runs in different directories write the same bytes. ``texts`` are
-    passed on to write_records."""
+    """Write a campaign's records to path, as write_records does, and its
+    manifest beside them, at path with the suffix .manifest.json, in one
+    atomic_write_texts call, so a file that cannot be written leaves
+    neither; returns the manifest's path. The manifest replays the campaign
+    bit for bit from the record file's scenarios. It holds the env, params,
+    safety function and master seed the campaign ran, and names the record
+    file by its bare file name, so runs in different directories write the
+    same bytes. ``texts`` are the scenario texts write_records takes."""
     path = Path(path)
     manifest = {
         "condition": campaign.condition_name,
@@ -731,9 +738,9 @@ def write_campaign(path: str | Path, campaign: TestCampaign, env: EnvConfig,
         "n_records": len(campaign),
         "records_path": path.name,
     }
-    write_records(path, campaign, texts)
     manifest_path = path.with_suffix(".manifest.json")
-    atomic_write_text(manifest_path, dump_json(manifest))
+    atomic_write_texts([(path, _record_text(campaign, texts)),
+                        (manifest_path, dump_json(manifest))])
     return manifest_path
 
 

@@ -13,12 +13,13 @@ noise is redrawn at every observation from the episode's own generator,
 PCG64(seed).
 
 Two functions run episodes. ``run_episode`` steps one scenario (any (v, t, y)
-sequence) second by second, one policy act a second, into its TrialRecord;
-it is the reference. ``run_batch`` steps the rows of an (n, 3) scenario
-array in lockstep, in blocks of at most 4,096 episodes, once for each of
-its policies, and returns each policy's campaign as columns (see
-estimator.TestCampaign), whose rows equal ``run_episode``'s records: the
-same noise stream per seed, leading-edge formula, clip and collision test.
+sequence, checked by ``scenario_domain(cfg).check_points``) second by second,
+one policy act a second, into its TrialRecord; it is the reference.
+``run_batch`` steps the rows of an (n, 3) scenario array in lockstep, in
+blocks of at most 4,096 episodes, once for each of its policies, and returns
+each policy's campaign as columns (see estimator.TestCampaign), whose rows
+equal ``run_episode``'s records: the same scenario check, noise stream per
+seed, leading-edge formula, clip and collision test.
 A block runs in chunks of at most _CHUNK seconds, so its memory does not
 grow with the horizon. A chunk's sensor readings, made before its first
 second, are shared by the policies of the call; each second only moves the
@@ -34,7 +35,6 @@ PCG64(seed)'s stream.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -147,31 +147,12 @@ class Observation:
     goal_noisy: float
 
 
-def _scenario(cfg: EnvConfig, x) -> tuple[float, float, float]:
-    """tuple(scenario_domain(cfg).check_points([x])[0].tolist()) without
-    building the domain when x is three numbers inside its box, as every
-    scenario a campaign runs is: building it took 24 µs of a 160-µs 100-s
-    episode. Any other x, and an env whose track width overflows, which
-    the domain refuses, go to check_points for its error."""
-    try:
-        xs = np.asarray(x, dtype=float)
-    except (ValueError, TypeError):
-        xs = None
-    lo, hi = cfg.robot_bounds
-    if xs is not None and xs.shape == (3,) and math.isfinite(hi - lo):
-        v, t, y = point = tuple(xs.tolist())
-        if (OBSTACLE_SPEED_RANGE[0] <= v <= OBSTACLE_SPEED_RANGE[1]
-                and START_TIME_RANGE[0] <= t <= START_TIME_RANGE[1]
-                and lo <= y <= hi):
-            return point
-    return tuple(scenario_domain(cfg).check_points([x])[0].tolist())
-
-
 def run_episode(cfg: EnvConfig, policy, x: Sequence[float],
                 seed: int) -> TrialRecord:
     """Run one episode of scenario x, any (v, t, y) sequence, into its
-    TrialRecord, whose scenario is x as a tuple of floats; a scenario
-    outside the domain raises OutOfDomain.
+    TrialRecord, whose scenario is x as a tuple of floats. x is checked by
+    scenario_domain(cfg).check_points: a scenario outside the domain raises
+    OutOfDomain.
 
     The robot starts at the track bottom. At second k the policy observes
     the robot's position, the obstacle's leading edge, speed and the goal,
@@ -183,7 +164,7 @@ def run_episode(cfg: EnvConfig, policy, x: Sequence[float],
     progress; otherwise the episode succeeds if the robot ever reached or
     exceeded the goal height.
     """
-    x = _scenario(cfg, x)
+    x = tuple(scenario_domain(cfg).check_points([x])[0].tolist())
     v, t, y = x
     lo, hi = cfg.robot_bounds
     offset, width = cfg.obstacle_spawn_offset, cfg.obstacle_width

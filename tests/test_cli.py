@@ -939,6 +939,21 @@ class TestOutputPaths:
         assert not (tmp_path / "cmp.json").exists()
         assert set(tmp_path.rglob("*")) == before
 
+    def test_run_whose_manifest_cannot_be_written_leaves_no_records(
+            self, small_pipeline, tmp_path, capsys):
+        """A run whose manifest path is a directory exits 2 with one
+        stderr line naming it, and writes no record file either."""
+        (tmp_path / "r.manifest.json").mkdir()
+        capsys.readouterr()
+        assert run_cli("run", "--scenarios", str(small_pipeline["scen"]),
+                       "--condition", "testing",
+                       "--out", str(tmp_path / "r.jsonl")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"ConfigError: cannot write {tmp_path / 'r.manifest.json'}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r.jsonl").exists()
+
     @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
     def test_written_files_get_the_umask_mode(self, small_pipeline, tmp_path,
                                              umask):

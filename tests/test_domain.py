@@ -14,7 +14,6 @@ from depgrid import (
     ConditionSet,
     ConfigError,
     Dimension,
-    DiscreteCondition,
     DomainSpace,
     InvalidGrid,
     OutOfDomain,
@@ -26,7 +25,7 @@ from depgrid import (
     validate_grid,
 )
 from depgrid import presets
-from reference import in_region, region_mass
+from reference import Table, in_region, region_mass
 
 # Frozen standard-normal CDF values, computed with scipy.special.ndtr.
 PHI_MINUS_1 = 0.15865525393145707
@@ -160,8 +159,8 @@ class TestRegionMass:
         space = line_domain()
         grid = PartitionGrid((10,))
         # the domain minimum, an interior edge, just below it, the maximum
-        cond = DiscreteCondition("d", space, ((0.0,), (3.0,), (2.999,),
-                                              (10.0,)), (0.1, 0.2, 0.3, 0.4))
+        cond = Table("d", space, ((0.0,), (3.0,), (2.999,), (10.0,)),
+                     (0.1, 0.2, 0.3, 0.4))
         masses = [0.1, 0, 0.3, 0.2, 0, 0, 0, 0, 0, 0.4]
         assert [region_mass(cond, grid, (i,)) for i in range(10)] == masses
         assert cond.region_mass_vector(grid).tolist() == masses
@@ -218,6 +217,16 @@ def test_mass_normalization_property(cond_grid):
     m = cond.region_mass_vector(grid)
     assert float(m.min()) >= 0.0
     assert float(m.sum()) == pytest.approx(1.0, abs=1e-9)
+
+
+@given(random_condition())
+def test_random_condition_masses_match_the_oracle(cond_grid):
+    """Every region of a random condition, against the reference oracle's
+    scalar per-region mass."""
+    cond, grid = cond_grid
+    want = [region_mass(cond, grid, index) for index in np.ndindex(*grid.bins)]
+    assert cond.region_mass_vector(grid).tolist() == pytest.approx(
+        want, rel=0, abs=1e-14)
 
 
 @given(random_condition(), st.integers(0, 2**31 - 1))

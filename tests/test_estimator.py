@@ -15,7 +15,6 @@ from depgrid import (
     ConditionSet,
     DataError,
     Dimension,
-    DiscreteCondition,
     DomainSpace,
     EmptyCampaign,
     EmptyPartition,
@@ -37,7 +36,8 @@ from depgrid import presets
 from depgrid.domain import partition_indices
 from depgrid.records import read_records, read_report, write_report
 from conftest import campaign_of
-from reference import exact_rates, in_region, random_lattice, region_mass
+from reference import (Table, exact_rates, in_region, random_lattice,
+                       region_mass)
 
 
 def make_record(values, mode) -> TrialRecord:
@@ -210,7 +210,7 @@ class TestPredict:
                make_record([0.9], BehaviorMode.TASK_FAILURE)]
         )
         tallies = tally(make_campaign(records), grid, space)
-        target = DiscreteCondition(
+        target = Table(
             "shift", space,
             scenarios=((0.25,), (0.75,)),
             probabilities=(0.25, 0.75),
@@ -240,7 +240,7 @@ class TestPredict:
         for target in (
                 ConditionSet("tall", tall,
                              presets.condition("testing").marginals),
-                DiscreteCondition("tall", tall, ((5.0, 5.0, 20.0),), (1.0,))):
+                Table("tall", tall, ((5.0, 5.0, 20.0),), (1.0,))):
             with pytest.raises(InvalidGrid, match="another domain"):
                 predict(tallies, target, renormalize_empty=True)
 
@@ -294,7 +294,7 @@ class TestPredict:
         tallies = tally(make_campaign(records), grid, space)
         last_d = -1.0
         for p1 in np.linspace(0.0, 1.0, 21):
-            target = DiscreteCondition(
+            target = Table(
                 "m", space,
                 scenarios=((0.25,), (0.75,)),
                 probabilities=(float(1.0 - p1), float(p1)),
@@ -460,7 +460,7 @@ class TestBruteForce:
     def test_two_scenarios(self):
         space = self.line()
         a, b = (0.25,), (0.75,)
-        cond = DiscreteCondition("d", space, (a, b), (0.5, 0.5))
+        cond = Table("d", space, (a, b), (0.5, 0.5))
         assert self.both({a: BehaviorMode.SUCCESS,
                           b: BehaviorMode.HARMFUL_FAILURE},
                          cond) == ((0.5, 0.0, 0.5),) * 2
@@ -468,20 +468,10 @@ class TestBruteForce:
     def test_point_mass_dominates(self):
         space = self.line()
         a, b = (0.25,), (0.75,)
-        cond = DiscreteCondition("d", space, (a, b), (1.0, 0.0))
+        cond = Table("d", space, (a, b), (1.0, 0.0))
         assert self.both({a: BehaviorMode.TASK_FAILURE,
                           b: BehaviorMode.SUCCESS},
                          cond) == ((0.0, 1.0, 0.0),) * 2
-
-    def test_table_scenarios_are_tuples_of_floats(self):
-        cond = DiscreteCondition("d", self.line(), [[0], np.array([0.75])],
-                                 (0.5, 0.5))
-        assert cond.scenarios == ((0.0,), (0.75,))
-        assert all(type(v) is float for x in cond.scenarios for v in x)
-        assert exact_rates({(0.0,): BehaviorMode.SUCCESS,
-                            (0.75,): BehaviorMode.SUCCESS}, cond)[0] == 1.0
-        with pytest.raises(OutOfDomain):
-            DiscreteCondition("d", self.line(), ((0.5,), (1.5,)), (0.5, 0.5))
 
     def test_lattice_equivalence_with_predict(self, space):
         # one lattice cell per region: the partition estimator must agree

@@ -21,7 +21,6 @@ from depgrid import (
     DataError,
     DependabilityReport,
     Dimension,
-    DiscreteCondition,
     DomainSpace,
     EnvConfig,
     OutOfDomain,
@@ -40,7 +39,7 @@ from depgrid import (
 from depgrid import presets
 from depgrid.svgplots import failure_scatter_svg
 from conftest import campaign_of, old_format, old_format_text, seeded_format
-from reference import region_centers
+from reference import Table, region_centers
 from depgrid.records import (
     _MAX_COORDINATES,
     _as_json,
@@ -764,7 +763,7 @@ class TestReportFormat:
 
     def test_discrete_condition_target(self, tmp_path):
         space, grid = plane_space(), PartitionGrid((3, 4))
-        target = DiscreteCondition("table", space, (
+        target = Table("table", space, (
             (0.01, -1.5), (0.2, 4.9), (1.0 / 3.0, 5.0)), (0.25, 0.5, 0.25))
         report = predict(tally(random_campaign(space, 10, 5, centers_of=grid),
                                grid, space), target)
