@@ -10,7 +10,7 @@ from depgrid import ScriptedPolicy, presets, run_episode
 
 class Recording:
     """A policy that acts as ``inner`` does and keeps each second's
-    observation and action."""
+    observation and action: True for forward, False for backward."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -50,8 +50,9 @@ for time, (obs, action) in enumerate(policy.trace):
         note = "<- obstacle perceived as passed"
         passed_reported = True
     if time <= 8 or 20 <= time <= 34 or note:
+        step = "forward" if action else "backward"
         print(f"{time:>4} {obs.robot_pos:>6.1f} "
-              f"{edge:>8.2f} {action.value:>9}   {note}")
+              f"{edge:>8.2f} {step:>9}   {note}")
     elif time in (9, 35):
         print("  ...")
 
@@ -66,8 +67,9 @@ again = run_episode(env, ScriptedPolicy(presets.default_policy_params(), env),
                     x, seed)
 print(f"a fresh policy agrees: mode={again.mode.value}, steps={again.steps}")
 
-# a high goal latches the impatient branch and ends in a collision
+# a high goal latches the impatient branch and ends in a collision; its
+# second is the record's steps, the episode's last
 risky = run_episode(env, ScriptedPolicy(presets.default_policy_params(), env),
                     (4.0, 2.0, 48.0), seed)
 print(f"goal 48 instead: mode={risky.mode.value}, "
-      f"collision at t={risky.collision_time}")
+      f"collision at t={risky.steps}")

@@ -40,7 +40,7 @@ plain, shielded = evaluate_policies(
 
 
 def count(campaign, mode):
-    return sum(1 for r in campaign.records if r.mode is mode)
+    return int((campaign.modes == mode.code).sum())
 
 
 for label, campaign in (("without governor", plain),
@@ -53,11 +53,8 @@ for label, campaign in (("without governor", plain),
 
 # many collisions become successes: the governed policy waits the obstacle
 # out and then climbs high enough to satisfy the true goal anyway
-converted = sum(
-    1 for a, b in zip(plain.records, shielded.records)
-    if a.mode is BehaviorMode.HARMFUL_FAILURE
-    and b.mode is BehaviorMode.SUCCESS
-)
+converted = int(((plain.modes == BehaviorMode.HARMFUL_FAILURE.code)
+                 & (shielded.modes == BehaviorMode.SUCCESS.code)).sum())
 print(f"collisions converted to successes on the same seeds: {converted}")
 
 OUT.mkdir(exist_ok=True)

@@ -52,7 +52,6 @@ from .policies import (
 )
 from .safety import GoalClippedPolicy, SafetyFunction, wrap
 from .simulator import (
-    Action,
     EnvConfig,
     Observation,
     run_batch,

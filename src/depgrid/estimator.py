@@ -84,12 +84,6 @@ class TrialRecord:
         except ValueError:
             raise DataError(f"unknown behavior mode {self.mode!r}") from None
 
-    @property
-    def collision_time(self) -> float | None:
-        """A harmful failure's steps as a float, None for the other modes."""
-        harmful = self.mode is BehaviorMode.HARMFUL_FAILURE
-        return float(self.steps) if harmful else None
-
 
 def _fields_equal(a, b) -> bool:
     """Equality of two dataclasses of one type, array fields by value."""
@@ -108,8 +102,8 @@ class TestCampaign:
     ``substream_seed(master_seed, i)``. A row without a known mode and
     steps >= 0 (>= 1 if harmful) raises DataError.
 
-    ``records`` are the rows as TrialRecords, built on first use for tests
-    and demos; the library reads only the columns.
+    ``records`` are the rows as TrialRecords, built on first use for the
+    tests and the benchmark's checks; the library reads only the columns.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -152,10 +146,9 @@ class DependabilityReport:
     """Dependability plus the two undependabilities under one condition.
 
     The three metrics sum to 1 (the modes are exhaustive and mutually
-    exclusive). The only exception is a renormalized report whose covered
-    mass was zero: it is vacuous, carries dropped_mass = 1, and all metrics
-    are zero. A report is renormalized exactly when it dropped regions; only
-    then may its dropped_mass, in [0, 1], be other than 0.
+    exclusive), with no exception. A report is ``renormalized`` exactly when
+    it dropped regions; only then may its dropped_mass, in [0, 1], be other
+    than 0.
 
     A prediction also carries its per-region table as columns: ``edges``
     holds each dimension's bin edges, ``weights`` the target weight of every
@@ -173,7 +166,6 @@ class DependabilityReport:
     weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
     counts: np.ndarray = field(
         default_factory=lambda: np.zeros((0, len(_MODE_ORDER)), dtype=np.int64))
-    renormalized: bool = False
     dropped_mass: float = 0.0
     dropped_regions: np.ndarray = field(
         default_factory=lambda: np.zeros(0, dtype=np.int64))
@@ -188,17 +180,17 @@ class DependabilityReport:
         for name, v in self.metrics().items():
             if not (-SUM_RULE_TOL <= v <= 1.0 + SUM_RULE_TOL):
                 raise DataError(f"{name} = {v} outside [0, 1]")
-        if self.renormalized != bool(self.dropped_regions.size):
-            raise DataError(f"renormalized is {self.renormalized}, but "
-                            f"{self.dropped_regions.size} regions were dropped")
         top = 1.0 if self.renormalized else 0.0
         if not 0.0 <= self.dropped_mass <= top:  # false for NaN too
             raise DataError(f"dropped_mass = {self.dropped_mass} outside "
                             f"[0, {top}]")
-        vacuous = self.dropped_mass == 1.0 and not any(self.metrics().values())
         total = sum(self.metrics().values())
-        if not vacuous and abs(total - 1.0) > SUM_RULE_TOL:
+        if abs(total - 1.0) > SUM_RULE_TOL:
             raise DataError(f"metrics sum to {total!r}, violating the sum rule")
+
+    @property
+    def renormalized(self) -> bool:
+        return bool(self.dropped_regions.size)
 
     def metrics(self) -> dict[str, float]:
         return {
@@ -283,7 +275,9 @@ def predict(tally: Tally, target: ConditionSet, *,
     Every region with positive target mass must contain test samples;
     otherwise EmptyPartition lists the uncovered regions. With
     ``renormalize_empty`` those regions are dropped instead, the remaining
-    masses are renormalized, and the report records the deviation. Masses are
+    masses are renormalized, and the report records the deviation; if no
+    covered region has positive mass, EmptyPartition is raised all the
+    same, as there is nothing left to renormalize. Masses are
     normalized by their computed sum (analytically 1) so the three metrics
     obey the sum rule to floating precision. A target over another domain
     space than the tally's raises InvalidGrid.
@@ -293,36 +287,28 @@ def predict(tally: Tally, target: ConditionSet, *,
                           f"the tally: {target.space.dims} vs {tally.space.dims}")
     grid = tally.grid
     masses = target.region_mass_vector(grid)
-    if np.any(masses < 0):
-        raise DataError("negative region mass")
+    if np.any(masses < 0) or not masses.any():
+        raise DataError("region masses must be >= 0 and not all zero")
     n = tally.counts.sum(axis=1)
     uncovered = (masses > 0) & (n == 0)
 
     dropped_mass = 0.0
     dropped = np.flatnonzero(uncovered)
     if dropped.size:
-        if not renormalize_empty:
+        if not (renormalize_empty and masses[~uncovered].any()):
             raise EmptyPartition(
                 zip(*np.array(np.unravel_index(dropped, grid.bins)).tolist()))
         dropped_mass = float(masses[uncovered].sum()) / float(masses.sum())
         masses = np.where(uncovered, 0.0, masses)
 
-    total = float(masses.sum())
-    if total == 0.0:
-        # Degenerate renormalization: the target has no mass over covered
-        # regions. The report is vacuous and says so via dropped_mass = 1.
-        weights = np.zeros(grid.n_regions)
-        d = ut = uh = 0.0
-        dropped_mass = 1.0
-    else:
-        weights = masses / total
-        # Only regions of non-zero weight are summed: every such region holds
-        # records, and an exact zero term never changes an exact sum. The
-        # sums are correctly rounded, so the metrics do not depend on how
-        # many threads or which kernel a BLAS dot product would use.
-        held = np.flatnonzero(weights)
-        terms = weights[held, None] * (tally.counts[held] / n[held, None])
-        d, ut, uh = (math.fsum(terms[:, j].tolist()) for j in range(3))
+    weights = masses / float(masses.sum())
+    # Only regions of non-zero weight are summed: every such region holds
+    # records, and an exact zero term never changes an exact sum. The sums
+    # are correctly rounded, so the metrics do not depend on how many
+    # threads or which kernel a BLAS dot product would use.
+    held = np.flatnonzero(weights)
+    terms = weights[held, None] * (tally.counts[held] / n[held, None])
+    d, ut, uh = (math.fsum(terms[:, j].tolist()) for j in range(3))
 
     return DependabilityReport(
         condition_name=target.name,
@@ -333,7 +319,6 @@ def predict(tally: Tally, target: ConditionSet, *,
                     for k in range(len(grid.bins))),
         weights=weights,
         counts=tally.counts,
-        renormalized=bool(dropped.size),
         dropped_mass=dropped_mass,
         dropped_regions=dropped,
     )

@@ -8,15 +8,16 @@ straight into the obstacle's path).
 
 Each policy has two forms. The scalar form (``reset``/``act``) drives one
 episode through ``simulator.run_episode``, the reference, which resets it
-once and then asks one action a second until a collision or the horizon.
-The batch form (``batch(n)``) returns a controller that keeps the
-per-episode state of n episodes as arrays and maps a batch observation to
-a forward mask. ``evaluate_policies`` runs several policies on the same
+once and then asks one action a second until a collision or the horizon:
+True for forward, False for backward. The batch form (``batch(n)``) returns
+a controller that keeps the per-episode state of n episodes as arrays, maps
+a batch observation to a forward mask and names the episodes it has settled
+(see BatchPolicy). ``evaluate_policies`` runs several policies on the same
 scenarios and episode seeds, such as a policy with and without the safety
 governor, through their batch forms with one ``simulator.run_batch`` call,
 so they share each block's noise. It returns one campaign per policy, as
-columns (estimator.TestCampaign), one entry per scenario, that is per row
-of the (n, 3) scenario array. ``evaluate_policy`` is its one-policy case.
+columns (estimator.TestCampaign), one entry per scenario, that is per row of
+the (n, 3) scenario array. ``evaluate_policy`` is its one-policy case.
 """
 
 from __future__ import annotations
@@ -29,15 +30,16 @@ import numpy as np
 from .domain import substream_seeds
 from .errors import ConfigError, check_finite
 from .estimator import TestCampaign
-from .simulator import Action, EnvConfig, Observation, run_batch
+from .simulator import EnvConfig, Observation, run_batch
 
 
 class Policy(Protocol):
-    """Per-episode controller: reset once, then one action per observation."""
+    """Per-episode controller: reset once, then one action per observation,
+    True for forward and False for backward."""
 
     def reset(self) -> None: ...
 
-    def act(self, obs: Observation) -> Action: ...
+    def act(self, obs: Observation) -> bool: ...
 
 
 class BatchPolicy(Protocol):
@@ -46,16 +48,17 @@ class BatchPolicy(Protocol):
     per episode) and returns a bool array: True for forward, False for
     backward. Entries of episodes that have ended are ignored.
 
-    A controller may also offer ``settled()``, asked only after its first
-    ``act``: a bool array, True for each episode whose every later action
-    is forward whatever it observes, even NaN or infinite readings. Once an
-    entry is True it stays True. ``simulator.run_batch`` asks it at every
-    chunk boundary, draws no more noise for an episode settled in every
-    controller of its call, and hands such an episode zero noise from then
-    on; a controller without ``settled()`` has every second of every
-    episode drawn."""
+    ``settled()``, asked only after the first ``act``, returns a bool array:
+    True for each episode whose every later action is forward whatever it
+    observes, even NaN or infinite readings. Once an entry is True it stays
+    True; a controller that never commits returns all False.
+    ``simulator.run_batch`` asks it at every chunk boundary, draws no more
+    noise for an episode settled in every controller of its call, and hands
+    such an episode zero noise from then on."""
 
     def act(self, obs: Observation) -> np.ndarray: ...
+
+    def settled(self) -> np.ndarray: ...
 
 
 PolicyFactory = Callable[[], Policy]
@@ -121,21 +124,18 @@ class ScriptedPolicy:
     def latched_goal(self) -> float | None:
         return self._goal
 
-    def act(self, obs: Observation) -> Action:
+    def act(self, obs: Observation) -> bool:
         p = self.params
         if self._goal is None:
             self._goal = obs.goal_noisy
         if self._goal >= p.risk_goal_threshold:
-            return Action.FORWARD
+            return True
         if not self._passed:
             trailing = obs.obstacle_pos_noisy + self.env.obstacle_width
             if trailing < -p.passed_margin:
                 self._passed = True
-        if self._passed:
-            return Action.FORWARD
-        if obs.robot_pos + self.env.step_inches <= p.safe_ceiling:
-            return Action.FORWARD
-        return Action.BACKWARD
+        return (self._passed
+                or obs.robot_pos + self.env.step_inches <= p.safe_ceiling)
 
     def batch(self, n: int) -> "ScriptedBatch":
         return ScriptedBatch(self.params, self.env, n)

@@ -18,9 +18,10 @@ and read_scenarios returns the checked array.
 A record file has one JSON line per record: its scenario, mode, steps and
 final position. The episode's seed is not written: it is derived from the
 master seed in the campaign's manifest. write_records fills a campaign's
-columns into one line template, _RECORD_LINE: the scenario texts, given by
-the caller or formatted as above, the mode names looked up by code, and the
-other columns whole. So a scenario set that several campaigns ran is
+columns into one line template, _RECORD_LINE: the scenario texts formatted
+as above, the mode names looked up by code, and the other columns whole.
+write_campaign fills the same template, and takes the scenario texts from a
+caller that writes several campaigns of one scenario set, so the set is
 formatted once. read_records has two readers that give the same campaign. A
 file as write_records writes it, lines of the template's grammar and nothing
 else, with the first line's coordinate count d on every line and d at most
@@ -45,7 +46,8 @@ each, every list the text json.dumps writes for it. The mass and count
 lists are written with each distinct value formatted once. read_report
 checks the JSON type, length and range of each column before numpy
 converts it, and refuses any file of another format_version, so there is
-one reader.
+one reader. It also refuses a report whose metrics do not sum to 1 or whose
+renormalized flag disagrees with its dropped regions.
 
 A campaign's files, written by write_campaign, are its record file and a
 manifest beside it, a JSON object that holds the env, policy params, safety
@@ -402,20 +404,18 @@ _MODE_CODES = {m.value: m.code for m in _MODE_ORDER}
 _MODE_NAMES = np.array([m.value for m in _MODE_ORDER], dtype=object)
 
 
-def write_records(path: str | Path, campaign: TestCampaign,
-                  texts: list[str] | None = None) -> None:
-    """Write the record file of a campaign, one _RECORD_LINE per row.
-
-    ``texts`` are the scenario_texts of the campaign's scenarios, formatted
-    once by a caller that writes several campaigns of one scenario set;
-    they are computed when not given. Texts of another length than the
-    campaign raise ConfigError, and no file is written."""
-    atomic_write_text(path, _record_text(campaign, texts))
+def write_records(path: str | Path, campaign: TestCampaign) -> None:
+    """Write the record file of a campaign, one _RECORD_LINE per row."""
+    atomic_write_text(path, _record_text(campaign, None))
 
 
 def _record_text(campaign: TestCampaign, texts: list[str] | None) -> str:
-    """The text of a campaign's record file, one _RECORD_LINE per row (see
-    write_records)."""
+    """The text of a campaign's record file, one _RECORD_LINE per row.
+
+    ``texts`` are the scenario_texts of the campaign's scenarios, formatted
+    once by a caller that writes several campaigns of one scenario set;
+    they are computed when None. Texts of another length than the campaign
+    raise ConfigError."""
     if texts is None:
         texts = scenario_texts(campaign.scenarios)
     if len(texts) != len(campaign):
@@ -428,8 +428,8 @@ def _record_text(campaign: TestCampaign, texts: list[str] | None) -> str:
 
 def _is_record(d) -> bool:
     """Whether a parsed line has a record's fields with their JSON types and
-    a finite final_position; other keys, such as the seed and
-    collision_time of older files, are ignored."""
+    a finite final_position; other keys, such as the seed and collision
+    time that older files held, are ignored."""
     return (type(d) is dict and type(d.get("mode")) is str
             and d["mode"] in _MODE_CODES and "scenario" in d
             and type(d.get("steps")) is int
@@ -503,17 +503,17 @@ def _campaign_from_template(text: str) -> TestCampaign | None:
     ended by "\n" but perhaps the last, and the columns pass the checks of
     _campaign_from_dicts and TestCampaign; otherwise None. Never raises. d
     is the number of commas before the text's first "]", plus one: the
-    coordinate count of the first line's scenario, if that line is a
-    record. A text with no "]", or with more than _MAX_COORDINATES
-    coordinates, is refused before any grammar is compiled. One split of
-    the whole text gives each line's coordinate tokens and its tail. Each
-    line is given the number of the first line of its tail, and one
-    _TAIL.split of the distinct tails gives their mode, steps and
-    final_position tokens, whose columns are gathered back to one row per
-    line. Every token is converted with float() and int(), as json does, so
-    tails that differ in text, such as a final_position of 0.0 and of -0.0,
-    keep their own values. The columns are checked whole rather than line
-    by line."""
+    coordinate count of the first line's scenario, if that line is a record.
+    A text with no "]", or with more than _MAX_COORDINATES coordinates, is
+    refused before any grammar is compiled. One split of the whole text
+    gives each line's coordinate tokens and its tail. Each distinct tail is
+    numbered once, in the order of its first line, and one _TAIL.split of
+    the distinct tails gives their mode, steps and final_position tokens,
+    whose columns are gathered back to one row per line by each line's tail
+    number. Every token is converted with float() and int(), as json does,
+    so tails that differ in text, such as a final_position of 0.0 and of
+    -0.0, keep their own values. The columns are checked whole rather than
+    line by line."""
     close = text.find("]")
     d = text.count(",", 0, close) + 1 if close >= 0 else 0
     if not 1 <= d <= _MAX_COORDINATES:
@@ -526,14 +526,13 @@ def _campaign_from_template(text: str) -> TestCampaign | None:
     tails = parts[stride::stride]
     if not text.endswith("\n"):
         tails[-1] += "\n"
-    first = {}   # each distinct tail, and the number of its first line
-    line = np.fromiter(map(first.setdefault, tails, range(n)), np.intp, n)
-    fields = _TAIL.split("{".join(first))
-    m = len(first)
+    # each distinct tail, numbered in the order of its first line
+    index = dict(zip(dict.fromkeys(tails), range(n)))
+    fields = _TAIL.split("{".join(index))
+    m = len(index)
     if fields[::4] != ["", *["{"] * (m - 1), ""]:
         return None
-    # each line's tail by its place in first: first lines sort in that order
-    row = np.unique(line, return_inverse=True)[1]
+    row = np.fromiter(map(index.__getitem__, tails), np.intp, n)
     scenarios = np.empty((n, d))
     for j in range(d):
         scenarios[:, j] = np.fromiter(map(float, parts[1 + j::stride]), float, n)
@@ -555,19 +554,19 @@ def read_records(path: str | Path) -> TestCampaign:
 
     A file as write_records writes it, with or without its final newline,
     whose lines all have the first line's coordinate count d, 1 <= d <=
-    _MAX_COORDINATES, is split by one regular expression, _record_grammar(d),
-    into each line's coordinate tokens and its tail token, the rest of the
-    line from "mode" on; its columns come straight from the coordinate
-    tokens and from each distinct tail, checked and converted once (unless
-    its steps have 16 digits or more). Any other file (blank lines,
-    CRLF endings, other spacing, key order or keys, such as the seed and
-    collision_time of older files, which are ignored, integer coordinates,
-    escaped strings, scenarios of no coordinates, of more than the cap or
-    of another count than the first line's, or a bad record) goes to the
-    reference reader: each line is parsed on its own with json.loads, then
-    the columns are built and checked together. So every error comes from
-    the reference reader, and names the file and the line of the first bad
-    record."""
+    _MAX_COORDINATES, is split by one regular expression,
+    _record_grammar(d), into each line's coordinate tokens and its tail
+    token, the rest of the line from "mode" on; its columns come straight
+    from the coordinate tokens and from each distinct tail, checked and
+    converted once (unless its steps have 16 digits or more). Any other file
+    (blank lines, CRLF endings, other spacing, key order or keys, such as
+    the seed and collision time that older files held, which are ignored,
+    integer coordinates, escaped strings, scenarios of no coordinates, of
+    more than the cap or of another count than the first line's, or a bad
+    record) goes to the reference reader: each line is parsed on its own
+    with json.loads, then the columns are built and checked together. So
+    every error comes from the reference reader, and names the file and the
+    line of the first bad record."""
     text = _read_text(path)
     campaign = _campaign_from_template(text)
     if campaign is None:
@@ -593,7 +592,8 @@ def read_records(path: str | Path) -> TestCampaign:
 # json.dumps(column.tolist()) would write, but each distinct value of the
 # column is formatted once and its text gathered into every entry that holds
 # it (see _json_list): a fine grid has tens of thousands of regions and
-# only a few dozen distinct masses and counts.
+# only a few dozen distinct masses and counts. "renormalized" is written
+# for the file's readers; the report derives it from dropped_regions.
 
 FORMAT_VERSION = 2
 _COUNT_KEYS = ("n_success", "n_task_fail", "n_harmful")
@@ -688,6 +688,9 @@ def report_from_dict(doc) -> DependabilityReport:
                              and (np.diff(dropped) > 0).all()):
         raise DataError(f"dropped_regions must be distinct region numbers in "
                         f"[0, {n}), in increasing order")
+    if doc["renormalized"] != bool(dropped.size):
+        raise DataError(f"renormalized is {doc['renormalized']}, but "
+                        f"{dropped.size} regions were dropped")
     return DependabilityReport(
         condition_name=doc["condition"],
         dependability=float(doc["dependability"]),
@@ -696,7 +699,6 @@ def report_from_dict(doc) -> DependabilityReport:
         edges=edges,
         weights=weights,
         counts=counts,
-        renormalized=doc["renormalized"],
         dropped_mass=float(doc["dropped_mass"]),
         dropped_regions=dropped,
     )
@@ -727,7 +729,8 @@ def write_campaign(path: str | Path, campaign: TestCampaign, env: EnvConfig,
     bit for bit from the record file's scenarios. It holds the env, params,
     safety function and master seed the campaign ran, and names the record
     file by its bare file name, so runs in different directories write the
-    same bytes. ``texts`` are the scenario texts write_records takes."""
+    same bytes. ``texts`` are the campaign's scenario_texts or None, as
+    _record_text takes them; texts of the wrong length write no file."""
     path = Path(path)
     manifest = {
         "condition": campaign.condition_name,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, check_finite
 from .policies import BatchPolicy, Policy
-from .simulator import Action, EnvConfig, Observation, batch_form
+from .simulator import EnvConfig, Observation, batch_form
 
 DEFAULT_DELTA = 0.5
 
@@ -58,7 +58,7 @@ class GoalClippedPolicy:
     def reset(self) -> None:
         self.inner.reset()
 
-    def act(self, obs: Observation) -> Action:
+    def act(self, obs: Observation) -> bool:
         clipped = min(max(obs.goal_noisy, 0.0), self.sf.goal_clip_max)
         return self.inner.act(Observation(
             obstacle_pos_noisy=obs.obstacle_pos_noisy,
@@ -73,16 +73,14 @@ class GoalClippedPolicy:
 
 class GoalClippedBatch:
     """Batch form of GoalClippedPolicy: clips the goal column of a batch
-    observation and hands it to the inner policy's batch controller. It
-    offers the inner controller's ``settled()`` (see BatchPolicy) when the
-    inner controller has one: an episode that the inner controller moves
-    forward whatever it observes goes forward whatever its clipped goal."""
+    observation and hands it to the inner policy's batch controller. Its
+    ``settled()`` (see BatchPolicy) is the inner controller's: an episode
+    that the inner controller moves forward whatever it observes goes
+    forward whatever its clipped goal."""
 
     def __init__(self, inner: BatchPolicy, goal_clip_max: float):
         self.inner = inner
         self.goal_clip_max = goal_clip_max
-        if hasattr(inner, "settled"):
-            self.settled = inner.settled
 
     def act(self, obs: Observation) -> np.ndarray:
         clipped = np.minimum(np.maximum(obs.goal_noisy, 0.0), self.goal_clip_max)
@@ -92,6 +90,9 @@ class GoalClippedBatch:
             obstacle_speed_noisy=obs.obstacle_speed_noisy,
             goal_noisy=clipped,
         ))
+
+    def settled(self) -> np.ndarray:
+        return self.inner.settled()
 
 
 def wrap(policy: Policy, sf: SafetyFunction) -> GoalClippedPolicy:

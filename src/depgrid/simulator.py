@@ -14,7 +14,8 @@ PCG64(seed).
 
 Two functions run episodes. ``run_episode`` steps one scenario (any (v, t, y)
 sequence, checked by ``scenario_domain(cfg).check_points``) second by second,
-one policy act a second, into its TrialRecord; it is the reference.
+one policy act a second, into its TrialRecord; it is the reference. An act
+returns True for a step forward and False for one backward, in both forms.
 ``run_batch`` steps the rows of an (n, 3) scenario array in lockstep, in
 blocks of at most 4,096 episodes, once for each of its policies, and returns
 each policy's campaign as columns (see estimator.TestCampaign), whose rows
@@ -23,11 +24,11 @@ seed, leading-edge formula, clip and collision test.
 A block runs in chunks of at most _CHUNK seconds, so its memory does not
 grow with the horizon. A chunk's sensor readings, made before its first
 second, are shared by the policies of the call; each second only moves the
-robots, and collisions and outcomes are read from the robots' path after
-the chunk's last second. The first chunk's noise is drawn for every
-episode, and each later chunk's only for the episodes that some controller
-may still read: a controller's ``settled()`` (see policies.BatchPolicy),
-asked at every chunk boundary, names the episodes whose every later action
+robots, and collisions and outcomes are read from the robots' path after the
+chunk's last second. The first chunk's noise is drawn for every episode, and
+each later chunk's only for the episodes that some controller may still
+read: every controller has a ``settled()`` (see policies.BatchPolicy), asked
+at every chunk boundary, which names the episodes whose every later action
 is forward whatever they observe, and each other episode's stream resumes
 where the last chunk left it. So every episode still reads a prefix of
 PCG64(seed)'s stream.
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
@@ -84,11 +84,6 @@ MAX_EPISODE_SECONDS = 3600
 # robot track bounds in EnvConfig.
 OBSTACLE_SPEED_RANGE = (0.0, 10.0)   # inches/second
 START_TIME_RANGE = (0.0, 10.0)       # seconds
-
-
-class Action(Enum):
-    FORWARD = "forward"
-    BACKWARD = "backward"
 
 
 @dataclass(frozen=True)
@@ -158,7 +153,8 @@ def run_episode(cfg: EnvConfig, policy, x: Sequence[float],
     the robot's position, the obstacle's leading edge, speed and the goal,
     the last three with noise from row k of PCG64(seed)'s standard normals,
     drawn up front as an (episode_seconds, 3) block. The robot then moves
-    one step, clipped to the track, and the obstacle moves on. A robot at
+    one step, forward if the policy's act returns True and backward if
+    False, clipped to the track, and the obstacle moves on. A robot at
     or above the danger height while the obstacle occupies its column
     collides, which ends the episode as a harmful failure whatever its goal
     progress; otherwise the episode succeeds if the robot ever reached or
@@ -181,7 +177,7 @@ def run_episode(cfg: EnvConfig, policy, x: Sequence[float],
         # positional: a frozen dataclass takes keywords at twice the cost
         obs = Observation(edge + sigma_edge * e_edge, position,
                           v + sigma_speed * e_speed, y + sigma_goal * e_goal)
-        if policy.act(obs) is Action.FORWARD:
+        if policy.act(obs):
             position += stride
         else:
             position -= stride
@@ -232,13 +228,12 @@ def run_batch(cfg: EnvConfig, policies: Sequence, scenarios: np.ndarray,
     noise. The draw comes in chunks of at most _CHUNK seconds: the first
     chunk for every episode, each later one only for the episodes not yet
     settled in every controller (see policies.BatchPolicy), each stream
-    resumed where its last draw left it; the other episodes read zero
-    noise, on which no controller acts. A controller without ``settled()``
-    has every second drawn. A block's memory is one chunk's noise and one
-    chunk's path per policy, whatever the horizon. A policy without a batch
-    form raises ConfigError. Every scenario is checked against the domain
-    before any episode runs; OutOfDomain's row is the first outside. The
-    campaigns have no condition name and master seed 0.
+    resumed where its last draw left it; the other episodes read zero noise,
+    on which no controller acts. A block's memory is one chunk's noise and
+    one chunk's path per policy, whatever the horizon. A policy without a
+    batch form raises ConfigError. Every scenario is checked against the
+    domain before any episode runs; OutOfDomain's row is the first outside.
+    The campaigns have no condition name and master seed 0.
     """
     if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
         values = [operator.index(s) for s in seeds]
@@ -276,17 +271,13 @@ def _noise(streams: SeededStreams, rows: Iterable[int],
     return noise
 
 
-def _read_rows(controllers, n: int) -> Iterable[int]:
-    """The episodes that some controller may still read: every one if a
-    controller has no ``settled()``, else those not settled in all of them
-    (see policies.BatchPolicy). Ask only after every controller's first
-    act."""
+def _read_rows(controllers, n: int) -> list[int]:
+    """The episodes that some controller may still read: those not settled
+    in all of them (see policies.BatchPolicy). Ask only after every
+    controller's first act."""
     read = np.zeros(n, dtype=bool)
     for controller in controllers:
-        settled = getattr(controller, "settled", None)
-        if settled is None:
-            return range(n)
-        read |= ~settled()
+        read |= ~controller.settled()
     return np.flatnonzero(read).tolist()
 
 

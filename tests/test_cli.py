@@ -170,15 +170,37 @@ class TestRunObservePredict:
         assert run_cli("run", "--scenarios", str(scen), "--seed", "7",
                        "--out", str(rec)) == 0
         out = tmp_path / "pred.json"
-        code = run_cli("predict", "--records", str(rec), "--condition", "oc2",
-                       "--grid", "10,10,10", "--out", str(out))
-        assert code == 4
+        predict = ("predict", "--records", str(rec), "--grid", "10,10,10",
+                   "--out", str(out))
+        assert run_cli(*predict, "--condition", "oc2") == 4
         assert "no test samples" in capsys.readouterr().err
-        assert run_cli("predict", "--records", str(rec), "--condition", "oc2",
-                       "--grid", "10,10,10", "--renormalize-empty",
-                       "--out", str(out)) == 0
+        # no covered region has oc2 mass: nothing is left to renormalize
+        assert run_cli(*predict, "--condition", "oc2",
+                       "--renormalize-empty") == 4
+        err = capsys.readouterr().err
+        assert "no test samples" in err and "Traceback" not in err
+        assert not out.exists()
+        # the testing condition keeps the covered half of its mass
+        assert run_cli(*predict, "--condition", "testing",
+                       "--renormalize-empty") == 0
         report = read_report(out)
-        assert report.renormalized and report.dropped_mass == 1.0
+        assert report.renormalized and 0.5 <= report.dropped_mass < 1.0
+
+    def test_renormalize_empty_over_an_empty_record_file_exits_4(
+            self, tmp_path, capsys):
+        """An empty record file covers none of the target's mass, so even
+        --renormalize-empty has no prediction to make: exit 4, one error
+        line and no report."""
+        rec = tmp_path / "empty.jsonl"
+        rec.write_text("")
+        out = tmp_path / "pred.json"
+        assert run_cli("predict", "--records", str(rec), "--condition",
+                       "testing", "--grid", "1,1,1", "--renormalize-empty",
+                       "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("EmptyPartition: 1 region(s)")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_predict_report_bytes_do_not_depend_on_blas_threads(
             self, tmp_path):

@@ -5,6 +5,7 @@ import json
 import math
 import operator
 from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -244,6 +245,19 @@ class TestPredict:
             with pytest.raises(InvalidGrid, match="another domain"):
                 predict(tallies, target, renormalize_empty=True)
 
+    @pytest.mark.parametrize("mass", [0.0, -0.5])
+    def test_target_masses_must_be_non_negative_and_not_all_zero(
+            self, space, grid, mass):
+        tallies = tally(synthetic_campaign(2000, (0.8, 0.1), space), grid,
+                        space)
+        masses = np.zeros(grid.n_regions)
+        masses[0] = mass
+        target = SimpleNamespace(name="bad", space=space,
+                                 region_mass_vector=lambda g: masses)
+        for flag in (False, True):
+            with pytest.raises(DataError, match="region masses"):
+                predict(tallies, target, renormalize_empty=flag)
+
     def test_renormalize_flagging(self, space, grid):
         # cover y bins 0..7 only; oc2 has mass on bins 6..9
         partial = ConditionSet("partial", space, (
@@ -266,10 +280,14 @@ class TestPredict:
         xs = sample(low_y, 500, 23)
         records = [make_record(x, BehaviorMode.SUCCESS) for x in xs]
         tallies = tally(make_campaign(records), grid, space)
-        r = predict(tallies, presets.condition("oc2"), renormalize_empty=True)
-        assert r.renormalized and r.dropped_mass == 1.0
-        assert (r.dependability, r.task_undependability,
-                r.harmful_undependability) == (0.0, 0.0, 0.0)
+        # no covered region has oc2 mass, so nothing is left to renormalize:
+        # the flag raises as its absence does, naming the same regions
+        with pytest.raises(EmptyPartition) as plain:
+            predict(tallies, presets.condition("oc2"))
+        with pytest.raises(EmptyPartition) as flagged:
+            predict(tallies, presets.condition("oc2"), renormalize_empty=True)
+        assert flagged.value.regions == plain.value.regions
+        assert all(idx[2] >= 6 for idx in flagged.value.regions)
 
     def test_sum_rule_to_1e12(self, space):
         grid = PartitionGrid((5, 5, 5))
@@ -537,12 +555,4 @@ class TestRecordInvariants:
                             BehaviorMode.HARMFUL_FAILURE, 1)
         (r,) = read_records(path).records
         assert r.mode is BehaviorMode.HARMFUL_FAILURE
-        assert r.collision_time == r.steps == 1
-
-    def test_only_a_harmful_record_has_a_collision_time(self):
-        times = {mode: TrialRecord((1.0,), mode, 7, 0.0).collision_time
-                 for mode in BehaviorMode}
-        assert times == {BehaviorMode.SUCCESS: None,
-                         BehaviorMode.TASK_FAILURE: None,
-                         BehaviorMode.HARMFUL_FAILURE: 7.0}
-        assert type(times[BehaviorMode.HARMFUL_FAILURE]) is float
+        assert r.steps == 1

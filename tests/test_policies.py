@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from depgrid import (
-    Action,
     BehaviorMode,
     ConfigError,
     EnvConfig,
@@ -43,36 +42,36 @@ class TestScriptedRules:
         p.reset()
         # latch goal 10 (patient); obstacle far away, robot at the ceiling:
         # the next forward step would enter the danger height, so back off
-        assert p.act(obs(goal=10.0, robot=20.0, edge=40.0)) is Action.BACKWARD
+        assert p.act(obs(goal=10.0, robot=20.0, edge=40.0)) is False
 
     def test_impatient_always_forward(self, env, params):
         p = ScriptedPolicy(params, env)
         p.reset()
-        assert p.act(obs(goal=45.0, robot=0.0)) is Action.FORWARD
-        assert p.act(obs(goal=45.0, robot=20.0, edge=5.0)) is Action.FORWARD
-        assert p.act(obs(goal=45.0, robot=45.0, edge=-3.0)) is Action.FORWARD
+        assert p.act(obs(goal=45.0, robot=0.0)) is True
+        assert p.act(obs(goal=45.0, robot=20.0, edge=5.0)) is True
+        assert p.act(obs(goal=45.0, robot=45.0, edge=-3.0)) is True
 
     def test_patient_advances_after_passage(self, env, params):
         p = ScriptedPolicy(params, env)
         p.reset()
         p.act(obs(goal=30.0, robot=0.0, edge=80.0))
         # trailing edge perceived below the column: passed
-        assert p.act(obs(goal=30.0, robot=20.0, edge=-10.5)) is Action.FORWARD
+        assert p.act(obs(goal=30.0, robot=20.0, edge=-10.5)) is True
         # passage latches: even a later noisy reading does not un-pass
-        assert p.act(obs(goal=30.0, robot=25.0, edge=80.0)) is Action.FORWARD
+        assert p.act(obs(goal=30.0, robot=25.0, edge=80.0)) is True
 
     def test_patient_climbs_below_ceiling(self, env, params):
         p = ScriptedPolicy(params, env)
         p.reset()
-        assert p.act(obs(goal=30.0, robot=0.0)) is Action.FORWARD
-        assert p.act(obs(goal=30.0, robot=15.0)) is Action.FORWARD
+        assert p.act(obs(goal=30.0, robot=0.0)) is True
+        assert p.act(obs(goal=30.0, robot=15.0)) is True
 
     def test_goal_latched_from_first_observation(self, env, params):
         p = ScriptedPolicy(params, env)
         p.reset()
         p.act(obs(goal=45.0))
         # later low readings cannot switch the episode back to patient
-        assert p.act(obs(goal=5.0, robot=20.0, edge=40.0)) is Action.FORWARD
+        assert p.act(obs(goal=5.0, robot=20.0, edge=40.0)) is True
         assert p.latched_goal == 45.0
 
     def test_params_validation(self):
@@ -218,8 +217,8 @@ class ScalarOnly:
     def reset(self) -> None:
         pass
 
-    def act(self, obs: Observation) -> Action:
-        return Action.FORWARD
+    def act(self, obs: Observation) -> bool:
+        return True
 
 
 def assert_batch_matches_scalar(cfg, factory, scenarios, seeds, *paired):
@@ -356,7 +355,7 @@ class TestBatch:
         records = assert_batch_matches_scalar(
             cfg, lambda: ScriptedPolicy(params, cfg), xs, [1, 2])
         assert records[0].mode is BehaviorMode.HARMFUL_FAILURE
-        assert records[0].steps == records[0].collision_time == 1
+        assert records[0].steps == 1
         assert records[1].mode is not BehaviorMode.HARMFUL_FAILURE
 
     def test_governor_lifts_negative_goals_to_zero(self):
@@ -435,11 +434,12 @@ class TestBatch:
 
 
 class Unsettled(ScriptedPolicy):
-    """The scripted policy, with a batch controller that has no
-    settled()."""
+    """The scripted policy, with a batch controller whose settled() names
+    no episode, as a controller that never commits to forward would."""
 
     def batch(self, n: int) -> SimpleNamespace:
-        return SimpleNamespace(act=super().batch(n).act)
+        return SimpleNamespace(act=super().batch(n).act,
+                               settled=lambda: np.zeros(n, dtype=bool))
 
 
 class AskedAfterActs(ScriptedPolicy):
@@ -510,16 +510,15 @@ class TestChunkedNoise:
 
     @pytest.mark.parametrize("governed", [False, True],
                              ids=["bare", "wrapped"])
-    def test_a_controller_without_settled_has_every_second_drawn(
+    def test_a_controller_settling_none_draws_every_second(
             self, env, params, governed):
         sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
         make = ((lambda: wrap(Unsettled(params, env), sf)) if governed
                 else (lambda: Unsettled(params, env)))
-        assert not hasattr(make().batch(1), "settled")
         xs = sample(presets.condition("testing"), 200, 83)
         every = [200] * chunks(env.episode_seconds)
         assert drawn_per_chunk(env, [make], xs, range(200)) == every
-        # beside a controller that has settled(), too
+        # beside a controller that settles episodes, too
         assert drawn_per_chunk(env, [lambda: ScriptedPolicy(params, env),
                                      make], xs, range(200)) == every
 

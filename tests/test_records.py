@@ -22,6 +22,7 @@ from depgrid import (
     DependabilityReport,
     Dimension,
     DomainSpace,
+    EmptyPartition,
     EnvConfig,
     OutOfDomain,
     PartitionGrid,
@@ -181,9 +182,11 @@ def test_scenario_texts_are_the_reprs_of_each_row(xs):
                                   for row in xs.tolist()]
 
 
-def test_writers_share_the_scenario_texts(env, scripted_factory, tmp_path):
+def test_writers_share_the_scenario_texts(env, params, scripted_factory,
+                                          tmp_path):
     """write_scenarios writes one line of each row's scenario_texts, and
-    write_records given the texts writes the bytes it writes without them."""
+    write_campaign given the texts writes the record bytes that it, and
+    write_records, write without them."""
     xs = np.concatenate([awkward_floats()[[0, 2]], sample(
         presets.condition("testing"), 40, 4)])
     texts = scenario_texts(xs)
@@ -192,9 +195,12 @@ def test_writers_share_the_scenario_texts(env, scripted_factory, tmp_path):
         f"[{x}]" for x in texts]
     campaign = evaluate_policy(env, scripted_factory, xs, 5)
     write_records(tmp_path / "a.jsonl", campaign)
-    write_records(tmp_path / "b.jsonl", campaign, texts)
+    write_campaign(tmp_path / "b.jsonl", campaign, env, params, None,
+                   texts=texts)
+    write_campaign(tmp_path / "c.jsonl", campaign, env, params, None)
     assert ((tmp_path / "a.jsonl").read_bytes()
-            == (tmp_path / "b.jsonl").read_bytes())
+            == (tmp_path / "b.jsonl").read_bytes()
+            == (tmp_path / "c.jsonl").read_bytes())
 
 
 def refuse(*args, **kwargs):
@@ -729,16 +735,32 @@ class TestReportFormat:
         assert_golden(tmp_path, report)
 
     def test_vacuous_report(self, space, tmp_path):
+        """A target with no mass on a covered region has no prediction, even
+        under renormalize_empty, and the all-zero report file of dropped
+        mass 1 that such a prediction once wrote is refused: it breaks the
+        sum rule."""
         grid = PartitionGrid((5, 5, 5))
         high = ConditionSet("high", space, (
             Uniform(0, 10), Uniform(0, 10), Uniform(30, 50)))
         campaign = campaign_of((record((5.0, 5.0, y), BehaviorMode.SUCCESS)
                                 for y in (1.0, 11.0, 19.0)), "low")
-        report = predict(tally(campaign, grid, space), high,
-                         renormalize_empty=True)
-        assert report.dropped_mass == 1.0 and len(report.dropped_regions) == 50
-        assert not report.weights.any()
-        assert_golden(tmp_path, report)
+        tallies = tally(campaign, grid, space)
+        with pytest.raises(EmptyPartition) as e:
+            predict(tallies, high, renormalize_empty=True)
+        dropped = np.ravel_multi_index(np.array(e.value.regions).T, grid.bins)
+        assert len(dropped) == 50
+        path = tmp_path / "vacuous.json"
+        path.write_text(json.dumps({
+            "format_version": 2, "condition": "high",
+            **metrics_of(0.0, 0.0, 0.0), "renormalized": True,
+            "dropped_mass": 1.0, "dropped_regions": dropped.tolist(),
+            "edges": [grid.edges(space, k).tolist() for k in range(3)],
+            "mass": [0.0] * grid.n_regions,
+            **dict(zip(("n_success", "n_task_fail", "n_harmful"),
+                       tallies.counts.T.tolist()))}, indent=2))
+        with pytest.raises(DataError, match="vacuous.json: metrics sum to "
+                                            "0.0, violating the sum rule"):
+            read_report(path)
 
     def test_observed_report_has_no_rows(self, tmp_path):
         report = observed_rates(random_campaign(line_space(), 30, 2))
@@ -790,9 +812,15 @@ class TestReportFormat:
         target = ConditionSet("random", space, tuple(
             ClippedGaussian(float(rng.uniform(d.min, d.max)), d.width / 3)
             for d in space.dims))
-        campaign = random_campaign(space, n, seed)
-        report = predict(tally(campaign, grid, space), target,
-                         renormalize_empty=True)
+        tallies = tally(random_campaign(space, n, seed), grid, space)
+        covered = tallies.counts.sum(axis=1) > 0
+        if not target.region_mass_vector(grid)[covered].any():
+            # no record where the target has mass (n = 0): nothing is
+            # left to renormalize
+            with pytest.raises(EmptyPartition):
+                predict(tallies, target, renormalize_empty=True)
+            return
+        report = predict(tallies, target, renormalize_empty=True)
         assert_golden(tmp_path_factory.mktemp("golden"), report)
 
 
@@ -823,7 +851,7 @@ def test_golden_bytes_of_a_renormalized_plane_report(tmp_path):
         edges=((0.0, 0.5, 1.0), (-2.0, 1.5, 5.0)),
         weights=np.array([0.5, 0.0, 0.25, 0.25]),
         counts=np.array([[3, 1, 0], [0, 0, 0], [0, 1, 1], [2, 0, 0]]),
-        renormalized=True, dropped_mass=0.2, dropped_regions=np.array([1]))
+        dropped_mass=0.2, dropped_regions=np.array([1]))
     path = tmp_path / "report.json"
     write_report(path, report)
     assert path.read_text() == GOLDEN_PLANE_REPORT
@@ -838,10 +866,9 @@ def _unit_metrics(a: float, b: float) -> tuple[float, float, float]:
 
 @st.composite
 def reports(draw) -> DependabilityReport:
-    """Predicted, renormalized, vacuous and observed (no-table) reports over
-    1-4-D grids of 1-6 bins, with masses that include 0.0 and 5e-324."""
-    kind = draw(st.sampled_from(["predicted", "renormalized", "vacuous",
-                                 "observed"]))
+    """Predicted, renormalized and observed (no-table) reports over 1-4-D
+    grids of 1-6 bins, with masses that include 0.0 and 5e-324."""
+    kind = draw(st.sampled_from(["predicted", "renormalized", "observed"]))
     name = draw(st.text(max_size=6))
     metrics = _unit_metrics(draw(st.floats(0, 1)), draw(st.floats(0, 1)))
     if kind == "observed":
@@ -862,11 +889,8 @@ def reports(draw) -> DependabilityReport:
                            dtype=np.int64)
         dropped_mass = draw(st.floats(0, 1, exclude_min=True,
                                       exclude_max=True))
-    if kind == "vacuous":
-        metrics, weights, dropped_mass = (0.0, 0.0, 0.0), np.zeros(n), 1.0
     return DependabilityReport(name, *metrics, edges=edges, weights=weights,
-                               counts=counts, renormalized=kind != "predicted",
-                               dropped_mass=dropped_mass,
+                               counts=counts, dropped_mass=dropped_mass,
                                dropped_regions=dropped)
 
 
@@ -1009,10 +1033,12 @@ class TestReadReportRejects:
         # renormalized exactly when regions were dropped
         lambda d: d.__setitem__("renormalized", True),
         lambda d: d.update(dropped_regions=[1], dropped_mass=0.5),
-        # only the vacuous report, all metrics 0, is waived the sum rule
+        # no report is waived the sum rule, not even one of dropped mass 1
+        # and all metrics 0, which predict once wrote when no covered region
+        # had target mass
         *(lambda d, m=m: d.update(renormalized=True, dropped_regions=[1],
                                   dropped_mass=1.0, **metrics_of(*m))
-          for m in ((0.9, 0.9, 0.9), (0.0, 0.0, 0.5))),
+          for m in ((0.9, 0.9, 0.9), (0.0, 0.0, 0.5), (0.0, 0.0, 0.0))),
     ])
     def test_malformed_report(self, tmp_path, doc, edit):
         edit(doc)

@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from depgrid import (
-    Action,
     BehaviorMode,
     ConfigError,
     EnvConfig,
@@ -29,9 +28,9 @@ class Probe:
     def reset(self):
         self.goals.clear()
 
-    def act(self, obs: Observation) -> Action:
+    def act(self, obs: Observation) -> bool:
         self.goals.append(obs.goal_noisy)
-        return Action.FORWARD
+        return True
 
 
 DEFAULT_SF = SafetyFunction.from_threshold(

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from depgrid import (
-    Action,
     BehaviorMode,
     ConfigError,
     EnvConfig,
@@ -22,7 +21,7 @@ from depgrid import (
 )
 from depgrid.simulator import MAX_EPISODE_SECONDS
 
-F, B = Action.FORWARD, Action.BACKWARD
+F, B = True, False   # an act's step: forward or backward
 
 
 def noiseless(env: EnvConfig) -> EnvConfig:
@@ -254,8 +253,9 @@ class TestClassify:
             r = run_episode(env, scripted_factory(), x, seed=i)
             assert r.mode in (BehaviorMode.SUCCESS, BehaviorMode.TASK_FAILURE,
                               BehaviorMode.HARMFUL_FAILURE)
-            assert (r.collision_time is not None) == (
-                r.mode is BehaviorMode.HARMFUL_FAILURE)
+            # only a collision ends an episode before its horizon
+            assert (r.mode is BehaviorMode.HARMFUL_FAILURE
+                    or r.steps == env.episode_seconds)
 
 
 class TestRunEpisode:
@@ -305,7 +305,7 @@ class TestRunEpisode:
     def test_collision_freezes_episode(self, env, scripted_factory):
         r = run_episode(env, scripted_factory(), (10.0, 0.0, 50.0), 8)
         assert r.mode is BehaviorMode.HARMFUL_FAILURE
-        assert r.steps == r.collision_time < env.episode_seconds
+        assert r.steps < env.episode_seconds
 
 
 class TestEnvConfigValidation:
