@@ -11,9 +11,9 @@ dataclass has one JSON form: _as_json writes its fields, and _from_json
 reads an object of exactly those fields, each checked by its type.
 
 A scenario file has one JSON list of coordinates per line, one line per row
-of an (n, d) scenario array. scenario_texts formats the coordinates of all
-rows with one repr call; write_scenarios writes each row's text as one line,
-and read_scenarios returns the checked array.
+of an (n, d) scenario array. scenario_texts formats the coordinates with
+repr, a column at a time; write_scenarios writes each row's text as one
+line, and read_scenarios returns the checked array.
 
 A record file has one JSON line per record: its scenario, mode, steps and
 final position. The episode's seed is not written: it is derived from the
@@ -313,12 +313,12 @@ def dump_json(obj: Any) -> str:
 def scenario_texts(scenarios: np.ndarray) -> list[str]:
     """The JSON text of each row of an (n, d) scenario array without its
     brackets: the reprs of its coordinates joined by ", ", as json.dumps
-    writes them. The whole array is formatted by one repr call."""
+    writes them, formatted a column at a time."""
     xs = np.asarray(scenarios, dtype=float)
-    if not len(xs):
-        return []
-    # no float's repr holds "], [", so it splits the rows apart
-    return repr(xs.tolist())[2:-2].split("], [")
+    if not xs.size:   # no rows, or rows of no coordinates
+        return [""] * len(xs)
+    columns = [list(map(repr, column)) for column in xs.T.tolist()]
+    return list(map(", ".join, zip(*columns)))
 
 
 def write_scenarios(path: str | Path, scenarios: np.ndarray) -> None:

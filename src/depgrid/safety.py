@@ -84,12 +84,9 @@ class GoalClippedBatch:
 
     def act(self, obs: Observation) -> np.ndarray:
         clipped = np.minimum(np.maximum(obs.goal_noisy, 0.0), self.goal_clip_max)
-        return self.inner.act(Observation(
-            obstacle_pos_noisy=obs.obstacle_pos_noisy,
-            robot_pos=obs.robot_pos,
-            obstacle_speed_noisy=obs.obstacle_speed_noisy,
-            goal_noisy=clipped,
-        ))
+        # positional, as in simulator.run_episode
+        return self.inner.act(Observation(obs.obstacle_pos_noisy, obs.robot_pos,
+                                          obs.obstacle_speed_noisy, clipped))
 
     def settled(self) -> np.ndarray:
         return self.inner.settled()

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -259,13 +259,15 @@ def run_batch(cfg: EnvConfig, policies: Sequence, scenarios: np.ndarray,
                  for m, s, f in zip(modes, steps, final))
 
 
-def _noise(streams: SeededStreams, rows: Iterable[int],
+def _noise(streams: SeededStreams, rows: Sequence[int],
            seconds: int) -> np.ndarray:
-    """Standard normals of shape (len(streams), seconds, 3): for each
-    episode j in ``rows``, the next seconds × 3 of stream j, which continue
-    where its last draw left it; zeros for the episodes not drawn. Streams
-    take only standard normals, 64-bit draws (see domain.SeededStreams)."""
-    noise = np.zeros((len(streams), seconds, 3))
+    """Standard normals of shape (len(streams), seconds, 3): for each of the
+    distinct episodes j of ``rows``, the next seconds × 3 of stream j, which
+    continue where its last draw left it; zeros for the episodes not drawn,
+    so the buffer starts unset only when every row is drawn. Streams take
+    only standard normals, 64-bit draws (see domain.SeededStreams)."""
+    shape = (len(streams), seconds, 3)
+    noise = np.empty(shape) if len(rows) == len(streams) else np.zeros(shape)
     for j, rng in streams.each(rows):
         rng.standard_normal(out=noise[j])
     return noise
@@ -338,10 +340,9 @@ def _run_block(cfg: EnvConfig, makers, xs: np.ndarray,
                    _noise(streams, rows, min(_CHUNK, horizon - start)),
                    start, (position, first, final, reached))
     steps = np.where(first > 0, first, horizon)
-    modes = np.select([first > 0, reached],
-                      [BehaviorMode.HARMFUL_FAILURE.code,
-                       BehaviorMode.SUCCESS.code],
-                      BehaviorMode.TASK_FAILURE.code)
+    modes = np.where(first > 0, BehaviorMode.HARMFUL_FAILURE.code,
+                     np.where(reached, BehaviorMode.SUCCESS.code,
+                              BehaviorMode.TASK_FAILURE.code))
     return modes, steps, final
 
 
@@ -364,16 +365,17 @@ def _run_chunk(cfg: EnvConfig, controllers, xs: np.ndarray,
     path = np.empty((noise.shape[1] + 1,) + position.shape)
     path[0] = position
     forward = np.empty(position.shape, dtype=bool)
+    # once a chunk: each reading field as (seconds, episodes), the int8 view
+    # of forward that indexes delta, and the numbered controllers
+    edges, speeds, goals = noise.transpose(2, 1, 0)
+    direction = forward.view(np.int8)
+    numbered = list(enumerate(controllers))
     for k in range(noise.shape[1]):
-        for c, controller in enumerate(controllers):
-            forward[c] = controller.act(Observation(
-                obstacle_pos_noisy=noise[:, k, 0],
-                robot_pos=path[k, c],
-                obstacle_speed_noisy=noise[:, k, 1],
-                goal_noisy=noise[:, k, 2],
-            ))
+        for c, controller in numbered:   # positional, as in run_episode
+            forward[c] = controller.act(Observation(edges[k], path[k, c],
+                                                    speeds[k], goals[k]))
         moved = path[k + 1]
-        np.add(path[k], delta.take(forward.view(np.int8)), out=moved)
+        np.add(path[k], delta.take(direction), out=moved)
         # run_episode's min(max(moved, lo), hi), down to which zero it keeps
         # on a tie: np.maximum would turn a -0.0 bound into a 0.0 position
         np.copyto(moved, lo, where=lo > moved)
@@ -383,8 +385,8 @@ def _run_chunk(cfg: EnvConfig, controllers, xs: np.ndarray,
     hit = ((path >= cfg.danger_height) & occupied[:, None]).argmax(axis=0)
     running = first == 0
     last = np.where(hit > 0, hit, len(path) - 1)
-    np.copyto(final, np.take_along_axis(path, last[None], axis=0)[0],
-              where=running)
+    np.copyto(final, path[last, np.arange(len(last))[:, None],
+                          np.arange(last.shape[1])], where=running)
     np.copyto(first, start + hit, where=running & (hit > 0))
     reached |= (path >= xs[:, 2]).any(axis=0)
     position[:] = path[-1]

@@ -14,12 +14,17 @@ from depgrid import (
     EnvConfig,
     Observation,
     OutOfDomain,
+    SafetyFunction,
     ScriptedPolicy,
     ScriptedPolicyParams,
+    evaluate_policies,
     run_episode,
     scenario_domain,
+    wrap,
 )
 from depgrid.simulator import MAX_EPISODE_SECONDS
+
+from exact import scenario_rates
 
 F, B = True, False   # an act's step: forward or backward
 
@@ -306,6 +311,77 @@ class TestRunEpisode:
         r = run_episode(env, scripted_factory(), (10.0, 0.0, 50.0), 8)
         assert r.mode is BehaviorMode.HARMFUL_FAILURE
         assert r.steps < env.episode_seconds
+
+
+# Fixed scenarios for the exact-oracle gate, (v, t, y), under the default env
+# and policy; under the governor the impatient branch is never taken.
+EXACT_SCENARIOS = {
+    # the obstacle never moves: impatient succeeds, patient fails the task
+    "still obstacle": (0.0, 5.0, 38.0),
+    # the goal on the risk threshold latches impatient half the time
+    "goal on threshold": (5.0, 5.0, 38.47),
+    # the leading edge reaches the column, edge 0, at the last second, and
+    # the impatient robot collides there
+    "hit at the horizon": (0.8, 0.0, 38.6),
+    # a hundredth of a second later it is 0.008 short: a near miss
+    "near miss": (0.8, 0.01, 38.6),
+    # a fast obstacle; the patient robot sees passage at second 10 half the
+    # time, at 11 otherwise
+    "fast obstacle": (10.0, 0.0, 38.9),
+    # a slow one whose trailing edge is 0.05 short of passage at second 95;
+    # passage seen then climbs to the top at the horizon, and passage seen
+    # at 96 ends one step short, the climbs ending in the last 4-s chunk
+    "slow obstacle": (1.0, 4.05, 49.0),
+    # the goal at the patient ceiling, which reaching counts as success
+    "goal at the ceiling": (0.9, 10.0, 20.0),
+    "moderate obstacle": (3.0, 2.0, 38.0),
+}
+EXACT_EPISODES = 20_000
+
+
+@pytest.fixture(scope="module")
+def exact_campaigns(env, params):
+    """The plain and governed campaigns of EXACT_EPISODES episodes of each
+    of EXACT_SCENARIOS, in one evaluate_policies call."""
+    sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
+    xs = np.repeat(np.array(list(EXACT_SCENARIOS.values())), EXACT_EPISODES,
+                   axis=0)
+    plain, governed = evaluate_policies(
+        env, (lambda: ScriptedPolicy(params, env),
+              lambda: wrap(ScriptedPolicy(params, env), sf)), xs, 1912)
+    return {"plain": plain, "governed": governed}
+
+
+class TestExactOracle:
+    """The batch engine's outcome counts at fixed scenarios against the
+    scripted policy's exact (D, UT, UH), which tests/exact.py derives from
+    the environment and policy specs."""
+
+    @pytest.mark.parametrize("policy", ["plain", "governed"])
+    @pytest.mark.parametrize("name", list(EXACT_SCENARIOS))
+    def test_counts_match_the_exact_rates(self, env, params, exact_campaigns,
+                                          policy, name):
+        i = list(EXACT_SCENARIOS).index(name)
+        modes = exact_campaigns[policy].modes[
+            i * EXACT_EPISODES:(i + 1) * EXACT_EPISODES]
+        n = EXACT_EPISODES
+        rates = scenario_rates(env, params, EXACT_SCENARIOS[name],
+                               governed=policy == "governed")
+        assert math.isclose(math.fsum(rates), 1.0)
+        for mode, p in zip(BehaviorMode, rates):
+            count = int((modes == mode.code).sum())
+            if p in (0.0, 1.0):
+                assert count == n * p, (mode, count, p)
+            else:
+                z = (count - n * p) / math.sqrt(n * p * (1 - p))
+                assert abs(z) <= 4, (mode, count, p, z)
+
+    def test_the_governor_never_latches_impatient(self, env, params):
+        """At the goal on the threshold the plain policy is impatient half
+        the time, and collides then; governed, it never is."""
+        x = EXACT_SCENARIOS["goal on threshold"]
+        assert scenario_rates(env, params, x) == (0.5, 0.0, 0.5)
+        assert scenario_rates(env, params, x, governed=True) == (1.0, 0.0, 0.0)
 
 
 class TestEnvConfigValidation:
