@@ -1,8 +1,8 @@
 """Command-line front end: argument parsing, one function per subcommand
 (sample, run, predict, observe, compare, plot, and reproduce, which runs
 pipeline.reproduce), and the mapping of a DepgridError to its exit code.
-Exit codes: 0 success, 2 configuration errors, 3 data errors, 4 uncovered
-positive-mass regions (EmptyPartition).
+Exit codes: 0 success, 2 configuration errors and sizes beyond memory, 3
+data errors, 4 uncovered positive-mass regions (EmptyPartition).
 """
 
 from __future__ import annotations
@@ -298,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-dir", required=True)
     sp.add_argument("--n", type=_integer, default=20000)
     sp.add_argument("--seed", type=_integer, default=0)
-    sp.add_argument("--grid", help="bins per dimension (default 10,10,10); "
-                                   "scale down with --n")
+    sp.add_argument("--grid", help=f"bins per dimension (default "
+                    f"{','.join(map(str, presets.default_grid().bins))}); "
+                    f"scale down with --n")
     sp.set_defaults(func=cmd_reproduce)
 
     return p
@@ -313,6 +314,9 @@ def main(argv=None) -> int:
     except DepgridError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return e.exit_code
+    except MemoryError as e:   # a size too large for this machine
+        print(f"MemoryError: {str(e) or 'out of memory'}", file=sys.stderr)
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

@@ -213,9 +213,9 @@ class PartitionGrid:
             if type(b) is bool or not hasattr(b, "__index__") or b < 1:
                 raise InvalidGrid(f"dimension {d}: bin count must be an "
                                   f"integer >= 1, got {b!r}")
-        if 3 * self.n_regions > 2**63 - 1:  # tally's int64 (region, mode) keys
+        if 24 * self.n_regions > 2**63 - 1:  # bytes of tally's int64 counts
             raise InvalidGrid(f"a grid of {self.n_regions} regions is too "
-                              f"large: at most {(2**63 - 1) // 3}")
+                              f"large: at most {(2**63 - 1) // 24}")
 
     @property
     def n_regions(self) -> int:

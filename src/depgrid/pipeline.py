@@ -57,8 +57,8 @@ def reproduce(out_dir: str | Path, *, n: int, seed: int,
     out_dir is made before any scenario is drawn, so a path that cannot be
     a directory raises ConfigError at once. Every prediction is made before
     any file is written, so an EmptyPartition leaves out_dir empty. The
-    default 10x10x10 grid needs n around 20000 to cover every voxel; a
-    smaller n needs a coarser grid.
+    default grid, presets.default_grid(), needs n around 20000 to cover
+    every voxel; a smaller n needs a coarser grid.
     """
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")

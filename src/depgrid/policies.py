@@ -6,7 +6,7 @@ slow obstacles (it waits for them to pass, which slow ones never do in time)
 and fails harmfully on high perceived goals (it stops waiting and drives
 straight into the obstacle's path).
 
-Each policy has two forms. The scalar form (``reset``/``act``) drives one
+Every policy has both forms. The scalar form (``reset``/``act``) drives one
 episode through ``simulator.run_episode``, the reference, which resets it
 once and then asks one action a second until a collision or the horizon:
 True for forward, False for backward. The batch form (``batch(n)``) returns
@@ -35,11 +35,13 @@ from .simulator import EnvConfig, Observation, run_batch
 
 class Policy(Protocol):
     """Per-episode controller: reset once, then one action per observation,
-    True for forward and False for backward."""
+    True for forward and False for backward; campaigns run its batch form."""
 
     def reset(self) -> None: ...
 
     def act(self, obs: Observation) -> bool: ...
+
+    def batch(self, n: int) -> BatchPolicy: ...
 
 
 class BatchPolicy(Protocol):
@@ -176,9 +178,8 @@ def evaluate_policies(cfg: EnvConfig, factories: Sequence[PolicyFactory],
                       condition_name: str = "") -> tuple[TestCampaign, ...]:
     """One campaign per factory, each of one episode per row of
     ``scenarios``, an (n, 3) float array such as ``sample`` returns, all in
-    lockstep through the batch form of ``factory()``; a policy without one
-    raises ConfigError. The campaigns share each block's noise draw (see
-    simulator.run_batch).
+    lockstep through the batch form of ``factory()``. The campaigns share
+    each block's noise draw (see simulator.run_batch).
 
     Episode i's seed is ``substream_seed(master_seed, i)`` in every campaign,
     and its record in the campaign of factory f equals ``run_episode(cfg,

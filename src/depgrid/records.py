@@ -2,7 +2,8 @@
 and campaign files.
 
 All writes are atomic (temp file then rename). Floats are serialized with
-repr-level precision, so every format round-trips losslessly.
+repr-level precision, so every format round-trips losslessly. Each file
+reader raises every failure, naming the file, as one error class (_reading).
 
 A condition document holds a condition's domain, marginals, grid and
 sampling seed, and its env and policy sections; parse_condition_document
@@ -44,8 +45,8 @@ report: a small scalar header, then the bin edges once, and the masses, the
 three outcome counts and the dropped region numbers as one C-order list
 each, every list the text json.dumps writes for it. The mass and count
 lists are written with each distinct value formatted once. read_report
-checks the JSON type, length and range of each column before numpy
-converts it, and refuses any file of another format_version, so there is
+checks the JSON type of each header value, and the JSON type, length and
+range of each column before numpy converts it, and refuses any file of another format_version, so there is
 one reader. It also refuses a report whose metrics do not sum to 1 or whose
 renormalized flag disagrees with its dropped regions.
 
@@ -82,7 +83,8 @@ from .domain import (
     Uniform,
     validate_grid,
 )
-from .errors import ConfigError, DataError, OutOfDomain, check_rows
+from .errors import (ConfigError, DataError, DepgridError, OutOfDomain,
+                     check_rows)
 from .estimator import (
     _MODE_ORDER,
     DependabilityReport,
@@ -148,12 +150,25 @@ def atomic_write_texts(texts: list) -> None:
                 os.unlink(tmp)
 
 
+@contextmanager
+def _reading(path: str | Path, error: type[DepgridError]):
+    """A missing key, an unreadable file, a JSON value of the wrong type or
+    range, or any DepgridError raised inside is raised again as error
+    naming path; an error of that class keeps its own subclass."""
+    try:
+        yield
+    except KeyError as e:
+        raise error(f"{path}: missing key {e}") from None
+    except (OSError, ValueError, TypeError, AttributeError, OverflowError,
+            DepgridError) as e:
+        raise (type(e) if isinstance(e, error) else error)(
+            f"{path}: {e}") from None
+
+
 def _read_text(path: str | Path) -> str:
     """A data file's text; a missing or unreadable file raises DataError."""
-    try:
+    with _reading(path, DataError):
         return Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as e:
-        raise DataError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +213,7 @@ def _json_pair(value, name: str) -> tuple[float, float]:
     return (_json_number(value[0], name), _json_number(value[1], name))
 
 
-_FIELD_READERS = {"int": _json_int, "float": _json_number,
+_FIELD_READERS = {"int": _json_int, "float": _json_number, "str": _json_str,
                   "tuple[float, float]": _json_pair}
 _MARGINALS = {m.kind: m for m in (Uniform, ClippedGaussian)}
 
@@ -245,8 +260,13 @@ def condition_document(cond: ConditionSet, grid: PartitionGrid, seed: int, *,
     if env is not None:
         doc["env"] = _as_json(env)
     if params is not None:
-        doc["policy"] = {"name": "scripted", "params": _as_json(params)}
+        doc["policy"] = _policy_json(params)
     return doc
+
+
+def _policy_json(params: ScriptedPolicyParams) -> dict:
+    """The policy section of a condition document or manifest."""
+    return {"name": "scripted", "params": _as_json(params)}
 
 
 def _policy_params(section: dict) -> ScriptedPolicyParams:
@@ -261,15 +281,12 @@ def _policy_params(section: dict) -> ScriptedPolicyParams:
 def parse_condition_document(doc: dict) -> tuple[
         ConditionSet, PartitionGrid, int, EnvConfig, ScriptedPolicyParams]:
     """(condition, grid, seed, env, params) of a condition document. The
-    condition's name and each dimension's name and unit (optional) must be
-    JSON strings. Each config section is read by _from_json; a missing env,
+    condition's name must be a JSON string. Each dimension, whose unit is
+    optional, and each config section is read by _from_json; a missing env,
     policy or params section gives the default one, and the params must fit
     the env."""
     try:
-        dims = tuple(Dimension(_json_str(d["name"], "a dimension name"),
-                               _json_number(d["min"], "min"),
-                               _json_number(d["max"], "max"),
-                               _json_str(d.get("unit", ""), "unit"))
+        dims = tuple(_from_json(Dimension, {"unit": "", **d})
                      for d in doc["domain"])
         space = DomainSpace(dims)
         marginals = tuple(_marginal_from_dict(doc["marginals"][d.name])
@@ -292,14 +309,8 @@ def parse_condition_document(doc: dict) -> tuple[
 def load_condition_file(path: str | Path) -> tuple[
         ConditionSet, PartitionGrid, int, EnvConfig, ScriptedPolicyParams]:
     """Parse a condition document file (see parse_condition_document)."""
-    try:
+    with _reading(path, ConfigError):
         return parse_condition_document(json.loads(Path(path).read_text()))
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: line {e.lineno}, col {e.colno}: {e.msg}") from None
-    except (OSError, UnicodeDecodeError) as e:
-        raise ConfigError(f"{path}: {e}") from None
-    except ConfigError as e:
-        raise type(e)(f"{path}: {e}") from None
 
 
 def dump_json(obj: Any) -> str:
@@ -640,11 +651,6 @@ def write_report(path: str | Path, report: DependabilityReport) -> None:
 
 
 _JSON_TYPES = {"integers": {int}, "numbers": set(_NUMBER), "lists": {list}}
-# float() and bool() would take "0.5" or "false" without a word
-_HEADER_TYPES = {"condition": (str,), "dependability": _NUMBER,
-                 "task_undependability": _NUMBER,
-                 "harmful_undependability": _NUMBER, "renormalized": (bool,),
-                 "dropped_mass": _NUMBER}
 
 
 def _typed_list(value, name: str, kind: str, n: int | None = None) -> list:
@@ -664,9 +670,10 @@ def report_from_dict(doc) -> DependabilityReport:
         raise DataError(f"not a report file of format_version {FORMAT_VERSION} "
                         f"(got {version!r}); re-run depgrid predict or depgrid "
                         f"observe to write it")
-    for key, types in _HEADER_TYPES.items():
-        if type(doc[key]) not in types:
-            raise DataError(f"{key} has the wrong JSON type: {doc[key]!r}")
+    condition = _json_str(doc["condition"], "condition")
+    rates = [_json_number(doc[key], key) for key in (
+        "dependability", "task_undependability", "harmful_undependability")]
+    dropped_mass = _json_number(doc["dropped_mass"], "dropped_mass")
     edges = tuple(tuple(map(float, _typed_list(e, f"edges[{d}]", "numbers")))
                   for d, e in enumerate(_typed_list(doc["edges"], "edges",
                                                     "lists")))
@@ -688,31 +695,19 @@ def report_from_dict(doc) -> DependabilityReport:
                              and (np.diff(dropped) > 0).all()):
         raise DataError(f"dropped_regions must be distinct region numbers in "
                         f"[0, {n}), in increasing order")
-    if doc["renormalized"] != bool(dropped.size):
-        raise DataError(f"renormalized is {doc['renormalized']}, but "
+    # is, not ==, so that a renormalized of 0 or 1 is refused too
+    if doc["renormalized"] is not bool(dropped.size):
+        raise DataError(f"renormalized is {doc['renormalized']!r}, but "
                         f"{dropped.size} regions were dropped")
-    return DependabilityReport(
-        condition_name=doc["condition"],
-        dependability=float(doc["dependability"]),
-        task_undependability=float(doc["task_undependability"]),
-        harmful_undependability=float(doc["harmful_undependability"]),
-        edges=edges,
-        weights=weights,
-        counts=counts,
-        dropped_mass=float(doc["dropped_mass"]),
-        dropped_regions=dropped,
-    )
+    return DependabilityReport(condition, *rates, edges=edges,
+                               weights=weights, counts=counts,
+                               dropped_mass=dropped_mass,
+                               dropped_regions=dropped)
 
 
 def read_report(path: str | Path) -> DependabilityReport:
-    try:
-        return report_from_dict(json.loads(_read_text(path)))
-    except KeyError as e:
-        raise DataError(f"{path}: missing key {e}") from None
-    except (ValueError, TypeError, OverflowError) as e:
-        raise DataError(f"{path}: {e}") from None
-    except DataError as e:
-        raise type(e)(f"{path}: {e}") from None
+    with _reading(path, DataError):
+        return report_from_dict(json.loads(Path(path).read_text()))
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +730,7 @@ def write_campaign(path: str | Path, campaign: TestCampaign, env: EnvConfig,
     manifest = {
         "condition": campaign.condition_name,
         "env": _as_json(env),
-        "policy": {"name": "scripted", "params": _as_json(params)},
+        "policy": _policy_json(params),
         "safety": _as_json(safety) if safety else None,
         "master_seed": campaign.master_seed,
         "n_records": len(campaign),
@@ -757,12 +752,12 @@ def read_manifest(path: str | Path) -> dict:
     The params and safety function must fit the env. Other keys, such as the
     scenarios_path and scenarios_sha256 of older manifests, are ignored. Any
     other manifest raises DataError naming it."""
-    try:
-        manifest = json.loads(_read_text(path))
+    with _reading(path, DataError):
+        manifest = json.loads(Path(path).read_text())
         for key in ("master_seed", "n_records"):
-            if type(manifest[key]) is not int or manifest[key] < 0:
-                raise ValueError(f"{key} must be a non-negative JSON integer, "
-                                 f"got {manifest[key]!r}")
+            if _json_int(manifest[key], key) < 0:
+                raise ValueError(f"{key} must be non-negative, got "
+                                 f"{manifest[key]}")
         _json_str(manifest["condition"], "condition")
         name = _json_str(manifest["records_path"], "records_path")
         if name in ("", "..") or name != Path(name).name or "\0" in name:
@@ -776,7 +771,3 @@ def read_manifest(path: str | Path) -> dict:
             safety = _from_json(SafetyFunction, safety)
             safety.check_env(env)
         return {**manifest, "env": env, "policy": params, "safety": safety}
-    except KeyError as e:
-        raise DataError(f"{path}: missing key {e}") from None
-    except (ValueError, TypeError, AttributeError, ConfigError) as e:
-        raise DataError(f"{path}: {e}") from None

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, check_finite
 from .policies import BatchPolicy, Policy
-from .simulator import EnvConfig, Observation, batch_form
+from .simulator import EnvConfig, Observation
 
 DEFAULT_DELTA = 0.5
 
@@ -68,7 +68,7 @@ class GoalClippedPolicy:
         ))
 
     def batch(self, n: int) -> "GoalClippedBatch":
-        return GoalClippedBatch(batch_form(self.inner)(n), self.sf.goal_clip_max)
+        return GoalClippedBatch(self.inner.batch(n), self.sf.goal_clip_max)
 
 
 class GoalClippedBatch:

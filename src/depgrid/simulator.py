@@ -16,9 +16,10 @@ Two functions run episodes. ``run_episode`` steps one scenario (any (v, t, y)
 sequence, checked by ``scenario_domain(cfg).check_points``) second by second,
 one policy act a second, into its TrialRecord; it is the reference. An act
 returns True for a step forward and False for one backward, in both forms.
-``run_batch`` steps the rows of an (n, 3) scenario array in lockstep, in
-blocks of at most 4,096 episodes, once for each of its policies, and returns
-each policy's campaign as columns (see estimator.TestCampaign), whose rows
+``run_batch`` steps the rows of an (n, 3) scenario array, seeded by a uint64
+array, in lockstep, in blocks of at most 4,096 episodes, through the batch
+form (``policy.batch(n)``) of each of its policies, and returns each
+policy's campaign as columns (see estimator.TestCampaign), whose rows
 equal ``run_episode``'s records: the same scenario check, noise stream per
 seed, leading-edge formula, clip and collision test.
 A block runs in chunks of at most _CHUNK seconds, so its memory does not
@@ -36,18 +37,14 @@ PCG64(seed)'s stream.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .domain import Dimension, DomainSpace, SeededStreams, seeded_streams
 from .errors import ConfigError, check_finite
 from .estimator import BehaviorMode, TestCampaign, TrialRecord
-
-if TYPE_CHECKING:
-    from .policies import BatchPolicy
 
 # Episodes stepped together by run_batch. A block holds one chunk's noise at
 # a time, turned into its readings in place, (block, _CHUNK, 3) float64:
@@ -198,27 +195,14 @@ def run_episode(cfg: EnvConfig, policy, x: Sequence[float],
     return TrialRecord(x, mode, len(noise), position)
 
 
-def batch_form(policy) -> Callable[[int], "BatchPolicy"]:
-    """The policy's ``batch`` method, which builds a controller for n
-    episodes stepped in lockstep (see policies.BatchPolicy).
-
-    Raises ConfigError for a policy that has none.
-    """
-    batch = getattr(policy, "batch", None)
-    if not callable(batch):
-        raise ConfigError(f"{type(policy).__name__} has no batch form; "
-                          f"campaigns need a policy with a batch(n) method")
-    return batch
-
-
 def run_batch(cfg: EnvConfig, policies: Sequence, scenarios: np.ndarray,
-              seeds: Sequence[int]) -> tuple[TestCampaign, ...]:
+              seeds: np.ndarray) -> tuple[TestCampaign, ...]:
     """One campaign per policy, each of one episode per (scenario, seed)
     pair, stepping each block of episodes in lockstep. ``scenarios`` is an
     (n, 3) float array of (v, t, y) rows, such as ``sample`` returns;
-    ``seeds`` are integers in [0, 2**64), such as the uint64 array
-    ``substream_seeds`` returns, and any other seed raises ConfigError
-    before an episode runs. The campaigns hold no seeds: they are inputs.
+    ``seeds`` is a uint64 array of n seeds, such as ``substream_seeds``
+    returns, and a seed count other than n raises ConfigError. The campaigns
+    hold no seeds: they are inputs.
 
     Row i of the campaign of policy p equals ``run_episode(cfg, q,
     scenarios[i], seeds[i])`` bit for bit, where q is a fresh policy
@@ -230,22 +214,15 @@ def run_batch(cfg: EnvConfig, policies: Sequence, scenarios: np.ndarray,
     settled in every controller (see policies.BatchPolicy), each stream
     resumed where its last draw left it; the other episodes read zero noise,
     on which no controller acts. A block's memory is one chunk's noise and
-    one chunk's path per policy, whatever the horizon. A policy without a
-    batch form raises ConfigError. Every scenario is checked against the
-    domain before any episode runs; OutOfDomain's row is the first outside.
-    The campaigns have no condition name and master seed 0.
+    one chunk's path per policy, whatever the horizon. Every scenario is
+    checked against the domain before any episode runs; OutOfDomain's row
+    is the first outside. The campaigns have no condition name and master
+    seed 0.
     """
-    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
-        values = [operator.index(s) for s in seeds]
-        bad = [s for s in values if not 0 <= s < 2**64]
-        if bad:
-            raise ConfigError(f"seeds must be non-negative and below 2**64, "
-                              f"got {bad[0]}")
-        seeds = np.array(values, dtype=np.uint64)
     if len(seeds) != len(scenarios):
         raise ConfigError(f"{len(seeds)} seeds for {len(scenarios)} "
                           f"scenarios")
-    makers = [batch_form(p) for p in policies]
+    makers = [p.batch for p in policies]
     xs = scenario_domain(cfg).check_points(scenarios)
     shape = (len(makers), len(xs))   # one row per policy
     modes = np.empty(shape, dtype=np.int8)

@@ -1245,12 +1245,43 @@ def test_grid_takes_only_ascii_digits(small_pipeline, tmp_path, capsys,
 
 def test_grid_too_large_for_the_tally_exits_2(small_pipeline, tmp_path,
                                               capsys):
+    """A grid whose tally needs more bytes than numpy can address is refused
+    as --grid is read, with one line: 10**6 cubed numbers its (region,
+    mode) pairs within int64, but its (10**18, 3) int64 counts would hold
+    2.4e19 bytes. predict writes no report, and reproduce runs no
+    campaign and makes no directory."""
+    for spec in ("9999999999999999999999,2,2", "1000000,1000000,1000000"):
+        out = tmp_path / "out.json"
+        assert run_cli("predict", "--records", str(small_pipeline["rec"]),
+                       "--condition", "oc3", "--grid", spec,
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("InvalidGrid: ") and "too large" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+        tree = tmp_path / "tree"
+        assert run_cli("reproduce", "--out-dir", str(tree), "--n", "5",
+                       "--grid", spec) == 2
+        assert capsys.readouterr().err.startswith("InvalidGrid: ")
+        assert not tree.exists()
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 179. GiB for an array"),
+     "MemoryError: Unable to allocate 179. GiB for an array\n"),
+    (MemoryError(), "MemoryError: out of memory\n")])
+def test_memory_error_exits_2_with_one_line(small_pipeline, tmp_path, capsys,
+                                            monkeypatch, error, line):
+    """A size the machine's memory cannot hold, here a tally that fails to
+    allocate, exits 2 with one line and no traceback, and writes no
+    report."""
+    def tally(*args):
+        raise error
+    monkeypatch.setattr("depgrid.cli.tally", tally)
     out = tmp_path / "out.json"
     assert run_cli("predict", "--records", str(small_pipeline["rec"]),
-                   "--condition", "testing", "--grid",
-                   "9999999999999999999999,2,2", "--out", str(out)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("InvalidGrid: ") and "too large" in err
+                   "--condition", "oc3", "--out", str(out)) == 2
+    assert capsys.readouterr().err == line
     assert not out.exists()
 
 

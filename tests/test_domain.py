@@ -301,14 +301,13 @@ class TestValidation:
         assert grid.n_regions == 8 and len(grid.edges(space, 0)) == 3
 
     def test_grid_too_large_for_int64_tally_keys_is_refused(self):
-        """n_regions is exact, and a grid whose (region, mode) numbers
-        overflow int64 is refused at construction; building a grid allocates
-        nothing."""
-        limit = (2**63 - 1) // 3
+        """n_regions is exact, and a grid whose tally, an (n_regions, 3)
+        int64 array, would hold more bytes than an intp counts is refused
+        at construction; building a grid allocates nothing."""
+        limit = (2**63 - 1) // 24
         assert PartitionGrid((limit,)).n_regions == limit
-        assert PartitionGrid((10**6,) * 3).n_regions == 10**18
-        for bins in [(limit + 1,), (10**7,) * 3, (np.int64(2**31),) * 2,
-                     (10**22, 2, 2)]:
+        for bins in [(limit + 1,), (10**6,) * 3, (10**7,) * 3,
+                     (np.int64(2**31),) * 2, (10**22, 2, 2)]:
             with pytest.raises(InvalidGrid, match="too large"):
                 PartitionGrid(bins)
 

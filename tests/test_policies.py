@@ -211,22 +211,13 @@ class TestEvaluatePolicy:
                                r.scenario, substream_seed(13, i)) == r
 
 
-class ScalarOnly:
-    """A policy with a scalar form and no batch form."""
-
-    def reset(self) -> None:
-        pass
-
-    def act(self, obs: Observation) -> bool:
-        return True
-
-
 def assert_batch_matches_scalar(cfg, factory, scenarios, seeds, *paired):
     """Run the policy of factory, and those of any paired factories, in one
     run_batch call; each campaign's records equal run_episode's. Returns the
     records of factory's campaign."""
     factories = (factory, *paired)
-    campaigns = run_batch(cfg, [f() for f in factories], scenarios, seeds)
+    campaigns = run_batch(cfg, [f() for f in factories], scenarios,
+                          np.array(seeds, dtype=np.uint64))
     assert len(campaigns) == len(factories)
     for f, campaign in zip(factories, campaigns):
         batch = list(campaign.records)
@@ -381,7 +372,8 @@ class TestBatch:
         sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
         pair = [ScriptedPolicy(params, env),
                 wrap(ScriptedPolicy(params, env), sf)]
-        run_batch(env, pair, xs[:2], range(2))   # imports, outside the count
+        # imports, outside the count
+        run_batch(env, pair, xs[:2], np.arange(2, dtype=np.uint64))
         seeds = np.arange(n, dtype=np.uint64)
         tracemalloc.start()
         try:
@@ -400,7 +392,8 @@ class TestBatch:
         assert peak <= noise + paths + masks + 256 * n
 
     def test_empty_campaign(self, env, scripted_factory):
-        (campaign,) = run_batch(env, [scripted_factory()], [], [])
+        (campaign,) = run_batch(env, [scripted_factory()], [],
+                                np.array([], dtype=np.uint64))
         assert len(campaign) == 0
 
     def test_campaign_larger_than_one_block(self, env, params, monkeypatch):
@@ -420,17 +413,8 @@ class TestBatch:
     def test_seed_count_must_match(self, env, scripted_factory):
         xs = sample(presets.condition("testing"), 3, 68)
         with pytest.raises(ConfigError):
-            run_batch(env, [scripted_factory()], xs, [1, 2])
-
-    def test_policy_without_batch_form_raises(self, env, params):
-        xs = sample(presets.condition("testing"), 5, 69)
-        sf = SafetyFunction.from_threshold(params.risk_goal_threshold)
-        for factory in (ScalarOnly, lambda: wrap(ScalarOnly(), sf)):
-            with pytest.raises(ConfigError, match="no batch form"):
-                evaluate_policy(env, factory, xs, 70)
-        # checked before any block is built, so even with no scenarios
-        with pytest.raises(ConfigError, match="no batch form"):
-            evaluate_policy(env, ScalarOnly, [], 70)
+            run_batch(env, [scripted_factory()], xs,
+                      np.array([1, 2], dtype=np.uint64))
 
 
 class Unsettled(ScriptedPolicy):
@@ -598,9 +582,3 @@ class TestEvaluatePolicies:
             harmful = BehaviorMode.HARMFUL_FAILURE.code
             assert (pair[1].modes == harmful).sum() < (
                 pair[0].modes == harmful).sum()
-
-    def test_a_policy_without_batch_form_refuses_the_pair(self, env, params):
-        xs = sample(presets.condition("testing"), 5, 73)
-        with pytest.raises(ConfigError, match="no batch form"):
-            evaluate_policies(env, (lambda: ScriptedPolicy(params, env),
-                                    ScalarOnly), xs, 74)

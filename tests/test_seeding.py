@@ -21,7 +21,7 @@ numpy's own padding makes equal to its one- or two-word entropy; a spawned
 substream is its master's words, zero-padded to the pool, then its index.
 So the strategies draw from each word count: master seeds below 2**32,
 below 2**64, below 2**128 (the pool size) and above it; episode seeds below
-2**32 and up to 2**64 - 1, the largest run_batch takes.
+2**32 and up to 2**64 - 1, the largest a uint64 array holds.
 """
 
 from __future__ import annotations
@@ -255,7 +255,8 @@ def test_run_batch_chunks_read_a_prefix_of_each_seeds_stream(params,
         return noise
 
     with mock.patch.object(simulator, "_noise", keep):
-        run_batch(cfg, [ScriptedPolicy(params, cfg)], xs, seeds)
+        run_batch(cfg, [ScriptedPolicy(params, cfg)], xs,
+                  np.array(seeds, dtype=np.uint64))
     want = np.array(noise_oracle(seeds, horizon))
     step = simulator._CHUNK
     assert [noise.shape[1] for _, noise in chunks] == [
@@ -371,20 +372,11 @@ def test_run_batch_equals_run_episode_for_edge_seeds(env, params):
     seeds = [0, 1, 2, 2**32 - 1, 2**32, 2**64 - 1]
     scenarios = sample(presets.condition("testing"), len(seeds), 3)
     policy = ScriptedPolicy(params, env)
-    (campaign,) = run_batch(env, [policy], scenarios, seeds)
+    (campaign,) = run_batch(env, [policy], scenarios,
+                            np.array(seeds, dtype=np.uint64))
     records = list(campaign.records)
     assert records == [run_episode(env, ScriptedPolicy(params, env), x, s)
                        for x, s in zip(scenarios, seeds)]
-
-
-@pytest.mark.parametrize("bad", [2**64, 2**64 + 1, 2**70 - 1])
-def test_run_batch_refuses_seeds_of_2_64_and_above(env, params, bad):
-    scenarios = sample(presets.condition("testing"), 3, 3)
-    with mock.patch("depgrid.simulator._run_block") as run_block:
-        with pytest.raises(ConfigError, match=f"below 2\\*\\*64, got {bad}"):
-            run_batch(env, [ScriptedPolicy(params, env)], scenarios,
-                      [0, bad, 1])
-    run_block.assert_not_called()
 
 
 @pytest.mark.parametrize("call", [
@@ -395,9 +387,3 @@ def test_run_batch_refuses_seeds_of_2_64_and_above(env, params, bad):
 def test_negative_seed_is_a_config_error(call):
     with pytest.raises(ConfigError, match="non-negative"):
         call()
-
-
-def test_negative_episode_seed_in_run_batch(env, params):
-    scenarios = sample(presets.condition("testing"), 2, 3)
-    with pytest.raises(ConfigError, match="non-negative"):
-        run_batch(env, [ScriptedPolicy(params, env)], scenarios, [4, -2])

@@ -24,7 +24,7 @@ from depgrid import (
 )
 from depgrid.simulator import MAX_EPISODE_SECONDS
 
-from exact import scenario_rates
+from exact import EXACT_SCENARIOS, scenario_rates
 
 F, B = True, False   # an act's step: forward or backward
 
@@ -313,29 +313,9 @@ class TestRunEpisode:
         assert r.steps < env.episode_seconds
 
 
-# Fixed scenarios for the exact-oracle gate, (v, t, y), under the default env
-# and policy; under the governor the impatient branch is never taken.
-EXACT_SCENARIOS = {
-    # the obstacle never moves: impatient succeeds, patient fails the task
-    "still obstacle": (0.0, 5.0, 38.0),
-    # the goal on the risk threshold latches impatient half the time
-    "goal on threshold": (5.0, 5.0, 38.47),
-    # the leading edge reaches the column, edge 0, at the last second, and
-    # the impatient robot collides there
-    "hit at the horizon": (0.8, 0.0, 38.6),
-    # a hundredth of a second later it is 0.008 short: a near miss
-    "near miss": (0.8, 0.01, 38.6),
-    # a fast obstacle; the patient robot sees passage at second 10 half the
-    # time, at 11 otherwise
-    "fast obstacle": (10.0, 0.0, 38.9),
-    # a slow one whose trailing edge is 0.05 short of passage at second 95;
-    # passage seen then climbs to the top at the horizon, and passage seen
-    # at 96 ends one step short, the climbs ending in the last 4-s chunk
-    "slow obstacle": (1.0, 4.05, 49.0),
-    # the goal at the patient ceiling, which reaching counts as success
-    "goal at the ceiling": (0.9, 10.0, 20.0),
-    "moderate obstacle": (3.0, 2.0, 38.0),
-}
+# Episodes of each of exact.EXACT_SCENARIOS in the exact-oracle gate, under
+# the default env and policy; under the governor the impatient branch is
+# never taken.
 EXACT_EPISODES = 20_000
 
 
