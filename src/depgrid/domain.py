@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Union
 import numpy as np
 
 from .errors import (ConfigError, DepgridError, InvalidGrid, OutOfDomain,
-                     check_rows)
+                     check_finite, check_rows)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -142,6 +142,7 @@ class Uniform:
     kind = "uniform"
 
     def __post_init__(self):
+        check_finite(self)
         if not self.a < self.b:
             raise ConfigError(f"uniform: a ({self.a}) must be < b ({self.b})")
 
@@ -174,11 +175,9 @@ class ClippedGaussian:
     kind = "clipped_gaussian"
 
     def __post_init__(self):
+        check_finite(self)
         if not self.sigma > 0:
             raise ConfigError(f"clipped gaussian: sigma ({self.sigma}) must be > 0")
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
-            raise ConfigError(f"clipped gaussian: mu ({self.mu}) and sigma "
-                              f"({self.sigma}) must be finite")
 
     def validate_for(self, dim: Dimension) -> None:
         pass  # any mu/sigma is legal; clipping handles the tails

@@ -23,6 +23,11 @@ object per region: the per-dimension bin edges, the weight vector and the
 tally's (n_regions, 3) count array, rows in the same C order. A region is
 its grid index: dropped regions are their C-order numbers, and only an
 EmptyPartition turns them into index tuples, to name the uncovered regions.
+
+Each invariant of a campaign or a report is checked once, by the type that
+holds it (TestCampaign.__post_init__ and DependabilityReport.__post_init__),
+whoever builds it: the simulator, the estimator or a file reader. The file
+readers check only what a file alone can get wrong.
 """
 
 from __future__ import annotations
@@ -41,10 +46,13 @@ from .errors import (
     EmptyCampaign,
     EmptyPartition,
     InvalidGrid,
+    OutOfDomain,
     check_rows,
 )
 
 SUM_RULE_TOL = 1e-12
+# the three metrics, in the order of the modes, of every report and table
+METRICS = ("dependability", "task_undependability", "harmful_undependability")
 
 
 class BehaviorMode(str, Enum):
@@ -99,8 +107,9 @@ class TestCampaign:
     BehaviorMode.code), ``steps`` ints and ``final_position`` floats; a
     harmful record's collision time is its steps. No column holds the
     episode seeds: evaluate_policies runs row i with
-    ``substream_seed(master_seed, i)``. A row without a known mode and
-    steps >= 0 (>= 1 if harmful) raises DataError.
+    ``substream_seed(master_seed, i)``. A row with a non-finite coordinate
+    raises OutOfDomain; one without a known mode, steps >= 0 (>= 1 if
+    harmful) and a finite final position raises DataError.
 
     ``records`` are the rows as TrialRecords, built on first use for the
     tests and the benchmark's checks; the library reads only the columns.
@@ -120,12 +129,20 @@ class TestCampaign:
                                     self.final_position)}
         if self.scenarios.ndim != 2 or len(lengths) != 1:
             raise DataError(f"campaign columns differ in length: {lengths}")
+        finite = np.isfinite(self.scenarios)
+        # all(axis=1) over short rows takes some 25 times the whole all():
+        # reduce row by row only to find a bad row
+        check_rows(finite.all() or finite.all(axis=1),
+                   lambda i: f"non-finite scenario coordinate in "
+                             f"{self.scenarios[i].tolist()}", OutOfDomain)
         harmful = self.modes == BehaviorMode.HARMFUL_FAILURE.code
         check_rows((self.modes >= 0) & (self.modes < len(_MODE_ORDER))
-                   & (self.steps >= harmful),
+                   & (self.steps >= harmful) & np.isfinite(self.final_position),
                    lambda i: f"a record needs a known mode and steps >= 0 "
-                             f"(>= 1 for a harmful failure), got mode code "
-                             f"{self.modes[i]}, steps {self.steps[i]}")
+                             f"(>= 1 for a harmful failure), and a finite "
+                             f"final_position, got mode code {self.modes[i]}, "
+                             f"steps {self.steps[i]}, final_position "
+                             f"{self.final_position[i]}")
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -155,7 +172,10 @@ class DependabilityReport:
     region and ``counts`` its (n_regions, 3) outcome counts, rows in the
     Tally's C order. An observed report has no table (no edges, zero rows).
     ``dropped_regions`` holds the C-order numbers of the regions dropped by
-    renormalization, as an int64 array.
+    renormalization, as an int64 array. Each dimension's edges must be two
+    or more finite numbers, strictly increasing; the weights finite and
+    >= 0, the counts >= 0, and the dropped regions distinct region numbers
+    in increasing order. Any other report raises DataError.
     """
 
     condition_name: str
@@ -171,12 +191,25 @@ class DependabilityReport:
         default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     def __post_init__(self):
+        for d, e in enumerate(self.edges):
+            if len(e) < 2 or not (np.isfinite(e).all() and (np.diff(e) > 0).all()):
+                raise DataError(f"edges[{d}] must be two or more finite "
+                                f"numbers, strictly increasing")
         n_regions = math.prod(len(e) - 1 for e in self.edges) if self.edges else 0
         if (self.weights.shape != (n_regions,)
                 or self.counts.shape != (n_regions, len(_MODE_ORDER))):
             raise DataError(
                 f"report table has {self.weights.shape} weights and "
                 f"{self.counts.shape} counts; its edges need {n_regions} rows")
+        if not (np.isfinite(self.weights).all() and (self.weights >= 0).all()):
+            raise DataError("masses must be finite and >= 0")
+        if (self.counts < 0).any():
+            raise DataError("counts must be >= 0")
+        dropped = self.dropped_regions
+        if dropped.size and not (dropped[0] >= 0 and dropped[-1] < n_regions
+                                 and (np.diff(dropped) > 0).all()):
+            raise DataError(f"dropped_regions must be distinct region numbers "
+                            f"in [0, {n_regions}), in increasing order")
         for name, v in self.metrics().items():
             if not (-SUM_RULE_TOL <= v <= 1.0 + SUM_RULE_TOL):
                 raise DataError(f"{name} = {v} outside [0, 1]")
@@ -193,11 +226,9 @@ class DependabilityReport:
         return bool(self.dropped_regions.size)
 
     def metrics(self) -> dict[str, float]:
-        return {
-            "dependability": self.dependability,
-            "task_undependability": self.task_undependability,
-            "harmful_undependability": self.harmful_undependability,
-        }
+        """The three metrics, keyed by their METRICS names in that order."""
+        return dict(zip(METRICS, (self.dependability, self.task_undependability,
+                                  self.harmful_undependability)))
 
     __eq__ = _fields_equal
 

@@ -28,7 +28,7 @@ from pathlib import Path
 from . import presets
 from .domain import PartitionGrid, sample, validate_grid
 from .errors import ConfigError
-from .estimator import compare, observed_rates, predict, tally
+from .estimator import METRICS, compare, observed_rates, predict, tally
 from .policies import ScriptedPolicy, ScriptedPolicyParams, evaluate_policies
 from .records import (_as_json, atomic_write_text, condition_document,
                       dump_json, scenario_texts, write_campaign, write_report,
@@ -161,10 +161,9 @@ def _summary_text(s: dict) -> str:
                  f"grid={'x'.join(str(b) for b in s['grid_bins'])})")
     lines.append("")
     obs = s["observed_testing"]
-    lines.append("testing conditions (observed): "
-                 f"D={obs['dependability']:.4f}  "
-                 f"UT={obs['task_undependability']:.4f}  "
-                 f"UH={obs['harmful_undependability']:.4f}")
+    lines.append("testing conditions (observed): " + "  ".join(
+        f"{short}={obs[metric]:.4f}"
+        for short, metric in zip(("D", "UT", "UH"), METRICS)))
     ident = s["identity_check"]
     lines.append(f"re-weighting identity check: max |delta| = "
                  f"{ident['max_abs_pts']:.3f} pts")
@@ -175,8 +174,7 @@ def _summary_text(s: dict) -> str:
     lines.append("-" * len(header))
     tol = s["tolerance_pts"]
     for row in s["operating_conditions"]:
-        for metric in ("dependability", "task_undependability",
-                       "harmful_undependability"):
+        for metric in METRICS:
             p = row["predicted"][metric]
             o = row["observed"][metric]
             d = row["deltas_pts"][f"{metric}_pts"]

@@ -4,6 +4,11 @@ and campaign files.
 All writes are atomic (temp file then rename). Floats are serialized with
 repr-level precision, so every format round-trips losslessly. Each file
 reader raises every failure, naming the file, as one error class (_reading).
+A reader checks only JSON types, and what exists only in its file (a
+format_version, a renormalized flag, a manifest's records_path, seeds and
+counts); every range, such as a finite float, a record's steps or a
+report's sum rule, is checked by the type that holds the value: a config
+dataclass, a TestCampaign or a DependabilityReport.
 
 A condition document holds a condition's domain, marginals, grid and
 sampling seed, and its env and policy sections; parse_condition_document
@@ -18,37 +23,19 @@ line, and read_scenarios returns the checked array.
 
 A record file has one JSON line per record: its scenario, mode, steps and
 final position. The episode's seed is not written: it is derived from the
-master seed in the campaign's manifest. write_records fills a campaign's
-columns into one line template, _RECORD_LINE: the scenario texts formatted
-as above, the mode names looked up by code, and the other columns whole.
-write_campaign fills the same template, and takes the scenario texts from a
-caller that writes several campaigns of one scenario set, so the set is
-formatted once. read_records has two readers that give the same campaign. A
-file as write_records writes it, lines of the template's grammar and nothing
-else, with the first line's coordinate count d on every line and d at most
-_MAX_COORDINATES, is split at each line's head by one compiled regular
-expression, _record_grammar(d), into each line's coordinate tokens and its
-tail token, the rest of the line from "mode" on. The scenario columns are
-converted from the coordinate tokens; each distinct tail is checked and
-converted once into its mode, steps and final_position, which are gathered
-back to one row per line, and the columns are checked whole. Any
-other file (blank lines, CRLF endings, lines of another coordinate count
-and more coordinates than the cap included), or one whose columns fail a
-check, goes to the reference reader: it parses each line on its own with
-json.loads, then builds and checks the columns. Every error comes from the
-reference reader, and names the line of the first bad record. A file's rows
-are its non-blank lines, and naming_line turns a row into its line for every
-error, the command line's domain checks included.
+master seed in the campaign's manifest. write_records and write_campaign
+fill a campaign's columns into one line template, _RECORD_LINE, and
+read_records reads a file with one of two readers that give the same
+campaign, as the comment on the record grammar (above _FLOAT) says.
 
 A report file (format_version 2) holds the same columns as the in-memory
 report: a small scalar header, then the bin edges once, and the masses, the
 three outcome counts and the dropped region numbers as one C-order list
 each, every list the text json.dumps writes for it. The mass and count
 lists are written with each distinct value formatted once. read_report
-checks the JSON type of each header value, and the JSON type, length and
-range of each column before numpy converts it, and refuses any file of another format_version, so there is
-one reader. It also refuses a report whose metrics do not sum to 1 or whose
-renormalized flag disagrees with its dropped regions.
+checks the JSON type of each header value and column before numpy converts
+it, and refuses any file of another format_version, so there is one reader,
+and any whose renormalized flag disagrees with its dropped regions.
 
 A campaign's files, written by write_campaign, are its record file and a
 manifest beside it, a JSON object that holds the env, policy params, safety
@@ -63,7 +50,6 @@ from __future__ import annotations
 
 import errno
 import json
-import math
 import os
 import re
 import tempfile
@@ -87,6 +73,7 @@ from .errors import (ConfigError, DataError, DepgridError, OutOfDomain,
                      check_rows)
 from .estimator import (
     _MODE_ORDER,
+    METRICS,
     DependabilityReport,
     TestCampaign,
     TrialRecord,
@@ -154,7 +141,8 @@ def atomic_write_texts(texts: list) -> None:
 def _reading(path: str | Path, error: type[DepgridError]):
     """A missing key, an unreadable file, a JSON value of the wrong type or
     range, or any DepgridError raised inside is raised again as error
-    naming path; an error of that class keeps its own subclass."""
+    naming path, a file's path or a label such as "condition document"; an
+    error of that class keeps its own subclass."""
     try:
         yield
     except KeyError as e:
@@ -193,18 +181,15 @@ def _json_str(value, name: str) -> str:
 
 
 def _json_number(value, name: str) -> float:
-    """value as a finite float, checked to be a JSON number: float() would
-    also take a bool or a numeric string, and json reads the NaN and
-    Infinity tokens, and 1e400, as floats."""
+    """value as a float, checked to be a JSON number: float() would also
+    take a bool or a numeric string. json reads the NaN and Infinity tokens,
+    and 1e400, as floats: the type that holds the value refuses them."""
     if type(value) not in _NUMBER:
         raise ValueError(f"{name} must be a JSON number, got {value!r}")
     try:
-        number = float(value)
+        return float(value)
     except OverflowError:
         raise ValueError(f"{name} {value} is too large for a float") from None
-    if not math.isfinite(number):
-        raise ValueError(f"{name} must be a finite JSON number, got {value!r}")
-    return number
 
 
 def _json_pair(value, name: str) -> tuple[float, float]:
@@ -284,8 +269,8 @@ def parse_condition_document(doc: dict) -> tuple[
     condition's name must be a JSON string. Each dimension, whose unit is
     optional, and each config section is read by _from_json; a missing env,
     policy or params section gives the default one, and the params must fit
-    the env."""
-    try:
+    the env. Any malformed part raises ConfigError (see _reading)."""
+    with _reading("condition document", ConfigError):
         dims = tuple(_from_json(Dimension, {"unit": "", **d})
                      for d in doc["domain"])
         space = DomainSpace(dims)
@@ -299,11 +284,7 @@ def parse_condition_document(doc: dict) -> tuple[
         env = _from_json(EnvConfig, doc["env"]) if "env" in doc else EnvConfig()
         params = _policy_params(doc.get("policy", {}))
         params.check_env(env)
-    except KeyError as e:
-        raise ConfigError(f"condition document missing key {e}") from None
-    except (ValueError, TypeError, AttributeError) as e:
-        raise ConfigError(f"malformed condition document: {e}") from None
-    return cond, grid, seed, env, params
+        return cond, grid, seed, env, params
 
 
 def load_condition_file(path: str | Path) -> tuple[
@@ -378,19 +359,17 @@ def _read_json_lines(path: str | Path, text: str, build):
 
 
 def _scenario_array(xs: list) -> np.ndarray:
-    """JSON scenarios as an (n, d) float array. Each must be a list of finite
-    numbers, as many as the first has; otherwise OutOfDomain."""
+    """JSON scenarios as an (n, d) float array. Each must be a list of
+    numbers, as many as the first has; otherwise OutOfDomain. A non-finite
+    coordinate is refused by the array's holder: a TestCampaign, or the
+    domain's check_points when the scenarios are run."""
     check_rows([type(x) is list and all(type(v) in _NUMBER for v in x)
                 for x in xs],
                lambda i: f"a scenario is a list of numbers, got {xs[i]!r}")
     check_rows([len(x) == len(xs[0]) for x in xs],
                lambda i: f"scenario has {len(xs[i])} values, the first "
                          f"scenario has {len(xs[0])}", OutOfDomain)
-    a = np.array(xs, dtype=float) if xs else np.empty((0, 0))
-    check_rows(np.isfinite(a).all(axis=1),
-               lambda i: f"non-finite scenario coordinate in {xs[i]}",
-               OutOfDomain)
-    return a
+    return np.array(xs, dtype=float) if xs else np.empty((0, 0))
 
 
 def read_scenarios(path: str | Path) -> np.ndarray:
@@ -438,21 +417,20 @@ def _record_text(campaign: TestCampaign, texts: list[str] | None) -> str:
 
 
 def _is_record(d) -> bool:
-    """Whether a parsed line has a record's fields with their JSON types and
-    a finite final_position; other keys, such as the seed and collision
-    time that older files held, are ignored."""
+    """Whether a parsed line has a record's fields with their JSON types;
+    other keys, such as the seed and collision time that older files held,
+    are ignored."""
     return (type(d) is dict and type(d.get("mode")) is str
             and d["mode"] in _MODE_CODES and "scenario" in d
             and type(d.get("steps")) is int
-            and type(d.get("final_position")) in _NUMBER
-            and math.isfinite(d["final_position"]))
+            and type(d.get("final_position")) in _NUMBER)
 
 
 def _campaign_from_dicts(docs: list) -> TestCampaign:
     check_rows([_is_record(d) for d in docs],
                lambda i: f"a record needs a known mode, integer steps, a "
-                         f"finite number final_position and a scenario; "
-                         f"got {docs[i]!r}")
+                         f"number final_position and a scenario; got "
+                         f"{docs[i]!r}")
     return TestCampaign(
         "", _scenario_array([d["scenario"] for d in docs]),
         np.array([_MODE_CODES[d["mode"]] for d in docs], dtype=np.int8),
@@ -460,6 +438,26 @@ def _campaign_from_dicts(docs: list) -> TestCampaign:
         np.array([d["final_position"] for d in docs], dtype=float))
 
 
+# read_records has two readers that give the same campaign. The fast one,
+# _campaign_from_template, reads a file as write_records writes it, with or
+# without its final newline, whose lines all have the first line's
+# coordinate count d, 1 <= d <= _MAX_COORDINATES: one split of the whole
+# text gives each line's coordinate tokens and its tail; each distinct tail
+# is numbered once, in the order of its first line, and one _TAIL.split of
+# the distinct tails gives their mode, steps and final_position tokens,
+# gathered back to one row per line by each line's tail number. Every token
+# is converted with float() and int(), as json does, so tails that differ
+# in text, such as a final_position of 0.0 and of -0.0, keep their own
+# values, and TestCampaign checks the columns whole. Any other file (blank
+# lines, CRLF endings, other spacing, key order or keys, such as the seed
+# and collision time that older files held, which are ignored, integer
+# coordinates, escaped strings, scenarios of no coordinates, of more than
+# the cap or of another count than the first line's), or one whose columns
+# TestCampaign refuses, goes to the reference reader, _campaign_from_dicts:
+# each line is parsed on its own with json.loads, then the columns are
+# built and checked together. So every error comes from the reference
+# reader, and names the file and the line of the first bad record.
+#
 # The grammar of a _RECORD_LINE line of d coordinates, with every token as
 # json.dumps writes it, so that each line it matches holds the record
 # json.loads would read. It has two parts:
@@ -509,22 +507,12 @@ def _record_grammar(d: int) -> re.Pattern:
 
 
 def _campaign_from_template(text: str) -> TestCampaign | None:
-    """The campaign of a record file's text when it is lines of one
-    _record_grammar(d) head and a _TAIL each, and nothing else, each line
-    ended by "\n" but perhaps the last, and the columns pass the checks of
-    _campaign_from_dicts and TestCampaign; otherwise None. Never raises. d
-    is the number of commas before the text's first "]", plus one: the
-    coordinate count of the first line's scenario, if that line is a record.
-    A text with no "]", or with more than _MAX_COORDINATES coordinates, is
-    refused before any grammar is compiled. One split of the whole text
-    gives each line's coordinate tokens and its tail. Each distinct tail is
-    numbered once, in the order of its first line, and one _TAIL.split of
-    the distinct tails gives their mode, steps and final_position tokens,
-    whose columns are gathered back to one row per line by each line's tail
-    number. Every token is converted with float() and int(), as json does,
-    so tails that differ in text, such as a final_position of 0.0 and of
-    -0.0, keep their own values. The columns are checked whole rather than
-    line by line."""
+    """The fast reader's campaign of a record file's text, or None for a
+    text it leaves to the reference reader; never raises (see the comment
+    above _FLOAT)."""
+    # d is the coordinate count of the first line's scenario, if that line
+    # is a record; a text with no "]", or more than _MAX_COORDINATES
+    # coordinates, is refused before any grammar is compiled
     close = text.find("]")
     d = text.count(",", 0, close) + 1 if close >= 0 else 0
     if not 1 <= d <= _MAX_COORDINATES:
@@ -551,8 +539,6 @@ def _campaign_from_template(text: str) -> TestCampaign | None:
                         m)[row]
     steps = np.fromiter(map(int, fields[2::4]), np.int64, m)[row]
     position = np.fromiter(map(float, fields[3::4]), float, m)[row]
-    if not (np.isfinite(scenarios).all() and np.isfinite(position).all()):
-        return None
     try:
         return TestCampaign("", scenarios, modes, steps, position)
     except DataError:
@@ -560,24 +546,9 @@ def _campaign_from_template(text: str) -> TestCampaign | None:
 
 
 def read_records(path: str | Path) -> TestCampaign:
-    """The campaign in a record file. A record file holds neither the
-    campaign's condition name nor its master seed, so they are "" and 0.
-
-    A file as write_records writes it, with or without its final newline,
-    whose lines all have the first line's coordinate count d, 1 <= d <=
-    _MAX_COORDINATES, is split by one regular expression,
-    _record_grammar(d), into each line's coordinate tokens and its tail
-    token, the rest of the line from "mode" on; its columns come straight
-    from the coordinate tokens and from each distinct tail, checked and
-    converted once (unless its steps have 16 digits or more). Any other file
-    (blank lines, CRLF endings, other spacing, key order or keys, such as
-    the seed and collision time that older files held, which are ignored,
-    integer coordinates, escaped strings, scenarios of no coordinates, of
-    more than the cap or of another count than the first line's, or a bad
-    record) goes to the reference reader: each line is parsed on its own
-    with json.loads, then the columns are built and checked together. So
-    every error comes from the reference reader, and names the file and the
-    line of the first bad record."""
+    """The campaign in a record file, read by one of two readers (see the
+    comment above _FLOAT). A record file holds neither the campaign's
+    condition name nor its master seed, so they are "" and 0."""
     text = _read_text(path)
     campaign = _campaign_from_template(text)
     if campaign is None:
@@ -635,9 +606,7 @@ def write_report(path: str | Path, report: DependabilityReport) -> None:
     header = json.dumps({
         "format_version": FORMAT_VERSION,
         "condition": report.condition_name,
-        "dependability": report.dependability,
-        "task_undependability": report.task_undependability,
-        "harmful_undependability": report.harmful_undependability,
+        **report.metrics(),
         "renormalized": report.renormalized,
         "dropped_mass": report.dropped_mass,
     }, indent=2)
@@ -653,14 +622,12 @@ def write_report(path: str | Path, report: DependabilityReport) -> None:
 _JSON_TYPES = {"integers": {int}, "numbers": set(_NUMBER), "lists": {list}}
 
 
-def _typed_list(value, name: str, kind: str, n: int | None = None) -> list:
-    """value, checked to be a list of JSON integers, numbers or lists (kind),
-    n of them if n is given. The type check comes first, because numpy turns
-    a bool, a string or a float into a number of the column's dtype silently."""
-    if (type(value) is not list or not set(map(type, value)) <= _JSON_TYPES[kind]
-            or n is not None and len(value) != n):
-        size = "" if n is None else f"{n} "
-        raise DataError(f"{name} must be a list of {size}JSON {kind}")
+def _typed_list(value, name: str, kind: str) -> list:
+    """value, checked to be a list of JSON integers, numbers or lists (kind).
+    The type check comes before numpy's conversion, because numpy turns a
+    bool, a string or a float into a number of the column's dtype silently."""
+    if type(value) is not list or not set(map(type, value)) <= _JSON_TYPES[kind]:
+        raise DataError(f"{name} must be a list of JSON {kind}")
     return value
 
 
@@ -671,30 +638,16 @@ def report_from_dict(doc) -> DependabilityReport:
                         f"(got {version!r}); re-run depgrid predict or depgrid "
                         f"observe to write it")
     condition = _json_str(doc["condition"], "condition")
-    rates = [_json_number(doc[key], key) for key in (
-        "dependability", "task_undependability", "harmful_undependability")]
+    rates = [_json_number(doc[key], key) for key in METRICS]
     dropped_mass = _json_number(doc["dropped_mass"], "dropped_mass")
     edges = tuple(tuple(map(float, _typed_list(e, f"edges[{d}]", "numbers")))
                   for d, e in enumerate(_typed_list(doc["edges"], "edges",
                                                     "lists")))
-    for d, e in enumerate(edges):
-        if len(e) < 2 or not (np.isfinite(e).all() and (np.diff(e) > 0).all()):
-            raise DataError(f"edges[{d}] must be two or more finite numbers, "
-                            f"strictly increasing")
-    n = math.prod(len(e) - 1 for e in edges) if edges else 0
-    weights = np.array(_typed_list(doc["mass"], "mass", "numbers", n), dtype=float)
-    if not (np.isfinite(weights).all() and (weights >= 0).all()):
-        raise DataError("masses must be finite and >= 0")
-    counts = np.array([_typed_list(doc[key], key, "integers", n)
-                       for key in _COUNT_KEYS], dtype=np.int64).T
-    if (counts < 0).any():
-        raise DataError("counts must be >= 0")
+    weights = np.array(_typed_list(doc["mass"], "mass", "numbers"), dtype=float)
+    counts = np.column_stack([np.array(_typed_list(doc[key], key, "integers"),
+                                       dtype=np.int64) for key in _COUNT_KEYS])
     dropped = np.array(_typed_list(doc["dropped_regions"], "dropped_regions",
                                    "integers"), dtype=np.int64)
-    if dropped.size and not (dropped[0] >= 0 and dropped[-1] < n
-                             and (np.diff(dropped) > 0).all()):
-        raise DataError(f"dropped_regions must be distinct region numbers in "
-                        f"[0, {n}), in increasing order")
     # is, not ==, so that a renormalized of 0 or 1 is refused too
     if doc["renormalized"] is not bool(dropped.size):
         raise DataError(f"renormalized is {doc['renormalized']!r}, but "

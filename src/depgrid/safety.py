@@ -60,12 +60,8 @@ class GoalClippedPolicy:
 
     def act(self, obs: Observation) -> bool:
         clipped = min(max(obs.goal_noisy, 0.0), self.sf.goal_clip_max)
-        return self.inner.act(Observation(
-            obstacle_pos_noisy=obs.obstacle_pos_noisy,
-            robot_pos=obs.robot_pos,
-            obstacle_speed_noisy=obs.obstacle_speed_noisy,
-            goal_noisy=clipped,
-        ))
+        return self.inner.act(Observation(obs.obstacle_pos_noisy, obs.robot_pos,
+                                          obs.obstacle_speed_noisy, clipped))
 
     def batch(self, n: int) -> "GoalClippedBatch":
         return GoalClippedBatch(self.inner.batch(n), self.sf.goal_clip_max)

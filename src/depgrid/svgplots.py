@@ -11,17 +11,14 @@ from typing import Sequence
 
 from .domain import DomainSpace
 from .errors import ConfigError
-from .estimator import BehaviorMode, DependabilityReport, TestCampaign
+from .estimator import (METRICS, BehaviorMode, DependabilityReport,
+                        TestCampaign)
 
 GREEN = "#2ca02c"
 BLUE = "#1f77b4"
 PINK = "#e377c2"
 
-_METRICS = (
-    ("dependability", GREEN),
-    ("task_undependability", BLUE),
-    ("harmful_undependability", PINK),
-)
+_METRICS = tuple(zip(METRICS, (GREEN, BLUE, PINK)))
 
 # pixels: the bar chart's size, and a scatter panel's side and margin
 _BAR_WIDTH, _BAR_HEIGHT = 760, 360

@@ -23,6 +23,7 @@ from depgrid.records import (
     write_records,
     write_scenarios,
 )
+from depgrid.svgplots import comparison_bar_svg
 from conftest import file_sha256, old_format_text, seeded_format
 
 
@@ -816,6 +817,10 @@ class TestCompareAndPlot:
         root = ET.parse(svg).getroot()  # must be valid XML
         assert root.tag.endswith("svg")
 
+    def test_bar_chart_of_no_pairs_is_refused(self):
+        with pytest.raises(ConfigError, match="no report pairs to plot"):
+            comparison_bar_svg([])
+
     @pytest.mark.parametrize("paths", [("--out", "cmp.svg"),
                                        ("--out", "d.json", "--svg", "./d.json")],
                              ids=["default_chart_path", "two_spellings"])
@@ -904,10 +909,34 @@ class TestCompareAndPlot:
         assert "must differ" in capsys.readouterr().err
         assert not svg.exists()
 
+    @pytest.mark.parametrize("dims", ["v", "v,t,y,x"])
+    def test_one_or_four_dimensions_exit_2(self, small_pipeline, tmp_path,
+                                           capsys, dims):
+        svg = tmp_path / "x.svg"
+        assert run_cli("plot", "--records", str(small_pipeline["rec"]),
+                       "--dims", dims, "--out", str(svg)) == 2
+        assert "need two or three dimension names" in capsys.readouterr().err
+        assert not svg.exists()
+
     def test_unknown_dimension_exits_2(self, small_pipeline, tmp_path):
         assert run_cli("plot", "--records", str(small_pipeline["rec"]),
                        "--dims", "v,z", "--out",
                        str(tmp_path / "x.svg")) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("sample", "--n", "5", "--out", "s.jsonl"),
+     "give either --config FILE or --condition NAME"),
+    (("run", "--out", "r.jsonl"), "give --scenarios FILE (or --manifest FILE)"),
+    (("run", "--scenarios", "s.jsonl"), "give --out FILE for the records"),
+], ids=["sample_without_condition", "run_without_scenarios",
+        "run_without_out"])
+def test_a_missing_input_or_output_flag_exits_2(tmp_path, monkeypatch, capsys,
+                                                argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 2
+    assert f"ConfigError: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # each subcommand that writes a file, with that file's path as "{out}"

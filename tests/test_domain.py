@@ -57,6 +57,21 @@ def mass_at(cond, grid: PartitionGrid, i: tuple[int, ...]) -> float:
     return cond.region_mass_vector(grid)[np.ravel_multi_index(i, grid.bins)]
 
 
+@pytest.mark.parametrize("build, error", [
+    (lambda: Dimension("", 0.0, 1.0), "name must be non-empty"),
+    (lambda: Dimension("v", 0.0, math.inf), "bounds must be finite"),
+    (lambda: DomainSpace(()), "at least one dimension"),
+    (lambda: Uniform(5.0, 1.0), r"a \(5.0\) must be < b \(1.0\)"),
+    (lambda: Uniform(-math.inf, 1.0), "^a must be finite"),
+    (lambda: ClippedGaussian(1.0, 0.0), r"sigma \(0.0\) must be > 0"),
+    (lambda: ClippedGaussian(math.nan, 1.0), "^mu must be finite"),
+], ids=["unnamed_dimension", "infinite_bound", "no_dimensions",
+        "uniform_a_above_b", "infinite_uniform_a", "zero_sigma", "nan_mu"])
+def test_domain_classes_refuse_bad_values(build, error):
+    with pytest.raises(ConfigError, match=error):
+        build()
+
+
 def test_check_points_names_the_first_point_outside(space):
     xs = [[5.0, 5.0, 30.0], [11.0, 5.0, 30.0], [5.0, 5.0, 30.0],
           [5.0, -1.0, 30.0]]

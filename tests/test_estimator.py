@@ -15,6 +15,7 @@ from depgrid import (
     BehaviorMode,
     ConditionSet,
     DataError,
+    DependabilityReport,
     Dimension,
     DomainSpace,
     EmptyCampaign,
@@ -23,6 +24,7 @@ from depgrid import (
     OutOfDomain,
     PartitionGrid,
     ScriptedPolicy,
+    Tally,
     TestCampaign,
     TrialRecord,
     Uniform,
@@ -115,6 +117,10 @@ class TestTally:
         merged = reduce(operator.add,
                         (tally(make_campaign(c), grid, space) for c in chunks))
         assert np.array_equal(merged.counts, whole.counts)
+
+    def test_counts_must_fit_the_grid(self, space, grid):
+        with pytest.raises(DataError, match="tally counts have shape"):
+            Tally(grid, space, np.zeros((grid.n_regions, 2), np.int64))
 
     def test_adding_different_grids_raises(self, space):
         records = [make_record([5.0, 5.0, 5.0], BehaviorMode.SUCCESS)]
@@ -417,6 +423,35 @@ def random_campaign(n: int, seed: int) -> TestCampaign:
                         modes, np.full(n, 50), np.zeros(n))
 
 
+EDGES = (0.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("edit, error", [
+    (dict(weights=np.full(3, 0.25)), "report table has"),
+    (dict(counts=np.zeros((4, 2), np.int64)), "report table has"),
+    (dict(edges=(EDGES, (0.0,))), r"edges\[1\] must be two or more"),
+    (dict(edges=(EDGES, (0.0, math.inf, 2.0))), r"edges\[1\]"),
+    (dict(edges=(EDGES, (0.0, 0.0, 2.0))), r"edges\[1\]"),
+    (dict(weights=np.array([0.5, 0.5, math.nan, 0.0])), "masses must be"),
+    (dict(weights=np.array([0.5, 0.75, -0.25, 0.0])), "masses must be"),
+    (dict(counts=np.array([[1, 0, 0]] * 3 + [[-1, 0, 0]])), "counts must"),
+    (dict(dropped_regions=np.array([4])), r"in \[0, 4\), in increasing"),
+    (dict(dropped_regions=np.array([2, 1])), "dropped_regions must"),
+], ids=["short_weights", "two_count_columns", "one_edge", "infinite_edge",
+        "repeated_edge", "nan_weight", "negative_weight", "negative_count",
+        "dropped_out_of_range", "dropped_decreasing"])
+def test_report_table_invariants(edit, error):
+    """A report holds a table of its edges' shape: finite increasing edges,
+    finite non-negative weights, non-negative counts, and dropped regions
+    distinct, increasing and in range; however it is built."""
+    report = DependabilityReport(
+        "c", 1.0, 0.0, 0.0, edges=(EDGES, EDGES),
+        weights=np.array([0.25, 0.25, 0.25, 0.25]),
+        counts=np.ones((4, 3), np.int64))
+    with pytest.raises(DataError, match=error):
+        dataclasses.replace(report, **edit)
+
+
 @pytest.mark.parametrize("bins, target", [
     ((5, 5, 5), "oc4"), ((22, 22, 22), "oc3"), ((40, 40, 40), "oc3")])
 def test_predicted_metrics_are_correctly_rounded_sums(space, bins, target):
@@ -549,6 +584,29 @@ class TestRecordInvariants:
                          TrialRecord((1.0, 1.0, 1.0), mode, steps=steps,
                                      final_position=0.0)])
         assert e.value.row == 1
+
+    def test_final_position_and_coordinates_must_be_finite(self):
+        """A non-finite final position is a bad record, and a non-finite
+        coordinate a scenario outside the domain, each naming its row."""
+        good = make_record([1, 1, 1], BehaviorMode.SUCCESS)
+        for bad, error in (
+                (dataclasses.replace(good, final_position=math.nan), DataError),
+                (dataclasses.replace(good, scenario=(1.0, math.inf, 1.0)),
+                 OutOfDomain)):
+            with pytest.raises(error) as e:
+                campaign_of([good, bad])
+            assert type(e.value) is error and e.value.row == 1
+
+    def test_unknown_mode_is_refused(self):
+        with pytest.raises(DataError, match="unknown behavior mode 'x'"):
+            TrialRecord((1.0, 1.0, 1.0), "x", 100, 0.0)
+
+    @pytest.mark.parametrize("scenarios, n", [
+        (np.zeros((3, 3)), 2), (np.zeros(3), 3)], ids=["rows", "not_2d"])
+    def test_columns_must_be_one_table(self, scenarios, n):
+        with pytest.raises(DataError, match="campaign columns differ"):
+            TestCampaign("", scenarios, np.zeros(n, np.int8),
+                         np.ones(n, np.int64), np.zeros(n))
 
     def test_collision_on_the_last_counted_step_is_valid(self, tmp_path):
         path = write_record(tmp_path / "r.jsonl",

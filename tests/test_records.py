@@ -38,6 +38,7 @@ from depgrid import (
     tally,
 )
 from depgrid import presets
+from depgrid.estimator import METRICS
 from depgrid.svgplots import failure_scatter_svg
 from conftest import campaign_of, old_format, old_format_text, seeded_format
 from reference import Table, region_centers
@@ -431,6 +432,33 @@ def test_sixteen_digit_steps_go_to_the_reference_reader(tmp_path, steps,
     if error is not None:
         with pytest.raises(DataError, match=rf"r\.jsonl: line 2: {error}"):
             read_records(path)
+
+
+@pytest.mark.parametrize("edit, error, error_class", [
+    (lambda line: re.sub(r'"mode": "[a-z_]+", "steps": [0-9]+',
+                         '"mode": "harmful_failure", "steps": 0', line),
+     "a record needs a known mode and steps >= 0", DataError),
+    (lambda line: re.sub(r'"final_position": [^}]+',
+                         '"final_position": 1e400', line),
+     "a record needs .* a finite final_position", DataError),
+    (lambda line: re.sub(r'\[[^,]+,', '[1e400,', line),
+     r"non-finite scenario coordinate in \[inf, ", OutOfDomain),
+], ids=["harmful_at_steps_0", "infinite_final_position",
+        "infinite_coordinate"])
+def test_template_lines_the_campaign_refuses_go_to_the_reference_reader(
+        tmp_path, edit, error, error_class):
+    """A file of the template's grammar whose columns TestCampaign refuses
+    is left to the reference reader, whose error names the line: json reads
+    1e400 as inf, as float() does."""
+    path = tmp_path / "r.jsonl"
+    write_records(path, written_campaign(3, 3))
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = edit(lines[1])
+    text = "".join(lines)
+    path.write_text(text)
+    assert _campaign_from_template(text) is None
+    with pytest.raises(error_class, match=rf"r\.jsonl: line 2: {error}"):
+        read_records(path)
 
 
 def test_old_format_files_read_as_the_new_ones(tmp_path):
@@ -942,8 +970,7 @@ def test_read_report_of_write_report_is_the_report(tmp_path_factory, report):
 
 def metrics_of(*values: float) -> dict:
     """A report header's three metrics, in order."""
-    return dict(zip(("dependability", "task_undependability",
-                     "harmful_undependability"), values))
+    return dict(zip(METRICS, values))
 
 
 class TestReadReportRejects:
@@ -1108,11 +1135,11 @@ class TestConfigJson:
                              ids=[f"{c.__name__}.{f}" for c, f in FLOAT_FIELDS])
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
     def test_float_field_takes_only_a_finite_number(self, cls, field, token):
-        """json reads these tokens as the floats nan, inf and -inf."""
+        """json reads these tokens as the floats nan, inf and -inf, which
+        the config class refuses, naming the field."""
         text = json.dumps({**_as_json(CONFIGS[cls]), field: 0.0}).replace(
             f'"{field}": 0.0', f'"{field}": {token}')
-        with pytest.raises(ValueError, match=f"{field} must be a finite JSON "
-                                             f"number"):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
             _from_json(cls, json.loads(text))
 
     @pytest.mark.parametrize("value", [100.0, True, "100"])
@@ -1340,8 +1367,8 @@ class TestConditionDocuments:
     def test_float_fields_take_only_json_numbers(self, path, value):
         """An env float, a robot bound, a marginal parameter or a domain
         bound that is not a JSON number is refused, not coerced by float();
-        an integer too large for a float, and a NaN or infinite number, are
-        refused too."""
+        an integer too large for a float is refused too, and a NaN or
+        infinite number by the class that holds it."""
         doc = condition_document(presets.condition("testing"),
                                  presets.default_grid(), seed=0,
                                  env=EnvConfig())
@@ -1350,7 +1377,8 @@ class TestConditionDocuments:
         for key in parents:
             target = target[key]
         target[last] = value
-        with pytest.raises(ConfigError, match="JSON number|too large"):
+        with pytest.raises(ConfigError, match="JSON number|too large|"
+                                              "must be finite"):
             parse_condition_document(doc)
 
     @pytest.mark.parametrize("path, value", [
