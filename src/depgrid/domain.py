@@ -295,74 +295,80 @@ class ConditionSet:
 # Seeding
 # ---------------------------------------------------------------------------
 # numpy's SeedSequence and PCG64 (numpy/random/bit_generator.pyx and
-# pcg64.h), computed for many entropy rows at once. Integers are held as
-# 32-bit words in uint64 arrays: entropy as a list of word columns, and a
-# 128-bit PCG64 value as four limbs, least significant first. Every row of a
-# call has the same word count, at least the pool's: SeedSequence pads
-# entropy shorter than its pool with zero words, so [w] and [w, 0, 0, 0] mix
-# alike, and a seed in [0, 2**64) is its low and high word, then two zeros.
-# A substream of a master seed is the master's words, padded with zeros to
-# the pool, then its index, one word below 2**32.
-# A product of two 32-bit words fits, and every result is masked back to 32
-# bits. Every operand is a uint64 (numpy 1.x promotes a uint64 combined with
-# a Python int to float64), so the arithmetic is the same under numpy 1.x and
-# 2.x promotion rules.
+# pcg64.h), for many entropy rows at once. An entropy word is a Python int
+# below 2**32 where all rows share it, else a uint32 array, whose arithmetic
+# wraps modulo 2**32 as SeedSequence's does; a step on ints alone runs once,
+# on Python ints masked to 32 bits. A 128-bit PCG64 value is its (high, low)
+# pair of uint64 arrays. An int meets an array only as an np.uint32 or
+# np.uint64 of its low bits: numpy 2 (NEP 50) raises OverflowError for a
+# Python int the array's type cannot hold, where numpy 1.x promotes.
+# SeedSequence pads entropy shorter than its pool with zero words, so a seed
+# in [0, 2**64) is its low and high word, then two zeros, and a substream
+# is its master's words, zero-padded to the pool, then its index.
 
-_M32 = np.uint64(0xFFFF_FFFF)
-_XSHIFT = np.uint64(16)
-_SHIFT32 = np.uint64(32)
+_M32 = 0xFFFF_FFFF
+_XSHIFT = np.uint32(16)
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
 _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
-_MIX_L, _MIX_R = np.uint64(0xCA01_F9DD), np.uint64(0x4973_F715)
+_MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
+_LOW32, _SHIFT32 = np.uint64(_M32), np.uint64(32)
+# PCG64's multiplier: its high and low halves, then the low half's halves
+_MULT_HI, _MULT_LO, _MULT_LO1, _MULT_LO0 = map(np.uint64, (
+    0x2360_ED05_1FC6_5DA4, 0x4385_DF64_9FCC_F645, 0x4385_DF64, 0x9FCC_F645))
 
 
-def _limbs(value: int) -> tuple[np.uint64, ...]:
-    """A 128-bit constant's four 32-bit limbs, least significant first."""
-    return tuple(np.uint64((value >> s) & 0xFFFF_FFFF) for s in (0, 32, 64, 96))
-
-
-_ONE = _limbs(1)
-_PCG_MULT = _limbs(0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645)
-
-
-def _spawn_entropy(master_seed: int, n: int) -> list[np.ndarray]:
+def _spawn_entropy(master_seed: int, n: int) -> list:
     """Entropy of SeedSequence(master_seed, spawn_key=(i,)) for i in
-    range(n), as word columns: the master's padded words, each one row that
-    stands for all n, then the indices. A negative master seed, or an n
-    outside [0, 2**32], raises ConfigError before anything is allocated."""
+    range(n): the master's padded words as Python ints, then the indices as
+    a uint32 array. A negative master seed, or an n outside [0, 2**32],
+    raises ConfigError before anything is allocated."""
     master, n = operator.index(master_seed), operator.index(n)
     if master < 0:
         raise ConfigError(f"seeds must be non-negative, got {master}")
     if not 0 <= n <= 2**32:
         raise ConfigError(f"substream count must be in [0, 2**32], got {n}")
-    words = [(master >> s) & 0xFFFF_FFFF
+    words = [master >> s & _M32
              for s in range(0, max(master.bit_length(), 32 * _POOL), 32)]
-    return [*np.array(words, dtype=np.uint64)[:, None],
-            np.arange(n, dtype=np.uint64)]
+    return [*words, np.arange(n, dtype=np.uint32)]
 
 
 def _hashmix(hash_const: int, mult: int):
     """numpy's hashmix with its running constant: each call xors the word
-    with the constant, steps the constant, then multiplies by it."""
-    def hashmix(words: np.ndarray) -> np.ndarray:
+    with the constant, steps it, then multiplies by it; an int word gives
+    an int, an array word a new uint32 array."""
+    def hashmix(word):
         nonlocal hash_const
-        old, hash_const = hash_const, (hash_const * mult) & 0xFFFF_FFFF
-        v = ((words ^ np.uint64(old)) * np.uint64(hash_const)) & _M32
-        return v ^ (v >> _XSHIFT)
+        old, hash_const = hash_const, hash_const * mult & _M32
+        if isinstance(word, int):
+            v = (word ^ old) * hash_const & _M32
+            return v ^ v >> 16
+        v = word ^ np.uint32(old)
+        v *= np.uint32(hash_const)
+        v ^= v >> _XSHIFT
+        return v
     return hashmix
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # the uint64 difference wraps modulo 2**64, a multiple of 2**32
-    r = ((_MIX_L * x) - (_MIX_R * y)) & _M32
-    return r ^ (r >> _XSHIFT)
+def _mix(x, y):
+    """numpy's mix, L·x − R·y mod 2**32 with its xorshift: an int of ints,
+    else a uint32 array written over an array operand the caller gives up."""
+    if isinstance(x, int) and isinstance(y, int):
+        r = (_MIX_L * x - _MIX_R * y) & _M32
+        return r ^ r >> 16
+    x, y = (np.uint32(k * w & _M32) if isinstance(w, int)
+            else np.multiply(w, np.uint32(k), out=w)
+            for w, k in ((x, _MIX_L), (y, _MIX_R)))
+    r = np.subtract(x, y, out=x if isinstance(x, np.ndarray) else y)
+    r ^= r >> _XSHIFT
+    return r
 
 
-def _generate_state(entropy: list[np.ndarray], n_words: int) -> np.ndarray:
-    """SeedSequence.generate_state(n_words) for the entropy rows of word
-    columns, at least the pool's, one of them a column of all the rows: a
-    (rows, n_words) uint64 array of 32-bit words."""
+def _generate_state(entropy: list, n_words: int) -> np.ndarray:
+    """SeedSequence.generate_state(n_words, np.uint64) for the entropy rows,
+    at least the pool's words, each an int or a uint32 array and at least
+    one an array (see _spawn_entropy): a (rows, n_words) uint64 array. The
+    steps on the int words before the first array run once, on ints."""
     hashmix = _hashmix(_INIT_A, _MULT_A)
     pool = [hashmix(word) for word in entropy[:_POOL]]
     for src in range(_POOL):
@@ -372,48 +378,48 @@ def _generate_state(entropy: list[np.ndarray], n_words: int) -> np.ndarray:
     for word in entropy[_POOL:]:
         for dst in range(_POOL):
             pool[dst] = _mix(pool[dst], hashmix(word))
-    # generate_state's output loop: the same step, its own constants
+    # generate_state's output loop: the same step, its own constants; a
+    # uint64 is two words, the low one first
     hashmix = _hashmix(_INIT_B, _MULT_B)
-    return np.stack([hashmix(pool[i % _POOL]) for i in range(n_words)],
-                    axis=1)
+    words = np.stack([hashmix(pool[i % _POOL]) for i in range(2 * n_words)],
+                     axis=1).astype(np.uint64)
+    return words[:, ::2] | words[:, 1::2] << _SHIFT32
 
 
-def _mul_add(a, m, c) -> list[np.ndarray]:
-    """a·m + c mod 2**128 on limbs: schoolbook, each 64-bit partial product
-    split into the 32-bit halves its output limb and the next one take. No
-    sum reaches 2**36, so none wraps."""
-    out, carry = [], np.uint64(0)
-    for k in range(4):
-        low, high = carry + c[k], np.uint64(0)
-        for i in range(k + 1):
-            p = a[i] * m[k - i]
-            low, high = low + (p & _M32), high + (p >> _SHIFT32)
-        out.append(low & _M32)
-        carry = high + (low >> _SHIFT32)
-    return out
+def _pcg64_step(state, inc) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64's LCG step, state·MULT + inc mod 2**128, on (high, low) uint64
+    halves: low is one wrapping multiply, high is hi·M_lo + lo·M_hi, plus
+    the high word of lo·M_lo from four 32-bit partial products, whose sums
+    cannot wrap. An add carries exactly when its sum is below an addend."""
+    hi, lo = state
+    lo0, lo1 = lo & _LOW32, lo >> _SHIFT32
+    t = lo1 * _MULT_LO0 + (lo0 * _MULT_LO0 >> _SHIFT32)
+    u = lo0 * _MULT_LO1 + (t & _LOW32)
+    high = (lo1 * _MULT_LO1 + (t >> _SHIFT32) + (u >> _SHIFT32)
+            + hi * _MULT_LO + lo * _MULT_HI + inc[0])
+    low = lo * _MULT_LO + inc[1]
+    return high + (low < inc[1]), low
 
 
-def _pcg64_limbs(entropy) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The limbs of the (state, inc) of PCG64(SeedSequence(row)) for the
-    entropy rows of word columns (as _generate_state takes them).
-
+def _pcg64_states(entropy) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The (state, inc) of PCG64(SeedSequence(row)) for the entropy rows (as
+    _generate_state takes them), each a (high, low) pair of uint64 arrays.
     PCG64 reads generate_state(4, np.uint64) as a 128-bit initial state and
     stream, high word first, then runs pcg_setseq_128_srandom_r: inc is the
     stream shifted up with its low bit set, and the state is two LCG steps
-    from 0 with the initial state added after the first.
-    """
-    w = _generate_state(entropy, 8)[:, [2, 3, 0, 1, 6, 7, 4, 5]].T
-    start, seq = w[:4], w[4:]
-    low_bits = [np.ones_like(seq[0])] + [q >> np.uint64(31) for q in seq[:3]]
-    inc = [((q << np.uint64(1)) & _M32) | b for q, b in zip(seq, low_bits)]
-    return _mul_add(_mul_add(inc, _ONE, start), _PCG_MULT, inc), inc
+    from 0 with the initial state added after the first, which gives inc."""
+    start_hi, start_lo, seq_hi, seq_lo = _generate_state(entropy, 4).T
+    one = np.uint64(1)
+    inc = (seq_hi << one | seq_lo >> np.uint64(63), seq_lo << one | one)
+    low = inc[1] + start_lo
+    return _pcg64_step((inc[0] + start_hi + (low < start_lo), low), inc), inc
 
 
 def _xsl_rr(state) -> np.ndarray:
-    """PCG64's 64-bit output of each 128-bit state: the xor of its two
-    halves, rotated right by the state's top six bits."""
-    x = ((state[3] ^ state[1]) << _SHIFT32) | (state[2] ^ state[0])
-    r = state[3] >> np.uint64(26)
+    """PCG64's 64-bit output of each (high, low) state: high ^ low, rotated
+    right by the top six bits of high."""
+    hi, lo = state
+    x, r = hi ^ lo, hi >> np.uint64(58)
     return (x >> r) | (x << ((np.uint64(64) - r) & np.uint64(63)))
 
 
@@ -456,21 +462,20 @@ def _word_order(bitgen: np.random.PCG64, view: memoryview) -> list[int]:
 class SeededStreams:
     """The PCG64 streams of many rows, drawn through one generator.
 
-    Given _pcg64_limbs(entropy), row j's stream is that of
+    Given _pcg64_states(entropy), row j's stream is that of
     ``np.random.Generator(np.random.PCG64(np.random.SeedSequence(row)))``
     for entropy row j, without building either per row. A row's state is
-    its 32 bytes: the four 64-bit words of its (state, inc), put once in
-    the order _word_order finds, which is the only call to numpy's
-    ``state`` setter. ``each`` writes a row's bytes into the one PCG64's
-    state memory, as a slice assignment to the memoryview of _state_words,
-    before it yields the row's generator, and first reads back, as bytes,
-    the state of the row drawn before; so a row visited again, by the same
-    pass or a later one, resumes its stream where its last draws left it.
-    The setter's has_uint32 and uinteger (both 0) are not rewritten, so a
-    row may take only draws of whole 64-bit words, such as
-    ``standard_normal`` and ``random``; a 32-bit draw would leave a
-    buffered half word for the next row. Each instance has its own PCG64,
-    so two may be drawn in alternation.
+    its 32 bytes, the four uint64 halves of its (state, inc) in the order
+    _word_order finds, the only call to numpy's ``state`` setter. ``each``
+    writes a row's bytes into the one PCG64's state memory, a slice of the
+    memoryview of _state_words, before it yields the row's generator, and
+    first reads back, as bytes, the state of the row drawn before; so a row
+    visited again, by the same pass or a later one, resumes its stream
+    where its last draws left it. The setter's has_uint32 and uinteger
+    (both 0) are not rewritten, so a row may take only draws of whole
+    64-bit words, such as ``standard_normal`` and ``random``; a 32-bit draw
+    would leave a buffered half word for the next row. Each instance has
+    its own PCG64, so two may be drawn in alternation.
     """
 
     def __init__(self, state, inc):
@@ -479,9 +484,7 @@ class SeededStreams:
         self._state = _state_words(bitgen)
         order = _word_order(bitgen, self._state)
         words = np.empty((len(state[0]), 4), dtype=np.uint64)
-        for k, (low, high) in zip(order, (state[:2], state[2:], inc[:2],
-                                          inc[2:])):
-            words[:, k] = (high << _SHIFT32) | low
+        words[:, order] = np.stack((state[1], state[0], inc[1], inc[0]), 1)
         raw = words.tobytes()
         # one more entry, the row the generator holds before the first
         self._rows = [raw[at:at + 32] for at in range(0, len(raw), 32)]
@@ -507,11 +510,12 @@ class SeededStreams:
 def seeded_streams(seeds: np.ndarray) -> SeededStreams:
     """The streams of ``np.random.Generator(np.random.PCG64(seed))`` for
     each seed of a uint64 array, as SeededStreams: the states of all the
-    seeds are computed at once, and each row's are written straight into
-    one PCG64's state memory when it is drawn. Take only 64-bit draws
+    seeds are computed at once, from the seeds' low and high words as
+    uint32 arrays, and each row's are written straight into one PCG64's
+    state memory when it is drawn. Take only 64-bit draws
     (``standard_normal``, ``random``)."""
-    return SeededStreams(*_pcg64_limbs(
-        [seeds & _M32, seeds >> _SHIFT32, *np.zeros((2, 1), dtype=np.uint64)]))
+    high = (seeds >> _SHIFT32).astype(np.uint32)
+    return SeededStreams(*_pcg64_states([seeds.astype(np.uint32), high, 0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -536,12 +540,11 @@ def substream_seeds(master_seed: int, n: int) -> np.ndarray:
 
     Element i is ``SeedSequence(master_seed, spawn_key=(i,))
     .generate_state(1, np.uint64)[0]``, equal to substream_seed(master_seed,
-    i), computed for all indices at once from their entropy word columns
-    (see _spawn_entropy). A negative master seed, or an n outside [0,
-    2**32], raises ConfigError.
+    i), computed for all indices at once, the master's words mixed once as
+    Python ints (see _spawn_entropy). A negative master seed, or an n
+    outside [0, 2**32], raises ConfigError.
     """
-    w = _generate_state(_spawn_entropy(master_seed, n), 2)
-    return w[:, 0] | (w[:, 1] << _SHIFT32)
+    return _generate_state(_spawn_entropy(master_seed, n), 1)[:, 0]
 
 
 def sample(cond: ConditionSet, n: int, seed: int) -> np.ndarray:
@@ -553,26 +556,23 @@ def sample(cond: ConditionSet, n: int, seed: int) -> np.ndarray:
     function of (cond, n, seed) and its first k rows equal sample(cond, k,
     seed): a Uniform(a, b) value is ``rng.uniform(a, b)`` and a
     ClippedGaussian one ``min(max(rng.normal(mu, sigma), lo), hi)`` of that
-    row's generator. The substream states are computed for all indices at
-    once, from their entropy word columns (see _spawn_entropy). The unit
-    draws of the leading run of Uniform marginals are made for all rows at
-    once from the stepped states, as ``Generator.random`` computes them:
-    the top 53 bits of the output over 2**53. From the first other marginal
-    on, one generator serves every row: the state bytes the leading draws
-    left are written into its state memory once per row, the same write as
-    the episode noise's (see SeededStreams), and it fills the row's
-    standard normals and unit uniforms, both 64-bit draws, into the same
-    array, with one call per run of marginals of one kind. Then each column
-    becomes mu + sigma·z, clipped to the dimension bounds as min(max(g,
-    lo), hi) is, or a + (b - a)·u, as ``Generator.uniform`` computes it. A
+    row's generator. Every row's state is computed at once as (high, low)
+    uint64 halves (see _pcg64_states), which the leading run of Uniform
+    marginals steps for all rows at once: a unit draw is the output's top
+    53 bits over 2**53, as ``Generator.random`` makes it. From the first
+    other marginal on, one generator serves every row, its state memory
+    written once per row (see SeededStreams), and fills the row's standard
+    normals and unit uniforms with one call per run of marginals of one
+    kind. Then each column becomes mu + sigma·z, clipped as min(max(g, lo),
+    hi) is, or a + (b - a)·u, as ``Generator.uniform`` computes it. A
     negative seed, or an n outside [0, 2**32], raises ConfigError.
     """
-    state, inc = _pcg64_limbs(_spawn_entropy(seed, n))
+    state, inc = _pcg64_states(_spawn_entropy(seed, n))
     uniform = [isinstance(m, Uniform) for m in cond.marginals]
     k = uniform.index(False) if False in uniform else len(uniform)
     raw = np.empty((n, len(uniform)))
     for j in range(k):
-        state = _mul_add(state, _PCG_MULT, inc)
+        state = _pcg64_step(state, inc)
         raw[:, j] = (_xsl_rr(state) >> np.uint64(11)) * 2.0**-53
     # the rest of each row as runs of one kind of marginal: (columns, fill)
     runs, start = [], k

@@ -213,10 +213,12 @@ class DependabilityReport:
         for name, v in self.metrics().items():
             if not (-SUM_RULE_TOL <= v <= 1.0 + SUM_RULE_TOL):
                 raise DataError(f"{name} = {v} outside [0, 1]")
-        top = 1.0 if self.renormalized else 0.0
-        if not 0.0 <= self.dropped_mass <= top:  # false for NaN too
-            raise DataError(f"dropped_mass = {self.dropped_mass} outside "
-                            f"[0, {top}]")
+        if not self.renormalized:
+            if self.dropped_mass != 0.0:  # true for NaN too
+                raise DataError(f"dropped_mass = {self.dropped_mass}, but no "
+                                f"region is dropped, so it must be 0")
+        elif not 0.0 <= self.dropped_mass <= 1.0:  # false for NaN too
+            raise DataError(f"dropped_mass = {self.dropped_mass} outside [0, 1]")
         total = sum(self.metrics().values())
         if abs(total - 1.0) > SUM_RULE_TOL:
             raise DataError(f"metrics sum to {total!r}, violating the sum rule")

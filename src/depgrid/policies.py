@@ -186,10 +186,10 @@ def evaluate_policies(cfg: EnvConfig, factories: Sequence[PolicyFactory],
     f(), scenarios[i], seed)``, so each campaign is a pure function of its
     inputs and equals ``evaluate_policy(cfg, f, scenarios, master_seed)``.
     The seeds are derived for all episodes at once by substream_seeds, as a
-    uint64 array whose low and high word columns seed the episode noise:
-    each block's PCG64 states are computed at once and written, row by row,
-    into one generator's state memory (see domain.SeededStreams). A
-    negative master seed raises ConfigError.
+    uint64 array that seeds the episode noise: each block's PCG64 states
+    are computed at once, from the seeds' low and high words as uint32
+    arrays, and written, row by row, into one generator's state memory (see
+    domain.SeededStreams). A negative master seed raises ConfigError.
     """
     seeds = substream_seeds(master_seed, len(scenarios))
     return tuple(

@@ -644,8 +644,12 @@ def report_from_dict(doc) -> DependabilityReport:
                   for d, e in enumerate(_typed_list(doc["edges"], "edges",
                                                     "lists")))
     weights = np.array(_typed_list(doc["mass"], "mass", "numbers"), dtype=float)
-    counts = np.column_stack([np.array(_typed_list(doc[key], key, "integers"),
-                                       dtype=np.int64) for key in _COUNT_KEYS])
+    lists = [_typed_list(doc[key], key, "integers") for key in _COUNT_KEYS]
+    if len(set(map(len, lists))) > 1:
+        raise DataError("the count lists must be of one length, got "
+                        + ", ".join(f"{key} of {len(v)}"
+                                    for key, v in zip(_COUNT_KEYS, lists)))
+    counts = np.column_stack([np.array(v, dtype=np.int64) for v in lists])
     dropped = np.array(_typed_list(doc["dropped_regions"], "dropped_regions",
                                    "integers"), dtype=np.int64)
     # is, not ==, so that a renormalized of 0 or 1 is refused too

@@ -437,13 +437,20 @@ EDGES = (0.0, 1.0, 2.0)
     (dict(counts=np.array([[1, 0, 0]] * 3 + [[-1, 0, 0]])), "counts must"),
     (dict(dropped_regions=np.array([4])), r"in \[0, 4\), in increasing"),
     (dict(dropped_regions=np.array([2, 1])), "dropped_regions must"),
+    (dict(dropped_mass=math.inf),
+     r"^dropped_mass = inf, but no region is dropped, so it must be 0$"),
+    (dict(dropped_mass=0.5), r"^dropped_mass = 0.5, but no region is dropped"),
+    (dict(dropped_regions=np.array([1]), dropped_mass=1.5),
+     r"^dropped_mass = 1.5 outside \[0, 1\]$"),
 ], ids=["short_weights", "two_count_columns", "one_edge", "infinite_edge",
         "repeated_edge", "nan_weight", "negative_weight", "negative_count",
-        "dropped_out_of_range", "dropped_decreasing"])
+        "dropped_out_of_range", "dropped_decreasing", "infinite_dropped_mass",
+        "dropped_mass_with_none_dropped", "dropped_mass_above_one"])
 def test_report_table_invariants(edit, error):
     """A report holds a table of its edges' shape: finite increasing edges,
     finite non-negative weights, non-negative counts, and dropped regions
-    distinct, increasing and in range; however it is built."""
+    distinct, increasing and in range; its dropped mass is in [0, 1], and
+    exactly 0 when no region is dropped; however it is built."""
     report = DependabilityReport(
         "c", 1.0, 0.0, 0.0, edges=(EDGES, EDGES),
         weights=np.array([0.25, 0.25, 0.25, 0.25]),

@@ -1074,6 +1074,24 @@ class TestReadReportRejects:
         with pytest.raises(DataError, match="bad.json"):
             read_report(path)
 
+    @pytest.mark.parametrize("edit, lengths", [
+        (lambda d: d["n_task_fail"].append(0), (6, 7, 6)),
+        (lambda d: d["n_harmful"].pop(), (6, 6, 5)),
+    ], ids=["long_task_fail", "short_harmful"])
+    def test_count_lists_of_different_lengths_are_named(self, tmp_path, doc,
+                                                        edit, lengths):
+        """The three count lists are one table split by column, so lists of
+        different lengths are refused by name before numpy stacks them."""
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc, indent=2))
+        got = ", ".join(f"{key} of {n}" for key, n in zip(
+            ("n_success", "n_task_fail", "n_harmful"), lengths))
+        with pytest.raises(DataError, match=rf"bad\.json: the count lists "
+                                            rf"must be of one length, got "
+                                            rf"{got}$"):
+            read_report(path)
+
     def test_row_per_region_file_asks_for_a_new_one(self, tmp_path):
         """A report of the earlier layout, one object per region and no
         format_version, is refused with a message that says what to do."""

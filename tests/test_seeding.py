@@ -4,10 +4,11 @@
 ``run_batch`` compute numpy's SeedSequence mixing and PCG64 seeding for many
 seeds at once instead of building one SeedSequence and one PCG64 per unit;
 ``sample`` also steps PCG64 and computes its output as array arithmetic on
-32-bit limbs for its leading uniform coordinates. Record and scenario bytes
-depend on every bit of it, so each property here uses numpy's classes as the
-oracle: a numpy release that changes either algorithm fails these tests
-instead of silently changing output files. Each row's state is written as
+(high, low) uint64 halves for its leading uniform coordinates. Record and
+scenario bytes depend on every bit of it, so each property here uses numpy's
+classes as the oracle: a numpy release that changes either algorithm fails
+these tests instead of silently changing output files; the 128-bit step is
+also checked against Python's own integers. Each row's state is written as
 four 64-bit words straight into one PCG64's state memory, in the order a
 probe through numpy's ``state`` setter finds, so a release that moves those
 words must make the probe raise before any row is drawn. The episode noise
@@ -15,13 +16,15 @@ is drawn in chunks of seconds, each row's state read back after a chunk
 and written again for the next, so a row drawn in chunks reads the same
 prefix of its stream as one drawn whole.
 
-Every entropy row is held as fixed word columns, at least the pool's four:
-an episode seed in [0, 2**64) is its low and high word, then zeros, which
-numpy's own padding makes equal to its one- or two-word entropy; a spawned
-substream is its master's words, zero-padded to the pool, then its index.
-So the strategies draw from each word count: master seeds below 2**32,
-below 2**64, below 2**128 (the pool size) and above it; episode seeds below
-2**32 and up to 2**64 - 1, the largest a uint64 array holds.
+Every entropy row has a fixed word count, at least the pool's four, each
+word a Python int shared by every row or a uint32 array of one word per
+row: an episode seed in [0, 2**64) is its low and high word as arrays, then
+two zeros, which numpy's own padding makes equal to its one- or two-word
+entropy; a spawned substream is its master's words, zero-padded to the
+pool, as ints, then its index as an array. So the strategies draw from each
+word count: master seeds below 2**32, below 2**64, below 2**128 (the pool
+size) and above it; episode seeds below 2**32 and up to 2**64 - 1, the
+largest a uint64 array holds.
 """
 
 from __future__ import annotations
@@ -48,10 +51,14 @@ from depgrid import (
 )
 from depgrid import domain, simulator
 from depgrid.domain import (
-    _PCG_MULT,
-    _mul_add,
+    _INIT_A,
+    _MULT_A,
     SeededStreams,
-    _pcg64_limbs,
+    _generate_state,
+    _hashmix,
+    _mix,
+    _pcg64_states,
+    _pcg64_step,
     _spawn_entropy,
     _xsl_rr,
     sample,
@@ -98,7 +105,7 @@ def test_substream_seeds_equal_the_scalar_reference(master, n):
 @example(master=2**64 - 1, n=3)
 @example(master=2**128, n=3)
 def test_spawned_generator_state_equals_numpy(master, n):
-    state, inc = _pcg64_limbs(_spawn_entropy(master, n))
+    state, inc = _pcg64_states(_spawn_entropy(master, n))
     assert len(state[0]) == len(inc[0]) == n
     states = [rng.bit_generator.state
               for _, rng in SeededStreams(state, inc).each(range(n))]
@@ -109,16 +116,89 @@ def test_spawned_generator_state_equals_numpy(master, n):
 @given(master=masters, n=st.integers(0, 12), k=st.integers(1, 4))
 @example(master=0, n=3, k=4)
 @example(master=2**128, n=3, k=3)
-def test_stepped_limb_outputs_equal_random_raw(master, n, k):
-    state, inc = _pcg64_limbs(_spawn_entropy(master, n))
+def test_stepped_state_outputs_equal_random_raw(master, n, k):
+    state, inc = _pcg64_states(_spawn_entropy(master, n))
     raws = []
     for _ in range(k):
-        state = _mul_add(state, _PCG_MULT, inc)
+        state = _pcg64_step(state, inc)
         raws.append(_xsl_rr(state))
     got = np.stack(raws, axis=1)
     assert got.dtype == np.uint64
     assert got.tolist() == [spawned(master, i).random_raw(k).tolist()
                             for i in range(n)]
+
+
+PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645   # pcg64.h
+HALF_EDGES = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+halves = st.one_of(st.sampled_from(HALF_EDGES), st.integers(0, 2**64 - 1))
+values128 = st.builds(lambda high, low: high << 64 | low, halves, halves)
+
+
+def as_halves(values) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & 2**64 - 1 for v in values], dtype=np.uint64))
+
+
+EDGES128 = [high << 64 | low for high in HALF_EDGES for low in HALF_EDGES]
+
+
+@settings(max_examples=300)
+@given(pairs=st.lists(st.tuples(values128, values128), max_size=8))
+@example(pairs=list(zip(EDGES128, EDGES128[::-1])))
+@example(pairs=[(2**128 - 1, 2**128 - 1), (2**128 - 1, 1), (2**64 - 1, 1),
+                (2**32 - 1, 2**32 - 1), (0, 0)])
+def test_step_on_halves_equals_python_integers(pairs):
+    """state·MULT + inc mod 2**128 and its xsl-rr output, on (high, low)
+    halves, equal Python's own integers; the edge halves make carries
+    cross the 32- and the 64-bit boundaries."""
+    states, incs = [s for s, _ in pairs], [i for _, i in pairs]
+    high, low = _pcg64_step(as_halves(states), as_halves(incs))
+    assert high.dtype == low.dtype == np.uint64
+    want = [(s * PCG_MULT + i) % 2**128 for s, i in pairs]
+    assert [h << 64 | w for h, w in zip(high.tolist(), low.tolist())] == want
+    rotated = []
+    for v in want:
+        x, r = (v >> 64 ^ v) & 2**64 - 1, v >> 122
+        rotated.append((x >> r | x << (64 - r)) & 2**64 - 1)
+    assert _xsl_rr((high, low)).tolist() == rotated
+
+
+@settings(max_examples=100)
+@given(master=masters, n=st.integers(0, 12), n_words=st.integers(1, 4))
+def test_generate_state_of_int_words_equals_full_columns(master, n,
+                                                         n_words):
+    """The master's words mixed once as Python ints give the words that
+    the same words give as full uint32 columns, one entry per row."""
+    entropy = _spawn_entropy(master, n)
+    columns = [np.full(n, w, dtype=np.uint32) if isinstance(w, int) else w
+               for w in entropy]
+    assert all(isinstance(w, int) for w in entropy[:-1])
+    got = _generate_state(entropy, n_words)
+    assert got.dtype == np.uint64 and got.shape == (n, n_words)
+    assert np.array_equal(got, _generate_state(columns, n_words))
+
+
+def test_word_helpers_keep_their_dtypes():
+    """hashmix and mix give Python ints of ints and uint32 arrays of
+    arrays; mix of an int and an array, either way round, equals the ints'
+    mix; PCG64's states and outputs are uint64."""
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    assert type(hashmix(7)) is int
+    word = np.arange(3, dtype=np.uint32)
+    assert hashmix(word).dtype == np.uint32 and word.tolist() == [0, 1, 2]
+    x, y = 5, 2**32 - 1
+    want = _mix(x, y)
+    assert type(want) is int
+
+    def column(w):
+        return np.full(3, w, dtype=np.uint32)
+
+    for got in (_mix(column(x), y), _mix(x, column(y)),
+                _mix(column(x), column(y))):
+        assert got.dtype == np.uint32 and got.tolist() == [want] * 3
+    state, inc = _pcg64_states(_spawn_entropy(3, 4))
+    assert all(h.dtype == np.uint64 for h in (*state, *inc))
+    assert _xsl_rr(_pcg64_step(state, inc)).dtype == np.uint64
 
 
 @pytest.mark.parametrize("call", [
