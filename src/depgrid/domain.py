@@ -121,10 +121,13 @@ class DomainSpace:
             raise e
         lo, hi = np.array([(d.min, d.max) for d in self.dims]).T
         inside = (xs >= lo) & (xs <= hi)  # NaN fails both
-        k = inside.argmin(axis=1)  # the first coordinate outside, if any
-        check_rows(inside.all(axis=1),
-                   lambda i: f"{self.names[k[i]]} = {xs[i, k[i]]} outside "
-                             f"[{lo[k[i]]}, {hi[k[i]]}]", OutOfDomain)
+
+        def outside(i):
+            k = int(inside[i].argmin())  # the first coordinate outside
+            return f"{self.names[k]} = {xs[i, k]} outside [{lo[k]}, {hi[k]}]"
+        # all(axis=1) over short rows takes some 25 times the whole all():
+        # reduce row by row only to find a bad row
+        check_rows(inside.all() or inside.all(axis=1), outside, OutOfDomain)
         return xs
 
 
@@ -245,14 +248,36 @@ def partition_indices(grid: PartitionGrid, space: DomainSpace,
     Interior edges belong to the higher bin; the domain maximum belongs to
     the last bin. Points outside the domain raise OutOfDomain (see
     DomainSpace.check_points).
+
+    A coordinate x of a dimension of b bins is first estimated to lie in bin
+    trunc((x - min) / width · b), clipped to [0, b - 1]; in that order every
+    intermediate is finite. The estimate is then corrected against the
+    grid's own edges e, in passes: down one where x < e[i], then up one
+    where x is at or above the bin's upper edge (e[i + 1], or +inf for the
+    closed last bin), until a pass moves no point. Where bins are many ulps
+    wide the estimate is off by at most one, for a point on or next to an
+    edge, and one pass finds nothing to move on random points; where edges
+    lie closer than an ulp, and some are equal, the passes walk each point
+    on to its bin. The result is the bin a binary search finds,
+    searchsorted(e, x, "right") - 1, capped at b - 1.
     """
     validate_grid(grid, space)
     xs = space.check_points(xs)
     out = np.empty(xs.shape, dtype=np.int64)
-    for d in range(space.ndim):
+    for d, (dim, b) in enumerate(zip(space.dims, grid.bins)):
         e = grid.edges(space, d)
-        out[:, d] = np.minimum(np.searchsorted(e, xs[:, d], side="right") - 1,
-                               grid.bins[d] - 1)
+        upper = np.append(e[1:-1], np.inf)
+        x = xs[:, d]
+        i = ((x - dim.min) / dim.width * b).astype(np.int64)
+        np.clip(i, 0, b - 1, out=i)
+        while True:
+            down = x < e[i]
+            i -= down
+            up = x >= upper[i]
+            i += up
+            if not (down.any() or up.any()):
+                break
+        out[:, d] = i
     return out
 
 
@@ -378,12 +403,19 @@ def _generate_state(entropy: list, n_words: int) -> np.ndarray:
     for word in entropy[_POOL:]:
         for dst in range(_POOL):
             pool[dst] = _mix(pool[dst], hashmix(word))
-    # generate_state's output loop: the same step, its own constants; a
-    # uint64 is two words, the low one first
-    hashmix = _hashmix(_INIT_B, _MULT_B)
-    words = np.stack([hashmix(pool[i % _POOL]) for i in range(2 * n_words)],
-                     axis=1).astype(np.uint64)
-    return words[:, ::2] | words[:, 1::2] << _SHIFT32
+    # generate_state's output loop: the same step, its own constants, run
+    # once over the (2·n_words, rows) output words, its running constants a
+    # column; a uint64 is two words, the low one first
+    consts = [_INIT_B]
+    for _ in range(2 * n_words):
+        consts.append(consts[-1] * _MULT_B & _M32)
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    words = np.stack([pool[i % _POOL] for i in range(2 * n_words)])
+    words ^= consts[:-1]
+    words *= consts[1:]
+    words ^= words >> _XSHIFT
+    words = words.astype(np.uint64)
+    return (words[::2] | words[1::2] << _SHIFT32).T
 
 
 def _pcg64_step(state, inc) -> tuple[np.ndarray, np.ndarray]:

@@ -571,34 +571,43 @@ def read_records(path: str | Path) -> TestCampaign:
 # The last four have one entry per region in C order; an observed report has
 # no edges and empty columns. A region's total count is not stored: it is
 # the sum of its three counts. Each of those four lines is the text
-# json.dumps(column.tolist()) would write, but each distinct value of the
-# column is formatted once and its text gathered into every entry that holds
-# it (see _json_list): a fine grid has tens of thousands of regions and
-# only a few dozen distinct masses and counts. "renormalized" is written
-# for the file's readers; the report derives it from dropped_regions.
+# json.dumps(column.tolist()) would write, but each distinct value is
+# formatted once and its text gathered into every entry that holds it (see
+# _json_lists): a fine grid has tens of thousands of regions and only a few
+# dozen distinct masses and counts. The distinct masses are found by sorting
+# their bits and keeping each value that differs from the one before, and
+# each entry's text by a binary search of its bits among them; the three
+# count columns share one table of str(k). "renormalized" is written for
+# the file's readers; the report derives it from dropped_regions.
 
 FORMAT_VERSION = 2
 _COUNT_KEYS = ("n_success", "n_task_fail", "n_harmful")
 
 
-def _json_list(column: np.ndarray) -> str:
-    """json.dumps(column.tolist()) of a 1-D numeric column, with each
-    distinct value formatted once. A float column's values are told apart by
-    their bits, so 0.0 and -0.0 keep their own texts. An integer column whose
-    values lie in [0, len) looks each up in a table of str(k); any other
-    column is formatted whole."""
-    if column.dtype.kind == "f":
-        bits, inverse = np.unique(
-            np.ascontiguousarray(column, dtype=float).view(np.uint64),
-            return_inverse=True)
-        table = list(map(json.dumps, bits.view(float).tolist()))
-    elif (column.dtype.kind in "iu" and column.size
-          and column.min() >= 0 and column.max() < column.size):
-        inverse = column
-        table = list(map(str, range(column.max() + 1)))
+def _json_lists(rows: np.ndarray) -> list[str]:
+    """json.dumps(row) of each row of a 2-D numeric array's tolist(), with
+    each distinct value formatted once. A float array's values are told
+    apart by their bits, so 0.0 and -0.0 keep their own texts: the sorted
+    bits, less each entry equal to the one before, are the table, in the
+    order np.unique would give, and np.searchsorted finds each entry's place
+    in it. An integer array whose values lie in [0, size) looks each up in
+    one table of str(k); any other array is formatted row by row."""
+    if rows.dtype.kind == "f":
+        bits = np.ascontiguousarray(rows, dtype=float).view(np.uint64)
+        distinct = np.sort(bits, axis=None)
+        keep = np.ones(distinct.size, dtype=bool)
+        np.not_equal(distinct[1:], distinct[:-1], out=keep[1:])
+        distinct = distinct[keep]
+        inverse = np.searchsorted(distinct, bits)
+        table = list(map(json.dumps, distinct.view(float).tolist()))
+    elif (rows.dtype.kind in "iu" and rows.size
+          and rows.min() >= 0 and rows.max() < rows.size):
+        inverse = rows
+        table = list(map(str, range(rows.max() + 1)))
     else:
-        return json.dumps(column.tolist())
-    return "[" + ", ".join(np.array(table, dtype=object)[inverse].tolist()) + "]"
+        return list(map(json.dumps, rows.tolist()))
+    return [f"[{', '.join(texts)}]"
+            for texts in np.array(table, dtype=object)[inverse].tolist()]
 
 
 def write_report(path: str | Path, report: DependabilityReport) -> None:
@@ -610,13 +619,16 @@ def write_report(path: str | Path, report: DependabilityReport) -> None:
         "renormalized": report.renormalized,
         "dropped_mass": report.dropped_mass,
     }, indent=2)
-    columns = {"dropped_regions": json.dumps(report.dropped_regions.tolist()),
+    # str of a list of ints is its json.dumps
+    columns = {"dropped_regions": str(report.dropped_regions.tolist()),
                "edges": json.dumps(report.edges),
-               "mass": _json_list(report.weights),
-               **{key: _json_list(column)
-                  for key, column in zip(_COUNT_KEYS, report.counts.T)}}
-    atomic_write_text(path, header[:-2] + "".join(
-        f',\n  "{key}": {text}' for key, text in columns.items()) + "\n}\n")
+               "mass": _json_lists(report.weights[None])[0],
+               **dict(zip(_COUNT_KEYS, _json_lists(report.counts.T)))}
+    pieces = [header[:-2]]
+    for key, text in columns.items():
+        pieces += (f',\n  "{key}": ', text)
+    pieces.append("\n}\n")
+    atomic_write_text(path, "".join(pieces))
 
 
 _JSON_TYPES = {"integers": {int}, "numbers": set(_NUMBER), "lists": {list}}

@@ -201,8 +201,8 @@ def run_batch(cfg: EnvConfig, policies: Sequence, scenarios: np.ndarray,
     pair, stepping each block of episodes in lockstep. ``scenarios`` is an
     (n, 3) float array of (v, t, y) rows, such as ``sample`` returns;
     ``seeds`` is a uint64 array of n seeds, such as ``substream_seeds``
-    returns, and a seed count other than n raises ConfigError. The campaigns
-    hold no seeds: they are inputs.
+    returns; seeds of another dtype, or a seed count other than n, raise
+    ConfigError. The campaigns hold no seeds: they are inputs.
 
     Row i of the campaign of policy p equals ``run_episode(cfg, q,
     scenarios[i], seeds[i])`` bit for bit, where q is a fresh policy
@@ -219,6 +219,9 @@ def run_batch(cfg: EnvConfig, policies: Sequence, scenarios: np.ndarray,
     is the first outside. The campaigns have no condition name and master
     seed 0.
     """
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
+        raise ConfigError(f"seeds must be a uint64 array, got "
+                          f"{getattr(seeds, 'dtype', type(seeds).__name__)}")
     if len(seeds) != len(scenarios):
         raise ConfigError(f"{len(seeds)} seeds for {len(scenarios)} "
                           f"scenarios")

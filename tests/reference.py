@@ -1,6 +1,7 @@
 """Oracles for the tests, independent of the library code they check: the
-bin-edge convention, region masses, a discrete table as a prediction target,
-the exact expectation over such a table and sample's per-row specification.
+bin-edge convention, each point's bin by a binary search, region masses, a
+discrete table as a prediction target, the exact expectation over such a
+table and sample's per-row specification.
 Only region_mass of a ConditionSet imports scipy, so the seeding and
 record-format tests run where scipy is not installed."""
 
@@ -35,6 +36,19 @@ def in_region(grid, space, index, x) -> bool:
     dimension, its coordinate lies in the region's bin."""
     return all(in_bin(dim, nb, i, v)
                for dim, nb, i, v in zip(space.dims, grid.bins, index, x))
+
+
+def searched_bins(grid, space, xs: np.ndarray) -> np.ndarray:
+    """The (n, ndim) bin indices of the points xs, each coordinate's found by
+    a binary search of its dimension's edges: the last edge at or below it,
+    searchsorted(e, x, "right") - 1, capped at the last bin, which is
+    closed."""
+    out = np.empty(xs.shape, dtype=np.int64)
+    for d in range(space.ndim):
+        e = grid.edges(space, d)
+        out[:, d] = np.minimum(np.searchsorted(e, xs[:, d], side="right") - 1,
+                               grid.bins[d] - 1)
+    return out
 
 
 @dataclass(frozen=True)

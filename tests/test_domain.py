@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from depgrid import (
@@ -25,7 +25,7 @@ from depgrid import (
     validate_grid,
 )
 from depgrid import presets
-from reference import Table, in_region, region_mass
+from reference import Table, in_region, region_mass, searched_bins
 
 # Frozen standard-normal CDF values, computed with scipy.special.ndtr.
 PHI_MINUS_1 = 0.15865525393145707
@@ -85,6 +85,18 @@ def test_check_points_names_the_first_point_outside(space):
     assert space.check_points([]).shape == (0, 3)
 
 
+def test_check_points_names_a_bad_row_after_many_good_ones(space):
+    """A bad row after 10k good ones is named as the first bad row is: its
+    first coordinate outside, and its row."""
+    xs = np.tile([5.0, 5.0, 30.0], (10_002, 1))
+    xs[10_000, 1:] = math.nan, 60.0
+    xs[10_001, 0] = -1.0
+    with pytest.raises(OutOfDomain,
+                       match=r"^t = nan outside \[0.0, 10.0\]$") as e:
+        space.check_points(xs)
+    assert e.value.row == 10_000
+
+
 class TestPartitionIndex:
     def test_first_bin(self):
         space = line_domain()
@@ -127,6 +139,30 @@ class TestPartitionIndex:
         for _ in range(200):
             x = tuple(float(rng.uniform(d.min, d.max)) for d in space.dims)
             assert in_region(grid, space, region_of(grid, space, x), x)
+
+    # bounds within 1e300 of 0: np.linspace, which makes the edges, warns of
+    # an overflow on a width near the largest float
+    @settings(max_examples=200)
+    @given(lo=st.floats(-1e300, 1e300), hi=st.floats(-1e300, 1e300),
+           bins=st.integers(1, 1000),
+           fractions=st.lists(st.floats(0, 1), max_size=50))
+    # edges closer than an ulp: many edges are equal, and one correction
+    # pass after the estimate is not enough
+    @example(lo=1e16, hi=1e16 + 16, bins=1000, fractions=[0.3, 0.7])
+    @example(lo=0.0, hi=5e-324, bins=7, fractions=[0.5])
+    def test_bins_equal_a_binary_search_of_the_edges(self, lo, hi, bins,
+                                                     fractions):
+        """Every edge, its neighbouring floats, the bounds and random
+        points of the domain fall in the bin searched_bins finds."""
+        assume(lo < hi)
+        space = DomainSpace((Dimension("x", lo, hi),))
+        grid = PartitionGrid((bins,))
+        e = grid.edges(space, 0)
+        xs = np.concatenate([
+            e, np.nextafter(e, lo), np.nextafter(e, hi), [lo, hi],
+            np.minimum(lo + (hi - lo) * np.array(fractions), hi)])[:, None]
+        assert np.array_equal(partition_indices(grid, space, xs),
+                              searched_bins(grid, space, xs))
 
 
 class TestRegionMass:

@@ -416,6 +416,16 @@ class TestBatch:
             run_batch(env, [scripted_factory()], xs,
                       np.array([1, 2], dtype=np.uint64))
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_seeds_must_be_uint64(self, env, scripted_factory, dtype):
+        # a ConfigError naming the dtype, not numpy's TypeError from the
+        # seeding's shifts
+        xs = sample(presets.condition("testing"), 3, 68)
+        with pytest.raises(ConfigError,
+                           match=f"uint64 array, got {np.dtype(dtype)}$"):
+            run_batch(env, [scripted_factory()], xs,
+                      np.arange(3, dtype=dtype))
+
 
 class Unsettled(ScriptedPolicy):
     """The scripted policy, with a batch controller whose settled() names

@@ -46,7 +46,7 @@ from depgrid.records import (
     _MAX_COORDINATES,
     _as_json,
     _from_json,
-    _json_list,
+    _json_lists,
     atomic_write_texts,
     _campaign_from_dicts,
     _campaign_from_template,
@@ -949,15 +949,34 @@ INT_COLUMNS = st.one_of(
 @example(column=np.array([0.0, -0.0, 0.0, -0.0]))
 @example(column=np.array([5e-324, 1.7e308, -1.7e308, 5e-324]))
 @example(column=np.array([0.25]))
+@example(column=np.full(7, 0.1))
+@example(column=np.linspace(-1.0, 1.0, 33))
 @example(column=np.array([3, 0, 3, 1], dtype=np.int64))
 @example(column=np.array([4, 0, 4, 1], dtype=np.int64))
+@example(column=np.array([5, 0, 5, 1], dtype=np.int64))
 @example(column=np.zeros(5, dtype=np.int64))
 @example(column=np.zeros(0, dtype=np.int64))
 def test_column_text_is_json_dumps_of_its_list(column):
     """The report writer formats each distinct value once, yet writes the
-    text json.dumps writes for the column's list."""
-    assert _json_list(column) == json.dumps(column.tolist())
-    assert _json_list(column[::-2]) == json.dumps(column[::-2].tolist())
+    text json.dumps writes for the column's list, for one row or several
+    (the count columns, looked up in one table when every value is below
+    their total size)."""
+    assert _json_lists(column[None]) == [json.dumps(column.tolist())]
+    assert (_json_lists(column[None, ::-2])
+            == [json.dumps(column[::-2].tolist())])
+    rows = np.stack([column, column[::-1]])
+    assert _json_lists(rows) == list(map(json.dumps, rows.tolist()))
+
+
+def report_text(report) -> str:
+    """The report file's text, built here from column_form: the header as
+    json.dumps(..., indent=2) lays it out, then each column's json.dumps on
+    a line of its own."""
+    doc = column_form(report)
+    keys = list(doc)
+    header = json.dumps({key: doc[key] for key in keys[:7]}, indent=2)
+    return header[:-2] + "".join(f',\n  "{key}": {json.dumps(doc[key])}'
+                                 for key in keys[7:]) + "\n}\n"
 
 
 @settings(max_examples=200)
@@ -965,7 +984,23 @@ def test_column_text_is_json_dumps_of_its_list(column):
 def test_read_report_of_write_report_is_the_report(tmp_path_factory, report):
     path = tmp_path_factory.mktemp("round") / "report.json"
     write_report(path, report)
+    assert path.read_text() == report_text(report)
     assert read_report(path) == report
+
+
+@pytest.mark.parametrize("dropped", [[], [0, 2, 3]], ids=["none", "three"])
+def test_dropped_regions_line_is_json_dumps_of_the_list(tmp_path, dropped):
+    report = DependabilityReport(
+        "d", 0.5, 0.25, 0.25, edges=((0.0, 1.0, 2.0), (0.0, 1.0, 2.0)),
+        weights=np.array([0.0, 1.0, 0.0, 0.0]),
+        counts=np.ones((4, 3), dtype=np.int64),
+        dropped_mass=0.5 if dropped else 0.0,
+        dropped_regions=np.array(dropped, dtype=np.int64))
+    path = tmp_path / "report.json"
+    write_report(path, report)
+    text = path.read_text()
+    assert f'\n  "dropped_regions": {json.dumps(dropped)},\n' in text
+    assert text == report_text(report)
 
 
 def metrics_of(*values: float) -> dict:
